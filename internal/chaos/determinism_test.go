@@ -151,14 +151,18 @@ func TestDeterminismUnderChaos(t *testing.T) {
 
 // TestDeterminismAcrossWorkerCounts extends the headline guarantee to
 // the two-plane executor: with the data plane enabled, the worker count
-// is invisible — workers=1 and workers=4 produce byte-identical output
-// digests and observability exports, with and without a chaos plan, and
-// two same-seed runs at workers=4 are byte-identical too.
+// is invisible — the inline pool (workers=-1), workers=1 and workers=4
+// produce byte-identical output digests and observability exports, with
+// and without a chaos plan (task failures, stragglers and speculation
+// included), and two same-seed runs at workers=4 are byte-identical too.
+// Plotting is a fork site (fork before the Plot charges, one join after),
+// so this also pins that the join lands on the same event at every size.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	plan, err := chaos.ParsePlan([]byte(testPlan))
 	if err != nil {
 		t.Fatal(err)
 	}
+	digests := map[string]string{}
 	for _, tc := range []struct {
 		name string
 		plan *chaos.Plan
@@ -168,26 +172,28 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d1, trace1, prom1 := chaosRun(t, "scidp", tc.plan, 1)
-			d4, trace4, prom4 := chaosRun(t, "scidp", tc.plan, 4)
-			if d1 != d4 {
-				t.Errorf("output digests differ across worker counts: %s vs %s", d1, d4)
+			for _, workers := range []int{-1, 4, 4} {
+				// The second workers=4 leg is the same-seed repeat: pooled
+				// runs are reproducible against themselves, not just
+				// against workers=1.
+				d, trace, prom := chaosRun(t, "scidp", tc.plan, workers)
+				if d != d1 {
+					t.Errorf("output digest at workers=%d differs from workers=1: %s vs %s", workers, d, d1)
+				}
+				if !bytes.Equal(trace, trace1) {
+					t.Errorf("Chrome-trace export at workers=%d differs from workers=1", workers)
+				}
+				if !bytes.Equal(prom, prom1) {
+					t.Errorf("Prometheus export at workers=%d differs from workers=1", workers)
+				}
 			}
-			if !bytes.Equal(trace1, trace4) {
-				t.Error("Chrome-trace exports differ across worker counts")
-			}
-			if !bytes.Equal(prom1, prom4) {
-				t.Error("Prometheus exports differ across worker counts")
-			}
-			// Same-seed repeat at workers=4: pooled runs are also
-			// reproducible against themselves, not just against workers=1.
-			d4b, trace4b, prom4b := chaosRun(t, "scidp", tc.plan, 4)
-			if d4 != d4b {
-				t.Errorf("workers=4 digests differ across same-seed runs: %s vs %s", d4, d4b)
-			}
-			if !bytes.Equal(trace4, trace4b) || !bytes.Equal(prom4, prom4b) {
-				t.Error("workers=4 exports differ across same-seed runs")
-			}
+			digests[tc.name] = d1
 		})
+	}
+	// Faults may only cost time: abandoned and discarded attempts leave no
+	// trace in the pooled runs' output either.
+	if digests["chaos"] != digests["clean"] {
+		t.Errorf("pooled output under chaos differs from fault-free output: %s vs %s", digests["chaos"], digests["clean"])
 	}
 }
 

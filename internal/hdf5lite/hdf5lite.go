@@ -16,11 +16,8 @@
 package hdf5lite
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -248,6 +245,7 @@ func (w *Writer) Bytes() ([]byte, error) {
 	// Chunk and compress all datasets first (depth-first order fixes the
 	// payload layout).
 	var payloads [][]byte
+	var deflater ioengine.Deflater // one compressor per level for the whole encode
 	var prep func(g *Group) error
 	prep = func(g *Group) error {
 		for _, d := range g.Datasets {
@@ -266,14 +264,10 @@ func (w *Writer) Bytes() ([]byte, error) {
 				raw := d.data[int64(r)*rb : int64(r+n)*rb]
 				payload := raw
 				if d.Deflate > 0 {
-					var buf bytes.Buffer
-					fw, err := flate.NewWriter(&buf, d.Deflate)
-					if err != nil {
-						return err
+					var err error
+					if payload, err = deflater.Deflate(raw, d.Deflate); err != nil {
+						return fmt.Errorf("hdf5lite: dataset %s: %w", d.Name, err)
 					}
-					fw.Write(raw)
-					fw.Close()
-					payload = buf.Bytes()
 				}
 				ck := Chunk{RowStart: r, Rows: n, StoredSize: int64(len(payload)), RawSize: int64(len(raw))}
 				if !w.noStats {
@@ -613,12 +607,11 @@ func chunkDecoder(d *Dataset, c Chunk) func(raw []byte) ([]byte, error) {
 			return nil, fmt.Errorf("hdf5lite: truncated chunk at %d", c.Offset)
 		}
 		if d.Deflate > 0 {
-			fr := flate.NewReader(bytes.NewReader(raw))
-			out, err := io.ReadAll(fr)
+			out, err := ioengine.Inflate(raw, c.RawSize)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("hdf5lite: %w", err)
 			}
-			raw = out
+			return out, nil
 		}
 		if int64(len(raw)) != c.RawSize {
 			return nil, fmt.Errorf("hdf5lite: chunk raw size %d, want %d", len(raw), c.RawSize)

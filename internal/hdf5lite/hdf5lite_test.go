@@ -1,6 +1,7 @@
 package hdf5lite
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -227,5 +228,37 @@ func TestRowsRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChunkIndexDisagreesWithStream: the same header hardening as
+// netcdf's — a chunk index that truncates the stream, misstates its raw
+// size either way, or declares a size no DEFLATE stream of that length
+// could reach is an error, not an allocation.
+func TestChunkIndexDisagreesWithStream(t *testing.T) {
+	blob, _ := sampleFile(t)
+	for _, c := range []struct {
+		name   string
+		mutate func(ck *Chunk)
+		want   string
+	}{
+		{"truncated stream", func(ck *Chunk) { ck.StoredSize /= 2 }, "hdf5lite: inflate: unexpected EOF"},
+		{"stream longer than declared", func(ck *Chunk) { ck.RawSize-- }, "hdf5lite: chunk raw size at least 128, want 127"},
+		{"stream shorter than declared", func(ck *Chunk) { ck.RawSize++ }, "hdf5lite: chunk raw size 128, want 129"},
+		{"absurd raw size", func(ck *Chunk) { ck.RawSize = 1 << 60 }, "impossible"},
+	} {
+		f, err := Open(netcdf.BytesReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := f.Root().Child("model").Child("physics").Dataset("QR")
+		c.mutate(&d.Chunks[1])
+		if _, err := f.ReadRows(d, 0, 2); err != nil {
+			t.Errorf("%s: untouched chunk 0 failed: %v", c.name, err)
+		}
+		_, err = f.ReadRows(d, 2, 2)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }

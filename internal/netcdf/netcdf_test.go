@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -592,5 +593,74 @@ func TestPutVaraTilingEqualsFullWrite(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChunkIndexDisagreesWithStream: the chunk index is header data from
+// outside, and RawSize now sizes the inflate buffer. A stored size that
+// truncates the stream, a raw size on either side of what the stream
+// holds, and a raw size no DEFLATE stream of that length could reach all
+// fail with an error (the last one before anything is allocated).
+func TestChunkIndexDisagreesWithStream(t *testing.T) {
+	blob, _ := buildFile(t, 2, 40, 40, 4)
+	for _, c := range []struct {
+		name   string
+		mutate func(ci *ChunkInfo)
+		want   string
+	}{
+		{"truncated stream", func(ci *ChunkInfo) { ci.StoredSize /= 2 }, "netcdf: QR: inflate: unexpected EOF"},
+		{"stream longer than declared", func(ci *ChunkInfo) { ci.RawSize-- }, "netcdf: QR: chunk raw size at least 6400, want 6399"},
+		{"stream shorter than declared", func(ci *ChunkInfo) { ci.RawSize++ }, "netcdf: QR: chunk raw size 6400, want 6401"},
+		{"absurd raw size", func(ci *ChunkInfo) { ci.RawSize = 1 << 60 }, "impossible"},
+	} {
+		f, err := Open(BytesReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := f.Var("QR")
+		c.mutate(&v.Chunks[1])
+		if _, err := f.GetVara("QR", []int{0, 0, 0}, []int{1, 40, 40}); err != nil {
+			t.Errorf("%s: untouched chunk 0 failed: %v", c.name, err)
+		}
+		_, err = f.GetVara("QR", []int{1, 0, 0}, []int{1, 40, 40})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+var writerSink []byte
+
+// BenchmarkWriterBytes encodes one NU-WRF-shaped variable (10 levels of
+// 40x40 float32, one deflated chunk per level) — the set-up cost.
+func BenchmarkWriterBytes(b *testing.B) {
+	const nz, ny, nx = 10, 40, 40
+	vals := make([]float32, nz*ny*nx)
+	for i := range vals {
+		vals[i] = float32(math.Sin(float64(i) / 37.0))
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(4 * len(vals)))
+	for i := 0; i < b.N; i++ {
+		w := NewWriter()
+		for _, d := range []struct {
+			n string
+			l int
+		}{{"level", nz}, {"lat", ny}, {"lon", nx}} {
+			if err := w.AddDim(d.n, d.l); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.AddVar("QR", Float32, []string{"level", "lat", "lon"}, Chunking{Shape: []int{1, ny, nx}, Deflate: 4}); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.PutVarFloat32("QR", vals); err != nil {
+			b.Fatal(err)
+		}
+		blob, err := w.Bytes()
+		if err != nil {
+			b.Fatal(err)
+		}
+		writerSink = blob
 	}
 }

@@ -1,10 +1,7 @@
 package netcdf
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
-	"io"
 
 	"scidp/internal/ioengine"
 	"scidp/internal/sim"
@@ -162,12 +159,11 @@ func chunkDecoder(v *Var, ci ChunkInfo) func(raw []byte) ([]byte, error) {
 			return nil, fmt.Errorf("netcdf: %s: truncated chunk at %d", v.Name, ci.Offset)
 		}
 		if v.Deflate > 0 {
-			fr := flate.NewReader(bytes.NewReader(raw))
-			out, err := io.ReadAll(fr)
+			out, err := ioengine.Inflate(raw, ci.RawSize)
 			if err != nil {
-				return nil, fmt.Errorf("netcdf: %s: inflate: %w", v.Name, err)
+				return nil, fmt.Errorf("netcdf: %s: %w", v.Name, err)
 			}
-			raw = out
+			return out, nil
 		}
 		if int64(len(raw)) != ci.RawSize {
 			return nil, fmt.Errorf("netcdf: %s: chunk raw size %d, want %d", v.Name, len(raw), ci.RawSize)

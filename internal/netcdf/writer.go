@@ -1,9 +1,9 @@
 package netcdf
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
+
+	"scidp/internal/ioengine"
 )
 
 // Writer assembles a file in memory: declare dimensions and variables,
@@ -206,6 +206,7 @@ func (w *Writer) Bytes() ([]byte, error) {
 		stats    []ChunkStats
 	}
 	perVar := make([]stored, len(w.vars))
+	var deflater ioengine.Deflater // one compressor per level for the whole encode
 	for vi, wv := range w.vars {
 		if wv.data == nil {
 			return nil, fmt.Errorf("netcdf: var %s has no data", wv.v.Name)
@@ -221,9 +222,9 @@ func (w *Writer) Bytes() ([]byte, error) {
 				st.stats = append(st.stats, computeChunkStats(wv.v.Type, raw))
 			}
 			if wv.v.Deflate > 0 {
-				comp, err := deflateBytes(raw, wv.v.Deflate)
+				comp, err := deflater.Deflate(raw, wv.v.Deflate)
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("netcdf: var %s: %w", wv.v.Name, err)
 				}
 				st.payloads = append(st.payloads, comp)
 			} else {
@@ -341,20 +342,4 @@ func splitChunks(v *Var, raw []byte) ([][]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-// deflateBytes compresses b at the given level.
-func deflateBytes(b []byte, level int) ([]byte, error) {
-	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, level)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fw.Write(b); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -2,6 +2,7 @@ package rframe
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"image"
 	"image/color"
@@ -35,6 +36,9 @@ func AnimateGIF(pngFrames [][]byte, delayCS int) ([]byte, error) {
 	}
 	anim := &gif.GIF{}
 	var bounds image.Rectangle
+	// Frames hold a few hundred distinct colors, so the nearest-palette
+	// search runs once per color, not once per pixel.
+	memo := map[uint64]uint8{}
 	for i, data := range pngFrames {
 		img, err := png.Decode(bytes.NewReader(data))
 		if err != nil {
@@ -46,11 +50,7 @@ func AnimateGIF(pngFrames [][]byte, delayCS int) ([]byte, error) {
 			return nil, fmt.Errorf("rframe: frame %d bounds %v != %v", i, img.Bounds(), bounds)
 		}
 		pal := image.NewPaletted(bounds, jetPalette)
-		for y := bounds.Min.Y; y < bounds.Max.Y; y++ {
-			for x := bounds.Min.X; x < bounds.Max.X; x++ {
-				pal.Set(x, y, img.At(x, y))
-			}
-		}
+		quantize(pal, img, memo)
 		anim.Image = append(anim.Image, pal)
 		anim.Delay = append(anim.Delay, delayCS)
 	}
@@ -59,4 +59,53 @@ func AnimateGIF(pngFrames [][]byte, delayCS int) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// straightAlpha marks a memo key as an NRGBA pixel: the same four Pix
+// bytes name a different color in an RGBA (premultiplied) frame.
+const straightAlpha = 1 << 32
+
+// quantize maps every pixel of img to its nearest palette entry in dst
+// (same bounds), looking each distinct color up once through memo, keyed
+// by the pixel's four Pix bytes. The PNG decoder's 8-bit results are read
+// from Pix directly; anything else goes through color.Color, unmemoized.
+func quantize(dst *image.Paletted, img image.Image, memo map[uint64]uint8) {
+	b := dst.Bounds()
+	var pix []uint8
+	var stride int
+	var layout uint64
+	switch m := img.(type) {
+	case *image.RGBA:
+		pix, stride = m.Pix[m.PixOffset(b.Min.X, b.Min.Y):], m.Stride
+	case *image.NRGBA:
+		pix, stride, layout = m.Pix[m.PixOffset(b.Min.X, b.Min.Y):], m.Stride, straightAlpha
+	default:
+		for y := b.Min.Y; y < b.Max.Y; y++ {
+			for x := b.Min.X; x < b.Max.X; x++ {
+				dst.Set(x, y, img.At(x, y))
+			}
+		}
+		return
+	}
+	last, lastIdx := ^uint64(0), uint8(0) // scaled-up grids repeat pixels in runs
+	for y := 0; y < b.Dy(); y++ {
+		src := pix[y*stride:]
+		out := dst.Pix[y*dst.Stride : y*dst.Stride+b.Dx()]
+		for x := range out {
+			p := src[4*x : 4*x+4]
+			if k := layout | uint64(binary.LittleEndian.Uint32(p)); k != last {
+				idx, ok := memo[k]
+				if !ok {
+					var c color.Color = color.RGBA{R: p[0], G: p[1], B: p[2], A: p[3]}
+					if layout == straightAlpha {
+						c = color.NRGBA{R: p[0], G: p[1], B: p[2], A: p[3]}
+					}
+					idx = uint8(dst.Palette.Index(c))
+					memo[k] = idx
+				}
+				last, lastIdx = k, idx
+			}
+			out[x] = lastIdx
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"image/color"
 	"image/png"
 	"math"
+	"sync"
 )
 
 // PlotOpts configures Image2D, mirroring plot3D::image2D on a CairoPNG
@@ -30,9 +31,39 @@ type GridPoint struct {
 	Col int
 }
 
+// plotScratch is the reusable state of one Image2D call: the raster, the
+// PNG encoder with its zlib compressor and row buffers (the EncoderBuffer,
+// ~850 KB to build), and the encode output. Scratch is pooled and never
+// escapes a call — Image2D returns an owned copy of the encoded bytes.
+type plotScratch struct {
+	img image.RGBA
+	enc png.Encoder
+	buf *png.EncoderBuffer
+	out bytes.Buffer
+}
+
+// Get and Put implement png.EncoderBufferPool over the scratch's one
+// buffer.
+func (s *plotScratch) Get() *png.EncoderBuffer  { return s.buf }
+func (s *plotScratch) Put(b *png.EncoderBuffer) { s.buf = b }
+
+var plotScratches = sync.Pool{New: func() any {
+	s := &plotScratch{}
+	s.enc.BufferPool = s
+	return s
+}}
+
+// nonFinite is the fixed color of NaN and ±Inf cells (fill values), which
+// have no place on the ramp.
+var nonFinite = color.RGBA{R: 128, G: 128, B: 128, A: 255}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // Image2D rasterizes a ny-by-nx float32 grid into a PNG using a jet-style
 // color ramp, nearest-neighbor scaled to the requested resolution. It
-// returns the encoded PNG bytes (what a Map task writes to HDFS).
+// returns the encoded PNG bytes (what a Map task writes to HDFS). Non-
+// finite cells are left out of the auto-scale and painted gray. Safe for
+// concurrent use.
 func Image2D(z []float32, ny, nx int, opts PlotOpts) ([]byte, error) {
 	if len(z) != ny*nx {
 		return nil, fmt.Errorf("rframe: Image2D got %d values for %dx%d grid", len(z), ny, nx)
@@ -52,6 +83,9 @@ func Image2D(z []float32, ny, nx int, opts PlotOpts) ([]byte, error) {
 		lo, hi = math.Inf(1), math.Inf(-1)
 		for _, v := range z {
 			fv := float64(v)
+			if !finite(fv) {
+				continue
+			}
 			if fv < lo {
 				lo = fv
 			}
@@ -63,23 +97,52 @@ func Image2D(z []float32, ny, nx int, opts PlotOpts) ([]byte, error) {
 	if hi <= lo {
 		hi = lo + 1
 	}
-	img := image.NewRGBA(image.Rect(0, 0, w, h))
+
+	s := plotScratches.Get().(*plotScratch)
+	defer plotScratches.Put(s)
+	img := &s.img
+	img.Rect = image.Rect(0, 0, w, h)
+	img.Stride = 4 * w
+	if n := 4 * w * h; cap(img.Pix) < n {
+		img.Pix = make([]uint8, n)
+	} else {
+		img.Pix = img.Pix[:n]
+	}
+	// Nearest-neighbor scaling repeats grid cells: color once per cell a
+	// pixel row visits, and copy the row above while it maps to the same
+	// grid row. Every pixel is written, so stale scratch never shows.
+	prevGy := -1
 	for py := 0; py < h; py++ {
+		row := img.Pix[py*img.Stride : py*img.Stride+4*w]
 		gy := py * ny / h
+		if gy == prevGy {
+			copy(row, img.Pix[(py-1)*img.Stride:])
+			continue
+		}
+		prevGy = gy
+		prevGx := -1
+		var c color.RGBA
 		for px := 0; px < w; px++ {
-			gx := px * nx / w
-			v := (float64(z[gy*nx+gx]) - lo) / (hi - lo)
-			img.SetRGBA(px, py, jet(v))
+			if gx := px * nx / w; gx != prevGx {
+				prevGx = gx
+				if fv := float64(z[gy*nx+gx]); finite(fv) {
+					c = jet((fv - lo) / (hi - lo))
+				} else {
+					c = nonFinite
+				}
+			}
+			p := row[4*px : 4*px+4 : 4*px+4]
+			p[0], p[1], p[2], p[3] = c.R, c.G, c.B, c.A
 		}
 	}
 	for _, pt := range opts.Highlight {
 		markCell(img, pt, ny, nx)
 	}
-	var buf bytes.Buffer
-	if err := png.Encode(&buf, img); err != nil {
+	s.out.Reset()
+	if err := s.enc.Encode(&s.out, img); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(s.out.Bytes()), nil
 }
 
 // jet maps v in [0,1] onto a blue-cyan-yellow-red ramp.

@@ -170,18 +170,33 @@ func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (
 		}
 	}
 
-	for l := 0; l < g.levels; l++ {
-		tc.Charge("Plot", env.plotCharge(sequential))
-		global := g.levelOrigin + l
-		png, err := rframe.Image2D(g.level(l), g.ny, g.nx, rframe.PlotOpts{
+	// Fork before charge, join after: every level renders on the data plane
+	// while this task sleeps through the modeled plot cost, and one Await
+	// collects them. The closures read the attempt's own grid and write
+	// their own slots, so an attempt that unwinds mid-charge just abandons
+	// them.
+	out.images = make([][]byte, g.levels)
+	out.levels = make([]int, g.levels)
+	errs := make([]error, g.levels)
+	futs := make([]*sim.Future, g.levels)
+	for l := range futs {
+		out.levels[l] = g.levelOrigin + l
+		opts := rframe.PlotOpts{
 			Width: env.Cfg.PlotRes, Height: env.Cfg.PlotRes,
-			Highlight: highlight[global],
+			Highlight: highlight[out.levels[l]],
+		}
+		futs[l] = tc.Proc().Compute(func() {
+			out.images[l], errs[l] = rframe.Image2D(g.level(l), g.ny, g.nx, opts)
 		})
+	}
+	for range futs {
+		tc.Charge("Plot", env.plotCharge(sequential))
+	}
+	tc.Proc().Await(futs...)
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out.images = append(out.images, png)
-		out.levels = append(out.levels, global)
 	}
 	return out, nil
 }
