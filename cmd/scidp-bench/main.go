@@ -3,10 +3,9 @@
 //
 // Usage:
 //
-//	scidp-bench [-exp all|fig2|table1|table2|fig5|table3|fig6|fig7|fig8|fig9|faults|parallel|workflow|ablations|ioengine|scale|query|mt|cache]
-//	            [-quick] [-trace out.json] [-metrics out.prom] [-json out.json]
-//	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-scale-floor N]
-//	            [-query-floor X] [-mt-floor X] [-cache-floor X] [-explain]
+//	scidp-bench [-exp all|fig2|table1|table2|fig5|table3|fig6|fig7|fig8|fig9|faults|workflow|ablations|query]
+//	            [-quick] [-markdown] [-trace out.json] [-metrics out.prom] [-json out.json]
+//	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-explain]
 //
 // -quick runs a reduced geometry and smaller sweeps (seconds instead of
 // minutes). Output is one aligned text table per experiment, with paper
@@ -14,10 +13,11 @@
 // every simulated run (open in Perfetto / chrome://tracing); -metrics
 // writes a Prometheus-style text dump of the component metrics. Either
 // flag attaches the observability registry; without them runs are
-// instrumentation-free. -json writes the selected experiment's
-// machine-readable result (the BENCH_faults.json / BENCH_parallel.json /
-// BENCH_scale.json artifacts: goodput/JCT sweeps, digests, recovery
-// counters, worker sweep wall-clocks, events/sec sweeps).
+// instrumentation-free. -json writes the machine-readable result of the
+// one selected experiment that has one — faults (goodput/JCT sweep,
+// digests, recovery counters) or query (per-query skip ratios and
+// digests); any other selection, including all, exits 2 rather than
+// leave the file to whichever experiment ran last.
 //
 // -explain attaches the registry like -trace/-metrics and, after the
 // experiments finish, runs the post-run performance analysis
@@ -28,21 +28,12 @@
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the bench
 // process itself (inspect with `go tool pprof`) — the intended workflow
-// for chasing simulator hot spots. -scale-floor makes -exp scale exit
-// non-zero when any sweep point falls below the given events/sec — the
-// CI guard against kernel throughput regressions. -query-floor makes
-// -exp query exit non-zero when any query's skip ratio (oracle chunks
-// decoded or bytes inflated over pushdown's) falls below X — the CI
-// guard against pushdown pruning regressions. -mt-floor makes -exp mt
-// exit non-zero when the fair-share + backfill scheduler's interactive
-// small-job p99 speedup over the strict-FIFO baseline (at the highest
-// load point) falls below X — the CI guard against scheduler
-// regressions in the multi-tenant service. -cache-floor makes -exp
-// cache exit non-zero when the tiered cooperative cache's best JCT
-// speedup over the cache-off baseline falls below X — the CI guard
-// against cache-tier regressions (the cache experiment always fails on
-// a non-deterministic point, a tiered point whose job outputs differ
-// from the cache-off run's, or a zero cross-job hit rate).
+// for chasing simulator hot spots.
+//
+// Simulator throughput, the worker-count sweep, the I/O-engine and
+// cache-tier variants and the tenant load sweep are measured by the
+// repository benchmark (bash benchmark/run.sh --workload <name>), not
+// here; their contracts are gated by go test.
 package main
 
 import (
@@ -53,6 +44,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"scidp/internal/bench"
 	"scidp/internal/ioengine"
@@ -60,21 +53,32 @@ import (
 	"scidp/internal/obs/analyze"
 )
 
+// experiments lists every -exp value; all runs the rest.
+var experiments = []string{"all", "fig2", "table1", "table2", "fig5", "table3", "fig6", "fig7", "fig8", "fig9", "faults", "workflow", "ablations", "query"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, fig2, table1, table2, fig5, table3, fig6, fig7, fig8, fig9, faults, parallel, workflow, ablations, ioengine, scale, query, mt, cache)")
+	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(experiments, ", ")+")")
 	quick := flag.Bool("quick", false, "reduced geometry and sweep sizes")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown instead of aligned text")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the simulated runs to this file")
 	metricsPath := flag.String("metrics", "", "write a Prometheus-style metrics dump to this file")
-	jsonPath := flag.String("json", "", "write the faults experiment's machine-readable result JSON to this file")
+	jsonPath := flag.String("json", "", "write the selected experiment's machine-readable result JSON to this file (-exp faults or -exp query only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
-	scaleFloor := flag.Float64("scale-floor", 0, "with -exp scale: fail unless every sweep point sustains this many events/sec")
-	queryFloor := flag.Float64("query-floor", 0, "with -exp query: fail unless every query prunes at least this ratio of chunks and bytes vs the oracle")
-	mtFloor := flag.Float64("mt-floor", 0, "with -exp mt: fail unless fair share + backfill speed up interactive p99 over FIFO by at least this factor at the highest load")
-	cacheFloor := flag.Float64("cache-floor", 0, "with -exp cache: fail unless the best tiered sweep point speeds up the overlapping-job JCT over the cache-off baseline by at least this factor")
 	flag.BoolVar(&explainMode, "explain", false, "attach the observability registry, print the post-run performance analysis, and embed its JSON into -json output")
 	flag.Parse()
+
+	if !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "scidp-bench: unknown experiment %q (want one of %s)\n", *exp, strings.Join(experiments, ", "))
+		os.Exit(2)
+	}
+	// Only faults and query have a machine-readable result, and -json
+	// names one file: any other selection would write nothing, and all
+	// would leave whichever of the two ran last.
+	if *jsonPath != "" && *exp != "faults" && *exp != "query" {
+		fmt.Fprintf(os.Stderr, "scidp-bench: -json writes one experiment's result: use it with -exp faults or -exp query, not -exp %s\n", *exp)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -121,9 +125,6 @@ func main() {
 	wfSize, wfCompute := 192, 120.0
 	faultsSize := 24
 	faultsRates := []float64{0.05, 0.1, 0.2}
-	parallelSize, parallelReps := 24, 3
-	scaleNodes := []int{8, 32, 128}
-	scaleTasksPerNode, scaleMicroFlows := 200, 10000
 	if *quick {
 		scale = bench.QuickScale()
 		fig5Sizes = []int{8, 16}
@@ -136,9 +137,6 @@ func main() {
 		wfSize, wfCompute = 8, 30.0
 		faultsSize = 16
 		faultsRates = []float64{0.1}
-		parallelSize, parallelReps = 16, 2
-		scaleNodes = []int{4, 16}
-		scaleTasksPerNode, scaleMicroFlows = 60, 2000
 	}
 
 	emit := func(t *bench.Table, err error) {
@@ -154,19 +152,15 @@ func main() {
 	}
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
 
 	if want("table1") {
 		emit(bench.Table1(), nil)
-		ran = true
 	}
 	if want("table2") {
 		emit(bench.Table2(), nil)
-		ran = true
 	}
 	if want("fig2") {
 		emit(bench.Fig2())
-		ran = true
 	}
 	if want("fig5") || want("table3") {
 		r, err := bench.RunFig5(scale, fig5Sizes)
@@ -179,24 +173,19 @@ func main() {
 		if want("table3") {
 			emit(bench.Table3(r), nil)
 		}
-		ran = true
 	}
 	if want("fig6") {
 		emit(bench.Fig6(scale, fig6Steps, fig6Readers))
-		ran = true
 	}
 	if want("fig7") {
 		emit(bench.Fig7(scale, fig7Size))
-		ran = true
 	}
 	if want("fig8") {
 		emit(bench.Fig8(scale, fig8Size, fig8Nodes))
 		emit(bench.Fig8ScaleUp(scale, fig8Size, []int{4, 8, 16}))
-		ran = true
 	}
 	if want("fig9") {
 		emit(bench.Fig9(scale, fig9Sizes))
-		ran = true
 	}
 	if want("faults") {
 		t, fr, err := bench.RunFaults(scale, faultsSize, faultsRates, bench.FaultsSeed)
@@ -207,50 +196,15 @@ func main() {
 		if *jsonPath != "" {
 			writeJSON(*jsonPath, fr)
 		}
-		ran = true
-	}
-	if want("parallel") {
-		t, pr, err := bench.RunParallel(scale, parallelSize, parallelReps)
-		if err != nil {
-			emit(nil, err)
-		}
-		emit(t, nil)
-		if *jsonPath != "" {
-			writeJSON(*jsonPath, pr)
-		}
-		ran = true
 	}
 	if want("workflow") {
 		emit(bench.Workflow(scale, wfSize, wfCompute))
-		ran = true
 	}
 	if want("ablations") {
 		emit(bench.AblationBlockGranularity(scale, ablSize))
 		emit(bench.AblationVariableSubsetting(scale, ablSize))
 		emit(bench.AblationWholeBlockRead(scale))
 		emit(bench.AblationOverlap(scale, ablSize))
-		ran = true
-	}
-	if want("ioengine") {
-		emit(bench.AblationIOEngine(scale, ablSize))
-		ran = true
-	}
-	if want("scale") {
-		t, sr, err := bench.RunScale(scaleNodes, scaleTasksPerNode, scaleMicroFlows)
-		if err != nil {
-			emit(nil, err)
-		}
-		emit(t, nil)
-		if *jsonPath != "" {
-			writeJSON(*jsonPath, sr)
-		}
-		if *scaleFloor > 0 {
-			if minEv := sr.MinEventsPerSec(); minEv < *scaleFloor {
-				fmt.Fprintf(os.Stderr, "scidp-bench: scale floor violated: slowest sweep point ran %.0f events/sec, floor %.0f\n", minEv, *scaleFloor)
-				os.Exit(1)
-			}
-		}
-		ran = true
 	}
 	if want("query") {
 		t, qr, err := bench.RunQuery(scale)
@@ -261,97 +215,6 @@ func main() {
 		if *jsonPath != "" {
 			writeJSON(*jsonPath, qr)
 		}
-		if *queryFloor > 0 {
-			if minSkip := qr.MinSkipRatio(); minSkip < *queryFloor {
-				fmt.Fprintf(os.Stderr, "scidp-bench: query floor violated: weakest query pruned %.2fx, floor %.2fx\n", minSkip, *queryFloor)
-				os.Exit(1)
-			}
-		}
-		ran = true
-	}
-	if want("mt") {
-		mtMults := []float64{0.5, 1, 2, 3}
-		mtHorizon := 120.0
-		if *quick {
-			mtHorizon = 60.0
-		}
-		t, mr, err := bench.RunMT(mtMults, mtHorizon)
-		if err != nil {
-			emit(nil, err)
-		}
-		emit(t, nil)
-		if *jsonPath != "" {
-			writeJSON(*jsonPath, mr)
-		}
-		for _, run := range mr.Runs {
-			if !run.Deterministic {
-				fmt.Fprintf(os.Stderr, "scidp-bench: mt load %gx: same-seed repeat diverged\n", run.LoadMult)
-				os.Exit(1)
-			}
-			if !run.WithinQuota {
-				fmt.Fprintf(os.Stderr, "scidp-bench: mt load %gx: a tenant exceeded its quota\n", run.LoadMult)
-				os.Exit(1)
-			}
-		}
-		if *mtFloor > 0 {
-			if sp := mr.MinSpeedup(); sp < *mtFloor {
-				fmt.Fprintf(os.Stderr, "scidp-bench: mt floor violated: fair share sped up interactive p99 only %.2fx over FIFO, floor %.2fx\n", sp, *mtFloor)
-				os.Exit(1)
-			}
-		}
-		ran = true
-	}
-	if want("cache") {
-		cacheSize := 48
-		cacheHorizon := 120.0
-		if *quick {
-			cacheSize = 8
-			cacheHorizon = 60.0
-		}
-		t, cr, err := bench.RunCache(scale, cacheSize, cacheHorizon)
-		if err != nil {
-			emit(nil, err)
-		}
-		emit(t, nil)
-		if *jsonPath != "" {
-			writeJSON(*jsonPath, cr)
-		}
-		// The tier's correctness contract is unconditional: every point
-		// must be worker-count deterministic, every tiered point must
-		// reproduce the cache-off job outputs byte for byte and serve at
-		// least one cross-job hit.
-		for _, run := range cr.Runs {
-			if !run.Deterministic {
-				fmt.Fprintf(os.Stderr, "scidp-bench: cache %s/%dB: workers=1 and workers=4 runs diverged\n", run.Policy, run.CapacityBytes)
-				os.Exit(1)
-			}
-			if !run.OutputsMatchBaseline {
-				fmt.Fprintf(os.Stderr, "scidp-bench: cache %s/%dB: job outputs differ from the cache-off baseline\n", run.Policy, run.CapacityBytes)
-				os.Exit(1)
-			}
-			// A tiered point with no hits AND no eviction churn means the
-			// tier never shared anything — a wiring bug. A churning point
-			// may honestly hit zero (LRU under a sequential scan).
-			if run.Policy != "off" && run.CrossJobHitRate <= 0 && run.Evictions == 0 {
-				fmt.Fprintf(os.Stderr, "scidp-bench: cache %s/%dB: zero cross-job hit rate without churn\n", run.Policy, run.CapacityBytes)
-				os.Exit(1)
-			}
-		}
-		if cr.MT != nil && !cr.MT.Deterministic {
-			fmt.Fprintf(os.Stderr, "scidp-bench: cache mt arm: same-seed tiered repeat diverged\n")
-			os.Exit(1)
-		}
-		if *cacheFloor > 0 {
-			if sp := cr.BestSpeedup(); sp < *cacheFloor {
-				fmt.Fprintf(os.Stderr, "scidp-bench: cache floor violated: best tiered JCT speedup %.2fx over cache-off, floor %.2fx\n", sp, *cacheFloor)
-				os.Exit(1)
-			}
-		}
-		ran = true
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "scidp-bench: unknown experiment %q (want one of all, fig2, table1, table2, fig5, table3, fig6, fig7, fig8, fig9, faults, parallel, workflow, ablations, ioengine, scale, query, mt, cache)\n", *exp)
-		os.Exit(2)
 	}
 
 	if explainMode {

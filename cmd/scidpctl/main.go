@@ -189,7 +189,7 @@ func runAnalyze(args []string) {
 	}
 
 	tier := ioengine.TierConfig{NodeBytes: *cacheBytes, Policy: ioengine.PolicyCost}
-	rep, solRep, reg, err := bench.AnalyzeRunTier(bench.QuickScale(), *timestamps, plan, *workers, "scidpctl-analyze", tier)
+	rep, solRep, reg, err := bench.AnalyzeRun(bench.QuickScale(), *timestamps, plan, *workers, "scidpctl-analyze", tier)
 	if err != nil {
 		fail(err)
 	}

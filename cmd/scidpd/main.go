@@ -8,7 +8,7 @@
 //
 //	scidpd -replay trace.json [-fifo] [-no-backfill] [-workers N]
 //	       [-nodes N] [-slots N] [-json out.json] [-metrics out.prom]
-//	       [-trace out.json] [-p99-floor SECONDS] [-goodput-floor JOBS/KS]
+//	       [-trace out.json]
 //	scidpd -http ADDR [same cluster flags]
 //	scidpd -gen out.json [-seed N] [-horizon SECONDS]
 //
@@ -19,9 +19,7 @@
 // 0 detaches the data plane, a different but equally deterministic
 // event-schedule shape). -fifo swaps the fair-share scheduler for the
 // strict-FIFO baseline (head-of-line blocking, no preemption, no
-// backfill) — the comparison arm for the mt experiment. -p99-floor and
-// -goodput-floor turn the summary into a CI guard: exit non-zero when
-// overall p99 latency exceeds the floor or goodput falls below it.
+// backfill) — the comparison arm for the fair-share scheduler.
 //
 // -http serves the control API (POST /jobs, GET /jobs, GET /jobs/{id},
 // GET /tenants, GET /metrics) from real goroutines bridged onto the
@@ -67,8 +65,6 @@ func main() {
 	jsonPath := flag.String("json", "", "also write the replay summary JSON to this file")
 	metricsPath := flag.String("metrics", "", "write a Prometheus-style metrics dump to this file")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
-	p99Floor := flag.Float64("p99-floor", 0, "with -replay: fail if overall p99 latency exceeds this many seconds")
-	goodputFloor := flag.Float64("goodput-floor", 0, "with -replay: fail if goodput falls below this many jobs per 1000 virtual seconds")
 	flag.Parse()
 
 	if *genPath != "" {
@@ -79,34 +75,23 @@ func main() {
 		fail("exactly one of -replay or -http (or -gen) is required")
 	}
 
-	reg := obs.New()
-	reg.SetProcess("scidpd")
-	env := solutions.NewEnv(solutions.EnvConfig{
-		Nodes: *nodes, SlotsPerNode: *slots, ByteScale: 1,
-		Obs: reg, Workers: *workers,
-	})
-	defer env.Close()
-	svc := tenant.New(env, tenant.Config{FIFO: *fifo, NoBackfill: *noBackfill})
-
+	cfg := tenant.Config{FIFO: *fifo, NoBackfill: *noBackfill}
 	if *httpAddr != "" {
-		srv := tenant.NewServer(svc)
+		env, _ := newEnv(*nodes, *slots, *workers)
+		defer env.Close()
+		svc := tenant.New(env, cfg)
 		fmt.Fprintf(os.Stderr, "scidpd: serving control API on %s (virtual time, %d slots)\n",
 			*httpAddr, svc.TotalSlots())
-		if err := http.ListenAndServe(*httpAddr, srv.Handler()); err != nil {
+		if err := http.ListenAndServe(*httpAddr, tenant.NewServer(svc).Handler()); err != nil {
 			fail("%v", err)
 		}
 		return
 	}
 
-	tr, err := tenant.LoadTrace(*replayPath)
+	sum, reg, err := replay(*replayPath, *nodes, *slots, *workers, cfg)
 	if err != nil {
 		fail("%v", err)
 	}
-	sum, err := tenant.Replay(svc, tr)
-	if err != nil {
-		fail("replay: %v", err)
-	}
-	sum.ExportDigest = tenant.RegistryDigest(reg)
 
 	if *tracePath != "" {
 		writeExport(*tracePath, reg.WriteChromeTrace)
@@ -128,12 +113,36 @@ func main() {
 	if !sum.WithinQuota {
 		fail("a tenant exceeded its quota (admission or scheduler bug)")
 	}
-	if *p99Floor > 0 && sum.P99Seconds > *p99Floor {
-		fail("p99 floor violated: %.2fs > %.2fs", sum.P99Seconds, *p99Floor)
+}
+
+// newEnv builds the simulated cluster the service runs over, with a
+// fresh registry attached under the fixed process label the exports
+// carry at every worker count.
+func newEnv(nodes, slots, workers int) (*solutions.Env, *obs.Registry) {
+	reg := obs.New()
+	reg.SetProcess("scidpd")
+	return solutions.NewEnv(solutions.EnvConfig{
+		Nodes: nodes, SlotsPerNode: slots, ByteScale: 1,
+		Obs: reg, Workers: workers,
+	}), reg
+}
+
+// replay runs the arrival trace at path through a fresh service and
+// returns the run summary, export digest included, with the registry
+// the run recorded into.
+func replay(path string, nodes, slots, workers int, cfg tenant.Config) (*tenant.Summary, *obs.Registry, error) {
+	tr, err := tenant.LoadTrace(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	if *goodputFloor > 0 && sum.GoodputJobsPerKs < *goodputFloor {
-		fail("goodput floor violated: %.2f < %.2f jobs/ks", sum.GoodputJobsPerKs, *goodputFloor)
+	env, reg := newEnv(nodes, slots, workers)
+	defer env.Close()
+	sum, err := tenant.Replay(tenant.New(env, cfg), tr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("replay: %w", err)
 	}
+	sum.ExportDigest = tenant.RegistryDigest(reg)
+	return sum, reg, nil
 }
 
 func writeExport(path string, write func(w io.Writer) error) {

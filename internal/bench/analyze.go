@@ -14,17 +14,11 @@ import (
 // fault-capable testbed with a private registry and returns the
 // post-run analysis, the pipeline report, and the registry itself.
 // plan may be nil (no chaos); workers sets the ComputePool size (0 =
-// inline). Two calls with identical arguments produce byte-identical
-// analysis JSON — the regression property cmd/checkanalyze enforces.
-func AnalyzeRun(s Scale, timestamps int, plan *chaos.Plan, workers int, label string) (*analyze.Report, *solutions.Report, *obs.Registry, error) {
-	return AnalyzeRunTier(s, timestamps, plan, workers, label, ioengine.TierConfig{})
-}
-
-// AnalyzeRunTier is AnalyzeRun with a cooperative cache tier attached
-// to the testbed (zero TierConfig: no tier — identical to AnalyzeRun).
-// The report's cache_tier section then breaks tier-arbitrated reads
-// down by serving level.
-func AnalyzeRunTier(s Scale, timestamps int, plan *chaos.Plan, workers int, label string, tier ioengine.TierConfig) (*analyze.Report, *solutions.Report, *obs.Registry, error) {
+// inline); a non-zero tier attaches the cooperative cache tier, and the
+// report's cache_tier section then breaks tier-arbitrated reads down by
+// serving level. Two calls with identical arguments produce
+// byte-identical analysis JSON.
+func AnalyzeRun(s Scale, timestamps int, plan *chaos.Plan, workers int, label string, tier ioengine.TierConfig) (*analyze.Report, *solutions.Report, *obs.Registry, error) {
 	blobs, ds, err := dataset(s, timestamps)
 	if err != nil {
 		return nil, nil, nil, err

@@ -297,3 +297,54 @@ func TestTableMarkdown(t *testing.T) {
 		t.Fatal("note missing from markdown")
 	}
 }
+
+// TestFaultsSweep runs the quick faults experiment (16 timestamps, rate
+// 0.1): every run completes, writes the fault-free baseline's bytes and
+// reproduces its output and export digests on the same-seed repeat, and
+// the faulted run shows each kind of recovery work.
+func TestFaultsSweep(t *testing.T) {
+	_, res, err := RunFaults(QuickScale(), 16, []float64{0.1}, FaultsSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Runs) != 2 {
+		t.Fatalf("got %d runs, want the baseline and one faulted run", len(res.Runs))
+	}
+	for _, r := range res.Runs {
+		if r.JCTSeconds <= 0 || r.ResultBytes <= 0 {
+			t.Errorf("rate %g: job did not complete (jct=%g, bytes=%d)", r.Rate, r.JCTSeconds, r.ResultBytes)
+		}
+		if !r.OutputMatchesBaseline {
+			t.Errorf("rate %g: output differs from the fault-free baseline", r.Rate)
+		}
+		if !r.Deterministic {
+			t.Errorf("rate %g: same-seed repeat did not reproduce the digests", r.Rate)
+		}
+	}
+	// Observed: 8 failovers, 5 read retries, 2 speculative wins, 12 faults.
+	if f := res.Runs[1]; f.Failovers <= 0 || f.ReadRetries <= 0 || f.SpecWins <= 0 || f.FaultsInjected <= 0 {
+		t.Errorf("faulted run recovered nothing: failovers=%g read retries=%g spec wins=%g faults=%g",
+			f.Failovers, f.ReadRetries, f.SpecWins, f.FaultsInjected)
+	}
+}
+
+// querySkipFloor is the least pruning any query of the sweep may show,
+// oracle over pushdown, in chunks decoded and in bytes inflated
+// (observed 10: one chunk of ten read).
+const querySkipFloor = 5.0
+
+// TestQuerySweep runs the quick query experiment, which itself fails
+// when a pushdown result differs from the oracle's or a same-seed repeat
+// exports different metrics, and holds the pruning floor.
+func TestQuerySweep(t *testing.T) {
+	_, res, err := RunQuery(QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) == 0 {
+		t.Fatal("the sweep ran no queries")
+	}
+	if got := res.MinSkipRatio(); got < querySkipFloor {
+		t.Errorf("weakest query pruned %.2fx, floor %.2fx", got, querySkipFloor)
+	}
+}

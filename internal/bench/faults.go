@@ -52,7 +52,7 @@ type FaultsRun struct {
 }
 
 // FaultsResult is the `-exp faults` experiment's machine-readable output
-// (what BENCH_faults.json records).
+// (scidp-bench -json).
 type FaultsResult struct {
 	// Solution is the data path under test.
 	Solution string `json:"solution"`

@@ -8,6 +8,9 @@ import (
 
 	"scidp/internal/ioengine"
 	"scidp/internal/obs"
+	"scidp/internal/sim"
+	"scidp/internal/solutions"
+	"scidp/internal/workloads"
 )
 
 // exportRun executes one quick scidp run with a fresh registry attached
@@ -108,5 +111,61 @@ func TestTraceCoversSpanTree(t *testing.T) {
 		if !strings.Contains(string(prom), series) {
 			t.Errorf("metrics dump missing %s", series)
 		}
+	}
+}
+
+// exportRunMode is exportRun with the kernel's fair-share scheduler
+// pinned to a mode: the full scidp pipeline runs on a fresh registry and
+// both export streams are returned.
+func exportRunMode(t *testing.T, mode sim.FairShareMode) (trace, prom []byte) {
+	t.Helper()
+	prev := Obs
+	defer func() { Obs = prev }()
+	Obs = obs.New()
+	ioengine.RegisterObs(Obs)
+	ClearCache()
+	s := QuickScale()
+	blobs, ds, err := dataset(s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := obsEnvConfig(s.EnvConfig(0), "scidp@4ts")
+	cfg.FairShare = mode
+	env := solutions.NewEnv(cfg)
+	workloads.Install(env.PFS, blobs)
+	wl := &solutions.Workload{Dataset: ds, Var: "QR"}
+	run := solutions.All()["scidp"]
+	var rerr error
+	env.K.Go("driver", func(p *sim.Proc) {
+		_, rerr = run(p, env, wl)
+	})
+	env.K.Run()
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	env.ExportSimMetrics()
+	var tb, pb bytes.Buffer
+	if err := Obs.WriteChromeTrace(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := Obs.WritePrometheus(&pb); err != nil {
+		t.Fatal(err)
+	}
+	return tb.Bytes(), pb.Bytes()
+}
+
+// TestExportsIdenticalAcrossSchedulerModes is the scale-out refactor's
+// acceptance check: the incremental fair-share scheduler must reproduce
+// the full-recompute oracle bit for bit at the pipeline level — the
+// whole scidp run's Chrome trace and Prometheus dump byte-identical
+// across modes.
+func TestExportsIdenticalAcrossSchedulerModes(t *testing.T) {
+	ti, pi := exportRunMode(t, sim.FairShareIncremental)
+	tf, pf := exportRunMode(t, sim.FairShareFull)
+	if !bytes.Equal(ti, tf) {
+		t.Error("Chrome traces differ between incremental and full-recompute scheduling")
+	}
+	if !bytes.Equal(pi, pf) {
+		t.Error("Prometheus dumps differ between incremental and full-recompute scheduling")
 	}
 }

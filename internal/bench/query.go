@@ -24,9 +24,9 @@ import (
 // fair-share experiment's FairShareFull control). The two modes must
 // produce byte-identical result frames; the bench errors out otherwise.
 // A third pushdown run with a fresh registry checks that the metric
-// export is deterministic. The BENCH_query.json artifact carries chunk
-// and byte accounting plus the digests; MinSkipRatio feeds the CI floor
-// (-query-floor).
+// export is deterministic. The -json artifact carries chunk and byte
+// accounting plus the digests; TestQuerySweep holds MinSkipRatio to its
+// floor.
 
 // queryLevels is the experiment geometry's level count, fixed regardless
 // of -quick so the level-selective queries keep an exact 10x chunk
@@ -68,7 +68,7 @@ type QueryPoint struct {
 	Deterministic bool `json:"deterministic"`
 }
 
-// QueryResult is the machine-readable output (BENCH_query.json).
+// QueryResult is the machine-readable output (scidp-bench -json).
 type QueryResult struct {
 	Levels int          `json:"levels"`
 	Lat    int          `json:"lat"`
@@ -78,7 +78,7 @@ type QueryResult struct {
 
 // MinSkipRatio returns the weakest pruning across points — the smaller
 // of the chunk and byte ratios, minimized over queries (0 with no
-// points). The CI floor checks this stays >= 5x.
+// points).
 func (r *QueryResult) MinSkipRatio() float64 {
 	min := 0.0
 	for i, p := range r.Points {

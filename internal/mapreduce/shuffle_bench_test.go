@@ -216,9 +216,9 @@ func benchTeraSort(b *testing.B, withObs bool, workers, splitsN, recsPerSplit in
 
 // BenchmarkTeraSortWall measures the engine's real wall-clock. The
 // serial sub-benchmark runs the PR 4 geometry with no data plane (every
-// instrumentation site takes the nil fast path — comparable against
-// BENCH_obs.json). The workers=N family runs a larger geometry through
-// the two-plane executor; speedup over workers=1 tracks the machine's
+// instrumentation site takes the nil fast path — the pair of
+// BenchmarkTeraSortWallObs). The workers=N family runs a larger geometry
+// through the two-plane executor; speedup over workers=1 tracks the machine's
 // core count on the map/sort phases (on a single-core host all worker
 // counts are within noise of each other, by design — determinism never
 // depends on the count).

@@ -5,8 +5,8 @@ import "testing"
 // The detached benchmarks quantify the "zero-cost when no registry is
 // attached" contract: a producer holding nil handles pays a nil check
 // and nothing else (0 allocs/op, sub-nanosecond). The attached variants
-// give the comparison point. BENCH_obs.json records the end-to-end
-// version of the same claim on BenchmarkTeraSortWall.
+// give the comparison point. BenchmarkTeraSortWall against
+// BenchmarkTeraSortWallObs is the end-to-end version of the same claim.
 
 func BenchmarkCounterDetached(b *testing.B) {
 	var c *Counter

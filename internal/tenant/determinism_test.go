@@ -2,10 +2,12 @@ package tenant
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"scidp/internal/chaos"
 	"scidp/internal/core"
+	"scidp/internal/ioengine"
 	"scidp/internal/obs"
 	"scidp/internal/solutions"
 )
@@ -138,5 +140,49 @@ func TestPreemptionDeterminism(t *testing.T) {
 		if got, _ := run(workers); got != ref {
 			t.Errorf("workers=%d: preemption run diverged", workers)
 		}
+	}
+}
+
+// TestReplayTierDeterminism is the service × cache-tier contract: with
+// the cooperative tier attached, the replay is byte-identical (summary,
+// completion digest, exports) at workers 1 and 4, the tier serves hits
+// on the shared input catalog, and every job ends in the same state
+// with the same result and output volume as with the tier off — the
+// tier may move completion times, never what a job computes.
+func TestReplayTierDeterminism(t *testing.T) {
+	run := func(workers int, tier ioengine.TierConfig) (summary, outcomes string, stats ioengine.TierStats) {
+		reg := obs.New()
+		reg.SetProcess("scidpd")
+		env := solutions.NewEnv(solutions.EnvConfig{
+			Nodes: 4, SlotsPerNode: 2, ByteScale: 1,
+			Obs: reg, Workers: workers, CacheTier: tier,
+		})
+		defer env.Close()
+		svc := New(env, Config{})
+		sum, err := Replay(svc, smallTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.ExportDigest = RegistryDigest(reg)
+		sumJSON, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range svc.Jobs() {
+			outcomes += fmt.Sprintf("%d %s result=%d out=%d\n", j.ID, j.State, j.Result, j.OutputBytes)
+		}
+		return string(sumJSON), outcomes, env.Tier.Stats()
+	}
+	tier := ioengine.TierConfig{NodeBytes: 2 << 20, Policy: ioengine.PolicyCost}
+	sum1, out1, stats := run(1, tier)
+	sum4, out4, _ := run(4, tier)
+	if sum1 != sum4 || out1 != out4 {
+		t.Errorf("tiered replay differs between workers=1 and workers=4:\n  w1: %s\n  w4: %s", sum1, sum4)
+	}
+	if stats.HitRate() <= 0 {
+		t.Errorf("tier served no hits on the shared catalog: %+v", stats)
+	}
+	if _, outOff, _ := run(1, ioengine.TierConfig{}); out1 != outOff {
+		t.Errorf("job outcomes differ from the tier-off replay:\n  on:\n%s  off:\n%s", out1, outOff)
 	}
 }
