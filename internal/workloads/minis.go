@@ -98,14 +98,15 @@ func (in *hdfsBlockInput) ForEach(tc *mapreduce.TaskContext, s *mapreduce.Split,
 	var err error
 	key := "hdfs#" + s.Label
 	tc.Phase("Read", func() {
-		// Tier entries are shared read-only, but workload tasks mutate
-		// their block bytes in place (sort), so both directions copy.
+		// Tier entries are copies in both directions. The nil check is
+		// not redundant with Admit's nil-receiver no-op: its arguments
+		// are evaluated first, and cloning a block for no tier is waste.
 		if v, ok := in.tier.Read(tc.Proc(), tc.Node().Name, key); ok {
 			data = append([]byte(nil), v...)
 			return
 		}
 		data, err = in.fs.ReadBlock(tc.Proc(), tc.Node(), s.Payload.(*hdfs.Block))
-		if err == nil {
+		if err == nil && in.tier != nil {
 			in.tier.MissOST(int64(len(data)))
 			in.tier.Admit(tc.Proc(), tc.Node().Name, key,
 				append([]byte(nil), data...), int64(len(data)))
