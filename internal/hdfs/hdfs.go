@@ -73,8 +73,8 @@ type Block struct {
 	data []byte
 }
 
-// Data returns a real block's bytes (nil for virtual blocks). The slice is
-// shared; callers must not mutate it.
+// Data returns a real block's bytes (nil for virtual blocks): the slice its
+// writer handed over, cap == len, shared by every reader. Never mutate it.
 func (b *Block) Data() []byte { return b.data }
 
 // INode is a file or directory in the namespace.
@@ -399,6 +399,8 @@ func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 // WriteFile stores data as a new real file written by client, charging a
 // NameNode RPC per block plus the replication pipeline transfers. The
 // first replica lands on the client's node when the client is a DataNode.
+// The file system keeps data — blocks are views of it, not copies — so the
+// caller must not write to it afterwards.
 func (fs *FS) WriteFile(p *sim.Proc, client *cluster.Node, path string, data []byte) error {
 	path = clean(path)
 	if _, exists := fs.inodes[path]; exists {
@@ -409,24 +411,19 @@ func (fs *FS) WriteFile(p *sim.Proc, client *cluster.Node, path string, data []b
 	}
 	fs.nnOp(p)
 	node := &INode{Path: path}
-	if len(data) == 0 {
-		fs.inodes[path] = node
-		return nil
-	}
 	for off := int64(0); off < int64(len(data)); off += fs.cfg.BlockSize {
 		end := off + fs.cfg.BlockSize
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
-		chunk := data[off:end]
+		chunk := data[off:end:end]
 		fs.nnOp(p)
 		reps := fs.placeReplicas(client)
 		if len(reps) == 0 {
 			return fault.Transient("dn-down", "hdfs: create %s: no live DataNodes", path)
 		}
 		fs.nextID++
-		b := &Block{ID: fs.nextID, Size: int64(len(chunk)), Replicas: reps}
-		b.data = append([]byte(nil), chunk...)
+		b := &Block{ID: fs.nextID, Size: int64(len(chunk)), Replicas: reps, data: chunk}
 		// Replication pipeline: client -> r1 -> r2 -> ... Each hop is a
 		// leg of the parallel transfer (pipelining overlaps hops).
 		var parts []sim.Part
@@ -453,6 +450,7 @@ func (fs *FS) WriteFile(p *sim.Proc, client *cluster.Node, path string, data []b
 
 // Put installs a real file instantly (no virtual time) with round-robin
 // replica placement — the workload-setup back door, mirroring pfs.Put.
+// Like WriteFile it keeps data; the caller must not write to it afterwards.
 func (fs *FS) Put(path string, data []byte) (*INode, error) {
 	path = clean(path)
 	if _, exists := fs.inodes[path]; exists {
@@ -467,14 +465,13 @@ func (fs *FS) Put(path string, data []byte) (*INode, error) {
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
-		chunk := data[off:end]
+		chunk := data[off:end:end]
 		reps := fs.placeReplicas(nil)
 		if len(reps) == 0 {
 			return nil, fault.Transient("dn-down", "hdfs: put %s: no live DataNodes", path)
 		}
 		fs.nextID++
-		b := &Block{ID: fs.nextID, Size: int64(len(chunk)), Replicas: reps}
-		b.data = append([]byte(nil), chunk...)
+		b := &Block{ID: fs.nextID, Size: int64(len(chunk)), Replicas: reps, data: chunk}
 		for _, dn := range reps {
 			dn.Used += b.Size
 			dn.BlockCount++
@@ -698,7 +695,8 @@ func (fs *FS) ReadAt(p *sim.Proc, reader *cluster.Node, path string, off, n int6
 }
 
 // ReadFile reads every block of a real file in order from reader's
-// perspective and returns the concatenated bytes.
+// perspective and returns the concatenated bytes — for a one-block file
+// the block itself, which the caller must not mutate.
 func (fs *FS) ReadFile(p *sim.Proc, reader *cluster.Node, path string) ([]byte, error) {
 	n, err := fs.Stat(p, path)
 	if err != nil {
@@ -707,7 +705,10 @@ func (fs *FS) ReadFile(p *sim.Proc, reader *cluster.Node, path string) ([]byte, 
 	if n.Dir {
 		return nil, fmt.Errorf("hdfs: read %s: is a directory", path)
 	}
-	var out []byte
+	if len(n.Blocks) == 1 {
+		return fs.ReadBlock(p, reader, n.Blocks[0])
+	}
+	out := make([]byte, 0, n.Size())
 	for _, b := range n.Blocks {
 		data, err := fs.ReadBlock(p, reader, b)
 		if err != nil {

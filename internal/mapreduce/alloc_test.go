@@ -1,0 +1,67 @@
+//go:build !race
+
+package mapreduce
+
+import (
+	"fmt"
+	"runtime/debug"
+	"testing"
+
+	"scidp/internal/sim"
+)
+
+// The race detector makes sync.Pool drop a quarter of its Puts, so the
+// steady state these guards measure does not exist under -race.
+
+// distinctKeysJob emits n distinct keys from one split to one reducer
+// without allocating per record, so what remains is the engine's own.
+func distinctKeysJob(k *sim.Kernel, keys []string) *Job {
+	return &Job{
+		Name:        "distinct",
+		Cluster:     testCluster(k, 1, 1),
+		Input:       &memInput{splits: []*Split{{Label: "s0", Payload: []string{""}, Length: 1}}},
+		NumReducers: 1,
+		Map: func(tc *TaskContext, key string, value any) error {
+			for _, key := range keys {
+				tc.Emit(key, 1)
+			}
+			return nil
+		},
+		Reduce: func(tc *TaskContext, key string, values []any) error {
+			tc.Emit(key, len(values))
+			return nil
+		},
+	}
+}
+
+// TestReduceOutputAllocatesOncePerSlice is the tier-1 guard against a
+// return to append-doubling on the reduce side: the reducer's local
+// output, the job's Output and a run's span index are each made once at
+// their known size, so a job's malloc count does not grow with its group
+// count (the map-side run buffer is recycled by the warm-up run).
+func TestReduceOutputAllocatesOncePerSlice(t *testing.T) {
+	// No collection while measuring: a GC empties the buffer pools.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func(n int) float64 {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("key-%07d", i)
+		}
+		return testing.AllocsPerRun(5, func() {
+			k := sim.NewKernel()
+			job := distinctKeysJob(k, keys)
+			var res *Result
+			var err error
+			k.Go("driver", func(p *sim.Proc) { res, err = job.Run(p) })
+			k.Run()
+			if err != nil || len(res.Output) != n {
+				t.Fatalf("job = %d groups, %v; want %d", len(res.Output), err, n)
+			}
+		})
+	}
+	small, large := mallocs(1<<10), mallocs(1<<16)
+	// 64x the groups: append-doubling local and Output alone adds 15.
+	if grew := large - small; grew > 2 {
+		t.Fatalf("mallocs per job grew by %.0f from 2^10 to 2^16 groups (%.0f -> %.0f), want <= 2", grew, small, large)
+	}
+}

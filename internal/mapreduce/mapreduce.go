@@ -21,6 +21,7 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"scidp/internal/cluster"
@@ -917,7 +918,11 @@ func (j *Job) Run(p *sim.Proc) (*Result, error) {
 				// the indexed runs, grouped values reaching Reduce through
 				// a pooled buffer (valid only for the duration of each
 				// call).
-				var local []KV
+				groups := 0
+				for _, sp := range spans {
+					groups += len(sp)
+				}
+				local := make([]KV, 0, groups)
 				tc.emit = func(kv KV) { local = append(local, kv) }
 				vals := getVals()
 				defer putVals(vals)
@@ -949,9 +954,7 @@ func (j *Job) Run(p *sim.Proc) (*Result, error) {
 			mo.buckets[b] = nil
 		}
 	}
-	for _, part := range finalParts {
-		res.Output = append(res.Output, part...)
-	}
+	res.Output = slices.Concat(finalParts...)
 	sortKVs(res.Output)
 	res.End = p.Now()
 	return res, nil

@@ -272,6 +272,42 @@ func TestRetrySucceeds(t *testing.T) {
 	}
 }
 
+// TestCommittedOutputCountsOnce pins the pattern RunTeraSort and the
+// tenant sort kind rely on: a reduce attempt that dies part-way has
+// already run Reduce for its earlier keys, so a counter captured by the
+// closure counts them twice, while the committed res.Output counts every
+// record exactly once.
+func TestCommittedOutputCountsOnce(t *testing.T) {
+	k := sim.NewKernel()
+	in := linesInput(0, []string{"a b a", "c"}, []string{"b b", "a c c"})
+	job := wordCountJob(k, in, 2, 2, 1)
+	job.MaxAttempts = 2
+	captured, failed := 0, false
+	job.Reduce = func(tc *TaskContext, key string, values []any) error {
+		if key == "c" && !failed {
+			failed = true
+			return fmt.Errorf("injected failure after two groups")
+		}
+		captured += len(values)
+		tc.Emit(key, len(values))
+		return nil
+	}
+	res := runJob(t, k, job)
+	committed := 0
+	for _, kv := range res.Output {
+		committed += kv.V.(int)
+	}
+	if committed != 9 {
+		t.Errorf("res.Output counts %d records, want 9", committed)
+	}
+	if !failed || captured <= 9 {
+		t.Errorf("closure counter = %d after a retried attempt (failed=%v), want > 9: the retry did not re-run Reduce", captured, failed)
+	}
+	if res.ReduceStats[0].Attempt != 2 {
+		t.Errorf("reduce committed on attempt %d, want 2", res.ReduceStats[0].Attempt)
+	}
+}
+
 func TestPermanentFailureSurfacesError(t *testing.T) {
 	k := sim.NewKernel()
 	in := linesInput(0, []string{"a"})

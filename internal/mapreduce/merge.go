@@ -195,7 +195,8 @@ type kvSpan struct{ start, end int }
 // prefetch pass — overlapping the shuffle. Return the slice with
 // putSpanBuf when the merge is done.
 func runSpans(kvs []KV) []kvSpan {
-	spans := getSpanBuf()
+	// At most one group per pair: grow once, to half the run's own size.
+	spans := slices.Grow(getSpanBuf(), len(kvs))
 	for i := 0; i < len(kvs); {
 		j := i + 1
 		for j < len(kvs) && kvs[j].K == kvs[i].K {

@@ -212,6 +212,7 @@ func benchTeraSort(b *testing.B, withObs bool, workers, splitsN, recsPerSplit in
 			b.Fatal("attached run recorded no spans")
 		}
 	}
+	b.ReportMetric(float64(b.N*splitsN*recsPerSplit)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkTeraSortWall measures the engine's real wall-clock. The

@@ -16,6 +16,7 @@ package pfs
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 
@@ -125,6 +126,7 @@ type File struct {
 	StripeCount int
 	startOST    int
 	data        []byte
+	shared      bool // data is still the slice Put was handed: WriteAt clones first
 }
 
 // Size returns the file's current length in bytes.
@@ -257,16 +259,19 @@ func (fs *FS) Config() Config { return fs.cfg }
 // ---- Instant (non-simulated) access, for dataset setup and verification.
 
 // Put stores data at path with the default stripe layout, charging no
-// virtual time. It is the generator/test back door.
+// virtual time. It is the generator/test back door; data is kept as in
+// PutStriped.
 func (fs *FS) Put(path string, data []byte) *File {
 	return fs.PutStriped(path, data, fs.cfg.DefaultStripeSize, fs.cfg.DefaultStripeCount)
 }
 
 // PutStriped stores data with an explicit stripe layout, charging no
-// virtual time.
+// virtual time. The file shares data until its first WriteAt, which
+// clones it: the caller must not write to data afterwards, and the file
+// system never will.
 func (fs *FS) PutStriped(path string, data []byte, stripeSize int64, stripeCount int) *File {
 	f := fs.allocate(path, stripeSize, stripeCount)
-	f.data = append([]byte(nil), data...)
+	f.data, f.shared = data, true
 	return f
 }
 
@@ -583,6 +588,9 @@ func (c *Client) WriteAt(p *sim.Proc, path string, data []byte, off int64) error
 	}
 	if off < 0 {
 		return fmt.Errorf("pfs: write %s: negative offset", path)
+	}
+	if f.shared {
+		f.data, f.shared = slices.Clone(f.data), false
 	}
 	end := off + int64(len(data))
 	if end > f.Size() {

@@ -159,6 +159,35 @@ func TestWriteAtExtendsAndOverwrites(t *testing.T) {
 	}
 }
 
+// TestPutSharesUntilFirstWrite: Put keeps the caller's buffer (Get aliases
+// it), and the first WriteAt — in range or extending, even into the
+// buffer's spare capacity — clones it, so the caller's bytes never change.
+func TestPutSharesUntilFirstWrite(t *testing.T) {
+	for _, off := range []int64{2, 6, 9} {
+		k := sim.NewKernel()
+		fs := New(k, testConfig())
+		buf := append(make([]byte, 0, 16), "abcdef"...)
+		fs.Put("/f", buf)
+		if got := fs.Get("/f"); len(got) != 6 || &got[0] != &buf[0] {
+			t.Fatal("Put must store the caller's buffer, not a copy")
+		}
+		c := fs.NewClient()
+		k.Go("w", func(p *sim.Proc) {
+			if err := c.WriteAt(p, "/f", []byte("XY"), off); err != nil {
+				t.Error(err)
+			}
+		})
+		k.Run()
+		if got := string(buf[:cap(buf)][:8]); got != "abcdef\x00\x00" {
+			t.Errorf("WriteAt at %d changed the caller's buffer to %q", off, got)
+		}
+		want := map[int64]string{2: "abXYef", 6: "abcdefXY", 9: "abcdef\x00\x00\x00XY"}[off]
+		if got := string(fs.Get("/f")); got != want {
+			t.Errorf("file after WriteAt at %d = %q, want %q", off, got, want)
+		}
+	}
+}
+
 func TestCreateAppendList(t *testing.T) {
 	k := sim.NewKernel()
 	fs := New(k, testConfig())

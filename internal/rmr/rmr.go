@@ -121,7 +121,8 @@ func PairBytes(kv mapreduce.KV) int64 {
 
 // ---- rhdfs-style helpers.
 
-// WriteFrame stores df as a CSV file on HDFS, written from node.
+// WriteFrame stores df as a CSV file on HDFS, written from node; the
+// encoded bytes are handed over to HDFS, not copied.
 func WriteFrame(p *sim.Proc, fs *hdfs.FS, node *cluster.Node, path string, df *rframe.Frame) error {
 	return fs.WriteFile(p, node, path, df.WriteCSV())
 }
@@ -135,7 +136,9 @@ func ReadFrame(p *sim.Proc, fs *hdfs.FS, node *cluster.Node, path string) (*rfra
 	return rframe.ReadTable(data)
 }
 
-// WriteBytes stores a binary artifact (an image) on HDFS from node.
+// WriteBytes stores a binary artifact (an image) on HDFS from node. HDFS
+// keeps data (see hdfs.WriteFile); the caller must not write to it
+// afterwards.
 func WriteBytes(p *sim.Proc, fs *hdfs.FS, node *cluster.Node, path string, data []byte) error {
 	return fs.WriteFile(p, node, path, data)
 }

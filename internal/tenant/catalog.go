@@ -145,11 +145,7 @@ func (s *Service) runSort(p *sim.Proc, j *Job, job *mapreduce.Job, files int) er
 	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
 		data := value.([]byte)
 		tc.Charge("Scan", s.cfg.ScanPerMB*float64(len(data))/1e6)
-		tc.Compute(func() {
-			for off := 0; off+rec <= len(data); off += rec {
-				tc.Emit(string(data[off:off+10]), rec)
-			}
-		})
+		tc.Compute(func() { workloads.EmitRecords(tc, data, rec, 10, rec) })
 		return nil
 	}
 	job.Reduce = func(tc *mapreduce.TaskContext, key string, values []any) error {
@@ -173,7 +169,7 @@ func (s *Service) runSort(p *sim.Proc, j *Job, job *mapreduce.Job, files int) er
 	for r := 0; r < s.cfg.Reducers; r++ {
 		node := s.env.BD.Nodes[r%len(s.env.BD.Nodes)]
 		path := fmt.Sprintf("%s/part-%05d", s.outDir(j), r)
-		if err := s.be.Write(p, node, path, make([]byte, perRed)); err != nil {
+		if err := s.be.Write(p, node, path, workloads.Zeros(perRed)); err != nil {
 			return err
 		}
 		j.OutputBytes += perRed
@@ -192,7 +188,7 @@ func (s *Service) runWrite(p *sim.Proc, j *Job, job *mapreduce.Job, files int) e
 	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
 		i := value.(int)
 		path := fmt.Sprintf("%s/part-%04d", s.outDir(j), i)
-		data := make([]byte, s.cfg.FileBytes)
+		data := workloads.Zeros(s.cfg.FileBytes)
 		tc.Charge("Format", s.cfg.ScanPerMB*float64(len(data))/2e6)
 		var err error
 		tc.Phase("Write", func() {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
+	"sync/atomic"
 
 	"scidp/internal/cluster"
 	"scidp/internal/hdfs"
@@ -20,12 +22,14 @@ import (
 type Backend interface {
 	// Name labels the backend ("hdfs", "lustre").
 	Name() string
-	// Put installs input data instantly (setup, not measured).
+	// Put installs input data instantly (setup, not measured). The
+	// backend keeps data; the caller must not write to it afterwards.
 	Put(path string, data []byte)
 	// Input builds an input format over the given files; records are
 	// ([]byte) chunks.
 	Input(paths []string, splitSize int64) mapreduce.InputFormat
 	// Write stores a file from the task's node, charging virtual time.
+	// The backend keeps data; the caller must not write to it afterwards.
 	Write(p *sim.Proc, node *cluster.Node, path string, data []byte) error
 	// Read loads a whole file from the task's node, charging time.
 	Read(p *sim.Proc, node *cluster.Node, path string) ([]byte, error)
@@ -98,18 +102,16 @@ func (in *hdfsBlockInput) ForEach(tc *mapreduce.TaskContext, s *mapreduce.Split,
 	var err error
 	key := "hdfs#" + s.Label
 	tc.Phase("Read", func() {
-		// Tier entries are copies in both directions. The nil check is
-		// not redundant with Admit's nil-receiver no-op: its arguments
-		// are evaluated first, and cloning a block for no tier is waste.
+		// Blocks are write-once, so the tier shares their bytes like any
+		// reader. The nil check keeps Admit's arguments from being built.
 		if v, ok := in.tier.Read(tc.Proc(), tc.Node().Name, key); ok {
-			data = append([]byte(nil), v...)
+			data = v
 			return
 		}
 		data, err = in.fs.ReadBlock(tc.Proc(), tc.Node(), s.Payload.(*hdfs.Block))
 		if err == nil && in.tier != nil {
 			in.tier.MissOST(int64(len(data)))
-			in.tier.Admit(tc.Proc(), tc.Node().Name, key,
-				append([]byte(nil), data...), int64(len(data)))
+			in.tier.Admit(tc.Proc(), tc.Node().Name, key, data, int64(len(data)))
 		}
 	})
 	if err != nil {
@@ -381,12 +383,54 @@ func RunGrep(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, input
 	return MiniResult{Seconds: res.Elapsed(), Bytes: int64(cfg.Files) * cfg.FileBytes, Output: total}, nil
 }
 
+// EmitRecords emits one pair per whole stride-byte record of data, keyed by
+// the record's first keyLen bytes, from two per-split slabs, not two heap
+// objects per record: keys are substrings of one string (alive as long as
+// any key, so as long as the job); with a nil value each pair carries its
+// record as a *[]byte into one [][]byte (pointers need no boxing), and a
+// non-nil value is emitted with every key as is.
+func EmitRecords(tc *mapreduce.TaskContext, data []byte, stride, keyLen int, value any) {
+	n := len(data) / stride
+	var kb strings.Builder
+	kb.Grow(n * keyLen)
+	for i := 0; i < n; i++ {
+		kb.Write(data[i*stride : i*stride+keyLen])
+	}
+	keys := kb.String()
+	var recs [][]byte
+	if value == nil {
+		recs = make([][]byte, n)
+	}
+	for i := 0; i < n; i++ {
+		v := value
+		if recs != nil {
+			recs[i] = data[i*stride : (i+1)*stride]
+			v = &recs[i]
+		}
+		tc.Emit(keys[i*keyLen:(i+1)*keyLen], v)
+	}
+}
+
+// zeros backs Zeros: it only grows and is never written after make.
+var zeros atomic.Pointer[[]byte]
+
+// Zeros returns n zero bytes for a synthetic payload, shared by every caller
+// and every write-once block made from them: read-only.
+func Zeros(n int64) []byte {
+	z := zeros.Load()
+	if z == nil || int64(len(*z)) < n {
+		buf := make([]byte, n)
+		z = &buf
+		zeros.Store(z)
+	}
+	return (*z)[:n:n]
+}
+
 // RunTeraSort sorts fixed-width records by 10-byte key: map emits every
 // record (the full payload crosses the shuffle), reducers write sorted
 // runs back to the backend.
 func RunTeraSort(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, inputs []string, reducers int) (MiniResult, error) {
 	const rec = 100
-	var outBytes int64
 	job := &mapreduce.Job{
 		Name: "terasort-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup,
 		Input:       be.Input(inputs, cfg.SplitSize),
@@ -405,17 +449,10 @@ func RunTeraSort(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, i
 			}
 			// Record extraction (key slicing + emit into the partition
 			// buckets) is pure byte work: offload it whole.
-			tc.Compute(func() {
-				for off := 0; off+rec <= len(data); off += rec {
-					tc.Emit(string(data[off:off+10]), data[off:off+rec])
-				}
-			})
+			tc.Compute(func() { EmitRecords(tc, data, rec, 10, nil) })
 			return nil
 		},
 		Reduce: func(tc *mapreduce.TaskContext, key string, values []any) error {
-			for range values {
-				outBytes += rec
-			}
 			tc.Emit(key, len(values))
 			return nil
 		},
@@ -423,6 +460,12 @@ func RunTeraSort(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, i
 	res, err := job.Run(p)
 	if err != nil {
 		return MiniResult{}, err
+	}
+	// Output sizes come from the committed reduce output, so a retried or
+	// speculative attempt can never double-count.
+	var outBytes int64
+	for _, kv := range res.Output {
+		outBytes += rec * int64(kv.V.(int))
 	}
 	// Reducers write their sorted runs back.
 	wg := p.Kernel().NewWaitGroup()
@@ -433,7 +476,7 @@ func RunTeraSort(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, i
 		node := cl.Nodes[r%len(cl.Nodes)]
 		p.Kernel().Go(fmt.Sprintf("terasort-out-%d", r), func(wp *sim.Proc) {
 			defer wg.Done()
-			be.Write(wp, node, fmt.Sprintf("/mini/sorted-%s/part-%05d", be.Name(), r), make([]byte, perRed))
+			be.Write(wp, node, fmt.Sprintf("/mini/sorted-%s/part-%05d", be.Name(), r), Zeros(perRed))
 		})
 	}
 	p.Wait(wg)
