@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark-test bench bench-paper
+.PHONY: check fmt vet build test race benchmark-test identical bench bench-paper
 
 # check is the CI gate: formatting, vet, build, full tests, the race
 # detector across the whole module (the data-plane compute pool makes
@@ -29,6 +29,15 @@ race:
 # so `go test ./...` at the root never reaches its workload output checks.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
+
+# identical proves this tree is the same program as PARENT (a git rev):
+# paper tables, traces, metric dumps, result digests, the tenant replay and
+# every benchmark workload's exact figures must match byte for byte. A PR
+# that moves one of them on purpose says which and why. ARTIFACTS=<dir>
+# keeps this tree's headline outputs (CI's paper-quick artifact).
+identical:
+	@test -n "$(PARENT)" || { echo "usage: make identical PARENT=<rev> [ARTIFACTS=<dir>]"; exit 2; }
+	bash scripts/identical.sh $(PARENT) $(ARTIFACTS)
 
 # bench is the benchmark smoke test: every Benchmark* runs once with
 # allocation stats; a failing benchmark (b.Fatal/b.Error) fails the target.

@@ -1,0 +1,183 @@
+package mapreduce
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"scidp/internal/obs"
+	"scidp/internal/sim"
+)
+
+// pinnedStream is the characterisation job's input: a StreamingInput whose
+// pulls cost virtual time (so a refill parks mid-window and the filling
+// guard matters) and whose splits mix a hot-spotted host, replicated
+// locations, single locations and no preference.
+type pinnedStream struct {
+	total, next int
+}
+
+func (in *pinnedStream) Splits(*sim.Proc) ([]*Split, error) {
+	return nil, errors.New("Splits called on a StreamingInput")
+}
+
+func (in *pinnedStream) SplitSource(*sim.Proc) (SplitSource, error) { return in, nil }
+
+func (in *pinnedStream) Next(p *sim.Proc) (*Split, error) {
+	if in.next >= in.total {
+		return nil, nil
+	}
+	i := in.next
+	in.next++
+	p.Sleep(0.01)
+	s := &Split{Label: fmt.Sprintf("c%02d", i), Payload: fmt.Sprintf("w%d w%d x", i%5, i%3)}
+	switch i % 8 {
+	case 0, 2, 4, 6: // hot spot: more work than bd-0 has slots, so every tier fires
+		s.Locations = []string{"bd-0"}
+	case 1, 5:
+		s.Locations = []string{fmt.Sprintf("bd-%d", i%8), fmt.Sprintf("bd-%d", (i+3)%8)}
+	case 3:
+		s.Locations = []string{fmt.Sprintf("bd-%d", i%8)}
+	}
+	return s, nil
+}
+
+func (in *pinnedStream) ForEach(tc *TaskContext, s *Split, fn func(key string, value any) error) error {
+	tc.Charge("Read", 1.0)
+	return fn(s.Label, s.Payload)
+}
+
+// scriptedLease grants a fixed slot budget and revokes chosen acquisitions
+// a fixed delay after they are taken: kills[n] = d schedules a kernel
+// event d seconds after the n-th Acquire that kills that token.
+type scriptedLease struct {
+	*stubLease
+	k        *sim.Kernel
+	kills    map[uint64]float64
+	acquired uint64
+}
+
+func (l *scriptedLease) Acquire() uint64 {
+	tok := l.stubLease.Acquire()
+	l.acquired++
+	if d, ok := l.kills[l.acquired]; ok {
+		l.k.After(d, func() { l.killed[tok] = true })
+	}
+	return tok
+}
+
+// characterisationDigest was recorded on the commit before the stage
+// runner existed (f2fbedd, runPhase): the refactor must reproduce that
+// engine's schedule event for event, and this is the one cross-commit pin
+// — every other determinism test compares two runs of the same binary.
+const characterisationDigest = "7c2e3041e64e349afc730b6a02e765b8b1d9b8f2f0f22db07a56677530db2a45"
+
+// TestCharacterisation drives every branch of the stage loop in one job —
+// racked and zoned cluster with located splits (host, rack, zone, steal),
+// a streaming source whose window is refilled by workers, a retry, a
+// speculative win and a speculative loss, a lease that is sometimes
+// spent, one revocation during container launch and one mid-Charge, a
+// combiner, a reduce retry, spans and metrics — and pins everything
+// observable about the run.
+func TestCharacterisation(t *testing.T) {
+	for _, workers := range []int{-1, 1, 4} {
+		sum, got := characterisationRun(t, workers)
+		if sum != characterisationDigest {
+			t.Errorf("workers=%d: digest %s, want %s\n%s", workers, sum, characterisationDigest, got)
+		}
+	}
+}
+
+func characterisationRun(t *testing.T, workers int) (digest, summary string) {
+	t.Helper()
+	pool := sim.NewComputePool(workers) // -1 = inline
+	defer pool.Close()
+	k := sim.NewKernel()
+	k.SetComputePool(pool)
+	reg := obs.New()
+	reg.SetProcess("characterisation")
+	k.SetObs(reg)
+	lease := &scriptedLease{stubLease: newStubLease(6), k: k,
+		kills: map[uint64]float64{7: 0.05, 12: 0.45}}
+	in := &pinnedStream{total: 40}
+	job := wordCountJob(k, in, 8, 1, 2)
+	job.Name = "characterise"
+	job.Cluster = topoCluster(k, 8, 1, 2, 2)
+	job.SplitWindow = 8
+	job.MaxAttempts = 3
+	job.Obs = reg
+	job.Lease = lease
+	job.Speculation = Speculation{Quantile: 0.5, Multiplier: 1.2, MinCompleted: 3, Interval: 0.25}
+	job.Combine = func(tc *TaskContext, key string, values []any) error {
+		sum := 0
+		for _, v := range values {
+			sum += v.(int)
+		}
+		tc.Emit(key, sum)
+		return nil
+	}
+	job.Faults = stubFaults(func(phase string, task, attempt int) (error, float64) {
+		switch {
+		case phase == "map" && task == 3 && attempt == 1:
+			return fmt.Errorf("injected map failure"), 1
+		case phase == "map" && task == 14 && attempt == 1:
+			return nil, 40 // hard straggler: its backup wins
+		case phase == "map" && task == 22 && attempt == 1:
+			return nil, 2.6 // mild straggler pinned to the hot spot: commits while its backup is still queued
+		case phase == "map" && task == 31 && attempt == 1:
+			return nil, 2.6 // mild straggler, no preference: its backup launches and is discarded
+		case phase == "reduce" && task == 1 && attempt == 1:
+			return fmt.Errorf("injected reduce failure"), 1
+		}
+		return nil, 1
+	})
+	res := runJob(t, k, job)
+
+	var tb, pb bytes.Buffer
+	if err := reg.WriteChromeTrace(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WritePrometheus(&pb); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%+v\n%+v\n%v\n%d %v\n", kvString(res.Output), res.MapStats, res.ReduceStats,
+		res.Counters, k.EventsProcessed(), k.Now())
+	h.Write(tb.Bytes())
+	h.Write(pb.Bytes())
+
+	// The scenario's coverage, printed beside a mismatch: whoever has to
+	// re-record the constant can see whether every branch still fires.
+	count := func(name string) float64 { return reg.Counter(name, obs.L("phase", "map")).Value() }
+	var b strings.Builder
+	fmt.Fprintf(&b, "map attempts=%v failures=%v preempted=%v spec launched=%v wins=%v losses=%v; reduce failures=%v",
+		count("mr/task_attempts_total"), count("mr/task_failures_total"), count("mr/tasks_preempted_total"),
+		count("mr/speculative_launched_total"), count("mr/speculative_wins_total"), count("mr/speculative_losses_total"),
+		reg.Counter("mr/task_failures_total", obs.L("phase", "reduce")).Value())
+	hot := map[string]int{}
+	for _, ts := range res.MapStats {
+		var i int
+		fmt.Sscanf(ts.Label, "c%d", &i)
+		if i%2 == 0 {
+			hot[ts.Node]++
+		}
+	}
+	for _, sp := range reg.Spans() {
+		var flags []string
+		for _, a := range sp.Args {
+			switch a.Key {
+			case "speculative", "preempted", "failed", "discarded", "slowdown":
+				flags = append(flags, a.Key)
+			}
+		}
+		if len(flags) > 0 {
+			fmt.Fprintf(&b, "\n  %s @%.2f-%.2f on %s: %s", sp.Name, sp.Start, sp.End, sp.Track, strings.Join(flags, ","))
+		}
+	}
+	fmt.Fprintf(&b, "; hot-spot splits ran on %v; max lease use %d; events %d; end %.3f",
+		hot, lease.maxUsed, k.EventsProcessed(), k.Now())
+	return fmt.Sprintf("%x", h.Sum(nil)), b.String()
+}

@@ -1,0 +1,63 @@
+#!/usr/bin/env bash
+# identical.sh <parent-rev> [artifact-dir]: prove this checkout is the same
+# program as <parent-rev>. Every deterministic artifact the repo can produce — the
+# paper tables, the full Chrome trace and Prometheus text behind them, the
+# faults/query result JSON with their digests, the analysis report, the
+# tenant replay, and all five benchmark workloads' exact metrics, output
+# digests and sim.events — is generated from both trees and compared.
+# Exits non-zero on the first difference. With an artifact-dir, this tree's
+# headline tables, digests and replay summary are copied there (CI uploads
+# them per PR). Run via `make identical PARENT=<rev>`.
+set -euo pipefail
+rev=${1:?usage: identical.sh <parent-rev> [artifact-dir]}
+keep=${2:-}
+root=$(git rev-parse --show-toplevel)
+commit=$(git -C "$root" rev-parse --verify "$rev^{commit}")
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir -p "$tmp/parent"
+git -C "$root" archive "$commit" | tar -x -C "$tmp/parent"
+
+artifacts() { # <tree> <out-dir>
+	local tree=$1 out=$2 bin=$2.bin
+	mkdir -p "$out" "$bin"
+	(cd "$tree" && go build -o "$bin/" ./cmd/scidp-bench ./cmd/scidpctl ./cmd/scidpd)
+	(cd "$tree" &&
+		"$bin/scidp-bench" -exp all -quick -explain -trace "$out/all.trace.json" -metrics "$out/all.prom" >"$out/all.txt" &&
+		"$bin/scidp-bench" -exp faults -json "$out/faults.json" >"$out/faults.txt" &&
+		"$bin/scidp-bench" -exp query -json "$out/query.json" >"$out/query.txt" &&
+		"$bin/scidpctl" analyze -json - >"$out/analyze.json" &&
+		"$bin/scidpd" -replay cmd/scidpd/testdata/trace-small.json -json "$out/replay.json" -metrics "$out/replay.prom" >"$out/replay.txt")
+	# The query result records how long each run took on this machine.
+	sed -i '/"wall_secs"/d' "$out/query.json"
+	rm -rf "$bin"
+}
+
+echo "identical: parent $commit vs $root"
+artifacts "$tmp/parent" "$tmp/out/parent"
+artifacts "$root" "$tmp/out/change"
+if [ -n "$keep" ]; then
+	mkdir -p "$keep"
+	cp "$tmp/out/change/"{all.txt,faults.json,query.json,replay.json} "$keep/"
+fi
+diff -r "$tmp/out/parent" "$tmp/out/change"
+echo "identical: CLI artifacts match"
+
+for side in parent change; do
+	tree=$root
+	[ $side = parent ] && tree=$tmp/parent
+	for w in scidp-imgonly scidp-anlys epoch-reread terasort tenant-replay; do
+		(cd "$tree" && bash benchmark/run.sh --workload $w --seed 1 --seconds 1 -out "$tmp/bench/$side" >/dev/null)
+	done
+done
+# Only the exact figures are judged here: exit 1 means a one-second
+# wall-clock row read "worse", which is noise at n=1 (paired runs decide
+# those, see the verify skill).
+(cd "$root" && bash benchmark/run.sh -compare "$tmp/bench/parent" "$tmp/bench/change") >"$tmp/compare.txt" || [ $? = 1 ]
+grep -E '^exact figures differ|run pairs identical' "$tmp/compare.txt"
+grep -q 'identical, 0 differ$' "$tmp/compare.txt" || {
+	echo "identical: benchmark exact figures moved" >&2
+	exit 1
+}
+echo "identical: same program"
