@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -180,4 +181,72 @@ func characterisationRun(t *testing.T, workers int) (digest, summary string) {
 	fmt.Fprintf(&b, "; hot-spot splits ran on %v; max lease use %d; events %d; end %.3f",
 		hot, lease.maxUsed, k.EventsProcessed(), k.Now())
 	return fmt.Sprintf("%x", h.Sum(nil)), b.String()
+}
+
+// TestStageSettlesUnderRandomFaults sweeps random mixes of failures,
+// stragglers, revocations, retry budgets and windows through the
+// characterisation job. The kernel panics on a negative wait group and on
+// a driver left blocked forever, so every run that returns proves each
+// minted task was retired exactly once — on success and, with the feed
+// stopped and the queue dropped, on failure.
+func TestStageSettlesUnderRandomFaults(t *testing.T) {
+	failed := 0
+	for seed := int64(1); seed <= 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := sim.NewKernel()
+		lease := &scriptedLease{stubLease: newStubLease(3 + rng.Intn(6)), k: k, kills: map[uint64]float64{}}
+		for i := rng.Intn(6); i > 0; i-- {
+			lease.kills[uint64(1+rng.Intn(60))] = 0.02 + rng.Float64()
+		}
+		in := &pinnedStream{total: 30}
+		job := wordCountJob(k, in, 8, 1, 2)
+		job.Cluster = topoCluster(k, 8, 1, 2, 2)
+		job.SplitWindow = 1 + rng.Intn(12)
+		job.MaxAttempts = 1 + rng.Intn(3)
+		job.Lease = lease
+		job.Speculation = Speculation{Quantile: 0.5, Multiplier: 1.2, MinCompleted: 2, Interval: 0.25}
+		pFail, pSlow := rng.Float64()*0.15, rng.Float64()*0.2
+		draws := map[[2]int]float64{}
+		job.Faults = stubFaults(func(phase string, task, attempt int) (error, float64) {
+			key := [2]int{task, attempt}
+			if phase == "reduce" {
+				key[0] += 1000
+			}
+			if _, ok := draws[key]; !ok { // a preempted attempt redraws its number
+				draws[key] = rng.Float64()
+			}
+			switch d := draws[key]; {
+			case d < pFail:
+				return fmt.Errorf("injected failure %s/%d/%d", phase, task, attempt), 1
+			case d < pFail+pSlow:
+				return nil, 2 + 20*d
+			}
+			return nil, 1
+		})
+		var res *Result
+		var err error
+		k.Go("driver", func(p *sim.Proc) { res, err = job.Run(p) })
+		k.Run()
+		if lease.used != 0 {
+			t.Fatalf("seed %d: %d lease tokens still held after the kernel drained", seed, lease.used)
+		}
+		if err != nil {
+			failed++
+			if !strings.Contains(err.Error(), "injected failure") {
+				t.Fatalf("seed %d: err = %v", seed, err)
+			}
+			continue
+		}
+		words := 0
+		for _, kv := range res.Output {
+			words += kv.V.(int)
+		}
+		if words != 3*in.total || len(res.MapStats) != in.total {
+			t.Fatalf("seed %d: %d words from %d committed maps, want %d from %d", seed, words, len(res.MapStats), 3*in.total, in.total)
+		}
+	}
+	t.Logf("%d of 150 runs ended in a permanent failure", failed)
+	if failed == 0 || failed == 150 {
+		t.Fatalf("%d of 150 runs failed: the sweep must cover both outcomes", failed)
+	}
 }

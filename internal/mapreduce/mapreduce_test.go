@@ -596,3 +596,42 @@ func TestInputFormatReusableAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestRequeuedBackupKeepsItsLabel: a speculative backup that fails once and
+// is requeued is still the backup lineage — its retry's span says so, and
+// when that retry commits first the task is a speculative win, not a loss.
+func TestRequeuedBackupKeepsItsLabel(t *testing.T) {
+	k := sim.NewKernel()
+	in := linesInput(1.0,
+		[]string{"a"}, []string{"a"}, []string{"a"}, []string{"a"}, []string{"a"}, []string{"a"},
+	)
+	reg := obs.New()
+	reg.SetClock(k)
+	job := wordCountJob(k, in, 2, 2, 1)
+	job.Obs = reg
+	job.MaxAttempts = 3
+	job.Speculation = Speculation{Quantile: 0.5, Multiplier: 1.5, MinCompleted: 3, Interval: 0.1}
+	job.Faults = stubFaults(func(phase string, task, attempt int) (error, float64) {
+		switch {
+		case phase == "map" && task == 5 && attempt == 1:
+			return nil, 40 // the original straggles
+		case phase == "map" && task == 5 && attempt == 2:
+			return fmt.Errorf("backup's first try dies"), 1
+		}
+		return nil, 1
+	})
+	res := runJob(t, k, job)
+	if len(res.Output) != 1 || res.Output[0].V.(int) != 6 {
+		t.Fatalf("output = %+v, want a=6 exactly once", res.Output)
+	}
+	count := func(name string) float64 { return reg.Counter(name, obs.L("phase", "map")).Value() }
+	launched, wins, losses := count("mr/speculative_launched_total"), count("mr/speculative_wins_total"), count("mr/speculative_losses_total")
+	if launched != 2 || wins != 1 || losses != 0 {
+		t.Fatalf("launched=%v wins=%v losses=%v, want 2, 1, 0", launched, wins, losses)
+	}
+	for _, sp := range reg.Spans() {
+		if a, _ := sp.ArgFloat("attempt"); sp.Name == "task:s5" && a == 3 && !sp.ArgBool("speculative") {
+			t.Fatalf("the backup's retry (attempt 3) lost its speculative label: %+v", sp.Args)
+		}
+	}
+}

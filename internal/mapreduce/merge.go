@@ -27,8 +27,8 @@ import (
 	"sync"
 )
 
-// sortRun stable-sorts one run by key, preserving emission order within
-// equal keys.
+// sortRun stable-sorts one run — or the job's final output — by key,
+// preserving emission order within equal keys.
 func sortRun(kvs []KV) {
 	slices.SortStableFunc(kvs, func(a, b KV) int { return strings.Compare(a.K, b.K) })
 }
@@ -50,140 +50,6 @@ func ensureSortedRun(kvs []KV) {
 	if !runIsSorted(kvs) {
 		sortRun(kvs)
 	}
-}
-
-// runCursor walks one sorted run. idx is the run's arrival order (map
-// task order), the tie-break that keeps the merge stable across runs.
-type runCursor struct {
-	kvs []KV
-	pos int
-	idx int
-}
-
-// mergeIter yields pairs from sorted runs in (key, run index, position)
-// order. Runs are read through cursors and never mutated, so a retried
-// reduce attempt sees them intact.
-type mergeIter struct {
-	cursors []runCursor
-	heap    []*runCursor
-	single  *runCursor // fast path when at most one run is non-empty
-}
-
-// newMerge builds a merge over the given runs; empty runs are skipped up
-// front so the heap only ever holds live cursors.
-func newMerge(runs [][]KV) *mergeIter {
-	m := &mergeIter{}
-	live := 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			live++
-		}
-	}
-	if live == 0 {
-		return m
-	}
-	m.cursors = make([]runCursor, 0, live)
-	for i, r := range runs {
-		if len(r) == 0 {
-			continue
-		}
-		m.cursors = append(m.cursors, runCursor{kvs: r, idx: i})
-	}
-	if live == 1 {
-		m.single = &m.cursors[0]
-		return m
-	}
-	m.heap = make([]*runCursor, len(m.cursors))
-	for i := range m.cursors {
-		m.heap[i] = &m.cursors[i]
-	}
-	for i := len(m.heap)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
-	}
-	return m
-}
-
-// less orders cursors by (head key, run index) — the stability contract.
-func (m *mergeIter) less(a, b *runCursor) bool {
-	ka, kb := a.kvs[a.pos].K, b.kvs[b.pos].K
-	if ka != kb {
-		return ka < kb
-	}
-	return a.idx < b.idx
-}
-
-func (m *mergeIter) siftDown(i int) {
-	h := m.heap
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		least := l
-		if r := l + 1; r < n && m.less(h[r], h[l]) {
-			least = r
-		}
-		if !m.less(h[least], h[i]) {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-}
-
-// next pops the globally least pair; ok is false when the merge is done.
-func (m *mergeIter) next() (kv KV, ok bool) {
-	if m.single != nil {
-		c := m.single
-		if c.pos >= len(c.kvs) {
-			return KV{}, false
-		}
-		kv = c.kvs[c.pos]
-		c.pos++
-		return kv, true
-	}
-	if len(m.heap) == 0 {
-		return KV{}, false
-	}
-	top := m.heap[0]
-	kv = top.kvs[top.pos]
-	top.pos++
-	if top.pos >= len(top.kvs) {
-		last := len(m.heap) - 1
-		m.heap[0] = m.heap[last]
-		m.heap = m.heap[:last]
-	}
-	if len(m.heap) > 1 {
-		m.siftDown(0)
-	}
-	return kv, true
-}
-
-// eachGroup merges sorted runs and invokes fn once per distinct key with
-// that key's values in (run, emission) order. The vals buffer is reused
-// across calls: the slice passed to fn is valid only for the duration of
-// the call and must not be retained.
-func eachGroup(runs [][]KV, vals *[]any, fn func(key string, vals []any) error) error {
-	m := newMerge(runs)
-	kv, ok := m.next()
-	for ok {
-		key := kv.K
-		buf := (*vals)[:0]
-		buf = append(buf, kv.V)
-		for {
-			kv, ok = m.next()
-			if !ok || kv.K != key {
-				break
-			}
-			buf = append(buf, kv.V)
-		}
-		*vals = buf
-		if err := fn(key, buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // kvSpan is one maximal [start, end) range of equal-key pairs within a
@@ -220,7 +86,9 @@ type spanCursor struct {
 // key returns the cursor's current group key.
 func (c *spanCursor) key() string { return c.kvs[c.spans[c.pos].start].K }
 
-// spanMerge is mergeIter lifted from pairs to group spans.
+// spanMerge yields group spans from indexed sorted runs in (key, run
+// index) order. Runs are read through cursors and never mutated, so a
+// retried reduce attempt sees them intact.
 type spanMerge struct {
 	cursors []spanCursor
 	heap    []*spanCursor
@@ -230,25 +98,16 @@ type spanMerge struct {
 // newSpanMerge builds a merge over indexed runs; empty runs are skipped
 // so the heap only ever holds live cursors.
 func newSpanMerge(runs [][]KV, spans [][]kvSpan) *spanMerge {
-	m := &spanMerge{}
-	live := 0
-	for _, s := range spans {
-		if len(s) > 0 {
-			live++
-		}
-	}
-	if live == 0 {
-		return m
-	}
-	m.cursors = make([]spanCursor, 0, live)
+	m := &spanMerge{cursors: make([]spanCursor, 0, len(runs))}
 	for i := range runs {
-		if len(spans[i]) == 0 {
-			continue
+		if len(spans[i]) > 0 {
+			m.cursors = append(m.cursors, spanCursor{kvs: runs[i], spans: spans[i], idx: i})
 		}
-		m.cursors = append(m.cursors, spanCursor{kvs: runs[i], spans: spans[i], idx: i})
 	}
-	if live == 1 {
-		m.single = &m.cursors[0]
+	if len(m.cursors) < 2 {
+		if len(m.cursors) == 1 {
+			m.single = &m.cursors[0]
+		}
 		return m
 	}
 	m.heap = make([]*spanCursor, len(m.cursors))
@@ -261,8 +120,7 @@ func newSpanMerge(runs [][]KV, spans [][]kvSpan) *spanMerge {
 	return m
 }
 
-// less orders cursors by (group key, run index) — the same stability
-// contract as the pairwise merge.
+// less orders cursors by (group key, run index) — the stability contract.
 func (m *spanMerge) less(a, b *spanCursor) bool {
 	ka, kb := a.key(), b.key()
 	if ka != kb {
@@ -291,10 +149,12 @@ func (m *spanMerge) siftDown(i int) {
 	}
 }
 
-// eachGroupSpans is eachGroup over pre-indexed runs: the heap advances a
-// whole group span per step and values append span-wise. Output order is
-// identical to eachGroup — cursors with equal keys pop in run-index
-// order, and each span's values land in position order.
+// eachGroupSpans merges indexed sorted runs and invokes fn once per
+// distinct key with that key's values in (run, emission) order: the heap
+// advances a whole group span per step, cursors with equal keys pop in
+// run-index order, and each span's values land in position order. The
+// vals buffer is reused across calls: the slice passed to fn is valid only
+// for the duration of the call and must not be retained.
 func eachGroupSpans(runs [][]KV, spans [][]kvSpan, vals *[]any, fn func(key string, vals []any) error) error {
 	m := newSpanMerge(runs, spans)
 	if m.single != nil {
@@ -405,10 +265,4 @@ func putVals(p *[]any) {
 	clear(s)
 	*p = s[:0]
 	valsPool.Put(p)
-}
-
-// sortKVs stable-sorts final job output by key, preserving insertion
-// order within equal keys.
-func sortKVs(kvs []KV) {
-	slices.SortStableFunc(kvs, func(a, b KV) int { return strings.Compare(a.K, b.K) })
 }

@@ -39,11 +39,22 @@ type group struct {
 	vals string
 }
 
+// mergeRuns indexes each run's group boundaries, merges them and recycles
+// the indexes, the way a reducer does.
+func mergeRuns(runs [][]KV, vals *[]any, fn func(key string, vals []any) error) error {
+	spans := make([][]kvSpan, len(runs))
+	for i, r := range runs {
+		spans[i] = runSpans(r)
+		defer putSpanBuf(spans[i])
+	}
+	return eachGroupSpans(runs, spans, vals, fn)
+}
+
 func collectGroups(t *testing.T, runs [][]KV) []group {
 	t.Helper()
 	var out []group
 	var vals []any
-	err := eachGroup(runs, &vals, func(key string, vs []any) error {
+	err := mergeRuns(runs, &vals, func(key string, vs []any) error {
 		out = append(out, group{key: key, vals: fmt.Sprint(vs)})
 		return nil
 	})
@@ -106,7 +117,7 @@ func TestMergeEmptyRuns(t *testing.T) {
 
 func TestMergeSingleRunFastPath(t *testing.T) {
 	runs := [][]KV{nil, {{K: "a", V: 1}, {K: "a", V: 2}, {K: "b", V: 3}}, nil}
-	m := newMerge(runs)
+	m := newSpanMerge(runs, [][]kvSpan{nil, runSpans(runs[1]), nil})
 	if m.single == nil {
 		t.Fatal("one non-empty run should take the single-run fast path")
 	}
@@ -156,21 +167,26 @@ func TestMergeMatchesConcatSortRandomized(t *testing.T) {
 }
 
 func TestEachGroupErrorStopsIteration(t *testing.T) {
-	runs := [][]KV{{{K: "a", V: 1}, {K: "b", V: 2}, {K: "c", V: 3}}}
-	calls := 0
-	var vals []any
-	err := eachGroup(runs, &vals, func(key string, vs []any) error {
-		calls++
-		if key == "b" {
-			return fmt.Errorf("boom at %s", key)
+	// One run takes the single-cursor path, two the heap.
+	for _, runs := range [][][]KV{
+		{{{K: "a", V: 1}, {K: "b", V: 2}, {K: "c", V: 3}}},
+		{{{K: "a", V: 1}, {K: "c", V: 3}}, {{K: "b", V: 2}}},
+	} {
+		calls := 0
+		var vals []any
+		err := mergeRuns(runs, &vals, func(key string, vs []any) error {
+			calls++
+			if key == "b" {
+				return fmt.Errorf("boom at %s", key)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "boom at b" {
+			t.Fatalf("%d runs: err = %v", len(runs), err)
 		}
-		return nil
-	})
-	if err == nil || err.Error() != "boom at b" {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2", calls)
+		if calls != 2 {
+			t.Fatalf("%d runs: calls = %d, want 2", len(runs), calls)
+		}
 	}
 }
 
@@ -180,7 +196,7 @@ func TestEachGroupReusesValueBuffer(t *testing.T) {
 	runs := [][]KV{{{K: "a", V: 1}, {K: "a", V: 2}, {K: "b", V: 3}}}
 	var vals []any
 	var first, second []any
-	if err := eachGroup(runs, &vals, func(key string, vs []any) error {
+	if err := mergeRuns(runs, &vals, func(key string, vs []any) error {
 		if key == "a" {
 			first = vs
 		} else {

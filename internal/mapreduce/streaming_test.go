@@ -204,12 +204,12 @@ func TestQueueCompaction(t *testing.T) {
 	q := newLocalityQueue(nil)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		q.push(&task{index: i, locs: []string{fmt.Sprintf("h%d", i%7)}})
+		q.push(&Task{index: i, Locations: []string{fmt.Sprintf("h%d", i%7)}}, false)
 	}
 	for i := 0; i < n; i++ {
-		var got *task
+		var got *qnode
 		if i%2 == 0 {
-			got = q.pickLocal(fmt.Sprintf("h%d", i%7))
+			got = q.pickPreferred(q.byHost, fmt.Sprintf("h%d", i%7))
 		}
 		if got == nil {
 			got = q.pickAny()
@@ -218,7 +218,7 @@ func TestQueueCompaction(t *testing.T) {
 			t.Fatalf("queue empty after %d picks, want %d", i, n)
 		}
 	}
-	if !q.empty() {
+	if q.live != 0 {
 		t.Fatalf("live = %d after draining", q.live)
 	}
 	if len(q.fifo) > 4*256 {
@@ -239,14 +239,39 @@ func TestQueueCompaction(t *testing.T) {
 // leak: a host's index entry must vanish once its queued tasks drain.
 func TestDrainedHostKeyDeleted(t *testing.T) {
 	q := newLocalityQueue(nil)
-	q.push(&task{index: 0, locs: []string{"h1"}})
-	if q.pickLocal("h1") == nil {
-		t.Fatal("pickLocal missed the pushed task")
+	q.push(&Task{Locations: []string{"h1"}}, false)
+	if q.pickPreferred(q.byHost, "h1") == nil {
+		t.Fatal("the host pick missed the pushed task")
 	}
-	if q.pickLocal("h1") != nil {
+	if q.pickPreferred(q.byHost, "h1") != nil {
 		t.Fatal("queue should be empty")
 	}
 	if _, ok := q.byHost["h1"]; ok {
 		t.Fatal("drained byHost entry not deleted")
+	}
+}
+
+// TestPermanentFailureStopsTheFeed: once a task has failed for good the
+// job's answer is known, so the stage must stop minting splits and drop
+// what is queued but unstarted instead of running the rest of the input.
+func TestPermanentFailureStopsTheFeed(t *testing.T) {
+	k := sim.NewKernel()
+	in := &streamInput{total: 5000, line: "a"}
+	job := streamJob(k, in, 2, 2, 1, 16)
+	job.Faults = stubFaults(func(phase string, task, attempt int) (error, float64) {
+		if phase == "map" && task == 0 {
+			return errors.New("dead"), 1
+		}
+		return nil, 1
+	})
+	var err error
+	k.Go("driver", func(p *sim.Proc) { _, err = job.Run(p) })
+	k.Run()
+	if err == nil || !strings.Contains(err.Error(), "dead") {
+		t.Fatalf("err = %v, want dead", err)
+	}
+	if limit := 16 + 2*2 + 1; in.pulled > limit {
+		t.Fatalf("pulled %d splits (done %d, virtual %.1f s) after task 0 failed for good, want <= %d",
+			in.pulled, in.done, k.Now(), limit)
 	}
 }

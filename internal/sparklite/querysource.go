@@ -28,7 +28,8 @@ type ArrayQuery struct {
 	// driver, which only reads headers). Every node must see the same
 	// schema and chunking.
 	Open func(p *sim.Proc, node *cluster.Node) (rsql.ArrayTable, error)
-	// Obs, when non-nil, receives the query counters and per-query span.
+	// Obs, when non-nil, receives the query counters and the per-query
+	// span, with the scan stage's phase and task spans nested under it.
 	Obs *obs.Registry
 
 	plan      *rsql.ArrayPlan
@@ -114,10 +115,14 @@ func (s *ArrayQuery) Run(p *sim.Proc, sc *Context) (*rframe.Frame, *rsql.ScanSta
 		sp = s.Obs.StartSpan("sparklite/query", "query", nil)
 		sp.Arg("table", s.plan.From())
 		sp.Arg("mode", s.Mode.String())
+		prev := p.SetSpan(sp)
+		defer p.SetSpan(prev)
 	}
 	var parts []*rsql.ChunkPartial
 	if len(s.survivors) > 0 {
-		recs, err := sc.FromSource(s).Collect(p)
+		rdd := sc.FromSource(s)
+		rdd.obs = s.Obs
+		recs, err := rdd.Collect(p)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -3,6 +3,7 @@ package sparklite
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"scidp/internal/aquery"
@@ -72,6 +73,13 @@ func openQR(blob []byte) func(p *sim.Proc, node *cluster.Node) (rsql.ArrayTable,
 // returning the result CSV, the scan stats, and the final virtual time.
 func runDistributed(t *testing.T, blob []byte, sql string, mode rsql.PushdownMode) ([]byte, *rsql.ScanStats, float64) {
 	t.Helper()
+	csv, stats, now, _ := runDistributedObs(t, blob, sql, mode)
+	return csv, stats, now
+}
+
+// runDistributedObs is runDistributed plus the registry the query wrote.
+func runDistributedObs(t *testing.T, blob []byte, sql string, mode rsql.PushdownMode) ([]byte, *rsql.ScanStats, float64, *obs.Registry) {
+	t.Helper()
 	k := sim.NewKernel()
 	pool := sim.NewComputePool(4)
 	defer pool.Close()
@@ -93,7 +101,7 @@ func runDistributed(t *testing.T, blob []byte, sql string, mode rsql.PushdownMod
 		csv, stats = out.WriteCSV(), st
 	})
 	k.Run()
-	return csv, stats, k.Now()
+	return csv, stats, k.Now(), reg
 }
 
 // runLocal executes the same SQL through the single-proc executor.
@@ -170,5 +178,34 @@ func TestDistributedQueryDeterministic(t *testing.T) {
 	csv2, _, now2 := runDistributed(t, blob, sql, rsql.Pushdown)
 	if !bytes.Equal(csv1, csv2) || now1 != now2 {
 		t.Fatalf("nondeterministic: now %v vs %v", now1, now2)
+	}
+}
+
+// TestDistributedQuerySpans: the registry on ArrayQuery.Obs receives the
+// stage runner's spans — the query span parents one phase span, which
+// parents one task span per surviving chunk, each on a node/slot track.
+func TestDistributedQuerySpans(t *testing.T) {
+	_, st, _, reg := runDistributedObs(t, queryBlob(t), `SELECT level, COUNT(*) FROM qr WHERE level >= 5 GROUP BY level ORDER BY level`, rsql.Pushdown)
+	var query, phase obs.SpanInfo
+	tasks := 0
+	spans := reg.Spans()
+	for _, sp := range spans {
+		switch {
+		case sp.Name == "sparklite/query":
+			query = sp
+		case sp.Name == "phase:scan":
+			phase = sp
+		}
+	}
+	for _, sp := range spans {
+		if strings.HasPrefix(sp.Name, "task:query#") && sp.Parent == phase.ID && strings.Contains(sp.Track, "/slot-") {
+			tasks++
+		}
+	}
+	if query.ID == 0 || phase.ID == 0 || phase.Parent != query.ID {
+		t.Fatalf("phase span %+v not nested under query span %+v", phase, query)
+	}
+	if tasks == 0 || tasks != st.ChunksScanned {
+		t.Fatalf("%d task spans under the phase, want one per scanned chunk (%d)", tasks, st.ChunksScanned)
 	}
 }

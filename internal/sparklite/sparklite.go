@@ -9,6 +9,10 @@
 // an RDD whose partitions are SciDP dummy blocks resolved against the
 // PFS.
 //
+// Below the RDD API the engine is MapReduce's stage runner: each stage is
+// one mapreduce.RunStage call, so tasks get the same locality queue with
+// rack and zone tiers, windowed feed, attempt-local commit and spans.
+//
 // The engine intentionally implements only what the workloads here need;
 // it is an extension demonstration, not a Spark reimplementation.
 package sparklite
@@ -19,6 +23,8 @@ import (
 	"strings"
 
 	"scidp/internal/cluster"
+	"scidp/internal/mapreduce"
+	"scidp/internal/obs"
 	"scidp/internal/sim"
 )
 
@@ -51,28 +57,22 @@ type Source interface {
 	Read(tc *TaskCtx, part *Partition) ([]Record, error)
 }
 
-// TaskCtx is the execution context inside one task.
-type TaskCtx struct {
-	proc *sim.Proc
-	node *cluster.Node
-}
+// TaskCtx is the execution context inside one task: the stage runner's
+// task context, narrowed to what RDD code uses.
+type TaskCtx struct{ tc *mapreduce.TaskContext }
 
 // Proc returns the task's simulated process.
-func (tc *TaskCtx) Proc() *sim.Proc { return tc.proc }
+func (tc *TaskCtx) Proc() *sim.Proc { return tc.tc.Proc() }
 
 // Node returns the machine the task runs on.
-func (tc *TaskCtx) Node() *cluster.Node { return tc.node }
+func (tc *TaskCtx) Node() *cluster.Node { return tc.tc.Node() }
 
 // Charge blocks the task for d virtual seconds of modeled compute.
-func (tc *TaskCtx) Charge(d float64) { tc.proc.Sleep(d) }
+func (tc *TaskCtx) Charge(d float64) { tc.tc.Charge("Compute", d) }
 
-// op is one narrow transformation in a stage's fused pipeline.
-type op struct {
-	kind  string // "map", "filter", "flatMap"
-	mapF  func(tc *TaskCtx, r Record) (Record, error)
-	filF  func(tc *TaskCtx, r Record) (bool, error)
-	flatF func(tc *TaskCtx, r Record) ([]Record, error)
-}
+// op is one narrow transformation in a stage's fused pipeline. Map and
+// Filter are the one- and at-most-one-record cases of FlatMap.
+type op func(tc *TaskCtx, r Record) ([]Record, error)
 
 // RDD is a lazily composed distributed dataset.
 type RDD struct {
@@ -85,15 +85,18 @@ type RDD struct {
 	reducer  func(tc *TaskCtx, key string, values []any) (any, error)
 	reduceTo int
 	ops      []op
+	// obs, when non-nil, receives the lineage's phase and task spans and
+	// stage metrics (ArrayQuery.Run attaches its registry here).
+	obs *obs.Registry
 }
 
 // Context drives jobs on one cluster.
 type Context struct {
-	k            *sim.Kernel
 	cluster      *cluster.Cluster
 	slotsPerNode int
 	// TaskStartup is the per-task launch cost (Spark executors reuse
-	// JVMs, so the default is far below Hadoop's).
+	// JVMs, so the default is far below Hadoop's). Zero takes the stage
+	// runner's default, as on mapreduce.Job.
 	TaskStartup float64
 	// PairBytes sizes records for shuffle accounting.
 	PairBytes func(r Record) int64
@@ -102,7 +105,7 @@ type Context struct {
 // NewContext builds a Spark-like context over the cluster.
 func NewContext(k *sim.Kernel, cl *cluster.Cluster, slotsPerNode int) *Context {
 	return &Context{
-		k: k, cluster: cl, slotsPerNode: slotsPerNode,
+		cluster: cl, slotsPerNode: slotsPerNode,
 		TaskStartup: 0.1,
 		PairBytes:   func(r Record) int64 { return int64(len(r.K)) + 16 },
 	}
@@ -151,17 +154,26 @@ func (r *RDD) chain(o op) *RDD {
 
 // Map applies f to every record.
 func (r *RDD) Map(f func(tc *TaskCtx, rec Record) (Record, error)) *RDD {
-	return r.chain(op{kind: "map", mapF: f})
+	return r.chain(func(tc *TaskCtx, rec Record) ([]Record, error) {
+		m, err := f(tc, rec)
+		return []Record{m}, err
+	})
 }
 
 // Filter keeps records where f is true.
 func (r *RDD) Filter(f func(tc *TaskCtx, rec Record) (bool, error)) *RDD {
-	return r.chain(op{kind: "filter", filF: f})
+	return r.chain(func(tc *TaskCtx, rec Record) ([]Record, error) {
+		ok, err := f(tc, rec)
+		if err != nil || !ok {
+			return nil, err
+		}
+		return []Record{rec}, nil
+	})
 }
 
 // FlatMap expands each record into zero or more records.
 func (r *RDD) FlatMap(f func(tc *TaskCtx, rec Record) ([]Record, error)) *RDD {
-	return r.chain(op{kind: "flatMap", flatF: f})
+	return r.chain(f)
 }
 
 // ReduceByKey introduces a shuffle boundary: records are hashed to
@@ -170,7 +182,7 @@ func (r *RDD) ReduceByKey(f func(tc *TaskCtx, key string, values []any) (any, er
 	if reducers <= 0 {
 		reducers = len(r.sc.cluster.Nodes)
 	}
-	return &RDD{sc: r.sc, parent: r, shuffle: true, reducer: f, reduceTo: reducers}
+	return &RDD{sc: r.sc, parent: r, shuffle: true, reducer: f, reduceTo: reducers, obs: r.obs}
 }
 
 // Collect executes the lineage from the driver process and returns the
@@ -196,78 +208,13 @@ func (r *RDD) Count(p *sim.Proc) (int, error) {
 // execute runs the DAG: recursively materialize the parent (previous
 // stage), then this stage's wave.
 func (r *RDD) execute(p *sim.Proc) ([]Record, error) {
-	sc := r.sc
 	if r.shuffle {
 		parentOut, err := r.parent.execute(p)
 		if err != nil {
 			return nil, err
 		}
-		// Partition parent output by key hash; note where each bucket's
-		// bytes come from is approximated as uniform across nodes (the
-		// parent stage spread its tasks round-robin), so the shuffle
-		// charges (reducers-1)/reducers of the bytes across the fabric.
-		buckets := make([][]Record, r.reduceTo)
-		var totalBytes int64
-		for _, rec := range parentOut {
-			b := hashString(rec.K) % uint32(r.reduceTo)
-			buckets[b] = append(buckets[b], rec)
-			totalBytes += sc.PairBytes(rec)
-		}
-		results := make([][]Record, r.reduceTo)
-		tasks := make([]*stageTask, r.reduceTo)
-		for i := 0; i < r.reduceTo; i++ {
-			i := i
-			tasks[i] = &stageTask{
-				label: fmt.Sprintf("reduce-%d", i),
-				body: func(tc *TaskCtx) error {
-					// Shuffle fetch for this bucket.
-					var bucketBytes int64
-					for _, rec := range buckets[i] {
-						bucketBytes += sc.PairBytes(rec)
-					}
-					remote := float64(bucketBytes) * float64(len(sc.cluster.Nodes)-1) / float64(len(sc.cluster.Nodes))
-					if remote > 0 && len(sc.cluster.Nodes) > 1 {
-						src := sc.cluster.Nodes[(i+1)%len(sc.cluster.Nodes)]
-						tc.proc.Transfer(remote, sc.cluster.NetPath(src, tc.node)...)
-					}
-					// Group and reduce.
-					grouped := map[string][]any{}
-					var order []string
-					for _, rec := range buckets[i] {
-						if _, ok := grouped[rec.K]; !ok {
-							order = append(order, rec.K)
-						}
-						grouped[rec.K] = append(grouped[rec.K], rec.V)
-					}
-					for _, k := range order {
-						v, err := r.reducer(tc, k, grouped[k])
-						if err != nil {
-							return err
-						}
-						out := Record{K: k, V: v}
-						// Post-shuffle narrow ops (rare but legal).
-						kept, res, err := applyOps(tc, r.ops, out)
-						if err != nil {
-							return err
-						}
-						if kept {
-							results[i] = append(results[i], res...)
-						}
-					}
-					return nil
-				},
-			}
-		}
-		if err := sc.runStage(p, tasks); err != nil {
-			return nil, err
-		}
-		var out []Record
-		for _, part := range results {
-			out = append(out, part...)
-		}
-		return out, nil
+		return r.reduceStage(p, parentOut)
 	}
-
 	// Source stage: one task per partition, narrow ops fused.
 	if r.source == nil {
 		return nil, fmt.Errorf("sparklite: RDD has neither source nor parent")
@@ -276,144 +223,110 @@ func (r *RDD) execute(p *sim.Proc) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := make([][]Record, len(parts))
-	tasks := make([]*stageTask, len(parts))
-	for i, part := range parts {
-		i, part := i, part
-		tasks[i] = &stageTask{
-			label: part.Label,
-			locs:  part.PreferredHosts,
-			body: func(tc *TaskCtx) error {
-				recs, err := r.source.Read(tc, part)
-				if err != nil {
-					return err
-				}
-				for _, rec := range recs {
-					kept, res, err := applyOps(tc, r.ops, rec)
-					if err != nil {
-						return err
-					}
-					if kept {
-						results[i] = append(results[i], res...)
-					}
-				}
-				return nil
-			},
+	return r.runWave(p, "scan", parts, func(tc *TaskCtx, part *Partition) ([]Record, error) {
+		recs, err := r.source.Read(tc, part)
+		if err != nil {
+			return nil, err
 		}
+		return applyOps(tc, r.ops, recs)
+	})
+}
+
+// reduceStage is the wave after a shuffle boundary: the parent's output
+// is partitioned by key hash and each bucket's keys folded by the reducer.
+// Where each bucket's bytes come from is approximated as uniform across
+// nodes (the parent stage spread its tasks round-robin), so the shuffle
+// charges (nodes-1)/nodes of the bytes across the fabric.
+func (r *RDD) reduceStage(p *sim.Proc, parentOut []Record) ([]Record, error) {
+	nodes := r.sc.cluster.Nodes
+	buckets := make([][]Record, r.reduceTo)
+	for _, rec := range parentOut {
+		b := hashString(rec.K) % uint32(r.reduceTo)
+		buckets[b] = append(buckets[b], rec)
 	}
-	if err := sc.runStage(p, tasks); err != nil {
+	parts := make([]*Partition, r.reduceTo)
+	for i := range parts {
+		parts[i] = &Partition{Index: i, Label: fmt.Sprintf("reduce-%d", i)}
+	}
+	return r.runWave(p, "reduce", parts, func(tc *TaskCtx, part *Partition) ([]Record, error) {
+		i := part.Index
+		// Shuffle fetch for this bucket.
+		var bucketBytes int64
+		for _, rec := range buckets[i] {
+			bucketBytes += r.sc.PairBytes(rec)
+		}
+		remote := float64(bucketBytes) * float64(len(nodes)-1) / float64(len(nodes))
+		if remote > 0 {
+			src := nodes[(i+1)%len(nodes)]
+			tc.Proc().Transfer(remote, r.sc.cluster.NetPath(src, tc.Node())...)
+		}
+		// Group and reduce.
+		grouped := map[string][]any{}
+		var order []string
+		for _, rec := range buckets[i] {
+			if _, ok := grouped[rec.K]; !ok {
+				order = append(order, rec.K)
+			}
+			grouped[rec.K] = append(grouped[rec.K], rec.V)
+		}
+		var out []Record
+		for _, k := range order {
+			v, err := r.reducer(tc, k, grouped[k])
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, Record{K: k, V: v})
+		}
+		// Post-shuffle narrow ops (rare but legal).
+		return applyOps(tc, r.ops, out)
+	})
+}
+
+// runWave runs one task per partition as one stage on the shared stage
+// runner and returns their records concatenated in partition order. A
+// body's records reach the result only when the runner commits its
+// attempt, so a failed or discarded attempt leaves nothing behind.
+func (r *RDD) runWave(p *sim.Proc, name string, parts []*Partition, body func(tc *TaskCtx, part *Partition) ([]Record, error)) ([]Record, error) {
+	job := &mapreduce.Job{Name: "spark", Cluster: r.sc.cluster, SlotsPerNode: r.sc.slotsPerNode,
+		TaskStartup: r.sc.TaskStartup, Obs: r.obs}
+	results := make([][]Record, len(parts))
+	next := 0
+	err := job.RunStage(p, name, func(*sim.Proc) (*mapreduce.Task, error) {
+		if next == len(parts) {
+			return nil, nil
+		}
+		i, part := next, parts[next]
+		next++
+		return &mapreduce.Task{Label: part.Label, Locations: part.PreferredHosts,
+			Run: func(mtc *mapreduce.TaskContext) (func(), error) {
+				recs, err := body(&TaskCtx{tc: mtc}, part)
+				if err != nil {
+					return nil, err
+				}
+				return func() { results[i] = recs }, nil
+			}}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	var out []Record
-	for _, part := range results {
-		out = append(out, part...)
-	}
-	return out, nil
+	return slices.Concat(results...), nil
 }
 
-// applyOps threads one record through a fused narrow pipeline. Returns
-// kept=false when a filter drops it.
-func applyOps(tc *TaskCtx, ops []op, rec Record) (bool, []Record, error) {
-	cur := []Record{rec}
+// applyOps runs a task's records through the stage's fused narrow
+// pipeline, one op at a time.
+func applyOps(tc *TaskCtx, ops []op, recs []Record) ([]Record, error) {
 	for _, o := range ops {
 		var next []Record
-		for _, c := range cur {
-			switch o.kind {
-			case "map":
-				m, err := o.mapF(tc, c)
-				if err != nil {
-					return false, nil, err
-				}
-				next = append(next, m)
-			case "filter":
-				ok, err := o.filF(tc, c)
-				if err != nil {
-					return false, nil, err
-				}
-				if ok {
-					next = append(next, c)
-				}
-			case "flatMap":
-				ms, err := o.flatF(tc, c)
-				if err != nil {
-					return false, nil, err
-				}
-				next = append(next, ms...)
+		for _, rec := range recs {
+			rs, err := o(tc, rec)
+			if err != nil {
+				return nil, err
 			}
+			next = append(next, rs...)
 		}
-		cur = next
-		if len(cur) == 0 {
-			return false, nil, nil
-		}
+		recs = next
 	}
-	return true, cur, nil
-}
-
-// stageTask is one schedulable task of a stage.
-type stageTask struct {
-	label string
-	locs  []string
-	body  func(tc *TaskCtx) error
-}
-
-// runStage executes tasks on the cluster's slots (same delay-scheduling
-// locality policy as the MapReduce engine, reimplemented thinly here).
-func (sc *Context) runStage(p *sim.Proc, tasks []*stageTask) error {
-	k := p.Kernel()
-	queue := append([]*stageTask(nil), tasks...)
-	var firstErr error
-	wg := k.NewWaitGroup()
-	wg.Add(len(tasks))
-	pickLocal := func(node string) *stageTask {
-		for i, t := range queue {
-			if len(t.locs) == 0 {
-				queue = append(queue[:i], queue[i+1:]...)
-				return t
-			}
-			for _, l := range t.locs {
-				if l == node {
-					queue = append(queue[:i], queue[i+1:]...)
-					return t
-				}
-			}
-		}
-		return nil
-	}
-	for _, node := range sc.cluster.Nodes {
-		slots := sc.slotsPerNode
-		if slots <= 0 {
-			slots = 1
-		}
-		for s := 0; s < slots; s++ {
-			node := node
-			k.Go(fmt.Sprintf("spark/%s-exec", node.Name), func(wp *sim.Proc) {
-				misses := 0
-				for {
-					t := pickLocal(node.Name)
-					if t == nil {
-						if len(queue) == 0 {
-							return
-						}
-						if misses < 3 {
-							misses++
-							wp.Sleep(0.2)
-							continue
-						}
-						t = queue[0]
-						queue = queue[1:]
-					}
-					misses = 0
-					wp.Sleep(sc.TaskStartup)
-					if err := t.body(&TaskCtx{proc: wp, node: node}); err != nil && firstErr == nil {
-						firstErr = err
-					}
-					wg.Done()
-				}
-			})
-		}
-	}
-	p.Wait(wg)
-	return firstErr
+	return recs, nil
 }
 
 // hashString is FNV-1a.

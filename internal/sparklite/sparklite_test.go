@@ -114,20 +114,75 @@ func TestWordCountWithShuffle(t *testing.T) {
 	}
 }
 
+// TestStageErrorPropagates: a task that dies after producing some records
+// fails the lineage, and — its commit never having run — leaves none of
+// those records behind.
 func TestStageErrorPropagates(t *testing.T) {
 	k := sim.NewKernel()
 	sc := NewContext(k, testCluster(k, 2, 1), 1)
-	rdd := sc.Parallelize([]Record{{V: 1}}, 1).
+	rdd := sc.Parallelize([]Record{{V: 1}, {V: 2}, {V: 3}}, 1).
 		Map(func(tc *TaskCtx, r Record) (Record, error) {
-			return Record{}, fmt.Errorf("boom")
+			if r.V.(int) == 3 {
+				return Record{}, fmt.Errorf("boom")
+			}
+			return r, nil
 		})
+	var out []Record
 	var err error
 	k.Go("driver", func(p *sim.Proc) {
-		_, err = rdd.Collect(p)
+		out, err = rdd.Collect(p)
 	})
 	k.Run()
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
+	}
+	if out != nil {
+		t.Fatalf("failed stage leaked partial records: %+v", out)
+	}
+}
+
+// placedSource reports where and when each partition ran: one record per
+// partition, keyed by label, valued "node@start".
+type placedSource struct {
+	hosts [][]string
+	cost  float64
+}
+
+func (s *placedSource) Partitions(*sim.Proc) ([]*Partition, error) {
+	out := make([]*Partition, len(s.hosts))
+	for i, h := range s.hosts {
+		out[i] = &Partition{Index: i, Label: fmt.Sprintf("p%d", i), PreferredHosts: h}
+	}
+	return out, nil
+}
+
+func (s *placedSource) Read(tc *TaskCtx, part *Partition) ([]Record, error) {
+	at := tc.Proc().Now()
+	tc.Charge(s.cost)
+	return []Record{{K: part.Label, V: fmt.Sprintf("%s@%.1f", tc.Node().Name, at)}}, nil
+}
+
+// TestPreferredHostsHonoured: with a free slot on each preferred node,
+// every partition runs where it asked to — FIFO order would have crossed
+// them.
+func TestPreferredHostsHonoured(t *testing.T) {
+	k := sim.NewKernel()
+	sc := NewContext(k, testCluster(k, 2, 1), 1)
+	out := collect(t, k, sc.FromSource(&placedSource{hosts: [][]string{{"bd-1"}, {"bd-0"}}, cost: 1}))
+	if len(out) != 2 || out[0].V != "bd-1@0.1" || out[1].V != "bd-0@0.1" {
+		t.Fatalf("placement = %+v, want p0 on bd-1 and p1 on bd-0, both at 0.1", out)
+	}
+}
+
+// TestPreferredHostsStolenAfterDelay: two partitions prefer the one slot
+// of bd-0. Delay scheduling holds the second back for three 0.2 s beats,
+// then bd-1 steals it rather than let it wait out the first.
+func TestPreferredHostsStolenAfterDelay(t *testing.T) {
+	k := sim.NewKernel()
+	sc := NewContext(k, testCluster(k, 2, 1), 1)
+	out := collect(t, k, sc.FromSource(&placedSource{hosts: [][]string{{"bd-0"}, {"bd-0"}}, cost: 2}))
+	if len(out) != 2 || out[0].V != "bd-0@0.1" || out[1].V != "bd-1@0.7" {
+		t.Fatalf("placement = %+v, want p0 on bd-0 at 0.1 and p1 stolen by bd-1 at 0.7 (3 beats + startup)", out)
 	}
 }
 
@@ -150,7 +205,7 @@ func TestTasksRespectSlots(t *testing.T) {
 	elapsed := func(nodes int) float64 {
 		k := sim.NewKernel()
 		sc := NewContext(k, testCluster(k, nodes, 2), 2)
-		sc.TaskStartup = 0
+		sc.TaskStartup = 0.001 // 0 would mean the stage runner's default
 		var recs []Record
 		for i := 0; i < 8; i++ {
 			recs = append(recs, Record{K: fmt.Sprintf("%d", i), V: i})
@@ -283,5 +338,22 @@ func TestDeterministicExecution(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %s vs %s", a, b)
+	}
+}
+
+// TestFilterErrorFailsTheStage: an error from a predicate fails the
+// lineage whichever verdict came with it.
+func TestFilterErrorFailsTheStage(t *testing.T) {
+	for _, verdict := range []bool{false, true} {
+		k := sim.NewKernel()
+		sc := NewContext(k, testCluster(k, 1, 1), 1)
+		rdd := sc.Parallelize([]Record{{V: 1}}, 1).
+			Filter(func(tc *TaskCtx, r Record) (bool, error) { return verdict, fmt.Errorf("bad predicate") })
+		var err error
+		k.Go("driver", func(p *sim.Proc) { _, err = rdd.Collect(p) })
+		k.Run()
+		if err == nil || !strings.Contains(err.Error(), "bad predicate") {
+			t.Fatalf("verdict %v: err = %v", verdict, err)
+		}
 	}
 }
