@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark-test identical bench bench-paper
+.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical bench bench-paper
 
 # check is the CI gate: formatting, vet, build, full tests, the race
 # detector across the whole module (the data-plane compute pool makes
@@ -29,6 +29,12 @@ race:
 # so `go test ./...` at the root never reaches its workload output checks.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
+
+# fuzz-smoke mutates the rsql tests' queries for twenty seconds: Query must
+# not panic and must agree with the legacy executor kept in legacy_test.go.
+# Not part of check, which runs the same inputs every time.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 20s ./internal/rsql
 
 # identical proves this tree is the same program as PARENT (a git rev):
 # paper tables, traces, metric dumps, result digests, the tenant replay and

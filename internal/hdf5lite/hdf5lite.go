@@ -436,14 +436,15 @@ func Open(r ReaderAt) (*File, error) {
 				d.err = fmt.Errorf("hdf5lite: %s: stats trailer has %d chunks, index has %d", ds.Name, n, len(ds.Chunks))
 				break
 			}
+			stats := make([]ChunkStats, n)
 			for j := 0; j < n && d.err == nil; j++ {
-				st := ChunkStats{
+				stats[j] = ChunkStats{
 					Min:   math.Float64frombits(d.u64()),
 					Max:   math.Float64frombits(d.u64()),
 					Count: int64(d.u64()),
 					Fill:  int64(d.u64()),
 				}
-				ds.Chunks[j].Stats = &st
+				ds.Chunks[j].Stats = &stats[j]
 			}
 		}
 	}

@@ -1,0 +1,114 @@
+package netcdf
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+)
+
+// nuwrfShaped builds a file of the benchmark's NU-WRF shape, the way
+// workloads.GenerateBlobs does: 23 float32 variables of 10 × 40 × 40, one
+// deflated chunk per level, zone maps on.
+func nuwrfShaped(tb testing.TB) []byte {
+	tb.Helper()
+	w := NewWriter()
+	w.AddDim("level", 10)
+	w.AddDim("lat", 40)
+	w.AddDim("lon", 40)
+	w.GlobalAttr(StringAttr("model", "NU-WRF"))
+	w.GlobalAttr(Int64Attr("timestamp", 0))
+	vals := make([]float32, 10*40*40)
+	for v := 0; v < 23; v++ {
+		name := fmt.Sprintf("VAR%02d", v)
+		err := w.AddVar(name, Float32, []string{"level", "lat", "lon"},
+			Chunking{Shape: []int{1, 40, 40}, Deflate: 1}, StringAttr("units", "kg/kg"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for i := range vals {
+			vals[i] = float32(math.Sin(float64(i+v) / 37.0))
+		}
+		if err := w.PutVarFloat32(name, vals); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	blob, err := w.Bytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// TestOpenSharesChunkSlabs: every chunk's Index is a view, with no spare
+// capacity, of one slab per variable (TestOpenAllocation counts them).
+func TestOpenSharesChunkSlabs(t *testing.T) {
+	f, err := Open(BytesReader(nuwrfShaped(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range f.Vars() {
+		if len(v.Chunks) != 10 || cap(v.Chunks) != 10 {
+			t.Fatalf("%s: %d chunks in room for %d, want 10 in 10", v.Name, len(v.Chunks), cap(v.Chunks))
+		}
+		for j, c := range v.Chunks {
+			if len(c.Index) != 3 || cap(c.Index) != 3 || c.Index[0] != j || c.Index[1] != 0 || c.Index[2] != 0 {
+				t.Fatalf("%s chunk %d: index %v (cap %d)", v.Name, j, c.Index, cap(c.Index))
+			}
+			if c.Stats == nil || c.Stats.Count != 40*40 {
+				t.Fatalf("%s chunk %d: stats %+v", v.Name, j, c.Stats)
+			}
+		}
+		// Growing one chunk's index must not write into the next one's.
+		_ = append(v.Chunks[0].Index, 99)
+		if v.Chunks[1].Index[0] != 1 {
+			t.Fatalf("%s: appending to chunk 0's index overwrote chunk 1's", v.Name)
+		}
+	}
+}
+
+// TestOpenCorruptChunkCount: a header that claims 2³¹ chunks is refused as
+// truncated, having allocated for the chunks the header has bytes for and
+// not for the count it declares.
+func TestOpenCorruptChunkCount(t *testing.T) {
+	blob, _ := buildFile(t, 2, 3, 3, 1)
+	f, err := Open(BytesReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The chunk count is the u32 right before the first chunk's offset.
+	v := f.Vars()[0]
+	var first [8]byte
+	binary.LittleEndian.PutUint64(first[:], uint64(v.Chunks[0].Offset))
+	at := strings.Index(string(blob[:f.HeaderBytes]), string(first[:])) - 4
+	if at < 0 || binary.LittleEndian.Uint32(blob[at:]) != uint32(len(v.Chunks)) {
+		t.Fatalf("chunk count not found at %d", at)
+	}
+	bad := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(bad[at:], 1<<31)
+	var opened *File
+	allocs := testing.AllocsPerRun(1, func() { opened, err = Open(BytesReader(bad)) })
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("Open = %v, %v; want a truncated-header error", opened, err)
+	}
+	if allocs > 100 {
+		t.Fatalf("refusing the header took %v allocations", allocs)
+	}
+}
+
+var openSink *File
+
+// BenchmarkOpen parses the header of one NU-WRF-shaped file: what the
+// Explorer and then each map task pay per file.
+func BenchmarkOpen(b *testing.B) {
+	blob := nuwrfShaped(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := Open(BytesReader(blob))
+		if err != nil {
+			b.Fatal(err)
+		}
+		openSink = f
+	}
+}

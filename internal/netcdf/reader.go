@@ -93,14 +93,20 @@ func (f *File) decodeHeader(hdr []byte) error {
 		v.Deflate = int(d.u8())
 		nc := int(d.u32())
 		grid := v.chunkGrid()
-		idx := zeros(len(v.Dims))
-		for j := 0; j < nc && d.err == nil; j++ {
-			ci := ChunkInfo{
-				Index:      append([]int(nil), idx...),
-				Offset:     int64(d.u64()),
-				StoredSize: int64(d.u64()),
-				RawSize:    int64(d.u64()),
+		rank := len(v.Dims)
+		idx := zeros(rank)
+		// One slab for every chunk's Index, sized by what the header has
+		// bytes for (24 an entry), not by the count a corrupt file declares.
+		room := min(nc, (len(d.buf)-d.off)/24)
+		v.Chunks = make([]ChunkInfo, 0, room)
+		indices := make([]int, 0, room*rank)
+		for j := 0; j < nc; j++ {
+			ci := ChunkInfo{Offset: int64(d.u64()), StoredSize: int64(d.u64()), RawSize: int64(d.u64())}
+			if d.err != nil {
+				break
 			}
+			indices = append(indices, idx...)
+			ci.Index = indices[len(indices)-rank : len(indices) : len(indices)]
 			v.Chunks = append(v.Chunks, ci)
 			incIndex(idx, grid)
 		}
@@ -121,9 +127,10 @@ func (f *File) decodeHeader(hdr []byte) error {
 				d.err = fmt.Errorf("netcdf: %s: stats section has %d chunks, index has %d", v.Name, n, len(v.Chunks))
 				break
 			}
+			stats := make([]ChunkStats, n)
 			for j := 0; j < n && d.err == nil; j++ {
-				st := ChunkStats{Min: d.f64(), Max: d.f64(), Count: int64(d.u64()), Fill: int64(d.u64())}
-				v.Chunks[j].Stats = &st
+				stats[j] = ChunkStats{Min: d.f64(), Max: d.f64(), Count: int64(d.u64()), Fill: int64(d.u64())}
+				v.Chunks[j].Stats = &stats[j]
 			}
 		}
 	}

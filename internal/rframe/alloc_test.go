@@ -25,3 +25,12 @@ func TestImage2DSteadyStateAllocation(t *testing.T) {
 		t.Fatalf("Image2D at 32 px allocates %d B/op in steady state, want <= %d", got, 32<<10)
 	}
 }
+
+// TestWriteCSVAllocation guards WriteCSV's one buffer: a string per cell
+// was 25 000 allocations for this frame.
+func TestWriteCSVAllocation(t *testing.T) {
+	f := orderBenchFrame(5000)
+	if got := testing.AllocsPerRun(10, func() { benchSink = f.WriteCSV() }); got > 4 {
+		t.Fatalf("WriteCSV of a 5000 x 5 frame makes %v allocations, want <= 4", got)
+	}
+}

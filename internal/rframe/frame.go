@@ -7,7 +7,6 @@
 package rframe
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -69,17 +68,25 @@ func (c *Column) Float64At(i int) float64 {
 	return math.NaN()
 }
 
-// StringAt renders row i as a string.
-func (c *Column) StringAt(i int) string {
+// AppendAt appends row i rendered as text (StringAt's text) to buf.
+func (c *Column) AppendAt(buf []byte, i int) []byte {
 	switch c.Kind {
 	case Float:
-		return strconv.FormatFloat(c.F[i], 'g', -1, 64)
+		return strconv.AppendFloat(buf, c.F[i], 'g', -1, 64)
 	case Int:
-		return strconv.FormatInt(c.I[i], 10)
+		return strconv.AppendInt(buf, c.I[i], 10)
 	case String:
+		return append(buf, c.S[i]...)
+	}
+	return buf
+}
+
+// StringAt renders row i as a string.
+func (c *Column) StringAt(i int) string {
+	if c.Kind == String {
 		return c.S[i]
 	}
-	return ""
+	return string(c.AppendAt(nil, i))
 }
 
 // Frame is a column-oriented table.
@@ -122,7 +129,8 @@ func (f *Frame) Col(name string) *Column {
 // Columns returns the columns in order.
 func (f *Frame) Columns() []*Column { return f.cols }
 
-func (f *Frame) add(c *Column) error {
+// Add appends a column: c itself, not a copy, so frames can share one.
+func (f *Frame) Add(c *Column) error {
 	if _, dup := f.index[c.Name]; dup {
 		return fmt.Errorf("rframe: duplicate column %q", c.Name)
 	}
@@ -136,38 +144,37 @@ func (f *Frame) add(c *Column) error {
 
 // AddFloat appends a float column.
 func (f *Frame) AddFloat(name string, vals []float64) error {
-	return f.add(&Column{Name: name, Kind: Float, F: vals})
+	return f.Add(&Column{Name: name, Kind: Float, F: vals})
 }
 
 // AddInt appends an integer column.
 func (f *Frame) AddInt(name string, vals []int64) error {
-	return f.add(&Column{Name: name, Kind: Int, I: vals})
+	return f.Add(&Column{Name: name, Kind: Int, I: vals})
 }
 
 // AddString appends a string column.
 func (f *Frame) AddString(name string, vals []string) error {
-	return f.add(&Column{Name: name, Kind: String, S: vals})
+	return f.Add(&Column{Name: name, Kind: String, S: vals})
 }
 
 // MustAddFloat is AddFloat that panics on error (builder convenience).
 func (f *Frame) MustAddFloat(name string, vals []float64) *Frame {
-	if err := f.AddFloat(name, vals); err != nil {
-		panic(err)
-	}
-	return f
+	return f.must(f.AddFloat(name, vals))
 }
 
 // MustAddInt is AddInt that panics on error.
 func (f *Frame) MustAddInt(name string, vals []int64) *Frame {
-	if err := f.AddInt(name, vals); err != nil {
-		panic(err)
-	}
-	return f
+	return f.must(f.AddInt(name, vals))
 }
 
 // MustAddString is AddString that panics on error.
 func (f *Frame) MustAddString(name string, vals []string) *Frame {
-	if err := f.AddString(name, vals); err != nil {
+	return f.must(f.AddString(name, vals))
+}
+
+// must panics on a builder's error and returns f for chaining.
+func (f *Frame) must(err error) *Frame {
+	if err != nil {
 		panic(err)
 	}
 	return f
@@ -181,43 +188,46 @@ func (f *Frame) Select(names ...string) (*Frame, error) {
 		if c == nil {
 			return nil, fmt.Errorf("rframe: no column %q", n)
 		}
-		if err := out.add(c); err != nil {
+		if err := out.Add(c); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
+// Take returns the column's rows in the given order as a new column; a
+// nil rows is every row and copies nothing: it returns c.
+func (c *Column) Take(rows []int) *Column {
+	if rows == nil {
+		return c
+	}
+	return &Column{Name: c.Name, Kind: c.Kind, F: take(c.F, rows), I: take(c.I, rows), S: take(c.S, rows)}
+}
+
+// take gathers vals[rows[i]]; an unused kind's nil slice stays nil.
+func take[T any](vals []T, rows []int) []T {
+	if vals == nil {
+		return nil
+	}
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		out[i] = vals[r]
+	}
+	return out
+}
+
 // gather builds a new frame keeping rows[i] order from f.
 func (f *Frame) gather(rows []int) *Frame {
 	out := New()
 	for _, c := range f.cols {
-		nc := &Column{Name: c.Name, Kind: c.Kind}
-		switch c.Kind {
-		case Float:
-			nc.F = make([]float64, len(rows))
-			for i, r := range rows {
-				nc.F[i] = c.F[r]
-			}
-		case Int:
-			nc.I = make([]int64, len(rows))
-			for i, r := range rows {
-				nc.I[i] = c.I[r]
-			}
-		case String:
-			nc.S = make([]string, len(rows))
-			for i, r := range rows {
-				nc.S[i] = c.S[r]
-			}
-		}
-		out.add(nc)
+		out.Add(c.Take(rows))
 	}
 	return out
 }
 
 // Filter keeps rows where keep(i) is true.
 func (f *Frame) Filter(keep func(row int) bool) *Frame {
-	var rows []int
+	rows := []int{}
 	for i := 0; i < f.NumRows(); i++ {
 		if keep(i) {
 			rows = append(rows, i)
@@ -226,46 +236,24 @@ func (f *Frame) Filter(keep func(row int) bool) *Frame {
 	return f.gather(rows)
 }
 
-// OrderBy returns a copy sorted by the named column (stable).
+// OrderBy returns a copy sorted by the named column: stable, and with
+// NaNs last whichever the direction (see Order).
 func (f *Frame) OrderBy(name string, desc bool) (*Frame, error) {
+	return f.orderBy(name, desc, -1)
+}
+
+// orderBy is the first k rows of the frame sorted by the named column.
+func (f *Frame) orderBy(name string, desc bool, k int) (*Frame, error) {
 	c := f.Col(name)
 	if c == nil {
 		return nil, fmt.Errorf("rframe: no column %q", name)
 	}
-	rows := make([]int, f.NumRows())
-	for i := range rows {
-		rows[i] = i
-	}
-	slices.SortStableFunc(rows, func(a, b int) int {
-		var r int
-		if c.Kind == String {
-			r = cmp.Compare(c.S[a], c.S[b])
-		} else {
-			// NaNs stay unordered (compare equal), as the pre-slices
-			// comparator behaved.
-			va, vb := c.Float64At(a), c.Float64At(b)
-			if va < vb {
-				r = -1
-			} else if vb < va {
-				r = 1
-			}
-		}
-		if desc {
-			r = -r
-		}
-		return r
-	})
-	return f.gather(rows), nil
+	return f.gather(Order([]SortKey{{Col: c, Desc: desc}}, k)), nil
 }
 
 // Head returns the first n rows (all rows if n exceeds the count).
 func (f *Frame) Head(n int) *Frame {
-	if n > f.NumRows() {
-		n = f.NumRows()
-	}
-	if n < 0 {
-		n = 0
-	}
+	n = max(0, min(n, f.NumRows()))
 	rows := make([]int, n)
 	for i := range rows {
 		rows[i] = i
@@ -274,13 +262,10 @@ func (f *Frame) Head(n int) *Frame {
 }
 
 // TopK returns the k rows with the largest values in the named column —
-// the paper's "top 10 data points are highlighted" analysis.
+// the paper's "top 10 data points are highlighted" analysis. It is
+// OrderBy(name, true) cut at k rows, found without sorting the rest.
 func (f *Frame) TopK(name string, k int) (*Frame, error) {
-	sorted, err := f.OrderBy(name, true)
-	if err != nil {
-		return nil, err
-	}
-	return sorted.Head(k), nil
+	return f.orderBy(name, true, max(k, 0))
 }
 
 // TopFraction returns the top fraction (0 < frac <= 1) of rows by the
@@ -293,12 +278,14 @@ func (f *Frame) TopFraction(name string, frac float64) (*Frame, error) {
 	return f.TopK(name, k)
 }
 
-// Append concatenates other's rows below f's (schemas must match).
+// Append concatenates other's rows below f's (schemas must match). An
+// empty f adopts other's columns uncopied but clipped, so the next Append
+// moves them to storage of f's own instead of writing into other's.
 func (f *Frame) Append(other *Frame) error {
 	if len(f.cols) == 0 {
 		for _, c := range other.cols {
-			nc := *c
-			if err := f.add(&nc); err != nil {
+			nc := &Column{Name: c.Name, Kind: c.Kind, F: slices.Clip(c.F), I: slices.Clip(c.I), S: slices.Clip(c.S)}
+			if err := f.Add(nc); err != nil {
 				return err
 			}
 		}
@@ -317,6 +304,34 @@ func (f *Frame) Append(other *Frame) error {
 		c.S = append(c.S, oc.S...)
 	}
 	return nil
+}
+
+// Concat stacks the frames' rows in order into columns of its own, sized
+// once for all of them (the schemas must match, as for Append).
+func Concat(frames ...*Frame) (*Frame, error) {
+	out, rows := New(), 0
+	for _, f := range frames {
+		rows += f.NumRows()
+	}
+	for _, f := range frames {
+		if len(out.cols) == 0 {
+			for _, c := range f.cols {
+				out.Add(&Column{Name: c.Name, Kind: c.Kind, F: sized(c.F, rows), I: sized(c.I, rows), S: sized(c.S, rows)})
+			}
+		}
+		if err := out.Append(f); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// sized returns an empty slice with room for n values, nil if like is.
+func sized[T any](like []T, n int) []T {
+	if like == nil {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // Stats summarizes a numeric column.
@@ -401,21 +416,29 @@ func FromArray3D(dimNames [3]string, origin [3]int, shape [3]int, vals []float32
 	return f, nil
 }
 
-// WriteCSV renders the frame as a header line plus comma-separated rows.
+// WriteCSV renders the frame as a header line plus comma-separated rows,
+// appended into one buffer.
 func (f *Frame) WriteCSV() []byte {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(f.Names(), ","))
-	sb.WriteByte('\n')
-	for r := 0; r < f.NumRows(); r++ {
+	rows := f.NumRows()
+	// 12 bytes a cell fit small integers and a float to a row; append grows.
+	buf := make([]byte, 0, (rows+1)*len(f.cols)*12)
+	for i, c := range f.cols {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, c.Name...)
+	}
+	buf = append(buf, '\n')
+	for r := 0; r < rows; r++ {
 		for i, c := range f.cols {
 			if i > 0 {
-				sb.WriteByte(',')
+				buf = append(buf, ',')
 			}
-			sb.WriteString(c.StringAt(r))
+			buf = c.AppendAt(buf, r)
 		}
-		sb.WriteByte('\n')
+		buf = append(buf, '\n')
 	}
-	return []byte(sb.String())
+	return buf
 }
 
 // ReadTable parses CSV text with a header row, inferring each column as
@@ -444,7 +467,7 @@ func ReadTable(text []byte) (*Frame, error) {
 	f := New()
 	for i, name := range names {
 		col := inferColumn(strings.TrimSpace(name), raw[i])
-		if err := f.add(col); err != nil {
+		if err := f.Add(col); err != nil {
 			return nil, err
 		}
 	}

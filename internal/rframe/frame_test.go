@@ -314,32 +314,52 @@ func TestCSVRoundtripProperty(t *testing.T) {
 	}
 }
 
-// TestOrderByIsPermutation: ordering preserves the multiset of values.
+// TestOrderByIsPermutation: ordering is a stable permutation of the rows —
+// every row once, keys in order, rows of equal key in input order and NaNs
+// last — in both directions and over heavily tied keys.
 func TestOrderByIsPermutation(t *testing.T) {
-	f := func(vals []float32) bool {
+	f := func(vals []int8, desc bool) bool {
 		fv := make([]float64, len(vals))
+		id := make([]int64, len(vals))
 		for i, v := range vals {
-			fv[i] = float64(v)
+			fv[i] = float64(v % 4) // heavy ties
+			if v%7 == 0 {
+				fv[i] = math.NaN()
+			}
+			id[i] = int64(i)
 		}
-		fr := New().MustAddFloat("v", fv)
-		sorted, err := fr.OrderBy("v", false)
-		if err != nil {
+		fr := New().MustAddFloat("v", fv).MustAddInt("id", id)
+		sorted, err := fr.OrderBy("v", desc)
+		if err != nil || sorted.NumRows() != len(fv) {
 			return false
 		}
-		if sorted.NumRows() != len(fv) {
-			return false
-		}
-		got := sorted.Col("v").F
-		for i := 1; i < len(got); i++ {
-			less := got[i-1] <= got[i]
-			// NaNs sort unstably but must not be lost.
-			if !less && !math.IsNaN(got[i-1]) && !math.IsNaN(got[i]) {
+		got, ids := sorted.Col("v").F, sorted.Col("id").I
+		seen := make([]bool, len(fv))
+		for i, r := range ids {
+			if seen[r] || math.Float64bits(fv[r]) != math.Float64bits(got[i]) {
+				return false
+			}
+			seen[r] = true
+			if i == 0 {
+				continue
+			}
+			a, b := got[i-1], got[i]
+			switch {
+			case math.IsNaN(a) && !math.IsNaN(b):
+				return false // a number after a NaN
+			case math.IsNaN(b):
+				if math.IsNaN(a) && ids[i-1] > r {
+					return false
+				}
+			case a == b && ids[i-1] > r:
+				return false // a tie out of input order
+			case !desc && a > b, desc && a < b:
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

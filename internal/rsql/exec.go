@@ -9,16 +9,8 @@ import (
 	"scidp/internal/rframe"
 )
 
-// val is a runtime value: numeric or string.
-type val struct {
-	f   float64
-	s   string
-	str bool
-}
-
-func num(f float64) val  { return val{f: f} }
-func str(s string) val   { return val{s: s, str: true} }
-func boolVal(b bool) val { return num(b2f(b)) }
+// This file is the frame executor: bind → select → order → materialise
+// (DESIGN.md, "The frame executor").
 
 func b2f(b bool) float64 {
 	if b {
@@ -27,23 +19,25 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-func (v val) truthy() bool { return !v.str && v.f != 0 }
+// unaryOp applies "-" or NOT.
+func unaryOp(op string, v float64) float64 {
+	if op == "-" {
+		return -v
+	}
+	return b2f(v == 0)
+}
 
 // aggFuncs are the recognized aggregate function names.
 var aggFuncs = map[string]bool{"SUM": true, "AVG": true, "MIN": true, "MAX": true, "COUNT": true}
+
+// scalarFuncs are the scalar functions, all of one number.
+var scalarFuncs = map[string]func(float64) float64{"ABS": math.Abs, "SQRT": math.Sqrt}
 
 // hasAgg reports whether the expression contains an aggregate call.
 func hasAgg(e expr) bool {
 	switch x := e.(type) {
 	case call:
-		if aggFuncs[x.name] {
-			return true
-		}
-		for _, a := range x.args {
-			if hasAgg(a) {
-				return true
-			}
-		}
+		return aggFuncs[x.name] || slices.ContainsFunc(x.args, hasAgg)
 	case binary:
 		return hasAgg(x.l) || hasAgg(x.r)
 	case unary:
@@ -52,257 +46,284 @@ func hasAgg(e expr) bool {
 	return false
 }
 
-// rowEval evaluates e against one row of f.
-func rowEval(e expr, f *rframe.Frame, row int) (val, error) {
+// numOps are the binary operators over numbers — every one the parser
+// knows — and a comparison is 0 or 1.
+var numOps = map[string]func(l, r float64) float64{
+	"+":   func(l, r float64) float64 { return l + r },
+	"-":   func(l, r float64) float64 { return l - r },
+	"*":   func(l, r float64) float64 { return l * r },
+	"/":   func(l, r float64) float64 { return l / r },
+	"%":   math.Mod,
+	"=":   func(l, r float64) float64 { return b2f(l == r) },
+	"<>":  func(l, r float64) float64 { return b2f(l != r) },
+	"!=":  func(l, r float64) float64 { return b2f(l != r) },
+	"<":   func(l, r float64) float64 { return b2f(l < r) },
+	">":   func(l, r float64) float64 { return b2f(l > r) },
+	"<=":  func(l, r float64) float64 { return b2f(l <= r) },
+	">=":  func(l, r float64) float64 { return b2f(l >= r) },
+	"AND": func(l, r float64) float64 { return b2f(l != 0 && r != 0) },
+	"OR":  func(l, r float64) float64 { return b2f(l != 0 || r != 0) },
+}
+
+// strOps are the comparisons, the only operators strings have.
+var strOps = map[string]func(l, r string) bool{
+	"=":  func(l, r string) bool { return l == r },
+	"<>": func(l, r string) bool { return l != r },
+	"!=": func(l, r string) bool { return l != r },
+	"<":  func(l, r string) bool { return l < r },
+	">":  func(l, r string) bool { return l > r },
+	"<=": func(l, r string) bool { return l <= r },
+	">=": func(l, r string) bool { return l >= r },
+}
+
+// bound is an expression after bind. A column's kind and a literal's type
+// never change, so number-or-string is a property of the expression, not
+// of a row: exactly one of num and str is set. f or s is the column's own
+// slice when the expression is a bare Float or String column.
+type bound struct {
+	num func(row int) float64
+	str func(row int) string
+	f   []float64
+	s   []string
+}
+
+// vector evaluates at over sel (nil: every row in [0, n)) into one slice
+// sized once; whole, when non-nil, already is the answer for every row.
+func vector[T any](at func(int) T, whole []T, sel []int, n int) []T {
+	if sel == nil && whole != nil {
+		return whole
+	}
+	if sel != nil {
+		n = len(sel)
+	}
+	out := make([]T, n)
+	for i := range out {
+		if sel != nil {
+			out[i] = at(sel[i])
+		} else {
+			out[i] = at(i)
+		}
+	}
+	return out
+}
+
+// column evaluates the expression over sel (see vector) into a column.
+func (b bound) column(name string, sel []int, n int) *rframe.Column {
+	if b.str != nil {
+		return &rframe.Column{Name: name, Kind: rframe.String, S: vector(b.str, b.s, sel, n)}
+	}
+	return &rframe.Column{Name: name, Kind: rframe.Float, F: vector(b.num, b.f, sel, n)}
+}
+
+// scope is what a name, an aggregate call and a row mean where an
+// expression is bound: source rows for WHERE and a plain select list,
+// groups for an aggregated one, output rows for ORDER BY.
+type scope struct {
+	col func(name string) (bound, error)
+	agg func(c call) (bound, error) // nil where there is no aggregation
+	// groups is set where a row is a group: a scalar function of a group
+	// with no rows (a global aggregate over an empty selection) is NaN.
+	groups *grouping
+}
+
+// itemScope resolves names to items: a frame's columns for WHERE and the
+// select list, the select list's own output for ORDER BY — which is how
+// ORDER BY sees an alias and does not see an unprojected column.
+func itemScope(items []item) *scope {
+	return &scope{col: func(name string) (bound, error) {
+		for _, it := range items {
+			if it.name == name {
+				return it.bound, nil
+			}
+		}
+		return bound{}, fmt.Errorf("rsql: no column %q", name)
+	}}
+}
+
+// number binds e where ctx needs a number.
+func (sc *scope) number(e expr, ctx string) (func(int) float64, error) {
+	b, err := sc.bind(e)
+	if err == nil && b.num == nil {
+		err = fmt.Errorf("rsql: %s needs a number, got a string", ctx)
+	}
+	return b.num, err
+}
+
+// bind resolves and types e. Every error a query can raise — unknown
+// column or function, arity, operands of mixed or unsupported type, a
+// misplaced aggregate — is raised here.
+func (sc *scope) bind(e expr) (bound, error) {
 	switch x := e.(type) {
 	case numLit:
-		return num(x.v), nil
+		return bound{num: func(int) float64 { return x.v }}, nil
 	case strLit:
-		return str(x.v), nil
+		return bound{str: func(int) string { return x.v }}, nil
 	case colRef:
-		c := f.Col(x.name)
-		if c == nil {
-			return val{}, fmt.Errorf("rsql: no column %q", x.name)
-		}
-		if c.Kind == rframe.String {
-			return str(c.S[row]), nil
-		}
-		return num(c.Float64At(row)), nil
+		return sc.col(x.name)
 	case unary:
-		v, err := rowEval(x.x, f, row)
+		v, err := sc.number(x.x, x.op)
 		if err != nil {
-			return val{}, err
+			return bound{}, err
 		}
-		switch x.op {
-		case "-":
-			return num(-v.f), nil
-		case "NOT":
-			return boolVal(!v.truthy()), nil
-		}
-		return val{}, fmt.Errorf("rsql: unknown unary %q", x.op)
+		return bound{num: func(r int) float64 { return unaryOp(x.op, v(r)) }}, nil
 	case binary:
-		l, err := rowEval(x.l, f, row)
+		l, err := sc.bind(x.l)
 		if err != nil {
-			return val{}, err
+			return bound{}, err
 		}
-		// Short-circuit logic operators.
-		switch x.op {
-		case "AND":
-			if !l.truthy() {
-				return boolVal(false), nil
-			}
-			r, err := rowEval(x.r, f, row)
-			if err != nil {
-				return val{}, err
-			}
-			return boolVal(r.truthy()), nil
-		case "OR":
-			if l.truthy() {
-				return boolVal(true), nil
-			}
-			r, err := rowEval(x.r, f, row)
-			if err != nil {
-				return val{}, err
-			}
-			return boolVal(r.truthy()), nil
-		}
-		r, err := rowEval(x.r, f, row)
+		r, err := sc.bind(x.r)
 		if err != nil {
-			return val{}, err
+			return bound{}, err
 		}
-		return applyBinary(x.op, l, r)
+		switch {
+		case (l.str == nil) != (r.str == nil):
+			return bound{}, fmt.Errorf("rsql: mixed string/number operands for %q", x.op)
+		case l.str != nil:
+			op := strOps[x.op]
+			if op == nil {
+				return bound{}, fmt.Errorf("rsql: operator %q undefined for strings", x.op)
+			}
+			return bound{num: func(row int) float64 { return b2f(op(l.str(row), r.str(row))) }}, nil
+		}
+		return bound{num: func(row int) float64 { return x.num(l.num(row), r.num(row)) }}, nil
 	case call:
 		if aggFuncs[x.name] {
-			return val{}, fmt.Errorf("rsql: aggregate %s outside aggregation context", x.name)
-		}
-		return applyScalar(x, f, row)
-	}
-	return val{}, fmt.Errorf("rsql: unknown expression %T", e)
-}
-
-func applyBinary(op string, l, r val) (val, error) {
-	if l.str || r.str {
-		// String context: only comparisons are defined.
-		if !l.str || !r.str {
-			return val{}, fmt.Errorf("rsql: mixed string/number operands for %q", op)
-		}
-		switch op {
-		case "=":
-			return boolVal(l.s == r.s), nil
-		case "<>", "!=":
-			return boolVal(l.s != r.s), nil
-		case "<":
-			return boolVal(l.s < r.s), nil
-		case ">":
-			return boolVal(l.s > r.s), nil
-		case "<=":
-			return boolVal(l.s <= r.s), nil
-		case ">=":
-			return boolVal(l.s >= r.s), nil
-		}
-		return val{}, fmt.Errorf("rsql: operator %q undefined for strings", op)
-	}
-	switch op {
-	case "+":
-		return num(l.f + r.f), nil
-	case "-":
-		return num(l.f - r.f), nil
-	case "*":
-		return num(l.f * r.f), nil
-	case "/":
-		return num(l.f / r.f), nil
-	case "%":
-		return num(math.Mod(l.f, r.f)), nil
-	case "=":
-		return boolVal(l.f == r.f), nil
-	case "<>", "!=":
-		return boolVal(l.f != r.f), nil
-	case "<":
-		return boolVal(l.f < r.f), nil
-	case ">":
-		return boolVal(l.f > r.f), nil
-	case "<=":
-		return boolVal(l.f <= r.f), nil
-	case ">=":
-		return boolVal(l.f >= r.f), nil
-	}
-	return val{}, fmt.Errorf("rsql: unknown operator %q", op)
-}
-
-func applyScalar(x call, f *rframe.Frame, row int) (val, error) {
-	argv := make([]val, len(x.args))
-	for i, a := range x.args {
-		v, err := rowEval(a, f, row)
-		if err != nil {
-			return val{}, err
-		}
-		argv[i] = v
-	}
-	switch x.name {
-	case "ABS":
-		if len(argv) != 1 {
-			return val{}, fmt.Errorf("rsql: ABS takes 1 argument")
-		}
-		return num(math.Abs(argv[0].f)), nil
-	case "SQRT":
-		if len(argv) != 1 {
-			return val{}, fmt.Errorf("rsql: SQRT takes 1 argument")
-		}
-		return num(math.Sqrt(argv[0].f)), nil
-	}
-	return val{}, fmt.Errorf("rsql: unknown function %s", x.name)
-}
-
-// aggEval evaluates an expression over a set of rows (aggregation
-// context): aggregates reduce the rows; bare columns take the group's
-// first row (valid for GROUP BY keys).
-func aggEval(e expr, f *rframe.Frame, rows []int) (val, error) {
-	switch x := e.(type) {
-	case numLit, strLit:
-		return rowEval(e, f, 0)
-	case colRef:
-		if len(rows) == 0 {
-			return num(math.NaN()), nil
-		}
-		return rowEval(e, f, rows[0])
-	case unary:
-		v, err := aggEval(x.x, f, rows)
-		if err != nil {
-			return val{}, err
-		}
-		switch x.op {
-		case "-":
-			return num(-v.f), nil
-		case "NOT":
-			return boolVal(!v.truthy()), nil
-		}
-		return val{}, fmt.Errorf("rsql: unknown unary %q", x.op)
-	case binary:
-		l, err := aggEval(x.l, f, rows)
-		if err != nil {
-			return val{}, err
-		}
-		r, err := aggEval(x.r, f, rows)
-		if err != nil {
-			return val{}, err
-		}
-		switch x.op {
-		case "AND":
-			return boolVal(l.truthy() && r.truthy()), nil
-		case "OR":
-			return boolVal(l.truthy() || r.truthy()), nil
-		}
-		return applyBinary(x.op, l, r)
-	case call:
-		if !aggFuncs[x.name] {
-			// Scalar over aggregate arguments.
-			if len(rows) == 0 {
-				return num(math.NaN()), nil
+			if sc.agg == nil {
+				return bound{}, fmt.Errorf("rsql: aggregate %s outside aggregation context", x.name)
 			}
-			argv := make([]val, len(x.args))
-			for i, a := range x.args {
-				v, err := aggEval(a, f, rows)
-				if err != nil {
-					return val{}, err
-				}
-				argv[i] = v
-			}
-			switch x.name {
-			case "ABS":
-				return num(math.Abs(argv[0].f)), nil
-			case "SQRT":
-				return num(math.Sqrt(argv[0].f)), nil
-			}
-			return val{}, fmt.Errorf("rsql: unknown function %s", x.name)
+			return sc.agg(x)
 		}
-		if x.name == "COUNT" && x.star {
-			return num(float64(len(rows))), nil
+		fn := scalarFuncs[x.name]
+		if fn == nil {
+			return bound{}, fmt.Errorf("rsql: unknown function %s", x.name)
 		}
 		if len(x.args) != 1 {
-			return val{}, fmt.Errorf("rsql: %s takes 1 argument", x.name)
+			return bound{}, fmt.Errorf("rsql: %s takes 1 argument", x.name)
 		}
+		v, err := sc.number(x.args[0], x.name)
+		if err != nil {
+			return bound{}, err
+		}
+		if g := sc.groups; g != nil {
+			return bound{num: func(r int) float64 {
+				if g.first(r) < 0 {
+					return math.NaN()
+				}
+				return fn(v(r))
+			}}, nil
+		}
+		return bound{num: func(r int) float64 { return fn(v(r)) }}, nil
+	}
+	return bound{}, fmt.Errorf("rsql: unknown expression %T", e)
+}
+
+// grouping is the selection split by the GROUP BY columns, in first-seen
+// order. run fills it, after the closures that read it were bound.
+type grouping struct {
+	rows [][]int // each group's source rows, ascending
+}
+
+// first returns group g's first source row, -1 if it has none.
+func (g *grouping) first(i int) int {
+	if len(g.rows[i]) == 0 {
+		return -1
+	}
+	return g.rows[i][0]
+}
+
+// split groups sel by the key columns' rendered values. Without keys
+// there is one group, even over zero rows.
+func (g *grouping) split(keys []*rframe.Column, sel []int) {
+	if len(keys) == 0 {
+		g.rows = [][]int{sel}
+		return
+	}
+	ids := map[string]int{}
+	var key []byte
+	for _, r := range sel {
+		key = key[:0]
+		for _, c := range keys {
+			key = append(c.AppendAt(key, r), 0)
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = len(g.rows)
+			ids[string(key)] = id
+			g.rows = append(g.rows, nil)
+		}
+		g.rows[id] = append(g.rows[id], r)
+	}
+}
+
+// aggregate is one aggregate call of a select list: its argument bound
+// per source row and, once run has reduced it, its value per group.
+type aggregate struct {
+	name string
+	arg  func(row int) float64 // unused by COUNT, which only counts rows
+	vals []float64
+}
+
+// reduce folds the argument over each group's rows, in row order.
+func (a *aggregate) reduce(groups [][]int) {
+	a.vals = make([]float64, len(groups))
+	for g, rows := range groups {
 		var acc float64
-		switch x.name {
+		switch a.name {
+		case "COUNT":
+			acc = float64(len(rows))
+		case "SUM", "AVG":
+			for _, r := range rows {
+				acc += a.arg(r)
+			}
+			if a.name == "AVG" {
+				acc /= float64(len(rows))
+				if len(rows) == 0 {
+					acc = math.NaN()
+				}
+			}
 		case "MIN":
 			acc = math.Inf(1)
+			for _, r := range rows {
+				if v := a.arg(r); v < acc {
+					acc = v
+				}
+			}
 		case "MAX":
 			acc = math.Inf(-1)
-		}
-		count := 0
-		for _, r := range rows {
-			v, err := rowEval(x.args[0], f, r)
-			if err != nil {
-				return val{}, err
-			}
-			count++
-			switch x.name {
-			case "SUM", "AVG":
-				acc += v.f
-			case "MIN":
-				if v.f < acc {
-					acc = v.f
+			for _, r := range rows {
+				if v := a.arg(r); v > acc {
+					acc = v
 				}
-			case "MAX":
-				if v.f > acc {
-					acc = v.f
-				}
-			case "COUNT":
-				// counting non-star: every evaluated row counts
 			}
 		}
-		switch x.name {
-		case "COUNT":
-			return num(float64(count)), nil
-		case "AVG":
-			if count == 0 {
-				return num(math.NaN()), nil
-			}
-			return num(acc / float64(count)), nil
+		a.vals[g] = acc
+	}
+}
+
+// item is one output column: a select item, or a column SELECT * names —
+// native, which keeps its kind (Int stays Int) instead of being evaluated.
+type item struct {
+	name string
+	bound
+	native *rframe.Column
+}
+
+// frameItems presents f's columns as items, each kept as it is; bound, an
+// Int column reads as float64, as everywhere.
+func frameItems(f *rframe.Frame) []item {
+	items := make([]item, f.NumCols())
+	for i, c := range f.Columns() {
+		items[i] = item{name: c.Name, native: c}
+		switch c.Kind {
+		case rframe.String:
+			items[i].bound = bound{str: func(r int) string { return c.S[r] }, s: c.S}
+		case rframe.Int:
+			items[i].bound = bound{num: func(r int) float64 { return float64(c.I[r]) }}
 		default:
-			return num(acc), nil
+			items[i].bound = bound{num: func(r int) float64 { return c.F[r] }, f: c.F}
 		}
 	}
-	return val{}, fmt.Errorf("rsql: unknown expression %T", e)
+	return items
 }
 
 // itemName derives an output column name for a select item.
@@ -319,7 +340,207 @@ func itemName(it selectItem, idx int) string {
 	return fmt.Sprintf("expr%d", idx+1)
 }
 
-// Query parses and executes sql against the named frames.
+// bindOrder binds ORDER BY's keys against the output columns.
+func bindOrder(orderBy []orderItem, items []item) ([]bound, error) {
+	sc := itemScope(items)
+	keys := make([]bound, len(orderBy))
+	for i, o := range orderBy {
+		var err error
+		if keys[i], err = sc.bind(o.ex); err != nil {
+			return nil, err
+		}
+	}
+	return keys, nil
+}
+
+// finish is the tail the frame executor and ArrayPlan.Finalize share:
+// order the selection by q's bound ORDER BY keys, cut it at its LIMIT (if
+// not negative), and only then evaluate the items, for the rows left.
+func finish(q *query, keys []bound, items []item, sel []int, n int) *rframe.Frame {
+	if len(keys) > 0 {
+		sortKeys := make([]rframe.SortKey, len(keys))
+		for i, k := range keys {
+			sortKeys[i] = rframe.SortKey{Col: k.column("", sel, n), Desc: q.orderBy[i].desc}
+		}
+		order := rframe.Order(sortKeys, q.limit)
+		if sel != nil {
+			for i, pos := range order {
+				order[i] = sel[pos]
+			}
+		}
+		sel = order
+	} else if sel != nil && q.limit >= 0 {
+		sel = sel[:min(q.limit, len(sel))]
+	} else if q.limit >= 0 && q.limit < n {
+		sel = identity(q.limit)
+	}
+	out := rframe.New()
+	for _, it := range items {
+		c := it.native
+		if c != nil {
+			c = c.Take(sel)
+		} else {
+			c = it.column(it.name, sel, n)
+		}
+		if err := out.Add(c); err != nil {
+			panic(err) // bind checked the names; the lengths are ours
+		}
+	}
+	return out
+}
+
+// identity returns the selection of rows [0, n), spelled out.
+func identity(n int) []int {
+	sel := make([]int, n)
+	for r := range sel {
+		sel[r] = r
+	}
+	return sel
+}
+
+// plan is a query bound to its source frame: whatever is wrong with the
+// query has been reported by the time one exists, and run cannot fail.
+type plan struct {
+	q       *query
+	rows    int
+	where   func(row int) float64 // nil: keep every row
+	groups  *grouping             // non-nil: the select list is aggregated
+	groupBy []*rframe.Column
+	aggs    []*aggregate
+	items   []item
+	keys    []bound // ORDER BY
+}
+
+// bindQuery binds q to src.
+func bindQuery(q *query, src *rframe.Frame) (*plan, error) {
+	p := &plan{q: q, rows: src.NumRows()}
+	cols := frameItems(src)
+	rowScope := itemScope(cols)
+	var err error
+	if q.where != nil {
+		if p.where, err = rowScope.number(q.where, "WHERE"); err != nil {
+			return nil, err
+		}
+	}
+	star, aggregated := false, len(q.groupBy) > 0
+	for _, it := range q.sel {
+		star = star || it.star
+		aggregated = aggregated || !it.star && hasAgg(it.ex)
+	}
+	selScope := rowScope
+	if aggregated {
+		if star {
+			return nil, fmt.Errorf("rsql: SELECT * cannot mix with aggregation")
+		}
+		for _, g := range q.groupBy {
+			c := src.Col(g)
+			if c == nil {
+				return nil, fmt.Errorf("rsql: GROUP BY column %q missing", g)
+			}
+			p.groupBy = append(p.groupBy, c)
+		}
+		p.groups = &grouping{}
+		selScope = p.groupScope(rowScope)
+	}
+	// Star columns come first in source order, then the named items.
+	if star {
+		p.items = cols
+	}
+	p.items = slices.Grow(p.items, len(q.sel))
+	for i, it := range q.sel {
+		if it.star {
+			continue
+		}
+		b, err := selScope.bind(it.ex)
+		if err != nil {
+			return nil, err
+		}
+		p.items = append(p.items, item{name: itemName(it, i), bound: b})
+	}
+	for i, it := range p.items {
+		if slices.ContainsFunc(p.items[:i], func(prev item) bool { return prev.name == it.name }) {
+			return nil, fmt.Errorf("rsql: duplicate output column %q", it.name)
+		}
+	}
+	p.keys, err = bindOrder(q.orderBy, p.items)
+	return p, err
+}
+
+// groupScope is the scope of an aggregated select list, where a row is a
+// group: an aggregate is its value for the group, and a bare column is
+// the group's first row's — NaN in the one group that can have no rows,
+// the global aggregate's, which is why a string column needs GROUP BY.
+func (p *plan) groupScope(rows *scope) *scope {
+	g := p.groups
+	return &scope{
+		groups: g,
+		col: func(name string) (bound, error) {
+			b, err := rows.col(name)
+			switch {
+			case err != nil:
+				return bound{}, err
+			case b.str != nil && len(p.groupBy) == 0:
+				return bound{}, fmt.Errorf("rsql: string column %q outside an aggregate needs GROUP BY", name)
+			case b.str != nil:
+				return bound{str: func(i int) string { return b.str(g.first(i)) }}, nil
+			}
+			return bound{num: func(i int) float64 {
+				if r := g.first(i); r >= 0 {
+					return b.num(r)
+				}
+				return math.NaN()
+			}}, nil
+		},
+		agg: func(c call) (bound, error) {
+			a := &aggregate{name: c.name}
+			if !(c.name == "COUNT" && c.star) {
+				if len(c.args) != 1 {
+					return bound{}, fmt.Errorf("rsql: %s takes 1 argument", c.name)
+				}
+				// COUNT counts rows whatever its argument is, so long as it binds.
+				b, err := rows.bind(c.args[0])
+				if err == nil && b.num == nil && c.name != "COUNT" {
+					err = fmt.Errorf("rsql: %s needs a number, got a string", c.name)
+				}
+				if err != nil {
+					return bound{}, err
+				}
+				a.arg = b.num
+			}
+			p.aggs = append(p.aggs, a)
+			return bound{num: func(i int) float64 { return a.vals[i] }}, nil
+		},
+	}
+}
+
+// run executes the plan.
+func (p *plan) run() *rframe.Frame {
+	n := p.rows
+	var sel []int // nil: every row
+	if p.where != nil {
+		sel = make([]int, 0, n)
+		for r := 0; r < n; r++ {
+			if p.where(r) != 0 {
+				sel = append(sel, r)
+			}
+		}
+	}
+	if p.groups != nil {
+		if sel == nil {
+			sel = identity(n)
+		}
+		p.groups.split(p.groupBy, sel)
+		for _, a := range p.aggs {
+			a.reduce(p.groups.rows)
+		}
+		// From here a row is a group.
+		sel, n = nil, len(p.groups.rows)
+	}
+	return finish(p.q, p.keys, p.items, sel, n)
+}
+
+// Query parses and executes sql against the named frames. A bare column of
+// an unfiltered, unordered query shares its storage with the source frame.
 func Query(tables map[string]*rframe.Frame, sql string) (*rframe.Frame, error) {
 	q, err := parse(sql)
 	if err != nil {
@@ -329,292 +550,9 @@ func Query(tables map[string]*rframe.Frame, sql string) (*rframe.Frame, error) {
 	if !ok {
 		return nil, fmt.Errorf("rsql: no table %q", q.from)
 	}
-
-	// WHERE filter.
-	rows := make([]int, 0, src.NumRows())
-	for r := 0; r < src.NumRows(); r++ {
-		if q.where != nil {
-			v, err := rowEval(q.where, src, r)
-			if err != nil {
-				return nil, err
-			}
-			if !v.truthy() {
-				continue
-			}
-		}
-		rows = append(rows, r)
-	}
-
-	aggregated := len(q.groupBy) > 0
-	for _, it := range q.sel {
-		if !it.star && hasAgg(it.ex) {
-			aggregated = true
-		}
-	}
-
-	var out *rframe.Frame
-	if aggregated {
-		out, err = execAggregate(q, src, rows)
-	} else {
-		out, err = execProject(q, src, rows)
-	}
+	p, err := bindQuery(q, src)
 	if err != nil {
 		return nil, err
 	}
-
-	// ORDER BY over the output frame (aliases and projected columns).
-	if len(q.orderBy) > 0 {
-		out, err = orderFrame(out, q.orderBy)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if q.limit >= 0 {
-		out = out.Head(q.limit)
-	}
-	return out, nil
-}
-
-// execProject evaluates a non-aggregated select list row by row.
-func execProject(q *query, src *rframe.Frame, rows []int) (*rframe.Frame, error) {
-	type outCol struct {
-		name string
-		strs []string
-		nums []float64
-		str  bool
-		set  bool
-	}
-	var cols []*outCol
-	star := false
-	for i, it := range q.sel {
-		if it.star {
-			star = true
-			continue
-		}
-		cols = append(cols, &outCol{name: itemName(it, i)})
-	}
-	// Star expands in place: build by gathering the filtered rows.
-	out := rframe.New()
-	if star {
-		keep := map[int]bool{}
-		for _, r := range rows {
-			keep[r] = true
-		}
-		filtered := src.Filter(func(r int) bool { return keep[r] })
-		for _, c := range filtered.Columns() {
-			switch c.Kind {
-			case rframe.Float:
-				out.AddFloat(c.Name, c.F)
-			case rframe.Int:
-				out.AddInt(c.Name, c.I)
-			case rframe.String:
-				out.AddString(c.Name, c.S)
-			}
-		}
-	}
-	ci := 0
-	for _, it := range q.sel {
-		if it.star {
-			continue
-		}
-		oc := cols[ci]
-		ci++
-		for _, r := range rows {
-			v, err := rowEval(it.ex, src, r)
-			if err != nil {
-				return nil, err
-			}
-			if !oc.set {
-				oc.str = v.str
-				oc.set = true
-			}
-			if v.str != oc.str {
-				return nil, fmt.Errorf("rsql: column %q mixes strings and numbers", oc.name)
-			}
-			if v.str {
-				oc.strs = append(oc.strs, v.s)
-			} else {
-				oc.nums = append(oc.nums, v.f)
-			}
-		}
-		var err error
-		if oc.str {
-			err = out.AddString(oc.name, oc.strs)
-		} else {
-			if oc.nums == nil {
-				oc.nums = []float64{}
-			}
-			err = out.AddFloat(oc.name, oc.nums)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// execAggregate groups the rows and evaluates aggregate select items.
-func execAggregate(q *query, src *rframe.Frame, rows []int) (*rframe.Frame, error) {
-	for _, g := range q.groupBy {
-		if src.Col(g) == nil {
-			return nil, fmt.Errorf("rsql: GROUP BY column %q missing", g)
-		}
-	}
-	// Group rows by composite key, preserving first-seen order.
-	type group struct{ rows []int }
-	var order []string
-	groups := map[string]*group{}
-	for _, r := range rows {
-		var sb strings.Builder
-		for _, g := range q.groupBy {
-			sb.WriteString(src.Col(g).StringAt(r))
-			sb.WriteByte('\x00')
-		}
-		key := sb.String()
-		grp, ok := groups[key]
-		if !ok {
-			grp = &group{}
-			groups[key] = grp
-			order = append(order, key)
-		}
-		grp.rows = append(grp.rows, r)
-	}
-	if len(q.groupBy) == 0 {
-		// Global aggregation: one group, even over zero rows.
-		order = []string{""}
-		groups[""] = &group{rows: rows}
-	}
-	type outCol struct {
-		name string
-		strs []string
-		nums []float64
-		str  bool
-		set  bool
-	}
-	cols := make([]*outCol, 0, len(q.sel))
-	for i, it := range q.sel {
-		if it.star {
-			return nil, fmt.Errorf("rsql: SELECT * cannot mix with aggregation")
-		}
-		cols = append(cols, &outCol{name: itemName(it, i)})
-	}
-	for _, key := range order {
-		grp := groups[key]
-		for i, it := range q.sel {
-			v, err := aggEval(it.ex, src, grp.rows)
-			if err != nil {
-				return nil, err
-			}
-			oc := cols[i]
-			if !oc.set {
-				oc.str = v.str
-				oc.set = true
-			}
-			if v.str != oc.str {
-				return nil, fmt.Errorf("rsql: column %q mixes strings and numbers", oc.name)
-			}
-			if v.str {
-				oc.strs = append(oc.strs, v.s)
-			} else {
-				oc.nums = append(oc.nums, v.f)
-			}
-		}
-	}
-	out := rframe.New()
-	for _, oc := range cols {
-		var err error
-		if oc.str {
-			err = out.AddString(oc.name, oc.strs)
-		} else {
-			if oc.nums == nil {
-				oc.nums = []float64{}
-			}
-			err = out.AddFloat(oc.name, oc.nums)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// orderFrame sorts the output frame by the ORDER BY items (evaluated
-// against the output's own columns).
-func orderFrame(f *rframe.Frame, items []orderItem) (*rframe.Frame, error) {
-	n := f.NumRows()
-	keys := make([][]val, n)
-	for r := 0; r < n; r++ {
-		keys[r] = make([]val, len(items))
-		for i, it := range items {
-			v, err := rowEval(it.ex, f, r)
-			if err != nil {
-				return nil, err
-			}
-			keys[r][i] = v
-		}
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	var sortErr error
-	lessVal := func(a, b val) int {
-		switch {
-		case a.str && b.str:
-			return strings.Compare(a.s, b.s)
-		case !a.str && !b.str:
-			switch {
-			case a.f < b.f:
-				return -1
-			case a.f > b.f:
-				return 1
-			}
-			return 0
-		default:
-			sortErr = fmt.Errorf("rsql: ORDER BY mixes strings and numbers")
-			return 0
-		}
-	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		for i, it := range items {
-			c := lessVal(keys[a][i], keys[b][i])
-			if it.desc {
-				c = -c
-			}
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
-	if sortErr != nil {
-		return nil, sortErr
-	}
-	// Rebuild via Filter-preserving gather.
-	keep := make([]int, n)
-	copy(keep, idx)
-	out := rframe.New()
-	for _, c := range f.Columns() {
-		switch c.Kind {
-		case rframe.Float:
-			vals := make([]float64, n)
-			for i, r := range keep {
-				vals[i] = c.F[r]
-			}
-			out.AddFloat(c.Name, vals)
-		case rframe.Int:
-			vals := make([]int64, n)
-			for i, r := range keep {
-				vals[i] = c.I[r]
-			}
-			out.AddInt(c.Name, vals)
-		case rframe.String:
-			vals := make([]string, n)
-			for i, r := range keep {
-				vals[i] = c.S[r]
-			}
-			out.AddString(c.Name, vals)
-		}
-	}
-	return out, nil
+	return p.run(), nil
 }

@@ -12,6 +12,14 @@
 //
 // with arithmetic, comparisons, AND/OR/NOT, the aggregates
 // SUM/AVG/MIN/MAX/COUNT, and the scalar functions ABS/SQRT.
+//
+// Query binds a statement to its frame once, so it is valid or not whatever
+// rows the frame holds (strings have comparisons and COUNT, nothing else),
+// sorts ORDER BY's keys, not rows (rframe.Order: stable, NaN last, LIMIT k
+// in O(n log k)), and evaluates the select list for the surviving rows
+// only. ORDER BY names output columns; Int columns come out Float unless
+// SELECT * names them; an unfiltered, unordered bare column shares storage
+// with the source. QueryArrays (plan.go) shares the ORDER BY/LIMIT tail.
 package rsql
 
 import (
@@ -47,9 +55,9 @@ var keywords = map[string]bool{
 
 // lex tokenizes the input.
 func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
 	n := len(input)
+	toks := make([]token, 0, n/2+1) // tokens are mostly a word and a space
+	i := 0
 	for i < n {
 		c := rune(input[i])
 		switch {

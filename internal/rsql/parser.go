@@ -19,7 +19,11 @@ type unary struct {
 type binary struct {
 	op   string
 	l, r expr
+	num  func(l, r float64) float64 // op over numbers (numOps), looked up once
 }
+
+func newBinary(op string, l, r expr) binary { return binary{op: op, l: l, r: r, num: numOps[op]} }
+
 type call struct {
 	name string // upper-cased function name
 	star bool   // COUNT(*)
@@ -211,7 +215,7 @@ func (p *parser) parseOr() (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = binary{op: "OR", l: l, r: r}
+		l = newBinary("OR", l, r)
 	}
 	return l, nil
 }
@@ -226,7 +230,7 @@ func (p *parser) parseAnd() (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = binary{op: "AND", l: l, r: r}
+		l = newBinary("AND", l, r)
 	}
 	return l, nil
 }
@@ -253,7 +257,7 @@ func (p *parser) parseCmp() (expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return binary{op: op, l: l, r: r}, nil
+			return newBinary(op, l, r), nil
 		}
 	}
 	return l, nil
@@ -271,13 +275,13 @@ func (p *parser) parseAdd() (expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = binary{op: "+", l: l, r: r}
+			l = newBinary("+", l, r)
 		case p.acceptOp("-"):
 			r, err := p.parseMul()
 			if err != nil {
 				return nil, err
 			}
-			l = binary{op: "-", l: l, r: r}
+			l = newBinary("-", l, r)
 		default:
 			return l, nil
 		}
@@ -296,19 +300,19 @@ func (p *parser) parseMul() (expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = binary{op: "*", l: l, r: r}
+			l = newBinary("*", l, r)
 		case p.acceptOp("/"):
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			l = binary{op: "/", l: l, r: r}
+			l = newBinary("/", l, r)
 		case p.acceptOp("%"):
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			l = binary{op: "%", l: l, r: r}
+			l = newBinary("%", l, r)
 		default:
 			return l, nil
 		}

@@ -3,6 +3,7 @@ package rsql
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -151,10 +152,16 @@ func CompileArray(sql string, cols []ColumnInfo) (*ArrayPlan, error) {
 			}
 			return validate(x.r)
 		case call:
-			if !aggFuncs[x.name] && x.name != "ABS" && x.name != "SQRT" {
+			if !aggFuncs[x.name] && scalarFuncs[x.name] == nil {
 				return fmt.Errorf("rsql: unknown function %s", x.name)
 			}
+			if !(x.name == "COUNT" && x.star) && len(x.args) != 1 {
+				return fmt.Errorf("rsql: %s takes 1 argument", x.name)
+			}
 			if aggFuncs[x.name] {
+				if !x.star && hasAgg(x.args[0]) {
+					return fmt.Errorf("rsql: aggregate inside %s", x.name)
+				}
 				key := renderExpr(x)
 				if _, ok := pl.aggIdx[key]; !ok {
 					pl.aggIdx[key] = len(pl.aggs)
@@ -201,6 +208,18 @@ func CompileArray(sql string, cols []ColumnInfo) (*ArrayPlan, error) {
 		}
 	}
 	pl.items = append(pl.items, named...)
+	// ORDER BY names output columns, as in the frame executor: bind it
+	// against them (numbers all) now, not after the scan in Finalize.
+	outputs := make([]item, len(pl.items))
+	for i, it := range pl.items {
+		if slices.ContainsFunc(outputs[:i], func(o item) bool { return o.name == it.name }) {
+			return nil, fmt.Errorf("rsql: duplicate output column %q", it.name)
+		}
+		outputs[i] = item{name: it.name, bound: bound{num: func(int) float64 { return 0 }}}
+	}
+	if _, err := bindOrder(q.orderBy, outputs); err != nil {
+		return nil, err
+	}
 	for _, g := range q.groupBy {
 		if _, ok := pl.byName[g]; !ok {
 			return nil, fmt.Errorf("rsql: GROUP BY column %q missing", g)
@@ -385,13 +404,7 @@ func chunkEval(e expr, cols map[string]func(int) float64, row int) (float64, err
 		if err != nil {
 			return 0, err
 		}
-		switch x.op {
-		case "-":
-			return -v, nil
-		case "NOT":
-			return b2f(!(v != 0)), nil
-		}
-		return 0, fmt.Errorf("rsql: unknown unary %q", x.op)
+		return unaryOp(x.op, v), nil
 	case binary:
 		l, err := chunkEval(x.l, cols, row)
 		if err != nil {
@@ -421,16 +434,12 @@ func chunkEval(e expr, cols map[string]func(int) float64, row int) (float64, err
 		if err != nil {
 			return 0, err
 		}
-		v, err := applyBinary(x.op, num(l), num(r))
-		return v.f, err
+		return x.num(l, r), nil
 	case call:
 		if aggFuncs[x.name] {
 			return 0, fmt.Errorf("rsql: aggregate %s in row context", x.name)
 		}
-		if len(x.args) != 1 {
-			return 0, fmt.Errorf("rsql: %s takes 1 argument", x.name)
-		}
-		v, err := chunkEval(x.args[0], cols, row)
+		v, err := chunkEval(x.args[0], cols, row) // CompileArray counted the arguments
 		if err != nil {
 			return 0, err
 		}
@@ -527,9 +536,6 @@ func (pl *ArrayPlan) ScanChunk(c Chunk) (*ChunkPartial, error) {
 			if agg.star {
 				continue // COUNT(*) rides on g.rows
 			}
-			if len(agg.args) != 1 {
-				return nil, fmt.Errorf("rsql: %s takes 1 argument", agg.name)
-			}
 			v, err := chunkEval(agg.args[0], cols, row)
 			if err != nil {
 				return nil, err
@@ -571,13 +577,7 @@ func (pl *ArrayPlan) finalEval(e expr, g *groupPartial) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch x.op {
-		case "-":
-			return -v, nil
-		case "NOT":
-			return b2f(!(v != 0)), nil
-		}
-		return 0, fmt.Errorf("rsql: unknown unary %q", x.op)
+		return unaryOp(x.op, v), nil
 	case binary:
 		l, err := pl.finalEval(x.l, g)
 		if err != nil {
@@ -587,14 +587,7 @@ func (pl *ArrayPlan) finalEval(e expr, g *groupPartial) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch x.op {
-		case "AND":
-			return b2f(l != 0 && r != 0), nil
-		case "OR":
-			return b2f(l != 0 || r != 0), nil
-		}
-		v, err := applyBinary(x.op, num(l), num(r))
-		return v.f, err
+		return x.num(l, r), nil // AND and OR too: nothing to short-circuit here
 	case call:
 		if aggFuncs[x.name] {
 			st := g.aggs[pl.aggIdx[renderExpr(x)]]
@@ -641,35 +634,19 @@ func (pl *ArrayPlan) finalEval(e expr, g *groupPartial) (float64, error) {
 // whether non-matching chunks were scanned (oracle) or skipped
 // (pushdown) — the bitwise-equality invariant.
 func (pl *ArrayPlan) Finalize(parts []*ChunkPartial) (*rframe.Frame, error) {
-	out := rframe.New()
+	out := rframe.New() // CompileArray checked its column names
 	if !pl.aggregated {
 		for i, it := range pl.items {
-			if it.native != "" && pl.byName[it.native].Int {
-				var vals []int64
-				for _, p := range parts {
-					if p != nil {
-						vals = append(vals, p.ints[i]...)
-					}
-				}
-				if vals == nil {
-					vals = []int64{}
-				}
-				if err := out.AddInt(it.name, vals); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			var vals []float64
+			ints, floats := []int64{}, []float64{}
 			for _, p := range parts {
 				if p != nil {
-					vals = append(vals, p.floats[i]...)
+					ints, floats = append(ints, p.ints[i]...), append(floats, p.floats[i]...)
 				}
 			}
-			if vals == nil {
-				vals = []float64{}
-			}
-			if err := out.AddFloat(it.name, vals); err != nil {
-				return nil, err
+			if it.native != "" && pl.byName[it.native].Int {
+				out.MustAddInt(it.name, ints)
+			} else {
+				out.MustAddFloat(it.name, floats)
 			}
 		}
 	} else {
@@ -700,6 +677,9 @@ func (pl *ArrayPlan) Finalize(parts []*ChunkPartial) (*rframe.Frame, error) {
 			order = append(order, pl.emptyGroup())
 		}
 		cols := make([][]float64, len(pl.items))
+		for i := range cols {
+			cols[i] = make([]float64, 0, len(order))
+		}
 		for _, g := range order {
 			for i, it := range pl.items {
 				v, err := pl.finalEval(it.ex, g)
@@ -710,26 +690,15 @@ func (pl *ArrayPlan) Finalize(parts []*ChunkPartial) (*rframe.Frame, error) {
 			}
 		}
 		for i, it := range pl.items {
-			vals := cols[i]
-			if vals == nil {
-				vals = []float64{}
-			}
-			if err := out.AddFloat(it.name, vals); err != nil {
-				return nil, err
-			}
+			out.MustAddFloat(it.name, cols[i])
 		}
 	}
-	var err error
-	if len(pl.q.orderBy) > 0 {
-		out, err = orderFrame(out, pl.q.orderBy)
-		if err != nil {
-			return nil, err
-		}
+	items := frameItems(out)
+	keys, err := bindOrder(pl.q.orderBy, items)
+	if err != nil {
+		return nil, err
 	}
-	if pl.q.limit >= 0 {
-		out = out.Head(pl.q.limit)
-	}
-	return out, nil
+	return finish(pl.q, keys, items, nil, out.NumRows()), nil
 }
 
 // renderExpr renders an expression to a canonical string — the identity

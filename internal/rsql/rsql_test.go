@@ -200,23 +200,25 @@ func TestTop1PercentPattern(t *testing.T) {
 	}
 }
 
+// errorCases are queries that must fail whatever the frame holds.
+var errorCases = []string{
+	"SELEKT * FROM df",
+	"SELECT * FROM missing",
+	"SELECT nope FROM df",
+	"SELECT * FROM df WHERE",
+	"SELECT SUM(value) FROM df GROUP BY ghost",
+	"SELECT value FROM df LIMIT -1",
+	"SELECT value FROM df extra",
+	"SELECT * , SUM(value) FROM df",
+	"SELECT SUM(value, lat) FROM df",
+	"SELECT FOO(value) FROM df",
+	"SELECT value + name FROM df2",
+	"SELECT 'unterminated FROM df",
+}
+
 func TestErrors(t *testing.T) {
 	tables := grid(t)
-	cases := []string{
-		"SELEKT * FROM df",
-		"SELECT * FROM missing",
-		"SELECT nope FROM df",
-		"SELECT * FROM df WHERE",
-		"SELECT SUM(value) FROM df GROUP BY ghost",
-		"SELECT value FROM df LIMIT -1",
-		"SELECT value FROM df extra",
-		"SELECT * , SUM(value) FROM df",
-		"SELECT SUM(value, lat) FROM df",
-		"SELECT FOO(value) FROM df",
-		"SELECT value + name FROM df2",
-		"SELECT 'unterminated FROM df",
-	}
-	for _, sql := range cases {
+	for _, sql := range errorCases {
 		if _, err := Query(tables, sql); err == nil {
 			t.Errorf("query %q should fail", sql)
 		}

@@ -282,11 +282,13 @@ func runProcessing(p *sim.Proc, env *Env, wl *Workload, name string, input mapre
 		},
 		Reduce: func(tc *mapreduce.TaskContext, key string, values []any) error {
 			if key == "top1pct" {
-				combined := rframe.New()
-				for _, v := range values {
-					if err := combined.Append(v.(*rframe.Frame)); err != nil {
-						return err
-					}
+				frames := make([]*rframe.Frame, len(values))
+				for i, v := range values {
+					frames[i] = v.(*rframe.Frame)
+				}
+				combined, err := rframe.Concat(frames...)
+				if err != nil {
+					return err
 				}
 				sorted, err := combined.OrderBy("value", true)
 				if err != nil {
