@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical bench bench-paper
+.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical bench bench-paper loc
 
 # check is the CI gate: formatting, vet, build, full tests, the race
 # detector across the whole module (the data-plane compute pool makes
@@ -49,6 +49,11 @@ identical:
 # allocation stats; a failing benchmark (b.Fatal/b.Error) fails the target.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
+
+# loc prints the line count ROADMAP aim 2 tracks: non-test Go outside
+# benchmark/, per package and in total.
+loc:
+	@bash scripts/loc.sh
 
 # bench-paper regenerates the paper's tables/figures via the harness.
 bench-paper:

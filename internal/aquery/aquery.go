@@ -10,6 +10,7 @@ package aquery
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"scidp/internal/hdf5lite"
 	"scidp/internal/ioengine"
@@ -18,11 +19,13 @@ import (
 	"scidp/internal/sim"
 )
 
+// valueCol names the payload column.
+const valueCol = "value"
+
 // Option customizes a table adapter.
 type Option func(*options)
 
 type options struct {
-	value  string
 	consts []constCol
 }
 
@@ -31,9 +34,6 @@ type constCol struct {
 	v    float64
 }
 
-// WithValue renames the payload column (default "value").
-func WithValue(name string) Option { return func(o *options) { o.value = name } }
-
 // WithConst adds a constant column — how a per-file coordinate like the
 // timestamp joins the schema without being stored. Constants prune like
 // any other column: a predicate excluding the constant skips every chunk.
@@ -41,17 +41,62 @@ func WithConst(name string, v float64) Option {
 	return func(o *options) { o.consts = append(o.consts, constCol{name: name, v: v}) }
 }
 
+// array is what the formats differ in: how a chunked array names its
+// dimensions, where chunk i lies in them, what the header says of it, and
+// how its payload is announced and read.
+type array struct {
+	src    ioengine.Source
+	dims   []string
+	chunks int
+	box    func(i int) (start, extent []int)
+	// info returns chunk i's decompressed and stored sizes and its zone
+	// map, nil if the file has none.
+	info     func(i int) (raw, stored int64, st *ioengine.ChunkStats)
+	announce func(chunks []int)
+	// scan reads chunk i's payload through the engine's single-pass path
+	// and returns its element accessor.
+	scan func(i int) (func(row int) float64, error)
+}
+
 // Table is an rsql.ArrayTable over one chunked array. It also implements
 // rsql.Projector: when the plan references no payload column the chunk
 // payloads are never read at all.
 type Table struct {
+	array
+	options
 	cols        []rsql.ColumnInfo
 	metas       []rsql.ChunkMeta
-	src         ioengine.Source
-	read        func(i int, payload bool) (rsql.Chunk, error)
-	announce    func(chunks []int)
-	valueCol    string
 	needPayload bool
+}
+
+// newTable builds the table over a: the schema, and every chunk's
+// metadata — coordinate bounds from its box, constant bounds from the
+// options, value bounds from its zone map — before any payload I/O.
+func newTable(a array, opts []Option) (*Table, error) {
+	t := &Table{array: a, needPayload: true}
+	for _, fn := range opts {
+		fn(&t.options)
+	}
+	var err error
+	if t.cols, err = schema(a.dims, &t.options); err != nil {
+		return nil, err
+	}
+	for i := 0; i < a.chunks; i++ {
+		start, extent := a.box(i)
+		bounds := map[string]rsql.Interval{}
+		for di, name := range a.dims {
+			bounds[name] = rsql.Interval{Lo: float64(start[di]), Hi: float64(start[di] + extent[di] - 1)}
+		}
+		for _, cc := range t.consts {
+			bounds[cc.name] = rsql.Interval{Lo: cc.v, Hi: cc.v}
+		}
+		raw, stored, st := a.info(i)
+		if st != nil {
+			bounds[valueCol] = rsql.Interval{Lo: st.Min, Hi: st.Max}
+		}
+		t.metas = append(t.metas, rsql.ChunkMeta{Rows: volume(extent), RawBytes: raw, StoredBytes: stored, Bounds: bounds})
+	}
+	return t, nil
 }
 
 // chunk implements rsql.Chunk via per-column accessor closures.
@@ -87,8 +132,20 @@ func (t *Table) Announce(chunks []int) {
 	}
 }
 
-// Read implements rsql.ArrayTable.
-func (t *Table) Read(i int) (rsql.Chunk, error) { return t.read(i, t.needPayload) }
+// Read implements rsql.ArrayTable: the geometry-derived columns of chunk i
+// and, unless projected out, its payload.
+func (t *Table) Read(i int) (rsql.Chunk, error) {
+	start, extent := t.box(i)
+	cols := geoCols(t.dims, start, extent, &t.options)
+	if t.needPayload {
+		at, err := t.scan(i)
+		if err != nil {
+			return nil, err
+		}
+		cols[valueCol] = at
+	}
+	return &chunk{rows: volume(extent), cols: cols}, nil
+}
 
 // Fork implements rsql.ArrayTable on the file's source (the bound
 // process's data plane when the file was opened over ioengine.Bind).
@@ -100,12 +157,7 @@ func (t *Table) Join(futs ...*sim.Future) { ioengine.Join(t.src, futs...) }
 // Project implements rsql.Projector: payload decoding is skipped when no
 // referenced column needs it.
 func (t *Table) Project(cols []string) bool {
-	t.needPayload = false
-	for _, c := range cols {
-		if c == t.valueCol {
-			t.needPayload = true
-		}
-	}
+	t.needPayload = slices.Contains(cols, valueCol)
 	return t.needPayload
 }
 
@@ -132,7 +184,7 @@ func schema(dims []string, o *options) ([]rsql.ColumnInfo, error) {
 			return nil, err
 		}
 	}
-	if err := add(rsql.ColumnInfo{Name: o.value}); err != nil {
+	if err := add(rsql.ColumnInfo{Name: valueCol}); err != nil {
 		return nil, err
 	}
 	return cols, nil
@@ -184,51 +236,22 @@ func NewNetCDF(f *netcdf.File, varName string, opts ...Option) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &options{value: "value"}
-	for _, fn := range opts {
-		fn(o)
-	}
 	dims := make([]string, len(v.Dims))
 	for i, d := range v.Dims {
 		dims[i] = d.Name
 	}
-	cols, err := schema(dims, o)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{cols: cols, src: f.Source(), valueCol: o.value, needPayload: true}
-	for i := range v.Chunks {
-		ci := v.Chunks[i]
-		start, extent := v.ChunkBox(i)
-		bounds := map[string]rsql.Interval{}
-		for di, name := range dims {
-			bounds[name] = rsql.Interval{Lo: float64(start[di]), Hi: float64(start[di] + extent[di] - 1)}
-		}
-		for _, cc := range o.consts {
-			bounds[cc.name] = rsql.Interval{Lo: cc.v, Hi: cc.v}
-		}
-		if ci.Stats != nil {
-			bounds[o.value] = rsql.Interval{Lo: ci.Stats.Min, Hi: ci.Stats.Max}
-		}
-		t.metas = append(t.metas, rsql.ChunkMeta{
-			Rows: volume(extent), RawBytes: ci.RawSize, StoredBytes: ci.StoredSize, Bounds: bounds,
-		})
-	}
-	t.read = func(i int, payload bool) (rsql.Chunk, error) {
-		start, extent := v.ChunkBox(i)
-		cc := geoCols(dims, start, extent, o)
-		if payload {
+	return newTable(array{
+		src: f.Source(), dims: dims, chunks: len(v.Chunks), box: v.ChunkBox,
+		info: func(i int) (int64, int64, *ioengine.ChunkStats) {
+			c := v.Chunks[i]
+			return c.RawSize, c.StoredSize, c.Stats
+		},
+		announce: func(chunks []int) { f.AnnounceChunks(v, chunks) },
+		scan: func(i int) (func(int) float64, error) {
 			raw, err := f.ScanChunk(v, i)
-			if err != nil {
-				return nil, err
-			}
-			arr := &netcdf.Array{Type: v.Type, Shape: extent, Data: raw}
-			cc[o.value] = arr.Float64At
-		}
-		return &chunk{rows: volume(extent), cols: cc}, nil
-	}
-	t.announce = func(chunks []int) { f.AnnounceChunks(v, chunks) }
-	return t, nil
+			return (&netcdf.Array{Type: v.Type, Data: raw}).Float64At, err
+		},
+	}, opts)
 }
 
 // NewHDF5 adapts one dataset of an opened hdf5lite file. dimNames names
@@ -242,52 +265,22 @@ func NewHDF5(f *hdf5lite.File, path string, dimNames []string, opts ...Option) (
 	if len(dimNames) != len(d.Shape) {
 		return nil, fmt.Errorf("aquery: %s: %d dim names for rank-%d dataset", path, len(dimNames), len(d.Shape))
 	}
-	o := &options{value: "value"}
-	for _, fn := range opts {
-		fn(o)
-	}
-	cols, err := schema(dimNames, o)
-	if err != nil {
-		return nil, err
-	}
-	box := func(i int) (start, extent []int) {
-		c := d.Chunks[i]
-		start = make([]int, len(d.Shape))
-		extent = append([]int(nil), d.Shape...)
-		start[0], extent[0] = c.RowStart, c.Rows
-		return start, extent
-	}
-	t := &Table{cols: cols, src: f.Source(), valueCol: o.value, needPayload: true}
-	for i := range d.Chunks {
-		c := d.Chunks[i]
-		start, extent := box(i)
-		bounds := map[string]rsql.Interval{}
-		for di, name := range dimNames {
-			bounds[name] = rsql.Interval{Lo: float64(start[di]), Hi: float64(start[di] + extent[di] - 1)}
-		}
-		for _, cc := range o.consts {
-			bounds[cc.name] = rsql.Interval{Lo: cc.v, Hi: cc.v}
-		}
-		if c.Stats != nil {
-			bounds[o.value] = rsql.Interval{Lo: c.Stats.Min, Hi: c.Stats.Max}
-		}
-		t.metas = append(t.metas, rsql.ChunkMeta{
-			Rows: volume(extent), RawBytes: c.RawSize, StoredBytes: c.StoredSize, Bounds: bounds,
-		})
-	}
-	t.read = func(i int, payload bool) (rsql.Chunk, error) {
-		start, extent := box(i)
-		cc := geoCols(dimNames, start, extent, o)
-		if payload {
+	return newTable(array{
+		src: f.Source(), dims: dimNames, chunks: len(d.Chunks),
+		box: func(i int) (start, extent []int) {
+			start = make([]int, len(d.Shape))
+			extent = slices.Clone(d.Shape)
+			start[0], extent[0] = d.Chunks[i].RowStart, d.Chunks[i].Rows
+			return start, extent
+		},
+		info: func(i int) (int64, int64, *ioengine.ChunkStats) {
+			c := d.Chunks[i]
+			return c.RawSize, c.StoredSize, c.Stats
+		},
+		announce: func(chunks []int) { f.AnnounceChunks(d, chunks) },
+		scan: func(i int) (func(int) float64, error) {
 			raw, err := f.ScanChunk(d, i)
-			if err != nil {
-				return nil, err
-			}
-			typ := d.Type
-			cc[o.value] = func(row int) float64 { return hdf5lite.Float64At(typ, raw, row) }
-		}
-		return &chunk{rows: volume(extent), cols: cc}, nil
-	}
-	t.announce = func(chunks []int) { f.AnnounceChunks(d, chunks) }
-	return t, nil
+			return func(row int) float64 { return hdf5lite.Float64At(d.Type, raw, row) }, err
+		},
+	}, opts)
 }

@@ -271,7 +271,7 @@ func (w *Writer) Bytes() ([]byte, error) {
 				}
 				ck := Chunk{RowStart: r, Rows: n, StoredSize: int64(len(payload)), RawSize: int64(len(raw))}
 				if !w.noStats {
-					st := computeChunkStats(d.Type, raw)
+					st := ioengine.SummarizeChunk(len(raw)/d.Type.Size(), func(i int) float64 { return Float64At(d.Type, raw, i) })
 					ck.Stats = &st
 				}
 				d.Chunks = append(d.Chunks, ck)
@@ -340,15 +340,11 @@ func (w *Writer) Bytes() ([]byte, error) {
 		// bytes so both encoding passes agree on the header size. Readers
 		// that stop at the root group skip it untouched.
 		if !w.noStats {
-			u32(zoneMapTag)
+			u32(ioengine.ZoneMapTag)
 			for _, d := range datasetsDF(w.root) {
 				u32(uint32(len(d.Chunks)))
 				for i := range d.Chunks {
-					s := d.Chunks[i].Stats
-					u64(math.Float64bits(s.Min))
-					u64(math.Float64bits(s.Max))
-					u64(uint64(s.Count))
-					u64(uint64(s.Fill))
+					buf = d.Chunks[i].Stats.Append(buf)
 				}
 			}
 		}
@@ -425,7 +421,7 @@ func Open(r ReaderAt) (*File, error) {
 	// Optional tagged trailer: per-chunk zone maps in depth-first dataset
 	// order. Legacy files end at the tree; unrecognized trailing bytes are
 	// ignored, mirroring what pre-zone-map readers do with the trailer.
-	if d.err == nil && d.off+4 <= len(d.buf) && binary.LittleEndian.Uint32(d.buf[d.off:]) == zoneMapTag {
+	if d.err == nil && d.off+4 <= len(d.buf) && binary.LittleEndian.Uint32(d.buf[d.off:]) == ioengine.ZoneMapTag {
 		d.off += 4
 		for _, ds := range datasetsDF(root) {
 			n := int(d.u32())
@@ -437,13 +433,12 @@ func Open(r ReaderAt) (*File, error) {
 				break
 			}
 			stats := make([]ChunkStats, n)
-			for j := 0; j < n && d.err == nil; j++ {
-				stats[j] = ChunkStats{
-					Min:   math.Float64frombits(d.u64()),
-					Max:   math.Float64frombits(d.u64()),
-					Count: int64(d.u64()),
-					Fill:  int64(d.u64()),
+			for j := 0; j < n; j++ {
+				rec := d.need(ioengine.ChunkStatsSize)
+				if rec == nil {
+					break
 				}
+				stats[j] = ioengine.DecodeChunkStats(rec)
 				ds.Chunks[j].Stats = &stats[j]
 			}
 		}
@@ -509,6 +504,10 @@ func (d *treeDec) group() *Group {
 	nd := int(d.u32())
 	for i := 0; i < nd && d.err == nil; i++ {
 		ds := &Dataset{Name: d.str(), Type: Type(d.u8())}
+		if d.err == nil && (ds.Type < Float32 || ds.Type > Int32) {
+			// Size panics on a type it does not know; a header must not get that far.
+			d.err = fmt.Errorf("hdf5lite: %s: unknown element type %d", ds.Name, uint8(ds.Type))
+		}
 		rank := int(d.u32())
 		for j := 0; j < rank && d.err == nil; j++ {
 			ds.Shape = append(ds.Shape, int(d.u64()))

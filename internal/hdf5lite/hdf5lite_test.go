@@ -262,3 +262,22 @@ func TestChunkIndexDisagreesWithStream(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenUnknownElementType: a dataset's element type is one byte of the
+// header, and Type.Size panics on a value it does not know — on the parent
+// a file with type 9 opened cleanly and ReadRows panicked. Open refuses it.
+func TestOpenUnknownElementType(t *testing.T) {
+	blob, _ := sampleFile(t)
+	name := "\x02\x00\x00\x00QR" // the dataset's name; its type byte follows
+	at := strings.Index(string(blob), name) + len(name)
+	if at < len(name) || Type(blob[at]) != Float32 {
+		t.Fatalf("type byte not found at %d", at)
+	}
+	for _, typ := range []byte{0, 9, 255} {
+		bad := append([]byte(nil), blob...)
+		bad[at] = typ
+		if _, err := Open(netcdf.BytesReader(bad)); err == nil || !strings.Contains(err.Error(), "unknown element type") {
+			t.Errorf("type %d: Open: %v; want an unknown-element-type error", typ, err)
+		}
+	}
+}

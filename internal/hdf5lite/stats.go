@@ -3,31 +3,13 @@ package hdf5lite
 import (
 	"encoding/binary"
 	"math"
+
+	"scidp/internal/ioengine"
 )
 
-// zoneMapTag marks the optional per-chunk statistics trailer appended to
-// the header after the encoded group tree. The tree decoder never looks
-// past the root group, so tagged files open under pre-zone-map readers
-// and untagged (legacy) files open here with Stats left nil.
-const zoneMapTag uint32 = 0x50414D5A // "ZMAP" little-endian
-
-// ChunkStats is the write-time zone map of one stored chunk. Min/Max
-// cover the non-fill elements; Count is the total element count; Fill
-// counts fill elements (NaN for floating-point datasets — Int32 datasets
-// have no fill representation, so Fill is 0).
-type ChunkStats struct {
-	// Min is the smallest non-fill value (+Inf when the chunk is all fill).
-	Min float64
-	// Max is the largest non-fill value (-Inf when the chunk is all fill).
-	Max float64
-	// Count is the total number of elements in the chunk.
-	Count int64
-	// Fill is the number of fill (NaN) elements.
-	Fill int64
-}
-
-// AllFill reports whether the chunk holds no real values.
-func (s ChunkStats) AllFill() bool { return s.Count == s.Fill }
+// ChunkStats is the write-time zone map of one stored chunk; the record,
+// its fold and its header trailer are ioengine's, shared with netcdf.
+type ChunkStats = ioengine.ChunkStats
 
 // Float64At returns element i of a raw little-endian payload as float64.
 func Float64At(t Type, raw []byte, i int) float64 {
@@ -40,22 +22,6 @@ func Float64At(t Type, raw []byte, i int) float64 {
 		return float64(int32(binary.LittleEndian.Uint32(raw[i*4:])))
 	}
 	panic("hdf5lite: unknown type")
-}
-
-// computeChunkStats summarizes one raw (decompressed) chunk payload.
-func computeChunkStats(t Type, raw []byte) ChunkStats {
-	n := len(raw) / t.Size()
-	st := ChunkStats{Min: math.Inf(1), Max: math.Inf(-1), Count: int64(n)}
-	for i := 0; i < n; i++ {
-		v := Float64At(t, raw, i)
-		if v != v { // NaN is the fill value
-			st.Fill++
-			continue
-		}
-		st.Min = min(st.Min, v)
-		st.Max = max(st.Max, v)
-	}
-	return st
 }
 
 // datasetsDF lists every dataset under g in depth-first encoding order —

@@ -1,0 +1,76 @@
+package ioengine
+
+import (
+	"encoding/binary"
+	"math"
+)
+
+// The zone map: the one per-chunk summary both format plugins (netcdf,
+// hdf5lite) record at write time and a query planner consults to prove a
+// chunk irrelevant without reading it. Each format appends a tagged
+// section to its header — ZoneMapTag, then per array a chunk count and
+// one fixed-size record per chunk — that decoders predating it never
+// reach, so tagged files open everywhere and untagged (legacy) files open
+// here with nil stats.
+
+// ZoneMapTag marks the optional statistics section of a header.
+const ZoneMapTag uint32 = 0x50414D5A // "ZMAP" little-endian
+
+// ChunkStatsSize is the encoded size of one record: fixed, so a writer's
+// probe and offset passes agree on the header size.
+const ChunkStatsSize = 32
+
+// ChunkStats is the write-time zone map of one stored chunk. Min/Max
+// cover the non-fill elements; Count is the total element count; Fill
+// counts fill elements (NaN for floating-point arrays — integer arrays
+// have no fill representation, so Fill is 0).
+type ChunkStats struct {
+	// Min is the smallest non-fill value (+Inf when the chunk is all fill,
+	// an empty interval that every range predicate excludes).
+	Min float64
+	// Max is the largest non-fill value (-Inf when the chunk is all fill).
+	Max float64
+	// Count is the total number of elements in the chunk.
+	Count int64
+	// Fill is the number of fill (NaN) elements.
+	Fill int64
+}
+
+// AllFill reports whether the chunk holds no real values.
+func (s ChunkStats) AllFill() bool { return s.Count == s.Fill }
+
+// SummarizeChunk folds the n elements of one raw chunk, read through at,
+// into its zone map.
+func SummarizeChunk(n int, at func(i int) float64) ChunkStats {
+	st := ChunkStats{Min: math.Inf(1), Max: math.Inf(-1), Count: int64(n)}
+	for i := 0; i < n; i++ {
+		v := at(i)
+		if v != v { // NaN is the fill value
+			st.Fill++
+			continue
+		}
+		st.Min = min(st.Min, v)
+		st.Max = max(st.Max, v)
+	}
+	return st
+}
+
+// Append appends the record: Min, Max, Count, Fill, eight little-endian
+// bytes each.
+func (s ChunkStats) Append(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Min))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Max))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Count))
+	return binary.LittleEndian.AppendUint64(buf, uint64(s.Fill))
+}
+
+// DecodeChunkStats decodes a record of ChunkStatsSize bytes.
+func DecodeChunkStats(rec []byte) ChunkStats {
+	u64 := binary.LittleEndian.Uint64
+	return ChunkStats{
+		Min:   math.Float64frombits(u64(rec)),
+		Max:   math.Float64frombits(u64(rec[8:])),
+		Count: int64(u64(rec[16:])),
+		Fill:  int64(u64(rec[24:])),
+	}
+}

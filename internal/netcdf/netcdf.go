@@ -19,6 +19,8 @@ package netcdf
 
 import (
 	"fmt"
+
+	"scidp/internal/ioengine"
 )
 
 // Magic is the 4-byte file signature.
@@ -123,6 +125,10 @@ type ChunkInfo struct {
 	// before the statistics section existed (or with it disabled).
 	Stats *ChunkStats
 }
+
+// ChunkStats is the write-time zone map of one stored chunk; the record,
+// its fold and its header section are ioengine's, shared with hdf5lite.
+type ChunkStats = ioengine.ChunkStats
 
 // Var is one variable's metadata.
 type Var struct {

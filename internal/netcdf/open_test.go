@@ -112,3 +112,23 @@ func BenchmarkOpen(b *testing.B) {
 		openSink = f
 	}
 }
+
+// TestOpenUnknownElementType: the element type is one byte of the header,
+// and Type.Size panics on a value it does not know — on the parent a file
+// with type 9 opened cleanly and GetVar (or a query's accessor on a pool
+// worker) panicked. Open refuses the header instead.
+func TestOpenUnknownElementType(t *testing.T) {
+	blob, _ := buildFile(t, 2, 3, 3, 1)
+	name := "\x02\x00\x00\x00QR" // the variable's name; its type byte follows
+	at := strings.Index(string(blob), name) + len(name)
+	if at < len(name) || Type(blob[at]) != Float32 {
+		t.Fatalf("type byte not found at %d", at)
+	}
+	for _, typ := range []byte{0, 9, 255} {
+		bad := append([]byte(nil), blob...)
+		bad[at] = typ
+		if _, err := Open(BytesReader(bad)); err == nil || !strings.Contains(err.Error(), "unknown element type") {
+			t.Errorf("type %d: Open: %v; want an unknown-element-type error", typ, err)
+		}
+	}
+}

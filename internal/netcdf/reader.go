@@ -79,6 +79,10 @@ func (f *File) decodeHeader(hdr []byte) error {
 	nv := int(d.u32())
 	for i := 0; i < nv && d.err == nil; i++ {
 		v := &Var{Name: d.str(), Type: Type(d.u8())}
+		if d.err == nil && (v.Type < Byte || v.Type > Float64) {
+			// Size panics on a type it does not know; a header must not get that far.
+			return fmt.Errorf("netcdf: %s: unknown element type %d", v.Name, uint8(v.Type))
+		}
 		ndv := int(d.u32())
 		for j := 0; j < ndv && d.err == nil; j++ {
 			v.Dims = append(v.Dims, Dim{Name: d.str(), Len: int(d.u64())})
@@ -116,7 +120,7 @@ func (f *File) decodeHeader(hdr []byte) error {
 	// Optional tagged trailer: per-chunk zone maps. Legacy files end at the
 	// variable table; anything after it that doesn't carry the tag is
 	// ignored, which is also what pre-zone-map readers do with the trailer.
-	if d.err == nil && d.off+4 <= len(d.buf) && leUint32(d.buf[d.off:]) == zoneMapTag {
+	if d.err == nil && d.off+4 <= len(d.buf) && leUint32(d.buf[d.off:]) == ioengine.ZoneMapTag {
 		d.off += 4
 		for _, v := range f.vars {
 			n := int(d.u32())
@@ -128,8 +132,12 @@ func (f *File) decodeHeader(hdr []byte) error {
 				break
 			}
 			stats := make([]ChunkStats, n)
-			for j := 0; j < n && d.err == nil; j++ {
-				stats[j] = ChunkStats{Min: d.f64(), Max: d.f64(), Count: int64(d.u64()), Fill: int64(d.u64())}
+			for j := 0; j < n; j++ {
+				rec := d.need(ioengine.ChunkStatsSize)
+				if rec == nil {
+					break
+				}
+				stats[j] = ioengine.DecodeChunkStats(rec)
 				v.Chunks[j].Stats = &stats[j]
 			}
 		}

@@ -219,7 +219,8 @@ func (w *Writer) Bytes() ([]byte, error) {
 		for _, raw := range chunks {
 			st.raws = append(st.raws, int64(len(raw)))
 			if !w.noStats {
-				st.stats = append(st.stats, computeChunkStats(wv.v.Type, raw))
+				arr := &Array{Type: wv.v.Type, Data: raw}
+				st.stats = append(st.stats, ioengine.SummarizeChunk(len(raw)/wv.v.Type.Size(), arr.Float64At))
 			}
 			if wv.v.Deflate > 0 {
 				comp, err := deflater.Deflate(raw, wv.v.Deflate)
@@ -283,15 +284,12 @@ func (w *Writer) Bytes() ([]byte, error) {
 		// header size, and old readers (which stop at the variable table)
 		// skip it untouched.
 		if !w.noStats {
-			e.u32(zoneMapTag)
+			e.u32(ioengine.ZoneMapTag)
 			for vi := range w.vars {
 				sts := perVar[vi].stats
 				e.u32(uint32(len(sts)))
 				for _, s := range sts {
-					e.f64(s.Min)
-					e.f64(s.Max)
-					e.u64(uint64(s.Count))
-					e.u64(uint64(s.Fill))
+					e.buf = s.Append(e.buf)
 				}
 			}
 		}

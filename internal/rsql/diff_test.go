@@ -388,11 +388,18 @@ func fuzzSeeds() []string {
 // held to the documented rule); and what legacy rejects — over a frame
 // with rows, where it checked at all — the new executor rejects too. The
 // new one may reject more: it checks the rows legacy never reached.
+//
+// The same text then goes to the array path, pushed down and not, over the
+// frame's numeric columns cut into five chunks: it does not panic, accepts
+// exactly what Query accepts over those columns, and answers the same —
+// bit for bit, unless the select list has a SUM or an AVG, whose partials
+// are added in another order than the rows: those answers are within 1e-12.
 func FuzzQuery(f *testing.F) {
 	for _, sql := range fuzzSeeds() {
 		f.Add(sql)
 	}
 	tables := diffTables(23, false)
+	numeric := numericFrame(tables["df"])
 	f.Fuzz(func(t *testing.T, sql string) {
 		got, err := Query(tables, sql)
 		want, lerr := legacyOrdered(tables, sql)
@@ -402,6 +409,26 @@ func FuzzQuery(f *testing.F) {
 		case lerr == nil && err == nil:
 			if d := diffFrames(got, want); d != "" {
 				t.Fatalf("%q: %s\ngot\n%swant\n%s", sql, d, got.WriteCSV(), want.WriteCSV())
+			}
+		}
+
+		want, chunked := arrayAgrees(t, numeric, 5, sql)
+		if want == nil {
+			return
+		}
+		sums := false
+		q, _ := parse(sql)
+		for _, it := range q.sel {
+			walk(it.ex, func(e expr) {
+				c, ok := e.(call)
+				sums = sums || ok && (c.name == "SUM" || c.name == "AVG")
+			})
+		}
+		for _, got := range chunked {
+			if sums {
+				framesClose(t, sql, got, want, 1e-12)
+			} else if d := diffFrames(oneNaN(got), oneNaN(want)); d != "" {
+				t.Fatalf("%q in chunks: %s\ngot\n%swant\n%s", sql, d, got.WriteCSV(), want.WriteCSV())
 			}
 		}
 	})

@@ -4,27 +4,22 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 
 	"scidp/internal/rframe"
 )
 
-// This file is the frame executor: bind → select → order → materialise
-// (DESIGN.md, "The frame executor").
+// This file is the executor, the only one: bind → select → order →
+// materialise (DESIGN.md, "The frame executor"). Query runs it over a
+// frame; the array path (plan.go) runs it over each chunk and then over
+// the chunks' answers.
 
 func b2f(b bool) float64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// unaryOp applies "-" or NOT.
-func unaryOp(op string, v float64) float64 {
-	if op == "-" {
-		return -v
-	}
-	return b2f(v == 0)
 }
 
 // aggFuncs are the recognized aggregate function names.
@@ -34,16 +29,12 @@ var aggFuncs = map[string]bool{"SUM": true, "AVG": true, "MIN": true, "MAX": tru
 var scalarFuncs = map[string]func(float64) float64{"ABS": math.Abs, "SQRT": math.Sqrt}
 
 // hasAgg reports whether the expression contains an aggregate call.
-func hasAgg(e expr) bool {
-	switch x := e.(type) {
-	case call:
-		return aggFuncs[x.name] || slices.ContainsFunc(x.args, hasAgg)
-	case binary:
-		return hasAgg(x.l) || hasAgg(x.r)
-	case unary:
-		return hasAgg(x.x)
-	}
-	return false
+func hasAgg(e expr) (found bool) {
+	walk(e, func(e expr) {
+		c, ok := e.(call)
+		found = found || ok && aggFuncs[c.name]
+	})
+	return found
 }
 
 // numOps are the binary operators over numbers — every one the parser
@@ -165,7 +156,10 @@ func (sc *scope) bind(e expr) (bound, error) {
 		if err != nil {
 			return bound{}, err
 		}
-		return bound{num: func(r int) float64 { return unaryOp(x.op, v(r)) }}, nil
+		if x.op == "-" {
+			return bound{num: func(r int) float64 { return -v(r) }}, nil
+		}
+		return bound{num: func(r int) float64 { return b2f(v(r) == 0) }}, nil // NOT
 	case binary:
 		l, err := sc.bind(x.l)
 		if err != nil {
@@ -218,7 +212,7 @@ func (sc *scope) bind(e expr) (bound, error) {
 }
 
 // grouping is the selection split by the GROUP BY columns, in first-seen
-// order. run fills it, after the closures that read it were bound.
+// order. group fills it, after the closures that read it were bound.
 type grouping struct {
 	rows [][]int // each group's source rows, ascending
 }
@@ -233,7 +227,7 @@ func (g *grouping) first(i int) int {
 
 // split groups sel by the key columns' rendered values. Without keys
 // there is one group, even over zero rows.
-func (g *grouping) split(keys []*rframe.Column, sel []int) {
+func (g *grouping) split(keys []item, sel []int) {
 	if len(keys) == 0 {
 		g.rows = [][]int{sel}
 		return
@@ -242,8 +236,8 @@ func (g *grouping) split(keys []*rframe.Column, sel []int) {
 	var key []byte
 	for _, r := range sel {
 		key = key[:0]
-		for _, c := range keys {
-			key = append(c.AppendAt(key, r), 0)
+		for k := range keys {
+			key = append(keys[k].appendKey(key, r), 0)
 		}
 		id, ok := ids[string(key)]
 		if !ok {
@@ -300,12 +294,40 @@ func (a *aggregate) reduce(groups [][]int) {
 	}
 }
 
-// item is one output column: a select item, or a column SELECT * names —
-// native, which keeps its kind (Int stays Int) instead of being evaluated.
+// item is one column: a select item, or a source column. A frame's column
+// is native and SELECT * keeps it as it is (Int stays Int) instead of
+// evaluating it; a chunk's (plan.go) is an accessor, integer if the schema
+// says its values are. Only SELECT * and GROUP BY see either: a source
+// column named in an expression is its bound, a number.
 type item struct {
 	name string
 	bound
-	native *rframe.Column
+	native  *rframe.Column
+	integer bool
+}
+
+// appendKey appends row r's GROUP BY key part: the value's text. It runs
+// once per row and key, hence the pointer: an item is a dozen words.
+func (it *item) appendKey(key []byte, r int) []byte {
+	switch {
+	case it.native != nil:
+		return it.native.AppendAt(key, r)
+	case it.integer:
+		return strconv.AppendInt(key, int64(it.num(r)), 10)
+	}
+	return strconv.AppendFloat(key, it.num(r), 'g', -1, 64)
+}
+
+// materialise evaluates the item over sel (see vector) into a column.
+func (it item) materialise(sel []int, n int) *rframe.Column {
+	switch {
+	case it.native != nil:
+		return it.native.Take(sel)
+	case it.integer:
+		ints := vector(func(r int) int64 { return int64(it.num(r)) }, nil, sel, n)
+		return &rframe.Column{Name: it.name, Kind: rframe.Int, I: ints}
+	}
+	return it.column(it.name, sel, n)
 }
 
 // frameItems presents f's columns as items, each kept as it is; bound, an
@@ -340,55 +362,6 @@ func itemName(it selectItem, idx int) string {
 	return fmt.Sprintf("expr%d", idx+1)
 }
 
-// bindOrder binds ORDER BY's keys against the output columns.
-func bindOrder(orderBy []orderItem, items []item) ([]bound, error) {
-	sc := itemScope(items)
-	keys := make([]bound, len(orderBy))
-	for i, o := range orderBy {
-		var err error
-		if keys[i], err = sc.bind(o.ex); err != nil {
-			return nil, err
-		}
-	}
-	return keys, nil
-}
-
-// finish is the tail the frame executor and ArrayPlan.Finalize share:
-// order the selection by q's bound ORDER BY keys, cut it at its LIMIT (if
-// not negative), and only then evaluate the items, for the rows left.
-func finish(q *query, keys []bound, items []item, sel []int, n int) *rframe.Frame {
-	if len(keys) > 0 {
-		sortKeys := make([]rframe.SortKey, len(keys))
-		for i, k := range keys {
-			sortKeys[i] = rframe.SortKey{Col: k.column("", sel, n), Desc: q.orderBy[i].desc}
-		}
-		order := rframe.Order(sortKeys, q.limit)
-		if sel != nil {
-			for i, pos := range order {
-				order[i] = sel[pos]
-			}
-		}
-		sel = order
-	} else if sel != nil && q.limit >= 0 {
-		sel = sel[:min(q.limit, len(sel))]
-	} else if q.limit >= 0 && q.limit < n {
-		sel = identity(q.limit)
-	}
-	out := rframe.New()
-	for _, it := range items {
-		c := it.native
-		if c != nil {
-			c = c.Take(sel)
-		} else {
-			c = it.column(it.name, sel, n)
-		}
-		if err := out.Add(c); err != nil {
-			panic(err) // bind checked the names; the lengths are ours
-		}
-	}
-	return out
-}
-
 // identity returns the selection of rows [0, n), spelled out.
 func identity(n int) []int {
 	sel := make([]int, n)
@@ -398,23 +371,23 @@ func identity(n int) []int {
 	return sel
 }
 
-// plan is a query bound to its source frame: whatever is wrong with the
-// query has been reported by the time one exists, and run cannot fail.
+// plan is a query bound to its source, a frame's columns or a chunk's:
+// whatever is wrong with the query has been reported by the time one
+// exists, and run cannot fail.
 type plan struct {
 	q       *query
 	rows    int
 	where   func(row int) float64 // nil: keep every row
 	groups  *grouping             // non-nil: the select list is aggregated
-	groupBy []*rframe.Column
+	groupBy []item
 	aggs    []*aggregate
 	items   []item
 	keys    []bound // ORDER BY
 }
 
-// bindQuery binds q to src.
-func bindQuery(q *query, src *rframe.Frame) (*plan, error) {
-	p := &plan{q: q, rows: src.NumRows()}
-	cols := frameItems(src)
+// bindQuery binds q to a source of the given columns and row count.
+func bindQuery(q *query, cols []item, rows int) (*plan, error) {
+	p := &plan{q: q, rows: rows}
 	rowScope := itemScope(cols)
 	var err error
 	if q.where != nil {
@@ -433,11 +406,11 @@ func bindQuery(q *query, src *rframe.Frame) (*plan, error) {
 			return nil, fmt.Errorf("rsql: SELECT * cannot mix with aggregation")
 		}
 		for _, g := range q.groupBy {
-			c := src.Col(g)
-			if c == nil {
+			i := slices.IndexFunc(cols, func(c item) bool { return c.name == g })
+			if i < 0 {
 				return nil, fmt.Errorf("rsql: GROUP BY column %q missing", g)
 			}
-			p.groupBy = append(p.groupBy, c)
+			p.groupBy = append(p.groupBy, cols[i])
 		}
 		p.groups = &grouping{}
 		selScope = p.groupScope(rowScope)
@@ -462,8 +435,14 @@ func bindQuery(q *query, src *rframe.Frame) (*plan, error) {
 			return nil, fmt.Errorf("rsql: duplicate output column %q", it.name)
 		}
 	}
-	p.keys, err = bindOrder(q.orderBy, p.items)
-	return p, err
+	outScope := itemScope(p.items)
+	p.keys = make([]bound, len(q.orderBy))
+	for i, o := range q.orderBy {
+		if p.keys[i], err = outScope.bind(o.ex); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // groupScope is the scope of an aggregated select list, where a row is a
@@ -513,30 +492,71 @@ func (p *plan) groupScope(rows *scope) *scope {
 	}
 }
 
-// run executes the plan.
-func (p *plan) run() *rframe.Frame {
-	n := p.rows
-	var sel []int // nil: every row
-	if p.where != nil {
-		sel = make([]int, 0, n)
-		for r := 0; r < n; r++ {
-			if p.where(r) != 0 {
-				sel = append(sel, r)
+// filter is WHERE: the rows it keeps (nil: every row) and how many.
+func (p *plan) filter() (sel []int, kept int) {
+	if p.where == nil {
+		return nil, p.rows
+	}
+	sel = make([]int, 0, p.rows)
+	for r := 0; r < p.rows; r++ {
+		if p.where(r) != 0 {
+			sel = append(sel, r)
+		}
+	}
+	return sel, len(sel)
+}
+
+// group, for an aggregated select list, splits sel into groups and reduces
+// the aggregates over them; from then on a row is a group. It returns the
+// selection and row count finish works on.
+func (p *plan) group(sel []int) ([]int, int) {
+	if p.groups == nil {
+		return sel, p.rows
+	}
+	if sel == nil {
+		sel = identity(p.rows)
+	}
+	p.groups.split(p.groupBy, sel)
+	for _, a := range p.aggs {
+		a.reduce(p.groups.rows)
+	}
+	return nil, len(p.groups.rows)
+}
+
+// finish orders the selection by the ORDER BY keys, cuts it at LIMIT (if
+// not negative), and only then evaluates the items, for the rows left.
+func (p *plan) finish(sel []int, n int) *rframe.Frame {
+	limit := p.q.limit
+	if len(p.keys) > 0 {
+		sortKeys := make([]rframe.SortKey, len(p.keys))
+		for i, k := range p.keys {
+			sortKeys[i] = rframe.SortKey{Col: k.column("", sel, n), Desc: p.q.orderBy[i].desc}
+		}
+		order := rframe.Order(sortKeys, limit)
+		if sel != nil {
+			for i, pos := range order {
+				order[i] = sel[pos]
 			}
 		}
+		sel = order
+	} else if sel != nil && limit >= 0 {
+		sel = sel[:min(limit, len(sel))]
+	} else if limit >= 0 && limit < n {
+		sel = identity(limit)
 	}
-	if p.groups != nil {
-		if sel == nil {
-			sel = identity(n)
+	out := rframe.New()
+	for _, it := range p.items {
+		if err := out.Add(it.materialise(sel, n)); err != nil {
+			panic(err) // bind checked the names; the lengths are ours
 		}
-		p.groups.split(p.groupBy, sel)
-		for _, a := range p.aggs {
-			a.reduce(p.groups.rows)
-		}
-		// From here a row is a group.
-		sel, n = nil, len(p.groups.rows)
 	}
-	return finish(p.q, p.keys, p.items, sel, n)
+	return out
+}
+
+// run executes the plan.
+func (p *plan) run() *rframe.Frame {
+	sel, _ := p.filter()
+	return p.finish(p.group(sel))
 }
 
 // Query parses and executes sql against the named frames. A bare column of
@@ -550,7 +570,7 @@ func Query(tables map[string]*rframe.Frame, sql string) (*rframe.Frame, error) {
 	if !ok {
 		return nil, fmt.Errorf("rsql: no table %q", q.from)
 	}
-	p, err := bindQuery(q, src)
+	p, err := bindQuery(q, frameItems(src), src.NumRows())
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,8 @@
 // in O(n log k)), and evaluates the select list for the surviving rows
 // only. ORDER BY names output columns; Int columns come out Float unless
 // SELECT * names them; an unfiltered, unordered bare column shares storage
-// with the source. QueryArrays (plan.go) shares the ORDER BY/LIMIT tail.
+// with the source. QueryArrays (plan.go) runs on the same executor: it
+// rewrites a statement into one query per chunk and one over their answers.
 package rsql
 
 import (

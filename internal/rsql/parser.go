@@ -37,6 +37,22 @@ func (unary) exprNode()  {}
 func (binary) exprNode() {}
 func (call) exprNode()   {}
 
+// walk calls visit on e and on every expression under it.
+func walk(e expr, visit func(expr)) {
+	visit(e)
+	switch x := e.(type) {
+	case unary:
+		walk(x.x, visit)
+	case binary:
+		walk(x.l, visit)
+		walk(x.r, visit)
+	case call:
+		for _, a := range x.args {
+			walk(a, visit)
+		}
+	}
+}
+
 // selectItem is one projection.
 type selectItem struct {
 	ex    expr

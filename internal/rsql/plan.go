@@ -5,21 +5,20 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 
 	"scidp/internal/obs"
 	"scidp/internal/rframe"
 	"scidp/internal/sim"
 )
 
-// This file is the chunk-pushdown query engine: a compiled array-algebra
-// plan (slice → filter → project → aggregate) that intersects WHERE
-// predicates with per-chunk zone maps before any I/O, scans only the
-// surviving chunks in one fused pass per chunk on the data plane, and
-// merges per-chunk partials in chunk order so the output is byte-identical
-// at any worker count — and byte-identical with pushdown on or off,
-// because a scanned chunk with no matching rows contributes exactly what a
-// skipped chunk does: nothing.
+// This file is the chunk-pushdown query engine: a statement compiled into
+// two ordinary queries for the executor in exec.go — one that answers a
+// chunk, one that answers the chunks' answers — plus the WHERE bounds it
+// intersects with per-chunk zone maps before any I/O. Only the surviving
+// chunks are scanned, on the data plane, and their answers merge in chunk
+// order, so the output is byte-identical at any worker count — and
+// byte-identical with pushdown on or off, because a scanned chunk with no
+// matching rows contributes exactly what a skipped chunk does: nothing.
 
 // PushdownMode selects whether the planner's chunk skip-list is applied.
 type PushdownMode int
@@ -81,30 +80,24 @@ type Projector interface {
 	Project(cols []string) bool
 }
 
-// planItem is one output column of the compiled plan.
-type planItem struct {
-	name   string
-	ex     expr
-	native string // star-expanded bare column (keeps Int columns integer)
-}
-
-// ArrayPlan is a compiled pushdown query: validated against a table
-// schema, with predicate bounds extracted for pruning. Its pieces —
-// Survivors, ScanChunk, Finalize — are independently drivable, which is
-// how sparklite distributes the same plan the local executor runs.
+// ArrayPlan is a compiled pushdown query: two ordinary queries the frame
+// executor runs, and the predicate bounds extracted for pruning. The scan
+// query answers one chunk; the merge query answers the chunks' answers
+// stacked in chunk order (DESIGN.md, "One executor, two queries"). Its
+// pieces — Survivors, ScanChunk, Finalize — are independently drivable,
+// which is how sparklite distributes the same plan the local executor runs.
 type ArrayPlan struct {
-	q          *query
-	byName     map[string]ColumnInfo
-	items      []planItem
-	refs       []string
-	bounds     map[string]Interval
-	aggregated bool
-	aggs       []call
-	aggIdx     map[string]int
+	from   string
+	cols   []ColumnInfo // the referenced columns, in schema order
+	refs   []string     // their names
+	bounds map[string]Interval
+	scan   *query
+	merge  *query
+	schema *rframe.Frame // the scan's answer over no rows: its columns
 }
 
 // From returns the table name the query selects from.
-func (pl *ArrayPlan) From() string { return pl.q.from }
+func (pl *ArrayPlan) From() string { return pl.from }
 
 // Refs returns the input columns the plan references (select list, WHERE,
 // GROUP BY), deduplicated in schema order — the projection list.
@@ -114,133 +107,130 @@ func (pl *ArrayPlan) Refs() []string { return pl.refs }
 // WHERE clause's top-level conjuncts.
 func (pl *ArrayPlan) Bounds() map[string]Interval { return pl.bounds }
 
-// CompileArray parses sql and compiles it against a table schema. Only
-// numeric single-table queries are supported (array tables have no string
-// columns); the full WHERE clause is still evaluated per row, so the
-// extracted bounds are purely an optimization.
+// noRows is the chunk a schema alone stands for: every column, no row.
+type noRows struct{}
+
+func (noRows) NumRows() int { return 0 }
+
+func (noRows) Col(string) (func(int) float64, error) {
+	return func(int) float64 { return 0 }, nil
+}
+
+// chunkItems presents a chunk's columns as items: numbers all, read
+// through the chunk's accessors.
+func chunkItems(cols []ColumnInfo, c Chunk) ([]item, error) {
+	items := make([]item, len(cols))
+	for i, info := range cols {
+		at, err := c.Col(info.Name)
+		if err != nil {
+			return nil, err
+		}
+		items[i] = item{name: info.Name, bound: bound{num: at}, integer: info.Int}
+	}
+	return items, nil
+}
+
+// CompileArray parses sql and compiles it against a table schema. It binds
+// the query as Query would over a frame of these columns, so the two reject
+// the same queries; the full WHERE clause is still evaluated per row, so
+// the extracted bounds are purely an optimization.
 func CompileArray(sql string, cols []ColumnInfo) (*ArrayPlan, error) {
 	q, err := parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	pl := &ArrayPlan{q: q, byName: map[string]ColumnInfo{}, aggIdx: map[string]int{}}
-	for _, c := range cols {
-		pl.byName[c.Name] = c
-	}
+	return compileArray(q, cols)
+}
 
-	refSet := map[string]bool{}
-	var validate func(e expr) error
-	validate = func(e expr) error {
-		switch x := e.(type) {
-		case nil:
-			return nil
-		case numLit:
-			return nil
-		case strLit:
-			return fmt.Errorf("rsql: array queries are numeric; string literal %q unsupported", x.v)
-		case colRef:
-			if _, ok := pl.byName[x.name]; !ok {
-				return fmt.Errorf("rsql: no column %q", x.name)
-			}
-			refSet[x.name] = true
-			return nil
-		case unary:
-			return validate(x.x)
-		case binary:
-			if err := validate(x.l); err != nil {
-				return err
-			}
-			return validate(x.r)
-		case call:
-			if !aggFuncs[x.name] && scalarFuncs[x.name] == nil {
-				return fmt.Errorf("rsql: unknown function %s", x.name)
-			}
-			if !(x.name == "COUNT" && x.star) && len(x.args) != 1 {
-				return fmt.Errorf("rsql: %s takes 1 argument", x.name)
-			}
-			if aggFuncs[x.name] {
-				if !x.star && hasAgg(x.args[0]) {
-					return fmt.Errorf("rsql: aggregate inside %s", x.name)
-				}
-				key := renderExpr(x)
-				if _, ok := pl.aggIdx[key]; !ok {
-					pl.aggIdx[key] = len(pl.aggs)
-					pl.aggs = append(pl.aggs, x)
-				}
-			}
-			for _, a := range x.args {
-				if err := validate(a); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return fmt.Errorf("rsql: unknown expression %T", e)
-	}
-
-	// Expand the select list: star columns first in schema order (matching
-	// the frame executor's layout), then named items in select order.
-	var named []planItem
-	star := false
-	for i, it := range q.sel {
-		if it.star {
-			star = true
-			continue
-		}
-		if err := validate(it.ex); err != nil {
-			return nil, err
-		}
-		if hasAgg(it.ex) {
-			pl.aggregated = true
-		}
-		named = append(named, planItem{name: itemName(it, i), ex: it.ex})
-	}
-	if len(q.groupBy) > 0 {
-		pl.aggregated = true
-	}
-	if star {
-		if pl.aggregated {
-			return nil, fmt.Errorf("rsql: SELECT * cannot mix with aggregation")
-		}
-		for _, c := range cols {
-			refSet[c.Name] = true
-			pl.items = append(pl.items, planItem{name: c.Name, ex: colRef{name: c.Name}, native: c.Name})
-		}
-	}
-	pl.items = append(pl.items, named...)
-	// ORDER BY names output columns, as in the frame executor: bind it
-	// against them (numbers all) now, not after the scan in Finalize.
-	outputs := make([]item, len(pl.items))
-	for i, it := range pl.items {
-		if slices.ContainsFunc(outputs[:i], func(o item) bool { return o.name == it.name }) {
-			return nil, fmt.Errorf("rsql: duplicate output column %q", it.name)
-		}
-		outputs[i] = item{name: it.name, bound: bound{num: func(int) float64 { return 0 }}}
-	}
-	if _, err := bindOrder(q.orderBy, outputs); err != nil {
+func compileArray(q *query, cols []ColumnInfo) (*ArrayPlan, error) {
+	all, _ := chunkItems(cols, noRows{}) // which has every column: no error
+	user, err := bindQuery(q, all, 0)
+	if err != nil {
 		return nil, err
 	}
-	for _, g := range q.groupBy {
-		if _, ok := pl.byName[g]; !ok {
-			return nil, fmt.Errorf("rsql: GROUP BY column %q missing", g)
+	pl := &ArrayPlan{from: q.from, bounds: extractBounds(q.where)}
+
+	// The projection list: the columns the query names, all of them for *.
+	named := map[string]bool{}
+	name := func(e expr) {
+		if c, ok := e.(colRef); ok {
+			named[c.name] = true
 		}
-		refSet[g] = true
 	}
-	if q.where != nil {
-		if hasAgg(q.where) {
-			return nil, fmt.Errorf("rsql: aggregate in WHERE")
-		}
-		if err := validate(q.where); err != nil {
-			return nil, err
-		}
+	walk(q.where, name)
+	star := false
+	for _, it := range q.sel {
+		walk(it.ex, name)
+		star = star || it.star
 	}
 	for _, c := range cols {
-		if refSet[c.Name] {
-			pl.refs = append(pl.refs, c.Name)
+		if star || named[c.Name] || slices.Contains(q.groupBy, c.Name) {
+			pl.cols, pl.refs = append(pl.cols, c), append(pl.refs, c.Name)
 		}
 	}
-	pl.bounds = extractBounds(q.where)
+
+	// A plain select list is evaluated by the scan and the merge only
+	// stacks, orders and cuts; an aggregated one is split between them.
+	pl.scan = &query{sel: q.sel, from: q.from, where: q.where, groupBy: q.groupBy, limit: -1}
+	pl.merge = &query{sel: []selectItem{{star: true}}, from: q.from, groupBy: q.groupBy, orderBy: q.orderBy, limit: q.limit}
+	if user.groups != nil {
+		pl.scan.sel, pl.merge.sel = splitAggregates(q.sel, pl.refs)
+	}
+	scan, err := bindQuery(pl.scan, all, 0)
+	if err != nil {
+		return nil, err
+	}
+	pl.schema = scan.run().Head(0) // a global aggregate answers one row even over none
 	return pl, nil
+}
+
+// splitAggregates rewrites an aggregated select list into the scan's —
+// every referenced column bare, which in a group is its first row's value,
+// then one partial per aggregate call under a name no lexer can produce —
+// and the merge's: the same items under the same output names, each
+// aggregate call replaced by the combination of its partials.
+//
+//	SUM(x)             SUM(x) AS p                SUM(p)
+//	COUNT(x), COUNT(*) the same AS p              SUM(p)
+//	MIN(x), MAX(x)     the same AS p              MIN(p), MAX(p)
+//	AVG(x)             SUM(x) AS s, COUNT(*) AS c SUM(s) / SUM(c)
+func splitAggregates(sel []selectItem, refs []string) (scan, merge []selectItem) {
+	for _, name := range refs {
+		scan = append(scan, selectItem{ex: colRef{name: name}})
+	}
+	partial := func(c call, combine string) expr {
+		name := "#" + strconv.Itoa(len(scan))
+		scan = append(scan, selectItem{ex: c, alias: name})
+		return call{name: combine, args: []expr{colRef{name: name}}}
+	}
+	var rewrite func(e expr) expr
+	rewrite = func(e expr) expr {
+		switch x := e.(type) {
+		case unary:
+			x.x = rewrite(x.x)
+			return x
+		case binary:
+			x.l, x.r = rewrite(x.l), rewrite(x.r)
+			return x
+		case call:
+			switch x.name {
+			case "SUM", "MIN", "MAX":
+				return partial(x, x.name)
+			case "COUNT":
+				return partial(x, "SUM")
+			case "AVG":
+				sum := partial(call{name: "SUM", args: x.args}, "SUM")
+				return newBinary("/", sum, partial(call{name: "COUNT", star: true}, "SUM"))
+			}
+			x.args = []expr{rewrite(x.args[0])} // a scalar function: bind counted its arguments
+			return x
+		}
+		return e
+	}
+	for i, it := range sel {
+		merge = append(merge, selectItem{ex: rewrite(it.ex), alias: itemName(it, i)})
+	}
+	return scan, merge
 }
 
 // extractBounds pulls per-column intervals from the WHERE clause's
@@ -359,379 +349,103 @@ func (pl *ArrayPlan) prunes(m ChunkMeta) bool {
 	return false
 }
 
-// aggState is one aggregate call's running partial within a group.
-type aggState struct {
-	sum      float64
-	cnt      int64
-	min, max float64
-}
-
-// groupPartial is one group's accumulation within a single chunk.
-type groupPartial struct {
-	key   string
-	rows  int64
-	first map[string]float64
-	aggs  []aggState
-}
-
-// ChunkPartial is the result of fusing slice+filter+project+aggregate
-// over one chunk — pure data, merged on the kernel thread in chunk order.
+// ChunkPartial is the scan query's answer for one chunk — pure data, merged
+// on the kernel thread in chunk order.
 type ChunkPartial struct {
-	rows   int
-	floats [][]float64
-	ints   [][]int64
-	groups []*groupPartial
+	rows  int
+	frame *rframe.Frame // nil when no row matched
 }
 
 // Rows returns how many of the chunk's rows passed the WHERE clause.
 func (p *ChunkPartial) Rows() int { return p.rows }
 
-// chunkEval evaluates a numeric expression against one chunk row. It
-// mirrors rowEval's semantics (truthiness is v != 0, short-circuit
-// AND/OR) restricted to numeric values.
-func chunkEval(e expr, cols map[string]func(int) float64, row int) (float64, error) {
-	switch x := e.(type) {
-	case numLit:
-		return x.v, nil
-	case colRef:
-		acc := cols[x.name]
-		if acc == nil {
-			return 0, fmt.Errorf("rsql: no column %q", x.name)
-		}
-		return acc(row), nil
-	case unary:
-		v, err := chunkEval(x.x, cols, row)
-		if err != nil {
-			return 0, err
-		}
-		return unaryOp(x.op, v), nil
-	case binary:
-		l, err := chunkEval(x.l, cols, row)
-		if err != nil {
-			return 0, err
-		}
-		switch x.op {
-		case "AND":
-			if !(l != 0) {
-				return 0, nil
-			}
-			r, err := chunkEval(x.r, cols, row)
-			if err != nil {
-				return 0, err
-			}
-			return b2f(r != 0), nil
-		case "OR":
-			if l != 0 {
-				return 1, nil
-			}
-			r, err := chunkEval(x.r, cols, row)
-			if err != nil {
-				return 0, err
-			}
-			return b2f(r != 0), nil
-		}
-		r, err := chunkEval(x.r, cols, row)
-		if err != nil {
-			return 0, err
-		}
-		return x.num(l, r), nil
-	case call:
-		if aggFuncs[x.name] {
-			return 0, fmt.Errorf("rsql: aggregate %s in row context", x.name)
-		}
-		v, err := chunkEval(x.args[0], cols, row) // CompileArray counted the arguments
-		if err != nil {
-			return 0, err
-		}
-		switch x.name {
-		case "ABS":
-			return math.Abs(v), nil
-		case "SQRT":
-			return math.Sqrt(v), nil
-		}
-		return 0, fmt.Errorf("rsql: unknown function %s", x.name)
-	}
-	return 0, fmt.Errorf("rsql: unknown expression %T", e)
-}
-
-// keyPart formats one group-key component.
-func keyPart(v float64, isInt bool) string {
-	if isInt {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// ScanChunk runs the fused single pass over one decoded chunk: evaluate
-// the WHERE clause row by row and either materialize the projected
-// outputs or fold the row into per-group aggregate partials. It is pure
-// (touches only c and its own buffers), so callers fork it onto the data
-// plane and merge the partials after Join.
+// ScanChunk runs the scan query over one decoded chunk: one pass for the
+// WHERE clause, then the projected outputs or the per-group partials for
+// the rows it kept. It is pure (touches only c and its own buffers), so
+// callers fork it onto the data plane and merge the partials after Join.
 func (pl *ArrayPlan) ScanChunk(c Chunk) (*ChunkPartial, error) {
-	cols := map[string]func(int) float64{}
-	for _, name := range pl.refs {
-		acc, err := c.Col(name)
-		if err != nil {
-			return nil, err
-		}
-		cols[name] = acc
-	}
-	p := &ChunkPartial{}
-	if !pl.aggregated {
-		p.floats = make([][]float64, len(pl.items))
-		p.ints = make([][]int64, len(pl.items))
-	}
-	var groups map[string]*groupPartial
-	if pl.aggregated {
-		groups = map[string]*groupPartial{}
-	}
-	n := c.NumRows()
-	for row := 0; row < n; row++ {
-		if pl.q.where != nil {
-			v, err := chunkEval(pl.q.where, cols, row)
-			if err != nil {
-				return nil, err
-			}
-			if !(v != 0) {
-				continue
-			}
-		}
-		p.rows++
-		if !pl.aggregated {
-			for i, it := range pl.items {
-				if it.native != "" && pl.byName[it.native].Int {
-					p.ints[i] = append(p.ints[i], int64(cols[it.native](row)))
-					continue
-				}
-				v, err := chunkEval(it.ex, cols, row)
-				if err != nil {
-					return nil, err
-				}
-				p.floats[i] = append(p.floats[i], v)
-			}
-			continue
-		}
-		// Aggregated: fold the row into its group's partial.
-		var sb strings.Builder
-		for _, gcol := range pl.q.groupBy {
-			sb.WriteString(keyPart(cols[gcol](row), pl.byName[gcol].Int))
-			sb.WriteByte('\x00')
-		}
-		key := sb.String()
-		g, ok := groups[key]
-		if !ok {
-			g = &groupPartial{key: key, first: map[string]float64{}, aggs: make([]aggState, len(pl.aggs))}
-			for i := range g.aggs {
-				g.aggs[i].min = math.Inf(1)
-				g.aggs[i].max = math.Inf(-1)
-			}
-			for _, name := range pl.refs {
-				g.first[name] = cols[name](row)
-			}
-			groups[key] = g
-			p.groups = append(p.groups, g)
-		}
-		g.rows++
-		for ai, agg := range pl.aggs {
-			if agg.star {
-				continue // COUNT(*) rides on g.rows
-			}
-			v, err := chunkEval(agg.args[0], cols, row)
-			if err != nil {
-				return nil, err
-			}
-			st := &g.aggs[ai]
-			st.sum += v
-			st.cnt++
-			st.min = min(st.min, v)
-			st.max = max(st.max, v)
-		}
-	}
-	return p, nil
-}
-
-// emptyGroup synthesizes the zero-row group a global aggregation reports
-// when nothing matched (SUM 0, COUNT 0, AVG NaN, MIN +Inf, MAX -Inf —
-// the frame executor's semantics).
-func (pl *ArrayPlan) emptyGroup() *groupPartial {
-	g := &groupPartial{first: map[string]float64{}, aggs: make([]aggState, len(pl.aggs))}
-	for i := range g.aggs {
-		g.aggs[i].min = math.Inf(1)
-		g.aggs[i].max = math.Inf(-1)
-	}
-	return g
-}
-
-// finalEval evaluates a select item against one merged group.
-func (pl *ArrayPlan) finalEval(e expr, g *groupPartial) (float64, error) {
-	switch x := e.(type) {
-	case numLit:
-		return x.v, nil
-	case colRef:
-		if g.rows == 0 {
-			return math.NaN(), nil
-		}
-		return g.first[x.name], nil
-	case unary:
-		v, err := pl.finalEval(x.x, g)
-		if err != nil {
-			return 0, err
-		}
-		return unaryOp(x.op, v), nil
-	case binary:
-		l, err := pl.finalEval(x.l, g)
-		if err != nil {
-			return 0, err
-		}
-		r, err := pl.finalEval(x.r, g)
-		if err != nil {
-			return 0, err
-		}
-		return x.num(l, r), nil // AND and OR too: nothing to short-circuit here
-	case call:
-		if aggFuncs[x.name] {
-			st := g.aggs[pl.aggIdx[renderExpr(x)]]
-			switch x.name {
-			case "COUNT":
-				if x.star {
-					return float64(g.rows), nil
-				}
-				return float64(st.cnt), nil
-			case "SUM":
-				return st.sum, nil
-			case "AVG":
-				if st.cnt == 0 {
-					return math.NaN(), nil
-				}
-				return st.sum / float64(st.cnt), nil
-			case "MIN":
-				return st.min, nil
-			case "MAX":
-				return st.max, nil
-			}
-		}
-		if g.rows == 0 {
-			return math.NaN(), nil
-		}
-		v, err := pl.finalEval(x.args[0], g)
-		if err != nil {
-			return 0, err
-		}
-		switch x.name {
-		case "ABS":
-			return math.Abs(v), nil
-		case "SQRT":
-			return math.Sqrt(v), nil
-		}
-		return 0, fmt.Errorf("rsql: unknown function %s", x.name)
-	}
-	return 0, fmt.Errorf("rsql: unknown expression %T", e)
-}
-
-// Finalize merges per-chunk partials in chunk order and applies ORDER BY
-// and LIMIT. Only chunks that produced matching rows contribute to the
-// merge, so float accumulation sees the exact same operand sequence
-// whether non-matching chunks were scanned (oracle) or skipped
-// (pushdown) — the bitwise-equality invariant.
-func (pl *ArrayPlan) Finalize(parts []*ChunkPartial) (*rframe.Frame, error) {
-	out := rframe.New() // CompileArray checked its column names
-	if !pl.aggregated {
-		for i, it := range pl.items {
-			ints, floats := []int64{}, []float64{}
-			for _, p := range parts {
-				if p != nil {
-					ints, floats = append(ints, p.ints[i]...), append(floats, p.floats[i]...)
-				}
-			}
-			if it.native != "" && pl.byName[it.native].Int {
-				out.MustAddInt(it.name, ints)
-			} else {
-				out.MustAddFloat(it.name, floats)
-			}
-		}
-	} else {
-		merged := map[string]*groupPartial{}
-		var order []*groupPartial
-		for _, p := range parts {
-			if p == nil {
-				continue
-			}
-			for _, g := range p.groups {
-				m, ok := merged[g.key]
-				if !ok {
-					m = &groupPartial{key: g.key, rows: g.rows, first: g.first, aggs: append([]aggState(nil), g.aggs...)}
-					merged[g.key] = m
-					order = append(order, m)
-					continue
-				}
-				m.rows += g.rows
-				for i := range m.aggs {
-					m.aggs[i].sum += g.aggs[i].sum
-					m.aggs[i].cnt += g.aggs[i].cnt
-					m.aggs[i].min = min(m.aggs[i].min, g.aggs[i].min)
-					m.aggs[i].max = max(m.aggs[i].max, g.aggs[i].max)
-				}
-			}
-		}
-		if len(pl.q.groupBy) == 0 && len(order) == 0 {
-			order = append(order, pl.emptyGroup())
-		}
-		cols := make([][]float64, len(pl.items))
-		for i := range cols {
-			cols[i] = make([]float64, 0, len(order))
-		}
-		for _, g := range order {
-			for i, it := range pl.items {
-				v, err := pl.finalEval(it.ex, g)
-				if err != nil {
-					return nil, err
-				}
-				cols[i] = append(cols[i], v)
-			}
-		}
-		for i, it := range pl.items {
-			out.MustAddFloat(it.name, cols[i])
-		}
-	}
-	items := frameItems(out)
-	keys, err := bindOrder(pl.q.orderBy, items)
+	cols, err := chunkItems(pl.cols, c)
 	if err != nil {
 		return nil, err
 	}
-	return finish(pl.q, keys, items, nil, out.NumRows()), nil
+	p, err := bindQuery(pl.scan, cols, c.NumRows())
+	if err != nil {
+		return nil, err
+	}
+	sel, kept := p.filter()
+	if kept == 0 {
+		return &ChunkPartial{}, nil
+	}
+	return &ChunkPartial{rows: kept, frame: p.finish(p.group(sel))}, nil
 }
 
-// renderExpr renders an expression to a canonical string — the identity
-// key deduplicating aggregate calls across select items.
-func renderExpr(e expr) string {
-	switch x := e.(type) {
-	case numLit:
-		return strconv.FormatFloat(x.v, 'g', -1, 64)
-	case strLit:
-		return strconv.Quote(x.v)
-	case colRef:
-		return x.name
-	case unary:
-		return "(" + x.op + " " + renderExpr(x.x) + ")"
-	case binary:
-		return "(" + renderExpr(x.l) + x.op + renderExpr(x.r) + ")"
-	case call:
-		if x.star {
-			return x.name + "(*)"
+// Finalize runs the merge query over the partials stacked in chunk order.
+// Only chunks with matching rows are stacked — a global aggregate answers a
+// row even for none — so float accumulation sees the exact same operand
+// sequence whether non-matching chunks were scanned (oracle) or skipped
+// (pushdown): the bitwise-equality invariant.
+func (pl *ArrayPlan) Finalize(parts []*ChunkPartial) (*rframe.Frame, error) {
+	frames := []*rframe.Frame{pl.schema}
+	for _, p := range parts {
+		if p.rows > 0 {
+			frames = append(frames, p.frame)
 		}
-		args := make([]string, len(x.args))
-		for i, a := range x.args {
-			args[i] = renderExpr(a)
-		}
-		return x.name + "(" + strings.Join(args, ",") + ")"
 	}
-	return fmt.Sprintf("%T", e)
+	all, err := rframe.Concat(frames...)
+	if err != nil {
+		return nil, err
+	}
+	p, err := bindQuery(pl.merge, frameItems(all), all.NumRows())
+	if err != nil {
+		return nil, err
+	}
+	return p.run(), nil
+}
+
+// Begin is the head every driver shares: narrow t to the referenced
+// columns if it can be, and work out before any I/O what a scan under mode
+// touches and which chunks it reads.
+func (pl *ArrayPlan) Begin(t ArrayTable, mode PushdownMode) (*ScanStats, []int) {
+	payload := true
+	if pr, ok := t.(Projector); ok {
+		payload = pr.Project(pl.refs)
+	}
+	return pl.Stats(t, mode, payload)
+}
+
+// Span opens the per-query span a driver hands to End (nil on a nil reg).
+func (pl *ArrayPlan) Span(reg *obs.Registry, name string, mode PushdownMode) *obs.Span {
+	sp := reg.StartSpan(name, "query", nil)
+	sp.Arg("table", pl.from)
+	sp.Arg("mode", mode.String())
+	return sp
+}
+
+// End is the tail every driver shares: count the matched rows into st,
+// merge the partials, and report the query to reg and sp (nil: nowhere).
+func (pl *ArrayPlan) End(parts []*ChunkPartial, st *ScanStats, reg *obs.Registry, sp *obs.Span) (*rframe.Frame, error) {
+	for _, p := range parts {
+		st.RowsMatched += p.rows
+	}
+	out, err := pl.Finalize(parts)
+	if err != nil {
+		return nil, err
+	}
+	reg.Counter("query/chunks_scanned_total").Add(float64(st.ChunksScanned))
+	reg.Counter("query/chunks_skipped_total").Add(float64(st.ChunksSkipped))
+	reg.Counter("query/bytes_avoided_total").Add(float64(st.BytesAvoided))
+	sp.Arg("chunks_scanned", st.ChunksScanned)
+	sp.Arg("chunks_skipped", st.ChunksSkipped)
+	sp.Arg("bytes_avoided", st.BytesAvoided)
+	sp.Arg("rows_matched", st.RowsMatched)
+	sp.End()
+	return out, nil
 }
 
 // QueryArrays parses and executes sql against the named array tables with
 // chunk pushdown: prune via zone maps, project referenced columns,
-// announce and read only surviving chunks, fuse filter+project+aggregate
-// into one pass per chunk on the data plane, and merge in chunk order.
+// announce and read only surviving chunks, run the scan query over each on
+// the data plane, and merge in chunk order.
 func QueryArrays(tables map[string]ArrayTable, sql string, opts ArrayQueryOpts) (*rframe.Frame, *ScanStats, error) {
 	q, err := parse(sql)
 	if err != nil {
@@ -741,23 +455,12 @@ func QueryArrays(tables map[string]ArrayTable, sql string, opts ArrayQueryOpts) 
 	if !ok {
 		return nil, nil, fmt.Errorf("rsql: no table %q", q.from)
 	}
-	pl, err := CompileArray(sql, t.Columns())
+	pl, err := compileArray(q, t.Columns())
 	if err != nil {
 		return nil, nil, err
 	}
-
-	var sp *obs.Span
-	if opts.Obs != nil {
-		sp = opts.Obs.StartSpan("rsql/query", "query", nil)
-		sp.Arg("table", pl.From())
-		sp.Arg("mode", opts.Mode.String())
-	}
-
-	payload := true
-	if pr, ok := t.(Projector); ok {
-		payload = pr.Project(pl.Refs())
-	}
-	st, survivors := pl.Stats(t, opts.Mode, payload)
+	sp := pl.Span(opts.Obs, "rsql/query", opts.Mode)
+	st, survivors := pl.Begin(t, opts.Mode)
 
 	t.Announce(survivors)
 	parts := make([]*ChunkPartial, len(survivors))
@@ -769,7 +472,6 @@ func QueryArrays(tables map[string]ArrayTable, sql string, opts ArrayQueryOpts) 
 			t.Join(futs...)
 			return nil, nil, err
 		}
-		k, ch := k, ch
 		if fut := t.Fork(func() { parts[k], errs[k] = pl.ScanChunk(ch) }); fut != nil {
 			futs = append(futs, fut)
 		}
@@ -780,23 +482,9 @@ func QueryArrays(tables map[string]ArrayTable, sql string, opts ArrayQueryOpts) 
 			return nil, nil, e
 		}
 	}
-	for _, p := range parts {
-		st.RowsMatched += p.Rows()
-	}
-	out, err := pl.Finalize(parts)
+	out, err := pl.End(parts, st, opts.Obs, sp)
 	if err != nil {
 		return nil, nil, err
-	}
-
-	if opts.Obs != nil {
-		opts.Obs.Counter("query/chunks_scanned_total").Add(float64(st.ChunksScanned))
-		opts.Obs.Counter("query/chunks_skipped_total").Add(float64(st.ChunksSkipped))
-		opts.Obs.Counter("query/bytes_avoided_total").Add(float64(st.BytesAvoided))
-		sp.Arg("chunks_scanned", st.ChunksScanned)
-		sp.Arg("chunks_skipped", st.ChunksSkipped)
-		sp.Arg("bytes_avoided", st.BytesAvoided)
-		sp.Arg("rows_matched", st.RowsMatched)
-		sp.End()
 	}
 	return out, st, nil
 }

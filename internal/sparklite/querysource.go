@@ -48,16 +48,10 @@ func (s *ArrayQuery) prepare(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	pl, err := rsql.CompileArray(s.SQL, t.Columns())
-	if err != nil {
+	if s.plan, err = rsql.CompileArray(s.SQL, t.Columns()); err != nil {
 		return err
 	}
-	payload := true
-	if pr, ok := t.(rsql.Projector); ok {
-		payload = pr.Project(pl.Refs())
-	}
-	s.plan = pl
-	s.stats, s.survivors = pl.Stats(t, s.Mode, payload)
+	s.stats, s.survivors = s.plan.Begin(t, s.Mode)
 	s.prepared = true
 	return nil
 }
@@ -110,13 +104,9 @@ func (s *ArrayQuery) Run(p *sim.Proc, sc *Context) (*rframe.Frame, *rsql.ScanSta
 	if err := s.prepare(p); err != nil {
 		return nil, nil, err
 	}
-	var sp *obs.Span
+	sp := s.plan.Span(s.Obs, "sparklite/query", s.Mode)
 	if s.Obs != nil {
-		sp = s.Obs.StartSpan("sparklite/query", "query", nil)
-		sp.Arg("table", s.plan.From())
-		sp.Arg("mode", s.Mode.String())
-		prev := p.SetSpan(sp)
-		defer p.SetSpan(prev)
+		defer p.SetSpan(p.SetSpan(sp))
 	}
 	var parts []*rsql.ChunkPartial
 	if len(s.survivors) > 0 {
@@ -131,22 +121,9 @@ func (s *ArrayQuery) Run(p *sim.Proc, sc *Context) (*rframe.Frame, *rsql.ScanSta
 			parts[i] = r.V.(*rsql.ChunkPartial)
 		}
 	}
-	for _, pt := range parts {
-		s.stats.RowsMatched += pt.Rows()
-	}
-	out, err := s.plan.Finalize(parts)
+	out, err := s.plan.End(parts, s.stats, s.Obs, sp)
 	if err != nil {
 		return nil, nil, err
-	}
-	if s.Obs != nil {
-		s.Obs.Counter("query/chunks_scanned_total").Add(float64(s.stats.ChunksScanned))
-		s.Obs.Counter("query/chunks_skipped_total").Add(float64(s.stats.ChunksSkipped))
-		s.Obs.Counter("query/bytes_avoided_total").Add(float64(s.stats.BytesAvoided))
-		sp.Arg("chunks_scanned", s.stats.ChunksScanned)
-		sp.Arg("chunks_skipped", s.stats.ChunksSkipped)
-		sp.Arg("bytes_avoided", s.stats.BytesAvoided)
-		sp.Arg("rows_matched", s.stats.RowsMatched)
-		sp.End()
 	}
 	return out, s.stats, nil
 }
