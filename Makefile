@@ -30,11 +30,19 @@ race:
 benchmark-test:
 	cd benchmark && $(GO) test ./...
 
-# fuzz-smoke mutates the rsql tests' queries for twenty seconds: Query must
-# not panic and must agree with the legacy executor kept in legacy_test.go.
+# fuzz-smoke gives every Fuzz* target in the module twenty seconds of new
+# inputs against its oracle (rsql's Query against the legacy executor kept
+# in legacy_test.go, mapreduce's sortRun against the stable sort it
+# replaced). Targets are discovered, not listed here: `go test -list` names
+# them per package and -fuzz takes one target of one package at a time.
 # Not part of check, which runs the same inputs every time.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 20s ./internal/rsql
+	@set -e; $(GO) test -list '^Fuzz' ./... | \
+		awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+		while read -r pkg target; do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 20s "$$pkg"; \
+		done
 
 # identical proves this tree is the same program as PARENT (a git rev):
 # paper tables, traces, metric dumps, result digests, the tenant replay and

@@ -4,6 +4,8 @@ package mapreduce
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -63,5 +65,51 @@ func TestReduceOutputAllocatesOncePerSlice(t *testing.T) {
 	// 64x the groups: append-doubling local and Output alone adds 15.
 	if grew := large - small; grew > 2 {
 		t.Fatalf("mallocs per job grew by %.0f from 2^10 to 2^16 groups (%.0f -> %.0f), want <= 2", grew, small, large)
+	}
+}
+
+// TestSortRunReusesItsScratch: once one run of a size has been sorted,
+// sorting another costs no allocation — the index lives in the pool and
+// the pairs are permuted in place.
+func TestSortRunReusesItsScratch(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{40, 1310, 20000} {
+		run := drawRun(rng, randomKeys(rng, n, 10), n)
+		if runIsSorted(run) {
+			t.Fatalf("the random run of %d pairs needs no sorting", n)
+		}
+		work := make([]KV, n)
+		// AllocsPerRun's own warm-up call fills the pool.
+		if mallocs := testing.AllocsPerRun(5, func() {
+			copy(work, run)
+			sortRun(work)
+		}); mallocs != 0 {
+			t.Errorf("sortRun of %d pairs allocated %.0f times after warm-up, want 0", n, mallocs)
+		}
+	}
+}
+
+// TestSortRunLeavesASortedRunAlone: a run already in order is recognised
+// before any scratch is drawn. With the pool emptied, drawing from it
+// would have to allocate, whatever the run's size.
+func TestSortRunLeavesASortedRunAlone(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, n := range []int{0, 1, 40, 1 << 17} {
+		run := make([]KV, n)
+		for i := range run {
+			run[i] = KV{K: fmt.Sprintf("key-%07d", i/2), V: i}
+		}
+		// Two collections empty a sync.Pool, victim cache included.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sortRun(run)
+		runtime.ReadMemStats(&after)
+		if mallocs := after.Mallocs - before.Mallocs; mallocs != 0 {
+			t.Errorf("sortRun of a sorted run of %d pairs allocated %d times on an empty pool, want 0", n, mallocs)
+		}
 	}
 }

@@ -22,15 +22,93 @@
 package mapreduce
 
 import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
 )
 
 // sortRun stable-sorts one run — or the job's final output — by key,
-// preserving emission order within equal keys.
+// preserving emission order within equal keys. A run already in key order
+// (combiner output, a range-partitioned job's concatenated reducers) costs
+// one scan and touches no scratch. Otherwise the sort moves 16-byte
+// (prefix, position) entries, not 32-byte pairs: entries order by prefix,
+// then by the full keys, then by position. That order is total, so it has
+// exactly one sorted permutation — the stable one — and an unstable
+// pdqsort cannot produce any other. The pairs then move once each, in
+// place, along the permutation's cycles.
 func sortRun(kvs []KV) {
-	slices.SortStableFunc(kvs, func(a, b KV) int { return strings.Compare(a.K, b.K) })
+	if runIsSorted(kvs) {
+		return
+	}
+	sc := sortScratchPool.Get().(*sortScratch)
+	if cap(sc.keys) < len(kvs) {
+		// Power-of-two capacities: runs of nearly equal length (a job's
+		// buckets) then reuse each other's scratch instead of missing it.
+		sc.keys = make([]sortKey, 1<<bits.Len(uint(len(kvs)-1)))
+	}
+	keys := sc.keys[:len(kvs)]
+	for i := range kvs {
+		keys[i] = sortKey{pre: keyPrefix(kvs[i].K), idx: i}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.pre != b.pre {
+			return cmp.Compare(a.pre, b.pre)
+		}
+		if c := strings.Compare(kvs[a.idx].K, kvs[b.idx].K); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	// keys[j].idx is where position j's pair comes from; a visited
+	// position is marked by pointing it at itself.
+	for i := range keys {
+		if keys[i].idx == i {
+			continue
+		}
+		first := kvs[i]
+		j := i
+		for src := keys[j].idx; src != i; src = keys[j].idx {
+			kvs[j] = kvs[src]
+			keys[j].idx = j
+			j = src
+		}
+		kvs[j] = first
+		keys[j].idx = j
+	}
+	sortScratchPool.Put(sc)
+}
+
+// sortKey stands for one pair while its run sorts.
+type sortKey struct {
+	pre uint64 // keyPrefix of the pair's key
+	idx int    // the pair's position in the unsorted run
+}
+
+// sortScratch is pooled by pointer to a struct, not to the slice: putting
+// &keys would move a slice header to the heap on every call.
+type sortScratch struct{ keys []sortKey }
+
+var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// keyPrefix packs a key's first eight bytes big-endian, zero-padded, so
+// that keyPrefix(a) < keyPrefix(b) implies a < b bytewise: at the first
+// byte where the padded prefixes differ either both keys have a byte there,
+// or a has ended where b goes on. Equal prefixes decide nothing ("a" and
+// "a\x00" pad alike) and fall through to a full comparison.
+func keyPrefix(k string) uint64 {
+	if len(k) >= 8 {
+		return uint64(k[7]) | uint64(k[6])<<8 | uint64(k[5])<<16 | uint64(k[4])<<24 |
+			uint64(k[3])<<32 | uint64(k[2])<<40 | uint64(k[1])<<48 | uint64(k[0])<<56
+	}
+	var pre uint64
+	for i := 0; i < len(k); i++ {
+		pre |= uint64(k[i]) << (56 - 8*i)
+	}
+	return pre
 }
 
 // runIsSorted reports whether a run is already in key order.
@@ -43,48 +121,53 @@ func runIsSorted(kvs []KV) bool {
 	return true
 }
 
-// ensureSortedRun sorts only when needed — combiner output is emitted in
-// group (key) order and is normally already sorted, so this is an O(n)
-// scan on the hot path rather than an O(n log n) re-sort.
-func ensureSortedRun(kvs []KV) {
-	if !runIsSorted(kvs) {
-		sortRun(kvs)
+// runSpans indexes a sorted run's groups — maximal ranges of equal-key
+// pairs — as one end offset per group; a group starts where the previous
+// one ended. It is pure and allocation-local, so reducers run it on the
+// data plane — the per-run prefetch pass — overlapping the shuffle. Return
+// the slice with putSpanBuf when the merge is done.
+func runSpans(kvs []KV) []uint32 {
+	// A run is a []KV in memory: 2^32 pairs would be 128 GiB of it.
+	if uint64(len(kvs)) > math.MaxUint32 {
+		panic(fmt.Sprintf("mapreduce: a run of %d pairs exceeds the 32-bit group index", len(kvs)))
 	}
-}
-
-// kvSpan is one maximal [start, end) range of equal-key pairs within a
-// sorted run.
-type kvSpan struct{ start, end int }
-
-// runSpans indexes a sorted run's group boundaries. It is pure and
-// allocation-local, so reducers run it on the data plane — the per-run
-// prefetch pass — overlapping the shuffle. Return the slice with
-// putSpanBuf when the merge is done.
-func runSpans(kvs []KV) []kvSpan {
-	// At most one group per pair: grow once, to half the run's own size.
-	spans := slices.Grow(getSpanBuf(), len(kvs))
+	// At most one group per pair: grow once, to the run's own length.
+	ends := slices.Grow(getSpanBuf(), len(kvs))
 	for i := 0; i < len(kvs); {
 		j := i + 1
 		for j < len(kvs) && kvs[j].K == kvs[i].K {
 			j++
 		}
-		spans = append(spans, kvSpan{start: i, end: j})
+		ends = append(ends, uint32(j))
 		i = j
 	}
-	return spans
+	return ends
 }
 
 // spanCursor walks one indexed run a group at a time. idx is the run's
 // arrival order, the cross-run stability tie-break.
 type spanCursor struct {
 	kvs   []KV
-	spans []kvSpan
-	pos   int
+	ends  []uint32 // the current and later groups' ends
+	start int      // the current group's first pair
+	pre   uint64   // keyPrefix of its key, what less compares first
 	idx   int
 }
 
 // key returns the cursor's current group key.
-func (c *spanCursor) key() string { return c.kvs[c.spans[c.pos].start].K }
+func (c *spanCursor) key() string { return c.kvs[c.start].K }
+
+// next returns the current group's pairs and moves to the following
+// group; the cursor is spent once no ends are left.
+func (c *spanCursor) next() []KV {
+	end := int(c.ends[0])
+	group := c.kvs[c.start:end]
+	c.start, c.ends = end, c.ends[1:]
+	if len(c.ends) > 0 {
+		c.pre = keyPrefix(c.key())
+	}
+	return group
+}
 
 // spanMerge yields group spans from indexed sorted runs in (key, run
 // index) order. Runs are read through cursors and never mutated, so a
@@ -97,11 +180,11 @@ type spanMerge struct {
 
 // newSpanMerge builds a merge over indexed runs; empty runs are skipped
 // so the heap only ever holds live cursors.
-func newSpanMerge(runs [][]KV, spans [][]kvSpan) *spanMerge {
+func newSpanMerge(runs [][]KV, ends [][]uint32) *spanMerge {
 	m := &spanMerge{cursors: make([]spanCursor, 0, len(runs))}
 	for i := range runs {
-		if len(spans[i]) > 0 {
-			m.cursors = append(m.cursors, spanCursor{kvs: runs[i], spans: spans[i], idx: i})
+		if len(ends[i]) > 0 {
+			m.cursors = append(m.cursors, spanCursor{kvs: runs[i], ends: ends[i], pre: keyPrefix(runs[i][0].K), idx: i})
 		}
 	}
 	if len(m.cursors) < 2 {
@@ -121,9 +204,12 @@ func newSpanMerge(runs [][]KV, spans [][]kvSpan) *spanMerge {
 }
 
 // less orders cursors by (group key, run index) — the stability contract.
+// The cached prefixes settle most comparisons without touching a key.
 func (m *spanMerge) less(a, b *spanCursor) bool {
-	ka, kb := a.key(), b.key()
-	if ka != kb {
+	if a.pre != b.pre {
+		return a.pre < b.pre
+	}
+	if ka, kb := a.key(), b.key(); ka != kb {
 		return ka < kb
 	}
 	return a.idx < b.idx
@@ -155,18 +241,17 @@ func (m *spanMerge) siftDown(i int) {
 // run-index order, and each span's values land in position order. The
 // vals buffer is reused across calls: the slice passed to fn is valid only
 // for the duration of the call and must not be retained.
-func eachGroupSpans(runs [][]KV, spans [][]kvSpan, vals *[]any, fn func(key string, vals []any) error) error {
-	m := newSpanMerge(runs, spans)
-	if m.single != nil {
-		c := m.single
-		for ; c.pos < len(c.spans); c.pos++ {
-			sp := c.spans[c.pos]
+func eachGroupSpans(runs [][]KV, ends [][]uint32, vals *[]any, fn func(key string, vals []any) error) error {
+	m := newSpanMerge(runs, ends)
+	if c := m.single; c != nil {
+		for len(c.ends) > 0 {
+			key := c.key()
 			buf := (*vals)[:0]
-			for _, kv := range c.kvs[sp.start:sp.end] {
+			for _, kv := range c.next() {
 				buf = append(buf, kv.V)
 			}
 			*vals = buf
-			if err := fn(c.kvs[sp.start].K, buf); err != nil {
+			if err := fn(key, buf); err != nil {
 				return err
 			}
 		}
@@ -177,12 +262,10 @@ func eachGroupSpans(runs [][]KV, spans [][]kvSpan, vals *[]any, fn func(key stri
 		buf := (*vals)[:0]
 		for len(m.heap) > 0 && m.heap[0].key() == key {
 			c := m.heap[0]
-			sp := c.spans[c.pos]
-			for _, kv := range c.kvs[sp.start:sp.end] {
+			for _, kv := range c.next() {
 				buf = append(buf, kv.V)
 			}
-			c.pos++
-			if c.pos >= len(c.spans) {
+			if len(c.ends) == 0 {
 				last := len(m.heap) - 1
 				m.heap[0] = m.heap[last]
 				m.heap = m.heap[:last]
@@ -204,15 +287,15 @@ var spanBufPool sync.Pool
 
 // getSpanBuf returns a recycled span buffer (possibly nil; append grows
 // it normally).
-func getSpanBuf() []kvSpan {
-	if p, _ := spanBufPool.Get().(*[]kvSpan); p != nil {
+func getSpanBuf() []uint32 {
+	if p, _ := spanBufPool.Get().(*[]uint32); p != nil {
 		return (*p)[:0]
 	}
 	return nil
 }
 
 // putSpanBuf returns a span buffer to the pool.
-func putSpanBuf(s []kvSpan) {
+func putSpanBuf(s []uint32) {
 	if cap(s) == 0 {
 		return
 	}

@@ -147,7 +147,7 @@ func (mo *mapOut) seal(tc *TaskContext) error {
 			combinedBytes += mo.sh.pairBytes(kv)
 		}
 		spans := runSpans(pairs)
-		err := eachGroupSpans([][]KV{pairs}, [][]kvSpan{spans}, vals, func(key string, vs []any) error {
+		err := eachGroupSpans([][]KV{pairs}, [][]uint32{spans}, vals, func(key string, vs []any) error {
 			return mo.sh.j.Combine(tc, key, vs)
 		})
 		putSpanBuf(spans)
@@ -155,8 +155,8 @@ func (mo *mapOut) seal(tc *TaskContext) error {
 			return err
 		}
 		// The combiner consumes groups in key order, so its output is
-		// normally sorted already: a linear scan, not a re-sort.
-		ensureSortedRun(combined)
+		// normally sorted already: sortRun's scan, not a re-sort.
+		sortRun(combined)
 		mo.buckets[b] = combined
 		mo.bytes[b] = combinedBytes
 		putKVBuf(pairs)
@@ -207,7 +207,7 @@ func (sh *shuffle) reduceTask(tc *TaskContext, r int) (func(), error) {
 	// Per-run prefetch: index each run's group boundaries on the data
 	// plane while the shuffle's flows drain, joining after the transfer
 	// completes.
-	spans := make([][]kvSpan, len(runs))
+	spans := make([][]uint32, len(runs))
 	futs := make([]*sim.Future, len(runs))
 	for i := range runs {
 		futs[i] = tc.proc.Compute(func() { spans[i] = runSpans(runs[i]) })

@@ -299,7 +299,7 @@ func RunTestDFSIOWrite(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniCon
 	}
 	payload := bytes.Repeat([]byte{0xA5}, int(cfg.FileBytes))
 	job := &mapreduce.Job{
-		Name: "dfsio-write-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup,
+		Name: "dfsio-write-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs(),
 		Input: staticSplits(splits),
 		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
 			i := value.(int)
@@ -327,7 +327,7 @@ func RunTestDFSIORead(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConf
 	}
 	var total int64
 	job := &mapreduce.Job{
-		Name: "dfsio-read-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup,
+		Name: "dfsio-read-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs(),
 		Input: staticSplits(splits),
 		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
 			i := value.(int)
@@ -352,7 +352,7 @@ func RunTestDFSIORead(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConf
 func RunGrep(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, inputs []string, marker string) (MiniResult, error) {
 	var total int64
 	job := &mapreduce.Job{
-		Name: "grep-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup,
+		Name: "grep-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs(),
 		Input: be.Input(inputs, cfg.SplitSize),
 		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
 			data := value.([]byte)
@@ -432,7 +432,7 @@ func Zeros(n int64) []byte {
 func RunTeraSort(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, inputs []string, reducers int) (MiniResult, error) {
 	const rec = 100
 	job := &mapreduce.Job{
-		Name: "terasort-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup,
+		Name: "terasort-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs(),
 		Input:       be.Input(inputs, cfg.SplitSize),
 		NumReducers: reducers,
 		PairBytes:   func(kv mapreduce.KV) int64 { return rec },

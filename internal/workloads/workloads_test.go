@@ -6,6 +6,7 @@ import (
 	"scidp/internal/cluster"
 	"scidp/internal/hdfs"
 	"scidp/internal/netcdf"
+	"scidp/internal/obs"
 	"scidp/internal/pfs"
 	"scidp/internal/sim"
 )
@@ -223,6 +224,37 @@ func TestTeraSortConservesRecords(t *testing.T) {
 		}
 	})
 	r.k.Run()
+}
+
+// TestTeraSortReportsToKernelRegistry: the minis hand their job the
+// kernel's registry, so an attached run is counted per layer — and is the
+// same run: observing moves neither the result nor the event count.
+func TestTeraSortReportsToKernelRegistry(t *testing.T) {
+	cfg := MiniConfig{Files: 2, FileBytes: 10000, SplitSize: 10000, TaskStartup: 0.1}
+	sorted := func(reg *obs.Registry) (MiniResult, uint64) {
+		r := newMiniRig(t)
+		if reg != nil {
+			r.k.SetObs(reg)
+		}
+		in := InstallTextInputs(r.h, cfg, "key")
+		var res MiniResult
+		r.k.Go("driver", func(p *sim.Proc) {
+			var err error
+			if res, err = RunTeraSort(p, r.cl, r.h, cfg, in, 2); err != nil {
+				t.Error(err)
+			}
+		})
+		r.k.Run()
+		return res, r.k.EventsProcessed()
+	}
+	reg := obs.New()
+	res, events := sorted(reg)
+	if jobs := reg.Counter("mr/jobs_total").Value(); jobs != 1 {
+		t.Errorf("mr/jobs_total = %v, want 1", jobs)
+	}
+	if bare, bareEvents := sorted(nil); res != bare || events != bareEvents {
+		t.Errorf("attached run = %+v in %d events, detached %+v in %d", res, events, bare, bareEvents)
+	}
 }
 
 func TestHDFSInputSplitsCarryLocality(t *testing.T) {
