@@ -52,8 +52,11 @@ func main() {
 
 // ncStats renders one chunk's zone map, or a marker for legacy files
 // written before stats existed.
-func ncStats(min, max float64, count, fill int64) string {
-	return fmt.Sprintf(" stats[min=%g max=%g count=%d fill=%d]", min, max, count, fill)
+func ncStats(st *netcdf.ChunkStats) string {
+	if st == nil {
+		return " stats[none]"
+	}
+	return fmt.Sprintf(" stats[min=%g max=%g count=%d fill=%d]", st.Min, st.Max, st.Count, st.Fill)
 }
 
 func dumpNetCDF(name string, r netcdf.ReaderAt, chunks, stats bool) {
@@ -90,11 +93,7 @@ func dumpNetCDF(name string, r netcdf.ReaderAt, chunks, stats bool) {
 				fmt.Printf("\t\t  chunk %d: index=%v offset=%d stored=%d raw=%d",
 					i, c.Index, c.Offset, c.StoredSize, c.RawSize)
 				if stats {
-					if c.Stats != nil {
-						fmt.Print(ncStats(c.Stats.Min, c.Stats.Max, c.Stats.Count, c.Stats.Fill))
-					} else {
-						fmt.Print(" stats[none]")
-					}
+					fmt.Print(ncStats(c.Stats))
 				}
 				fmt.Println()
 			}
@@ -139,11 +138,7 @@ func dumpHDF5(name string, r scifmt.ReaderAt, chunks, stats bool) {
 					fmt.Printf("%s  chunk %d: rows [%d,+%d) offset=%d stored=%d",
 						indent, i, c.RowStart, c.Rows, c.Offset, c.StoredSize)
 					if stats {
-						if c.Stats != nil {
-							fmt.Print(ncStats(c.Stats.Min, c.Stats.Max, c.Stats.Count, c.Stats.Fill))
-						} else {
-							fmt.Print(" stats[none]")
-						}
+						fmt.Print(ncStats(c.Stats))
 					}
 					fmt.Println()
 				}

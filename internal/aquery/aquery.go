@@ -42,20 +42,12 @@ func WithConst(name string, v float64) Option {
 }
 
 // array is what the formats differ in: how a chunked array names its
-// dimensions, where chunk i lies in them, what the header says of it, and
-// how its payload is announced and read.
+// dimensions and where chunk i lies in them. What the header says of a
+// chunk and how its payload is announced and read is the container's.
 type array struct {
-	src    ioengine.Source
-	dims   []string
-	chunks int
-	box    func(i int) (start, extent []int)
-	// info returns chunk i's decompressed and stored sizes and its zone
-	// map, nil if the file has none.
-	info     func(i int) (raw, stored int64, st *ioengine.ChunkStats)
-	announce func(chunks []int)
-	// scan reads chunk i's payload through the engine's single-pass path
-	// and returns its element accessor.
-	scan func(i int) (func(row int) float64, error)
+	ioengine.ChunkIndex
+	dims []string
+	box  func(i int) (start, extent []int)
 }
 
 // Table is an rsql.ArrayTable over one chunked array. It also implements
@@ -81,7 +73,7 @@ func newTable(a array, opts []Option) (*Table, error) {
 	if t.cols, err = schema(a.dims, &t.options); err != nil {
 		return nil, err
 	}
-	for i := 0; i < a.chunks; i++ {
+	for i := 0; i < a.Len; i++ {
 		start, extent := a.box(i)
 		bounds := map[string]rsql.Interval{}
 		for di, name := range a.dims {
@@ -90,11 +82,11 @@ func newTable(a array, opts []Option) (*Table, error) {
 		for _, cc := range t.consts {
 			bounds[cc.name] = rsql.Interval{Lo: cc.v, Hi: cc.v}
 		}
-		raw, stored, st := a.info(i)
-		if st != nil {
-			bounds[valueCol] = rsql.Interval{Lo: st.Min, Hi: st.Max}
+		c := a.At(i)
+		if c.Stats != nil {
+			bounds[valueCol] = rsql.Interval{Lo: c.Stats.Min, Hi: c.Stats.Max}
 		}
-		t.metas = append(t.metas, rsql.ChunkMeta{Rows: volume(extent), RawBytes: raw, StoredBytes: stored, Bounds: bounds})
+		t.metas = append(t.metas, rsql.ChunkMeta{Rows: ioengine.Volume(extent), RawBytes: c.RawSize, StoredBytes: c.StoredSize, Bounds: bounds})
 	}
 	return t, nil
 }
@@ -128,7 +120,7 @@ func (t *Table) Meta(i int) rsql.ChunkMeta { return t.metas[i] }
 // staging at all.
 func (t *Table) Announce(chunks []int) {
 	if t.needPayload {
-		t.announce(chunks)
+		t.ChunkIndex.Announce(chunks)
 	}
 }
 
@@ -138,21 +130,23 @@ func (t *Table) Read(i int) (rsql.Chunk, error) {
 	start, extent := t.box(i)
 	cols := geoCols(t.dims, start, extent, &t.options)
 	if t.needPayload {
-		at, err := t.scan(i)
+		// The engine's single-pass path: the cache may serve, never fills.
+		raw, err := t.Scan(i)
 		if err != nil {
 			return nil, err
 		}
-		cols[valueCol] = at
+		typ := t.Type
+		cols[valueCol] = func(row int) float64 { return typ.Float64At(raw, row) }
 	}
-	return &chunk{rows: volume(extent), cols: cols}, nil
+	return &chunk{rows: ioengine.Volume(extent), cols: cols}, nil
 }
 
 // Fork implements rsql.ArrayTable on the file's source (the bound
 // process's data plane when the file was opened over ioengine.Bind).
-func (t *Table) Fork(fn func()) *sim.Future { return ioengine.Fork(t.src, fn) }
+func (t *Table) Fork(fn func()) *sim.Future { return ioengine.Fork(t.Src, fn) }
 
 // Join implements rsql.ArrayTable.
-func (t *Table) Join(futs ...*sim.Future) { ioengine.Join(t.src, futs...) }
+func (t *Table) Join(futs ...*sim.Future) { ioengine.Join(t.Src, futs...) }
 
 // Project implements rsql.Projector: payload decoding is skipped when no
 // referenced column needs it.
@@ -202,14 +196,6 @@ func strides(extent []int) []int {
 	return out
 }
 
-func volume(extent []int) int {
-	n := 1
-	for _, e := range extent {
-		n *= e
-	}
-	return n
-}
-
 // geoCols builds the geometry-derived accessors of one chunk: coordinate
 // columns from the chunk box, constant columns from the options.
 func geoCols(dims []string, start, extent []int, o *options) map[string]func(int) float64 {
@@ -240,18 +226,7 @@ func NewNetCDF(f *netcdf.File, varName string, opts ...Option) (*Table, error) {
 	for i, d := range v.Dims {
 		dims[i] = d.Name
 	}
-	return newTable(array{
-		src: f.Source(), dims: dims, chunks: len(v.Chunks), box: v.ChunkBox,
-		info: func(i int) (int64, int64, *ioengine.ChunkStats) {
-			c := v.Chunks[i]
-			return c.RawSize, c.StoredSize, c.Stats
-		},
-		announce: func(chunks []int) { f.AnnounceChunks(v, chunks) },
-		scan: func(i int) (func(int) float64, error) {
-			raw, err := f.ScanChunk(v, i)
-			return (&netcdf.Array{Type: v.Type, Data: raw}).Float64At, err
-		},
-	}, opts)
+	return newTable(array{ChunkIndex: f.ChunkIndex(v), dims: dims, box: v.ChunkBox}, opts)
 }
 
 // NewHDF5 adapts one dataset of an opened hdf5lite file. dimNames names
@@ -265,22 +240,5 @@ func NewHDF5(f *hdf5lite.File, path string, dimNames []string, opts ...Option) (
 	if len(dimNames) != len(d.Shape) {
 		return nil, fmt.Errorf("aquery: %s: %d dim names for rank-%d dataset", path, len(dimNames), len(d.Shape))
 	}
-	return newTable(array{
-		src: f.Source(), dims: dimNames, chunks: len(d.Chunks),
-		box: func(i int) (start, extent []int) {
-			start = make([]int, len(d.Shape))
-			extent = slices.Clone(d.Shape)
-			start[0], extent[0] = d.Chunks[i].RowStart, d.Chunks[i].Rows
-			return start, extent
-		},
-		info: func(i int) (int64, int64, *ioengine.ChunkStats) {
-			c := d.Chunks[i]
-			return c.RawSize, c.StoredSize, c.Stats
-		},
-		announce: func(chunks []int) { f.AnnounceChunks(d, chunks) },
-		scan: func(i int) (func(int) float64, error) {
-			raw, err := f.ScanChunk(d, i)
-			return func(row int) float64 { return hdf5lite.Float64At(d.Type, raw, row) }, err
-		},
-	}, opts)
+	return newTable(array{ChunkIndex: f.ChunkIndex(d), dims: dimNames, box: d.ChunkBox}, opts)
 }

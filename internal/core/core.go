@@ -25,8 +25,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
+	"scidp/internal/ioengine"
 	"scidp/internal/rframe"
 )
 
@@ -52,13 +52,7 @@ type Slab struct {
 }
 
 // NumElems returns the slab's element count.
-func (s *Slab) NumElems() int {
-	n := 1
-	for _, c := range s.Count {
-		n *= c
-	}
-	return n
-}
+func (s *Slab) NumElems() int { return ioengine.Volume(s.Count) }
 
 // Float32s decodes the payload (valid for 4-byte float data).
 func (s *Slab) Float32s() ([]float32, error) {
@@ -68,11 +62,7 @@ func (s *Slab) Float32s() ([]float32, error) {
 	if len(s.Raw) != s.NumElems()*4 {
 		return nil, fmt.Errorf("core: slab %s/%s has %d bytes for %d float32s", s.PFSPath, s.VarPath, len(s.Raw), s.NumElems())
 	}
-	out := make([]float32, s.NumElems())
-	for i := range out {
-		out[i] = leF32(s.Raw[i*4:])
-	}
-	return out, nil
+	return ioengine.Float32s(s.Raw), nil
 }
 
 // Frame converts a rank-3 float slab into a tidy R data frame with global
@@ -96,9 +86,4 @@ func (s *Slab) Frame(valueName string) (*rframe.Frame, error) {
 		[3]int{s.Start[0], s.Start[1], s.Start[2]},
 		[3]int{s.Count[0], s.Count[1], s.Count[2]},
 		vals, valueName)
-}
-
-func leF32(b []byte) float32 {
-	u := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	return math.Float32frombits(u)
 }

@@ -18,9 +18,7 @@
 package grads
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"scidp/internal/ioengine"
 	"scidp/internal/scifmt"
@@ -28,6 +26,11 @@ import (
 
 // Magic is the 4-byte signature.
 const Magic = "GRD1"
+
+// dialect is this format's name and signature on the shared container,
+// which owns the preamble, the header codec and the bounds on what a
+// header may declare.
+var dialect = ioengine.Dialect{Name: "grads", Magic: Magic}
 
 // VarSpec declares one variable of a writer.
 type VarSpec struct {
@@ -44,11 +47,7 @@ func Encode(specs []VarSpec, payloads [][]float32) ([]byte, error) {
 	if len(specs) != len(payloads) {
 		return nil, fmt.Errorf("grads: %d specs, %d payloads", len(specs), len(payloads))
 	}
-	var hdr []byte
-	u32 := func(v uint32) { hdr = binary.LittleEndian.AppendUint32(hdr, v) }
-	str := func(s string) { u32(uint32(len(s))); hdr = append(hdr, s...) }
-	u32(uint32(len(specs)))
-	total := 0
+	e := &ioengine.Encoder{NoStats: true} // raw records, no chunk index, no zone maps
 	for i, sp := range specs {
 		if sp.Levels <= 0 || sp.Lat <= 0 || sp.Lon <= 0 {
 			return nil, fmt.Errorf("grads: var %s: bad dims %dx%dx%d", sp.Name, sp.Levels, sp.Lat, sp.Lon)
@@ -56,22 +55,20 @@ func Encode(specs []VarSpec, payloads [][]float32) ([]byte, error) {
 		if len(payloads[i]) != sp.Levels*sp.Lat*sp.Lon {
 			return nil, fmt.Errorf("grads: var %s: %d values for %dx%dx%d", sp.Name, len(payloads[i]), sp.Levels, sp.Lat, sp.Lon)
 		}
-		str(sp.Name)
-		u32(uint32(sp.Levels))
-		u32(uint32(sp.Lat))
-		u32(uint32(sp.Lon))
-		total += len(payloads[i])
-	}
-	out := make([]byte, 0, len(Magic)+8+len(hdr)+total*4)
-	out = append(out, Magic...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(hdr)))
-	out = append(out, hdr...)
-	for _, vals := range payloads {
-		for _, v := range vals {
-			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
+		if _, err := e.Pack(ioengine.Float32, 0, ioengine.PutFloat32s(payloads[i])); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return dialect.Encode(e, func() error {
+		e.U32(uint32(len(specs)))
+		for _, sp := range specs {
+			e.Str(sp.Name)
+			e.U32(uint32(sp.Levels))
+			e.U32(uint32(sp.Lat))
+			e.U32(uint32(sp.Lon))
+		}
+		return nil
+	})
 }
 
 // Format returns the scifmt plugin.
@@ -81,93 +78,33 @@ type gradsFormat struct{}
 
 func (gradsFormat) Name() string { return "grads" }
 
-func (gradsFormat) Detect(r scifmt.ReaderAt) bool {
-	b, err := r.ReadAt(0, int64(len(Magic)))
-	return err == nil && string(b) == Magic
-}
+func (gradsFormat) Detect(r scifmt.ReaderAt) bool { return dialect.Detect(r) }
 
-// header is the parsed metadata plus each variable's data offset.
-type header struct {
-	vars    []VarSpec
-	offsets []int64 // absolute offset of each variable's first record
-}
-
-func parseHeader(r scifmt.ReaderAt) (*header, error) {
-	prefix, err := r.ReadAt(0, int64(len(Magic))+8)
+// parseHeader reads the variable table and returns each variable with the
+// absolute offset of its first record. Offsets are implicit — a variable's
+// records follow the previous one's — so the container checks every grid as
+// it is declared: dims above zero, a size that does not overflow, and
+// records that lie inside the file.
+func parseHeader(r scifmt.ReaderAt) (vars []VarSpec, offsets []int64, err error) {
+	d, err := dialect.Open(r)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(prefix) < len(Magic)+8 || string(prefix[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("grads: not a %s file", Magic)
+	for i, nv := 0, d.Count(16); i < nv && d.Err() == nil; i++ {
+		sp := VarSpec{Name: d.Str(), Levels: int(d.U32()), Lat: int(d.U32()), Lon: int(d.U32())}
+		vars = append(vars, sp)
+		offsets = append(offsets, d.Payload(sp.Name, ioengine.Float32, []int{sp.Levels, sp.Lat, sp.Lon}))
 	}
-	hlen := int64(binary.LittleEndian.Uint64(prefix[len(Magic):]))
-	if hlen <= 0 || hlen > r.Size() {
-		return nil, fmt.Errorf("grads: corrupt header length %d", hlen)
-	}
-	raw, err := r.ReadAt(int64(len(Magic))+8, hlen)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(raw)) < hlen {
-		return nil, fmt.Errorf("grads: truncated header")
-	}
-	off := 0
-	need := func(n int) ([]byte, error) {
-		if off+n > len(raw) {
-			return nil, fmt.Errorf("grads: truncated header at %d", off)
-		}
-		b := raw[off : off+n]
-		off += n
-		return b, nil
-	}
-	u32 := func() (uint32, error) {
-		b, err := need(4)
-		if err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(b), nil
-	}
-	nv, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	h := &header{}
-	cur := int64(len(Magic)) + 8 + hlen
-	for i := 0; i < int(nv); i++ {
-		nameLen, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		nameB, err := need(int(nameLen))
-		if err != nil {
-			return nil, err
-		}
-		var sp VarSpec
-		sp.Name = string(nameB)
-		for _, dst := range []*int{&sp.Levels, &sp.Lat, &sp.Lon} {
-			v, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			*dst = int(v)
-		}
-		h.vars = append(h.vars, sp)
-		h.offsets = append(h.offsets, cur)
-		cur += int64(sp.Levels*sp.Lat*sp.Lon) * 4
-	}
-	if cur > r.Size() {
-		return nil, fmt.Errorf("grads: declared data %d exceeds file size %d", cur, r.Size())
-	}
-	return h, nil
+	return vars, offsets, d.Err()
 }
 
 func (gradsFormat) Explore(r scifmt.ReaderAt) (*scifmt.Info, error) {
-	h, err := parseHeader(r)
+	vars, offsets, err := parseHeader(r)
 	if err != nil {
 		return nil, err
 	}
 	info := &scifmt.Info{Format: "grads", Attrs: map[string]string{}}
-	for i, sp := range h.vars {
+	for i, sp := range vars {
 		recBytes := int64(sp.Lat*sp.Lon) * 4
 		entry := scifmt.VarEntry{
 			Path:        sp.Name,
@@ -180,7 +117,7 @@ func (gradsFormat) Explore(r scifmt.ReaderAt) (*scifmt.Info, error) {
 		}
 		for l := 0; l < sp.Levels; l++ {
 			entry.Segments = append(entry.Segments, scifmt.Segment{
-				Offset:     h.offsets[i] + int64(l)*recBytes,
+				Offset:     offsets[i] + int64(l)*recBytes,
 				StoredSize: recBytes,
 				RawSize:    recBytes,
 				Start:      []int{l, 0, 0},
@@ -193,11 +130,11 @@ func (gradsFormat) Explore(r scifmt.ReaderAt) (*scifmt.Info, error) {
 }
 
 func (gradsFormat) ReadSlab(r scifmt.ReaderAt, varPath string, start, count []int) ([]byte, error) {
-	h, err := parseHeader(r)
+	vars, offsets, err := parseHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	for i, sp := range h.vars {
+	for i, sp := range vars {
 		if sp.Name != varPath {
 			continue
 		}
@@ -211,18 +148,15 @@ func (gradsFormat) ReadSlab(r scifmt.ReaderAt, varPath string, start, count []in
 			return nil, fmt.Errorf("grads: levels [%d,+%d) outside [0,%d)", start[0], count[0], sp.Levels)
 		}
 		recBytes := int64(sp.Lat*sp.Lon) * 4
-		off := h.offsets[i] + int64(start[0])*recBytes
+		off := offsets[i] + int64(start[0])*recBytes
 		n := int64(count[0]) * recBytes
 		// One contiguous uncompressed slab, read through the engine's
 		// chunk path so a caching source serves repeats without the PFS
 		// transfer.
-		ioengine.Announce(r, []ioengine.Range{{Off: off, Len: n}})
-		return ioengine.ReadChunk(r, off, n, func(raw []byte) ([]byte, error) {
-			if int64(len(raw)) < n {
-				return nil, fmt.Errorf("grads: truncated data for %s", varPath)
-			}
-			return raw, nil
-		})
+		slab := ioengine.Chunk{Offset: off, StoredSize: n, RawSize: n}
+		chunks := ioengine.ChunkIndex{Src: r, Pkg: dialect.Name, Name: varPath, Len: 1, At: func(int) *ioengine.Chunk { return &slab }}
+		chunks.Announce([]int{0})
+		return chunks.Read(0)
 	}
 	return nil, fmt.Errorf("grads: no variable %q", varPath)
 }

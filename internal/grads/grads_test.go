@@ -12,7 +12,7 @@ import (
 	"scidp/internal/sim"
 )
 
-func sample(t *testing.T) []byte {
+func sample(t testing.TB) []byte {
 	t.Helper()
 	u := make([]float32, 2*3*4)
 	v := make([]float32, 1*3*4)

@@ -1,0 +1,298 @@
+package hdf5lite
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"scidp/internal/netcdf"
+)
+
+// A header is bytes from outside: whatever it says, Open fails with an
+// error or every dataset reads without a panic and within the allocation
+// bound. netcdf's corrupt_test.go is this file's twin over the other
+// dialect; the checks both exercise are the shared container's.
+
+// smallFile is the valid file the mutation tests start from: nested
+// groups with attributes, a deflated float dataset in three equal chunks,
+// a contiguous stored int dataset, zone maps on unless legacy.
+func smallFile(tb testing.TB, legacy bool) []byte {
+	tb.Helper()
+	w := NewWriter()
+	if legacy {
+		w.DisableChunkStats()
+	}
+	w.Root().Attrs["title"] = "nested"
+	phys := w.Root().EnsureGroup("model/physics")
+	phys.Attrs["scheme"] = "GCE"
+	vals := make([]float32, 6*4*4)
+	for i := range vals {
+		vals[i] = float32(i%11) * 0.5
+	}
+	if _, err := phys.AddFloat32("QR", []int{6, 4, 4}, 2, 3, vals); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := w.Root().EnsureGroup("model").AddInt32("steps", []int{3}, 0, 0, []int32{10, 20, 30}); err != nil {
+		tb.Fatal(err)
+	}
+	blob, err := w.Bytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// allocated returns how many bytes fn allocates in all, which bounds every
+// single allocation it makes.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// walk calls fn for every dataset under g, depth first.
+func walk(g *Group, fn func(g *Group, d *Dataset)) {
+	for _, d := range g.Datasets {
+		fn(g, d)
+	}
+	for _, c := range g.Children {
+		walk(c, fn)
+	}
+}
+
+// readEverything opens blob and reads every dataset, returning the file
+// and each dataset's bytes in depth-first order (nil where the read
+// failed), or an error when Open refuses the file. It reports to tb a
+// panic anywhere, an Open that allocates more than a small multiple of the
+// input, and a read that declares more than a file of this size can
+// inflate to or allocates more than twice that (output + inflate buffers).
+func readEverything(tb testing.TB, blob []byte) (f *File, data [][]byte, err error) {
+	tb.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			tb.Errorf("panic: %v", r)
+			f, err = nil, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	bound := uint64(1032*len(blob) + 64<<10)
+	if n := allocated(func() { f, err = Open(netcdf.BytesReader(blob)) }); n > uint64(64*len(blob)+64<<10) {
+		tb.Errorf("Open of %d bytes allocated %d", len(blob), n)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	walk(f.Root(), func(_ *Group, d *Dataset) {
+		var raw []byte
+		if uint64(d.RawBytes()) > bound {
+			tb.Errorf("%s declares %d raw bytes in a %d-byte file", d.Name, d.RawBytes(), len(blob))
+		} else if n := allocated(func() { raw, _ = f.ReadAll(d) }); n > 2*bound {
+			tb.Errorf("ReadAll(%s) allocated %d from a %d-byte file", d.Name, n, len(blob))
+		}
+		data = append(data, raw)
+	})
+	return f, data, nil
+}
+
+// TestHeaderMutationSweep sets every header byte of a small valid file to
+// each of five values: each mutant is refused or read in full and in
+// bounds. On the tree before the shared container about 70 mutants were
+// slice-bounds panics in ReadAll and 67 asked it for oversized buffers.
+func TestHeaderMutationSweep(t *testing.T) {
+	for _, legacy := range []bool{false, true} {
+		blob := smallFile(t, legacy)
+		f, err := Open(netcdf.BytesReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened := 0
+		for at := 0; at < int(f.HeaderBytes); at++ {
+			for _, b := range []byte{0, 1, 0x7f, 0x80, 0xff} {
+				if blob[at] == b {
+					continue
+				}
+				bad := bytes.Clone(blob)
+				bad[at] = b
+				if _, _, err := readEverything(t, bad); err == nil {
+					opened++
+				}
+				if t.Failed() {
+					t.Fatalf("header byte %d = %#x (legacy layout %v)", at, b, legacy)
+				}
+			}
+		}
+		t.Logf("legacy=%v: %d header bytes, %d mutants still open", legacy, f.HeaderBytes, opened)
+	}
+}
+
+// rankZeroFile spells out, byte by byte, a file whose one dataset has no
+// dimensions: ReadAll indexed d.Shape[0] of it.
+func rankZeroFile() []byte {
+	le := binary.LittleEndian
+	var h []byte
+	h = le.AppendUint32(h, 0) // root group: name "", no attributes, one dataset
+	h = le.AppendUint32(h, 0)
+	h = le.AppendUint32(h, 1)
+	h = append(le.AppendUint32(h, 1), 'd') // dataset "d"
+	h = append(h, byte(Float32))
+	h = le.AppendUint32(h, 0) // rank 0
+	h = le.AppendUint32(h, 0) // chunkRows
+	h = append(h, 0)          // deflate
+	h = le.AppendUint32(h, 1) // one chunk:
+	h = le.AppendUint64(h, 0) // offset, fixed below
+	h = le.AppendUint64(h, 4) // stored
+	h = le.AppendUint64(h, 4) // raw
+	h = le.AppendUint32(h, 0) // row start
+	h = le.AppendUint32(h, 1) // rows
+	h = le.AppendUint32(h, 0) // no child groups
+	le.PutUint64(h[len(h)-36:], uint64(len(Magic)+8+len(h)))
+	out := le.AppendUint64([]byte(Magic), uint64(len(h)))
+	return append(append(out, h...), 0, 0, 128, 63)
+}
+
+// TestOpenRefusesInconsistentHeaders names the defects the sweep found on
+// the parent, one header field each.
+func TestOpenRefusesInconsistentHeaders(t *testing.T) {
+	blob := smallFile(t, false)
+	f, err := Open(netcdf.BytesReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr, err := f.Find("model/physics/QR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// find locates the first little-endian old of the given width past QR's
+	// name and type; patchAt overwrites the field at pos with new.
+	find := func(old uint64, width int) int {
+		var o [8]byte
+		binary.LittleEndian.PutUint64(o[:], old)
+		from := strings.Index(string(blob), "\x02\x00\x00\x00QR") + 7
+		at := bytes.Index(blob[from:], o[:width])
+		if from < 7 || at < 0 {
+			t.Fatalf("no field holding %d", old)
+		}
+		return from + at
+	}
+	patchAt := func(pos int, new any) []byte {
+		out, _ := binary.Append(bytes.Clone(blob[:pos]), binary.LittleEndian, new)
+		return append(out, blob[len(out):]...)
+	}
+	patch := func(old uint64, new any) []byte { return patchAt(find(old, binary.Size(new)), new) }
+	c0, c1 := qr.Chunks[0], qr.Chunks[1]
+	for _, c := range []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"rank-0 dataset", rankZeroFile(), "array rank 0 outside [1,32]"},
+		// ReadRows sliced each chunk by its rows, whatever RawSize said.
+		{"raw size is not the box", patch(uint64(c1.RawSize), uint64(c1.RawSize+64)), "its box holds 128"},
+		// ReadAll sized its output by the shape.
+		{"dim longer than the index", patch(6, uint64(1<<40)), "dimension 0 has length 1099511627776"},
+		{"dim one chunk longer than the index", patch(6, uint64(8)), "3 chunks in the index, the chunk grid has 4"},
+		{"dim of zero", patch(6, uint64(0)), "dimension 0 has length 0"},
+		{"chunk rows past the dataset's", patch(2, uint32(9)), "chunk extent 9 outside [1,6]"},
+		{"rows that are not the chunk's place", patchAt(find(uint64(c1.Offset), 8)+24, uint32(3)), "covers rows [3,+2), its place in the index says [2,+2)"},
+		// Many index entries aimed at one stored range: each inflates again.
+		{"overlapping chunks", patch(uint64(c1.Offset), uint64(c0.Offset)), "outside the unclaimed file"},
+		{"chunk inside the header", patch(uint64(c0.Offset), uint64(16)), "outside the unclaimed file"},
+		{"chunk past the end", patch(uint64(c1.StoredSize), uint64(len(blob))), "outside the unclaimed file"},
+	} {
+		_, err := Open(netcdf.BytesReader(c.blob))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Open: %v; want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// rewrite rebuilds an opened file through the Writer from what was read of
+// it; ok is false when the Writer refuses (the file did not come from it).
+func rewrite(f *File, data [][]byte) (blob []byte, ok bool) {
+	w := NewWriter()
+	var copyGroup func(dst, src *Group) bool
+	copyGroup = func(dst, src *Group) bool {
+		for k, v := range src.Attrs {
+			dst.Attrs[k] = v
+		}
+		for _, d := range src.Datasets {
+			if d.Chunks[0].Stats == nil {
+				w.DisableChunkStats()
+			}
+			if _, err := dst.addRaw(d.Name, d.Type, d.Shape, d.ChunkRows, d.Deflate, data[0]); err != nil {
+				return false
+			}
+			data = data[1:]
+		}
+		for _, c := range src.Children {
+			if c.Name == "" || strings.Contains(c.Name, "/") || dst.Child(c.Name) != nil || !copyGroup(dst.EnsureGroup(c.Name), c) {
+				return false
+			}
+		}
+		return true
+	}
+	if f.Root().Name != "" || !copyGroup(w.Root(), f.Root()) {
+		return nil, false
+	}
+	blob, err := w.Bytes()
+	return blob, err == nil
+}
+
+// FuzzOpen: no input panics or allocates out of proportion, and whatever
+// opens and reads in full survives write → read bit for bit (and is
+// reproduced byte for byte when it is one of the writer's own files).
+func FuzzOpen(f *testing.F) {
+	for _, s := range [][]byte{smallFile(f, false), smallFile(f, true)} {
+		if file, data, err := readEverything(f, s); err != nil {
+			f.Fatal(err)
+		} else if again, ok := rewrite(file, data); !ok || !bytes.Equal(again, s) {
+			f.Fatalf("rewriting a file of the writer's own changed it (ok=%v)", ok)
+		}
+		f.Add(s)
+		f.Add(s[:len(s)/2])
+	}
+	f.Add(rankZeroFile())
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		file, data, err := readEverything(t, blob)
+		if err != nil {
+			return
+		}
+		for _, d := range data {
+			if d == nil {
+				return // a payload did not decode: nothing to round-trip
+			}
+		}
+		again, ok := rewrite(file, data)
+		if !ok {
+			return
+		}
+		_, back, err := readEverything(t, again)
+		if err != nil {
+			t.Fatalf("rewritten file does not open: %v", err)
+		}
+		for i := range data {
+			if !bytes.Equal(back[i], data[i]) {
+				t.Fatalf("dataset %d changed across write → read", i)
+			}
+		}
+	})
+}
+
+var openSink *File
+
+// BenchmarkOpen parses the group tree of the small nested file.
+func BenchmarkOpen(b *testing.B) {
+	blob := smallFile(b, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := Open(netcdf.BytesReader(blob))
+		if err != nil {
+			b.Fatal(err)
+		}
+		openSink = f
+	}
+}

@@ -16,9 +16,9 @@
 package hdf5lite
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"maps"
+	"slices"
 	"strings"
 
 	"scidp/internal/ioengine"
@@ -28,7 +28,11 @@ import (
 // Magic is the 4-byte file signature.
 const Magic = "HL5F"
 
-// Type enumerates dataset element types.
+// dialect is this format's name and signature on the shared container,
+// which owns the preamble, the header codec and the chunk index checks.
+var dialect = ioengine.Dialect{Name: "hdf5lite", Magic: Magic}
+
+// Type enumerates dataset element types by their on-disk code.
 type Type uint8
 
 // Element types.
@@ -38,28 +42,29 @@ const (
 	Int32
 )
 
-// Size returns the element width in bytes.
-func (t Type) Size() int {
-	switch t {
-	case Float32, Int32:
-		return 4
-	case Float64:
-		return 8
+var (
+	elems     = [...]ioengine.Type{Float32: ioengine.Float32, Float64: ioengine.Float64, Int32: ioengine.Int32}
+	typeNames = [...]string{Float32: "float32", Float64: "float64", Int32: "int32"}
+)
+
+// Elem returns the container's element type for t: what sizes and decodes
+// its payloads. It is not Valid for a code the format does not define.
+func (t Type) Elem() ioengine.Type {
+	if int(t) >= len(elems) {
+		return 0
 	}
-	panic(fmt.Sprintf("hdf5lite: unknown type %d", t))
+	return elems[t]
 }
+
+// Size returns the element width in bytes.
+func (t Type) Size() int { return t.Elem().Size() }
 
 // String names the type.
 func (t Type) String() string {
-	switch t {
-	case Float32:
-		return "float32"
-	case Float64:
-		return "float64"
-	case Int32:
-		return "int32"
+	if !t.Elem().Valid() {
+		return fmt.Sprintf("type(%d)", uint8(t))
 	}
-	return fmt.Sprintf("type(%d)", uint8(t))
+	return typeNames[t]
 }
 
 // Chunk locates one stored chunk of a dataset.
@@ -68,16 +73,12 @@ type Chunk struct {
 	RowStart int
 	// Rows is how many leading-dimension entries it covers.
 	Rows int
-	// Offset is the absolute file offset of the payload.
-	Offset int64
-	// StoredSize is the on-disk payload length.
-	StoredSize int64
-	// RawSize is the decompressed length.
-	RawSize int64
-	// Stats is the chunk's write-time zone map, or nil for files written
-	// before the statistics trailer existed (or with it disabled).
-	Stats *ChunkStats
+	// Chunk is the container's record: Offset, StoredSize, RawSize, Stats.
+	ioengine.Chunk
 }
+
+// ChunkStats is the write-time zone map of one stored chunk.
+type ChunkStats = ioengine.ChunkStats
 
 // Dataset is one array within a group.
 type Dataset struct {
@@ -98,14 +99,11 @@ type Dataset struct {
 	data []byte // writer-side payload
 }
 
+// chunk returns the container's record of the i-th chunk.
+func (d *Dataset) chunk(i int) *ioengine.Chunk { return &d.Chunks[i].Chunk }
+
 // NumElems returns the element count.
-func (d *Dataset) NumElems() int {
-	n := 1
-	for _, s := range d.Shape {
-		n *= s
-	}
-	return n
-}
+func (d *Dataset) NumElems() int { return ioengine.Volume(d.Shape) }
 
 // RawBytes returns the uncompressed payload size.
 func (d *Dataset) RawBytes() int64 { return int64(d.NumElems()) * int64(d.Type.Size()) }
@@ -121,11 +119,17 @@ func (d *Dataset) StoredBytes() int64 {
 
 // rowBytes returns the byte width of one leading-dimension entry.
 func (d *Dataset) rowBytes() int64 {
-	inner := 1
-	for _, s := range d.Shape[1:] {
-		inner *= s
-	}
-	return int64(inner) * int64(d.Type.Size())
+	return int64(ioengine.Volume(d.Shape[1:])) * int64(d.Type.Size())
+}
+
+// ChunkBox returns the start coordinate and extent of the i-th chunk in
+// d.Chunks: a run of leading-dimension entries, whole in every other
+// dimension.
+func (d *Dataset) ChunkBox(i int) (start, extent []int) {
+	start = make([]int, len(d.Shape))
+	extent = slices.Clone(d.Shape)
+	start[0], extent[0] = d.Chunks[i].RowStart, d.Chunks[i].Rows
+	return start, extent
 }
 
 // Group is a node of the hierarchy.
@@ -199,28 +203,20 @@ func (g *Group) EnsureGroup(path string) *Group {
 // AddFloat32 adds a float32 dataset to the group. chunkRows of 0 stores
 // the dataset contiguously.
 func (g *Group) AddFloat32(name string, shape []int, chunkRows, deflate int, vals []float32) (*Dataset, error) {
-	raw := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(v))
-	}
-	return g.addRaw(name, Float32, shape, chunkRows, deflate, raw)
+	return g.addRaw(name, Float32, shape, chunkRows, deflate, ioengine.PutFloat32s(vals))
 }
 
 // AddInt32 adds an int32 dataset to the group.
 func (g *Group) AddInt32(name string, shape []int, chunkRows, deflate int, vals []int32) (*Dataset, error) {
-	raw := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(raw[i*4:], uint32(v))
-	}
-	return g.addRaw(name, Int32, shape, chunkRows, deflate, raw)
+	return g.addRaw(name, Int32, shape, chunkRows, deflate, ioengine.PutInt32s(vals))
 }
 
 func (g *Group) addRaw(name string, t Type, shape []int, chunkRows, deflate int, raw []byte) (*Dataset, error) {
 	if g.Dataset(name) != nil {
 		return nil, fmt.Errorf("hdf5lite: dataset %s exists", name)
 	}
-	if len(shape) == 0 {
-		return nil, fmt.Errorf("hdf5lite: dataset %s: need a shape", name)
+	if len(shape) == 0 || len(shape) > ioengine.MaxRank {
+		return nil, fmt.Errorf("hdf5lite: dataset %s: need a shape of rank 1 to %d", name, ioengine.MaxRank)
 	}
 	n := 1
 	for _, s := range shape {
@@ -242,139 +238,71 @@ func (g *Group) addRaw(name string, t Type, shape []int, chunkRows, deflate int,
 
 // Bytes encodes the file.
 func (w *Writer) Bytes() ([]byte, error) {
-	// Chunk and compress all datasets first (depth-first order fixes the
-	// payload layout).
-	var payloads [][]byte
-	var deflater ioengine.Deflater // one compressor per level for the whole encode
-	var prep func(g *Group) error
-	prep = func(g *Group) error {
-		for _, d := range g.Datasets {
-			rows := d.Shape[0]
-			per := d.ChunkRows
-			if per == 0 {
-				per = rows
-			}
-			rb := d.rowBytes()
-			d.Chunks = d.Chunks[:0]
-			for r := 0; r < rows; r += per {
-				n := per
-				if r+n > rows {
-					n = rows - r
-				}
-				raw := d.data[int64(r)*rb : int64(r+n)*rb]
-				payload := raw
-				if d.Deflate > 0 {
-					var err error
-					if payload, err = deflater.Deflate(raw, d.Deflate); err != nil {
-						return fmt.Errorf("hdf5lite: dataset %s: %w", d.Name, err)
-					}
-				}
-				ck := Chunk{RowStart: r, Rows: n, StoredSize: int64(len(payload)), RawSize: int64(len(raw))}
-				if !w.noStats {
-					st := ioengine.SummarizeChunk(len(raw)/d.Type.Size(), func(i int) float64 { return Float64At(d.Type, raw, i) })
-					ck.Stats = &st
-				}
-				d.Chunks = append(d.Chunks, ck)
-				payloads = append(payloads, payload)
-			}
+	// Chunk and pack all datasets first (depth-first order fixes the
+	// payload layout), then write the tree around the index records.
+	e := &ioengine.Encoder{NoStats: w.noStats}
+	for _, d := range datasetsDF(w.root) {
+		rows, per := d.Shape[0], d.ChunkRows
+		if per == 0 {
+			per = rows
 		}
-		for _, c := range g.Children {
-			if err := prep(c); err != nil {
-				return err
+		rb := d.rowBytes()
+		e.Array()
+		d.Chunks = d.Chunks[:0]
+		for r := 0; r < rows; r += per {
+			n := min(per, rows-r)
+			c, err := e.Pack(d.Type.Elem(), d.Deflate, d.data[int64(r)*rb:int64(r+n)*rb])
+			if err != nil {
+				return nil, fmt.Errorf("hdf5lite: dataset %s: %w", d.Name, err)
 			}
+			d.Chunks = append(d.Chunks, Chunk{RowStart: r, Rows: n, Chunk: c})
 		}
+	}
+	return dialect.Encode(e, func() error {
+		encodeGroup(e, w.root)
 		return nil
-	}
-	if err := prep(w.root); err != nil {
-		return nil, err
-	}
-
-	encodeTree := func(withOffsets bool, base int64) []byte {
-		var buf []byte
-		u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-		u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-		str := func(s string) { u32(uint32(len(s))); buf = append(buf, s...) }
-		cur := base
-		var walk func(g *Group)
-		walk = func(g *Group) {
-			str(g.Name)
-			u32(uint32(len(g.Attrs)))
-			for _, k := range sortedKeys(g.Attrs) {
-				str(k)
-				str(g.Attrs[k])
-			}
-			u32(uint32(len(g.Datasets)))
-			for _, d := range g.Datasets {
-				str(d.Name)
-				buf = append(buf, byte(d.Type))
-				u32(uint32(len(d.Shape)))
-				for _, s := range d.Shape {
-					u64(uint64(s))
-				}
-				u32(uint32(d.ChunkRows))
-				buf = append(buf, byte(d.Deflate))
-				u32(uint32(len(d.Chunks)))
-				for i := range d.Chunks {
-					c := &d.Chunks[i]
-					off := int64(0)
-					if withOffsets {
-						off = cur
-						c.Offset = cur
-					}
-					u64(uint64(off))
-					u64(uint64(c.StoredSize))
-					u64(uint64(c.RawSize))
-					u32(uint32(c.RowStart))
-					u32(uint32(c.Rows))
-					cur += c.StoredSize
-				}
-			}
-			u32(uint32(len(g.Children)))
-			for _, c := range g.Children {
-				walk(c)
-			}
-		}
-		walk(w.root)
-		// Zone maps ride in a tagged trailer after the tree, one record per
-		// chunk in the same depth-first dataset order, each a fixed 32
-		// bytes so both encoding passes agree on the header size. Readers
-		// that stop at the root group skip it untouched.
-		if !w.noStats {
-			u32(ioengine.ZoneMapTag)
-			for _, d := range datasetsDF(w.root) {
-				u32(uint32(len(d.Chunks)))
-				for i := range d.Chunks {
-					buf = d.Chunks[i].Stats.Append(buf)
-				}
-			}
-		}
-		return buf
-	}
-	probe := encodeTree(false, 0)
-	base := int64(len(Magic)) + 8 + int64(len(probe))
-	header := encodeTree(true, base)
-
-	out := make([]byte, 0, base)
-	out = append(out, Magic...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(header)))
-	out = append(out, header...)
-	for _, p := range payloads {
-		out = append(out, p...)
-	}
-	return out, nil
+	})
 }
 
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func encodeGroup(e *ioengine.Encoder, g *Group) {
+	e.Str(g.Name)
+	e.U32(uint32(len(g.Attrs)))
+	for _, k := range slices.Sorted(maps.Keys(g.Attrs)) {
+		e.Str(k)
+		e.Str(g.Attrs[k])
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+	e.U32(uint32(len(g.Datasets)))
+	for _, d := range g.Datasets {
+		e.Str(d.Name)
+		e.U8(uint8(d.Type))
+		e.U32(uint32(len(d.Shape)))
+		for _, s := range d.Shape {
+			e.U64(uint64(s))
+		}
+		e.U32(uint32(d.ChunkRows))
+		e.U8(uint8(d.Deflate))
+		e.U32(uint32(len(d.Chunks)))
+		for i := range d.Chunks {
+			c := &d.Chunks[i]
+			e.Chunk(&c.Chunk)
+			e.U32(uint32(c.RowStart))
+			e.U32(uint32(c.Rows))
 		}
 	}
-	return keys
+	e.U32(uint32(len(g.Children)))
+	for _, c := range g.Children {
+		encodeGroup(e, c)
+	}
+}
+
+// datasetsDF lists every dataset under g in depth-first encoding order —
+// the order of the payloads and of the statistics trailer.
+func datasetsDF(g *Group) []*Dataset {
+	out := slices.Clone(g.Datasets)
+	for _, c := range g.Children {
+		out = append(out, datasetsDF(c)...)
+	}
+	return out
 }
 
 // ReaderAt is the shared ioengine random-access view (the same interface
@@ -383,10 +311,7 @@ type ReaderAt = ioengine.Source
 
 // IsHDF5 reports whether r starts with the format magic — the analogue of
 // H5Fis_hdf5.
-func IsHDF5(r ReaderAt) bool {
-	b, err := r.ReadAt(0, int64(len(Magic)))
-	return err == nil && string(b) == Magic
-}
+func IsHDF5(r ReaderAt) bool { return dialect.Detect(r) }
 
 // File is an opened file.
 type File struct {
@@ -396,138 +321,78 @@ type File struct {
 	HeaderBytes int64
 }
 
-// Open parses the group tree without touching dataset payloads.
+// Open parses the group tree without touching dataset payloads. Every
+// dataset's chunk index has passed the container's validation when Open
+// returns.
 func Open(r ReaderAt) (*File, error) {
-	prefix, err := r.ReadAt(0, int64(len(Magic))+8)
+	d, err := dialect.Open(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(prefix) < len(Magic)+8 || string(prefix[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("hdf5lite: not an %s file", Magic)
-	}
-	hlen := int64(binary.LittleEndian.Uint64(prefix[len(Magic):]))
-	if hlen <= 0 || hlen > r.Size() {
-		return nil, fmt.Errorf("hdf5lite: corrupt header length %d", hlen)
-	}
-	hdr, err := r.ReadAt(int64(len(Magic))+8, hlen)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(hdr)) < hlen {
-		return nil, fmt.Errorf("hdf5lite: truncated header")
-	}
-	d := &treeDec{buf: hdr}
-	root := d.group()
-	// Optional tagged trailer: per-chunk zone maps in depth-first dataset
-	// order. Legacy files end at the tree; unrecognized trailing bytes are
-	// ignored, mirroring what pre-zone-map readers do with the trailer.
-	if d.err == nil && d.off+4 <= len(d.buf) && binary.LittleEndian.Uint32(d.buf[d.off:]) == ioengine.ZoneMapTag {
-		d.off += 4
+	root := decodeGroup(d)
+	if d.ZoneMaps() {
 		for _, ds := range datasetsDF(root) {
-			n := int(d.u32())
-			if d.err != nil {
-				break
-			}
-			if n != len(ds.Chunks) {
-				d.err = fmt.Errorf("hdf5lite: %s: stats trailer has %d chunks, index has %d", ds.Name, n, len(ds.Chunks))
-				break
-			}
-			stats := make([]ChunkStats, n)
-			for j := 0; j < n; j++ {
-				rec := d.need(ioengine.ChunkStatsSize)
-				if rec == nil {
-					break
-				}
-				stats[j] = ioengine.DecodeChunkStats(rec)
-				ds.Chunks[j].Stats = &stats[j]
-			}
+			d.ChunkStats(ds.Name, len(ds.Chunks), ds.chunk)
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	return &File{r: r, root: root, HeaderBytes: int64(len(prefix)) + hlen}, nil
+	return &File{r: r, root: root, HeaderBytes: d.HeaderBytes}, nil
 }
 
-type treeDec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *treeDec) need(n int) []byte {
-	if d.err != nil {
-		return nil
+// decodeGroup reads one group and, recursively, its children. The counts
+// carry each element's smallest encoding: an attribute is two strings, a
+// dataset 18 bytes before its shape and index, a group four counts.
+func decodeGroup(d *ioengine.Decoder) *Group {
+	g := &Group{Name: d.Str(), Attrs: map[string]string{}}
+	for i, n := 0, d.Count(8); i < n; i++ {
+		k := d.Str()
+		g.Attrs[k] = d.Str()
 	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("hdf5lite: truncated header at %d", d.off)
-		return nil
+	for i, n := 0, d.Count(18); i < n && d.Err() == nil; i++ {
+		g.Datasets = append(g.Datasets, decodeDataset(d))
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *treeDec) u32() uint32 {
-	b := d.need(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *treeDec) u64() uint64 {
-	b := d.need(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *treeDec) u8() uint8 {
-	b := d.need(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *treeDec) str() string { return string(d.need(int(d.u32()))) }
-
-func (d *treeDec) group() *Group {
-	g := &Group{Name: d.str(), Attrs: map[string]string{}}
-	na := int(d.u32())
-	for i := 0; i < na && d.err == nil; i++ {
-		k := d.str()
-		g.Attrs[k] = d.str()
-	}
-	nd := int(d.u32())
-	for i := 0; i < nd && d.err == nil; i++ {
-		ds := &Dataset{Name: d.str(), Type: Type(d.u8())}
-		if d.err == nil && (ds.Type < Float32 || ds.Type > Int32) {
-			// Size panics on a type it does not know; a header must not get that far.
-			d.err = fmt.Errorf("hdf5lite: %s: unknown element type %d", ds.Name, uint8(ds.Type))
-		}
-		rank := int(d.u32())
-		for j := 0; j < rank && d.err == nil; j++ {
-			ds.Shape = append(ds.Shape, int(d.u64()))
-		}
-		ds.ChunkRows = int(d.u32())
-		ds.Deflate = int(d.u8())
-		nc := int(d.u32())
-		for j := 0; j < nc && d.err == nil; j++ {
-			c := Chunk{Offset: int64(d.u64()), StoredSize: int64(d.u64()), RawSize: int64(d.u64())}
-			c.RowStart = int(d.u32())
-			c.Rows = int(d.u32())
-			ds.Chunks = append(ds.Chunks, c)
-		}
-		g.Datasets = append(g.Datasets, ds)
-	}
-	ng := int(d.u32())
-	for i := 0; i < ng && d.err == nil; i++ {
-		g.Children = append(g.Children, d.group())
+	for i, n := 0, d.Count(16); i < n && d.Err() == nil; i++ {
+		g.Children = append(g.Children, decodeGroup(d))
 	}
 	return g
+}
+
+func decodeDataset(d *ioengine.Decoder) *Dataset {
+	ds := &Dataset{Name: d.Str(), Type: Type(d.U8())}
+	if d.Err() == nil && !ds.Type.Elem().Valid() {
+		d.Failf("%s: unknown element type %d", ds.Name, uint8(ds.Type))
+	}
+	ds.Shape = make([]int, d.Rank(8))
+	for j := range ds.Shape {
+		ds.Shape[j] = d.Int()
+	}
+	ds.ChunkRows = int(d.U32())
+	ds.Deflate = int(d.U8())
+	ds.Chunks = make([]Chunk, d.Count(32))
+	for j := range ds.Chunks {
+		ds.Chunks[j] = Chunk{Chunk: d.Chunk(), RowStart: int(d.U32()), Rows: int(d.U32())}
+	}
+	if d.Err() != nil {
+		return ds
+	}
+	// Chunking is along the leading dimension only: to the container a
+	// chunk shape of ChunkRows × the rest of the dataset.
+	layout := ioengine.Layout{Name: ds.Name, Type: ds.Type.Elem(), Shape: ds.Shape, Deflated: ds.Deflate > 0}
+	per := ds.Shape[0]
+	if ds.ChunkRows != 0 {
+		per = ds.ChunkRows
+		layout.ChunkShape = slices.Clone(ds.Shape)
+		layout.ChunkShape[0] = per
+	}
+	d.CheckArray(layout, len(ds.Chunks), ds.chunk)
+	for j, c := range ds.Chunks {
+		if r, n := j*per, min(per, ds.Shape[0]-j*per); d.Err() == nil && (c.RowStart != r || c.Rows != n) {
+			d.Failf("%s: chunk %d covers rows [%d,+%d), its place in the index says [%d,+%d)", ds.Name, j, c.RowStart, c.Rows, r, n)
+		}
+	}
+	return ds
 }
 
 // Root returns the root group.
@@ -562,30 +427,26 @@ func (f *File) ReadRows(d *Dataset, start, count int) ([]byte, error) {
 	out := make([]byte, int64(count)*rb)
 	// Announce the overlapping chunks so a prefetching source overlaps
 	// their transfers, then read them in plan order.
-	var touched []Chunk
-	for _, c := range d.Chunks {
-		if c.RowStart+c.Rows <= start || c.RowStart >= start+count {
-			continue
+	var touched []int
+	for i, c := range d.Chunks {
+		if c.RowStart+c.Rows > start && c.RowStart < start+count {
+			touched = append(touched, i)
 		}
-		touched = append(touched, c)
 	}
-	plan := make([]ioengine.Range, len(touched))
-	for i, c := range touched {
-		plan[i] = ioengine.Range{Off: c.Offset, Len: c.StoredSize}
-	}
-	ioengine.Announce(f.r, plan)
+	chunks := f.ChunkIndex(d)
+	chunks.Announce(touched)
 	// Row ranges of distinct chunks are disjoint, so each assembly copy
 	// forks onto the data plane and all join after the last fetch.
 	var futs []*sim.Future
-	for _, c := range touched {
-		raw, err := f.readChunk(d, c)
+	for _, i := range touched {
+		raw, err := chunks.Read(i)
 		if err != nil {
 			ioengine.Join(f.r, futs...)
 			return nil, err
 		}
+		c := d.Chunks[i]
 		lo := max(start, c.RowStart)
 		hi := min(start+count, c.RowStart+c.Rows)
-		c, raw := c, raw
 		if fut := ioengine.Fork(f.r, func() {
 			copy(out[int64(lo-start)*rb:int64(hi-start)*rb], raw[int64(lo-c.RowStart)*rb:int64(hi-c.RowStart)*rb])
 		}); fut != nil {
@@ -599,65 +460,12 @@ func (f *File) ReadRows(d *Dataset, start, count int) ([]byte, error) {
 // ReadAll reads the full dataset payload.
 func (f *File) ReadAll(d *Dataset) ([]byte, error) { return f.ReadRows(d, 0, d.Shape[0]) }
 
-// chunkDecoder builds the decompress-and-verify step for chunk c of d,
-// shared by the caching read path and the single-pass scan path.
-func chunkDecoder(d *Dataset, c Chunk) func(raw []byte) ([]byte, error) {
-	return func(raw []byte) ([]byte, error) {
-		if int64(len(raw)) < c.StoredSize {
-			return nil, fmt.Errorf("hdf5lite: truncated chunk at %d", c.Offset)
-		}
-		if d.Deflate > 0 {
-			out, err := ioengine.Inflate(raw, c.RawSize)
-			if err != nil {
-				return nil, fmt.Errorf("hdf5lite: %w", err)
-			}
-			return out, nil
-		}
-		if int64(len(raw)) != c.RawSize {
-			return nil, fmt.Errorf("hdf5lite: chunk raw size %d, want %d", len(raw), c.RawSize)
-		}
-		return raw, nil
-	}
-}
-
-// readChunk fetches and decompresses chunk c through the engine's chunk
-// path, so caching/prefetching sources can serve or stage it.
-func (f *File) readChunk(d *Dataset, c Chunk) ([]byte, error) {
-	return ioengine.ReadChunk(f.r, c.Offset, c.StoredSize, chunkDecoder(d, c))
-}
-
-// Source returns the random-access source the file was opened over — the
-// handle query adapters use to fork fused-scan work onto the data plane.
-func (f *File) Source() ReaderAt { return f.r }
-
-// ScanChunk reads and decompresses the i-th chunk of d through the
-// engine's single-pass scan path (cache may serve, never fills on miss).
-func (f *File) ScanChunk(d *Dataset, i int) ([]byte, error) {
-	if i < 0 || i >= len(d.Chunks) {
-		return nil, fmt.Errorf("hdf5lite: %s: chunk %d out of range [0,%d)", d.Name, i, len(d.Chunks))
-	}
-	c := d.Chunks[i]
-	return ioengine.ReadChunkOnce(f.r, c.Offset, c.StoredSize, chunkDecoder(d, c))
-}
-
-// AnnounceChunks declares the surviving chunks of a pruned scan so a
-// prefetching source stages exactly those.
-func (f *File) AnnounceChunks(d *Dataset, chunks []int) {
-	plan := make([]ioengine.Range, 0, len(chunks))
-	for _, i := range chunks {
-		if i < 0 || i >= len(d.Chunks) {
-			continue
-		}
-		plan = append(plan, ioengine.Range{Off: d.Chunks[i].Offset, Len: d.Chunks[i].StoredSize})
-	}
-	ioengine.Announce(f.r, plan)
+// ChunkIndex returns the read side of d's chunk index: cached reads,
+// single-pass scans and readahead announcements by chunk number.
+func (f *File) ChunkIndex(d *Dataset) ioengine.ChunkIndex {
+	return ioengine.ChunkIndex{Src: f.r, Pkg: dialect.Name, Type: d.Type.Elem(), Deflated: d.Deflate > 0,
+		Len: len(d.Chunks), At: d.chunk}
 }
 
 // Float32s decodes raw little-endian bytes as float32 values.
-func Float32s(raw []byte) []float32 {
-	out := make([]float32, len(raw)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-	return out
-}
+func Float32s(raw []byte) []float32 { return ioengine.Float32s(raw) }

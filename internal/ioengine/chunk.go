@@ -1,0 +1,232 @@
+package ioengine
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
+
+// Type is the element type of a stored array. The values are netcdf's
+// on-disk codes; hdf5lite maps its own codes onto them.
+type Type uint8
+
+// Element types.
+const (
+	Byte Type = iota + 1
+	Int32
+	Int64
+	Float32
+	Float64
+)
+
+var (
+	typeSizes = [...]int{Byte: 1, Int32: 4, Int64: 8, Float32: 4, Float64: 8}
+	typeNames = [...]string{Byte: "byte", Int32: "int", Int64: "int64", Float32: "float", Float64: "double"}
+)
+
+// Valid reports whether t is one of the element types. Open refuses a
+// header whose type is not, and the writers refuse to declare one.
+func (t Type) Valid() bool { return t >= Byte && t <= Float64 }
+
+// mustValid is the one invariant behind Size and Float64At: every Type of
+// an opened file or an accepted declaration is Valid, so only a Type a
+// caller made up gets here.
+func (t Type) mustValid() {
+	if !t.Valid() {
+		panic(fmt.Sprintf("ioengine: unknown element type %d", uint8(t)))
+	}
+}
+
+// Size returns the element width in bytes.
+func (t Type) Size() int {
+	t.mustValid()
+	return typeSizes[t]
+}
+
+// String returns the CDL-style name of the type.
+func (t Type) String() string {
+	if !t.Valid() {
+		return fmt.Sprintf("type(%d)", uint8(t))
+	}
+	return typeNames[t]
+}
+
+// Float64At returns element i of a raw little-endian payload as float64.
+func (t Type) Float64At(raw []byte, i int) float64 {
+	switch t {
+	case Byte:
+		return float64(raw[i])
+	case Int32:
+		return float64(int32(binary.LittleEndian.Uint32(raw[i*4:])))
+	case Int64:
+		return float64(int64(binary.LittleEndian.Uint64(raw[i*8:])))
+	case Float32:
+		return float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))
+	}
+	t.mustValid()
+	return math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+}
+
+// Float32s decodes a raw little-endian payload as float32 values.
+func Float32s(raw []byte) []float32 {
+	out := make([]float32, len(raw)/4)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+	}
+	return out
+}
+
+// PutFloat32s encodes vals as a fresh little-endian payload.
+func PutFloat32s(vals []float32) []byte {
+	out := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
+	}
+	return out
+}
+
+// PutFloat64s encodes vals as a fresh little-endian payload.
+func PutFloat64s(vals []float64) []byte {
+	out := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+	}
+	return out
+}
+
+// PutInt32s encodes vals as a fresh little-endian payload.
+func PutInt32s(vals []int32) []byte {
+	out := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(out[i*4:], uint32(v))
+	}
+	return out
+}
+
+// Volume returns the element count of a shape.
+func Volume(shape []int) int {
+	n := 1
+	for _, s := range shape {
+		n *= s
+	}
+	return n
+}
+
+// MaxRank bounds an array's dimensions (HDF5's H5S_MAX_RANK), so a
+// per-chunk coordinate costs a bounded multiple of the chunk's index entry.
+const MaxRank = 32
+
+// Chunk locates one stored chunk: the record every dialect's chunk index
+// embeds.
+type Chunk struct {
+	// Offset is the absolute file offset of the stored payload.
+	Offset int64
+	// StoredSize is the on-disk payload length (compressed).
+	StoredSize int64
+	// RawSize is the decompressed payload length.
+	RawSize int64
+	// Stats is the chunk's write-time zone map, or nil for files written
+	// before the statistics trailer existed (or with it disabled).
+	Stats *ChunkStats
+}
+
+// ChunkIndex is the read side of one array: the source its file was
+// opened over and its chunk index, however the dialect stores it.
+type ChunkIndex struct {
+	// Src is the source the chunks are read from.
+	Src Source
+	// Pkg and Name prefix decode errors ("netcdf: QR: ..."); Name may be
+	// empty.
+	Pkg, Name string
+	// Type is the element type of the decoded payloads.
+	Type Type
+	// Deflated says whether payloads are DEFLATE streams or stored raw.
+	Deflated bool
+	// Len is the number of chunks and At returns the i-th, 0 <= i < Len.
+	Len int
+	At  func(i int) *Chunk
+}
+
+func chunkErrorf(pkg, name, format string, args ...any) error {
+	if name != "" {
+		pkg += ": " + name
+	}
+	return fmt.Errorf("%s: %w", pkg, fmt.Errorf(format, args...))
+}
+
+// chunkDecoder builds the decompress-and-verify step for chunk c of x,
+// shared by the caching read path and the single-pass scan path. The index
+// was validated at Open, but the chunk is re-checked against the bytes in
+// hand: a source may return short, and RawSize sizes the inflate buffer.
+func chunkDecoder(x ChunkIndex, c *Chunk) func(raw []byte) ([]byte, error) {
+	// The closure is allocated per read: it holds these, not x and c.
+	pkg, name, deflated := x.Pkg, x.Name, x.Deflated
+	off, stored, rawSize := c.Offset, c.StoredSize, c.RawSize
+	return func(raw []byte) ([]byte, error) {
+		if int64(len(raw)) < stored {
+			return nil, chunkErrorf(pkg, name, "truncated chunk at %d", off)
+		}
+		if deflated {
+			out, err := Inflate(raw, rawSize)
+			if err != nil {
+				return nil, chunkErrorf(pkg, name, "%w", err)
+			}
+			return out, nil
+		}
+		if int64(len(raw)) != rawSize {
+			return nil, chunkErrorf(pkg, name, "chunk raw size %d, want %d", len(raw), rawSize)
+		}
+		return raw, nil
+	}
+}
+
+// read fetches and decodes chunk i: through one of a Bound source's two
+// chunk paths, where the cache and the prefetcher get a chance to serve or
+// stage it, and as a plain read-then-decode on any other source.
+func (x ChunkIndex) read(i int, once bool) ([]byte, error) {
+	if i < 0 || i >= x.Len {
+		return nil, chunkErrorf(x.Pkg, x.Name, "chunk %d out of range [0,%d)", i, x.Len)
+	}
+	c := x.At(i)
+	decode := chunkDecoder(x, c)
+	switch b, bound := x.Src.(*Bound); {
+	case bound && once:
+		return b.ReadChunkOnce(c.Offset, c.StoredSize, decode)
+	case bound:
+		return b.ReadChunk(c.Offset, c.StoredSize, decode)
+	}
+	raw, err := x.Src.ReadAt(c.Offset, c.StoredSize)
+	if err != nil {
+		return nil, err
+	}
+	return decode(raw)
+}
+
+// Read fetches and decompresses chunk i through the engine's chunk path,
+// so a caching source serves (and stores) the decompressed payload and a
+// prefetching source stages upcoming chunks.
+func (x ChunkIndex) Read(i int) ([]byte, error) { return x.read(i, false) }
+
+// Scan reads and decompresses chunk i through the engine's single-pass
+// scan path: a caching source serves it if resident but does not populate
+// the cache on a miss, so a one-shot query scan never evicts hot
+// working-set chunks.
+func (x ChunkIndex) Scan(i int) ([]byte, error) { return x.read(i, true) }
+
+// Announce declares the chunks an upcoming read or pruned scan will
+// touch, in read order, so a prefetching source stages exactly those —
+// skipped chunks are never fetched, never inflated, never cached.
+func (x ChunkIndex) Announce(chunks []int) {
+	b, ok := x.Src.(*Bound)
+	if !ok {
+		return // nothing to stage on a plain source
+	}
+	plan := make([]Range, 0, len(chunks))
+	for _, i := range chunks {
+		if i >= 0 && i < x.Len {
+			c := x.At(i)
+			plan = append(plan, Range{Off: c.Offset, Len: c.StoredSize})
+		}
+	}
+	b.Announce(plan)
+}

@@ -1,0 +1,217 @@
+package ioengine
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+var testDialect = Dialect{Name: "test", Magic: "TST1"}
+
+// encodeTest writes a one-array file through the container: a 5 × 4 int32
+// array in chunks of 2 × 4 (the last one partial), deflated at level.
+func encodeTest(tb testing.TB, level int, noStats bool) (blob []byte, chunks []Chunk, raws [][]byte) {
+	tb.Helper()
+	e := &Encoder{NoStats: noStats}
+	e.Array()
+	for r := 0; r < 5; r += 2 {
+		vals := make([]int32, min(2, 5-r)*4)
+		for i := range vals {
+			vals[i] = int32(100*r + i)
+		}
+		raw := PutInt32s(vals)
+		c, err := e.Pack(Int32, level, raw)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		chunks, raws = append(chunks, c), append(raws, raw)
+	}
+	blob, err := testDialect.Encode(e, func() error {
+		e.Str("A")
+		e.U8(uint8(level))
+		e.U32(uint32(len(chunks)))
+		for i := range chunks {
+			e.Chunk(&chunks[i])
+		}
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob, chunks, raws
+}
+
+// TestContainerRoundTrip drives every piece a dialect uses, once: Encode's
+// two passes place the payloads where the header says, the Decoder reads
+// the header back, CheckArray accepts it, the trailer attaches, and the
+// chunk index reads each payload through both paths.
+func TestContainerRoundTrip(t *testing.T) {
+	for _, level := range []int{0, 6} {
+		blob, want, raws := encodeTest(t, level, false)
+		src := Bytes(blob)
+		if !testDialect.Detect(src) || (Dialect{Name: "other", Magic: "OTHR"}).Detect(src) {
+			t.Fatal("Detect")
+		}
+		d, err := testDialect.Open(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name, deflate := d.Str(), d.U8()
+		got := make([]Chunk, d.Count(24))
+		for i := range got {
+			got[i] = d.Chunk()
+		}
+		at := func(i int) *Chunk { return &got[i] }
+		d.CheckArray(Layout{Name: name, Type: Int32, Shape: []int{5, 4}, ChunkShape: []int{2, 4}, Deflated: deflate > 0}, len(got), at)
+		if !d.ZoneMaps() {
+			t.Fatal("no trailer")
+		}
+		d.ChunkStats(name, len(got), at)
+		if d.Err() != nil {
+			t.Fatal(d.Err())
+		}
+		if name != "A" || int(deflate) != level || len(got) != 3 || d.HeaderBytes != want[0].Offset {
+			t.Fatalf("decoded %q level %d, %d chunks, header %d; first payload at %d", name, deflate, len(got), d.HeaderBytes, want[0].Offset)
+		}
+		x := ChunkIndex{Src: src, Pkg: "test", Name: name, Type: Int32, Deflated: level > 0, Len: len(got), At: at}
+		for i, c := range got {
+			if c.Stats == nil {
+				t.Fatalf("chunk %d has no stats", i)
+			}
+			if want[i].Stats = c.Stats; c != want[i] || c.Stats.Count != int64(len(raws[i])/4) || c.Stats.Min != float64(200*i) {
+				t.Fatalf("chunk %d: %+v stats %+v, want %+v", i, c, *c.Stats, want[i])
+			}
+			for _, read := range []func(int) ([]byte, error){x.Read, x.Scan} {
+				if raw, err := read(i); err != nil || !bytes.Equal(raw, raws[i]) {
+					t.Fatalf("chunk %d read %x, %v", i, raw, err)
+				}
+			}
+		}
+		if _, err := x.Read(3); err == nil || !strings.Contains(err.Error(), "test: A: chunk 3 out of range [0,3)") {
+			t.Fatalf("Read(3): %v", err)
+		}
+		// The legacy layout is the same file without the trailer.
+		legacy, _, _ := encodeTest(t, level, true)
+		if d, _ := testDialect.Open(Bytes(legacy)); d.ZoneMaps() || len(legacy) != len(blob)-4-4-3*ChunkStatsSize {
+			t.Fatalf("legacy layout: %d bytes beside %d", len(legacy), len(blob))
+		}
+	}
+}
+
+// TestDecoderBoundsCounts: a count is held to the bytes left at the
+// element's smallest encoding, a failure sticks, and every read after it
+// returns zero without moving.
+func TestDecoderBoundsCounts(t *testing.T) {
+	d := &Decoder{name: "test", buf: []byte{2, 0, 0, 0, 'a', 'b', 3, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0xff, 0xff, 0xff, 0xff}}
+	if s := d.Str(); s != "ab" {
+		t.Fatalf("Str = %q", s)
+	}
+	if n := d.Count(4); n != 3 || d.Err() != nil {
+		t.Fatalf("Count(4) = %d, %v: three 4-byte entries fit 16 bytes", n, d.Err())
+	}
+	d.off -= 4
+	if n := d.Count(6); n != 0 || d.Err() == nil || !strings.Contains(d.Err().Error(), "test: truncated header (3 entries of 6+ bytes declared at 10, room for 2)") {
+		t.Fatalf("Count(6) = %d, %v", n, d.Err())
+	}
+	first := d.Err()
+	if d.U8() != 0 || d.U32() != 0 || d.U64() != 0 || d.Int() != 0 || d.Str() != "" || d.Count(1) != 0 || d.Rank(1) != 0 || d.Chunk() != (Chunk{}) || d.ZoneMaps() {
+		t.Fatal("a failed decoder read something")
+	}
+	if d.Failf("later"); d.Err() != first || d.off != 10 {
+		t.Fatalf("failure did not stick: %v at %d", d.Err(), d.off)
+	}
+	// A length above MaxInt is no length; a rank is 1 to MaxRank.
+	d = &Decoder{name: "test", buf: bytes.Repeat([]byte{0xff}, 8)}
+	if d.Int() != 0 || d.Err() == nil {
+		t.Fatal("Int accepted 2⁶⁴-1")
+	}
+	for _, rank := range []byte{0, MaxRank + 1} {
+		d = &Decoder{name: "test", buf: append([]byte{rank, 0, 0, 0}, make([]byte, 40)...)}
+		if d.Rank(1) != 0 || d.Err() == nil {
+			t.Fatalf("Rank accepted %d", rank)
+		}
+	}
+}
+
+// TestCheckArray holds one array's chunk index to each rule in turn. The
+// file is 1 000 bytes, its header 100; the array is 5 × 4 int32 in chunks
+// of 2 × 4, so chunks 0 and 1 hold 32 bytes and chunk 2 holds 16.
+func TestCheckArray(t *testing.T) {
+	valid := func() (Layout, []Chunk) {
+		return Layout{Name: "A", Type: Int32, Shape: []int{5, 4}, ChunkShape: []int{2, 4}},
+			[]Chunk{{Offset: 100, StoredSize: 32, RawSize: 32}, {Offset: 132, StoredSize: 32, RawSize: 32}, {Offset: 200, StoredSize: 16, RawSize: 16}}
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(a *Layout, cs *[]Chunk)
+		want   string // "" = accepted
+	}{
+		{"as written", func(*Layout, *[]Chunk) {}, ""},
+		{"contiguous", func(a *Layout, cs *[]Chunk) {
+			a.ChunkShape, *cs = nil, []Chunk{{Offset: 900, StoredSize: 80, RawSize: 80}}
+		}, ""},
+		{"deflated to a few bytes", func(a *Layout, cs *[]Chunk) { a.Deflated, (*cs)[0].StoredSize = true, 1 }, ""},
+		{"zero dim", func(a *Layout, _ *[]Chunk) { a.Shape[1] = 0 }, "dimension 1 has length 0"},
+		{"volume beyond the file", func(a *Layout, _ *[]Chunk) { a.Shape[0] = 1 << 40 }, "dimension 0 has length 1099511627776 in a 1000-byte file"},
+		{"volume that overflows", func(a *Layout, _ *[]Chunk) { a.Shape = []int{1 << 31, 1 << 31, 1 << 31} }, "dimension 0 has length"},
+		{"zero chunk extent", func(a *Layout, _ *[]Chunk) { a.ChunkShape[0] = 0 }, "chunk extent 0 outside [1,5]"},
+		{"chunk extent past the dim", func(a *Layout, _ *[]Chunk) { a.ChunkShape[1] = 5 }, "chunk extent 5 outside [1,4]"},
+		{"fewer chunks than cells", func(_ *Layout, cs *[]Chunk) { *cs = (*cs)[:2] }, "2 chunks in the index, the chunk grid has 3"},
+		{"more chunks than cells", func(a *Layout, _ *[]Chunk) { a.ChunkShape[0] = 3 }, "3 chunks in the index, the chunk grid has 2"},
+		{"no chunks", func(_ *Layout, cs *[]Chunk) { *cs = nil }, "0 chunks in the index"},
+		{"raw size of a full chunk on the edge", func(_ *Layout, cs *[]Chunk) { (*cs)[2].RawSize = 32 }, "chunk 2 raw size 32, its box holds 16"},
+		{"stored is not raw", func(_ *Layout, cs *[]Chunk) { (*cs)[1].StoredSize = 31 }, "chunk 1 stores 31 bytes for 32 uncompressed"},
+		{"raw beyond DEFLATE's reach", func(a *Layout, cs *[]Chunk) {
+			a.Deflated, a.Shape[1], a.ChunkShape[1] = true, 4000, 4000
+			*cs = []Chunk{{Offset: 100, StoredSize: 31, RawSize: 32000}, {Offset: 132, StoredSize: 32, RawSize: 32000}, {Offset: 200, StoredSize: 16, RawSize: 16000}}
+		}, "chunk 0 raw size 32000 impossible for 31 stored bytes"},
+		{"payload in the header", func(_ *Layout, cs *[]Chunk) { (*cs)[0].Offset = 99 }, "payload [99,+32) outside the unclaimed file [100,1000)"},
+		{"overlapping payloads", func(_ *Layout, cs *[]Chunk) { (*cs)[1].Offset = 131 }, "payload [131,+32) outside the unclaimed file [132,1000)"},
+		{"descending payloads", func(_ *Layout, cs *[]Chunk) { (*cs)[2].Offset = 100 }, "outside the unclaimed file [164,1000)"},
+		{"payload past the end", func(_ *Layout, cs *[]Chunk) { (*cs)[2].Offset = 990 }, "payload [990,+16) outside"},
+		{"negative stored size", func(a *Layout, cs *[]Chunk) { a.Deflated, (*cs)[0].StoredSize = true, -5 }, "payload [100,+-5) outside"},
+	} {
+		a, chunks := valid()
+		c.mutate(&a, &chunks)
+		d := &Decoder{name: "test", next: 100, size: 1000}
+		d.CheckArray(a, len(chunks), func(i int) *Chunk { return &chunks[i] })
+		switch {
+		case c.want == "" && d.Err() != nil:
+			t.Errorf("%s: refused: %v", c.name, d.Err())
+		case c.want != "" && (d.Err() == nil || !strings.Contains(d.Err().Error(), "test: A: ") || !strings.Contains(d.Err().Error(), c.want)):
+			t.Errorf("%s: %v; want an error containing %q", c.name, d.Err(), c.want)
+		}
+	}
+}
+
+var readSink []byte
+
+// BenchmarkReadChunk is the shared chunk path on a plain source — one
+// 40 × 40 float32 chunk located, fetched and decoded, deflated and stored —
+// whose allocs/op every GetVara and ReadRows pays per chunk.
+func BenchmarkReadChunk(b *testing.B) {
+	raw := chunkPayload(40*40*4, 1)
+	for _, level := range []int{1, 0} {
+		e := &Encoder{NoStats: true}
+		c, err := e.Pack(Float32, level, raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blob, err := testDialect.Encode(e, func() error { e.Chunk(&c); return nil })
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := ChunkIndex{Src: Bytes(blob), Pkg: "test", Type: Float32, Deflated: level > 0, Len: 1, At: func(int) *Chunk { return &c }}
+		b.Run(map[bool]string{true: "deflated", false: "stored"}[level > 0], func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(raw)))
+			for i := 0; i < b.N; i++ {
+				out, err := x.Read(0)
+				if err != nil || len(out) != len(raw) {
+					b.Fatal(len(out), err)
+				}
+				readSink = out
+			}
+		})
+	}
+}

@@ -111,94 +111,27 @@ func (t *Trace) ReadAt(p *sim.Proc, off, n int64) ([]byte, error) {
 // Size implements ReaderAt.
 func (t *Trace) Size() int64 { return t.R.Size() }
 
-// ChunkReader is the optional Source extension the format plugins probe
-// for: a source that can satisfy a (read stored bytes, decode) pair from
-// a decompressed-chunk cache, skipping both the transfer and the decode.
-type ChunkReader interface {
-	ReadChunk(off, stored int64, decode func(raw []byte) ([]byte, error)) ([]byte, error)
-}
+// A plain Source reads, decodes and copies inline. A *Bound adds the chunk
+// cache, the prefetcher and the data plane; ChunkIndex's read paths and
+// Fork/Join below reach them by asking whether the source is one.
 
-// ReadChunk reads the stored bytes [off, off+stored) of r and decodes
-// them (validation + decompression). When r is a ChunkReader the cache
-// and prefetcher get a chance to serve or stage the chunk; otherwise it
-// is a plain read-then-decode.
-func ReadChunk(r Source, off, stored int64, decode func(raw []byte) ([]byte, error)) ([]byte, error) {
-	if cr, ok := r.(ChunkReader); ok {
-		return cr.ReadChunk(off, stored, decode)
-	}
-	raw, err := r.ReadAt(off, stored)
-	if err != nil {
-		return nil, err
-	}
-	return decode(raw)
-}
-
-// ScanReader is the optional Source extension the query planner's fused
-// single-pass scans probe for: serve a chunk from the decompressed cache
-// when it is already resident, but do not populate the cache on a miss —
-// a one-shot scan over a pruned chunk list must not evict the hot
-// working set that iterative slab readers depend on.
-type ScanReader interface {
-	ReadChunkOnce(off, stored int64, decode func(raw []byte) ([]byte, error)) ([]byte, error)
-}
-
-// ReadChunkOnce reads and decodes the stored bytes [off, off+stored) of r
-// for a single-pass scan. When r is a ScanReader the cache may serve the
-// chunk but is never filled by it; otherwise it is a plain
-// read-then-decode.
-func ReadChunkOnce(r Source, off, stored int64, decode func(raw []byte) ([]byte, error)) ([]byte, error) {
-	if sr, ok := r.(ScanReader); ok {
-		return sr.ReadChunkOnce(off, stored, decode)
-	}
-	raw, err := r.ReadAt(off, stored)
-	if err != nil {
-		return nil, err
-	}
-	return decode(raw)
-}
-
-// Offloader is the optional Source extension a format plugin probes for
-// to fork pure assembly work (hyperslab scatter copies, row-chunk
-// assembly) onto the simulation's data plane. Bound implements it via
-// its process; plain sources run the work inline.
-type Offloader interface {
-	// Fork submits fn to the data plane and returns its join handle
-	// (nil when no pool is attached — fn already ran inline).
-	Fork(fn func()) *sim.Future
-	// Join blocks until every non-nil future has resolved.
-	Join(futs ...*sim.Future)
-}
-
-// Fork runs fn on r's data plane when r supports offloading; otherwise
-// inline, returning nil. Anything fn writes must not be read before the
-// matching Join.
+// Fork runs fn on r's data plane when r is bound to a process — pure
+// assembly work: hyperslab scatter copies, row-chunk assembly — and
+// otherwise inline, returning nil. Anything fn writes must not be read
+// before the matching Join.
 func Fork(r Source, fn func()) *sim.Future {
-	if o, ok := r.(Offloader); ok {
-		return o.Fork(fn)
+	if b, ok := r.(*Bound); ok {
+		return b.Fork(fn)
 	}
 	fn()
 	return nil
 }
 
 // Join waits for futures forked from r. Safe with nil entries and on
-// sources without offload support.
+// plain sources.
 func Join(r Source, futs ...*sim.Future) {
-	if o, ok := r.(Offloader); ok {
-		o.Join(futs...)
-	}
-}
-
-// Planner is the optional Source extension a format plugin uses to
-// announce the chunk ranges an upcoming slab read will touch, in read
-// order — the prefetcher's readahead plan.
-type Planner interface {
-	Announce(plan []Range)
-}
-
-// Announce passes the upcoming chunk-read plan to r if it accepts one.
-func Announce(r Source, plan []Range) {
-	if pl, ok := r.(Planner); ok {
-		pl.Announce(plan)
+	if b, ok := r.(*Bound); ok {
+		b.Join(futs...)
 	}
 }
 
@@ -226,8 +159,8 @@ type Options struct {
 	TierNode string
 }
 
-// Bound couples a process to an engine reader and implements Source (plus
-// ChunkReader and Planner), applying the configured cache and prefetcher.
+// Bound couples a process to an engine reader and implements Source,
+// applying the configured cache and prefetcher to chunk reads.
 type Bound struct {
 	p        *sim.Proc
 	r        ReaderAt
@@ -285,20 +218,22 @@ func (b *Bound) ReadAt(off, n int64) ([]byte, error) {
 	return b.r.ReadAt(b.p, off, n)
 }
 
-// Fork implements Offloader on the bound process.
+// Fork submits fn to the bound process's data plane and returns its join
+// handle (nil when no pool is attached — fn already ran inline).
 func (b *Bound) Fork(fn func()) *sim.Future { return b.p.Compute(fn) }
 
-// Join implements Offloader on the bound process.
+// Join blocks the bound process until every non-nil future has resolved.
 func (b *Bound) Join(futs ...*sim.Future) { b.p.Await(futs...) }
 
-// Announce implements Planner and kicks off the first readahead window.
+// Announce takes the chunk ranges an upcoming read will touch, in read
+// order, as the readahead plan and kicks off the first window.
 func (b *Bound) Announce(plan []Range) {
 	b.plan = plan
 	b.next = 0
 	b.startPrefetch()
 }
 
-// ReadChunk implements ChunkReader: decompressed-cache hit, else raw
+// ReadChunk is the caching chunk path: decompressed-cache hit, else raw
 // bytes (possibly staged by the prefetcher), decode, fill the cache, and
 // advance the readahead window.
 func (b *Bound) ReadChunk(off, stored int64, decode func(raw []byte) ([]byte, error)) ([]byte, error) {
@@ -348,7 +283,9 @@ func (b *Bound) ReadChunk(off, stored int64, decode func(raw []byte) ([]byte, er
 	return out, nil
 }
 
-// ReadChunkOnce implements ScanReader: a resident decompressed chunk is
+// ReadChunkOnce is the single-pass scan path, for fused query scans: a
+// one-shot scan over a pruned chunk list must not evict the hot working
+// set that iterative slab readers depend on. A resident decompressed chunk is
 // served (peek — no LRU promotion), a miss reads and decodes without
 // filling the cache, so a pruned one-shot scan leaves the cache's working
 // set untouched. Raw prefetch-staged bytes are still consumed, and the

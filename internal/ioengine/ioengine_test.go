@@ -295,11 +295,12 @@ func TestPrefetchOverlap(t *testing.T) {
 }
 
 func TestAnnounceOnPlainSourceIsNoOp(t *testing.T) {
-	Announce(Bytes([]byte("xy")), []Range{{Off: 0, Len: 2}}) // must not panic
-	got, err := ReadChunk(Bytes([]byte("xy")), 0, 2, func(raw []byte) ([]byte, error) {
-		return append([]byte("!"), raw...), nil
-	})
-	if err != nil || string(got) != "!xy" {
-		t.Fatalf("ReadChunk fallback = %q, %v", got, err)
+	c := Chunk{Offset: 1, StoredSize: 2, RawSize: 2}
+	x := ChunkIndex{Src: Bytes([]byte("!xy")), Pkg: "test", Len: 1, At: func(int) *Chunk { return &c }}
+	x.Announce([]int{0}) // must not panic
+	for _, read := range []func(int) ([]byte, error){x.Read, x.Scan} {
+		if got, err := read(0); err != nil || string(got) != "xy" {
+			t.Fatalf("read fallback = %q, %v", got, err)
+		}
 	}
 }

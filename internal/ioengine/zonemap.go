@@ -5,13 +5,11 @@ import (
 	"math"
 )
 
-// The zone map: the one per-chunk summary both format plugins (netcdf,
-// hdf5lite) record at write time and a query planner consults to prove a
-// chunk irrelevant without reading it. Each format appends a tagged
-// section to its header — ZoneMapTag, then per array a chunk count and
-// one fixed-size record per chunk — that decoders predating it never
-// reach, so tagged files open everywhere and untagged (legacy) files open
-// here with nil stats.
+// The zone map: the one per-chunk summary the chunk container records at
+// write time (Encoder.Pack) and a query planner consults to prove a chunk
+// irrelevant without reading it. It rides in a tagged trailer of the
+// header (Encoder.pass) that decoders predating it never reach, so tagged
+// files open everywhere and untagged (legacy) files open here with nil stats.
 
 // ZoneMapTag marks the optional statistics section of a header.
 const ZoneMapTag uint32 = 0x50414D5A // "ZMAP" little-endian

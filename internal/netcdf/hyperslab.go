@@ -3,15 +3,6 @@ package netcdf
 // n-dimensional index and box-copy helpers shared by the chunk writer and
 // the hyperslab reader.
 
-// volume returns the element count of a shape.
-func volume(shape []int) int {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	return n
-}
-
 // zeros returns an n-length zero index.
 func zeros(n int) []int { return make([]int, n) }
 
@@ -80,16 +71,8 @@ func boxIntersect(aStart, aExtent, bStart, bExtent []int) (start, extent []int, 
 	start = make([]int, rank)
 	extent = make([]int, rank)
 	for i := 0; i < rank; i++ {
-		lo := aStart[i]
-		if bStart[i] > lo {
-			lo = bStart[i]
-		}
-		hiA := aStart[i] + aExtent[i]
-		hiB := bStart[i] + bExtent[i]
-		hi := hiA
-		if hiB < hi {
-			hi = hiB
-		}
+		lo := max(aStart[i], bStart[i])
+		hi := min(aStart[i]+aExtent[i], bStart[i]+bExtent[i])
 		if hi <= lo {
 			return nil, nil, false
 		}

@@ -18,7 +18,7 @@
 package netcdf
 
 import (
-	"fmt"
+	"slices"
 
 	"scidp/internal/ioengine"
 )
@@ -26,47 +26,22 @@ import (
 // Magic is the 4-byte file signature.
 const Magic = "NCL1"
 
-// Type enumerates element types.
-type Type uint8
+// dialect is this format's name and signature on the shared container,
+// which owns the preamble, the header codec and the chunk index checks.
+var dialect = ioengine.Dialect{Name: "netcdf", Magic: Magic}
+
+// Type enumerates element types: the container's, whose values are this
+// format's on-disk codes and whose names are CDL's.
+type Type = ioengine.Type
 
 // Element types supported by the format.
 const (
-	Byte Type = iota + 1
-	Int32
-	Int64
-	Float32
-	Float64
+	Byte    = ioengine.Byte
+	Int32   = ioengine.Int32
+	Int64   = ioengine.Int64
+	Float32 = ioengine.Float32
+	Float64 = ioengine.Float64
 )
-
-// Size returns the element width in bytes.
-func (t Type) Size() int {
-	switch t {
-	case Byte:
-		return 1
-	case Int32, Float32:
-		return 4
-	case Int64, Float64:
-		return 8
-	}
-	panic(fmt.Sprintf("netcdf: unknown type %d", t))
-}
-
-// String returns the CDL-style name of the type.
-func (t Type) String() string {
-	switch t {
-	case Byte:
-		return "byte"
-	case Int32:
-		return "int"
-	case Int64:
-		return "int64"
-	case Float32:
-		return "float"
-	case Float64:
-		return "double"
-	}
-	return fmt.Sprintf("type(%d)", uint8(t))
-}
 
 // Dim is a named dimension.
 type Dim struct {
@@ -115,19 +90,11 @@ type ChunkInfo struct {
 	// Index is the chunk's coordinate in the chunk grid (row-major order
 	// matches the position in the variable's chunk list).
 	Index []int
-	// Offset is the absolute file offset of the stored payload.
-	Offset int64
-	// StoredSize is the on-disk payload length (compressed).
-	StoredSize int64
-	// RawSize is the decompressed payload length.
-	RawSize int64
-	// Stats is the chunk's write-time zone map, or nil for files written
-	// before the statistics section existed (or with it disabled).
-	Stats *ChunkStats
+	// Chunk is the container's record: Offset, StoredSize, RawSize, Stats.
+	ioengine.Chunk
 }
 
-// ChunkStats is the write-time zone map of one stored chunk; the record,
-// its fold and its header section are ioengine's, shared with hdf5lite.
+// ChunkStats is the write-time zone map of one stored chunk.
 type ChunkStats = ioengine.ChunkStats
 
 // Var is one variable's metadata.
@@ -148,6 +115,9 @@ type Var struct {
 	// Chunks is the chunk index in row-major chunk-grid order.
 	Chunks []ChunkInfo
 }
+
+// chunk returns the container's record of the i-th chunk.
+func (v *Var) chunk(i int) *ioengine.Chunk { return &v.Chunks[i].Chunk }
 
 // Shape returns the dimension lengths.
 func (v *Var) Shape() []int {
@@ -189,41 +159,31 @@ func (v *Var) Attr(name string) (Attr, bool) {
 	return Attr{}, false
 }
 
+// chunkShape returns the chunk extent per dimension: contiguous storage
+// is one chunk the shape of the variable.
+func (v *Var) chunkShape() []int {
+	if v.ChunkShape == nil {
+		return v.Shape()
+	}
+	return v.ChunkShape
+}
+
 // chunkGrid returns chunks-per-dimension counts for a variable.
 func (v *Var) chunkGrid() []int {
-	shape := v.Shape()
-	cs := v.ChunkShape
-	if cs == nil {
-		g := make([]int, len(shape))
-		for i := range g {
-			g[i] = 1
-		}
-		return g
-	}
-	g := make([]int, len(shape))
-	for i := range shape {
-		g[i] = (shape[i] + cs[i] - 1) / cs[i]
+	g, cs := v.Shape(), v.chunkShape()
+	for i := range g {
+		g[i] = (g[i] + cs[i] - 1) / cs[i]
 	}
 	return g
 }
 
-// chunkExtent returns the clamped extent of the chunk at grid index idx
-// (edge chunks may be partial) and its start coordinate.
+// chunkExtent returns the start coordinate of the chunk at grid index idx
+// and its clamped extent (edge chunks may be partial).
 func (v *Var) chunkExtent(idx []int) (start, extent []int) {
-	shape := v.Shape()
-	cs := v.ChunkShape
-	if cs == nil {
-		return make([]int, len(shape)), shape
-	}
-	start = make([]int, len(shape))
-	extent = make([]int, len(shape))
-	for i := range shape {
-		start[i] = idx[i] * cs[i]
-		e := cs[i]
-		if start[i]+e > shape[i] {
-			e = shape[i] - start[i]
-		}
-		extent[i] = e
+	start, extent = v.Shape(), slices.Clone(v.chunkShape())
+	for i, dim := range start {
+		start[i] = idx[i] * extent[i]
+		extent[i] = min(extent[i], dim-start[i])
 	}
 	return start, extent
 }
@@ -248,53 +208,27 @@ type Array struct {
 }
 
 // NumElems returns the element count.
-func (a *Array) NumElems() int {
-	n := 1
-	for _, s := range a.Shape {
-		n *= s
-	}
-	return n
-}
+func (a *Array) NumElems() int { return ioengine.Volume(a.Shape) }
 
-// Float32s decodes the payload as []float32 (only valid for Float32).
+// Float32s decodes the payload as []float32. Asking it of an array of
+// another type is a programmer error, not something a file can cause.
 func (a *Array) Float32s() []float32 {
 	if a.Type != Float32 {
 		panic("netcdf: Float32s on " + a.Type.String() + " array")
 	}
-	out := make([]float32, a.NumElems())
-	for i := range out {
-		out[i] = leFloat32(a.Data[i*4:])
-	}
-	return out
+	return ioengine.Float32s(a.Data)
 }
 
 // Float64At returns element i as float64 regardless of numeric type.
-func (a *Array) Float64At(i int) float64 {
-	switch a.Type {
-	case Byte:
-		return float64(a.Data[i])
-	case Int32:
-		return float64(int32(leUint32(a.Data[i*4:])))
-	case Int64:
-		return float64(int64(leUint64(a.Data[i*8:])))
-	case Float32:
-		return float64(leFloat32(a.Data[i*4:]))
-	case Float64:
-		return leFloat64(a.Data[i*8:])
-	}
-	panic("netcdf: unknown array type")
-}
+func (a *Array) Float64At(i int) float64 { return a.Type.Float64At(a.Data, i) }
 
 // Sub returns the sub-array at the given leading index (e.g. one level of
-// a [level][lat][lon] array), sharing the underlying bytes.
+// a [level][lat][lon] array), sharing the underlying bytes. A rank below
+// two has no leading index to drop: a programmer error.
 func (a *Array) Sub(i int) *Array {
 	if len(a.Shape) < 2 {
 		panic("netcdf: Sub on rank<2 array")
 	}
-	inner := 1
-	for _, s := range a.Shape[1:] {
-		inner *= s
-	}
-	es := a.Type.Size()
-	return &Array{Type: a.Type, Shape: a.Shape[1:], Data: a.Data[i*inner*es : (i+1)*inner*es]}
+	n := ioengine.Volume(a.Shape[1:]) * a.Type.Size()
+	return &Array{Type: a.Type, Shape: a.Shape[1:], Data: a.Data[i*n : (i+1)*n]}
 }

@@ -132,3 +132,24 @@ func TestOpenUnknownElementType(t *testing.T) {
 		}
 	}
 }
+
+var getvaraSink *Array
+
+// BenchmarkGetVara reads one whole variable of the NU-WRF-shaped file —
+// ten deflated chunks inflated and scattered — what a map task pays per
+// dummy block after Open.
+func BenchmarkGetVara(b *testing.B) {
+	f, err := Open(BytesReader(nuwrfShaped(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(10 * 40 * 40 * 4)
+	for i := 0; i < b.N; i++ {
+		arr, err := f.GetVara("VAR07", []int{0, 0, 0}, []int{10, 40, 40})
+		if err != nil {
+			b.Fatal(err)
+		}
+		getvaraSink = arr
+	}
+}

@@ -2,6 +2,7 @@ package netcdf
 
 import (
 	"fmt"
+	"math"
 
 	"scidp/internal/ioengine"
 	"scidp/internal/sim"
@@ -23,10 +24,7 @@ type CountingReader = ioengine.Stats
 // Detect reports whether r starts with the format magic — the format-
 // checking probe the Sci-format Head Reader uses (the analogue of
 // nc_open succeeding / H5Fis_hdf5).
-func Detect(r ReaderAt) bool {
-	b, err := r.ReadAt(0, int64(len(Magic)))
-	return err == nil && string(b) == Magic
-}
+func Detect(r ReaderAt) bool { return dialect.Detect(r) }
 
 // File is an opened file: parsed metadata plus the data source for chunk
 // reads.
@@ -42,110 +40,101 @@ type File struct {
 }
 
 // Open parses the header (two range-reads: the fixed prefix, then the
-// header body) without touching any variable data.
+// header body) without touching any variable data. Every variable's chunk
+// index has passed the container's validation when Open returns, so the
+// readers below index and allocate by it as it stands.
 func Open(r ReaderAt) (*File, error) {
-	prefix, err := r.ReadAt(0, int64(len(Magic))+8)
+	d, err := dialect.Open(r)
 	if err != nil {
 		return nil, err
 	}
-	if len(prefix) < len(Magic)+8 || string(prefix[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("netcdf: not a %s file", Magic)
-	}
-	hlen := int64(leUint64(prefix[len(Magic):]))
-	if hlen <= 0 || hlen > r.Size() {
-		return nil, fmt.Errorf("netcdf: corrupt header length %d", hlen)
-	}
-	hdr, err := r.ReadAt(int64(len(Magic))+8, hlen)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(hdr)) < hlen {
-		return nil, fmt.Errorf("netcdf: truncated header: got %d of %d bytes", len(hdr), hlen)
-	}
-	f := &File{r: r, byName: map[string]*Var{}, HeaderBytes: int64(len(prefix)) + hlen}
-	if err := f.decodeHeader(hdr); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-func (f *File) decodeHeader(hdr []byte) error {
-	d := &dec{buf: hdr}
-	nd := int(d.u32())
-	for i := 0; i < nd && d.err == nil; i++ {
-		f.dims = append(f.dims, Dim{Name: d.str(), Len: int(d.u64())})
-	}
-	f.gattrs = d.attrs()
-	nv := int(d.u32())
-	for i := 0; i < nv && d.err == nil; i++ {
-		v := &Var{Name: d.str(), Type: Type(d.u8())}
-		if d.err == nil && (v.Type < Byte || v.Type > Float64) {
-			// Size panics on a type it does not know; a header must not get that far.
-			return fmt.Errorf("netcdf: %s: unknown element type %d", v.Name, uint8(v.Type))
-		}
-		ndv := int(d.u32())
-		for j := 0; j < ndv && d.err == nil; j++ {
-			v.Dims = append(v.Dims, Dim{Name: d.str(), Len: int(d.u64())})
-		}
-		v.Attrs = d.attrs()
-		if d.u8() == 1 {
-			v.ChunkShape = make([]int, len(v.Dims))
-			for j := range v.ChunkShape {
-				v.ChunkShape[j] = int(d.u64())
-			}
-		}
-		v.Deflate = int(d.u8())
-		nc := int(d.u32())
-		grid := v.chunkGrid()
-		rank := len(v.Dims)
-		idx := zeros(rank)
-		// One slab for every chunk's Index, sized by what the header has
-		// bytes for (24 an entry), not by the count a corrupt file declares.
-		room := min(nc, (len(d.buf)-d.off)/24)
-		v.Chunks = make([]ChunkInfo, 0, room)
-		indices := make([]int, 0, room*rank)
-		for j := 0; j < nc; j++ {
-			ci := ChunkInfo{Offset: int64(d.u64()), StoredSize: int64(d.u64()), RawSize: int64(d.u64())}
-			if d.err != nil {
-				break
-			}
-			indices = append(indices, idx...)
-			ci.Index = indices[len(indices)-rank : len(indices) : len(indices)]
-			v.Chunks = append(v.Chunks, ci)
-			incIndex(idx, grid)
+	f := &File{r: r, byName: map[string]*Var{}, HeaderBytes: d.HeaderBytes}
+	f.dims = decodeDims(d, d.Count(12))
+	f.gattrs = decodeAttrs(d)
+	for i, nv := 0, d.Count(19); i < nv && d.Err() == nil; i++ {
+		v := decodeVar(d)
+		if f.byName[v.Name] != nil {
+			d.Failf("variable %s declared twice", v.Name)
 		}
 		f.vars = append(f.vars, v)
 		f.byName[v.Name] = v
 	}
-	// Optional tagged trailer: per-chunk zone maps. Legacy files end at the
-	// variable table; anything after it that doesn't carry the tag is
-	// ignored, which is also what pre-zone-map readers do with the trailer.
-	if d.err == nil && d.off+4 <= len(d.buf) && leUint32(d.buf[d.off:]) == ioengine.ZoneMapTag {
-		d.off += 4
+	if d.ZoneMaps() {
 		for _, v := range f.vars {
-			n := int(d.u32())
-			if d.err != nil {
-				break
-			}
-			if n != len(v.Chunks) {
-				d.err = fmt.Errorf("netcdf: %s: stats section has %d chunks, index has %d", v.Name, n, len(v.Chunks))
-				break
-			}
-			stats := make([]ChunkStats, n)
-			for j := 0; j < n; j++ {
-				rec := d.need(ioengine.ChunkStatsSize)
-				if rec == nil {
-					break
-				}
-				stats[j] = ioengine.DecodeChunkStats(rec)
-				v.Chunks[j].Stats = &stats[j]
-			}
+			d.ChunkStats(v.Name, len(v.Chunks), v.chunk)
 		}
 	}
-	if d.err != nil {
-		return d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	return nil
+	return f, nil
+}
+
+// decodeDims reads n dimensions: a name and a length of at least one,
+// twelve header bytes or more each.
+func decodeDims(d *ioengine.Decoder, n int) []Dim {
+	dims := make([]Dim, n)
+	for i := range dims {
+		dims[i] = Dim{Name: d.Str(), Len: d.Int()}
+		if d.Err() == nil && dims[i].Len < 1 {
+			d.Failf("dimension %s has no length", dims[i].Name)
+		}
+	}
+	return dims
+}
+
+func decodeAttrs(d *ioengine.Decoder) []Attr {
+	out := make([]Attr, d.Count(9))
+	for i := range out {
+		a := Attr{Name: d.Str(), Kind: AttrKind(d.U8())}
+		switch a.Kind {
+		case AttrString:
+			a.Str = d.Str()
+		case AttrFloat64:
+			a.F64 = math.Float64frombits(d.U64())
+		case AttrInt64:
+			a.I64 = int64(d.U64())
+		default:
+			d.Failf("unknown attr kind %d", a.Kind)
+		}
+		out[i] = a
+	}
+	return out
+}
+
+func decodeVar(d *ioengine.Decoder) *Var {
+	v := &Var{Name: d.Str(), Type: Type(d.U8())}
+	if d.Err() == nil && !v.Type.Valid() {
+		d.Failf("%s: unknown element type %d", v.Name, uint8(v.Type))
+	}
+	v.Dims = decodeDims(d, d.Rank(12))
+	v.Attrs = decodeAttrs(d)
+	if d.U8() == 1 {
+		v.ChunkShape = make([]int, len(v.Dims))
+		for j := range v.ChunkShape {
+			v.ChunkShape[j] = d.Int()
+		}
+	}
+	v.Deflate = int(d.U8())
+	v.Chunks = make([]ChunkInfo, d.Count(24))
+	for j := range v.Chunks {
+		v.Chunks[j].Chunk = d.Chunk()
+	}
+	d.CheckArray(ioengine.Layout{Name: v.Name, Type: v.Type, Shape: v.Shape(), ChunkShape: v.ChunkShape, Deflated: v.Deflate > 0},
+		len(v.Chunks), v.chunk)
+	if d.Err() != nil {
+		return v // the grid below divides by extents only a checked header has
+	}
+	// One slab for every chunk's Index.
+	rank := len(v.Dims)
+	grid, idx := v.chunkGrid(), zeros(rank)
+	indices := make([]int, 0, len(v.Chunks)*rank)
+	for j := range v.Chunks {
+		indices = append(indices, idx...)
+		v.Chunks[j].Index = indices[len(indices)-rank : len(indices) : len(indices)]
+		incIndex(idx, grid)
+	}
+	return v
 }
 
 // Dims returns the file's dimensions.
@@ -166,63 +155,24 @@ func (f *File) Var(name string) (*Var, error) {
 	return v, nil
 }
 
-// chunkDecoder builds the decompress-and-verify step for chunk ci of v,
-// shared by the caching read path and the single-pass scan path.
-func chunkDecoder(v *Var, ci ChunkInfo) func(raw []byte) ([]byte, error) {
-	return func(raw []byte) ([]byte, error) {
-		if int64(len(raw)) < ci.StoredSize {
-			return nil, fmt.Errorf("netcdf: %s: truncated chunk at %d", v.Name, ci.Offset)
-		}
-		if v.Deflate > 0 {
-			out, err := ioengine.Inflate(raw, ci.RawSize)
-			if err != nil {
-				return nil, fmt.Errorf("netcdf: %s: %w", v.Name, err)
-			}
-			return out, nil
-		}
-		if int64(len(raw)) != ci.RawSize {
-			return nil, fmt.Errorf("netcdf: %s: chunk raw size %d, want %d", v.Name, len(raw), ci.RawSize)
-		}
-		return raw, nil
-	}
+// ChunkIndex returns the read side of v's chunk index: cached reads,
+// single-pass scans and readahead announcements by chunk number.
+func (f *File) ChunkIndex(v *Var) ioengine.ChunkIndex {
+	return ioengine.ChunkIndex{Src: f.r, Pkg: dialect.Name, Name: v.Name, Type: v.Type, Deflated: v.Deflate > 0,
+		Len: len(v.Chunks), At: v.chunk}
 }
 
-// readChunk fetches and decompresses chunk ci of v through the engine's
-// chunk path, so a caching source serves (and stores) the decompressed
-// payload and a prefetching source stages upcoming chunks.
-func (f *File) readChunk(v *Var, ci ChunkInfo) ([]byte, error) {
-	return ioengine.ReadChunk(f.r, ci.Offset, ci.StoredSize, chunkDecoder(v, ci))
-}
-
-// Source returns the random-access source the file was opened over — the
-// handle query adapters use to fork fused-scan work onto the data plane.
-func (f *File) Source() ReaderAt { return f.r }
-
-// ScanChunk reads and decompresses the i-th chunk of v through the
-// engine's single-pass scan path: a caching source serves it if resident
-// but does not populate the cache on a miss, so a one-shot query scan
-// never evicts hot working-set chunks.
-func (f *File) ScanChunk(v *Var, i int) ([]byte, error) {
-	if i < 0 || i >= len(v.Chunks) {
-		return nil, fmt.Errorf("netcdf: %s: chunk %d out of range [0,%d)", v.Name, i, len(v.Chunks))
+// checkSlab holds the hyperslab [start, start+count) to v's shape.
+func (v *Var) checkSlab(start, count []int) error {
+	if len(start) != len(v.Dims) || len(count) != len(v.Dims) {
+		return fmt.Errorf("netcdf: %s: slab rank %d/%d != var rank %d", v.Name, len(start), len(count), len(v.Dims))
 	}
-	ci := v.Chunks[i]
-	return ioengine.ReadChunkOnce(f.r, ci.Offset, ci.StoredSize, chunkDecoder(v, ci))
-}
-
-// AnnounceChunks declares the surviving chunks of a pruned scan to the
-// engine so a prefetching source stages exactly those — skipped chunks
-// are never fetched, never inflated, never cached.
-func (f *File) AnnounceChunks(v *Var, chunks []int) {
-	plan := make([]ioengine.Range, 0, len(chunks))
-	for _, i := range chunks {
-		if i < 0 || i >= len(v.Chunks) {
-			continue
+	for i, d := range v.Dims {
+		if start[i] < 0 || count[i] <= 0 || start[i]+count[i] > d.Len {
+			return fmt.Errorf("netcdf: %s: slab [%d,+%d) outside dim %s(%d)", v.Name, start[i], count[i], d.Name, d.Len)
 		}
-		ci := v.Chunks[i]
-		plan = append(plan, ioengine.Range{Off: ci.Offset, Len: ci.StoredSize})
 	}
-	ioengine.Announce(f.r, plan)
+	return nil
 }
 
 // GetVara reads the hyperslab [start, start+count) of the named variable —
@@ -234,84 +184,49 @@ func (f *File) GetVara(name string, start, count []int) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	shape := v.Shape()
-	if len(start) != len(shape) || len(count) != len(shape) {
-		return nil, fmt.Errorf("netcdf: %s: slab rank %d/%d != var rank %d", name, len(start), len(count), len(shape))
-	}
-	for i := range shape {
-		if start[i] < 0 || count[i] <= 0 || start[i]+count[i] > shape[i] {
-			return nil, fmt.Errorf("netcdf: %s: slab [%d,+%d) outside dim %s(%d)", name, start[i], count[i], v.Dims[i].Name, shape[i])
-		}
+	if err := v.checkSlab(start, count); err != nil {
+		return nil, err
 	}
 	es := v.Type.Size()
-	out := &Array{Type: v.Type, Shape: append([]int(nil), count...), Data: make([]byte, volume(count)*es)}
+	out := &Array{Type: v.Type, Shape: append([]int(nil), count...), Data: make([]byte, ioengine.Volume(count)*es)}
 
-	grid := v.chunkGrid()
-	gstr := strides(grid)
-	// Chunk-grid sub-range overlapping the slab.
-	lo := make([]int, len(shape))
-	hi := make([]int, len(shape)) // inclusive
-	cs := v.ChunkShape
-	for i := range shape {
-		if cs == nil {
-			lo[i], hi[i] = 0, 0
-			continue
-		}
+	// The chunk-grid sub-range [lo, lo+span) overlapping the slab. Its
+	// chunks are enumerated up front so the read plan can be announced to
+	// the engine (a prefetching source overlaps the chunk transfers), then
+	// read and scattered in plan order.
+	rank, gstr, cs := len(count), strides(v.chunkGrid()), v.chunkShape()
+	lo, span := zeros(rank), zeros(rank)
+	for i := range lo {
 		lo[i] = start[i] / cs[i]
-		hi[i] = (start[i] + count[i] - 1) / cs[i]
+		span[i] = (start[i]+count[i]-1)/cs[i] - lo[i] + 1
 	}
-	// Enumerate the overlapping chunks up front so the read plan can be
-	// announced to the engine (a prefetching source overlaps the chunk
-	// transfers), then read and scatter them in plan order.
-	var touched [][]int
-	idx := append([]int(nil), lo...)
-	for {
-		touched = append(touched, append([]int(nil), idx...))
-		// Advance idx within [lo, hi].
-		d := len(idx) - 1
-		for d >= 0 {
-			idx[d]++
-			if idx[d] <= hi[d] {
-				break
-			}
-			idx[d] = lo[d]
-			d--
-		}
-		if d < 0 {
+	var touched []int
+	for idx := zeros(rank); ; {
+		touched = append(touched, dot(lo, gstr)+dot(idx, gstr))
+		if !incIndex(idx, span) {
 			break
 		}
 	}
-	plan := make([]ioengine.Range, 0, len(touched))
-	for _, ix := range touched {
-		linear := dot(ix, gstr)
-		if linear >= len(v.Chunks) {
-			return nil, fmt.Errorf("netcdf: %s: chunk index %v out of range", name, ix)
-		}
-		ci := v.Chunks[linear]
-		plan = append(plan, ioengine.Range{Off: ci.Offset, Len: ci.StoredSize})
-	}
-	ioengine.Announce(f.r, plan)
+	chunks := f.ChunkIndex(v)
+	chunks.Announce(touched)
 	// Chunks scatter into disjoint regions of out.Data (the chunk grid
 	// partitions index space), so each copyBox forks onto the data plane
 	// and all of them join once after the last chunk is fetched.
 	var futs []*sim.Future
-	for _, ix := range touched {
-		ci := v.Chunks[dot(ix, gstr)]
-		raw, err := f.readChunk(v, ci)
+	for _, ci := range touched {
+		raw, err := chunks.Read(ci)
 		if err != nil {
 			ioengine.Join(f.r, futs...)
 			return nil, err
 		}
-		cStart, cExtent := v.chunkExtent(ix)
+		cStart, cExtent := v.ChunkBox(ci)
 		iStart, iExtent, ok := boxIntersect(start, count, cStart, cExtent)
 		if ok {
-			srcStart := make([]int, len(shape))
-			dstStart := make([]int, len(shape))
-			for i := range shape {
+			srcStart, dstStart := zeros(rank), zeros(rank)
+			for i := range srcStart {
 				srcStart[i] = iStart[i] - cStart[i]
 				dstStart[i] = iStart[i] - start[i]
 			}
-			raw := raw
 			if fut := ioengine.Fork(f.r, func() {
 				copyBox(out.Data, count, dstStart, raw, cExtent, srcStart, iExtent, es)
 			}); fut != nil {

@@ -2,6 +2,7 @@ package netcdf
 
 import (
 	"fmt"
+	"math"
 
 	"scidp/internal/ioengine"
 )
@@ -66,8 +67,11 @@ func (w *Writer) AddVar(name string, t Type, dimNames []string, ck Chunking, att
 	if _, dup := w.varIdx[name]; dup {
 		return fmt.Errorf("netcdf: var %s already declared", name)
 	}
-	if len(dimNames) == 0 {
-		return fmt.Errorf("netcdf: var %s: need at least one dimension", name)
+	if len(dimNames) == 0 || len(dimNames) > ioengine.MaxRank {
+		return fmt.Errorf("netcdf: var %s: need between one and %d dimensions", name, ioengine.MaxRank)
+	}
+	if !t.Valid() {
+		return fmt.Errorf("netcdf: var %s: unknown element type %d", name, uint8(t))
 	}
 	v := Var{Name: name, Type: t, Attrs: attrs, Deflate: ck.Deflate}
 	for _, dn := range dimNames {
@@ -96,18 +100,40 @@ func (w *Writer) AddVar(name string, t Type, dimNames []string, ck Chunking, att
 	return nil
 }
 
-func (w *Writer) lookup(name string) (*writerVar, error) {
+// lookup returns the named variable, which must have been declared with
+// element type t unless t is zero (raw bytes fit any type).
+func (w *Writer) lookup(name string, t Type) (*writerVar, error) {
 	i, ok := w.varIdx[name]
 	if !ok {
 		return nil, fmt.Errorf("netcdf: unknown variable %q", name)
+	}
+	if wv := w.vars[i]; t != 0 && wv.v.Type != t {
+		return nil, fmt.Errorf("netcdf: var %s is %s, not %s", name, wv.v.Type, t)
 	}
 	return w.vars[i], nil
 }
 
 // PutVarBytes supplies a variable's full payload as raw little-endian
 // row-major bytes.
-func (w *Writer) PutVarBytes(name string, raw []byte) error {
-	wv, err := w.lookup(name)
+func (w *Writer) PutVarBytes(name string, raw []byte) error { return w.putVar(name, 0, raw) }
+
+// PutVarFloat32 supplies a Float32 variable's full payload.
+func (w *Writer) PutVarFloat32(name string, vals []float32) error {
+	return w.putVar(name, Float32, ioengine.PutFloat32s(vals))
+}
+
+// PutVarFloat64 supplies a Float64 variable's full payload.
+func (w *Writer) PutVarFloat64(name string, vals []float64) error {
+	return w.putVar(name, Float64, ioengine.PutFloat64s(vals))
+}
+
+// PutVarInt32 supplies an Int32 variable's full payload.
+func (w *Writer) PutVarInt32(name string, vals []int32) error {
+	return w.putVar(name, Int32, ioengine.PutInt32s(vals))
+}
+
+func (w *Writer) putVar(name string, t Type, raw []byte) error {
+	wv, err := w.lookup(name, t)
 	if err != nil {
 		return err
 	}
@@ -118,226 +144,139 @@ func (w *Writer) PutVarBytes(name string, raw []byte) error {
 	return nil
 }
 
-// PutVarFloat32 supplies a Float32 variable's full payload.
-func (w *Writer) PutVarFloat32(name string, vals []float32) error {
-	wv, err := w.lookup(name)
-	if err != nil {
-		return err
-	}
-	if wv.v.Type != Float32 {
-		return fmt.Errorf("netcdf: var %s is %s, not float", name, wv.v.Type)
-	}
-	return w.PutVarBytes(name, putFloat32s(vals))
-}
-
-// PutVarFloat64 supplies a Float64 variable's full payload.
-func (w *Writer) PutVarFloat64(name string, vals []float64) error {
-	wv, err := w.lookup(name)
-	if err != nil {
-		return err
-	}
-	if wv.v.Type != Float64 {
-		return fmt.Errorf("netcdf: var %s is %s, not double", name, wv.v.Type)
-	}
-	return w.PutVarBytes(name, putFloat64s(vals))
-}
-
-// PutVarInt32 supplies an Int32 variable's full payload.
-func (w *Writer) PutVarInt32(name string, vals []int32) error {
-	wv, err := w.lookup(name)
-	if err != nil {
-		return err
-	}
-	if wv.v.Type != Int32 {
-		return fmt.Errorf("netcdf: var %s is %s, not int", name, wv.v.Type)
-	}
-	return w.PutVarBytes(name, putInt32s(vals))
-}
-
 // PutVara writes the hyperslab [start, start+count) of a variable from
 // raw little-endian row-major bytes — nc_put_vara. Regions never written
 // stay zero. Mixing PutVara with a later full PutVarBytes overwrites
 // everything.
 func (w *Writer) PutVara(name string, start, count []int, raw []byte) error {
-	wv, err := w.lookup(name)
-	if err != nil {
-		return err
-	}
-	shape := wv.v.Shape()
-	if len(start) != len(shape) || len(count) != len(shape) {
-		return fmt.Errorf("netcdf: var %s: slab rank %d/%d != var rank %d", name, len(start), len(count), len(shape))
-	}
-	for i := range shape {
-		if start[i] < 0 || count[i] <= 0 || start[i]+count[i] > shape[i] {
-			return fmt.Errorf("netcdf: var %s: slab [%d,+%d) outside dim %s(%d)", name, start[i], count[i], wv.v.Dims[i].Name, shape[i])
-		}
-	}
-	es := wv.v.Type.Size()
-	if len(raw) != volume(count)*es {
-		return fmt.Errorf("netcdf: var %s: slab payload %d bytes, want %d", name, len(raw), volume(count)*es)
-	}
-	if wv.data == nil {
-		wv.data = make([]byte, wv.v.RawBytes())
-	}
-	copyBox(wv.data, shape, start, raw, count, zeros(len(count)), count, es)
-	return nil
+	return w.putVara(name, 0, start, count, raw)
 }
 
 // PutVaraFloat32 writes a float32 hyperslab — nc_put_vara_float.
 func (w *Writer) PutVaraFloat32(name string, start, count []int, vals []float32) error {
-	wv, err := w.lookup(name)
+	return w.putVara(name, Float32, start, count, ioengine.PutFloat32s(vals))
+}
+
+func (w *Writer) putVara(name string, t Type, start, count []int, raw []byte) error {
+	wv, err := w.lookup(name, t)
 	if err != nil {
 		return err
 	}
-	if wv.v.Type != Float32 {
-		return fmt.Errorf("netcdf: var %s is %s, not float", name, wv.v.Type)
+	if err := wv.v.checkSlab(start, count); err != nil {
+		return err
 	}
-	return w.PutVara(name, start, count, putFloat32s(vals))
+	es := wv.v.Type.Size()
+	if len(raw) != ioengine.Volume(count)*es {
+		return fmt.Errorf("netcdf: var %s: slab payload %d bytes, want %d", name, len(raw), ioengine.Volume(count)*es)
+	}
+	if wv.data == nil {
+		wv.data = make([]byte, wv.v.RawBytes())
+	}
+	copyBox(wv.data, wv.v.Shape(), start, raw, count, zeros(len(count)), count, es)
+	return nil
 }
 
 // Bytes encodes the file: header (with per-chunk index) followed by chunk
 // payloads. Every declared variable must have received data.
 func (w *Writer) Bytes() ([]byte, error) {
-	// First pass: chunk and compress every variable's payload, summarizing
-	// each raw chunk into its zone map while the bytes are in hand.
-	type stored struct {
-		payloads [][]byte
-		raws     []int64
-		stats    []ChunkStats
-	}
-	perVar := make([]stored, len(w.vars))
-	var deflater ioengine.Deflater // one compressor per level for the whole encode
-	for vi, wv := range w.vars {
+	// Chunk and pack every variable's payload, then write the header
+	// around the index records.
+	e := &ioengine.Encoder{NoStats: w.noStats}
+	for _, wv := range w.vars {
+		v := &wv.v
 		if wv.data == nil {
-			return nil, fmt.Errorf("netcdf: var %s has no data", wv.v.Name)
+			return nil, fmt.Errorf("netcdf: var %s has no data", v.Name)
 		}
-		chunks, err := splitChunks(&wv.v, wv.data)
-		if err != nil {
-			return nil, err
-		}
-		st := stored{}
-		for _, raw := range chunks {
-			st.raws = append(st.raws, int64(len(raw)))
-			if !w.noStats {
-				arr := &Array{Type: wv.v.Type, Data: raw}
-				st.stats = append(st.stats, ioengine.SummarizeChunk(len(raw)/wv.v.Type.Size(), arr.Float64At))
+		e.Array()
+		v.Chunks = v.Chunks[:0]
+		for _, raw := range splitChunks(v, wv.data) {
+			c, err := e.Pack(v.Type, v.Deflate, raw)
+			if err != nil {
+				return nil, fmt.Errorf("netcdf: var %s: %w", v.Name, err)
 			}
-			if wv.v.Deflate > 0 {
-				comp, err := deflater.Deflate(raw, wv.v.Deflate)
-				if err != nil {
-					return nil, fmt.Errorf("netcdf: var %s: %w", wv.v.Name, err)
-				}
-				st.payloads = append(st.payloads, comp)
-			} else {
-				st.payloads = append(st.payloads, raw)
-			}
+			v.Chunks = append(v.Chunks, ChunkInfo{Chunk: c})
 		}
-		perVar[vi] = st
 	}
-
-	// Second pass: fix the header size so chunk offsets are final. The
-	// header length depends only on metadata and chunk counts, both known.
-	assignAndEncode := func(offsets bool, base int64) []byte {
-		e := &enc{}
-		e.u32(uint32(len(w.dims)))
-		for _, d := range w.dims {
-			e.str(d.Name)
-			e.u64(uint64(d.Len))
+	return dialect.Encode(e, func() error {
+		encodeDims(e, w.dims)
+		if err := encodeAttrs(e, w.gattrs); err != nil {
+			return err
 		}
-		e.attrs(w.gattrs)
-		e.u32(uint32(len(w.vars)))
-		cur := base
-		for vi, wv := range w.vars {
+		e.U32(uint32(len(w.vars)))
+		for _, wv := range w.vars {
 			v := &wv.v
-			e.str(v.Name)
-			e.u8(uint8(v.Type))
-			e.u32(uint32(len(v.Dims)))
-			for _, d := range v.Dims {
-				e.str(d.Name)
-				e.u64(uint64(d.Len))
+			e.Str(v.Name)
+			e.U8(uint8(v.Type))
+			encodeDims(e, v.Dims)
+			if err := encodeAttrs(e, v.Attrs); err != nil {
+				return err
 			}
-			e.attrs(v.Attrs)
 			if v.ChunkShape != nil {
-				e.u8(1)
+				e.U8(1)
 				for _, c := range v.ChunkShape {
-					e.u64(uint64(c))
+					e.U64(uint64(c))
 				}
 			} else {
-				e.u8(0)
+				e.U8(0)
 			}
-			e.u8(uint8(v.Deflate))
-			st := perVar[vi]
-			e.u32(uint32(len(st.payloads)))
-			for ci, payload := range st.payloads {
-				off := int64(0)
-				if offsets {
-					off = cur
-				}
-				e.u64(uint64(off))
-				e.u64(uint64(len(payload)))
-				e.u64(uint64(st.raws[ci]))
-				cur += int64(len(payload))
+			e.U8(uint8(v.Deflate))
+			e.U32(uint32(len(v.Chunks)))
+			for i := range v.Chunks {
+				e.Chunk(&v.Chunks[i].Chunk)
 			}
 		}
-		// Zone maps ride in a tagged trailer after the variable table: a
-		// fixed 32 bytes per chunk, so the probe/offset passes agree on the
-		// header size, and old readers (which stop at the variable table)
-		// skip it untouched.
-		if !w.noStats {
-			e.u32(ioengine.ZoneMapTag)
-			for vi := range w.vars {
-				sts := perVar[vi].stats
-				e.u32(uint32(len(sts)))
-				for _, s := range sts {
-					e.buf = s.Append(e.buf)
-				}
-			}
-		}
-		return e.buf
-	}
-	probe := assignAndEncode(false, 0)
-	base := int64(len(Magic)) + 8 + int64(len(probe))
-	header := assignAndEncode(true, base)
-	if len(header) != len(probe) {
-		return nil, fmt.Errorf("netcdf: internal error: header size changed %d -> %d", len(probe), len(header))
-	}
+		return nil
+	})
+}
 
-	out := make([]byte, 0, base)
-	out = append(out, Magic...)
-	e := &enc{buf: out}
-	e.u64(uint64(len(header)))
-	e.buf = append(e.buf, header...)
-	for _, st := range perVar {
-		for _, payload := range st.payloads {
-			e.buf = append(e.buf, payload...)
+func encodeDims(e *ioengine.Encoder, dims []Dim) {
+	e.U32(uint32(len(dims)))
+	for _, d := range dims {
+		e.Str(d.Name)
+		e.U64(uint64(d.Len))
+	}
+}
+
+// encodeAttrs refuses an attribute whose Kind a caller left unset (or made
+// up): the reader would refuse the file.
+func encodeAttrs(e *ioengine.Encoder, as []Attr) error {
+	e.U32(uint32(len(as)))
+	for _, a := range as {
+		e.Str(a.Name)
+		e.U8(uint8(a.Kind))
+		switch a.Kind {
+		case AttrString:
+			e.Str(a.Str)
+		case AttrFloat64:
+			e.U64(math.Float64bits(a.F64))
+		case AttrInt64:
+			e.U64(uint64(a.I64))
+		default:
+			return fmt.Errorf("netcdf: attribute %s: unknown kind %d", a.Name, a.Kind)
 		}
 	}
-	return e.buf, nil
+	return nil
 }
 
 // splitChunks slices a variable's raw payload into row-major chunk
 // payloads, clamping edge chunks.
-func splitChunks(v *Var, raw []byte) ([][]byte, error) {
+func splitChunks(v *Var, raw []byte) [][]byte {
 	if v.ChunkShape == nil {
-		return [][]byte{raw}, nil
+		return [][]byte{raw} // no copy: the one chunk is the payload
 	}
 	grid := v.chunkGrid()
-	n := 1
-	for _, g := range grid {
-		n *= g
-	}
-	out := make([][]byte, 0, n)
+	out := make([][]byte, 0, ioengine.Volume(grid))
 	idx := make([]int, len(grid))
 	shape := v.Shape()
 	es := v.Type.Size()
 	for {
 		start, extent := v.chunkExtent(idx)
-		payload := make([]byte, volume(extent)*es)
+		payload := make([]byte, ioengine.Volume(extent)*es)
 		copyBox(payload, extent, zeros(len(extent)), raw, shape, start, extent, es)
 		out = append(out, payload)
 		if !incIndex(idx, grid) {
 			break
 		}
 	}
-	return out, nil
+	return out
 }

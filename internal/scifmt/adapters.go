@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scidp/internal/hdf5lite"
+	"scidp/internal/ioengine"
 	"scidp/internal/netcdf"
 )
 
@@ -51,16 +52,7 @@ func (netcdfFormat) Explore(r ReaderAt) (*Info, error) {
 		for _, d := range v.Dims {
 			entry.DimNames = append(entry.DimNames, d.Name)
 		}
-		for _, c := range v.Chunks {
-			start, extent := chunkBox(v.Shape(), v.ChunkShape, c.Index)
-			entry.Segments = append(entry.Segments, Segment{
-				Offset:     c.Offset,
-				StoredSize: c.StoredSize,
-				RawSize:    c.RawSize,
-				Start:      start,
-				Extent:     extent,
-			})
-		}
+		entry.Segments = segments(f.ChunkIndex(v), v.ChunkBox)
 		info.Vars = append(info.Vars, entry)
 	}
 	return info, nil
@@ -78,23 +70,17 @@ func (netcdfFormat) ReadSlab(r ReaderAt, varPath string, start, count []int) ([]
 	return arr.Data, nil
 }
 
-// chunkBox computes a chunk's global start and clamped extent.
-func chunkBox(shape, chunkShape, index []int) (start, extent []int) {
-	start = make([]int, len(shape))
-	extent = make([]int, len(shape))
-	if chunkShape == nil {
-		copy(extent, shape)
-		return start, extent
+// segments lists a chunk index as the mapper's segments: each chunk's
+// place in the file from the container's record, its place in the array
+// from the format's geometry.
+func segments(x ioengine.ChunkIndex, box func(i int) (start, extent []int)) []Segment {
+	segs := make([]Segment, x.Len)
+	for i := range segs {
+		c := x.At(i)
+		start, extent := box(i)
+		segs[i] = Segment{Offset: c.Offset, StoredSize: c.StoredSize, RawSize: c.RawSize, Start: start, Extent: extent}
 	}
-	for i := range shape {
-		start[i] = index[i] * chunkShape[i]
-		e := chunkShape[i]
-		if start[i]+e > shape[i] {
-			e = shape[i] - start[i]
-		}
-		extent[i] = e
-	}
-	return start, extent
+	return segs
 }
 
 func attrString(a netcdf.Attr) string {
@@ -137,19 +123,7 @@ func (hdf5Format) Explore(r ReaderAt) (*Info, error) {
 				RawBytes:    d.RawBytes(),
 				StoredBytes: d.StoredBytes(),
 			}
-			for _, c := range d.Chunks {
-				start := make([]int, len(d.Shape))
-				extent := append([]int(nil), d.Shape...)
-				start[0] = c.RowStart
-				extent[0] = c.Rows
-				entry.Segments = append(entry.Segments, Segment{
-					Offset:     c.Offset,
-					StoredSize: c.StoredSize,
-					RawSize:    c.RawSize,
-					Start:      start,
-					Extent:     extent,
-				})
-			}
+			entry.Segments = segments(f.ChunkIndex(d), d.ChunkBox)
 			info.Vars = append(info.Vars, entry)
 		}
 		for _, c := range g.Children {

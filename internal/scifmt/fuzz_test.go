@@ -1,0 +1,67 @@
+package scifmt_test
+
+import (
+	"runtime"
+	"testing"
+
+	"scidp/internal/grads"
+	"scidp/internal/ioengine"
+	"scidp/internal/scifmt"
+)
+
+// FuzzDetect drives the Sci-format Head Reader's whole front door over
+// arbitrary bytes, the way the File Explorer and the PFS Reader do: the
+// registry picks a format by magic, the format explores the header, and
+// the first variable's first segment is read back as a slab. Nothing
+// panics, nothing allocates out of proportion to the input, and a slab
+// that reads is exactly as long as the explorer said.
+func FuzzDetect(f *testing.F) {
+	reg := scifmt.Default()
+	reg.Register(grads.Format())
+	for _, l := range pinLayouts {
+		for _, seed := range [][]byte{pinNetCDF(f, l), pinHDF5(f, l)} {
+			f.Add(seed)
+			f.Add(seed[:len(seed)*2/3])
+		}
+	}
+	f.Add(pinGrADS(f))
+	f.Add([]byte("NCL1"))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		src := ioengine.Bytes(blob)
+		format, ok := reg.Detect(src)
+		if !ok {
+			return
+		}
+		bound := uint64(1032*len(blob) + 64<<10)
+		var info *scifmt.Info
+		var err error
+		if n := allocated(func() { info, err = format.Explore(src) }); n > uint64(64*len(blob)+64<<10) {
+			t.Fatalf("%s: Explore of %d bytes allocated %d", format.Name(), len(blob), n)
+		}
+		if err != nil || len(info.Vars) == 0 {
+			return
+		}
+		v := info.Vars[0]
+		seg := v.Segments[0]
+		if uint64(seg.RawSize) > bound {
+			t.Fatalf("%s: %s's first segment declares %d raw bytes in a %d-byte file", format.Name(), v.Path, seg.RawSize, len(blob))
+		}
+		var raw []byte
+		if n := allocated(func() { raw, err = format.ReadSlab(src, v.Path, seg.Start, seg.Extent) }); n > 2*bound {
+			t.Fatalf("%s: ReadSlab allocated %d from a %d-byte file", format.Name(), n, len(blob))
+		}
+		if err == nil && int64(len(raw)) != seg.RawSize {
+			t.Fatalf("%s: slab of %s is %d bytes, its segment says %d", format.Name(), v.Path, len(raw), seg.RawSize)
+		}
+	})
+}
+
+// allocated returns how many bytes fn allocates in all, which bounds every
+// single allocation it makes.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}

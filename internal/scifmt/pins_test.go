@@ -1,0 +1,176 @@
+package scifmt_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"testing"
+
+	"scidp/internal/grads"
+	"scidp/internal/hdf5lite"
+	"scidp/internal/ioengine"
+	"scidp/internal/netcdf"
+	"scidp/internal/scifmt"
+)
+
+// The byte-identity pins: one fixed input per dialect and layout, the
+// SHA-256 of what the writer emits for it and of what Explore says of
+// those bytes. The constants were recorded on 94b6f68, before the three
+// formats shared one chunk container, so "file bytes do not move" is held
+// by `go test` and not only by `make identical`.
+
+// pinVals is the payload every pinned file stores: n values with a fill
+// (NaN) every 11th, so the zone maps carry a Fill count.
+func pinVals(n int) []float32 {
+	vals := make([]float32, n)
+	for i := range vals {
+		vals[i] = float32(math.Sin(float64(i)/7.0) * 100)
+		if i%11 == 3 {
+			vals[i] = float32(math.NaN())
+		}
+	}
+	return vals
+}
+
+type pinLayout struct {
+	name             string
+	chunked, noStats bool
+	deflate          int
+}
+
+var pinLayouts = []pinLayout{
+	{name: "chunked+deflated+stats", chunked: true, deflate: 4},
+	{name: "contiguous+stored"},
+	{name: "legacy-no-stats", chunked: true, deflate: 1, noStats: true},
+}
+
+func pinNetCDF(t testing.TB, l pinLayout) []byte {
+	w := netcdf.NewWriter()
+	for _, d := range []struct {
+		n string
+		l int
+	}{{"level", 5}, {"lat", 6}, {"lon", 7}} {
+		if err := w.AddDim(d.n, d.l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.noStats {
+		w.DisableChunkStats()
+	}
+	w.GlobalAttr(netcdf.StringAttr("model", "NU-WRF"))
+	w.GlobalAttr(netcdf.Int64Attr("timestamp", 42))
+	w.GlobalAttr(netcdf.Float64Attr("dx", 0.25))
+	var ck3, ck2 netcdf.Chunking
+	if l.chunked {
+		// Edge chunks are partial on every axis.
+		ck3 = netcdf.Chunking{Shape: []int{2, 4, 5}, Deflate: l.deflate}
+		ck2 = netcdf.Chunking{Shape: []int{4, 4}}
+	}
+	if err := w.AddVar("QR", netcdf.Float32, []string{"level", "lat", "lon"}, ck3, netcdf.StringAttr("units", "kg/kg")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AddVar("MASK", netcdf.Int32, []string{"lat", "lon"}, ck2); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AddVar("H", netcdf.Float64, []string{"level"}, netcdf.Chunking{Deflate: l.deflate}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.PutVarFloat32("QR", pinVals(5*6*7)); err != nil {
+		t.Fatal(err)
+	}
+	mask := make([]int32, 6*7)
+	for i := range mask {
+		mask[i] = int32(i*i%17 - 8)
+	}
+	if err := w.PutVarInt32("MASK", mask); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.PutVarFloat64("H", []float64{0.5, 1.5, math.NaN(), -3, 1e300}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+func pinHDF5(t testing.TB, l pinLayout) []byte {
+	w := hdf5lite.NewWriter()
+	if l.noStats {
+		w.DisableChunkStats()
+	}
+	w.Root().Attrs["model"] = "NU-WRF"
+	w.Root().Attrs["conventions"] = "CF-1.6"
+	rows := 0
+	if l.chunked {
+		rows = 4 // 10 rows: the last chunk is partial
+	}
+	g := w.Root().EnsureGroup("model/physics")
+	g.Attrs["scheme"] = "goddard"
+	if _, err := g.AddFloat32("QR", []int{10, 3, 4}, rows, l.deflate, pinVals(10*3*4)); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int32, 9)
+	for i := range ids {
+		ids[i] = int32(100 - 7*i)
+	}
+	if _, err := w.Root().EnsureGroup("model").AddInt32("ids", []int{9}, rows, 0, ids); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+func pinGrADS(t testing.TB) []byte {
+	blob, err := grads.Encode(
+		[]grads.VarSpec{{Name: "U", Levels: 3, Lat: 4, Lon: 5}, {Name: "T2", Levels: 1, Lat: 2, Lon: 6}},
+		[][]float32{pinVals(3 * 4 * 5), pinVals(1 * 2 * 6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+func TestByteIdentityPins(t *testing.T) {
+	type pin struct {
+		name   string
+		format scifmt.Format
+		blob   []byte
+	}
+	var pins []pin
+	for _, l := range pinLayouts {
+		pins = append(pins,
+			pin{name: "netcdf/" + l.name, format: scifmt.NetCDF(), blob: pinNetCDF(t, l)},
+			pin{name: "hdf5/" + l.name, format: scifmt.HDF5(), blob: pinHDF5(t, l)})
+	}
+	pins = append(pins, pin{name: "grads", format: grads.Format(), blob: pinGrADS(t)})
+	for _, p := range pins {
+		info, err := p.format.Explore(ioengine.Bytes(p.blob))
+		if err != nil {
+			t.Fatalf("%s: Explore: %v", p.name, err)
+		}
+		got := [2]string{
+			fmt.Sprintf("%x", sha256.Sum256(p.blob)),
+			fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", *info)))),
+		}
+		if got != recordedPins[p.name] {
+			t.Errorf("%q: {%q, %q},", p.name, got[0], got[1])
+		}
+	}
+}
+
+// recordedPins maps a pinned file to the SHA-256 of its bytes and of its
+// explored Info, as the parent of the chunk-container refactor wrote them.
+var recordedPins = map[string][2]string{
+	"netcdf/chunked+deflated+stats": {"6b038e4adb97331fda16d64daae9a3d10c1f04d0de3cbab969de406fa860b714", "f2bcf3f8ddcd7c563d987c0d32e413f6cfb772e4d50b975f23f71daf699410ea"},
+	"hdf5/chunked+deflated+stats":   {"b8ed696883bd1ce2a4257a5e53fb25281de9fba339ca2c561ce8e840be183c3e", "e70e9369a080d2dd13b02b09ee7c049c176128b3670c29248d25f23328842639"},
+	"netcdf/contiguous+stored":      {"268dddb8026ded6b710cadfdc28c8251b5213581d06229f3268b63ced113511e", "6e821fb477942d174fd26ece437ebaaa0927c1cdf8fc12b7c7f7d148ba2a621a"},
+	"hdf5/contiguous+stored":        {"8073d11aca73ec0b905a1d64f23a310421eb72b54550e206b51fde8938556f91", "5d0fda9d3454579160c9ce768f97a2a095290eaea414a5f8ffe50cce24e00081"},
+	"netcdf/legacy-no-stats":        {"584c92811acdfd228e5401b8cb8ba29ef399091f5cd3514d4b44d206c0479f48", "9c4ac1fb977de529ae100b7c0aea2b776f5542838fd1f12daf5e05d18f5eb876"},
+	"hdf5/legacy-no-stats":          {"f4dc7a21960e1ed0b2ebc0736c53c59b2df759306f485cf285461b0922ff3e4e", "171592eb668a433709a5af13960788013222726688c35e46792cf6aa6b96355e"},
+	"grads":                         {"285b84ce5b5b682410135e99eea2526631eef0a9ebce58ec674d28696398c833", "c45adc7b0f50433f21dfdf20b2fcc7aed8638b50e9bb32a170afd52975770907"},
+}
