@@ -22,8 +22,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The kernel/process hand-off and the idle-process list are the only real
+# cross-goroutine edges on the control plane; one pass over them is thin.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/sim
 
 # benchmark-test runs the benchmark's tests: it is a module of its own,
 # so `go test ./...` at the root never reaches its workload output checks.

@@ -128,13 +128,14 @@ func (j *Job) runStage(p *sim.Proc, name string, feed func(*sim.Proc) (*Task, er
 				slots = node.Slots.Capacity()
 			}
 		}
+		node := node // a never-reassigned copy is captured by value: no heap cell per node
+		workerName := func() string { return fmt.Sprintf("%s/%s/%s-worker", j.Name, name, node.Name) }
 		for slot := 0; slot < slots; slot++ {
-			node := node // a never-reassigned copy is captured by value: no heap cell per node
-			k.Go(fmt.Sprintf("%s/%s/%s-worker", j.Name, name, node.Name), func(wp *sim.Proc) { s.worker(wp, node, slot) })
+			k.GoNamed(workerName, func(wp *sim.Proc) { s.worker(wp, node, slot) })
 		}
 	}
 	if s.speculative {
-		k.Go(fmt.Sprintf("%s/%s-speculator", j.Name, name), s.speculate)
+		k.GoNamed(func() string { return fmt.Sprintf("%s/%s-speculator", j.Name, name) }, s.speculate)
 	}
 	p.Wait(s.wg)
 	s.span.End()

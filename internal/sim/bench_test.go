@@ -48,3 +48,43 @@ func BenchmarkKernelFlows(b *testing.B) {
 	}
 	b.ReportMetric(float64(flows)*float64(b.N)/b.Elapsed().Seconds(), "flows/s")
 }
+
+// BenchmarkProcSwitch is the cost of one process switch: a single process
+// yielding b.N times, each a wake-up event plus a hand-off to the kernel
+// and back.
+func BenchmarkProcSwitch(b *testing.B) {
+	k := NewKernel()
+	k.Go("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(0)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkProcSpawn is the cost of one short-lived process — spawn, one
+// Sleep, exit — started twelve at a time by a driver that waits for the
+// batch, the shape of a stage's slot workers.
+func BenchmarkProcSpawn(b *testing.B) {
+	const batch = 12
+	k := NewKernel()
+	k.Go("driver", func(p *Proc) {
+		wg := k.NewWaitGroup()
+		body := func(wp *Proc) {
+			wp.Sleep(1)
+			wg.Done()
+		}
+		for i := 0; i < b.N; i += batch {
+			wg.Add(batch)
+			for j := 0; j < batch; j++ {
+				k.Go("worker", body)
+			}
+			p.Wait(wg)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}

@@ -13,8 +13,9 @@
 // on.
 //
 // Scale: both hot structures are built for O(100k)-node sweeps. The event
-// queue is a by-value 4-ary heap (no per-event allocation beyond the
-// callback closure, no container/heap interface boxing). Fair-share is
+// queue is a by-value 4-ary heap (no per-event allocation: a process
+// wake-up is a *Proc in the event, only After's callers bring a closure;
+// no container/heap interface boxing). Fair-share is
 // incremental: each resource caches its current per-flow share and an
 // index of the flows crossing it, each flow carries an absolute completion
 // deadline in an indexed heap, and a membership change re-rates only the
@@ -38,11 +39,13 @@ import (
 // epsBytes is the slack under which a flow's remaining bytes count as zero.
 const epsBytes = 1e-6
 
-// event is a scheduled callback, stored by value in the queue.
+// event is a scheduled wake-up of proc or, when proc is nil, a callback;
+// stored by value in the queue.
 type event struct {
-	at  float64
-	seq uint64
-	fn  func()
+	at   float64
+	seq  uint64
+	proc *Proc
+	fn   func()
 }
 
 // before orders events by (time, insertion sequence) for determinism.
@@ -156,9 +159,12 @@ type Kernel struct {
 
 	failure   error // first process panic, re-raised by Run
 	liveProcs int
-	tracer    *Tracer
-	obs       *obs.Registry
-	pool      *ComputePool // data plane; see compute.go
+	// idle holds processes whose body has returned, goroutine parked on
+	// its channel, for the next Go to reuse; Run releases them on return.
+	idle   []*Proc
+	tracer *Tracer
+	obs    *obs.Registry
+	pool   *ComputePool // data plane; see compute.go
 }
 
 // SetObs attaches (or detaches, with nil) an observability registry.
@@ -194,12 +200,18 @@ func (k *Kernel) EventsProcessed() uint64 { return k.eventCount }
 func (k *Kernel) ActiveFlows() int { return len(k.flowHeap) }
 
 // schedule enqueues fn to run at virtual time at (>= now).
-func (k *Kernel) schedule(at float64, fn func()) {
+func (k *Kernel) schedule(at float64, fn func()) { k.enqueue(at, nil, fn) }
+
+// wake enqueues a resume of p at virtual time at (>= now): schedule
+// without the closure.
+func (k *Kernel) wake(at float64, p *Proc) { k.enqueue(at, p, nil) }
+
+func (k *Kernel) enqueue(at float64, p *Proc, fn func()) {
 	if at < k.now {
 		at = k.now
 	}
 	k.seq++
-	k.events.push(event{at: at, seq: k.seq, fn: fn})
+	k.events.push(event{at: at, seq: k.seq, proc: p, fn: fn})
 }
 
 // After schedules fn to run d seconds from now. It is the low-level timer
@@ -228,15 +240,22 @@ func (k *Kernel) RefreshRates() {
 
 // Run executes events until the queue drains. It panics with the original
 // value if any process panicked. Run may be called again after it returns
-// (e.g. after starting more processes).
+// (e.g. after starting more processes), from any goroutine, one at a time.
+// However it returns, the goroutines of processes that have finished are
+// released; only a process still blocked mid-body keeps its own.
 func (k *Kernel) Run() {
+	defer k.releaseIdle()
 	for len(k.events) > 0 {
 		e := k.events.pop()
 		if e.at > k.now {
 			k.now = e.at
 		}
 		k.eventCount++
-		e.fn()
+		if e.proc != nil {
+			k.resume(e.proc)
+		} else {
+			e.fn()
+		}
 		if k.failure != nil {
 			panic(k.failure)
 		}
@@ -248,12 +267,21 @@ func (k *Kernel) Run() {
 
 // Proc is a simulated process. All Proc methods must be called from within
 // the process's own function; they block in virtual time.
+//
+// A process is one goroutine and one unbuffered channel. Kernel and
+// process alternate strictly — whoever holds control sends on the channel
+// and then receives on it — so the one channel carries both directions,
+// and everything either side wrote before its send is visible to the
+// other after the receive. When the body returns the goroutine parks on
+// Kernel.idle for the next Go to give it a new name and body; closing
+// the channel (Kernel.releaseIdle) ends it.
 type Proc struct {
-	k    *Kernel
-	name string
-	wake chan struct{}
-	park chan struct{}
-	span *obs.Span
+	k      *Kernel
+	name   string
+	nameFn func() string // formats name on first read; nil once it has
+	body   func(p *Proc)
+	ctl    chan struct{}
+	span   *obs.Span
 }
 
 // Span returns the process's current observability span (nil when none
@@ -273,7 +301,12 @@ func (p *Proc) SetSpan(s *obs.Span) *obs.Span {
 }
 
 // Name returns the name the process was started with.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	if p.nameFn != nil {
+		p.name, p.nameFn = p.nameFn(), nil
+	}
+	return p.name
+}
 
 // Kernel returns the kernel the process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -282,38 +315,79 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Now() float64 { return p.k.now }
 
 // Go starts fn as a new simulated process scheduled to begin immediately
-// (at the current virtual time, after already-queued events).
-func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, wake: make(chan struct{}), park: make(chan struct{})}
+// (at the current virtual time, after already-queued events). The *Proc
+// is recycled once fn returns: it must not be used after that.
+func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc { return k.spawn(name, nil, fn) }
+
+// GoNamed is Go for a caller that starts many processes: name is called
+// only if the name is read (Name, a panic report), so a spawn costs no
+// formatting.
+func (k *Kernel) GoNamed(name func() string, fn func(p *Proc)) *Proc { return k.spawn("", name, fn) }
+
+func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Proc {
+	var p *Proc
+	if n := len(k.idle); n > 0 {
+		p, k.idle = k.idle[n-1], k.idle[:n-1]
+	} else {
+		p = &Proc{k: k, ctl: make(chan struct{})}
+		go p.loop()
+	}
+	p.name, p.nameFn, p.body = name, nameFn, fn
 	k.liveProcs++
-	go func() {
-		<-p.wake
-		defer func() {
-			if r := recover(); r != nil {
-				if k.failure == nil {
-					k.failure = fmt.Errorf("sim: process %q panicked: %v", name, r)
-				}
-			}
-			k.liveProcs--
-			p.park <- struct{}{}
-		}()
-		fn(p)
-	}()
-	k.schedule(k.now, func() { k.resume(p) })
+	k.wake(k.now, p)
 	return p
+}
+
+// loop is the process goroutine: one body per wake-up, until the channel
+// is closed.
+func (p *Proc) loop() {
+	for range p.ctl {
+		p.run()
+	}
+}
+
+// run executes the body and hands control back to the kernel with the
+// process on the idle list. A panic is recorded for Run to re-raise. A
+// body that ends its goroutine (runtime.Goexit: t.Fatal in a process) has
+// nothing left to park, so that process is not recycled.
+func (p *Proc) run() {
+	k, returned := p.k, false
+	defer func() {
+		r := recover()
+		if r != nil && k.failure == nil {
+			k.failure = fmt.Errorf("sim: process %q panicked: %v", p.Name(), r)
+		}
+		k.liveProcs--
+		if returned || r != nil {
+			p.nameFn, p.body, p.span = nil, nil, nil
+			k.idle = append(k.idle, p)
+		}
+		p.ctl <- struct{}{}
+	}()
+	p.body(p)
+	returned = true
+}
+
+// releaseIdle ends the goroutines of the processes on the idle list.
+func (k *Kernel) releaseIdle() {
+	for i, p := range k.idle {
+		close(p.ctl)
+		k.idle[i] = nil
+	}
+	k.idle = k.idle[:0]
 }
 
 // resume hands control to p and waits until p parks or exits. It must only
 // be called from event context (the Run loop), never from process context.
 func (k *Kernel) resume(p *Proc) {
-	p.wake <- struct{}{}
-	<-p.park
+	p.ctl <- struct{}{}
+	<-p.ctl
 }
 
 // pause yields control back to the kernel until another event resumes p.
 func (p *Proc) pause() {
-	p.park <- struct{}{}
-	<-p.wake
+	p.ctl <- struct{}{}
+	<-p.ctl
 }
 
 // Sleep blocks the process for d virtual seconds. Negative d sleeps zero.
@@ -323,7 +397,7 @@ func (p *Proc) Sleep(d float64) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.After(d, func() { p.k.resume(p) })
+	p.k.wake(p.k.now+d, p)
 	p.pause()
 }
 
@@ -397,6 +471,7 @@ type Flow struct {
 	rate      float64
 	res       []*Resource
 	onDone    func()
+	waiter    *Proc // resumed on completion (Transfer), after onDone
 	span      *obs.Span
 
 	// settledAt is the instant remaining was last materialized; a flow
@@ -695,9 +770,17 @@ func (k *Kernel) completeFlows() {
 	}
 	k.rebalance(nil)
 	for _, f := range done {
-		if f.onDone != nil {
-			f.onDone()
-		}
+		k.flowDone(f)
+	}
+}
+
+// flowDone tells whoever started f that it has drained.
+func (k *Kernel) flowDone(f *Flow) {
+	if f.onDone != nil {
+		f.onDone()
+	}
+	if f.waiter != nil {
+		k.resume(f.waiter)
 	}
 }
 
@@ -706,16 +789,16 @@ func (k *Kernel) completeFlows() {
 // negative sizes complete immediately (still asynchronously). StartFlow
 // does not charge resource Latency; Proc.Transfer does.
 func (k *Kernel) StartFlow(bytes float64, onDone func(), res ...*Resource) *Flow {
-	return k.startFlow(bytes, onDone, nil, res...)
+	return k.startFlow(bytes, onDone, nil, nil, res...)
 }
 
-// startFlow is StartFlow plus span parentage: when a registry is
-// attached and the starting process has a current span, the flow
-// records a child "flow" span carrying its id, size, and resource
-// chain.
-func (k *Kernel) startFlow(bytes float64, onDone func(), parent *obs.Span, res ...*Resource) *Flow {
+// startFlow is StartFlow plus a process to resume on completion and span
+// parentage: when a registry is attached and the starting process has a
+// current span, the flow records a child "flow" span carrying its id,
+// size, and resource chain.
+func (k *Kernel) startFlow(bytes float64, onDone func(), waiter *Proc, parent *obs.Span, res ...*Resource) *Flow {
 	k.flowSeq++
-	f := &Flow{id: k.flowSeq, total: bytes, remaining: bytes, res: res, onDone: onDone}
+	f := &Flow{id: k.flowSeq, total: bytes, remaining: bytes, res: res, onDone: onDone, waiter: waiter}
 	if k.obs != nil && parent != nil {
 		f.span = k.obs.StartSpan("flow", "sim", parent)
 		f.span.Arg("flow", f.id)
@@ -727,9 +810,7 @@ func (k *Kernel) startFlow(bytes float64, onDone func(), parent *obs.Span, res .
 		k.schedule(k.now, func() {
 			k.traceFlowEnd(f)
 			f.span.End()
-			if f.onDone != nil {
-				f.onDone()
-			}
+			k.flowDone(f)
 		})
 		return f
 	}
@@ -750,7 +831,7 @@ func (p *Proc) Transfer(bytes float64, res ...*Resource) {
 	if lat > 0 {
 		p.Sleep(lat)
 	}
-	p.k.startFlow(bytes, func() { p.k.resume(p) }, p.span, res...)
+	p.k.startFlow(bytes, nil, p, p.span, res...)
 	p.pause()
 }
 
@@ -784,7 +865,7 @@ func (p *Proc) TransferAll(parts ...Part) {
 		for _, r := range pt.Res {
 			lat += r.Latency
 		}
-		start := func() { p.k.startFlow(pt.Bytes, finish, parent, pt.Res...) }
+		start := func() { p.k.startFlow(pt.Bytes, finish, nil, parent, pt.Res...) }
 		if lat > 0 {
 			p.k.After(lat, start)
 		} else {

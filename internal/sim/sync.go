@@ -45,7 +45,7 @@ func (s *Semaphore) Release() {
 		next := s.waiters[0]
 		s.waiters = s.waiters[1:]
 		// The slot passes directly to next; held stays constant.
-		s.k.schedule(s.k.now, func() { s.k.resume(next) })
+		s.k.wake(s.k.now, next)
 		return
 	}
 	s.held--
@@ -77,12 +77,11 @@ func (w *WaitGroup) Add(n int) {
 func (w *WaitGroup) Done() { w.Add(-1) }
 
 func (w *WaitGroup) release() {
-	waiters := w.waiters
-	w.waiters = nil
-	for _, p := range waiters {
-		p := p
-		w.k.schedule(w.k.now, func() { w.k.resume(p) })
+	for _, p := range w.waiters {
+		w.k.wake(w.k.now, p)
 	}
+	clear(w.waiters)
+	w.waiters = w.waiters[:0]
 }
 
 // Wait blocks the process until the counter reaches zero. A zero counter
@@ -123,8 +122,7 @@ func (q *Queue) Push(v any) {
 func (q *Queue) Close() {
 	q.closed = true
 	for _, p := range q.recvQ {
-		p := p
-		q.k.schedule(q.k.now, func() { q.k.resume(p) })
+		q.k.wake(q.k.now, p)
 	}
 	q.recvQ = nil
 }
@@ -135,7 +133,7 @@ func (q *Queue) wakeOne() {
 	}
 	p := q.recvQ[0]
 	q.recvQ = q.recvQ[1:]
-	q.k.schedule(q.k.now, func() { q.k.resume(p) })
+	q.k.wake(q.k.now, p)
 }
 
 // Pop blocks the process until an item is available or the queue is closed

@@ -1,7 +1,6 @@
 package tenant
 
 import (
-	"bytes"
 	"fmt"
 
 	"scidp/internal/mapreduce"
@@ -108,7 +107,7 @@ func (s *Service) runGrep(p *sim.Proc, j *Job, job *mapreduce.Job, files int) er
 		data := value.([]byte)
 		tc.Charge("Scan", s.cfg.ScanPerMB*float64(len(data))/1e6)
 		var n int64
-		tc.Compute(func() { n = int64(bytes.Count(data, []byte(marker))) })
+		tc.Compute(func() { n = int64(workloads.CountWord(data, marker)) })
 		tc.Emit("count", n)
 		return nil
 	}

@@ -117,7 +117,7 @@ func (s *Service) start(t *Tenant, j *Job, backfill bool) {
 		t.Backfills++
 		s.counter("tenant/backfill_starts_total", t.Name).Inc()
 	}
-	s.env.K.Go(fmt.Sprintf("scidpd/job-%04d", j.ID), func(p *sim.Proc) {
+	s.env.K.GoNamed(func() string { return fmt.Sprintf("scidpd/job-%04d", j.ID) }, func(p *sim.Proc) {
 		err := s.runJob(p, j)
 		s.finish(j, err)
 	})

@@ -256,26 +256,74 @@ func (r MiniResult) Throughput() float64 {
 	return float64(r.Bytes) / r.Seconds
 }
 
-// synthText builds deterministic text with the marker word scattered in.
+// synthPeriod is the word count after which synthText repeats: the
+// marker every 37th word, nine filler words in rotation, a newline every
+// twelfth.
+const synthPeriod = 37 * 36
+
+// synthText builds deterministic text with the marker word scattered in:
+// one period written word by word, then copied forward to n bytes.
 func synthText(n int64, seed int, marker string) []byte {
-	var buf bytes.Buffer
-	buf.Grow(int(n))
-	words := []string{"the", "rain", "falls", "on", "grid", "cells", "while", "model", "steps"}
-	i := seed
-	for int64(buf.Len()) < n {
+	words := [...]string{"the", "rain", "falls", "on", "grid", "cells", "while", "model", "steps"}
+	// Room for the word that crosses n, so append never regrows.
+	out := make([]byte, 0, int(n)+max(len(marker), 5)+1)
+	for i := seed; i < seed+synthPeriod && int64(len(out)) < n; i++ {
 		if i%37 == 0 {
-			buf.WriteString(marker)
+			out = append(out, marker...)
 		} else {
-			buf.WriteString(words[i%len(words)])
+			out = append(out, words[i%len(words)]...)
 		}
 		if i%12 == 11 {
-			buf.WriteByte('\n')
+			out = append(out, '\n')
 		} else {
-			buf.WriteByte(' ')
+			out = append(out, ' ')
 		}
-		i++
 	}
-	return buf.Bytes()[:n]
+	filled := min(len(out), int(n))
+	out = out[:n]
+	for filled < len(out) {
+		filled += copy(out[filled:], out[:filled])
+	}
+	return out
+}
+
+// CountWord counts the non-overlapping occurrences of word in data, as
+// bytes.Count does, by searching for one byte of the word — the one
+// rarest in the block's first KiB — and comparing the word around each
+// hit. bytes.Count anchors on the first byte, which for a word starting
+// with a common letter stops IndexByte every few bytes.
+func CountWord(data []byte, word string) int {
+	if len(word) < 2 {
+		return bytes.Count(data, []byte(word))
+	}
+	var freq [256]int
+	for _, b := range data[:min(len(data), 1024)] {
+		freq[b]++
+	}
+	anchor := 0
+	for j := 1; j < len(word); j++ {
+		if freq[word[j]] < freq[word[anchor]] {
+			anchor = j
+		}
+	}
+	n := 0
+	// The anchor of an occurrence that fits lies before end; pos is the
+	// earliest start a further occurrence may have.
+	end := len(data) - (len(word) - 1 - anchor)
+	for pos := 0; pos+anchor < end; {
+		i := bytes.IndexByte(data[pos+anchor:end], word[anchor])
+		if i < 0 {
+			break
+		}
+		pos += i
+		if string(data[pos:pos+len(word)]) == word {
+			n++
+			pos += len(word)
+		} else {
+			pos++
+		}
+	}
+	return n
 }
 
 // InstallTextInputs puts Files input text files on the backend and
@@ -362,7 +410,7 @@ func RunGrep(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, input
 			// The real scan is pure byte work — run it on the data plane
 			// (its modeled cost is the Charge above).
 			var n int64
-			tc.Compute(func() { n = int64(bytes.Count(data, []byte(marker))) })
+			tc.Compute(func() { n = int64(CountWord(data, marker)) })
 			tc.Emit("count", n)
 			return nil
 		},
