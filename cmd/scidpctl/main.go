@@ -167,7 +167,7 @@ func runAnalyze(args []string) {
 	fs := flag.NewFlagSet("scidpctl analyze", flag.ExitOnError)
 	timestamps := fs.Int("timestamps", 4, "generated timestamps")
 	chaosPath := fs.String("chaos", "", "fault plan (JSON) to run the pipeline under")
-	workers := fs.Int("workers", 0, "ComputePool data-plane workers (0 = inline)")
+	workers := fs.Int("workers", 0, "data-plane ComputePool workers (0 = inline; output is byte-identical at every count)")
 	cacheBytes := fs.Int64("cache", 0, "attach a cooperative cache tier with this many bytes per node (0 = no tier)")
 	jsonPath := fs.String("json", "", "write the analysis as JSON to this file (\"-\" = pure JSON on stdout, no text report)")
 	verbose := fs.Bool("v", false, "append the full component metrics dump")

@@ -15,11 +15,10 @@
 // -replay runs a recorded arrival trace headlessly on the deterministic
 // virtual-time kernel and prints the run summary JSON to stdout: same
 // trace + same flags ⇒ byte-identical schedule, outputs, and exports at
-// any pooled -workers count (-1 inline, 1, 4, 64 — all the same bytes;
-// 0 detaches the data plane, a different but equally deterministic
-// event-schedule shape). -fifo swaps the fair-share scheduler for the
-// strict-FIFO baseline (head-of-line blocking, no preemption, no
-// backfill) — the comparison arm for the fair-share scheduler.
+// any -workers count (0 inline, 1, 4, 64 — all the same bytes). -fifo
+// swaps the fair-share scheduler for the strict-FIFO baseline
+// (head-of-line blocking, no preemption, no backfill) — the comparison
+// arm for the fair-share scheduler.
 //
 // -http serves the control API (POST /jobs, GET /jobs, GET /jobs/{id},
 // GET /tenants, GET /metrics) from real goroutines bridged onto the
@@ -59,7 +58,7 @@ func main() {
 	horizon := flag.Float64("horizon", 120, "with -gen: arrival window in virtual seconds")
 	nodes := flag.Int("nodes", 4, "cluster DataNodes")
 	slots := flag.Int("slots", 2, "task slots per node")
-	workers := flag.Int("workers", 1, "data-plane ComputePool workers (-1 = inline pool, 0 = no pool; all pooled counts are byte-identical)")
+	workers := flag.Int("workers", 1, "data-plane ComputePool workers (0 = inline; output is byte-identical at every count)")
 	fifo := flag.Bool("fifo", false, "strict-FIFO baseline scheduler instead of fair share")
 	noBackfill := flag.Bool("no-backfill", false, "disable backfill in the fair-share scheduler")
 	jsonPath := flag.String("json", "", "also write the replay summary JSON to this file")

@@ -35,7 +35,7 @@ func main() {
 		fail(err)
 	}
 
-	sc := sparklite.NewContext(env.K, env.BD, 8)
+	sc := sparklite.NewContext(env.BD)
 	var out []sparklite.Record
 	env.K.Go("driver", func(p *sim.Proc) {
 		mapper := core.NewMapper(env.HDFS, env.Registry, "/scidp")

@@ -130,8 +130,8 @@ func exportRunMode(t *testing.T, mode sim.FairShareMode) (trace, prom []byte) {
 		t.Fatal(err)
 	}
 	cfg := obsEnvConfig(s.EnvConfig(0), "scidp@4ts")
-	cfg.FairShare = mode
 	env := solutions.NewEnv(cfg)
+	env.K.SetFairShareMode(mode)
 	workloads.Install(env.PFS, blobs)
 	wl := &solutions.Workload{Dataset: ds, Var: "QR"}
 	run := solutions.All()["scidp"]

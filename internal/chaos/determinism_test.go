@@ -37,8 +37,7 @@ const testPlan = `{
 // chaosRun is one full pipeline execution under a plan on a fresh
 // recovery-enabled testbed: it returns the sha256 over every /results
 // file (read back in sorted order) and the raw export byte streams.
-// workers sizes the data-plane compute pool (0 = no data plane, the
-// pre-two-plane engine).
+// workers sizes the data-plane compute pool (<= 0 = inline).
 func chaosRun(t *testing.T, solution string, plan *chaos.Plan, workers int) (digest string, trace, prom []byte) {
 	t.Helper()
 	s := bench.QuickScale()

@@ -24,9 +24,10 @@ type Node struct {
 	Disk *sim.Resource
 	// NIC is the node's network interface resource.
 	NIC *sim.Resource
-	// Slots bounds concurrently running tasks on the node (YARN
-	// containers, MPI ranks). Nil for storage-only nodes.
-	Slots *sim.Semaphore
+	// Slots is how many tasks the node runs at once (YARN containers,
+	// MPI ranks): the stage runner starts that many workers on it. Zero
+	// for storage-only nodes.
+	Slots int
 	// BurstBufferBytes is the node-local burst-buffer capacity the
 	// cooperative cache tier may occupy (0 = no buffer provisioned).
 	BurstBufferBytes int64
@@ -121,8 +122,10 @@ func (c Config) Scaled(factor float64) Config {
 	return c
 }
 
-// New builds a cluster from the config on the given kernel.
-func New(k *sim.Kernel, name string, c Config) *Cluster {
+// New builds a cluster from the config. Nothing in a cluster is bound to
+// a kernel since slots became a count; the parameter stays because
+// benchmark/, which a change outside it may not edit, passes one.
+func New(_ *sim.Kernel, name string, c Config) *Cluster {
 	if c.Nodes <= 0 {
 		panic("cluster: need at least one node")
 	}
@@ -142,7 +145,7 @@ func New(k *sim.Kernel, name string, c Config) *Cluster {
 		zoneBW = rackBW * float64(c.RacksPerZone) / 2
 	}
 	for i := 0; i < c.Nodes; i++ {
-		n := &Node{Name: fmt.Sprintf("%s-%d", name, i), BurstBufferBytes: c.BurstBufferBytes}
+		n := &Node{Name: fmt.Sprintf("%s-%d", name, i), Slots: c.SlotsPerNode, BurstBufferBytes: c.BurstBufferBytes}
 		if c.NodesPerRack > 0 {
 			rack := i / c.NodesPerRack
 			n.Rack = fmt.Sprintf("%s-rack-%d", name, rack)
@@ -164,9 +167,6 @@ func New(k *sim.Kernel, name string, c Config) *Cluster {
 		n.Disk.Latency = c.DiskLatency
 		n.NIC = sim.NewResource(n.Name+"/nic", c.NICBW)
 		n.NIC.Latency = c.NetLatency
-		if c.SlotsPerNode > 0 {
-			n.Slots = k.NewSemaphore(c.SlotsPerNode)
-		}
 		cl.Nodes = append(cl.Nodes, n)
 		cl.places[n.Name] = Place{Rack: n.Rack, Zone: n.Zone}
 	}
@@ -198,9 +198,6 @@ func (c *Cluster) Lookup(name string) *Node {
 
 // LocalReadPath is the resource chain for reading a node's own disk.
 func LocalReadPath(n *Node) []*sim.Resource { return []*sim.Resource{n.Disk} }
-
-// LocalWritePath is the resource chain for writing a node's own disk.
-func LocalWritePath(n *Node) []*sim.Resource { return []*sim.Resource{n.Disk} }
 
 // RemoteReadPath is the chain for dst pulling bytes off src's disk across
 // the fabric: source disk, source NIC, fabric, destination NIC.

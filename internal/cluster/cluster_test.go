@@ -15,7 +15,7 @@ func TestNewClusterShape(t *testing.T) {
 		t.Fatalf("nodes = %d, want 8", len(cl.Nodes))
 	}
 	for i, n := range cl.Nodes {
-		if n.Slots == nil || n.Slots.Capacity() != 8 {
+		if n.Slots != 8 {
 			t.Errorf("node %d slots wrong", i)
 		}
 		if n.Disk.Capacity != 100e6 {
@@ -147,8 +147,8 @@ func TestStorageOnlyNodesHaveNoSlots(t *testing.T) {
 	cfg := DefaultHardware(3, 0)
 	cl := New(k, "oss", cfg)
 	for _, n := range cl.Nodes {
-		if n.Slots != nil {
-			t.Errorf("storage node %s should have nil slots", n.Name)
+		if n.Slots != 0 {
+			t.Errorf("storage node %s should have no slots", n.Name)
 		}
 	}
 }

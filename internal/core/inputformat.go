@@ -83,21 +83,24 @@ func (in *InputFormat) Splits(p *sim.Proc) ([]*mapreduce.Split, error) {
 	}
 	var out []*mapreduce.Split
 	for _, f := range files {
-		if !f.Virtual {
-			continue
-		}
-		for i, b := range f.Blocks {
-			out = append(out, &mapreduce.Split{
-				Label:   fmt.Sprintf("%s#%d", f.Path, i),
-				Payload: b,
-				Length:  b.Size,
-			})
+		if f.Virtual {
+			out = AppendBlockSplits(out, f)
 		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: no virtual blocks under %s", in.Dir)
 	}
 	return out, nil
+}
+
+// AppendBlockSplits appends one split per dummy block of the virtual file
+// f, in block order — what Splits yields for it, for a caller that mapped
+// the file itself (the in-situ feed) and has no directory to walk yet.
+func AppendBlockSplits(dst []*mapreduce.Split, f *hdfs.INode) []*mapreduce.Split {
+	for i, b := range f.Blocks {
+		dst = append(dst, &mapreduce.Split{Label: fmt.Sprintf("%s#%d", f.Path, i), Payload: b, Length: b.Size})
+	}
+	return dst
 }
 
 // ForEach resolves the split's dummy block through a PFS Reader bound to

@@ -112,9 +112,6 @@ type DataNode struct {
 	down bool
 }
 
-// Down reports whether the daemon is crashed/decommissioned.
-func (dn *DataNode) Down() bool { return dn.down }
-
 // FS is one HDFS instance over a cluster.
 type FS struct {
 	k       *sim.Kernel
@@ -219,9 +216,6 @@ func (fs *FS) SetReadFault(fn func(blockID, bytes int64) fault.Outcome) {
 
 // Config returns the configuration the FS was built with.
 func (fs *FS) Config() Config { return fs.cfg }
-
-// Cluster returns the backing cluster.
-func (fs *FS) Cluster() *cluster.Cluster { return fs.cluster }
 
 // DataNodes returns the storage daemons in node order.
 func (fs *FS) DataNodes() []*DataNode { return fs.dns }

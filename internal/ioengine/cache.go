@@ -29,18 +29,6 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Sub returns the delta of s over an earlier snapshot (counters only;
-// Bytes and Entries stay absolute).
-func (s CacheStats) Sub(prev CacheStats) CacheStats {
-	return CacheStats{
-		Hits:      s.Hits - prev.Hits,
-		Misses:    s.Misses - prev.Misses,
-		Evictions: s.Evictions - prev.Evictions,
-		Bytes:     s.Bytes,
-		Entries:   s.Entries,
-	}
-}
-
 // Cache is a sharded LRU byte-slice cache with a total byte budget.
 // A budget <= 0 means unbounded. Values are shared, not copied: callers
 // must treat returned slices as read-only.

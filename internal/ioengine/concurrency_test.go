@@ -22,11 +22,13 @@ import (
 
 // contendedRun drives many processes through one shared Trace, Cache,
 // and prefetching Bound on a single kernel, and returns the final
-// counter values. workers < 0 runs without a data plane; otherwise a
-// pool of that size decodes the chunks.
+// counter values. The readers start a beat apart: started together they
+// would all reach the first decode's join before its Put, and nobody
+// would hit. workers sizes the pool that decodes the chunks (0 = none
+// attached, the inline schedule).
 func contendedRun(procs, chunks, workers int) (Trace, CacheStats, float64, float64) {
 	k := sim.NewKernel()
-	if workers >= 0 {
+	if workers > 0 {
 		pool := sim.NewComputePool(workers)
 		defer pool.Close()
 		k.SetComputePool(pool)
@@ -43,6 +45,7 @@ func contendedRun(procs, chunks, workers int) (Trace, CacheStats, float64, float
 	ident := func(raw []byte) ([]byte, error) { return raw, nil }
 	for pi := 0; pi < procs; pi++ {
 		k.Go(fmt.Sprintf("reader-%d", pi), func(p *sim.Proc) {
+			p.Sleep(0.002 * float64(pi))
 			b := Bind(p, eng, Options{Cache: cache, Prefetch: 2, Obs: reg})
 			plan := make([]Range, chunks)
 			for i := range plan {
@@ -64,16 +67,18 @@ func contendedRun(procs, chunks, workers int) (Trace, CacheStats, float64, float
 }
 
 func TestCountersDeterministicUnderKernelConcurrency(t *testing.T) {
-	tr1, cs1, h1, m1 := contendedRun(8, 16, -1)
-	tr2, cs2, h2, m2 := contendedRun(8, 16, -1)
-	if tr1 != tr2 {
-		t.Fatalf("Trace counters diverged: %+v vs %+v", tr1, tr2)
-	}
-	if cs1 != cs2 {
-		t.Fatalf("cache counters diverged: %+v vs %+v", cs1, cs2)
-	}
-	if h1 != h2 || m1 != m2 {
-		t.Fatalf("registry counters diverged: hit %v/%v miss %v/%v", h1, h2, m1, m2)
+	tr1, cs1, h1, m1 := contendedRun(8, 16, 0)
+	for _, workers := range []int{0, 1, 4} {
+		tr2, cs2, h2, m2 := contendedRun(8, 16, workers)
+		if tr1 != tr2 {
+			t.Fatalf("workers=%d: Trace counters diverged: %+v vs %+v", workers, tr1, tr2)
+		}
+		if cs1 != cs2 {
+			t.Fatalf("workers=%d: cache counters diverged: %+v vs %+v", workers, cs1, cs2)
+		}
+		if h1 != h2 || m1 != m2 {
+			t.Fatalf("workers=%d: registry counters diverged: hit %v/%v miss %v/%v", workers, h1, h2, m1, m2)
+		}
 	}
 	if tr1.Calls == 0 || cs1.Hits == 0 || cs1.Misses == 0 {
 		t.Fatalf("degenerate run: trace=%+v cache=%+v", tr1, cs1)

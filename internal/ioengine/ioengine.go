@@ -127,8 +127,8 @@ func Fork(r Source, fn func()) *sim.Future {
 	return nil
 }
 
-// Join waits for futures forked from r. Safe with nil entries and on
-// plain sources.
+// Join waits for futures forked from r. A plain source has none: its
+// Fork returned nil, which callers drop and never hand to Join.
 func Join(r Source, futs ...*sim.Future) {
 	if b, ok := r.(*Bound); ok {
 		b.Join(futs...)
@@ -219,10 +219,10 @@ func (b *Bound) ReadAt(off, n int64) ([]byte, error) {
 }
 
 // Fork submits fn to the bound process's data plane and returns its join
-// handle (nil when no pool is attached — fn already ran inline).
+// handle.
 func (b *Bound) Fork(fn func()) *sim.Future { return b.p.Compute(fn) }
 
-// Join blocks the bound process until every non-nil future has resolved.
+// Join blocks the bound process until every future has resolved.
 func (b *Bound) Join(futs ...*sim.Future) { b.p.Await(futs...) }
 
 // Announce takes the chunk ranges an upcoming read will touch, in read

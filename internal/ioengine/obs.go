@@ -30,30 +30,6 @@ func RegisterObs(r *obs.Registry) {
 	})
 }
 
-// RegisterObs mirrors the cache's counters into r at every export:
-// hits/misses/evictions as counters, resident bytes/entries and the hit
-// ratio as gauges, all under ioengine/cache_* with the given labels.
-func (c *Cache) RegisterObs(r *obs.Registry, labels ...obs.Label) {
-	if r == nil || c == nil {
-		return
-	}
-	hits := r.Counter("ioengine/cache_hits_total", labels...)
-	misses := r.Counter("ioengine/cache_misses_total", labels...)
-	evictions := r.Counter("ioengine/cache_evictions_total", labels...)
-	bytes := r.Gauge("ioengine/cache_bytes", labels...)
-	entries := r.Gauge("ioengine/cache_entries", labels...)
-	ratio := r.Gauge("ioengine/cache_hit_ratio", labels...)
-	r.AddCollector(func() {
-		st := c.Stats()
-		hits.Set(float64(st.Hits))
-		misses.Set(float64(st.Misses))
-		evictions.Set(float64(st.Evictions))
-		bytes.Set(float64(st.Bytes))
-		entries.Set(float64(st.Entries))
-		ratio.Set(st.HitRate())
-	})
-}
-
 // RegisterObs mirrors the set's aggregated counters into r at every
 // export, under the same ioengine/cache_* names as Cache.RegisterObs.
 func (cs *CacheSet) RegisterObs(r *obs.Registry, labels ...obs.Label) {

@@ -70,11 +70,15 @@ func (l *scriptedLease) Acquire() uint64 {
 	return tok
 }
 
-// characterisationDigest was recorded on the commit before the stage
-// runner existed (f2fbedd, runPhase): the refactor must reproduce that
-// engine's schedule event for event, and this is the one cross-commit pin
-// — every other determinism test compares two runs of the same binary.
-const characterisationDigest = "7c2e3041e64e349afc730b6a02e765b8b1d9b8f2f0f22db07a56677530db2a45"
+// characterisationDigest is the one cross-commit pin — every other
+// determinism test compares two runs of the same binary. It was recorded
+// on the commit before the stage runner existed (f2fbedd, runPhase) and
+// re-recorded once, in PR 24, when the stage's first refill moved behind
+// the worker spawn so that a feed may wait: pinnedStream's 0.01 s pulls
+// now meet workers on their first idle beat, which starts every attempt
+// 0.17 s later — same tasks, nodes, attempt numbers and outcomes, events
+// 822 -> 831 (EXPERIMENTS.md "PR 24" has the attempt-by-attempt table).
+const characterisationDigest = "51c38958c157afc5b42deb1458e5537c6340d1d2fc2bb9d73360ebd734ce52b4"
 
 // TestCharacterisation drives every branch of the stage loop in one job —
 // racked and zoned cluster with located splits (host, rack, zone, steal),

@@ -148,6 +148,18 @@ func (ss *sliceSplits) Next(*sim.Proc) (*Split, error) {
 	return s, nil
 }
 
+// StaticInput is a fixed split list as an InputFormat: each split is one
+// record, its label the key and its payload the value.
+type StaticInput []*Split
+
+// Splits returns the list.
+func (s StaticInput) Splits(*sim.Proc) ([]*Split, error) { return s, nil }
+
+// ForEach hands the split's payload through.
+func (s StaticInput) ForEach(tc *TaskContext, sp *Split, fn func(key string, value any) error) error {
+	return fn(sp.Label, sp.Payload)
+}
+
 // MapFunc consumes one record and emits intermediate pairs via tc.Emit.
 type MapFunc func(tc *TaskContext, key string, value any) error
 
@@ -158,11 +170,9 @@ type ReduceFunc func(tc *TaskContext, key string, values []any) error
 type Job struct {
 	// Name labels the job in process names and errors.
 	Name string
-	// Cluster is where tasks run.
+	// Cluster is where tasks run: each node runs Node.Slots of them at
+	// once (the paper runs 8).
 	Cluster *cluster.Cluster
-	// SlotsPerNode is the concurrent task count per node (the paper runs
-	// 8). Zero takes each node's slot capacity.
-	SlotsPerNode int
 	// Input produces the splits.
 	Input InputFormat
 	// Map is the map function (required).
@@ -382,7 +392,8 @@ func (tc *TaskContext) Charge(phase string, d float64) {
 // Charge. fn must not call Charge, Phase, or any simulation API, and
 // must not touch state shared with other tasks. Emit and Counter are
 // safe inside fn because the task itself stays parked until fn returns.
-// Without a pool on the kernel, fn runs inline — same result, serially.
+// With an inline pool fn runs on the kernel thread — same schedule, same
+// result, serially.
 func (tc *TaskContext) Compute(fn func()) {
 	tc.proc.Await(tc.proc.Compute(fn))
 }
@@ -466,7 +477,12 @@ func (j *Job) checkCluster() error {
 	if j.Cluster == nil || len(j.Cluster.Nodes) == 0 {
 		return fmt.Errorf("mapreduce: job %s has no cluster", j.Name)
 	}
-	return nil
+	for _, n := range j.Cluster.Nodes {
+		if n.Slots > 0 {
+			return nil
+		}
+	}
+	return fmt.Errorf("mapreduce: job %s: cluster %s has no task slots", j.Name, j.Cluster.Name)
 }
 
 // splitSource opens the job's input. Splits arrive through a SplitSource:

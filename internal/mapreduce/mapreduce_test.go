@@ -73,12 +73,11 @@ func runJob(t *testing.T, k *sim.Kernel, job *Job) *Result {
 
 func wordCountJob(k *sim.Kernel, in InputFormat, nodes, slots, reducers int) *Job {
 	return &Job{
-		Name:         "wordcount",
-		Cluster:      testCluster(k, nodes, slots),
-		SlotsPerNode: slots,
-		Input:        in,
-		TaskStartup:  0.1,
-		NumReducers:  reducers,
+		Name:        "wordcount",
+		Cluster:     testCluster(k, nodes, slots),
+		Input:       in,
+		TaskStartup: 0.1,
+		NumReducers: reducers,
 		Map: func(tc *TaskContext, key string, value any) error {
 			for _, w := range strings.Fields(value.(string)) {
 				tc.Emit(w, 1)
@@ -406,6 +405,59 @@ func TestJobValidation(t *testing.T) {
 	}
 }
 
+func TestSlotlessClusterIsAnError(t *testing.T) {
+	k := sim.NewKernel()
+	job := wordCountJob(k, linesInput(0, []string{"a"}), 2, 0, 1)
+	var runErr, stageErr error
+	k.Go("driver", func(p *sim.Proc) {
+		_, runErr = job.Run(p)
+		stageErr = job.RunStage(p, "wave", func(*sim.Proc) (*Task, error) { return nil, nil })
+	})
+	k.Run()
+	for _, err := range []error{runErr, stageErr} {
+		if err == nil || !strings.Contains(err.Error(), "no task slots") {
+			t.Fatalf("err = %v, want the cluster's missing slots named", err)
+		}
+	}
+}
+
+// TestWaitingFeedHoldsNoSlot: a feed that delivers a task every ten
+// virtual seconds, on a cluster with one slot. Each task must start within
+// an idle beat of its delivery and finish before the next one exists: the
+// wait is the driver's, the slot is free for the task the wait produced.
+func TestWaitingFeedHoldsNoSlot(t *testing.T) {
+	k := sim.NewKernel()
+	job := &Job{Name: "trickle", Cluster: testCluster(k, 1, 1), TaskStartup: 0.5}
+	const tasks = 4
+	var starts, ends []float64
+	delivered := 0
+	var err error
+	k.Go("driver", func(p *sim.Proc) {
+		err = job.RunStage(p, "wave", func(fp *sim.Proc) (*Task, error) {
+			if delivered == tasks {
+				return nil, nil
+			}
+			delivered++
+			fp.Sleep(10)
+			return &Task{Label: fmt.Sprintf("t%d", delivered), Run: func(tc *TaskContext) (func(), error) {
+				starts = append(starts, tc.Now())
+				tc.Charge("Work", 3)
+				return func() { ends = append(ends, tc.Now()) }, nil
+			}}, nil
+		})
+	})
+	k.Run()
+	if err != nil || len(ends) != tasks {
+		t.Fatalf("err = %v, %d of %d tasks committed", err, len(ends), tasks)
+	}
+	for i := range starts {
+		landed := 10 * float64(i+1)
+		if starts[i] < landed || starts[i] > landed+0.25+0.5 || ends[i] >= landed+10 {
+			t.Errorf("task %d delivered at %v ran %v-%v", i+1, landed, starts[i], ends[i])
+		}
+	}
+}
+
 func TestSequentialJobsComposeInOneDriver(t *testing.T) {
 	// A driver can run job B after job A completes (the SciHadoop
 	// copy-then-process pipeline shape).
@@ -462,7 +514,6 @@ func TestCombinerShrinksShuffle(t *testing.T) {
 		k := sim.NewKernel()
 		in := linesInput(0, []string{"a a a b"}, []string{"a b b b"})
 		job := wordCountJob(k, in, 2, 1, 1)
-		job.SlotsPerNode = 1
 		if useCombiner {
 			job.Combine = func(tc *TaskContext, key string, values []any) error {
 				sum := 0

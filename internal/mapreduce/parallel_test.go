@@ -185,20 +185,11 @@ func TestJobDeterministicUnderFaults(t *testing.T) {
 	}
 }
 
-// TestPooledMatchesNoPoolOutput compares the two-plane engine against
-// the legacy no-pool path. Same-instant process interleavings differ
-// (Await yields the kernel where inline execution does not), so exports
-// are not comparable — but the job's semantic result must agree.
+// TestPooledMatchesNoPoolOutput: a kernel nobody attached a pool to runs
+// the pooled schedule inline, so the whole run — result, stats, trace and
+// metrics exports — is the pooled run's, byte for byte.
 func TestPooledMatchesNoPoolOutput(t *testing.T) {
-	legacy, _, _ := parallelRun(t, -1, false, nil)
-	pooled, _, _ := parallelRun(t, 4, false, nil)
-	if !reflect.DeepEqual(legacy.Output, pooled.Output) {
-		t.Errorf("pooled output differs from no-pool output (%d vs %d pairs)", len(legacy.Output), len(pooled.Output))
-	}
-	if !reflect.DeepEqual(legacy.Counters, pooled.Counters) {
-		t.Errorf("pooled counters differ from no-pool counters: %v vs %v", legacy.Counters, pooled.Counters)
-	}
-	if legacy.ShuffleBytes != pooled.ShuffleBytes {
-		t.Errorf("shuffle bytes %d vs %d", legacy.ShuffleBytes, pooled.ShuffleBytes)
-	}
+	bare, bareTrace, bareProm := parallelRun(t, -1, false, nil)
+	pooled, pooledTrace, pooledProm := parallelRun(t, 4, false, nil)
+	assertSameRun(t, "no pool vs workers=4", bare, pooled, bareTrace, pooledTrace, bareProm, pooledProm)
 }

@@ -139,8 +139,8 @@ func (s byteRecords) ForEach(tc *TaskContext, sp *Split, fn func(key string, val
 // count — through the whole engine (scheduling, partitioning, shuffle,
 // sort-merge, reduce). withObs attaches a fresh metrics registry (and
 // kernel span tracer) per iteration, measuring the instrumented path.
-// workers < 0 runs without a data plane (the pre-two-plane engine);
-// workers >= 0 attaches a ComputePool of that size, and the map
+// workers < 0 attaches no pool (the inline schedule); workers >= 0
+// attaches a ComputePool of that size, and the map
 // function forks one scan closure per reducer — each closure extracts
 // only its own bucket's records in record order, so buckets (and the
 // job output) are identical to a serial scan.

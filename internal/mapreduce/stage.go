@@ -77,8 +77,11 @@ type stage struct {
 // fault injection and observability follow the Job's settings as they do
 // for Run's own map stage; name labels the stage in process names, spans,
 // metrics and TaskFaults calls. The feed is pulled lazily, at most
-// SplitWindow tasks ahead of the slots. Emit belongs to Run's own tasks,
-// and Counter increments reach only the Obs registry.
+// SplitWindow tasks ahead of the slots. A feed may wait — park its caller
+// in virtual time until the next task exists — and a waiting feed holds no
+// slot: the driver pulls until the first window is full, and only past
+// that does a worker's refill park the worker. Emit belongs to Run's own
+// tasks, and Counter increments reach only the Obs registry.
 func (j *Job) RunStage(p *sim.Proc, name string, feed func(*sim.Proc) (*Task, error)) error {
 	if err := j.checkCluster(); err != nil {
 		return err
@@ -119,33 +122,29 @@ func (j *Job) runStage(p *sim.Proc, name string, feed func(*sim.Proc) (*Task, er
 	// The source token keeps the wait group open until the feed drains,
 	// when the per-task holds take over.
 	s.wg.Add(1)
-	s.refill(p)
 	for _, node := range j.Cluster.Nodes {
-		slots := j.SlotsPerNode
-		if slots <= 0 {
-			slots = 1
-			if node.Slots != nil {
-				slots = node.Slots.Capacity()
-			}
-		}
 		node := node // a never-reassigned copy is captured by value: no heap cell per node
 		workerName := func() string { return fmt.Sprintf("%s/%s/%s-worker", j.Name, name, node.Name) }
-		for slot := 0; slot < slots; slot++ {
+		for slot := 0; slot < node.Slots; slot++ {
 			k.GoNamed(workerName, func(wp *sim.Proc) { s.worker(wp, node, slot) })
 		}
 	}
 	if s.speculative {
 		k.GoNamed(func() string { return fmt.Sprintf("%s/%s-speculator", j.Name, name) }, s.speculate)
 	}
+	// The workers exist before the first pull, so a feed that waits finds
+	// them idling, not unborn; one that does not yield fills the window
+	// before any of them has run.
+	s.refill(p)
 	p.Wait(s.wg)
 	s.span.End()
 	return s.stats, s.err
 }
 
 // refill pulls the feed until the queue holds a full window. The driver
-// primes the first window; after that whichever worker drains the queue
-// below half the window refills it, so any metadata cost the source
-// models lands on that worker's timeline.
+// primes the first window, however long the feed makes it wait; after
+// that whichever worker drains the queue below half the window refills it,
+// so any metadata cost the source models lands on that worker's timeline.
 func (s *stage) refill(rp *sim.Proc) {
 	if s.filling || s.exhausted {
 		return

@@ -117,6 +117,36 @@ type region struct {
 	agg         int // rank index of the aggregator
 }
 
+// fileDomains is two-phase I/O's file-domain split: the span covering
+// every non-empty request, carved into equal contiguous regions, one per
+// aggregator (the last may be short, and trailing aggregators get none
+// when the span is small). Nil means nothing was requested.
+func fileDomains(reqs []Range, aggregators int) []region {
+	lo, hi := int64(-1), int64(-1)
+	for _, r := range reqs {
+		if r.Len <= 0 {
+			continue
+		}
+		if lo < 0 || r.Off < lo {
+			lo = r.Off
+		}
+		hi = max(hi, r.Off+r.Len)
+	}
+	if lo < 0 {
+		return nil
+	}
+	per := (hi - lo + int64(aggregators) - 1) / int64(aggregators)
+	var regions []region
+	for a := 0; a < aggregators; a++ {
+		off := lo + int64(a)*per
+		if off >= hi {
+			break
+		}
+		regions = append(regions, region{off: off, length: min(per, hi-off), agg: a})
+	}
+	return regions
+}
+
 // CollectiveRead performs a two-phase collective read: the union of all
 // requests is split into contiguous regions across the first `aggregators`
 // ranks (0 = every rank aggregates); each aggregator reads its region in
@@ -133,38 +163,11 @@ func (c *Comm) CollectiveRead(path string, reqs []Range, aggregators int) *Resul
 	res := &Result{Data: make([][]byte, len(reqs)), Start: c.k.Now(), done: c.k.NewWaitGroup()}
 	res.done.Add(len(c.ranks))
 
-	// Merge requests into the covering span and carve it into equal
-	// regions, one per aggregator (two-phase I/O's file-domain split).
-	lo, hi := int64(-1), int64(-1)
-	for _, r := range reqs {
-		if r.Len <= 0 {
-			continue
-		}
-		if lo < 0 || r.Off < lo {
-			lo = r.Off
-		}
-		if r.Off+r.Len > hi {
-			hi = r.Off + r.Len
-		}
-	}
-	if lo < 0 {
+	regions := fileDomains(reqs, aggregators)
+	if regions == nil {
 		res.End = c.k.Now()
 		res.done.Add(-len(c.ranks))
 		return res // nothing requested
-	}
-	span := hi - lo
-	per := (span + int64(aggregators) - 1) / int64(aggregators)
-	var regions []region
-	for a := 0; a < aggregators; a++ {
-		off := lo + int64(a)*per
-		if off >= hi {
-			break
-		}
-		l := per
-		if off+l > hi {
-			l = hi - off
-		}
-		regions = append(regions, region{off: off, length: l, agg: a})
 	}
 
 	phase1 := c.k.NewWaitGroup()
@@ -239,39 +242,16 @@ func (c *Comm) CollectiveWrite(path string, reqs []Range, data [][]byte, aggrega
 	}
 	res := &Result{Start: c.k.Now(), done: c.k.NewWaitGroup()}
 
-	lo, hi := int64(-1), int64(-1)
 	for i, r := range reqs {
-		if r.Len <= 0 {
-			continue
-		}
-		if int64(len(data[i])) != r.Len {
+		if r.Len > 0 && int64(len(data[i])) != r.Len {
 			res.fail(fmt.Errorf("mpiio: rank %d buffer %d bytes, request %d", i, len(data[i]), r.Len))
 			return res
 		}
-		if lo < 0 || r.Off < lo {
-			lo = r.Off
-		}
-		if r.Off+r.Len > hi {
-			hi = r.Off + r.Len
-		}
 	}
-	if lo < 0 {
+	regions := fileDomains(reqs, aggregators)
+	if regions == nil {
 		res.End = c.k.Now()
 		return res
-	}
-	span := hi - lo
-	per := (span + int64(aggregators) - 1) / int64(aggregators)
-	var regions []region
-	for a := 0; a < aggregators; a++ {
-		off := lo + int64(a)*per
-		if off >= hi {
-			break
-		}
-		l := per
-		if off+l > hi {
-			l = hi - off
-		}
-		regions = append(regions, region{off: off, length: l, agg: a})
 	}
 	res.done.Add(len(regions))
 

@@ -207,9 +207,6 @@ type Array struct {
 	Data []byte
 }
 
-// NumElems returns the element count.
-func (a *Array) NumElems() int { return ioengine.Volume(a.Shape) }
-
 // Float32s decodes the payload as []float32. Asking it of an array of
 // another type is a programmer error, not something a file can cause.
 func (a *Array) Float32s() []float32 {

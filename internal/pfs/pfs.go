@@ -216,9 +216,6 @@ func (fs *FS) SetOSTDown(i int, down bool) {
 	}
 }
 
-// OSTDown reports target i's outage state.
-func (fs *FS) OSTDown(i int) bool { return fs.osts[i].down }
-
 // SetOSTSlowdown divides target i's bandwidth by factor (a degraded
 // disk); factor <= 1 restores full speed. In-flight flows re-share the
 // new capacity immediately.
@@ -253,9 +250,6 @@ func (fs *FS) countReadFault(kind string) {
 // OSTCount reports the number of object storage targets.
 func (fs *FS) OSTCount() int { return len(fs.osts) }
 
-// Config returns the configuration the FS was built with.
-func (fs *FS) Config() Config { return fs.cfg }
-
 // ---- Instant (non-simulated) access, for dataset setup and verification.
 
 // Put stores data at path with the default stripe layout, charging no
@@ -283,9 +277,6 @@ func (fs *FS) Get(path string) []byte {
 	}
 	return nil
 }
-
-// LookupFile returns the file record without charging time, or nil.
-func (fs *FS) LookupFile(path string) *File { return fs.files[path] }
 
 // Paths returns every stored path in sorted order.
 func (fs *FS) Paths() []string {

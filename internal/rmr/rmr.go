@@ -26,9 +26,6 @@ type Ctx struct {
 // Keyval emits a keyed data frame.
 func (c *Ctx) Keyval(key string, df *rframe.Frame) { c.TC.Emit(key, df) }
 
-// KeyvalBytes emits a keyed binary artifact (e.g. an encoded PNG).
-func (c *Ctx) KeyvalBytes(key string, data []byte) { c.TC.Emit(key, data) }
-
 // MapFn is an R-style map function: one input record (a keyed frame, or
 // whatever the input format produces) in, keyed frames/bytes out.
 type MapFn func(c *Ctx, key string, value any) error
@@ -42,8 +39,6 @@ type Spec struct {
 	Name string
 	// Cluster is the Hadoop cluster to run on.
 	Cluster *cluster.Cluster
-	// SlotsPerNode bounds per-node concurrency (0 = node capacity).
-	SlotsPerNode int
 	// Input produces the records (SciDP's input format, an HDFS text
 	// format, ...).
 	Input mapreduce.InputFormat
@@ -70,16 +65,15 @@ func MapReduce(p *sim.Proc, spec Spec) (*mapreduce.Result, error) {
 		return nil, fmt.Errorf("rmr: spec needs a Map function")
 	}
 	job := &mapreduce.Job{
-		Name:         spec.Name,
-		Cluster:      spec.Cluster,
-		SlotsPerNode: spec.SlotsPerNode,
-		Input:        spec.Input,
-		NumReducers:  spec.NumReducers,
-		TaskStartup:  spec.TaskStartup,
-		MaxAttempts:  spec.MaxAttempts,
-		Faults:       spec.Faults,
-		Speculation:  spec.Speculation,
-		PairBytes:    PairBytes,
+		Name:        spec.Name,
+		Cluster:     spec.Cluster,
+		Input:       spec.Input,
+		NumReducers: spec.NumReducers,
+		TaskStartup: spec.TaskStartup,
+		MaxAttempts: spec.MaxAttempts,
+		Faults:      spec.Faults,
+		Speculation: spec.Speculation,
+		PairBytes:   PairBytes,
 		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
 			return spec.Map(&Ctx{TC: tc}, key, value)
 		},

@@ -174,7 +174,9 @@ func TestShuffleUsesFrameSizes(t *testing.T) {
 	// Big frames must account for proportionally bigger shuffles.
 	shuffle := func(rows int) int64 {
 		k := sim.NewKernel()
-		cl := testCluster(k)
+		// One slot a node puts the two maps on different nodes, so one of
+		// them is remote from the reducer.
+		cl := cluster.New(k, "bd", cluster.Config{Nodes: 2, SlotsPerNode: 1, DiskBW: 1e6, NICBW: 1e6, FabricBW: 1e6})
 		vals := make([]float64, rows)
 		in := &frameInput{frames: map[string]*rframe.Frame{
 			"a": rframe.New().MustAddFloat("v", vals),
@@ -183,7 +185,7 @@ func TestShuffleUsesFrameSizes(t *testing.T) {
 		var res *mapreduce.Result
 		k.Go("driver", func(p *sim.Proc) {
 			res, _ = MapReduce(p, Spec{
-				Name: "s", Cluster: cl, Input: in, TaskStartup: 0.1, SlotsPerNode: 1,
+				Name: "s", Cluster: cl, Input: in, TaskStartup: 0.1,
 				Map: func(c *Ctx, key string, value any) error {
 					c.Keyval("all", value.(*rframe.Frame))
 					return nil

@@ -96,9 +96,6 @@ type ArrayPlan struct {
 	schema *rframe.Frame // the scan's answer over no rows: its columns
 }
 
-// From returns the table name the query selects from.
-func (pl *ArrayPlan) From() string { return pl.from }
-
 // Refs returns the input columns the plan references (select list, WHERE,
 // GROUP BY), deduplicated in schema order — the projection list.
 func (pl *ArrayPlan) Refs() []string { return pl.refs }

@@ -69,9 +69,10 @@ type ArrayTable interface {
 	Announce(chunks []int)
 	// Read decodes chunk i (the only per-chunk I/O a scan performs).
 	Read(i int) (Chunk, error)
-	// Fork submits pure scan work to the data plane (nil future = ran
-	// inline); Join awaits the returned futures.
+	// Fork submits pure scan work to the data plane; a table with no
+	// process behind it runs fn inline and returns nil, which the
+	// executor drops. Join awaits the futures Fork did return.
 	Fork(fn func()) *sim.Future
-	// Join blocks until every non-nil future has resolved.
+	// Join blocks until every future has resolved.
 	Join(futs ...*sim.Future)
 }

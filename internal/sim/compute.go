@@ -22,14 +22,14 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 )
 
 // ComputePool is a data-plane worker pool. The zero worker count is
-// meaningful: NewComputePool(0) executes every submission inline on the
-// caller's thread, which is the determinism reference the pooled modes
-// are tested against.
+// meaningful: NewComputePool(0) — and the nil pool of a kernel nobody
+// attached one to — executes every submission inline on the caller's
+// thread, which is the determinism reference the pooled modes are tested
+// against.
 type ComputePool struct {
 	workers int
 
@@ -62,10 +62,6 @@ func NewComputePool(workers int) *ComputePool {
 	return &ComputePool{workers: workers}
 }
 
-// DefaultWorkers is the worker count used when sizing a pool to the
-// machine: GOMAXPROCS at call time.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Workers reports the pool's configured worker count (0 = inline).
 func (cp *ComputePool) Workers() int { return cp.workers }
 
@@ -73,7 +69,7 @@ func (cp *ComputePool) Workers() int { return cp.workers }
 // fn before returning; the future is already resolved.
 func (cp *ComputePool) submit(fn func()) *Future {
 	t := poolTask{fn: fn, fut: &Future{done: make(chan struct{})}}
-	if cp.workers <= 0 {
+	if cp == nil || cp.workers <= 0 {
 		t.run()
 		return t.fut
 	}
@@ -127,61 +123,45 @@ func (cp *ComputePool) Close() {
 	}
 }
 
-// SetComputePool attaches a data plane to the kernel (nil detaches it).
-// Without a pool, Proc.Compute runs closures inline and schedules no
-// events — byte-for-byte the pre-data-plane behavior.
+// SetComputePool attaches a data plane to the kernel; nil, the state of
+// a new kernel, is the inline pool. The event schedule is the same
+// either way.
 func (k *Kernel) SetComputePool(cp *ComputePool) { k.pool = cp }
 
-// ComputePool returns the attached data plane (nil when detached).
-func (k *Kernel) ComputePool() *ComputePool { return k.pool }
-
 // Compute offloads fn to the kernel's data plane and returns its join
-// handle. With no pool attached it runs fn inline and returns nil
-// (Await ignores nil futures). fn must follow the package-level
-// determinism contract: pure byte work only, no sim/obs/cache access.
-// Call Await before reading anything fn writes.
+// handle, resolved already when the pool is inline. fn must follow the
+// package-level determinism contract: pure byte work only, no
+// sim/obs/cache access. Call Await before reading anything fn writes.
 func (p *Proc) Compute(fn func()) *Future {
 	k := p.k
 	if k.obs != nil {
 		k.obs.Counter("sim/compute_tasks_total").Inc()
 	}
-	if k.pool == nil {
-		fn()
-		return nil
-	}
 	return k.pool.submit(fn)
 }
 
-// Await blocks the process until every non-nil future has resolved.
-// The wait costs zero virtual time: one event is scheduled at the
-// current instant whose callback blocks the kernel thread — in real
-// time — on the futures, then resumes the process. Because the event
-// is scheduled identically for any worker count, virtual timelines and
-// event ordering are worker-count invariant. If an awaited closure
-// panicked, Await re-panics with its value in process context, so the
-// failure is attributed to this process deterministically.
+// Await blocks the process until every future has resolved. The wait
+// costs zero virtual time: one event is scheduled at the current instant
+// whose callback blocks the kernel thread — in real time — on the
+// futures, then resumes the process. Because the event is scheduled
+// identically for any worker count, virtual timelines and event ordering
+// are worker-count invariant. If an awaited closure panicked, Await
+// re-panics with its value in process context, so the failure is
+// attributed to this process deterministically.
 func (p *Proc) Await(futs ...*Future) {
-	n := 0
-	for _, f := range futs {
-		if f != nil {
-			n++
-		}
-	}
-	if n == 0 {
+	if len(futs) == 0 {
 		return
 	}
 	k := p.k
 	k.schedule(k.now, func() {
 		for _, f := range futs {
-			if f != nil {
-				<-f.done
-			}
+			<-f.done
 		}
 		k.resume(p)
 	})
 	p.pause()
 	for _, f := range futs {
-		if f != nil && f.panicked != nil {
+		if f.panicked != nil {
 			panic(fmt.Sprintf("data-plane compute panicked: %v", f.panicked))
 		}
 	}

@@ -2,31 +2,41 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestComputeInlineWithoutPool pins the nil-pool fast path: Compute runs
-// the closure synchronously, returns nil, and Await of nils schedules
-// nothing — byte-for-byte the pre-data-plane behavior.
-func TestComputeInlineWithoutPool(t *testing.T) {
+// TestNoPoolIsTheInlinePool: a kernel nobody attached a pool to runs the
+// one schedule — Compute hands back a resolved future, Await joins through
+// its event — so its event count and flow trace are those of a kernel with
+// NewComputePool(0), and of any worker count.
+func TestNoPoolIsTheInlinePool(t *testing.T) {
 	k := NewKernel()
 	k.Go("p", func(p *Proc) {
 		ran := false
 		fut := p.Compute(func() { ran = true })
-		if fut != nil {
-			t.Error("Compute returned a future with no pool attached")
+		if fut == nil || !ran {
+			t.Errorf("Compute with no pool attached: future %v, ran %v; want a resolved future", fut, ran)
 		}
-		if !ran {
-			t.Error("closure did not run inline")
-		}
-		seqBefore := k.seq
-		p.Await(nil, nil)
-		if k.seq != seqBefore {
-			t.Error("Await of nil futures scheduled an event")
+		before := k.EventsProcessed()
+		p.Await(fut)
+		if k.EventsProcessed() != before+1 {
+			t.Error("Await of a resolved future did not join through one event")
 		}
 	})
 	k.Run()
+
+	ref, refEvents, refTrace := computeTimeline(nil)
+	for _, workers := range []int{0, 2} {
+		pool := NewComputePool(workers)
+		got, events, trace := computeTimeline(pool)
+		pool.Close()
+		if events != refEvents || trace != refTrace || !slices.Equal(got, ref) {
+			t.Errorf("workers=%d: %d events, no pool %d; timelines equal %v, traces equal %v",
+				workers, events, refEvents, slices.Equal(got, ref), trace == refTrace)
+		}
+	}
 }
 
 // TestComputeForkJoin drives many processes forking many closures
@@ -62,13 +72,14 @@ func TestComputeForkJoin(t *testing.T) {
 }
 
 // computeTimeline runs a fixed mix of sleeps, fork-joins, and transfers
-// and returns every (proc, virtual time) resume observation — the
+// on pool (nil = none attached) and returns every (proc, virtual time)
+// resume observation, the event count and the flow trace — the
 // worker-count invariance probe.
-func computeTimeline(workers int) []string {
-	pool := NewComputePool(workers)
-	defer pool.Close()
+func computeTimeline(pool *ComputePool) ([]string, uint64, string) {
 	k := NewKernel()
 	k.SetComputePool(pool)
+	tr := &Tracer{}
+	k.SetTracer(tr)
 	disk := NewResource("disk", 1e6)
 	var log []string
 	for pi := 0; pi < 4; pi++ {
@@ -88,7 +99,7 @@ func computeTimeline(workers int) []string {
 		})
 	}
 	k.Run()
-	return log
+	return log, k.EventsProcessed(), tr.String()
 }
 
 // busyWork burns real CPU so pooled runs genuinely overlap.
@@ -107,12 +118,14 @@ func busyWork(seed int) int {
 // simulation produces identical resume timelines (virtual times, order,
 // results) with an inline pool, one worker, and many workers.
 func TestComputeWorkerCountInvariance(t *testing.T) {
-	ref := computeTimeline(0)
+	ref, _, _ := computeTimeline(nil)
 	if len(ref) != 12 {
 		t.Fatalf("timeline has %d entries, want 12", len(ref))
 	}
 	for _, workers := range []int{1, 4} {
-		got := computeTimeline(workers)
+		pool := NewComputePool(workers)
+		got, _, _ := computeTimeline(pool)
+		pool.Close()
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: %d entries, want %d", workers, len(got), len(ref))
 		}

@@ -180,8 +180,10 @@ func (k *Kernel) SetObs(r *obs.Registry) {
 func (k *Kernel) Obs() *obs.Registry { return k.obs }
 
 // SetFairShareMode selects the rate-recomputation strategy. Both modes
-// produce byte-identical simulations (FairShareFull is the verification
-// oracle); set it before starting flows.
+// produce byte-identical simulations; FairShareFull is the verification
+// oracle, and only the tests that hold the incremental path to it
+// (fairshare_prop_test.go, bench/obs_test.go) call this. Set it before
+// starting flows.
 func (k *Kernel) SetFairShareMode(m FairShareMode) { k.mode = m }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -195,9 +197,6 @@ func (k *Kernel) Now() float64 { return k.now }
 // EventsProcessed reports how many events the kernel has executed — the
 // scale benchmarks' throughput denominator.
 func (k *Kernel) EventsProcessed() uint64 { return k.eventCount }
-
-// ActiveFlows reports the number of in-flight flows.
-func (k *Kernel) ActiveFlows() int { return len(k.flowHeap) }
 
 // schedule enqueues fn to run at virtual time at (>= now).
 func (k *Kernel) schedule(at float64, fn func()) { k.enqueue(at, nil, fn) }
@@ -401,10 +400,6 @@ func (p *Proc) Sleep(d float64) {
 	p.pause()
 }
 
-// Yield reschedules the process behind all events already queued at the
-// current instant.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // flowRef is one entry in a resource's flow index: the flow plus the
 // position of the resource within the flow's own chain, so removal can
 // repair the reverse index in O(1).
@@ -448,9 +443,6 @@ func NewResource(name string, capacity float64) *Resource {
 	return &Resource{Name: name, Capacity: capacity}
 }
 
-// Active reports how many flows currently cross the resource.
-func (r *Resource) Active() int { return r.active }
-
 // shareNow computes the resource's current per-flow fair share.
 func (r *Resource) shareNow() float64 {
 	if r.active == 0 {
@@ -492,11 +484,6 @@ type Flow struct {
 
 // ID returns the kernel-unique flow id, matching TraceEvent.Flow.
 func (f *Flow) ID() uint64 { return f.id }
-
-// Remaining reports the bytes the flow still has to move (settled to the
-// flow's last rate change; callers outside the kernel should treat it as
-// approximate).
-func (f *Flow) Remaining() float64 { return f.remaining }
 
 // settle materializes the flow's progress at the current instant using
 // the rate fixed at its previous rate change.

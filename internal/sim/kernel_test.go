@@ -210,60 +210,6 @@ func TestTransferAllEmpty(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	k := NewKernel()
-	slots := k.NewSemaphore(2)
-	var maxHeld int
-	var ends []float64
-	for i := 0; i < 4; i++ {
-		k.Go("task", func(p *Proc) {
-			p.Acquire(slots)
-			if slots.Held() > maxHeld {
-				maxHeld = slots.Held()
-			}
-			p.Sleep(1)
-			slots.Release()
-			ends = append(ends, p.Now())
-		})
-	}
-	k.Run()
-	if maxHeld != 2 {
-		t.Errorf("max held = %d, want 2", maxHeld)
-	}
-	// 4 tasks, 2 slots, 1 s each -> two waves: ends 1,1,2,2.
-	want := []float64{1, 1, 2, 2}
-	if len(ends) != 4 {
-		t.Fatalf("got %d ends, want 4", len(ends))
-	}
-	for i, e := range ends {
-		if !almostEqual(e, want[i]) {
-			t.Errorf("end[%d] = %v, want %v", i, e, want[i])
-		}
-	}
-}
-
-func TestSemaphoreFIFO(t *testing.T) {
-	k := NewKernel()
-	s := k.NewSemaphore(1)
-	var order []string
-	for _, name := range []string{"first", "second", "third"} {
-		name := name
-		k.Go(name, func(p *Proc) {
-			p.Acquire(s)
-			order = append(order, name)
-			p.Sleep(1)
-			s.Release()
-		})
-	}
-	k.Run()
-	want := []string{"first", "second", "third"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	k := NewKernel()
 	wg := k.NewWaitGroup()
@@ -349,10 +295,9 @@ func TestDeadlockDetected(t *testing.T) {
 		}
 	}()
 	k := NewKernel()
-	s := k.NewSemaphore(1)
+	q := k.NewQueue()
 	k.Go("stuck", func(p *Proc) {
-		p.Acquire(s)
-		p.Acquire(s) // deadlock: never released
+		p.Pop(q) // deadlock: never pushed, never closed
 	})
 	k.Run()
 }

@@ -75,11 +75,8 @@ func TestRunReleasesFinishedProcesses(t *testing.T) {
 		base := runtime.NumGoroutine()
 		k := NewKernel()
 		spawn(k, 20)
-		sem := k.NewSemaphore(1)
-		k.Go("stuck", func(p *Proc) {
-			p.Acquire(sem)
-			p.Acquire(sem)
-		})
+		q := k.NewQueue()
+		k.Go("stuck", func(p *Proc) { p.Pop(q) })
 		if msg := runPanics(k); !strings.Contains(msg, "deadlock") {
 			t.Fatalf("Run panicked with %q", msg)
 		}
@@ -193,7 +190,6 @@ func TestProcSteadyStateAllocs(t *testing.T) {
 	k.Go("measured", func(p *Proc) {
 		measure := func(name string, fn func()) { got[name] = testing.AllocsPerRun(100, fn) }
 		measure("Sleep", func() { p.Sleep(0.5) })
-		measure("Yield", p.Yield)
 
 		wg := k.NewWaitGroup()
 		done := wg.Done
@@ -201,22 +197,6 @@ func TestProcSteadyStateAllocs(t *testing.T) {
 			wg.Add(1)
 			k.After(1, done)
 			p.Wait(wg)
-		})
-
-		sem := k.NewSemaphore(1)
-		measure("Acquire/Release", func() {
-			p.Acquire(sem)
-			sem.Release()
-		})
-
-		// Blocked: the slot is handed over by a Release an event makes.
-		// The waiter list slides forward, so queueing still allocates.
-		release := sem.Release
-		measure("Acquire blocked", func() {
-			p.Acquire(sem)
-			k.After(1, release)
-			p.Acquire(sem)
-			sem.Release()
 		})
 
 		body := func(wp *Proc) { wp.Sleep(1) }
@@ -227,15 +207,11 @@ func TestProcSteadyStateAllocs(t *testing.T) {
 	})
 	k.Run()
 	for name, allocs := range got {
-		want := 0.0
-		if name == "Acquire blocked" {
-			want = 1
-		}
-		if allocs > want {
-			t.Errorf("%s: %v allocations per call, want at most %v", name, allocs, want)
+		if allocs > 0 {
+			t.Errorf("%s: %v allocations per call, want none", name, allocs)
 		}
 	}
-	if len(got) != 6 {
-		t.Fatalf("measured %d primitives, want 6", len(got))
+	if len(got) != 3 {
+		t.Fatalf("measured %d primitives, want 3", len(got))
 	}
 }

@@ -1,56 +1,5 @@
 package sim
 
-// Semaphore is a counting semaphore in virtual time. It models bounded
-// execution slots — YARN container slots on a Hadoop node, the per-node MPI
-// rank count, a disk's outstanding-request window.
-type Semaphore struct {
-	k        *Kernel
-	capacity int
-	held     int
-	waiters  []*Proc
-}
-
-// NewSemaphore returns a semaphore with the given number of slots.
-func (k *Kernel) NewSemaphore(capacity int) *Semaphore {
-	if capacity < 1 {
-		panic("sim: semaphore capacity must be >= 1")
-	}
-	return &Semaphore{k: k, capacity: capacity}
-}
-
-// Capacity returns the total slot count.
-func (s *Semaphore) Capacity() int { return s.capacity }
-
-// Held returns the number of slots currently taken.
-func (s *Semaphore) Held() int { return s.held }
-
-// Acquire blocks the process until a slot is free, then takes it. Waiters
-// are served strictly in arrival order.
-func (p *Proc) Acquire(s *Semaphore) {
-	if s.held < s.capacity && len(s.waiters) == 0 {
-		s.held++
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.pause()
-}
-
-// Release frees one slot. If a process is waiting, the slot transfers to
-// the head of the queue and that process resumes at the current instant.
-func (s *Semaphore) Release() {
-	if s.held <= 0 {
-		panic("sim: semaphore released more times than acquired")
-	}
-	if len(s.waiters) > 0 {
-		next := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		// The slot passes directly to next; held stays constant.
-		s.k.wake(s.k.now, next)
-		return
-	}
-	s.held--
-}
-
 // WaitGroup waits for a collection of simulated activities to finish,
 // mirroring sync.WaitGroup in virtual time.
 type WaitGroup struct {

@@ -97,51 +97,6 @@ func (t *Tracer) each(fn func(TraceEvent)) {
 	}
 }
 
-// BytesThrough totals flow bytes that crossed the named resource.
-func (t *Tracer) BytesThrough(resource string) float64 {
-	var sum float64
-	t.each(func(ev TraceEvent) {
-		if ev.Kind != "flow-end" {
-			return
-		}
-		for _, r := range ev.Resources {
-			if r == resource {
-				sum += ev.Bytes
-				break
-			}
-		}
-	})
-	return sum
-}
-
-// Busiest returns resources ordered by total bytes moved, descending;
-// ties break by name ascending.
-func (t *Tracer) Busiest() []string {
-	totals := map[string]float64{}
-	t.each(func(ev TraceEvent) {
-		if ev.Kind != "flow-end" {
-			return
-		}
-		for _, r := range ev.Resources {
-			totals[r] += ev.Bytes
-		}
-	})
-	names := make([]string, 0, len(totals))
-	for n := range totals {
-		names = append(names, n)
-	}
-	slices.SortFunc(names, func(a, b string) int {
-		if totals[a] != totals[b] {
-			if totals[a] > totals[b] {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a, b)
-	})
-	return names
-}
-
 // String renders the trace, one event per line.
 func (t *Tracer) String() string {
 	var sb strings.Builder

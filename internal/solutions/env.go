@@ -125,19 +125,11 @@ type EnvConfig struct {
 	// node with a burst buffer and builds the cluster-wide cooperative
 	// cache every PFS and HDFS read in this env consults.
 	CacheTier ioengine.TierConfig
-	// Workers sizes the data-plane compute pool attached to the kernel:
-	// 0 leaves the data plane off (all byte work runs inline on the
-	// kernel thread, the pre-two-plane behavior), N > 0 attaches a pool
-	// of N OS workers, and N < 0 attaches an inline pool — the
-	// scheduling shape of a pool without real concurrency, the
-	// determinism reference the pooled modes are compared against.
-	// Call Env.Close when done with a pooled env.
+	// Workers is the number of OS workers in the data-plane compute pool;
+	// <= 0 runs the byte work inline on the kernel thread. The event
+	// schedule, and so every output, is the same at any value. Call
+	// Env.Close when done with a pooled env.
 	Workers int
-	// FairShare selects the kernel's fair-share recomputation strategy:
-	// the default incremental path, or the brute-force full-recompute
-	// oracle (byte-identical results; used by scheduler-equivalence
-	// tests and benchmarks).
-	FairShare sim.FairShareMode
 }
 
 // DefaultEnvConfig mirrors the paper's 8-node testbed at the given scale
@@ -183,7 +175,7 @@ type Env struct {
 	// and tenant of this env.
 	Tier *ioengine.Tier
 
-	// pool is the data-plane worker pool (nil when Workers == 0).
+	// pool is the data-plane worker pool (nil when Workers <= 0).
 	pool *sim.ComputePool
 	// closed records Close: run entry points refuse a closed env.
 	closed bool
@@ -225,6 +217,38 @@ func (e *Env) Faults() mapreduce.TaskFaults {
 	return e.Chaos
 }
 
+// job is the template every job this env runs starts from: its cluster
+// (whose nodes carry the slot count), observability, task startup, retry
+// budget and chaos injector. Speculation is not in it: only a job whose
+// map tasks publish through Emit alone may run two attempts of one at
+// once, and runProcessing's is the only such job.
+func (e *Env) job(name string) *mapreduce.Job {
+	return &mapreduce.Job{
+		Name: name, Cluster: e.BD, Obs: e.Obs, TaskStartup: e.Cfg.Cost.TaskStartup,
+		MaxAttempts: e.Cfg.MaxAttempts, Faults: e.Faults(),
+	}
+}
+
+// pfsInput is SciDP's input format over the Data Mapper mirror under dir:
+// each dummy block is resolved by a PFS Reader on its task's node, under
+// the env's observability and read-retry policy. Callers add what the
+// read costs the task's CPU.
+func (e *Env) pfsInput(dir string) *core.InputFormat {
+	return &core.InputFormat{
+		HDFS: e.HDFS, Dir: dir, Registry: e.Registry, MountFor: e.Mount,
+		Obs: e.Obs, Retry: e.Cfg.ReadRetry,
+	}
+}
+
+// sciCost is the CPU a SciDP task pays per raw MB it read, at this env's
+// byte scale: inflate, then binary-to-R conversion.
+func (e *Env) sciCost() core.CostModel {
+	return core.CostModel{
+		DecompressPerRawMB: e.Cfg.Cost.DecompressPerMB * e.Cfg.ByteScale,
+		ConvertPerRawMB:    e.Cfg.Cost.BinConvertPerMB * e.Cfg.ByteScale,
+	}
+}
+
 // NewEnv builds the testbed: an 8-node (by default) Hadoop cluster with
 // HDFS, the Lustre-like PFS (2 OSS x 12 OST), and a 2x10GbE interlink,
 // all bandwidths divided by ByteScale.
@@ -248,7 +272,6 @@ func NewEnv(cfg EnvConfig) *Env {
 		cfg.Cost = DefaultCostModel()
 	}
 	k := sim.NewKernel()
-	k.SetFairShareMode(cfg.FairShare)
 	bdCfg := cluster.DefaultHardware(cfg.Nodes, cfg.SlotsPerNode).Scaled(cfg.ByteScale)
 	bdCfg.BurstBufferBytes = cfg.CacheTier.NodeBytes
 	bd := cluster.New(k, "bd", bdCfg)
@@ -292,12 +315,8 @@ func NewEnv(cfg EnvConfig) *Env {
 		env.Chaos = chaos.New(cfg.Chaos)
 		env.Chaos.Arm(k, pfsFS, hfs, cfg.Obs)
 	}
-	if cfg.Workers != 0 {
-		w := cfg.Workers
-		if w < 0 {
-			w = 0
-		}
-		env.pool = sim.NewComputePool(w)
+	if cfg.Workers > 0 {
+		env.pool = sim.NewComputePool(cfg.Workers)
 		k.SetComputePool(env.pool)
 	}
 	return env

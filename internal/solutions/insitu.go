@@ -5,7 +5,7 @@ import (
 
 	"scidp/internal/cluster"
 	"scidp/internal/core"
-	"scidp/internal/hdfs"
+	"scidp/internal/mapreduce"
 	"scidp/internal/sim"
 	"scidp/internal/workloads"
 )
@@ -51,133 +51,118 @@ type WorkflowConfig struct {
 // (the conventional offline workflow).
 func RunWorkflow(p *sim.Proc, env *Env, cfg WorkflowConfig) (*WorkflowReport, error) {
 	env.ensureOpen()
-	rep := &WorkflowReport{Strategy: "offline"}
-	if cfg.InSitu {
-		rep.Strategy = "in-situ"
-	}
 	if cfg.HPCNodes <= 0 {
 		cfg.HPCNodes = 8
 	}
 	hpc := cluster.New(env.K, "hpc", cluster.DefaultHardware(cfg.HPCNodes, 1).Scaled(env.Cfg.ByteScale))
-	comm := workloads.NewComm(env.K, hpc, env.PFS)
-
-	start := p.Now()
-	mapper := core.NewMapper(env.HDFS, env.Registry, "/scidp")
-	wl := &Workload{Dataset: cfg.Dataset, Var: cfg.Var}
-
-	var analysisWG *sim.WaitGroup
-	images := 0
-	var firstErr error
-	if cfg.InSitu {
-		analysisWG = env.K.NewWaitGroup()
-	}
-
-	sim_ := workloads.SimSpec{
-		Comm:           comm,
+	run := workloads.SimSpec{
+		Comm:           workloads.NewComm(env.K, hpc, env.PFS),
 		FS:             env.PFS,
 		Blobs:          cfg.Blobs,
 		Files:          cfg.Dataset.Files,
 		ComputeSeconds: cfg.ComputeSecondsPerStep,
 	}
+	wl := &Workload{Dataset: cfg.Dataset, Var: cfg.Var}
+	start := p.Now()
 	if cfg.InSitu {
-		sim_.OnFile = func(dp *sim.Proc, file string, index int) {
-			// Map the fresh file and process each of its dummy blocks as
-			// its own task on the Hadoop cluster, concurrently with the
-			// still-running simulation.
-			mf, err := mapper.MapFile(dp, env.Mount(env.BD.Node(0)), file, core.MapOptions{
-				Vars:         []string{cfg.Var},
-				RowsPerBlock: cfg.Dataset.Spec.Levels,
-			})
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			for vi := range mf.Vars {
-				for bi, block := range mf.Vars[vi].INode.Blocks {
-					block := block
-					node := env.BD.Node((index + bi) % len(env.BD.Nodes))
-					analysisWG.Add(1)
-					env.K.Go(fmt.Sprintf("insitu/%s#%d", file, bi), func(tp *sim.Proc) {
-						defer analysisWG.Done()
-						n, err := processBlockInline(tp, env, wl, node, block)
-						if err != nil && firstErr == nil {
-							firstErr = err
-						}
-						images += n
-					})
-				}
-			}
-		}
+		return runInSitu(p, env, wl, run)
 	}
-	if err := workloads.SimulateRun(p, sim_); err != nil {
+	rep := &WorkflowReport{Strategy: "offline"}
+	if err := workloads.SimulateRun(p, run); err != nil {
 		return nil, err
 	}
 	rep.SimulationSeconds = p.Now() - start
-
-	if cfg.InSitu {
-		p.Wait(analysisWG)
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		rep.Images = images
-	} else {
-		srep, err := RunSciDP(p, env, wl)
-		if err != nil {
-			return nil, err
-		}
-		rep.Images = srep.Images
+	srep, err := RunSciDP(p, env, wl)
+	if err != nil {
+		return nil, err
 	}
+	rep.Images = srep.Images
 	rep.EndToEndSeconds = p.Now() - start
 	rep.AnalysisLagSeconds = rep.EndToEndSeconds - rep.SimulationSeconds
 	return rep, nil
 }
 
-// processBlockInline runs one dummy block's analysis as a standalone
-// task on the given node: acquire a slot, pay task startup, resolve the
-// block via the PFS Reader, plot every level, store the images on HDFS —
-// the map-task body without a surrounding job.
-func processBlockInline(tp *sim.Proc, env *Env, wl *Workload, node *cluster.Node, block *hdfs.Block) (int, error) {
-	tp.Acquire(node.Slots)
-	defer node.Slots.Release()
-	tp.Sleep(env.Cfg.Cost.TaskStartup)
-	sc := newSerialCtx(tp, node)
-	reader := core.NewPFSReader(env.Registry, env.Mount(node))
-	var value any
-	var err error
-	sc.Phase("Read", func() {
-		value, err = reader.ReadBlock(tp, block)
+// runInSitu is the in-situ arm: the simulation runs as its own process on
+// the HPC side and announces each file it lands on a queue; the driver
+// runs one stage on the Hadoop cluster whose feed waits on that queue,
+// maps the file — on the feed's caller, so the simulation's timeline is
+// the offline arm's — and mints a task per dummy block. A task is a SciDP
+// map task that stores its own images: read the block through the PFS
+// Reader, plot every level, write the PNGs to HDFS.
+func runInSitu(p *sim.Proc, env *Env, wl *Workload, run workloads.SimSpec) (*WorkflowReport, error) {
+	rep := &WorkflowReport{Strategy: "in-situ"}
+	start := p.Now()
+	landed := env.K.NewQueue()
+	var simErr error
+	run.OnFile = func(file string) { landed.Push(file) }
+	env.K.Go("simulation", func(sp *sim.Proc) {
+		simErr = workloads.SimulateRun(sp, run)
+		rep.SimulationSeconds = sp.Now() - start
+		landed.Close()
+	})
+
+	mapper := core.NewMapper(env.HDFS, env.Registry, "/scidp")
+	input := env.pfsInput("")
+	input.Cost = env.sciCost()
+	input.Tier = env.Tier
+	// analyze is one dummy block's task body.
+	analyze := func(tc *mapreduce.TaskContext, split *mapreduce.Split) (commit func(), err error) {
+		stored := 0
+		err = input.ForEach(tc, split, func(_ string, value any) error {
+			slab, ok := value.(*core.Slab)
+			if !ok {
+				return fmt.Errorf("solutions: in-situ block is not scientific")
+			}
+			g, err := gridFromSlab(slab)
+			if err != nil {
+				return err
+			}
+			out, err := processGrid(env, wl, tc, g, false)
+			if err != nil {
+				return err
+			}
+			for i, png := range out.images {
+				dst := fmt.Sprintf("/results/insitu/img/t%04d_l%03d.png", g.t, out.levels[i])
+				if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), dst, png); err != nil {
+					return err
+				}
+			}
+			stored = len(out.images)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return func() { rep.Images += stored }, nil
+	}
+	var minted []*mapreduce.Split // the newest file's blocks not yet handed out
+	err := env.job("insitu").RunStage(p, "map", func(fp *sim.Proc) (*mapreduce.Task, error) {
+		for len(minted) == 0 {
+			file, ok := fp.Pop(landed)
+			if !ok {
+				return nil, simErr
+			}
+			mf, err := mapper.MapFile(fp, env.Mount(env.BD.Node(0)), file.(string), core.MapOptions{
+				Vars:         []string{wl.Var},
+				RowsPerBlock: wl.Dataset.Spec.Levels,
+			})
+			if err != nil {
+				return nil, err
+			}
+			for _, mv := range mf.Vars {
+				minted = core.AppendBlockSplits(minted, mv.INode)
+			}
+		}
+		split := minted[0]
+		minted = minted[1:]
+		return &mapreduce.Task{Label: split.Label, Run: func(tc *mapreduce.TaskContext) (func(), error) {
+			return analyze(tc, split)
+		}}, nil
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	slab, ok := value.(*core.Slab)
-	if !ok {
-		return 0, fmt.Errorf("solutions: in-situ block is not scientific")
-	}
-	rawMB := env.scaleMB(len(slab.Raw))
-	sc.Charge("Read", env.Cfg.Cost.DecompressPerMB*rawMB)
-	sc.Charge("Convert", env.Cfg.Cost.BinConvertPerMB*rawMB)
-	vals, err := slab.Float32s()
-	if err != nil {
-		return 0, err
-	}
-	g := &grid{
-		t:           workloads.TimestampIndex(slab.PFSPath),
-		levelOrigin: slab.Start[0],
-		levels:      slab.Count[0], ny: slab.Count[1], nx: slab.Count[2],
-		vals: vals,
-	}
-	out, err := processGrid(env, wl, sc, g, false)
-	if err != nil {
-		return 0, err
-	}
-	for i, png := range out.images {
-		dst := fmt.Sprintf("/results/insitu/img/t%04d_l%03d.png", g.t, out.levels[i])
-		if err := env.HDFS.WriteFile(tp, node, dst, png); err != nil {
-			return 0, err
-		}
-	}
-	return len(out.images), nil
+	rep.EndToEndSeconds = p.Now() - start
+	rep.AnalysisLagSeconds = rep.EndToEndSeconds - rep.SimulationSeconds
+	return rep, nil
 }

@@ -118,29 +118,21 @@ func distcp(p *sim.Proc, env *Env, files []string, dstDir string) ([]string, int
 		splits[i] = &mapreduce.Split{Label: f, Payload: i}
 	}
 	var moved int64
-	job := &mapreduce.Job{
-		Name:         "distcp",
-		Cluster:      env.BD,
-		SlotsPerNode: env.Cfg.SlotsPerNode,
-		Obs:          env.Obs,
-		TaskStartup:  env.Cfg.Cost.TaskStartup,
-		MaxAttempts:  env.Cfg.MaxAttempts,
-		Faults:       env.Faults(),
-		Input:        staticInput(splits),
-		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
-			i := value.(int)
-			mount := env.Mount(tc.Node())
-			size, err := mount.Stat(tc.Proc(), files[i])
-			if err != nil {
-				return err
-			}
-			data, err := mount.ReadAt(tc.Proc(), files[i], 0, size)
-			if err != nil {
-				return err
-			}
-			moved += int64(len(data))
-			return env.HDFS.WriteFile(tc.Proc(), tc.Node(), dsts[i], data)
-		},
+	job := env.job("distcp")
+	job.Input = mapreduce.StaticInput(splits)
+	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
+		i := value.(int)
+		mount := env.Mount(tc.Node())
+		size, err := mount.Stat(tc.Proc(), files[i])
+		if err != nil {
+			return err
+		}
+		data, err := mount.ReadAt(tc.Proc(), files[i], 0, size)
+		if err != nil {
+			return err
+		}
+		moved += int64(len(data))
+		return env.HDFS.WriteFile(tc.Proc(), tc.Node(), dsts[i], data)
 	}
 	if _, err := job.Run(p); err != nil {
 		return nil, 0, err
@@ -171,14 +163,6 @@ func seqCopy(p *sim.Proc, env *Env, files []string, dstDir string) ([]string, in
 		}
 	}
 	return dsts, moved, nil
-}
-
-// staticInput adapts a fixed split list.
-type staticInput []*mapreduce.Split
-
-func (s staticInput) Splits(p *sim.Proc) ([]*mapreduce.Split, error) { return s, nil }
-func (s staticInput) ForEach(tc *mapreduce.TaskContext, sp *mapreduce.Split, fn func(key string, value any) error) error {
-	return fn(sp.Label, sp.Payload)
 }
 
 // RunNaive is Table I's first row: sequential conversion, sequential
@@ -310,11 +294,7 @@ func RunPortHadoop(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	input := &core.InputFormat{
-		HDFS: env.HDFS, Dir: mapping.Root, Registry: env.Registry, MountFor: env.Mount,
-		Obs: env.Obs, Retry: env.Cfg.ReadRetry,
-	}
-	res, stats, err := runProcessing(p, env, wl, "porthadoop", input,
+	res, stats, err := runProcessing(p, env, wl, "porthadoop", env.pfsInput(mapping.Root),
 		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
 			text := value.([]byte)
 			// The flat mapping lost the record structure: PortHadoop
@@ -425,31 +405,14 @@ func RunSciDPWith(p *sim.Proc, env *Env, wl *Workload, opts SciDPOptions) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	input := &core.InputFormat{
-		HDFS: env.HDFS, Dir: mapping.Root, Registry: env.Registry, MountFor: env.Mount,
-		Cost: core.CostModel{
-			DecompressPerRawMB: env.Cfg.Cost.DecompressPerMB * env.Cfg.ByteScale,
-			ConvertPerRawMB:    env.Cfg.Cost.BinConvertPerMB * env.Cfg.ByteScale,
-		},
-		Engine: opts.Engine,
-		Caches: opts.Caches,
-		Tier:   env.Tier,
-		Obs:    env.Obs,
-		Retry:  env.Cfg.ReadRetry,
-	}
+	input := env.pfsInput(mapping.Root)
+	input.Cost = env.sciCost()
+	input.Engine = opts.Engine
+	input.Caches = opts.Caches
+	input.Tier = env.Tier
 	res, stats, err := runProcessing(p, env, wl, name, input,
 		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
-			slab := value.(*core.Slab)
-			vals, err := slab.Float32s()
-			if err != nil {
-				return nil, err
-			}
-			return &grid{
-				t:           workloads.TimestampIndex(slab.PFSPath),
-				levelOrigin: slab.Start[0],
-				levels:      slab.Count[0], ny: slab.Count[1], nx: slab.Count[2],
-				vals: vals,
-			}, nil
+			return gridFromSlab(value.(*core.Slab))
 		})
 	if err != nil {
 		return nil, err
@@ -480,46 +443,25 @@ func RunSciDPStaged(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
 	}
 	// Wave 1: read-only job materializing every slab (decompression
 	// charged here; conversion deferred to the compute wave).
-	input := &core.InputFormat{
-		HDFS: env.HDFS, Dir: mapping.Root, Registry: env.Registry, MountFor: env.Mount,
-		Cost: core.CostModel{DecompressPerRawMB: env.Cfg.Cost.DecompressPerMB * env.Cfg.ByteScale},
-		Obs:  env.Obs, Retry: env.Cfg.ReadRetry,
-	}
-	type stagedSlab struct {
-		label string
-		slab  *core.Slab
-	}
-	var staged []stagedSlab
-	readJob := &mapreduce.Job{
-		Name: "scidp-staged-read", Cluster: env.BD, SlotsPerNode: env.Cfg.SlotsPerNode,
-		Obs: env.Obs, TaskStartup: env.Cfg.Cost.TaskStartup, Input: input,
-		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
-			staged = append(staged, stagedSlab{label: key, slab: value.(*core.Slab)})
-			return nil
-		},
+	input := env.pfsInput(mapping.Root)
+	input.Cost.DecompressPerRawMB = env.sciCost().DecompressPerRawMB
+	// Wave 2's input, in the order wave 1's tasks finished.
+	var staged mapreduce.StaticInput
+	readJob := env.job("scidp-staged-read")
+	readJob.Input = input
+	readJob.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
+		staged = append(staged, &mapreduce.Split{Label: key, Payload: value})
+		return nil
 	}
 	if _, err := readJob.Run(p); err != nil {
 		return nil, err
 	}
 	// Wave 2: compute from memory.
-	splits := make([]*mapreduce.Split, len(staged))
-	for i, ss := range staged {
-		splits[i] = &mapreduce.Split{Label: ss.label, Payload: ss.slab}
-	}
-	res, stats, err := runProcessing(p, env, wl, "scidp-staged", staticInput(splits),
+	res, stats, err := runProcessing(p, env, wl, "scidp-staged", staged,
 		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
 			slab := value.(*core.Slab)
 			tc.Charge("Convert", env.Cfg.Cost.BinConvertPerMB*env.scaleMB(len(slab.Raw)))
-			vals, err := slab.Float32s()
-			if err != nil {
-				return nil, err
-			}
-			return &grid{
-				t:           workloads.TimestampIndex(slab.PFSPath),
-				levelOrigin: slab.Start[0],
-				levels:      slab.Count[0], ny: slab.Count[1], nx: slab.Count[2],
-				vals: vals,
-			}, nil
+			return gridFromSlab(slab)
 		})
 	if err != nil {
 		return nil, err

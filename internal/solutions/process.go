@@ -7,8 +7,8 @@ import (
 	"slices"
 
 	"scidp/internal/cluster"
+	"scidp/internal/core"
 	"scidp/internal/mapreduce"
-	"scidp/internal/netcdf"
 	"scidp/internal/rframe"
 	"scidp/internal/rsql"
 	"scidp/internal/sim"
@@ -101,27 +101,18 @@ func gridFromCSV(env *Env, tc charger, text []byte, spec workloads.NUWRFSpec) (*
 	return g, nil
 }
 
-// gridFromNC decodes a whole netCDF file blob (SciHadoop's in-task read
-// of an HDFS-resident file) into the selected variable's grid.
-func gridFromNC(env *Env, tc charger, blob []byte, varName string, t int) (*grid, error) {
-	f, err := netcdf.Open(netcdf.BytesReader(blob))
+// gridFromSlab is the grid of the hyperslab a PFS Reader resolved a dummy
+// block to: what every SciDP task, batch or in-situ, plots from.
+func gridFromSlab(slab *core.Slab) (*grid, error) {
+	vals, err := slab.Float32s()
 	if err != nil {
 		return nil, err
-	}
-	arr, err := f.GetVar(varName)
-	if err != nil {
-		return nil, err
-	}
-	rawMB := env.scaleMB(len(arr.Data))
-	tc.Charge("Read", env.Cfg.Cost.DecompressPerMB*rawMB)
-	tc.Charge("Convert", env.Cfg.Cost.BinConvertPerMB*rawMB)
-	if len(arr.Shape) != 3 {
-		return nil, fmt.Errorf("solutions: %s has rank %d", varName, len(arr.Shape))
 	}
 	return &grid{
-		t:      t,
-		levels: arr.Shape[0], ny: arr.Shape[1], nx: arr.Shape[2],
-		vals: arr.Float32s(),
+		t:           workloads.TimestampIndex(slab.PFSPath),
+		levelOrigin: slab.Start[0],
+		levels:      slab.Count[0], ny: slab.Count[1], nx: slab.Count[2],
+		vals: vals,
 	}, nil
 }
 
@@ -243,93 +234,85 @@ func runProcessing(p *sim.Proc, env *Env, wl *Workload, name string, input mapre
 
 	stats := &procStats{}
 	outDir := "/results/" + name
-	job := &mapreduce.Job{
-		Name:         name,
-		Cluster:      env.BD,
-		SlotsPerNode: env.Cfg.SlotsPerNode,
-		Obs:          env.Obs,
-		Input:        input,
-		TaskStartup:  env.Cfg.Cost.TaskStartup,
-		NumReducers:  env.Cfg.Nodes,
-		MaxAttempts:  env.Cfg.MaxAttempts,
-		Faults:       env.Faults(),
-		Speculation:  env.Cfg.Speculation,
-		PairBytes: func(kv mapreduce.KV) int64 {
-			switch v := kv.V.(type) {
-			case imgKV:
-				return int64(len(v.png)) + 16
-			case *rframe.Frame:
-				return int64(v.NumRows()) * 24
+	job := env.job(name)
+	job.Input = input
+	job.NumReducers = env.Cfg.Nodes
+	job.Speculation = env.Cfg.Speculation
+	job.PairBytes = func(kv mapreduce.KV) int64 {
+		switch v := kv.V.(type) {
+		case imgKV:
+			return int64(len(v.png)) + 16
+		case *rframe.Frame:
+			return int64(v.NumRows()) * 24
+		}
+		return int64(len(kv.K)) + 16
+	}
+	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
+		g, err := decode(tc, key, value)
+		if err != nil {
+			return err
+		}
+		out, err := processGrid(env, wl, tc, g, false)
+		if err != nil {
+			return err
+		}
+		for i, png := range out.images {
+			tc.Emit(fmt.Sprintf("img/%04d", g.t), imgKV{t: g.t, level: out.levels[i], png: png})
+		}
+		if out.analysis != nil {
+			tc.Emit("top1pct", out.analysis)
+		}
+		return nil
+	}
+	job.Reduce = func(tc *mapreduce.TaskContext, key string, values []any) error {
+		if key == "top1pct" {
+			frames := make([]*rframe.Frame, len(values))
+			for i, v := range values {
+				frames[i] = v.(*rframe.Frame)
 			}
-			return int64(len(kv.K)) + 16
-		},
-		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
-			g, err := decode(tc, key, value)
+			combined, err := rframe.Concat(frames...)
 			if err != nil {
 				return err
 			}
-			out, err := processGrid(env, wl, tc, g, false)
+			sorted, err := combined.OrderBy("value", true)
 			if err != nil {
 				return err
 			}
-			for i, png := range out.images {
-				tc.Emit(fmt.Sprintf("img/%04d", g.t), imgKV{t: g.t, level: out.levels[i], png: png})
+			text := sorted.WriteCSV()
+			stats.analysisBytes += int64(len(text))
+			return env.HDFS.WriteFile(tc.Proc(), tc.Node(), outDir+"/analysis/top1pct.csv", text)
+		}
+		// Animation frames: order by level and store.
+		imgs := make([]imgKV, 0, len(values))
+		for _, v := range values {
+			imgs = append(imgs, v.(imgKV))
+		}
+		slices.SortFunc(imgs, func(a, b imgKV) int { return cmp.Compare(a.level, b.level) })
+		for _, img := range imgs {
+			path := fmt.Sprintf("%s/img/t%04d_l%03d.png", outDir, img.t, img.level)
+			if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), path, img.png); err != nil {
+				return err
 			}
-			if out.analysis != nil {
-				tc.Emit("top1pct", out.analysis)
+			stats.images++
+		}
+		// Anlys includes the animation phase (Table II): assemble this
+		// timestamp's level series into an animated GIF on HDFS.
+		if wl.Analysis != AnalysisNone && len(imgs) > 1 {
+			frames := make([][]byte, len(imgs))
+			for i := range imgs {
+				frames[i] = imgs[i].png
 			}
-			return nil
-		},
-		Reduce: func(tc *mapreduce.TaskContext, key string, values []any) error {
-			if key == "top1pct" {
-				frames := make([]*rframe.Frame, len(values))
-				for i, v := range values {
-					frames[i] = v.(*rframe.Frame)
-				}
-				combined, err := rframe.Concat(frames...)
-				if err != nil {
-					return err
-				}
-				sorted, err := combined.OrderBy("value", true)
-				if err != nil {
-					return err
-				}
-				text := sorted.WriteCSV()
-				stats.analysisBytes += int64(len(text))
-				return env.HDFS.WriteFile(tc.Proc(), tc.Node(), outDir+"/analysis/top1pct.csv", text)
+			anim, err := rframe.AnimateGIF(frames, 20)
+			if err != nil {
+				return err
 			}
-			// Animation frames: order by level and store.
-			imgs := make([]imgKV, 0, len(values))
-			for _, v := range values {
-				imgs = append(imgs, v.(imgKV))
+			path := fmt.Sprintf("%s/anim/t%04d.gif", outDir, imgs[0].t)
+			if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), path, anim); err != nil {
+				return err
 			}
-			slices.SortFunc(imgs, func(a, b imgKV) int { return cmp.Compare(a.level, b.level) })
-			for _, img := range imgs {
-				path := fmt.Sprintf("%s/img/t%04d_l%03d.png", outDir, img.t, img.level)
-				if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), path, img.png); err != nil {
-					return err
-				}
-				stats.images++
-			}
-			// Anlys includes the animation phase (Table II): assemble this
-			// timestamp's level series into an animated GIF on HDFS.
-			if wl.Analysis != AnalysisNone && len(imgs) > 1 {
-				frames := make([][]byte, len(imgs))
-				for i := range imgs {
-					frames[i] = imgs[i].png
-				}
-				anim, err := rframe.AnimateGIF(frames, 20)
-				if err != nil {
-					return err
-				}
-				path := fmt.Sprintf("%s/anim/t%04d.gif", outDir, imgs[0].t)
-				if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), path, anim); err != nil {
-					return err
-				}
-				stats.animations++
-			}
-			return nil
-		},
+			stats.animations++
+		}
+		return nil
 	}
 	res, err := job.Run(p)
 	if err != nil {

@@ -63,7 +63,7 @@ func TestPlotForkSurvivesPreemptedAttempt(t *testing.T) {
 		var err error
 		env.K.Go("driver", func(p *sim.Proc) {
 			job := &mapreduce.Job{
-				Name: "plot", Cluster: env.BD, SlotsPerNode: 1, Input: gridInput{g}, Lease: lease,
+				Name: "plot", Cluster: env.BD, Input: gridInput{g}, Lease: lease,
 				Map: func(tc *mapreduce.TaskContext, _ string, value any) error {
 					attempts++
 					out, err := processGrid(env, &Workload{Var: "QR"}, tc, value.(*grid), false)

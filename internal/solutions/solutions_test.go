@@ -3,8 +3,11 @@ package solutions
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
+	"scidp/internal/chaos"
+	"scidp/internal/obs"
 	"scidp/internal/sim"
 	"scidp/internal/workloads"
 )
@@ -234,6 +237,64 @@ func TestPerLevelDecomposition(t *testing.T) {
 	}
 	if scidp.PerLevel("Plot", levelScale) <= 0 {
 		t.Error("scidp plot/level should be positive")
+	}
+}
+
+// TestStagedReadWaveIsRetried: the staged ablation's read wave runs under
+// the env's chaos plan and retry budget like its compute wave. A plan that
+// kills every attempt launched up to half a second into the wave fails
+// each read task once; the retries launch outside the window and the run
+// completes.
+func TestStagedReadWaveIsRetried(t *testing.T) {
+	spec := workloads.NUWRFSpec{Timestamps: 2, Levels: 4, Lat: 16, Lon: 16, Vars: 4, Dir: "/nuwrf"}
+	blobs, ds, err := workloads.GenerateBlobs(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run returns the report and the read wave's task attempts.
+	run := func(plan *chaos.Plan) (*Report, []obs.SpanInfo) {
+		cfg := DefaultEnvConfig(1000, 50.0/4)
+		cfg.Nodes, cfg.SlotsPerNode, cfg.PlotRes = 4, 2, 16
+		cfg.Obs, cfg.MaxAttempts, cfg.Chaos = obs.New(), 2, plan
+		env := NewEnv(cfg)
+		workloads.Install(env.PFS, blobs)
+		var rep *Report
+		var rerr error
+		env.K.Go("driver", func(p *sim.Proc) {
+			rep, rerr = RunSciDPStaged(p, env, &Workload{Dataset: ds, Var: "QR"})
+		})
+		env.K.Run()
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		var wave obs.SpanInfo
+		var reads []obs.SpanInfo
+		for _, sp := range cfg.Obs.Spans() {
+			switch {
+			case sp.Name == "job:scidp-staged-read":
+				wave = sp
+			case strings.HasPrefix(sp.Name, "task:") && sp.End <= wave.End:
+				reads = append(reads, sp)
+			}
+		}
+		return rep, reads
+	}
+	_, clean := run(nil)
+	if len(clean) != spec.Timestamps {
+		t.Fatalf("%d read attempts with no faults, want %d", len(clean), spec.Timestamps)
+	}
+	rep, reads := run(&chaos.Plan{Seed: 1, Rules: []chaos.Rule{
+		{Kind: chaos.KindTaskFail, Rate: 1, Until: clean[0].Start + 0.5},
+	}})
+	failed := 0
+	for _, sp := range reads {
+		if _, ok := sp.Arg("failed"); ok {
+			failed++
+		}
+	}
+	if failed != spec.Timestamps || len(reads) != 2*spec.Timestamps || rep.Images != spec.Timestamps*spec.Levels {
+		t.Fatalf("%d of %d read attempts failed, %d images; want every read task failed once, retried, and %d images",
+			failed, len(reads), rep.Images, spec.Timestamps*spec.Levels)
 	}
 }
 

@@ -86,9 +86,9 @@ func runDistributedObs(t *testing.T, blob []byte, sql string, mode rsql.Pushdown
 	k.SetComputePool(pool)
 	reg := obs.New()
 	k.SetObs(reg)
-	sc := NewContext(k, cluster.New(k, "bd", cluster.Config{
+	sc := NewContext(cluster.New(k, "bd", cluster.Config{
 		Nodes: 3, SlotsPerNode: 2, DiskBW: 1e6, NICBW: 1e6, FabricBW: 4e6,
-	}), 2)
+	}))
 	var csv []byte
 	var stats *rsql.ScanStats
 	k.Go("driver", func(p *sim.Proc) {

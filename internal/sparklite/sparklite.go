@@ -92,8 +92,7 @@ type RDD struct {
 
 // Context drives jobs on one cluster.
 type Context struct {
-	cluster      *cluster.Cluster
-	slotsPerNode int
+	cluster *cluster.Cluster
 	// TaskStartup is the per-task launch cost (Spark executors reuse
 	// JVMs, so the default is far below Hadoop's). Zero takes the stage
 	// runner's default, as on mapreduce.Job.
@@ -103,9 +102,9 @@ type Context struct {
 }
 
 // NewContext builds a Spark-like context over the cluster.
-func NewContext(k *sim.Kernel, cl *cluster.Cluster, slotsPerNode int) *Context {
+func NewContext(cl *cluster.Cluster) *Context {
 	return &Context{
-		cluster: cl, slotsPerNode: slotsPerNode,
+		cluster:     cl,
 		TaskStartup: 0.1,
 		PairBytes:   func(r Record) int64 { return int64(len(r.K)) + 16 },
 	}
@@ -287,8 +286,7 @@ func (r *RDD) reduceStage(p *sim.Proc, parentOut []Record) ([]Record, error) {
 // body's records reach the result only when the runner commits its
 // attempt, so a failed or discarded attempt leaves nothing behind.
 func (r *RDD) runWave(p *sim.Proc, name string, parts []*Partition, body func(tc *TaskCtx, part *Partition) ([]Record, error)) ([]Record, error) {
-	job := &mapreduce.Job{Name: "spark", Cluster: r.sc.cluster, SlotsPerNode: r.sc.slotsPerNode,
-		TaskStartup: r.sc.TaskStartup, Obs: r.obs}
+	job := &mapreduce.Job{Name: "spark", Cluster: r.sc.cluster, TaskStartup: r.sc.TaskStartup, Obs: r.obs}
 	results := make([][]Record, len(parts))
 	next := 0
 	err := job.RunStage(p, name, func(*sim.Proc) (*mapreduce.Task, error) {

@@ -36,7 +36,7 @@ func collect(t *testing.T, k *sim.Kernel, rdd *RDD) []Record {
 
 func TestParallelizeMapFilterCollect(t *testing.T) {
 	k := sim.NewKernel()
-	sc := NewContext(k, testCluster(k, 2, 2), 2)
+	sc := NewContext(testCluster(k, 2, 2))
 	var recs []Record
 	for i := 0; i < 10; i++ {
 		recs = append(recs, Record{K: fmt.Sprintf("k%02d", i), V: i})
@@ -59,7 +59,7 @@ func TestParallelizeMapFilterCollect(t *testing.T) {
 
 func TestFlatMapAndCount(t *testing.T) {
 	k := sim.NewKernel()
-	sc := NewContext(k, testCluster(k, 2, 2), 2)
+	sc := NewContext(testCluster(k, 2, 2))
 	rdd := sc.Parallelize([]Record{
 		{K: "a", V: "one two"},
 		{K: "b", V: "three"},
@@ -83,7 +83,7 @@ func TestFlatMapAndCount(t *testing.T) {
 
 func TestWordCountWithShuffle(t *testing.T) {
 	k := sim.NewKernel()
-	sc := NewContext(k, testCluster(k, 3, 2), 2)
+	sc := NewContext(testCluster(k, 3, 2))
 	lines := []Record{
 		{V: "a b a"}, {V: "c"}, {V: "b b"}, {V: "a c c"},
 	}
@@ -119,7 +119,7 @@ func TestWordCountWithShuffle(t *testing.T) {
 // those records behind.
 func TestStageErrorPropagates(t *testing.T) {
 	k := sim.NewKernel()
-	sc := NewContext(k, testCluster(k, 2, 1), 1)
+	sc := NewContext(testCluster(k, 2, 1))
 	rdd := sc.Parallelize([]Record{{V: 1}, {V: 2}, {V: 3}}, 1).
 		Map(func(tc *TaskCtx, r Record) (Record, error) {
 			if r.V.(int) == 3 {
@@ -167,7 +167,7 @@ func (s *placedSource) Read(tc *TaskCtx, part *Partition) ([]Record, error) {
 // them.
 func TestPreferredHostsHonoured(t *testing.T) {
 	k := sim.NewKernel()
-	sc := NewContext(k, testCluster(k, 2, 1), 1)
+	sc := NewContext(testCluster(k, 2, 1))
 	out := collect(t, k, sc.FromSource(&placedSource{hosts: [][]string{{"bd-1"}, {"bd-0"}}, cost: 1}))
 	if len(out) != 2 || out[0].V != "bd-1@0.1" || out[1].V != "bd-0@0.1" {
 		t.Fatalf("placement = %+v, want p0 on bd-1 and p1 on bd-0, both at 0.1", out)
@@ -179,7 +179,7 @@ func TestPreferredHostsHonoured(t *testing.T) {
 // then bd-1 steals it rather than let it wait out the first.
 func TestPreferredHostsStolenAfterDelay(t *testing.T) {
 	k := sim.NewKernel()
-	sc := NewContext(k, testCluster(k, 2, 1), 1)
+	sc := NewContext(testCluster(k, 2, 1))
 	out := collect(t, k, sc.FromSource(&placedSource{hosts: [][]string{{"bd-0"}, {"bd-0"}}, cost: 2}))
 	if len(out) != 2 || out[0].V != "bd-0@0.1" || out[1].V != "bd-1@0.7" {
 		t.Fatalf("placement = %+v, want p0 on bd-0 at 0.1 and p1 stolen by bd-1 at 0.7 (3 beats + startup)", out)
@@ -188,7 +188,7 @@ func TestPreferredHostsStolenAfterDelay(t *testing.T) {
 
 func TestEmptyLineageFails(t *testing.T) {
 	k := sim.NewKernel()
-	rdd := &RDD{sc: NewContext(k, testCluster(k, 1, 1), 1)}
+	rdd := &RDD{sc: NewContext(testCluster(k, 1, 1))}
 	var err error
 	k.Go("driver", func(p *sim.Proc) {
 		_, err = rdd.Collect(p)
@@ -204,7 +204,7 @@ func TestTasksRespectSlots(t *testing.T) {
 	// nodes x 2 slots => ~1 s.
 	elapsed := func(nodes int) float64 {
 		k := sim.NewKernel()
-		sc := NewContext(k, testCluster(k, nodes, 2), 2)
+		sc := NewContext(testCluster(k, nodes, 2))
 		sc.TaskStartup = 0.001 // 0 would mean the stage runner's default
 		var recs []Record
 		for i := 0; i < 8; i++ {
@@ -242,7 +242,7 @@ func TestSciDPSourceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = ds
-	sc := NewContext(env.K, env.BD, 4)
+	sc := NewContext(env.BD)
 	var out []Record
 	env.K.Go("driver", func(p *sim.Proc) {
 		mapper := core.NewMapper(env.HDFS, env.Registry, "/scidp")
@@ -299,7 +299,7 @@ func TestSciDPSourceEndToEnd(t *testing.T) {
 
 func TestSciDPSourceEmptyDirFails(t *testing.T) {
 	env := solutions.NewEnv(solutions.DefaultEnvConfig(1000, 10))
-	sc := NewContext(env.K, env.BD, 1)
+	sc := NewContext(env.BD)
 	var err error
 	env.K.Go("driver", func(p *sim.Proc) {
 		env.HDFS.Mkdir(p, "/empty")
@@ -315,7 +315,7 @@ func TestSciDPSourceEmptyDirFails(t *testing.T) {
 func TestDeterministicExecution(t *testing.T) {
 	run := func() string {
 		k := sim.NewKernel()
-		sc := NewContext(k, testCluster(k, 3, 2), 2)
+		sc := NewContext(testCluster(k, 3, 2))
 		var recs []Record
 		for i := 0; i < 12; i++ {
 			recs = append(recs, Record{K: fmt.Sprintf("k%d", i%4), V: i})
@@ -346,7 +346,7 @@ func TestDeterministicExecution(t *testing.T) {
 func TestFilterErrorFailsTheStage(t *testing.T) {
 	for _, verdict := range []bool{false, true} {
 		k := sim.NewKernel()
-		sc := NewContext(k, testCluster(k, 1, 1), 1)
+		sc := NewContext(testCluster(k, 1, 1))
 		rdd := sc.Parallelize([]Record{{V: 1}}, 1).
 			Filter(func(tc *TaskCtx, r Record) (bool, error) { return verdict, fmt.Errorf("bad predicate") })
 		var err error

@@ -77,14 +77,13 @@ func (s *Service) runJob(p *sim.Proc, j *Job) error {
 		return err
 	}
 	base := &mapreduce.Job{
-		Name:         fmt.Sprintf("%s-%s-%04d", j.Spec.Kind, j.Spec.Size, j.ID),
-		Cluster:      s.env.BD,
-		SlotsPerNode: s.env.Cfg.SlotsPerNode,
-		TaskStartup:  s.cfg.TaskStartup,
-		MaxAttempts:  s.env.Cfg.MaxAttempts,
-		Faults:       s.env.Faults(),
-		Obs:          s.obs,
-		Lease:        j.lease,
+		Name:        fmt.Sprintf("%s-%s-%04d", j.Spec.Kind, j.Spec.Size, j.ID),
+		Cluster:     s.env.BD,
+		TaskStartup: s.cfg.TaskStartup,
+		MaxAttempts: s.env.Cfg.MaxAttempts,
+		Faults:      s.env.Faults(),
+		Obs:         s.obs,
+		Lease:       j.lease,
 	}
 	switch j.Spec.Kind {
 	case "grep":
@@ -225,18 +224,10 @@ func (s *Service) writeResult(p *sim.Proc, j *Job, content string) error {
 
 // writeInput mints n location-free splits whose payload is the output
 // index — the input side of the write kind.
-func writeInput(n int) mapreduce.InputFormat { return writeSplits(n) }
-
-type writeSplits int
-
-func (w writeSplits) Splits(p *sim.Proc) ([]*mapreduce.Split, error) {
-	out := make([]*mapreduce.Split, w)
+func writeInput(n int) mapreduce.InputFormat {
+	out := make(mapreduce.StaticInput, n)
 	for i := range out {
 		out[i] = &mapreduce.Split{Label: fmt.Sprintf("w#%d", i), Payload: i, Length: 1}
 	}
-	return out, nil
-}
-
-func (w writeSplits) ForEach(tc *mapreduce.TaskContext, s *mapreduce.Split, fn func(key string, value any) error) error {
-	return fn(s.Label, s.Payload.(int))
+	return out
 }

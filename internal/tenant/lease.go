@@ -48,9 +48,6 @@ func (l *Lease) Release(token uint64) {
 // Killed implements mapreduce.SlotLease.
 func (l *Lease) Killed(token uint64) bool { return l.killed[token] }
 
-// Used returns the live token count.
-func (l *Lease) Used() int { return len(l.held) }
-
 // Granted returns the current grant.
 func (l *Lease) Granted() int { return l.granted }
 

@@ -263,9 +263,6 @@ func New(env *solutions.Env, cfg Config) *Service {
 	return s
 }
 
-// Env returns the testbed the service runs over.
-func (s *Service) Env() *solutions.Env { return s.env }
-
 // TotalSlots returns the cluster's schedulable slot count.
 func (s *Service) TotalSlots() int { return s.totalSlots }
 
@@ -352,9 +349,6 @@ func (t *Tenant) QueueDepth() int { return len(t.queue) }
 
 // RunningJobs returns a tenant's running-job count.
 func (t *Tenant) RunningJobs() int { return len(t.running) }
-
-// Completions returns job IDs in completion order.
-func (s *Service) Completions() []int { return s.completions }
 
 // Quiesced reports whether no queued or running jobs remain.
 func (s *Service) Quiesced() bool {

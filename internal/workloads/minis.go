@@ -348,7 +348,7 @@ func RunTestDFSIOWrite(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniCon
 	payload := bytes.Repeat([]byte{0xA5}, int(cfg.FileBytes))
 	job := &mapreduce.Job{
 		Name: "dfsio-write-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs(),
-		Input: staticSplits(splits),
+		Input: mapreduce.StaticInput(splits),
 		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
 			i := value.(int)
 			path := fmt.Sprintf("/mini/io-%s/out-%04d", be.Name(), i)
@@ -376,7 +376,7 @@ func RunTestDFSIORead(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConf
 	var total int64
 	job := &mapreduce.Job{
 		Name: "dfsio-read-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs(),
-		Input: staticSplits(splits),
+		Input: mapreduce.StaticInput(splits),
 		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
 			i := value.(int)
 			path := fmt.Sprintf("/mini/io-%s/out-%04d", be.Name(), i)
@@ -529,14 +529,4 @@ func RunTeraSort(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, i
 	}
 	p.Wait(wg)
 	return MiniResult{Seconds: p.Now() - res.Start, Bytes: int64(cfg.Files) * cfg.FileBytes, Output: outBytes}, nil
-}
-
-// staticSplits adapts a fixed split list into an InputFormat whose
-// ForEach just hands the payload through.
-type staticSplits []*mapreduce.Split
-
-func (s staticSplits) Splits(p *sim.Proc) ([]*mapreduce.Split, error) { return s, nil }
-
-func (s staticSplits) ForEach(tc *mapreduce.TaskContext, sp *mapreduce.Split, fn func(key string, value any) error) error {
-	return fn(sp.Label, sp.Payload)
 }

@@ -123,7 +123,7 @@ func emitted(t *testing.T, block []byte, body func(tc *mapreduce.TaskContext, da
 	r := newMiniRig(t)
 	job := &mapreduce.Job{
 		Name: "emit", Cluster: r.cl,
-		Input: staticSplits{{Label: "s", Payload: block, Length: int64(len(block))}},
+		Input: mapreduce.StaticInput{{Label: "s", Payload: block, Length: int64(len(block))}},
 		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
 			body(tc, value.([]byte))
 			return nil

@@ -24,9 +24,10 @@ type SimSpec struct {
 	Files []string
 	// ComputeSeconds is the simulated compute time per timestep.
 	ComputeSeconds float64
-	// OnFile, when set, fires (in virtual time, from the driver) right
-	// after each file completes — the hook in-situ analysis attaches to.
-	OnFile func(p *sim.Proc, path string, index int)
+	// OnFile, when set, fires (in virtual time, from the process playing
+	// the simulation) right after each file completes — the hook in-situ
+	// analysis attaches to.
+	OnFile func(path string)
 }
 
 // SimulateRun plays the simulation from the driver process, blocking in
@@ -36,7 +37,7 @@ func SimulateRun(p *sim.Proc, spec SimSpec) error {
 		return fmt.Errorf("workloads: SimulateRun needs a communicator and a PFS")
 	}
 	n := spec.Comm.Size()
-	for i, file := range spec.Files {
+	for _, file := range spec.Files {
 		blob, ok := spec.Blobs[file]
 		if !ok {
 			return fmt.Errorf("workloads: no blob for %s", file)
@@ -60,7 +61,7 @@ func SimulateRun(p *sim.Proc, spec SimSpec) error {
 			return res.Err
 		}
 		if spec.OnFile != nil {
-			spec.OnFile(p, file, i)
+			spec.OnFile(file)
 		}
 	}
 	return nil

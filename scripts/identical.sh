@@ -5,7 +5,9 @@
 # faults/query result JSON with their digests, the analysis report, the
 # tenant replay, and all five benchmark workloads' exact metrics, output
 # digests and sim.events — is generated from both trees and compared.
-# Exits non-zero on the first difference. With an artifact-dir, this tree's
+# Every difference is printed — a PR that moves the trace on purpose still
+# gets its benchmark figures compared — and the exit status is non-zero at
+# the end if there was any. With an artifact-dir, this tree's
 # headline tables, digests and replay summary are copied there (CI uploads
 # them per PR). Run via `make identical PARENT=<rev>`.
 set -euo pipefail
@@ -41,8 +43,15 @@ if [ -n "$keep" ]; then
 	mkdir -p "$keep"
 	cp "$tmp/out/change/"{all.txt,faults.json,query.json,replay.json} "$keep/"
 fi
-diff -r "$tmp/out/parent" "$tmp/out/change"
-echo "identical: CLI artifacts match"
+status=0
+if diff -rq "$tmp/out/parent" "$tmp/out/change"; then
+	echo "identical: CLI artifacts match"
+else
+	status=1
+	# The text artifacts line by line; a trace is named above, not dumped.
+	diff -r -x '*.trace.json' "$tmp/out/parent" "$tmp/out/change" || true
+	echo "identical: CLI artifacts differ" >&2
+fi
 
 for side in parent change; do
 	tree=$root
@@ -57,7 +66,8 @@ done
 (cd "$root" && bash benchmark/run.sh -compare "$tmp/bench/parent" "$tmp/bench/change") >"$tmp/compare.txt" || [ $? = 1 ]
 grep -E '^exact figures differ|run pairs identical' "$tmp/compare.txt"
 grep -q 'identical, 0 differ$' "$tmp/compare.txt" || {
+	status=1
 	echo "identical: benchmark exact figures moved" >&2
-	exit 1
 }
-echo "identical: same program"
+[ $status = 0 ] && echo "identical: same program"
+exit $status
