@@ -2,10 +2,10 @@ package aquery
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
-	"scidp/internal/hdf5lite"
 	"scidp/internal/ioengine"
 	"scidp/internal/netcdf"
 	"scidp/internal/obs"
@@ -77,8 +77,9 @@ func legacyNCFrame(vals []float32) *rframe.Frame {
 // queryNC runs one SQL query over the netcdf adapter inside a kernel,
 // with the blob served through a bound engine (cache + prefetch) and the
 // scan offloaded to a compute pool of the given size (-1 = no pool).
-// It returns the result CSV, the scan stats, and the full obs export.
-func queryNC(t *testing.T, blob []byte, sql string, mode rsql.PushdownMode, workers int) ([]byte, *rsql.ScanStats, []byte) {
+// It returns the result CSV, the scan stats, and the registry the query
+// reported to.
+func queryNC(t *testing.T, blob []byte, sql string, mode rsql.PushdownMode, workers int) ([]byte, *rsql.ScanStats, *obs.Registry) {
 	t.Helper()
 	k := sim.NewKernel()
 	if workers >= 0 {
@@ -108,11 +109,17 @@ func queryNC(t *testing.T, blob []byte, sql string, mode rsql.PushdownMode, work
 		stats = st
 	})
 	k.Run()
+	return csv, stats, reg
+}
+
+// promOf is reg's full Prometheus export.
+func promOf(t *testing.T, reg *obs.Registry) []byte {
+	t.Helper()
 	var prom bytes.Buffer
 	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
-	return csv, stats, prom.Bytes()
+	return prom.Bytes()
 }
 
 // TestNetCDFAdapterVsLegacy compares adapter queries against the legacy
@@ -195,13 +202,14 @@ func TestNetCDFPruningAndProjection(t *testing.T) {
 func TestWorkerCountInvariance(t *testing.T) {
 	blob, _ := buildNC(t)
 	const sql = `SELECT level, COUNT(*), SUM(value) FROM qr WHERE value > 1.0 GROUP BY level ORDER BY level`
-	baseCSV, _, baseExp := queryNC(t, blob, sql, rsql.Pushdown, -1)
+	baseCSV, _, baseReg := queryNC(t, blob, sql, rsql.Pushdown, -1)
+	baseExp := promOf(t, baseReg)
 	for _, workers := range []int{1, 4, 8} {
-		csv, _, exp := queryNC(t, blob, sql, rsql.Pushdown, workers)
+		csv, _, reg := queryNC(t, blob, sql, rsql.Pushdown, workers)
 		if !bytes.Equal(csv, baseCSV) {
 			t.Fatalf("workers=%d: result differs:\n%svs\n%s", workers, csv, baseCSV)
 		}
-		if !bytes.Equal(exp, baseExp) {
+		if !bytes.Equal(promOf(t, reg), baseExp) {
 			t.Fatalf("workers=%d: obs export differs", workers)
 		}
 	}
@@ -209,12 +217,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 // TestObsExportDeterminism pins the satellite requirement: two same-seed
 // runs of the same mode produce byte-identical metric exports, and the
-// query counters are populated.
+// query counters are populated, and the rsql/query span carries the
+// query's table, mode and scan accounting.
 func TestObsExportDeterminism(t *testing.T) {
 	blob, _ := buildNC(t)
 	const sql = `SELECT * FROM qr WHERE level = 4 AND value > 4.0`
-	csv1, _, exp1 := queryNC(t, blob, sql, rsql.Pushdown, 2)
-	csv2, _, exp2 := queryNC(t, blob, sql, rsql.Pushdown, 2)
+	csv1, st, reg1 := queryNC(t, blob, sql, rsql.Pushdown, 2)
+	csv2, _, reg2 := queryNC(t, blob, sql, rsql.Pushdown, 2)
+	exp1, exp2 := promOf(t, reg1), promOf(t, reg2)
 	if !bytes.Equal(csv1, csv2) || !bytes.Equal(exp1, exp2) {
 		t.Fatal("same-seed runs diverged")
 	}
@@ -223,65 +233,22 @@ func TestObsExportDeterminism(t *testing.T) {
 		!bytes.Contains(exp1, []byte("query_bytes_avoided_total")) {
 		t.Fatalf("query counters missing from export:\n%s", exp1)
 	}
+	var args []string
+	for _, sp := range reg1.Spans() {
+		if sp.Name == "rsql/query" {
+			for _, a := range sp.Args {
+				args = append(args, fmt.Sprintf("%s=%v", a.Key, a.Value))
+			}
+		}
+	}
+	want := fmt.Sprintf("[table=qr mode=%v chunks_scanned=%d chunks_skipped=%d bytes_avoided=%d rows_matched=%d]",
+		rsql.Pushdown, st.ChunksScanned, st.ChunksSkipped, st.BytesAvoided, st.RowsMatched)
+	if got := fmt.Sprint(args); got != want || st.ChunksSkipped == 0 || st.RowsMatched == 0 {
+		t.Fatalf("rsql/query span args = %s, want %s", got, want)
+	}
 	// Pushdown and oracle must agree on results (the acceptance digest).
 	oracleCSV, _, _ := queryNC(t, blob, sql, rsql.PushdownOff, 2)
 	if !bytes.Equal(csv1, oracleCSV) {
 		t.Fatalf("pushdown vs oracle:\n%svs\n%s", csv1, oracleCSV)
-	}
-}
-
-// TestHDF5AdapterAndConsts exercises the hdf5lite adapter with a WithConst
-// coordinate, including const-column pruning (a predicate excluding the
-// constant skips the whole file).
-func TestHDF5AdapterAndConsts(t *testing.T) {
-	w := hdf5lite.NewWriter()
-	g := w.Root().EnsureGroup("model/physics")
-	vals := make([]float32, 8*3)
-	for i := range vals {
-		vals[i] = float32(i) * 0.25
-	}
-	if _, err := g.AddFloat32("QR", []int{8, 3}, 2, 1, vals); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := w.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.NewKernel()
-	var csv []byte
-	var stats, prunedAll *rsql.ScanStats
-	k.Go("q", func(p *sim.Proc) {
-		b := ioengine.Bind(p, &memEngine{data: blob, latency: 0.0005}, ioengine.Options{})
-		f, err := hdf5lite.Open(b)
-		if err != nil {
-			panic(err)
-		}
-		tab, err := NewHDF5(f, "model/physics/QR", []string{"row", "col"}, WithConst("step", 7))
-		if err != nil {
-			panic(err)
-		}
-		out, st, err := rsql.QueryArrays(map[string]rsql.ArrayTable{"h": tab}, `SELECT row, col, value FROM h WHERE row >= 4 AND row < 6 AND step = 7`, rsql.ArrayQueryOpts{})
-		if err != nil {
-			panic(err)
-		}
-		csv, stats = out.WriteCSV(), st
-		_, prunedAll, err = rsql.QueryArrays(map[string]rsql.ArrayTable{"h": tab}, `SELECT value FROM h WHERE step = 8`, rsql.ArrayQueryOpts{})
-		if err != nil {
-			panic(err)
-		}
-	})
-	k.Run()
-	// row in [4,6) widens to the closed interval [4,6], which touches the
-	// rows-[6,7] chunk too — conservative pruning keeps 2 of 4 chunks; the
-	// re-evaluated WHERE still drops row 6's rows from the result.
-	if stats.ChunksScanned != 2 || stats.ChunksSkipped != 2 {
-		t.Fatalf("row-range pruning over hdf5 chunks: %+v", stats)
-	}
-	want := "row,col,value\n4,0,3\n4,1,3.25\n4,2,3.5\n5,0,3.75\n5,1,4\n5,2,4.25\n"
-	if string(csv) != want {
-		t.Fatalf("hdf5 query result:\n%swant\n%s", csv, want)
-	}
-	if prunedAll.ChunksScanned != 0 || prunedAll.ChunksSkipped != 4 {
-		t.Fatalf("const mismatch should skip every chunk: %+v", prunedAll)
 	}
 }

@@ -194,10 +194,6 @@ func dataset(s Scale, timestamps int) (map[string][]byte, *workloads.Dataset, er
 	return blobs, ds, nil
 }
 
-// ClearCache drops memoized datasets (benchmarks that sweep many sizes
-// can use it to bound memory).
-func ClearCache() { blobCache = map[datasetKey]cachedDataset{} }
-
 func secs(v float64) string { return fmt.Sprintf("%.1f", v) }
 
 func ratio(v float64) string { return fmt.Sprintf("%.2fx", v) }

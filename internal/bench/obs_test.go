@@ -169,3 +169,7 @@ func TestExportsIdenticalAcrossSchedulerModes(t *testing.T) {
 		t.Error("Prometheus dumps differ between incremental and full-recompute scheduling")
 	}
 }
+
+// ClearCache drops memoized datasets (benchmarks that sweep many sizes
+// can use it to bound memory).
+func ClearCache() { blobCache = map[datasetKey]cachedDataset{} }

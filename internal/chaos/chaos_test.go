@@ -87,3 +87,11 @@ func TestNilInjectorIsInert(t *testing.T) {
 		t.Fatal("nil injector has no plan")
 	}
 }
+
+// Plan returns the armed plan (nil on a nil injector).
+func (inj *Injector) Plan() *Plan {
+	if inj == nil {
+		return nil
+	}
+	return inj.plan
+}

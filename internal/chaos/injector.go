@@ -33,14 +33,6 @@ func New(plan *Plan) *Injector {
 	return &Injector{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
 }
 
-// Plan returns the armed plan (nil on a nil injector).
-func (inj *Injector) Plan() *Plan {
-	if inj == nil {
-		return nil
-	}
-	return inj.plan
-}
-
 // count bumps the injected-fault counter for one fault kind.
 func (inj *Injector) count(kind string) {
 	inj.obs.Counter("chaos/faults_injected_total", obs.L("kind", kind)).Inc()

@@ -273,9 +273,3 @@ func NewInterlink(bw float64, latency float64) *Interlink {
 	r.Latency = latency
 	return &Interlink{Link: r}
 }
-
-// Path is the chain for moving bytes from src (in one cluster) to dst (in
-// the other) without touching disks: NICs plus the shared link.
-func (il *Interlink) Path(src, dst *Node) []*sim.Resource {
-	return []*sim.Resource{src.NIC, il.Link, dst.NIC}
-}

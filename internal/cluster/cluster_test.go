@@ -234,7 +234,7 @@ func TestInterlinkShared(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		src, dst := hpc.Node(i), bd.Node(i)
 		k.Go("x", func(p *sim.Proc) {
-			p.Transfer(1000, il.Path(src, dst)...)
+			p.Transfer(1000, src.NIC, il.Link, dst.NIC)
 			ends = append(ends, p.Now())
 		})
 	}

@@ -90,8 +90,8 @@ func readEverything(tb testing.TB, blob []byte) (f *File, data [][]byte, err err
 		var raw []byte
 		if uint64(d.RawBytes()) > bound {
 			tb.Errorf("%s declares %d raw bytes in a %d-byte file", d.Name, d.RawBytes(), len(blob))
-		} else if n := allocated(func() { raw, _ = f.ReadAll(d) }); n > 2*bound {
-			tb.Errorf("ReadAll(%s) allocated %d from a %d-byte file", d.Name, n, len(blob))
+		} else if n := allocated(func() { raw, _ = readAll(f, d) }); n > 2*bound {
+			tb.Errorf("readAll(%s) allocated %d from a %d-byte file", d.Name, n, len(blob))
 		}
 		data = append(data, raw)
 	})
@@ -101,7 +101,7 @@ func readEverything(tb testing.TB, blob []byte) (f *File, data [][]byte, err err
 // TestHeaderMutationSweep sets every header byte of a small valid file to
 // each of five values: each mutant is refused or read in full and in
 // bounds. On the tree before the shared container about 70 mutants were
-// slice-bounds panics in ReadAll and 67 asked it for oversized buffers.
+// slice-bounds panics in readAll and 67 asked it for oversized buffers.
 func TestHeaderMutationSweep(t *testing.T) {
 	for _, legacy := range []bool{false, true} {
 		blob := smallFile(t, legacy)
@@ -192,7 +192,7 @@ func TestOpenRefusesInconsistentHeaders(t *testing.T) {
 		{"rank-0 dataset", rankZeroFile(), "array rank 0 outside [1,32]"},
 		// ReadRows sliced each chunk by its rows, whatever RawSize said.
 		{"raw size is not the box", patch(uint64(c1.RawSize), uint64(c1.RawSize+64)), "its box holds 128"},
-		// ReadAll sized its output by the shape.
+		// readAll sized its output by the shape.
 		{"dim longer than the index", patch(6, uint64(1<<40)), "dimension 0 has length 1099511627776"},
 		{"dim one chunk longer than the index", patch(6, uint64(8)), "3 chunks in the index, the chunk grid has 4"},
 		{"dim of zero", patch(6, uint64(0)), "dimension 0 has length 0"},

@@ -457,15 +457,9 @@ func (f *File) ReadRows(d *Dataset, start, count int) ([]byte, error) {
 	return out, nil
 }
 
-// ReadAll reads the full dataset payload.
-func (f *File) ReadAll(d *Dataset) ([]byte, error) { return f.ReadRows(d, 0, d.Shape[0]) }
-
 // ChunkIndex returns the read side of d's chunk index: cached reads,
 // single-pass scans and readahead announcements by chunk number.
 func (f *File) ChunkIndex(d *Dataset) ioengine.ChunkIndex {
 	return ioengine.ChunkIndex{Src: f.r, Pkg: dialect.Name, Type: d.Type.Elem(), Deflated: d.Deflate > 0,
 		Len: len(d.Chunks), At: d.chunk}
 }
-
-// Float32s decodes raw little-endian bytes as float32 values.
-func Float32s(raw []byte) []float32 { return ioengine.Float32s(raw) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"scidp/internal/ioengine"
 	"scidp/internal/netcdf"
 )
 
@@ -80,15 +81,18 @@ func TestGroupTreeRoundtrip(t *testing.T) {
 	}
 }
 
+// readAll reads the full dataset payload.
+func readAll(f *File, d *Dataset) ([]byte, error) { return f.ReadRows(d, 0, d.Shape[0]) }
+
 func TestReadAllRoundtrip(t *testing.T) {
 	blob, vals := sampleFile(t)
 	f, _ := Open(netcdf.BytesReader(blob))
 	d, _ := f.Find("model/physics/QR")
-	raw, err := f.ReadAll(d)
+	raw, err := readAll(f, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Float32s(raw)
+	got := ioengine.Float32s(raw)
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Fatalf("elem %d = %v, want %v", i, got[i], vals[i])
@@ -104,7 +108,7 @@ func TestReadRowsPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Float32s(raw)
+	got := ioengine.Float32s(raw)
 	want := vals[3*16 : 5*16]
 	for i := range want {
 		if got[i] != want[i] {
@@ -138,7 +142,7 @@ func TestInt32Dataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := f.ReadAll(d)
+	raw, err := readAll(f, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +222,7 @@ func TestRowsRoundtripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := Float32s(raw)
+		got := ioengine.Float32s(raw)
 		for i := 0; i < count*cols; i++ {
 			if got[i] != vals[start*cols+i] {
 				return false

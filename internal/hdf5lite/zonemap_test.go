@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"scidp/internal/ioengine"
 	"scidp/internal/netcdf"
 )
 
@@ -120,11 +121,11 @@ func TestLegacyFileWithoutStats(t *testing.T) {
 			t.Fatal("legacy chunks should have nil Stats")
 		}
 	}
-	raw, err := f.ReadAll(d)
+	raw, err := readAll(f, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Float32s(raw)
+	got := ioengine.Float32s(raw)
 	if got[0] != 1 || got[11] != 12 {
 		t.Fatalf("legacy data mismatch: %v", got)
 	}

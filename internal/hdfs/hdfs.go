@@ -217,9 +217,6 @@ func (fs *FS) SetReadFault(fn func(blockID, bytes int64) fault.Outcome) {
 // Config returns the configuration the FS was built with.
 func (fs *FS) Config() Config { return fs.cfg }
 
-// DataNodes returns the storage daemons in node order.
-func (fs *FS) DataNodes() []*DataNode { return fs.dns }
-
 // nnOp charges one NameNode RPC.
 func (fs *FS) nnOp(p *sim.Proc) {
 	fs.nnOps.Inc()
@@ -535,37 +532,6 @@ func (fs *FS) Exists(path string) bool {
 	return ok
 }
 
-// List returns the sorted inodes directly under dir after one RPC.
-func (fs *FS) List(p *sim.Proc, dir string) ([]*INode, error) {
-	fs.nnOp(p)
-	dir = clean(dir)
-	n, ok := fs.inodes[dir]
-	if !ok {
-		return nil, fmt.Errorf("hdfs: %s: no such directory", dir)
-	}
-	if !n.Dir {
-		return []*INode{n}, nil
-	}
-	prefix := dir
-	if prefix != "/" {
-		prefix += "/"
-	} else {
-		prefix = "/"
-	}
-	var out []*INode
-	for path, in := range fs.inodes {
-		if path == dir || !strings.HasPrefix(path, prefix) {
-			continue
-		}
-		if strings.Contains(path[len(prefix):], "/") {
-			continue
-		}
-		out = append(out, in)
-	}
-	slices.SortFunc(out, func(a, b *INode) int { return strings.Compare(a.Path, b.Path) })
-	return out, nil
-}
-
 // Walk returns every file inode under dir (recursively), sorted by path,
 // after one RPC. Directories themselves are omitted.
 func (fs *FS) Walk(p *sim.Proc, dir string) ([]*INode, error) {
@@ -586,30 +552,6 @@ func (fs *FS) Walk(p *sim.Proc, dir string) ([]*INode, error) {
 	}
 	slices.SortFunc(out, func(a, b *INode) int { return strings.Compare(a.Path, b.Path) })
 	return out, nil
-}
-
-// Remove deletes a file or empty directory after one RPC.
-func (fs *FS) Remove(p *sim.Proc, path string) error {
-	fs.nnOp(p)
-	path = clean(path)
-	n, ok := fs.inodes[path]
-	if !ok {
-		return fmt.Errorf("hdfs: remove %s: no such file", path)
-	}
-	if n.Dir {
-		children, _ := fs.List(p, path)
-		if len(children) > 0 {
-			return fmt.Errorf("hdfs: remove %s: directory not empty", path)
-		}
-	}
-	for _, b := range n.Blocks {
-		for _, dn := range b.Replicas {
-			dn.Used -= b.Size
-			dn.BlockCount--
-		}
-	}
-	delete(fs.inodes, path)
-	return nil
 }
 
 // ReadBlock reads one real block from the reader's best live replica:

@@ -187,7 +187,7 @@ func TestVirtualFileCostsOnlyMetadata(t *testing.T) {
 	}
 }
 
-func TestListAndWalk(t *testing.T) {
+func TestWalk(t *testing.T) {
 	k := sim.NewKernel()
 	cl := testCluster(k, 2)
 	fs := New(k, cl, testConfig())
@@ -195,13 +195,6 @@ func TestListAndWalk(t *testing.T) {
 		fs.WriteFile(p, cl.Node(0), "/a/x", []byte("1"))
 		fs.WriteFile(p, cl.Node(0), "/a/y", []byte("2"))
 		fs.WriteFile(p, cl.Node(0), "/a/sub/z", []byte("3"))
-		ls, err := fs.List(p, "/a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ls) != 3 { // x, y, sub
-			t.Fatalf("List /a = %d entries, want 3", len(ls))
-		}
 		files, err := fs.Walk(p, "/a")
 		if err != nil {
 			t.Fatal(err)
@@ -213,39 +206,6 @@ func TestListAndWalk(t *testing.T) {
 			if f.Dir {
 				t.Fatal("Walk must omit directories")
 			}
-		}
-	})
-}
-
-func TestRemoveAccounting(t *testing.T) {
-	k := sim.NewKernel()
-	cl := testCluster(k, 2)
-	fs := New(k, cl, testConfig())
-	run(k, func(p *sim.Proc) {
-		fs.WriteFile(p, cl.Node(0), "/f", make([]byte, 256))
-		if fs.TotalUsed() != 256 {
-			t.Fatalf("used = %d", fs.TotalUsed())
-		}
-		if err := fs.Remove(p, "/f"); err != nil {
-			t.Fatal(err)
-		}
-		if fs.TotalUsed() != 0 {
-			t.Fatalf("used after remove = %d", fs.TotalUsed())
-		}
-		if fs.Exists("/f") {
-			t.Fatal("file still exists")
-		}
-	})
-}
-
-func TestRemoveNonEmptyDirFails(t *testing.T) {
-	k := sim.NewKernel()
-	cl := testCluster(k, 2)
-	fs := New(k, cl, testConfig())
-	run(k, func(p *sim.Proc) {
-		fs.WriteFile(p, cl.Node(0), "/d/f", []byte("x"))
-		if err := fs.Remove(p, "/d"); err == nil {
-			t.Fatal("removing non-empty dir should fail")
 		}
 	})
 }
@@ -506,3 +466,6 @@ func TestAllReplicasDeadIsTransient(t *testing.T) {
 		}
 	})
 }
+
+// DataNodes returns the storage daemons in node order.
+func (fs *FS) DataNodes() []*DataNode { return fs.dns }

@@ -112,6 +112,18 @@ func Volume(shape []int) int {
 	return n
 }
 
+// Strides returns the row-major element stride per dimension of shape, so
+// a flat index maps to coordinates via (i/stride[d]) % shape[d].
+func Strides(shape []int) []int {
+	st := make([]int, len(shape))
+	acc := 1
+	for d := len(shape) - 1; d >= 0; d-- {
+		st[d] = acc
+		acc *= shape[d]
+	}
+	return st
+}
+
 // MaxRank bounds an array's dimensions (HDF5's H5S_MAX_RANK), so a
 // per-chunk coordinate costs a bounded multiple of the chunk's index entry.
 const MaxRank = 32

@@ -78,7 +78,9 @@ func (l *scriptedLease) Acquire() uint64 {
 // now meet workers on their first idle beat, which starts every attempt
 // 0.17 s later — same tasks, nodes, attempt numbers and outcomes, events
 // 822 -> 831 (EXPERIMENTS.md "PR 24" has the attempt-by-attempt table).
-const characterisationDigest = "51c38958c157afc5b42deb1458e5537c6340d1d2fc2bb9d73360ebd734ce52b4"
+// It moved once more when Result.Counters went: the pre-image lost its
+// one "map[]" line and nothing else (EXPERIMENTS.md has both pre-images).
+const characterisationDigest = "25dff3823407ae9f53e603ae63955742009af884691b7ddb93fbbfddd799dd80"
 
 // TestCharacterisation drives every branch of the stage loop in one job —
 // racked and zoned cluster with located splits (host, rack, zone, steal),
@@ -149,8 +151,8 @@ func characterisationRun(t *testing.T, workers int) (digest, summary string) {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%+v\n%+v\n%v\n%d %v\n", kvString(res.Output), res.MapStats, res.ReduceStats,
-		res.Counters, k.EventsProcessed(), k.Now())
+	fmt.Fprintf(h, "%s\n%+v\n%+v\n%d %v\n", kvString(res.Output), res.MapStats, res.ReduceStats,
+		k.EventsProcessed(), k.Now())
 	h.Write(tb.Bytes())
 	h.Write(pb.Bytes())
 

@@ -217,8 +217,7 @@ type Job struct {
 	// Obs, when non-nil, receives the job's spans (job -> phase -> task,
 	// with tasks placed on node/slot tracks) and metrics: task counts,
 	// attempts and failures, task and phase duration histograms, shuffle
-	// bytes, and a registry view of TaskContext.Counter. Nil costs one
-	// check per site.
+	// bytes. Nil costs one check per site.
 	Obs *obs.Registry
 	// Lease, when non-nil, externally gates this job's slot usage: a
 	// multi-tenant scheduler grants and revokes slots while the job
@@ -295,8 +294,6 @@ func (ts *TaskStats) Duration() float64 { return ts.End - ts.Start }
 type Result struct {
 	// Output holds the final pairs sorted by key then insertion order.
 	Output []KV
-	// Counters are the job's accumulated named counters.
-	Counters map[string]int64
 	// MapStats has one entry per map task in completion order.
 	MapStats []TaskStats
 	// ReduceStats has one entry per reduce task.
@@ -330,12 +327,11 @@ func (r *Result) PhaseMean(name string) float64 {
 
 // TaskContext is handed to map and reduce functions.
 type TaskContext struct {
-	job      *Job
-	proc     *sim.Proc
-	node     *cluster.Node
-	stats    TaskStats
-	emit     func(KV)
-	counters map[string]int64
+	job   *Job
+	proc  *sim.Proc
+	node  *cluster.Node
+	stats TaskStats
+	emit  func(KV)
 	// slow stretches modeled compute (startup + Charge) for straggler
 	// injection; always >= 1.
 	slow float64
@@ -390,8 +386,8 @@ func (tc *TaskContext) Charge(phase string, d float64) {
 // returns. Use it around the pure byte work of a map or reduce function
 // (parsing, scanning, sorting); model the work's cost separately with
 // Charge. fn must not call Charge, Phase, or any simulation API, and
-// must not touch state shared with other tasks. Emit and Counter are
-// safe inside fn because the task itself stays parked until fn returns.
+// must not touch state shared with other tasks. Emit is safe inside fn
+// because the task itself stays parked until fn returns.
 // With an inline pool fn runs on the kernel thread — same schedule, same
 // result, serially.
 func (tc *TaskContext) Compute(fn func()) {
@@ -419,17 +415,6 @@ func (tc *TaskContext) addPhase(name string, d float64) {
 	tc.stats.Phases = append(tc.stats.Phases, Phase{Name: name, Seconds: d})
 }
 
-// Counter adds delta to the named job counter. Increments accumulate
-// per-attempt and merge into the job totals only when the attempt
-// commits, so failed attempts and discarded speculative losers never
-// pollute the counts (Hadoop's failed-attempt-counter semantics). With
-// Job.Obs attached the committed increments land in the registry series
-// mr/counter_total{job=..., name=...}, so user counters appear in the
-// Prometheus dump alongside the engine's own metrics.
-func (tc *TaskContext) Counter(name string, delta int64) {
-	tc.counters[name] += delta
-}
-
 // Run executes the job from within an existing simulated process (a
 // driver), blocking in virtual time until the job completes: a map stage
 // over the input's splits, then — unless the job is map-only — a reduce
@@ -441,7 +426,7 @@ func (j *Job) Run(p *sim.Proc) (*Result, error) {
 	if err := j.checkCluster(); err != nil {
 		return nil, err
 	}
-	res := &Result{Counters: map[string]int64{}, Start: p.Now()}
+	res := &Result{Start: p.Now()}
 	sh := newShuffle(j, res)
 	if j.Obs != nil {
 		j.Obs.Counter("mr/jobs_total").Inc()
@@ -459,10 +444,10 @@ func (j *Job) Run(p *sim.Proc) (*Result, error) {
 	}
 	src, err := j.splitSource(p)
 	if err == nil {
-		res.MapStats, err = j.runStage(p, "map", sh.mapFeed(src), j.SplitWindow, true, res.Counters)
+		res.MapStats, err = j.runStage(p, "map", sh.mapFeed(src), j.SplitWindow, true)
 	}
 	if err == nil && sh.reducers > 0 {
-		res.ReduceStats, err = j.runStage(p, "reduce", sh.reduceFeed(), sh.reducers, false, res.Counters)
+		res.ReduceStats, err = j.runStage(p, "reduce", sh.reduceFeed(), sh.reducers, false)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %w", j.Name, err)

@@ -214,21 +214,6 @@ func TestPhasesRecorded(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	k := sim.NewKernel()
-	in := linesInput(0, []string{"a a a"})
-	job := wordCountJob(k, in, 1, 1, 1)
-	inner := job.Map
-	job.Map = func(tc *TaskContext, key string, value any) error {
-		tc.Counter("records", 1)
-		return inner(tc, key, value)
-	}
-	res := runJob(t, k, job)
-	if res.Counters["records"] != 1 {
-		t.Fatalf("counters = %v", res.Counters)
-	}
-}
-
 func TestShuffleBytesAccounted(t *testing.T) {
 	k := sim.NewKernel()
 	in := linesInput(0, []string{"a b"}, []string{"c d"})

@@ -75,11 +75,9 @@ func parallelRun(t *testing.T, workers int, combine bool, faults TaskFaults) (*R
 				}))
 			}
 			p.Await(futs...)
-			tc.Counter("records", int64(recsPerSplit))
 			return nil
 		},
 		Reduce: func(tc *TaskContext, key string, values []any) error {
-			tc.Counter("groups", 1)
 			tc.Emit(key, len(values))
 			return nil
 		},
@@ -112,16 +110,13 @@ func parallelRun(t *testing.T, workers int, combine bool, faults TaskFaults) (*R
 }
 
 // assertSameRun fails unless two runs match on everything the engine
-// promises to keep worker-count invariant: output pairs, counters,
+// promises to keep worker-count invariant: output pairs,
 // shuffle accounting, per-task stats, virtual duration, and both
 // observability export streams, byte for byte.
 func assertSameRun(t *testing.T, label string, ref, got *Result, refTrace, gotTrace, refProm, gotProm []byte) {
 	t.Helper()
 	if !reflect.DeepEqual(ref.Output, got.Output) {
 		t.Errorf("%s: outputs differ (%d vs %d pairs)", label, len(ref.Output), len(got.Output))
-	}
-	if !reflect.DeepEqual(ref.Counters, got.Counters) {
-		t.Errorf("%s: counters differ: %v vs %v", label, ref.Counters, got.Counters)
 	}
 	if ref.ShuffleBytes != got.ShuffleBytes {
 		t.Errorf("%s: shuffle bytes %d vs %d", label, ref.ShuffleBytes, got.ShuffleBytes)

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"scidp/internal/cluster"
 	"scidp/internal/obs"
@@ -49,8 +48,7 @@ type stage struct {
 	startup     float64
 	maxAttempts int
 	speculative bool
-	counters    map[string]int64 // where committed TaskContext.Counter increments land
-	stats       []TaskStats      // committed tasks, in completion order
+	stats       []TaskStats // committed tasks, in completion order
 
 	q         *localityQueue
 	minted    int
@@ -81,21 +79,21 @@ type stage struct {
 // in virtual time until the next task exists — and a waiting feed holds no
 // slot: the driver pulls until the first window is full, and only past
 // that does a worker's refill park the worker. Emit belongs to Run's own
-// tasks, and Counter increments reach only the Obs registry.
+// tasks.
 func (j *Job) RunStage(p *sim.Proc, name string, feed func(*sim.Proc) (*Task, error)) error {
 	if err := j.checkCluster(); err != nil {
 		return err
 	}
-	_, err := j.runStage(p, name, feed, j.SplitWindow, true, map[string]int64{})
+	_, err := j.runStage(p, name, feed, j.SplitWindow, true)
 	return err
 }
 
 // runStage is RunStage with the two things only Run decides: the window
 // (the reduce wave is minted whole; <= 0 = the default 1024) and whether
 // the stage may speculate (the reduce wave must not: see Job.Speculation).
-func (j *Job) runStage(p *sim.Proc, name string, feed func(*sim.Proc) (*Task, error), window int, speculate bool, counters map[string]int64) ([]TaskStats, error) {
+func (j *Job) runStage(p *sim.Proc, name string, feed func(*sim.Proc) (*Task, error), window int, speculate bool) ([]TaskStats, error) {
 	s := &stage{j: j, name: name, feed: feed, window: window,
-		startup: j.TaskStartup, maxAttempts: max(j.MaxAttempts, 1), counters: counters}
+		startup: j.TaskStartup, maxAttempts: max(j.MaxAttempts, 1)}
 	if s.window <= 0 {
 		s.window = 1024
 	}
@@ -301,8 +299,8 @@ func (s *stage) launch(wp *sim.Proc, node *cluster.Node, slot int, n *qnode) att
 		a.span.Arg("startup", s.startup*slow)
 	}
 	a.tc = &TaskContext{job: j, proc: wp, node: node,
-		stats:    TaskStats{Label: t.Label, Node: node.Name, Start: wp.Now(), Attempt: t.attempt},
-		counters: map[string]int64{}, slow: slow, lease: j.Lease, token: token}
+		stats: TaskStats{Label: t.Label, Node: node.Name, Start: wp.Now(), Attempt: t.attempt},
+		slow:  slow, lease: j.Lease, token: token}
 	prev := wp.SetSpan(a.span)
 	wp.Sleep(s.startup * slow)
 	switch {
@@ -395,7 +393,6 @@ func (s *stage) settle(a *attempt) {
 		d := a.tc.stats.Duration()
 		s.taskSeconds.Observe(d)
 		s.durations.Observe(d)
-		s.commitCounters(a.tc.counters)
 		a.commit()
 		s.stats = append(s.stats, a.tc.stats)
 		s.retire(t)
@@ -435,25 +432,6 @@ func (s *stage) fail(err error) {
 	for n := s.q.pickAny(); n != nil; n = s.q.pickAny() {
 		if !n.t.done && n.t.inflight == 0 {
 			s.retire(n.t)
-		}
-	}
-}
-
-// commitCounters merges a winning attempt's counters into the job's, in
-// sorted key order so registry series always register in the same order.
-func (s *stage) commitCounters(counters map[string]int64) {
-	if len(counters) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(counters))
-	for k := range counters {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		s.counters[k] += counters[k]
-		if s.j.Obs != nil {
-			s.j.Obs.Counter("mr/counter_total", obs.L("job", s.j.Name), obs.L("name", k)).Add(float64(counters[k]))
 		}
 	}
 }

@@ -66,9 +66,6 @@ type Result struct {
 	Err error
 }
 
-// Elapsed returns the operation's virtual duration.
-func (r *Result) Elapsed() float64 { return r.End - r.Start }
-
 // Await blocks the calling process until the operation completes —
 // the collective's implicit barrier, usable from a driver that issued
 // the operation mid-simulation.
@@ -331,7 +328,3 @@ func ContiguousSplit(size int64, count int) []Range {
 	}
 	return out
 }
-
-// MergeRanges sorts and coalesces overlapping or adjacent ranges — the
-// shared ioengine.Merge.
-func MergeRanges(in []Range) []Range { return ioengine.Merge(in) }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"scidp/internal/cluster"
+	"scidp/internal/ioengine"
 	"scidp/internal/pfs"
 	"scidp/internal/sim"
 )
@@ -167,7 +168,7 @@ func TestContiguousSplit(t *testing.T) {
 
 func TestMergeRanges(t *testing.T) {
 	in := []Range{{Off: 10, Len: 5}, {Off: 0, Len: 4}, {Off: 14, Len: 6}, {Off: 4, Len: 2}, {Off: 30, Len: 0}}
-	out := MergeRanges(in)
+	out := ioengine.Merge(in)
 	want := []Range{{Off: 0, Len: 6}, {Off: 10, Len: 10}}
 	if len(out) != len(want) {
 		t.Fatalf("merged = %+v", out)
@@ -179,7 +180,8 @@ func TestMergeRanges(t *testing.T) {
 	}
 }
 
-// TestMergeRangesProperty: merged ranges are sorted, disjoint, and cover
+// TestMergeRangesProperty: the ranges ioengine.Merge coalesces a
+// collective's requests into are sorted, disjoint, and cover
 // exactly the union of the inputs.
 func TestMergeRangesProperty(t *testing.T) {
 	f := func(offs [6]uint8, lens [6]uint8) bool {
@@ -191,7 +193,7 @@ func TestMergeRangesProperty(t *testing.T) {
 				covered[b] = true
 			}
 		}
-		out := MergeRanges(in)
+		out := ioengine.Merge(in)
 		var prevEnd int64 = -1
 		outCovered := map[int64]bool{}
 		for _, r := range out {
@@ -258,7 +260,9 @@ func TestCollectiveWriteCorrectness(t *testing.T) {
 	if res == nil || res.Err != nil {
 		t.Fatalf("write failed: %+v", res)
 	}
-	got := comm.ranks[0].Client.FS().Get("/out")
+	var got []byte
+	k.Go("check", func(p *sim.Proc) { got, _ = comm.ranks[0].Client.ReadAt(p, "/out", 0, 1024) })
+	k.Run()
 	if len(got) != 1024 {
 		t.Fatalf("file = %d bytes", len(got))
 	}
@@ -296,3 +300,6 @@ func TestCollectiveWriteEmpty(t *testing.T) {
 		t.Fatal("all-empty write should be a no-op")
 	}
 }
+
+// Elapsed returns the operation's virtual duration.
+func (r *Result) Elapsed() float64 { return r.End - r.Start }

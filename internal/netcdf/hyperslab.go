@@ -1,21 +1,12 @@
 package netcdf
 
+import "scidp/internal/ioengine"
+
 // n-dimensional index and box-copy helpers shared by the chunk writer and
 // the hyperslab reader.
 
 // zeros returns an n-length zero index.
 func zeros(n int) []int { return make([]int, n) }
-
-// strides returns row-major element strides for a shape.
-func strides(shape []int) []int {
-	st := make([]int, len(shape))
-	acc := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		st[i] = acc
-		acc *= shape[i]
-	}
-	return st
-}
 
 // incIndex advances idx row-major within grid; it returns false when idx
 // wraps past the last cell.
@@ -48,8 +39,8 @@ func copyBox(dst []byte, dstShape, dstStart []int, src []byte, srcShape, srcStar
 	if rank == 0 {
 		return
 	}
-	dstStr := strides(dstShape)
-	srcStr := strides(srcShape)
+	dstStr := ioengine.Strides(dstShape)
+	srcStr := ioengine.Strides(srcShape)
 	runElems := extent[rank-1]
 	runBytes := runElems * es
 	idx := zeros(rank - 1)

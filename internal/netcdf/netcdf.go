@@ -149,16 +149,6 @@ func (v *Var) StoredBytes() int64 {
 	return s
 }
 
-// Attr returns the named variable attribute, or false.
-func (v *Var) Attr(name string) (Attr, bool) {
-	for _, a := range v.Attrs {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return Attr{}, false
-}
-
 // chunkShape returns the chunk extent per dimension: contiguous storage
 // is one chunk the shape of the variable.
 func (v *Var) chunkShape() []int {
@@ -214,18 +204,4 @@ func (a *Array) Float32s() []float32 {
 		panic("netcdf: Float32s on " + a.Type.String() + " array")
 	}
 	return ioengine.Float32s(a.Data)
-}
-
-// Float64At returns element i as float64 regardless of numeric type.
-func (a *Array) Float64At(i int) float64 { return a.Type.Float64At(a.Data, i) }
-
-// Sub returns the sub-array at the given leading index (e.g. one level of
-// a [level][lat][lon] array), sharing the underlying bytes. A rank below
-// two has no leading index to drop: a programmer error.
-func (a *Array) Sub(i int) *Array {
-	if len(a.Shape) < 2 {
-		panic("netcdf: Sub on rank<2 array")
-	}
-	n := ioengine.Volume(a.Shape[1:]) * a.Type.Size()
-	return &Array{Type: a.Type, Shape: a.Shape[1:], Data: a.Data[i*n : (i+1)*n]}
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"scidp/internal/ioengine"
 )
 
 // buildFile assembles a small 3-D float32 file resembling one NU-WRF
@@ -663,4 +665,28 @@ func BenchmarkWriterBytes(b *testing.B) {
 		}
 		writerSink = blob
 	}
+}
+
+// Float64At returns element i as float64 regardless of numeric type.
+func (a *Array) Float64At(i int) float64 { return a.Type.Float64At(a.Data, i) }
+
+// Sub returns the sub-array at the given leading index (e.g. one level of
+// a [level][lat][lon] array), sharing the underlying bytes. A rank below
+// two has no leading index to drop: a programmer error.
+func (a *Array) Sub(i int) *Array {
+	if len(a.Shape) < 2 {
+		panic("netcdf: Sub on rank<2 array")
+	}
+	n := ioengine.Volume(a.Shape[1:]) * a.Type.Size()
+	return &Array{Type: a.Type, Shape: a.Shape[1:], Data: a.Data[i*n : (i+1)*n]}
+}
+
+// Attr returns the named variable attribute, or false.
+func (v *Var) Attr(name string) (Attr, bool) {
+	for _, a := range v.Attrs {
+		if a.Name == name {
+			return a, true
+		}
+	}
+	return Attr{}, false
 }

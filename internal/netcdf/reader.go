@@ -194,7 +194,7 @@ func (f *File) GetVara(name string, start, count []int) (*Array, error) {
 	// chunks are enumerated up front so the read plan can be announced to
 	// the engine (a prefetching source overlaps the chunk transfers), then
 	// read and scattered in plan order.
-	rank, gstr, cs := len(count), strides(v.chunkGrid()), v.chunkShape()
+	rank, gstr, cs := len(count), ioengine.Strides(v.chunkGrid()), v.chunkShape()
 	lo, span := zeros(rank), zeros(rank)
 	for i := range lo {
 		lo[i] = start[i] / cs[i]

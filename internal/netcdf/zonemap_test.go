@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"scidp/internal/ioengine"
 )
 
 // TestChunkStatsProperty writes random arrays under random geometries and
@@ -85,7 +87,7 @@ func TestChunkStatsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		str := strides(shape)
+		str := ioengine.Strides(shape)
 		for ci := range v.Chunks {
 			st := v.Chunks[ci].Stats
 			if st == nil {

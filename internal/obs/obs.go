@@ -137,14 +137,6 @@ func (r *Registry) SetProcess(name string) {
 	r.process = name
 }
 
-// SetMaxSpans adjusts the span-buffer bound (0 = unlimited).
-func (r *Registry) SetMaxSpans(n int) {
-	if r == nil {
-		return
-	}
-	r.maxSpans = n
-}
-
 // AddCollector registers fn to run at the start of every export, in
 // registration order. Collectors pull values from external sources
 // (e.g. cache stats) into registry metrics; they must be deterministic

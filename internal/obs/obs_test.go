@@ -283,3 +283,20 @@ func TestExpBuckets(t *testing.T) {
 		}
 	}
 }
+
+// SetMaxSpans adjusts the span-buffer bound (0 = unlimited).
+func (r *Registry) SetMaxSpans(n int) {
+	if r == nil {
+		return
+	}
+	r.maxSpans = n
+}
+
+// ID reports the span's registry-unique id (0 on nil), usable for
+// cross-referencing from other event streams.
+func (s *Span) ID() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.id
+}

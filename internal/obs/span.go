@@ -95,15 +95,6 @@ func (s *Span) End() {
 	s.open = false
 }
 
-// ID reports the span's registry-unique id (0 on nil), usable for
-// cross-referencing from other event streams.
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // Dropped reports how many spans were discarded because the buffer hit
 // MaxSpans.
 func (r *Registry) Dropped() uint64 {

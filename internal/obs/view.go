@@ -31,14 +31,6 @@ type SpanInfo struct {
 	Args []SpanArg
 }
 
-// Seconds is the span's closed duration (0 while open).
-func (s *SpanInfo) Seconds() float64 {
-	if s.Open {
-		return 0
-	}
-	return s.End - s.Start
-}
-
 // Arg returns the first annotation recorded under key, or (nil, false).
 func (s *SpanInfo) Arg(key string) (any, bool) {
 	for _, a := range s.Args {

@@ -231,3 +231,11 @@ func TestSpanRollupEdgeCases(t *testing.T) {
 		t.Fatalf("task stat = %+v, want count=2 seconds=5", task)
 	}
 }
+
+// Seconds is the span's closed duration (0 while open).
+func (s *SpanInfo) Seconds() float64 {
+	if s.Open {
+		return 0
+	}
+	return s.End - s.Start
+}

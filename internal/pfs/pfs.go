@@ -441,9 +441,6 @@ func (fs *FS) NewClient(clientPath ...*sim.Resource) *Client {
 	return &Client{fs: fs, path: clientPath}
 }
 
-// FS returns the underlying file system.
-func (c *Client) FS() *FS { return c.fs }
-
 // metaOp charges one metadata round trip on the MDS.
 func (c *Client) metaOp(p *sim.Proc) {
 	c.fs.mdsOps.Inc()
@@ -595,25 +592,6 @@ func (c *Client) WriteAt(p *sim.Proc, path string, data []byte, off int64) error
 	c.fs.transferStriped(p, parts, osts, true)
 	done()
 	copy(f.data[off:end], data)
-	return nil
-}
-
-// Append writes data at the current EOF.
-func (c *Client) Append(p *sim.Proc, path string, data []byte) error {
-	f, ok := c.fs.files[path]
-	if !ok {
-		return fmt.Errorf("pfs: append %s: no such file", path)
-	}
-	return c.WriteAt(p, path, data, f.Size())
-}
-
-// Remove deletes a file (one MDS op).
-func (c *Client) Remove(p *sim.Proc, path string) error {
-	c.metaOp(p)
-	if _, ok := c.fs.files[path]; !ok {
-		return fmt.Errorf("pfs: remove %s: no such file", path)
-	}
-	delete(c.fs.files, path)
 	return nil
 }
 

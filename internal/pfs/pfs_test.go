@@ -201,8 +201,8 @@ func TestCreateAppendList(t *testing.T) {
 		}
 		c.Create(p, "/dir/b", 0, 0)
 		c.Create(p, "/dir/sub/c", 0, 0)
-		c.Append(p, "/dir/a", []byte("xx"))
-		c.Append(p, "/dir/a", []byte("yy"))
+		c.WriteAt(p, "/dir/a", []byte("xx"), 0)
+		c.WriteAt(p, "/dir/a", []byte("yy"), 2)
 		ls, err := c.List(p, "/dir")
 		if err != nil {
 			t.Error(err)
@@ -218,25 +218,6 @@ func TestCreateAppendList(t *testing.T) {
 	k.Run()
 	if got := fs.Get("/dir/a"); string(got) != "xxyy" {
 		t.Fatalf("appended = %q", got)
-	}
-}
-
-func TestRemove(t *testing.T) {
-	k := sim.NewKernel()
-	fs := New(k, testConfig())
-	fs.Put("/f", []byte("x"))
-	c := fs.NewClient()
-	k.Go("w", func(p *sim.Proc) {
-		if err := c.Remove(p, "/f"); err != nil {
-			t.Error(err)
-		}
-		if err := c.Remove(p, "/f"); err == nil {
-			t.Error("double remove should fail")
-		}
-	})
-	k.Run()
-	if fs.Get("/f") != nil {
-		t.Fatal("file still present after Remove")
 	}
 }
 

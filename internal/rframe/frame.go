@@ -180,21 +180,6 @@ func (f *Frame) must(err error) *Frame {
 	return f
 }
 
-// Select returns a frame with only the named columns (shared storage).
-func (f *Frame) Select(names ...string) (*Frame, error) {
-	out := New()
-	for _, n := range names {
-		c := f.Col(n)
-		if c == nil {
-			return nil, fmt.Errorf("rframe: no column %q", n)
-		}
-		if err := out.Add(c); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Take returns the column's rows in the given order as a new column; a
 // nil rows is every row and copies nothing: it returns c.
 func (c *Column) Take(rows []int) *Column {
@@ -259,23 +244,6 @@ func (f *Frame) Head(n int) *Frame {
 		rows[i] = i
 	}
 	return f.gather(rows)
-}
-
-// TopK returns the k rows with the largest values in the named column —
-// the paper's "top 10 data points are highlighted" analysis. It is
-// OrderBy(name, true) cut at k rows, found without sorting the rest.
-func (f *Frame) TopK(name string, k int) (*Frame, error) {
-	return f.orderBy(name, true, max(k, 0))
-}
-
-// TopFraction returns the top fraction (0 < frac <= 1) of rows by the
-// named column — the paper's "top 1% data is selected" analysis.
-func (f *Frame) TopFraction(name string, frac float64) (*Frame, error) {
-	if frac <= 0 || frac > 1 {
-		return nil, fmt.Errorf("rframe: fraction %v outside (0,1]", frac)
-	}
-	k := int(math.Ceil(frac * float64(f.NumRows())))
-	return f.TopK(name, k)
 }
 
 // Append concatenates other's rows below f's (schemas must match). An

@@ -66,27 +66,14 @@ func TestFilterOrderHead(t *testing.T) {
 	}
 }
 
-func TestTopKAndFraction(t *testing.T) {
+func TestTopK(t *testing.T) {
 	f := sampleFrame(t)
-	top, err := f.TopK("value", 2)
+	top, err := topK(f, "value", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if top.NumRows() != 2 || top.Col("value").F[0] != 8 || top.Col("value").F[1] != 4 {
 		t.Fatalf("top2 = %v", top.Col("value").F)
-	}
-	frac, err := f.TopFraction("value", 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac.NumRows() != 2 {
-		t.Fatalf("top 50%% rows = %d", frac.NumRows())
-	}
-	if _, err := f.TopFraction("value", 0); err == nil {
-		t.Error("zero fraction should fail")
-	}
-	if _, err := f.TopFraction("value", 1.5); err == nil {
-		t.Error("fraction > 1 should fail")
 	}
 }
 
@@ -104,20 +91,6 @@ func TestSummary(t *testing.T) {
 	}
 	if _, err := f.Summary("nope"); err == nil {
 		t.Error("missing column summary should fail")
-	}
-}
-
-func TestSelectSharesData(t *testing.T) {
-	f := sampleFrame(t)
-	sel, err := f.Select("value", "lat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.NumCols() != 2 || sel.Names()[0] != "value" {
-		t.Fatalf("select = %v", sel.Names())
-	}
-	if _, err := f.Select("ghost"); err == nil {
-		t.Error("selecting missing column should fail")
 	}
 }
 

@@ -13,7 +13,7 @@ type SortKey struct {
 }
 
 // Order is the one place a row index is ordered for a frame: OrderBy,
-// TopK, rsql's ORDER BY and the pushdown plan's Finalize all call it. It
+// rsql's ORDER BY and the pushdown plan's Finalize all call it. It
 // returns the first k rows (all n when k < 0 or k > n) of rows [0, n)
 // sorted by keys — at least one, each n long. Rows equal on every key keep
 // their input order and a NaN sorts after every number whichever the

@@ -1,16 +1,14 @@
-// Package rmr is the analogue of RHadoop's rmr2 and rhdfs packages: it
-// lets R-style user code — functions over rframe data frames — run as
-// MapReduce jobs, and moves frames and binary artifacts (plotted PNGs) in
-// and out of HDFS. The paper's point is that SciDP "only requires the
-// rhdfs and rmr2 package to work" (Section IV-E3); this package is that
-// minimal contract.
+// Package rmr is the analogue of RHadoop's rmr2 package: it lets R-style
+// user code — functions over rframe data frames — run as MapReduce jobs.
+// The paper's point is that SciDP "only requires the rhdfs and rmr2
+// package to work" (Section IV-E3); this package is the rmr2 half of that
+// minimal contract, and the hdfs package's own client is the rhdfs half.
 package rmr
 
 import (
 	"fmt"
 
 	"scidp/internal/cluster"
-	"scidp/internal/hdfs"
 	"scidp/internal/mapreduce"
 	"scidp/internal/rframe"
 	"scidp/internal/sim"
@@ -18,8 +16,8 @@ import (
 
 // Ctx wraps the engine's task context with frame-aware emission.
 type Ctx struct {
-	// TC is the underlying engine context (Charge, Phase, Counter,
-	// Proc all available).
+	// TC is the underlying engine context (Charge, Phase, Proc all
+	// available).
 	TC *mapreduce.TaskContext
 }
 
@@ -111,28 +109,4 @@ func PairBytes(kv mapreduce.KV) int64 {
 	default:
 		return int64(len(kv.K)) + 16
 	}
-}
-
-// ---- rhdfs-style helpers.
-
-// WriteFrame stores df as a CSV file on HDFS, written from node; the
-// encoded bytes are handed over to HDFS, not copied.
-func WriteFrame(p *sim.Proc, fs *hdfs.FS, node *cluster.Node, path string, df *rframe.Frame) error {
-	return fs.WriteFile(p, node, path, df.WriteCSV())
-}
-
-// ReadFrame loads a CSV file from HDFS into a frame, read from node.
-func ReadFrame(p *sim.Proc, fs *hdfs.FS, node *cluster.Node, path string) (*rframe.Frame, error) {
-	data, err := fs.ReadFile(p, node, path)
-	if err != nil {
-		return nil, err
-	}
-	return rframe.ReadTable(data)
-}
-
-// WriteBytes stores a binary artifact (an image) on HDFS from node. HDFS
-// keeps data (see hdfs.WriteFile); the caller must not write to it
-// afterwards.
-func WriteBytes(p *sim.Proc, fs *hdfs.FS, node *cluster.Node, path string, data []byte) error {
-	return fs.WriteFile(p, node, path, data)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"scidp/internal/cluster"
-	"scidp/internal/hdfs"
 	"scidp/internal/mapreduce"
 	"scidp/internal/rframe"
 	"scidp/internal/sim"
@@ -121,53 +120,6 @@ func TestPairBytes(t *testing.T) {
 	if PairBytes(mapreduce.KV{K: "ab", V: 7}) != 18 {
 		t.Fatal("default PairBytes wrong")
 	}
-}
-
-func TestFrameHDFSRoundtrip(t *testing.T) {
-	k := sim.NewKernel()
-	cl := testCluster(k)
-	fs := hdfs.New(k, cl, hdfs.Config{BlockSize: 64, Replication: 1, NNOpsPerSec: 1e9})
-	df := rframe.New().
-		MustAddInt("lat", []int64{1, 2, 3}).
-		MustAddFloat("value", []float64{0.5, 1.5, 2.5})
-	var back *rframe.Frame
-	k.Go("driver", func(p *sim.Proc) {
-		if err := WriteFrame(p, fs, cl.Node(0), "/out/result.csv", df); err != nil {
-			t.Error(err)
-			return
-		}
-		var err error
-		back, err = ReadFrame(p, fs, cl.Node(1), "/out/result.csv")
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	k.Run()
-	if back == nil || back.NumRows() != 3 {
-		t.Fatalf("roundtrip frame = %+v", back)
-	}
-	for i := 0; i < 3; i++ {
-		if back.Col("value").F[i] != df.Col("value").F[i] {
-			t.Fatalf("value[%d] = %v", i, back.Col("value").F[i])
-		}
-	}
-}
-
-func TestWriteBytes(t *testing.T) {
-	k := sim.NewKernel()
-	cl := testCluster(k)
-	fs := hdfs.New(k, cl, hdfs.Config{BlockSize: 64, Replication: 1, NNOpsPerSec: 1e9})
-	payload := []byte{0x89, 'P', 'N', 'G'}
-	k.Go("driver", func(p *sim.Proc) {
-		if err := WriteBytes(p, fs, cl.Node(0), "/img/p.png", payload); err != nil {
-			t.Error(err)
-		}
-		got, err := fs.ReadFile(p, cl.Node(0), "/img/p.png")
-		if err != nil || len(got) != 4 {
-			t.Errorf("read back = %v, %v", got, err)
-		}
-	})
-	k.Run()
 }
 
 func TestShuffleUsesFrameSizes(t *testing.T) {

@@ -83,9 +83,7 @@ type Projector interface {
 // ArrayPlan is a compiled pushdown query: two ordinary queries the frame
 // executor runs, and the predicate bounds extracted for pruning. The scan
 // query answers one chunk; the merge query answers the chunks' answers
-// stacked in chunk order (DESIGN.md, "One executor, two queries"). Its
-// pieces — Survivors, ScanChunk, Finalize — are independently drivable,
-// which is how sparklite distributes the same plan the local executor runs.
+// stacked in chunk order (DESIGN.md, "One executor, two queries").
 type ArrayPlan struct {
 	from   string
 	cols   []ColumnInfo // the referenced columns, in schema order
@@ -95,14 +93,6 @@ type ArrayPlan struct {
 	merge  *query
 	schema *rframe.Frame // the scan's answer over no rows: its columns
 }
-
-// Refs returns the input columns the plan references (select list, WHERE,
-// GROUP BY), deduplicated in schema order — the projection list.
-func (pl *ArrayPlan) Refs() []string { return pl.refs }
-
-// Bounds returns the per-column predicate intervals extracted from the
-// WHERE clause's top-level conjuncts.
-func (pl *ArrayPlan) Bounds() map[string]Interval { return pl.bounds }
 
 // noRows is the chunk a schema alone stands for: every column, no row.
 type noRows struct{}
@@ -399,46 +389,6 @@ func (pl *ArrayPlan) Finalize(parts []*ChunkPartial) (*rframe.Frame, error) {
 	return p.run(), nil
 }
 
-// Begin is the head every driver shares: narrow t to the referenced
-// columns if it can be, and work out before any I/O what a scan under mode
-// touches and which chunks it reads.
-func (pl *ArrayPlan) Begin(t ArrayTable, mode PushdownMode) (*ScanStats, []int) {
-	payload := true
-	if pr, ok := t.(Projector); ok {
-		payload = pr.Project(pl.refs)
-	}
-	return pl.Stats(t, mode, payload)
-}
-
-// Span opens the per-query span a driver hands to End (nil on a nil reg).
-func (pl *ArrayPlan) Span(reg *obs.Registry, name string, mode PushdownMode) *obs.Span {
-	sp := reg.StartSpan(name, "query", nil)
-	sp.Arg("table", pl.from)
-	sp.Arg("mode", mode.String())
-	return sp
-}
-
-// End is the tail every driver shares: count the matched rows into st,
-// merge the partials, and report the query to reg and sp (nil: nowhere).
-func (pl *ArrayPlan) End(parts []*ChunkPartial, st *ScanStats, reg *obs.Registry, sp *obs.Span) (*rframe.Frame, error) {
-	for _, p := range parts {
-		st.RowsMatched += p.rows
-	}
-	out, err := pl.Finalize(parts)
-	if err != nil {
-		return nil, err
-	}
-	reg.Counter("query/chunks_scanned_total").Add(float64(st.ChunksScanned))
-	reg.Counter("query/chunks_skipped_total").Add(float64(st.ChunksSkipped))
-	reg.Counter("query/bytes_avoided_total").Add(float64(st.BytesAvoided))
-	sp.Arg("chunks_scanned", st.ChunksScanned)
-	sp.Arg("chunks_skipped", st.ChunksSkipped)
-	sp.Arg("bytes_avoided", st.BytesAvoided)
-	sp.Arg("rows_matched", st.RowsMatched)
-	sp.End()
-	return out, nil
-}
-
 // QueryArrays parses and executes sql against the named array tables with
 // chunk pushdown: prune via zone maps, project referenced columns,
 // announce and read only surviving chunks, run the scan query over each on
@@ -456,8 +406,14 @@ func QueryArrays(tables map[string]ArrayTable, sql string, opts ArrayQueryOpts) 
 	if err != nil {
 		return nil, nil, err
 	}
-	sp := pl.Span(opts.Obs, "rsql/query", opts.Mode)
-	st, survivors := pl.Begin(t, opts.Mode)
+	sp := opts.Obs.StartSpan("rsql/query", "query", nil)
+	sp.Arg("table", pl.from)
+	sp.Arg("mode", opts.Mode.String())
+	payload := true
+	if pr, ok := t.(Projector); ok {
+		payload = pr.Project(pl.refs)
+	}
+	st, survivors := pl.Stats(t, opts.Mode, payload)
 
 	t.Announce(survivors)
 	parts := make([]*ChunkPartial, len(survivors))
@@ -479,9 +435,21 @@ func QueryArrays(tables map[string]ArrayTable, sql string, opts ArrayQueryOpts) 
 			return nil, nil, e
 		}
 	}
-	out, err := pl.End(parts, st, opts.Obs, sp)
+	for _, p := range parts {
+		st.RowsMatched += p.rows
+	}
+	out, err := pl.Finalize(parts)
 	if err != nil {
 		return nil, nil, err
 	}
+	reg := opts.Obs
+	reg.Counter("query/chunks_scanned_total").Add(float64(st.ChunksScanned))
+	reg.Counter("query/chunks_skipped_total").Add(float64(st.ChunksSkipped))
+	reg.Counter("query/bytes_avoided_total").Add(float64(st.BytesAvoided))
+	sp.Arg("chunks_scanned", st.ChunksScanned)
+	sp.Arg("chunks_skipped", st.ChunksSkipped)
+	sp.Arg("bytes_avoided", st.BytesAvoided)
+	sp.Arg("rows_matched", st.RowsMatched)
+	sp.End()
 	return out, st, nil
 }

@@ -322,3 +322,7 @@ func TestCompileArrayErrors(t *testing.T) {
 		t.Fatal("unknown table should fail")
 	}
 }
+
+// Bounds returns the per-column predicate intervals extracted from the
+// WHERE clause's top-level conjuncts.
+func (pl *ArrayPlan) Bounds() map[string]Interval { return pl.bounds }

@@ -113,9 +113,6 @@ func (r *Registry) Register(f Format) {
 	r.formats = append(r.formats, f)
 }
 
-// Formats returns the installed formats in registration order.
-func (r *Registry) Formats() []Format { return append([]Format(nil), r.formats...) }
-
 // Lookup returns the named format, or false.
 func (r *Registry) Lookup(name string) (Format, bool) {
 	for _, f := range r.formats {

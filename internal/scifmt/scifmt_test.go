@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scidp/internal/hdf5lite"
+	"scidp/internal/ioengine"
 	"scidp/internal/netcdf"
 )
 
@@ -132,7 +133,7 @@ func TestNetCDFReadSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := hdf5lite.Float32s(raw)
+	got := ioengine.Float32s(raw)
 	for i := 0; i < 9; i++ {
 		if got[i] != float32(18+i) {
 			t.Fatalf("slab elem %d = %v, want %v", i, got[i], float32(18+i))
@@ -166,7 +167,7 @@ func TestHDF5ReadSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := hdf5lite.Float32s(raw)
+	got := ioengine.Float32s(raw)
 	for i := range got {
 		if got[i] != float32(6+i) {
 			t.Fatalf("elem %d = %v", i, got[i])
@@ -211,3 +212,6 @@ func TestSegmentsSumToStoredBytes(t *testing.T) {
 		}
 	}
 }
+
+// Formats returns the installed formats in registration order.
+func (r *Registry) Formats() []Format { return append([]Format(nil), r.formats...) }

@@ -62,9 +62,6 @@ func NewComputePool(workers int) *ComputePool {
 	return &ComputePool{workers: workers}
 }
 
-// Workers reports the pool's configured worker count (0 = inline).
-func (cp *ComputePool) Workers() int { return cp.workers }
-
 // submit hands fn to a worker and returns its future. Inline pools run
 // fn before returning; the future is already resolved.
 func (cp *ComputePool) submit(fn func()) *Future {

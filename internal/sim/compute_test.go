@@ -173,3 +173,6 @@ func TestComputePoolCloseIdempotent(t *testing.T) {
 		t.Fatalf("negative worker count normalized to %d, want 0", w)
 	}
 }
+
+// Workers reports the pool's configured worker count (0 = inline).
+func (cp *ComputePool) Workers() int { return cp.workers }

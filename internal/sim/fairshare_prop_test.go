@@ -211,3 +211,6 @@ func TestIncrementalDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// ID returns the kernel-unique flow id, matching TraceEvent.Flow.
+func (f *Flow) ID() uint64 { return f.id }

@@ -482,9 +482,6 @@ type Flow struct {
 	mark uint64
 }
 
-// ID returns the kernel-unique flow id, matching TraceEvent.Flow.
-func (f *Flow) ID() uint64 { return f.id }
-
 // settle materializes the flow's progress at the current instant using
 // the rate fixed at its previous rate change.
 func (k *Kernel) settle(f *Flow) {

@@ -73,9 +73,6 @@ func (t *Tracer) record(ev TraceEvent) {
 	t.head = (t.head + 1) % t.MaxEvents
 }
 
-// Len reports how many events are buffered.
-func (t *Tracer) Len() int { return t.n }
-
 // Events returns the buffered events in occurrence order (a copy; the
 // tracer may keep recording).
 func (t *Tracer) Events() []TraceEvent {

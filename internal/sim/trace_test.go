@@ -265,3 +265,6 @@ func TestNoSpansWithoutProcSpan(t *testing.T) {
 		t.Fatalf("span count = %d, want 0 (no parent span set)", got)
 	}
 }
+
+// Len reports how many events are buffered.
+func (t *Tracer) Len() int { return t.n }

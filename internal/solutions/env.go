@@ -68,8 +68,10 @@ type CostModel struct {
 // DefaultCostModel returns constants calibrated against the paper's
 // Figure 7 (read ~2 s/task, Convert dominating text paths at ~3.5 s per
 // level of text, Plot ~0.55 s/level, SciDP reading a 50-level variable in
-// 1.75 s).
+// 1.75 s). The read path's two rates are core's, the one place they are
+// spelled.
 func DefaultCostModel() CostModel {
+	read := core.DefaultCostModel()
 	return CostModel{
 		TaskStartup:     1.0,
 		PlotPerLevel:    0.55,
@@ -77,8 +79,8 @@ func DefaultCostModel() CostModel {
 		TextParsePerMB:  0.06,
 		TextFormatPerMB: 0.04,
 		TextIndexPerMB:  0.055,
-		BinConvertPerMB: 0.002,
-		DecompressPerMB: 0.004,
+		BinConvertPerMB: read.ConvertPerRawMB,
+		DecompressPerMB: read.DecompressPerRawMB,
 		AnalysisPerMB:   0.002,
 	}
 }

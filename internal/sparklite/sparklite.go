@@ -1,7 +1,7 @@
 // Package sparklite is a minimal Spark-like engine over the simulated
-// cluster: lazily composed RDDs (map / filter / flatMap / reduceByKey /
-// collect) executed as staged DAGs with narrow transformations fused into
-// one task wave and shuffles between stages. The SciDP paper names Spark
+// cluster: lazily composed RDDs (map / reduceByKey / collect) executed
+// as staged DAGs with narrow transformations fused into one task wave and
+// shuffles between stages. The SciDP paper names Spark
 // support as the designed extension path ("SciDP can be extended to
 // support other BD frameworks, such as Spark and Impala"; SciSpark and
 // H5Spark are the related systems) — this package demonstrates that the
@@ -24,7 +24,6 @@ import (
 
 	"scidp/internal/cluster"
 	"scidp/internal/mapreduce"
-	"scidp/internal/obs"
 	"scidp/internal/sim"
 )
 
@@ -70,9 +69,8 @@ func (tc *TaskCtx) Node() *cluster.Node { return tc.tc.Node() }
 // Charge blocks the task for d virtual seconds of modeled compute.
 func (tc *TaskCtx) Charge(d float64) { tc.tc.Charge("Compute", d) }
 
-// op is one narrow transformation in a stage's fused pipeline. Map and
-// Filter are the one- and at-most-one-record cases of FlatMap.
-type op func(tc *TaskCtx, r Record) ([]Record, error)
+// op is one narrow transformation in a stage's fused pipeline.
+type op func(tc *TaskCtx, r Record) (Record, error)
 
 // RDD is a lazily composed distributed dataset.
 type RDD struct {
@@ -85,9 +83,6 @@ type RDD struct {
 	reducer  func(tc *TaskCtx, key string, values []any) (any, error)
 	reduceTo int
 	ops      []op
-	// obs, when non-nil, receives the lineage's phase and task spans and
-	// stage metrics (ArrayQuery.Run attaches its registry here).
-	obs *obs.Registry
 }
 
 // Context drives jobs on one cluster.
@@ -113,66 +108,12 @@ func NewContext(cl *cluster.Cluster) *Context {
 // FromSource creates the root RDD of a lineage.
 func (sc *Context) FromSource(src Source) *RDD { return &RDD{sc: sc, source: src} }
 
-// Parallelize creates an RDD from in-memory records split into n
-// partitions.
-func (sc *Context) Parallelize(records []Record, n int) *RDD {
-	return sc.FromSource(&memSource{records: records, parts: n})
-}
-
-type memSource struct {
-	records []Record
-	parts   int
-}
-
-func (m *memSource) Partitions(p *sim.Proc) ([]*Partition, error) {
-	n := m.parts
-	if n <= 0 {
-		n = 1
-	}
-	out := make([]*Partition, n)
-	for i := range out {
-		out[i] = &Partition{Index: i, Label: fmt.Sprintf("mem-%d", i), Payload: i}
-	}
-	return out, nil
-}
-
-func (m *memSource) Read(tc *TaskCtx, part *Partition) ([]Record, error) {
-	n := m.parts
-	i := part.Payload.(int)
-	lo := i * len(m.records) / n
-	hi := (i + 1) * len(m.records) / n
-	return m.records[lo:hi], nil
-}
-
-// chain derives a new RDD appending one narrow op (same stage).
-func (r *RDD) chain(o op) *RDD {
-	nr := *r
-	nr.ops = append(append([]op(nil), r.ops...), o)
-	return &nr
-}
-
-// Map applies f to every record.
+// Map applies f to every record; it derives a new RDD appending one narrow
+// op to this one's stage.
 func (r *RDD) Map(f func(tc *TaskCtx, rec Record) (Record, error)) *RDD {
-	return r.chain(func(tc *TaskCtx, rec Record) ([]Record, error) {
-		m, err := f(tc, rec)
-		return []Record{m}, err
-	})
-}
-
-// Filter keeps records where f is true.
-func (r *RDD) Filter(f func(tc *TaskCtx, rec Record) (bool, error)) *RDD {
-	return r.chain(func(tc *TaskCtx, rec Record) ([]Record, error) {
-		ok, err := f(tc, rec)
-		if err != nil || !ok {
-			return nil, err
-		}
-		return []Record{rec}, nil
-	})
-}
-
-// FlatMap expands each record into zero or more records.
-func (r *RDD) FlatMap(f func(tc *TaskCtx, rec Record) ([]Record, error)) *RDD {
-	return r.chain(f)
+	nr := *r
+	nr.ops = append(append([]op(nil), r.ops...), f)
+	return &nr
 }
 
 // ReduceByKey introduces a shuffle boundary: records are hashed to
@@ -181,7 +122,7 @@ func (r *RDD) ReduceByKey(f func(tc *TaskCtx, key string, values []any) (any, er
 	if reducers <= 0 {
 		reducers = len(r.sc.cluster.Nodes)
 	}
-	return &RDD{sc: r.sc, parent: r, shuffle: true, reducer: f, reduceTo: reducers, obs: r.obs}
+	return &RDD{sc: r.sc, parent: r, shuffle: true, reducer: f, reduceTo: reducers}
 }
 
 // Collect executes the lineage from the driver process and returns the
@@ -193,15 +134,6 @@ func (r *RDD) Collect(p *sim.Proc) ([]Record, error) {
 	}
 	slices.SortStableFunc(recs, func(a, b Record) int { return strings.Compare(a.K, b.K) })
 	return recs, nil
-}
-
-// Count executes the lineage and returns the record count.
-func (r *RDD) Count(p *sim.Proc) (int, error) {
-	recs, err := r.execute(p)
-	if err != nil {
-		return 0, err
-	}
-	return len(recs), nil
 }
 
 // execute runs the DAG: recursively materialize the parent (previous
@@ -286,7 +218,7 @@ func (r *RDD) reduceStage(p *sim.Proc, parentOut []Record) ([]Record, error) {
 // body's records reach the result only when the runner commits its
 // attempt, so a failed or discarded attempt leaves nothing behind.
 func (r *RDD) runWave(p *sim.Proc, name string, parts []*Partition, body func(tc *TaskCtx, part *Partition) ([]Record, error)) ([]Record, error) {
-	job := &mapreduce.Job{Name: "spark", Cluster: r.sc.cluster, TaskStartup: r.sc.TaskStartup, Obs: r.obs}
+	job := &mapreduce.Job{Name: "spark", Cluster: r.sc.cluster, TaskStartup: r.sc.TaskStartup}
 	results := make([][]Record, len(parts))
 	next := 0
 	err := job.RunStage(p, name, func(*sim.Proc) (*mapreduce.Task, error) {
@@ -314,13 +246,12 @@ func (r *RDD) runWave(p *sim.Proc, name string, parts []*Partition, body func(tc
 // pipeline, one op at a time.
 func applyOps(tc *TaskCtx, ops []op, recs []Record) ([]Record, error) {
 	for _, o := range ops {
-		var next []Record
-		for _, rec := range recs {
-			rs, err := o(tc, rec)
-			if err != nil {
+		next := make([]Record, len(recs))
+		for i, rec := range recs {
+			var err error
+			if next[i], err = o(tc, rec); err != nil {
 				return nil, err
 			}
-			next = append(next, rs...)
 		}
 		recs = next
 	}

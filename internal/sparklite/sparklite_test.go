@@ -19,6 +19,31 @@ func testCluster(k *sim.Kernel, nodes, slots int) *cluster.Cluster {
 	})
 }
 
+// memSource serves in-memory records split into parts partitions.
+type memSource struct {
+	records []Record
+	parts   int
+}
+
+func (m *memSource) Partitions(*sim.Proc) ([]*Partition, error) {
+	out := make([]*Partition, m.parts)
+	for i := range out {
+		out[i] = &Partition{Index: i, Label: fmt.Sprintf("mem-%d", i)}
+	}
+	return out, nil
+}
+
+func (m *memSource) Read(tc *TaskCtx, part *Partition) ([]Record, error) {
+	n, i := len(m.records), part.Index
+	return m.records[i*n/m.parts : (i+1)*n/m.parts], nil
+}
+
+// parallelize feeds the RDD engine in-memory records split into n
+// partitions.
+func parallelize(sc *Context, records []Record, n int) *RDD {
+	return sc.FromSource(&memSource{records: records, parts: n})
+}
+
 // collect runs the lineage from a driver proc.
 func collect(t *testing.T, k *sim.Kernel, rdd *RDD) []Record {
 	t.Helper()
@@ -34,66 +59,37 @@ func collect(t *testing.T, k *sim.Kernel, rdd *RDD) []Record {
 	return out
 }
 
-func TestParallelizeMapFilterCollect(t *testing.T) {
+// TestParallelizeMapCollect: two fused maps run over every partition and
+// Collect returns the records in key order.
+func TestParallelizeMapCollect(t *testing.T) {
 	k := sim.NewKernel()
 	sc := NewContext(testCluster(k, 2, 2))
 	var recs []Record
-	for i := 0; i < 10; i++ {
+	for i := 9; i >= 0; i-- {
 		recs = append(recs, Record{K: fmt.Sprintf("k%02d", i), V: i})
 	}
-	rdd := sc.Parallelize(recs, 4).
-		Map(func(tc *TaskCtx, r Record) (Record, error) {
-			return Record{K: r.K, V: r.V.(int) * 2}, nil
-		}).
-		Filter(func(tc *TaskCtx, r Record) (bool, error) {
-			return r.V.(int) >= 10, nil
-		})
-	out := collect(t, k, rdd)
-	if len(out) != 5 {
-		t.Fatalf("out = %d records, want 5", len(out))
+	double := func(tc *TaskCtx, r Record) (Record, error) { return Record{K: r.K, V: r.V.(int) * 2}, nil }
+	out := collect(t, k, parallelize(sc, recs, 4).Map(double).Map(double))
+	if len(out) != 10 {
+		t.Fatalf("out = %d records, want 10", len(out))
 	}
-	if out[0].K != "k05" || out[0].V.(int) != 10 {
-		t.Fatalf("first = %+v", out[0])
-	}
-}
-
-func TestFlatMapAndCount(t *testing.T) {
-	k := sim.NewKernel()
-	sc := NewContext(testCluster(k, 2, 2))
-	rdd := sc.Parallelize([]Record{
-		{K: "a", V: "one two"},
-		{K: "b", V: "three"},
-	}, 2).FlatMap(func(tc *TaskCtx, r Record) ([]Record, error) {
-		var out []Record
-		for _, w := range strings.Fields(r.V.(string)) {
-			out = append(out, Record{K: w, V: 1})
+	for i, r := range out {
+		if r.K != fmt.Sprintf("k%02d", i) || r.V.(int) != 4*i {
+			t.Fatalf("out[%d] = %+v", i, r)
 		}
-		return out, nil
-	})
-	var n int
-	var err error
-	k.Go("driver", func(p *sim.Proc) {
-		n, err = rdd.Count(p)
-	})
-	k.Run()
-	if err != nil || n != 3 {
-		t.Fatalf("count = %d, %v", n, err)
 	}
 }
 
 func TestWordCountWithShuffle(t *testing.T) {
 	k := sim.NewKernel()
 	sc := NewContext(testCluster(k, 3, 2))
-	lines := []Record{
-		{V: "a b a"}, {V: "c"}, {V: "b b"}, {V: "a c c"},
+	var words []Record
+	for _, w := range strings.Fields("a b a c b b a c c") {
+		words = append(words, Record{V: w})
 	}
-	rdd := sc.Parallelize(lines, 4).
-		FlatMap(func(tc *TaskCtx, r Record) ([]Record, error) {
-			var out []Record
-			for _, w := range strings.Fields(r.V.(string)) {
-				out = append(out, Record{K: w, V: 1})
-			}
-			return out, nil
+	rdd := parallelize(sc, words, 4).
+		Map(func(tc *TaskCtx, r Record) (Record, error) {
+			return Record{K: r.V.(string), V: 1}, nil
 		}).
 		ReduceByKey(func(tc *TaskCtx, key string, values []any) (any, error) {
 			sum := 0
@@ -120,7 +116,7 @@ func TestWordCountWithShuffle(t *testing.T) {
 func TestStageErrorPropagates(t *testing.T) {
 	k := sim.NewKernel()
 	sc := NewContext(testCluster(k, 2, 1))
-	rdd := sc.Parallelize([]Record{{V: 1}, {V: 2}, {V: 3}}, 1).
+	rdd := parallelize(sc, []Record{{V: 1}, {V: 2}, {V: 3}}, 1).
 		Map(func(tc *TaskCtx, r Record) (Record, error) {
 			if r.V.(int) == 3 {
 				return Record{}, fmt.Errorf("boom")
@@ -210,7 +206,7 @@ func TestTasksRespectSlots(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			recs = append(recs, Record{K: fmt.Sprintf("%d", i), V: i})
 		}
-		rdd := sc.Parallelize(recs, 8).Map(func(tc *TaskCtx, r Record) (Record, error) {
+		rdd := parallelize(sc, recs, 8).Map(func(tc *TaskCtx, r Record) (Record, error) {
 			tc.Charge(1.0)
 			return r, nil
 		})
@@ -320,7 +316,7 @@ func TestDeterministicExecution(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			recs = append(recs, Record{K: fmt.Sprintf("k%d", i%4), V: i})
 		}
-		rdd := sc.Parallelize(recs, 6).
+		rdd := parallelize(sc, recs, 6).
 			ReduceByKey(func(tc *TaskCtx, key string, values []any) (any, error) {
 				s := 0
 				for _, v := range values {
@@ -341,19 +337,25 @@ func TestDeterministicExecution(t *testing.T) {
 	}
 }
 
-// TestFilterErrorFailsTheStage: an error from a predicate fails the
-// lineage whichever verdict came with it.
+// TestFilterErrorFailsTheStage: an error from a predicate evaluated in a
+// map fails the lineage whichever record came with it — the zero record
+// or the input passed through.
 func TestFilterErrorFailsTheStage(t *testing.T) {
-	for _, verdict := range []bool{false, true} {
+	for _, keep := range []bool{false, true} {
 		k := sim.NewKernel()
 		sc := NewContext(testCluster(k, 1, 1))
-		rdd := sc.Parallelize([]Record{{V: 1}}, 1).
-			Filter(func(tc *TaskCtx, r Record) (bool, error) { return verdict, fmt.Errorf("bad predicate") })
+		rdd := parallelize(sc, []Record{{V: 1}}, 1).
+			Map(func(tc *TaskCtx, r Record) (Record, error) {
+				if !keep {
+					r = Record{}
+				}
+				return r, fmt.Errorf("bad predicate")
+			})
 		var err error
 		k.Go("driver", func(p *sim.Proc) { _, err = rdd.Collect(p) })
 		k.Run()
 		if err == nil || !strings.Contains(err.Error(), "bad predicate") {
-			t.Fatalf("verdict %v: err = %v", verdict, err)
+			t.Fatalf("keep %v: err = %v", keep, err)
 		}
 	}
 }

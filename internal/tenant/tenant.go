@@ -350,11 +350,6 @@ func (t *Tenant) QueueDepth() int { return len(t.queue) }
 // RunningJobs returns a tenant's running-job count.
 func (t *Tenant) RunningJobs() int { return len(t.running) }
 
-// Quiesced reports whether no queued or running jobs remain.
-func (s *Service) Quiesced() bool {
-	return len(s.fifo) == 0 && len(s.running) == 0 && !s.tickArmed
-}
-
 // Digest hashes every job's full outcome record plus the completion
 // order — the determinism contract's "byte-identical schedule and
 // outputs" in one string.

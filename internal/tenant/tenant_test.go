@@ -215,3 +215,8 @@ func TestBackfillStartsSmallJobs(t *testing.T) {
 		t.Fatalf("fifo completed=%d of %d", sum2.Completed, sum2.Jobs)
 	}
 }
+
+// Quiesced reports whether no queued or running jobs remain.
+func (s *Service) Quiesced() bool {
+	return len(s.fifo) == 0 && len(s.running) == 0 && !s.tickArmed
+}

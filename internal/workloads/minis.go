@@ -248,14 +248,6 @@ type MiniResult struct {
 	Output int64
 }
 
-// Throughput returns bytes/second.
-func (r MiniResult) Throughput() float64 {
-	if r.Seconds <= 0 {
-		return 0
-	}
-	return float64(r.Bytes) / r.Seconds
-}
-
 // synthPeriod is the word count after which synthText repeats: the
 // marker every 37th word, nine filler words in rotation, a newline every
 // twelfth.

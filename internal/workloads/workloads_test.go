@@ -300,3 +300,11 @@ func TestLustreInputSplitsHaveNoLocality(t *testing.T) {
 	})
 	r.k.Run()
 }
+
+// Throughput returns bytes/second.
+func (r MiniResult) Throughput() float64 {
+	if r.Seconds <= 0 {
+		return 0
+	}
+	return float64(r.Bytes) / r.Seconds
+}

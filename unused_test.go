@@ -15,40 +15,32 @@ import (
 
 // keptForTests lists what under internal/ no non-test file references and
 // stays anyway, by full name; an entry ending in "." keeps every method of
-// the type. Anything else the guard finds is deleted, or moved into the
-// _test.go that wants it.
+// the type. Each stays for a test in the package named: a writer fixture
+// that builds the files its readers open, an oracle or baseline it
+// compares against, or a read-back accessor a test in another package has
+// no other way to. Anything else the guard finds is deleted, or moved into
+// the _test.go that wants it; an entry the guard finds nothing for fails.
 var keptForTests = []string{
-	// Fixtures: the format writers build the files the readers' tests
-	// open, and the typed accessors are how those tests read them back.
-	"scidp/internal/grads.Encode", "scidp/internal/grads.Format",
-	"scidp/internal/hdf5lite.NewWriter", "(*scidp/internal/hdf5lite.Writer).", "(*scidp/internal/hdf5lite.Group).",
-	"(*scidp/internal/hdf5lite.File).ReadAll", "scidp/internal/hdf5lite.Float32s",
-	"(*scidp/internal/netcdf.Writer).", "(*scidp/internal/netcdf.Array).Float64At", "(*scidp/internal/netcdf.Array).Sub",
-	"(*scidp/internal/netcdf.Var).Attr", "scidp/internal/netcdf.Float64Attr",
-	"(*scidp/internal/rframe.Frame).MustAddInt", "(*scidp/internal/rframe.Frame).MustAddString",
-	// Oracle: FairShareFull, the brute-force schedule the incremental one is held to.
-	"(*scidp/internal/sim.Kernel).SetFairShareMode",
-	// File-system API completeness.
-	"(*scidp/internal/hdfs.FS).Remove", "(*scidp/internal/hdfs.FS).Exists", "(*scidp/internal/hdfs.FS).DataNodes",
-	"(*scidp/internal/pfs.Client).Append", "(*scidp/internal/pfs.Client).Remove", "(*scidp/internal/pfs.Client).FS",
-	"(*scidp/internal/pfs.FS).Get", "(*scidp/internal/pfs.FS).Paths", "(*scidp/internal/pfs.FS).OSTCount",
-	// The R-, Spark- and MPI-IO-like surfaces the paper's layers offer a
-	// user, wider than what the five pipelines call.
-	"(*scidp/internal/rframe.Frame).Filter", "(*scidp/internal/rframe.Frame).Select", "(*scidp/internal/rframe.Frame).TopFraction",
-	"(*scidp/internal/rframe.Column).StringAt",
-	"(*scidp/internal/sparklite.Context).Parallelize", "(*scidp/internal/sparklite.RDD).Count", "(*scidp/internal/sparklite.RDD).Filter",
-	"(*scidp/internal/sparklite.RDD).FlatMap", "(*scidp/internal/sparklite.ArrayQuery).Run",
-	"scidp/internal/rmr.ReadFrame", "scidp/internal/rmr.WriteFrame", "scidp/internal/rmr.WriteBytes",
-	"(*scidp/internal/mpiio.Comm).IndependentRead", "(*scidp/internal/mpiio.Result).Elapsed", "scidp/internal/mpiio.MergeRanges",
-	"(*scidp/internal/mapreduce.TaskContext).Counter", "(*scidp/internal/cluster.Interlink).Path",
-	"scidp/internal/aquery.NewHDF5", "scidp/internal/aquery.WithConst",
-	// What a test asks a finished run.
-	"(*scidp/internal/chaos.Injector).Plan", "(*scidp/internal/tenant.Service).Quiesced", "scidp/internal/bench.ClearCache",
-	"(*scidp/internal/obs.Registry).SetMaxSpans", "(*scidp/internal/obs.Span).ID", "(*scidp/internal/obs.SpanInfo).Seconds",
-	"(*scidp/internal/sim.ComputePool).Workers", "(*scidp/internal/sim.Flow).ID", "(*scidp/internal/sim.Tracer).Len",
-	"(*scidp/internal/rsql.ArrayPlan).Bounds", "(*scidp/internal/rsql.ChunkPartial).Rows",
-	"(*scidp/internal/scifmt.Info).Var", "(*scidp/internal/scifmt.Registry).Formats",
-	"(scidp/internal/ioengine.ChunkStats).AllFill", "(scidp/internal/workloads.MiniResult).Throughput",
+	"scidp/internal/grads.Encode",                   // scifmt.TestByteIdentityPins, core.TestPFSReaderGradsCrossFormat
+	"scidp/internal/grads.Format",                   // scifmt.TestByteIdentityPins, core.TestPFSReaderGradsCrossFormat
+	"scidp/internal/hdf5lite.NewWriter",             // core.TestMapperHierarchicalFormatMirrorsGroups
+	"(*scidp/internal/hdf5lite.Writer).",            // core.TestMapperHierarchicalFormatMirrorsGroups
+	"(*scidp/internal/hdf5lite.Group).",             // core.TestMapperHierarchicalFormatMirrorsGroups
+	"(*scidp/internal/netcdf.Writer).",              // scifmt.TestByteIdentityPins
+	"scidp/internal/netcdf.Float64Attr",             // scifmt.TestByteIdentityPins
+	"(*scidp/internal/rframe.Frame).MustAddInt",     // rsql.TestMinMaxFold
+	"(*scidp/internal/rframe.Frame).MustAddString",  // rsql.TestStringComparison
+	"(*scidp/internal/sim.Kernel).SetFairShareMode", // sim.TestIncrementalMatchesFullRecomputeOracle, bench.TestTraceCoversSpanTree
+	"(*scidp/internal/rframe.Frame).Filter",         // rsql.TestDifferential: the legacy executor's WHERE
+	"(*scidp/internal/mpiio.Comm).IndependentRead",  // mpiio.TestCollectiveBeatsIndependentOnFragmentedRequests
+	"(*scidp/internal/hdfs.FS).Exists",              // core.TestMapperMirrorsNetCDF
+	"(*scidp/internal/pfs.FS).Get",                  // solutions.TestStoredBytesAreNeverWritten
+	"(*scidp/internal/pfs.FS).Paths",                // solutions.TestStoredBytesAreNeverWritten
+	"(*scidp/internal/pfs.FS).OSTCount",             // core.TestPFSReaderReadsAroundOSTOutage
+	"(*scidp/internal/rframe.Column).StringAt",      // rsql.TestDifferential
+	"(*scidp/internal/rsql.ChunkPartial).Rows",      // aquery.BenchmarkScanChunk
+	"(*scidp/internal/scifmt.Info).Var",             // grads.TestExplore
+	"(scidp/internal/ioengine.ChunkStats).AllFill",  // hdf5lite.TestChunkStatsProperty
 }
 
 // moduleImporter type-checks this module's packages from source into one
@@ -96,10 +88,12 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 
 // TestNoFunctionOnlyTestsReach fails when a package-level function or a
 // method declared under internal/ is referenced by no non-test file of
-// this module or of benchmark/ and is not listed in keptForTests. A
-// method also counts as referenced when an interface that its type
-// satisfies, anywhere in those files or in the packages they import,
-// names it: that is how Splits, String or Less are called.
+// this module or of benchmark/ and is not listed in keptForTests, and
+// when a keptForTests entry matches no declared function or only ones a
+// non-test file references. A method also counts as referenced when an
+// interface that its type satisfies, anywhere in those files or in the
+// packages they import, names it: that is how Splits, String or Less are
+// called.
 func TestNoFunctionOnlyTestsReach(t *testing.T) {
 	fset := token.NewFileSet()
 	m := &moduleImporter{fset: fset, std: importer.ForCompiler(fset, "source", nil),
@@ -167,6 +161,8 @@ func TestNoFunctionOnlyTestsReach(t *testing.T) {
 		return false
 	}
 
+	kept := func(k, name string) bool { return k == name || strings.HasSuffix(k, ".") && strings.HasPrefix(name, k) }
+	testOnly := map[string]bool{} // every function declared under internal/
 	var dead []string
 	for path, info := range m.infos {
 		if !strings.HasPrefix(path, "scidp/internal/") {
@@ -174,24 +170,37 @@ func TestNoFunctionOnlyTestsReach(t *testing.T) {
 		}
 		for _, obj := range info.Defs {
 			fn, ok := obj.(*types.Func)
-			if !ok || used[fn] || fn.Name() == "init" {
+			if !ok || fn.Name() == "init" {
 				continue
 			}
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			reached := used[fn]
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && !reached {
 				rt := recv.Type()
 				if p, ok := rt.(*types.Pointer); ok {
 					rt = p.Elem()
 				}
-				if _, isIface := rt.Underlying().(*types.Interface); isIface || viaInterface(rt, fn.Name()) {
-					continue
-				}
+				_, isIface := rt.Underlying().(*types.Interface)
+				reached = isIface || viaInterface(rt, fn.Name())
 			}
 			name := fn.FullName()
-			if !slices.ContainsFunc(keptForTests, func(k string) bool {
-				return k == name || strings.HasSuffix(k, ".") && strings.HasPrefix(name, k)
-			}) {
+			testOnly[name] = !reached
+			if !reached && !slices.ContainsFunc(keptForTests, func(k string) bool { return kept(k, name) }) {
 				dead = append(dead, name+"  "+fset.Position(fn.Pos()).String())
 			}
+		}
+	}
+	for _, k := range keptForTests {
+		matched, needed := false, false
+		for name, only := range testOnly {
+			if kept(k, name) {
+				matched, needed = true, needed || only
+			}
+		}
+		switch {
+		case !matched:
+			t.Errorf("keptForTests entry %s matches no declared function", k)
+		case !needed:
+			t.Errorf("keptForTests entry %s names only functions a non-test file references", k)
 		}
 	}
 	slices.Sort(dead)
