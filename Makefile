@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical bench bench-paper loc
+.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical pairs bench bench-paper loc
 
 # check is the CI gate: formatting, vet, build, full tests, the race
 # detector across the whole module (the data-plane compute pool makes
@@ -55,6 +55,16 @@ fuzz-smoke:
 identical:
 	@test -n "$(PARENT)" || { echo "usage: make identical PARENT=<rev> [ARTIFACTS=<dir>]"; exit 2; }
 	bash scripts/identical.sh $(PARENT) $(ARTIFACTS)
+
+# pairs judges a wall-clock claim: N alternating paired runs of one
+# benchmark workload, PARENT (a git rev) against this tree, each pair's
+# iter_wall_s_p50 / iter_cpu_s_p50 and how many pairs this tree wins, then
+# run.sh -compare over all of them.
+N ?= 10
+SECONDS ?= 10
+pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make pairs PARENT=<rev> WORKLOAD=<w> [N=10] [SECONDS=10]"; exit 2; }
+	bash scripts/pairs.sh $(PARENT) $(WORKLOAD) $(N) $(SECONDS)
 
 # bench is the benchmark smoke test: every Benchmark* runs once with
 # allocation stats; a failing benchmark (b.Fatal/b.Error) fails the target.

@@ -74,7 +74,7 @@ func TestReduceOutputAllocatesOncePerSlice(t *testing.T) {
 func TestSortRunReusesItsScratch(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{40, 1310, 20000} {
+	for _, n := range []int{40, 1310, 2621, 20000} {
 		run := drawRun(rng, randomKeys(rng, n, 10), n)
 		if runIsSorted(run) {
 			t.Fatalf("the random run of %d pairs needs no sorting", n)

@@ -22,76 +22,221 @@
 package mapreduce
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync"
 )
 
 // sortRun stable-sorts one run — or the job's final output — by key,
 // preserving emission order within equal keys. A run already in key order
-// (a range-partitioned job's concatenated reducers) costs one scan and touches no scratch. Otherwise the sort moves 16-byte
-// (prefix, position) entries, not 32-byte pairs: entries order by prefix,
-// then by the full keys, then by position. That order is total, so it has
-// exactly one sorted permutation — the stable one — and an unstable
-// pdqsort cannot produce any other. The pairs then move once each, in
-// place, along the permutation's cycles.
+// (a range-partitioned job's concatenated reducers) costs one scan and
+// touches no scratch. Otherwise radixSort orders an index of the pairs,
+// not the 32-byte pairs themselves, into the one order that is total: by
+// key, then by position. A total order has exactly one sorted permutation
+// — the stable one. The pairs then move once each, in place, along the
+// permutation's cycles.
 func sortRun(kvs []KV) {
 	if runIsSorted(kvs) {
 		return
 	}
+	// A run is a []KV in memory, so 2^32 pairs would be 128 GiB of it: no
+	// run gets there, and none wraps a uint32 position silently.
+	if uint64(len(kvs)) > math.MaxUint32 {
+		panic(fmt.Sprintf("mapreduce: a run of %d pairs exceeds the 32-bit sort index", len(kvs)))
+	}
 	sc := sortScratchPool.Get().(*sortScratch)
-	if cap(sc.keys) < len(kvs) {
-		// Power-of-two capacities: runs of nearly equal length (a job's
-		// buckets) then reuse each other's scratch instead of missing it.
-		sc.keys = make([]sortKey, 1<<bits.Len(uint(len(kvs)-1)))
-	}
-	keys := sc.keys[:len(kvs)]
+	win, pos := scratch(&sc.win, len(kvs)), scratch(&sc.pos, len(kvs))
 	for i := range kvs {
-		keys[i] = sortKey{pre: keyPrefix(kvs[i].K), idx: i}
+		win[i] = keyWindow(kvs[i].K, 0)
+		pos[i] = uint32(i)
 	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		if a.pre != b.pre {
-			return cmp.Compare(a.pre, b.pre)
-		}
-		if c := strings.Compare(kvs[a.idx].K, kvs[b.idx].K); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
-	// keys[j].idx is where position j's pair comes from; a visited
-	// position is marked by pointing it at itself.
-	for i := range keys {
-		if keys[i].idx == i {
+	radixSort(kvs, win, pos, scratch(&sc.tmp, len(kvs)), 0, true)
+	// pos[j] is where position j's pair comes from; a visited position is
+	// marked by pointing it at itself.
+	for i := range pos {
+		if int(pos[i]) == i {
 			continue
 		}
 		first := kvs[i]
 		j := i
-		for src := keys[j].idx; src != i; src = keys[j].idx {
+		for src := int(pos[j]); src != i; src = int(pos[j]) {
 			kvs[j] = kvs[src]
-			keys[j].idx = j
+			pos[j] = uint32(j)
 			j = src
 		}
 		kvs[j] = first
-		keys[j].idx = j
+		pos[j] = uint32(j)
 	}
 	sortScratchPool.Put(sc)
 }
 
-// sortKey stands for one pair while its run sorts.
+// sortKey stands for one pair in a radix leaf's insertion sort: its
+// keyWindow and its position in the unsorted run.
 type sortKey struct {
-	pre uint64 // keyPrefix of the pair's key
-	idx int    // the pair's position in the unsorted run
+	win uint64
+	idx uint32
 }
 
-// sortScratch is pooled by pointer to a struct, not to the slice: putting
-// &keys would move a slice header to the heap on every call.
-type sortScratch struct{ keys []sortKey }
+// keyWindow packs the key's seven bytes from base on big-endian, zero-
+// padded, above a low byte counting the key's bytes from base on (8: more
+// than seven). For keys sharing their first base bytes a smaller window is
+// a smaller key — where windows first differ, both keys have a byte or the
+// one that has ended is a prefix of the other — and equal windows are
+// equal keys unless both go on past the window.
+func keyWindow(k string, base int) uint64 {
+	k = k[min(base, len(k)):]
+	if len(k) > 7 {
+		return keyPrefix(k)&^0xff | 8
+	}
+	return keyPrefix(k) | uint64(len(k))
+}
+
+// radixLeaf is the bucket size radixSort finishes by insertion.
+const radixLeaf = 24
+
+// radixSort sorts the ascending positions in data — keys sharing their
+// first depth bytes and going on past them — most significant byte first.
+// Windows start at multiples of 7; the one a key's window starts at is
+// the last below depth, or depth itself once refilled. The digit at depth
+// is the key's byte plus one, or 0 where it has ended, so "a" < "a\x00".
+// Every scatter is stable, so equal keys keep ascending positions
+// uncompared. spare is the same stretch of the other array; home reports
+// whether data is in pos, where a finished stretch must end up.
+func radixSort(kvs []KV, win []uint64, data, spare []uint32, depth int, home bool) {
+	for {
+		base := depth / 7 * 7
+		if depth > 0 && depth == base {
+			// The window is spent: load the key's next seven bytes.
+			for _, p := range data {
+				win[p] = keyWindow(kvs[p].K, base)
+			}
+		}
+		if len(data) <= radixLeaf {
+			dst := data
+			if !home {
+				dst = spare
+			}
+			insertionSort(kvs, win, data, dst, base)
+			return
+		}
+		// Bytes every key has and shares advance the depth unscattered:
+		// up to the first differing byte, the shortest key's end or the
+		// window's end.
+		first := win[data[0]]
+		var diff uint64
+		short := first & 0xff
+		for _, p := range data[1:] {
+			diff |= win[p] ^ first
+			short = min(short, win[p]&0xff)
+		}
+		if diff == 0 && short < 8 { // equal keys, in position order
+			if !home {
+				copy(spare, data)
+			}
+			return
+		}
+		if shared := base + min(bits.LeadingZeros64(diff)/8, int(short), 7); shared > depth {
+			depth = shared
+			if depth == base+7 {
+				continue
+			}
+		}
+		// The digits at depth differ. Counts become bucket starts, which
+		// the scatter advances to bucket ends.
+		at := depth - base
+		var ends [257]uint32
+		lo, hi := 256, 0
+		for _, p := range data {
+			d := radixDigit(win[p], at)
+			ends[d]++
+			lo, hi = min(lo, d), max(hi, d)
+		}
+		var sum, bigN uint32
+		big := hi
+		for d := lo; d <= hi; d++ {
+			c := ends[d]
+			ends[d] = sum
+			sum += c
+			if d > 0 && c > bigN {
+				big, bigN = d, c
+			}
+		}
+		for _, p := range data {
+			d := radixDigit(win[p], at)
+			spare[ends[d]] = p
+			ends[d]++
+		}
+		data, spare, home = spare, data, !home
+		// Ended keys are done. Every other bucket but the largest recurses;
+		// the loop takes that one, so the stack stays logarithmic.
+		if end := ends[0]; end > 0 && !home {
+			copy(spare[:end], data[:end])
+		}
+		for d := max(lo, 1); d <= hi; d++ {
+			if start, end := ends[d-1], ends[d]; end > start && d != big {
+				radixSort(kvs, win, data[start:end], spare[start:end], depth+1, home)
+			}
+		}
+		data, spare = data[ends[big]-bigN:ends[big]], spare[ends[big]-bigN:ends[big]]
+		depth++
+	}
+}
+
+// radixDigit is a key's digit at byte at of its window w: 0 past the
+// key's end, else the byte plus one.
+func radixDigit(w uint64, at int) int {
+	d := int(byte(w>>(56-8*at))) + 1
+	if at >= int(byte(w)) {
+		d = 0
+	}
+	return d
+}
+
+// insertionSort sorts radixSort's small buckets from src into dst (src
+// itself or the other array), on a stack copy carrying each window beside
+// its position. An entry moves only past greater keys: stable.
+func insertionSort(kvs []KV, win []uint64, src, dst []uint32, base int) {
+	var buf [radixLeaf]sortKey
+	keys := buf[:len(src)]
+	for i, p := range src {
+		e := sortKey{win: win[p], idx: p}
+		j := i
+		for ; j > 0; j-- {
+			o := keys[j-1]
+			// Equal windows leave the order open only if both keys go on.
+			if e.win > o.win || e.win == o.win && (e.win&0xff != 8 || kvs[e.idx].K[base+7:] >= kvs[o.idx].K[base+7:]) {
+				break
+			}
+			keys[j] = o
+		}
+		keys[j] = e
+	}
+	for i, e := range keys {
+		dst[i] = e.idx
+	}
+}
+
+// sortScratch holds every index sortRun uses, 16 bytes a pair, pooled by
+// pointer to a struct, not to a slice: putting &win would move a slice
+// header to the heap on every call, and a second pool costs a second miss.
+type sortScratch struct {
+	win      []uint64
+	pos, tmp []uint32
+}
 
 var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// scratch returns n elements of *s, first growing it to a power of two:
+// runs of nearly equal length (a job's buckets) then reuse each other's
+// scratch instead of missing it.
+func scratch[E any](s *[]E, n int) []E {
+	if cap(*s) < n {
+		*s = make([]E, 1<<bits.Len(uint(n-1)))
+	}
+	return (*s)[:n]
+}
 
 // keyPrefix packs a key's first eight bytes big-endian, zero-padded, so
 // that keyPrefix(a) < keyPrefix(b) implies a < b bytewise: at the first

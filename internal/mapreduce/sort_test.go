@@ -29,6 +29,38 @@ var keyShapes = []struct {
 	{"non-utf8", []string{"\xff", "\xff\xfe", "\x80abc", "\xc3\x28", "\xff\xff\xff\xff\xff\xff\xff\xff",
 		"\xff\xff\xff\xff\xff\xff\xff\xff\x01", "\xff\xff\xff\xff\xff\xff\xff", "\x7f\xff"}},
 	{"random10", randomKeys(rand.New(rand.NewSource(3)), 64, 10)},
+	// Keys that end on either side of the radix sort's window refills at
+	// 7 and 14 bytes and of the 8- and 16-byte boundaries, and bytes at or
+	// above 0x80 (digits are unsigned).
+	{"window-ends", []string{"abcdef", "abcdefg", "abcdefg\x00", "abcdefg\x80", "abcdefgh", "abcdefgh\x00",
+		"abcdefghijklm", "abcdefghijklmn", "abcdefghijklmn\x00", "abcdefghijklmn\xff", "abcdefghijklmo",
+		"abcdefghijklmno", "abcdefghijklmnop", "abcdefghijklmnop\x00", "abcdefghijklmnop\xff", "abcdefghijklmnoq",
+		"abcdefg\xffijklmn", "\x80bcdefghijklmn", "\xffbcdefg"}},
+	{"periodic-text", periodicTextKeys(256)},
+}
+
+// periodicTextKeys returns the ten-byte keys of n 100-byte records cut
+// from a repeating word stream, as a tenant sort job emits them: a few
+// hundred distinct keys that share long prefixes.
+func periodicTextKeys(n int) []string {
+	words := [...]string{"the", "rain", "falls", "on", "grid", "cells", "while", "model", "steps"}
+	var text strings.Builder
+	for i := 0; text.Len() < 100*n; i++ {
+		word, sep := words[i%len(words)], " "
+		if i%37 == 0 {
+			word = "storm"
+		}
+		if i%12 == 11 {
+			sep = "\n"
+		}
+		text.WriteString(word + sep)
+	}
+	s := text.String()
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = s[100*i : 100*i+10]
+	}
+	return keys
 }
 
 // randomKeys returns n keys of keyLen random bytes, TeraSort's shape.
@@ -74,7 +106,10 @@ func TestSortRunMatchesStableSort(t *testing.T) {
 			// share sortScratchPool, which `make race` watches here.
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(len(shape.name))))
-			for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 100, 1310} {
+			// radixLeaf and one past it: a run's first bucket finishes by
+			// insertion or is scattered. 1 310 and 2 621: a TeraSort and a
+			// tenant sort job's bucket.
+			for _, n := range []int{0, 1, 2, 3, 7, 8, 9, radixLeaf, radixLeaf + 1, 100, 1310, 2621} {
 				for trial := 0; trial < 20; trial++ {
 					kvs := drawRun(rng, shape.keys, n)
 					checkSortRun(t, kvs)
@@ -96,16 +131,23 @@ func TestSortRunMatchesStableSort(t *testing.T) {
 }
 
 // FuzzSortRun decodes the input as a run — a length byte below 0x80 takes
-// that many (mod 12) bytes as the next key, one at or above it repeats an
-// earlier key — and holds sortRun to the oracle on it.
+// that many (mod 24) bytes as the next key, so keys reach past two window
+// refills, and one at or above it repeats an earlier key — and holds
+// sortRun to the oracle on it.
 func FuzzSortRun(f *testing.F) {
 	for _, shape := range keyShapes {
 		var seed []byte
 		for i, k := range shape.keys {
-			if len(k) < 12 {
+			if len(k) < 24 {
 				seed = append(append(seed, byte(len(k))), k...)
 			}
 			seed = append(seed, 0x80+byte(i/2))
+		}
+		f.Add(seed)
+		// Repeats past radixLeaf pairs reach the scatter, not only an
+		// insertion leaf.
+		for i := 0; i <= radixLeaf; i++ {
+			seed = append(seed, 0x80+byte(i*7%128))
 		}
 		f.Add(seed)
 	}
@@ -120,7 +162,7 @@ func FuzzSortRun(f *testing.F) {
 				}
 				continue
 			}
-			n := min(int(b)%12, len(data))
+			n := min(int(b)%24, len(data))
 			kvs = append(kvs, KV{K: string(data[:n]), V: len(kvs)})
 			data = data[n:]
 		}
@@ -129,17 +171,21 @@ func FuzzSortRun(f *testing.F) {
 }
 
 // sortBenchRun builds one of BenchmarkSortRun's inputs: TeraSort's random
-// ten-byte keys, the scidp pipelines' keys (one long shared prefix, so every
-// prefix comparison ties), a combiner-less word count (few keys, long equal
+// ten-byte keys, a tenant sort job's ten-byte windows of periodic text, the
+// scidp pipelines' keys (one long shared prefix, so every prefix
+// comparison ties), a combiner-less word count (few keys, long equal
 // stretches) or a run that needs no sorting.
 func sortBenchRun(shape string, n int) []KV {
 	rng := rand.New(rand.NewSource(9))
 	random := randomKeys(rng, n, 10)
+	text := periodicTextKeys(n)
 	kvs := make([]KV, n)
 	for i := range kvs {
 		switch shape {
 		case "random10":
 			kvs[i].K = random[i]
+		case "text10":
+			kvs[i].K = text[i]
 		case "sharedprefix":
 			kvs[i].K = fmt.Sprintf("plot_18_00_00.nc/QR#%d", rng.Intn(2*n))
 		case "fewkeys":
@@ -153,11 +199,12 @@ func sortBenchRun(shape string, n int) []KV {
 }
 
 // BenchmarkSortRun times run generation alone: one copy of the unsorted
-// run (the same on both sides of a comparison) and its sort. 40, 1 310 and
-// 20 000 pairs are a scidp bucket, a TeraSort bucket and a large split's.
+// run (the same on both sides of a comparison) and its sort. 40, 1 310,
+// 2 621 and 20 000 pairs are a scidp bucket, a TeraSort bucket, a tenant
+// sort job's bucket and a large split's.
 func BenchmarkSortRun(b *testing.B) {
-	for _, shape := range []string{"random10", "sharedprefix", "fewkeys", "sorted"} {
-		for _, n := range []int{40, 1310, 20000} {
+	for _, shape := range []string{"random10", "text10", "sharedprefix", "fewkeys", "sorted"} {
+		for _, n := range []int{40, 1310, 2621, 20000} {
 			b.Run(fmt.Sprintf("%s/%d", shape, n), func(b *testing.B) {
 				run := sortBenchRun(shape, n)
 				work := make([]KV, n)
