@@ -58,8 +58,9 @@ identical:
 
 # pairs judges a wall-clock claim: N alternating paired runs of one
 # benchmark workload, PARENT (a git rev) against this tree, each pair's
-# iter_wall_s_p50 / iter_cpu_s_p50 and how many pairs this tree wins, then
-# run.sh -compare over all of them.
+# iter_wall_s_p50 / iter_cpu_s_p50, how many pairs this tree wins, each
+# side's quartiles, run.sh -compare over all of them and whether the claim
+# rule (9 of 10 pairs, medians apart by more than the parent's IQR) holds.
 N ?= 10
 SECONDS ?= 10
 pairs:

@@ -37,7 +37,9 @@ const testPlan = `{
 // chaosRun is one full pipeline execution under a plan on a fresh
 // recovery-enabled testbed: it returns the sha256 over every /results
 // file (read back in sorted order) and the raw export byte streams.
-// workers sizes the data-plane compute pool (<= 0 = inline).
+// workers sizes the data-plane compute pool (<= 0 = inline). Solution
+// "scidp-anlys" is SciDP with the top-1 % analysis, so its reducers also
+// write the analysis CSV and one GIF per timestamp.
 func chaosRun(t *testing.T, solution string, plan *chaos.Plan, workers int) (digest string, trace, prom []byte) {
 	t.Helper()
 	s := bench.QuickScale()
@@ -54,10 +56,13 @@ func chaosRun(t *testing.T, solution string, plan *chaos.Plan, workers int) (dig
 		t.Fatal(err)
 	}
 	wl := &solutions.Workload{Dataset: ds, Var: "QR"}
+	if solution == "scidp-anlys" {
+		wl.Analysis = solutions.AnalysisTop1Pct
+	}
 	var runErr error
 	env.K.Go("driver", func(p *sim.Proc) {
 		switch solution {
-		case "scidp":
+		case "scidp", "scidp-anlys":
 			_, runErr = solutions.RunSciDP(p, env, wl)
 		case "vanilla-hadoop":
 			_, runErr = solutions.RunVanillaHadoop(p, env, wl)
@@ -155,13 +160,16 @@ func TestDeterminismUnderChaos(t *testing.T) {
 // and without a chaos plan (task failures, stragglers and speculation
 // included), and two same-seed runs at workers=4 are byte-identical too.
 // Plotting is a fork site (fork before the Plot charges, one join after),
-// so this also pins that the join lands on the same event at every size.
+// so this also pins that the join lands on the same event at every size;
+// the Anlys leg does the same for the reducers' animation (forked before
+// the PNG writes, joined before the GIF write).
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	plan, err := chaos.ParsePlan([]byte(testPlan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	digests := map[string]string{}
+	legs := []string{"scidp", "scidp-anlys"}
+	digests := map[string]string{} // by plan name + "/" + solution
 	for _, tc := range []struct {
 		name string
 		plan *chaos.Plan
@@ -170,29 +178,35 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		{"clean", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d1, trace1, prom1 := chaosRun(t, "scidp", tc.plan, 1)
-			for _, workers := range []int{-1, 4, 4} {
-				// The second workers=4 leg is the same-seed repeat: pooled
-				// runs are reproducible against themselves, not just
-				// against workers=1.
-				d, trace, prom := chaosRun(t, "scidp", tc.plan, workers)
-				if d != d1 {
-					t.Errorf("output digest at workers=%d differs from workers=1: %s vs %s", workers, d, d1)
-				}
-				if !bytes.Equal(trace, trace1) {
-					t.Errorf("Chrome-trace export at workers=%d differs from workers=1", workers)
-				}
-				if !bytes.Equal(prom, prom1) {
-					t.Errorf("Prometheus export at workers=%d differs from workers=1", workers)
-				}
+			for _, solution := range legs {
+				t.Run(solution, func(t *testing.T) {
+					d1, trace1, prom1 := chaosRun(t, solution, tc.plan, 1)
+					for _, workers := range []int{-1, 4, 4} {
+						// The second workers=4 leg is the same-seed repeat:
+						// pooled runs are reproducible against themselves,
+						// not just against workers=1.
+						d, trace, prom := chaosRun(t, solution, tc.plan, workers)
+						if d != d1 {
+							t.Errorf("output digest at workers=%d differs from workers=1: %s vs %s", workers, d, d1)
+						}
+						if !bytes.Equal(trace, trace1) {
+							t.Errorf("Chrome-trace export at workers=%d differs from workers=1", workers)
+						}
+						if !bytes.Equal(prom, prom1) {
+							t.Errorf("Prometheus export at workers=%d differs from workers=1", workers)
+						}
+					}
+					digests[tc.name+"/"+solution] = d1
+				})
 			}
-			digests[tc.name] = d1
 		})
 	}
 	// Faults may only cost time: abandoned and discarded attempts leave no
 	// trace in the pooled runs' output either.
-	if digests["chaos"] != digests["clean"] {
-		t.Errorf("pooled output under chaos differs from fault-free output: %s vs %s", digests["chaos"], digests["clean"])
+	for _, solution := range legs {
+		if chaosD, cleanD := digests["chaos/"+solution], digests["clean/"+solution]; chaosD != cleanD {
+			t.Errorf("%s: pooled output under chaos differs from fault-free output: %s vs %s", solution, chaosD, cleanD)
+		}
 	}
 }
 

@@ -26,7 +26,8 @@ var jetPalette = func() color.Palette {
 // animated GIF — the paper's animation phase: "The visual outputs are
 // usually animations which consist of a series of images generated along
 // a specific dimension." delayCS is the per-frame delay in hundredths of
-// a second.
+// a second. It is safe for concurrent use — the palette memo is per call
+// and jetPalette is read-only — so the reducers run it on the data plane.
 func AnimateGIF(pngFrames [][]byte, delayCS int) ([]byte, error) {
 	if len(pngFrames) == 0 {
 		return nil, fmt.Errorf("rframe: AnimateGIF needs at least one frame")

@@ -254,6 +254,48 @@ func TestAnimateGIFMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAnimateGIFConcurrent assembles animations from 8 goroutines at once,
+// each checking every GIF against a serial call's bytes: the reducers fork
+// AnimateGIF onto the data plane, so the palette memo must stay per call
+// and jetPalette read-only. Run under -race by `make race`.
+func TestAnimateGIFConcurrent(t *testing.T) {
+	series := make([][][]byte, 3)
+	want := make([][]byte, len(series))
+	for s := range series {
+		for f := 0; f < 4; f++ {
+			data, err := Image2D(testGrid(8, 8, s+f), 8, 8, PlotOpts{Width: 16 + 8*s, Height: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			series[s] = append(series[s], data)
+		}
+		var err error
+		if want[s], err = AnimateGIF(series[s], 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 20; n++ {
+				s := (g + n) % len(series)
+				got, err := AnimateGIF(series[s], 20)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want[s]) {
+					t.Errorf("goroutine %d call %d series %d: GIF differs from the serial call's", g, n, s)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 var benchSink []byte
 
 func BenchmarkImage2D(b *testing.B) {

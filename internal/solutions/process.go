@@ -288,6 +288,23 @@ func runProcessing(p *sim.Proc, env *Env, wl *Workload, name string, input mapre
 			imgs = append(imgs, v.(imgKV))
 		}
 		slices.SortFunc(imgs, func(a, b imgKV) int { return cmp.Compare(a.level, b.level) })
+		// Anlys includes the animation phase (Table II): assemble this
+		// timestamp's level series into an animated GIF on HDFS. Fork before
+		// charge, join after: the GIF encodes on the data plane while the
+		// PNG writes below take their simulated time. The closure reads only
+		// the PNGs, which nobody writes to once stored, and writes only
+		// anim/animErr, so an attempt that returns on a PNG write error just
+		// abandons it.
+		var fut *sim.Future
+		var anim []byte
+		var animErr error
+		if wl.Analysis != AnalysisNone && len(imgs) > 1 {
+			frames := make([][]byte, len(imgs))
+			for i := range imgs {
+				frames[i] = imgs[i].png
+			}
+			fut = tc.Proc().Compute(func() { anim, animErr = rframe.AnimateGIF(frames, 20) })
+		}
 		for _, img := range imgs {
 			path := fmt.Sprintf("%s/img/t%04d_l%03d.png", outDir, img.t, img.level)
 			if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), path, img.png); err != nil {
@@ -295,16 +312,10 @@ func runProcessing(p *sim.Proc, env *Env, wl *Workload, name string, input mapre
 			}
 			stats.images++
 		}
-		// Anlys includes the animation phase (Table II): assemble this
-		// timestamp's level series into an animated GIF on HDFS.
-		if wl.Analysis != AnalysisNone && len(imgs) > 1 {
-			frames := make([][]byte, len(imgs))
-			for i := range imgs {
-				frames[i] = imgs[i].png
-			}
-			anim, err := rframe.AnimateGIF(frames, 20)
-			if err != nil {
-				return err
+		if fut != nil {
+			tc.Proc().Await(fut)
+			if animErr != nil {
+				return animErr
 			}
 			path := fmt.Sprintf("%s/anim/t%04d.gif", outDir, imgs[0].t)
 			if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), path, anim); err != nil {

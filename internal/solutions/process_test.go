@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"scidp/internal/mapreduce"
 	"scidp/internal/sim"
+	"scidp/internal/workloads"
 )
 
 // gridInput is a one-split InputFormat handing Map a prebuilt grid.
@@ -104,4 +106,48 @@ func TestPlotForkSurvivesPreemptedAttempt(t *testing.T) {
 			t.Errorf("level %d: image after a preempted attempt differs from the clean run's", l)
 		}
 	}
+}
+
+// TestAnimationForkSurvivesFailedPNGWrite makes a reducer's PNG write
+// fail after its GIF was forked onto a 4-worker pool: one PNG path
+// already exists on HDFS. The job returns the write's "file exists" error,
+// not anything from the animation, the abandoned closure writes only its
+// own slots, and no GIF is stored for that timestamp; `make race` runs
+// this under the race detector.
+func TestAnimationForkSurvivesFailedPNGWrite(t *testing.T) {
+	spec := workloads.NUWRFSpec{Timestamps: 2, Levels: 4, Lat: 16, Lon: 16, Vars: 2, Dir: "/nuwrf"}
+	blobs, ds, err := workloads.GenerateBlobs(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultEnvConfig(1000, 50.0/4)
+	cfg.Nodes, cfg.SlotsPerNode, cfg.PlotRes, cfg.Workers = 4, 2, 16, 4
+	env := NewEnv(cfg)
+	defer env.Close()
+	workloads.Install(env.PFS, blobs)
+	const taken = "/results/scidp/img/t0001_l002.png"
+	if _, err := env.HDFS.Put(taken, []byte("not a plot")); err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	env.K.Go("driver", func(p *sim.Proc) {
+		_, runErr = RunSciDP(p, env, &Workload{Dataset: ds, Var: "QR", Analysis: AnalysisTop1Pct})
+	})
+	env.K.Run()
+	if want := "create " + taken + ": file exists"; runErr == nil || !strings.Contains(runErr.Error(), want) {
+		t.Fatalf("job error = %v, want the PNG write's %q", runErr, want)
+	}
+	env.K.Go("check", func(p *sim.Proc) {
+		files, err := env.HDFS.Walk(p, "/results/scidp/anim")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f.Path, "t0001.gif") {
+				t.Errorf("%s stored although a PNG write of its timestamp failed", f.Path)
+			}
+		}
+	})
+	env.K.Run()
 }

@@ -9,7 +9,9 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 
 	"scidp/internal/netcdf"
 	"scidp/internal/pfs"
@@ -113,37 +115,35 @@ func (d *Dataset) CompressionRatio() float64 {
 // GenerateBlobs builds the dataset's files as in-memory netCDF blobs,
 // keyed by PFS path. Blobs are deterministic in the spec, so benchmark
 // sweeps can generate once and install into many fresh PFS instances.
+// Timestamps are independent files, so min(GOMAXPROCS, Timestamps)
+// goroutines build them, each with its own field buffer and writer; the
+// result is assembled in timestamp order and does not depend on how many
+// goroutines there were.
 func GenerateBlobs(spec NUWRFSpec) (map[string][]byte, *Dataset, error) {
 	spec = spec.withDefaults()
 	if spec.Timestamps <= 0 || spec.Levels <= 0 || spec.Lat <= 0 || spec.Lon <= 0 {
 		return nil, nil, fmt.Errorf("workloads: invalid NU-WRF spec %+v", spec)
 	}
+	files := make([][]byte, spec.Timestamps)
+	errs := make([]error, spec.Timestamps)
+	workers := min(runtime.GOMAXPROCS(0), spec.Timestamps)
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vals := make([]float32, spec.Levels*spec.Lat*spec.Lon)
+			for t := g; t < spec.Timestamps; t += workers {
+				files[t], errs[t] = timestampBlob(spec, t, vals)
+			}
+		}()
+	}
+	wg.Wait()
 	ds := &Dataset{Spec: spec}
 	blobs := make(map[string][]byte, spec.Timestamps)
-	cells := spec.Levels * spec.Lat * spec.Lon
-	vals := make([]float32, cells)
-	for t := 0; t < spec.Timestamps; t++ {
-		w := netcdf.NewWriter()
-		w.AddDim("level", spec.Levels)
-		w.AddDim("lat", spec.Lat)
-		w.AddDim("lon", spec.Lon)
-		w.GlobalAttr(netcdf.StringAttr("model", "NU-WRF"))
-		w.GlobalAttr(netcdf.Int64Attr("timestamp", int64(t)))
-		for v := 0; v < spec.Vars; v++ {
-			name := VarName(v)
-			if err := w.AddVar(name, netcdf.Float32, []string{"level", "lat", "lon"},
-				netcdf.Chunking{Shape: []int{1, spec.Lat, spec.Lon}, Deflate: spec.Deflate},
-				netcdf.StringAttr("units", "kg/kg")); err != nil {
-				return nil, nil, err
-			}
-			fillField(vals, spec, t, v)
-			if err := w.PutVarFloat32(name, vals); err != nil {
-				return nil, nil, err
-			}
-		}
-		blob, err := w.Bytes()
-		if err != nil {
-			return nil, nil, err
+	for t, blob := range files {
+		if errs[t] != nil {
+			return nil, nil, errs[t]
 		}
 		path := spec.Dir + "/" + FileName(t)
 		blobs[path] = blob
@@ -164,6 +164,30 @@ func GenerateBlobs(spec NUWRFSpec) (map[string][]byte, *Dataset, error) {
 		}
 	}
 	return blobs, ds, nil
+}
+
+// timestampBlob builds timestamp t's netCDF file, filling vals (one
+// variable's grid) once per variable.
+func timestampBlob(spec NUWRFSpec, t int, vals []float32) ([]byte, error) {
+	w := netcdf.NewWriter()
+	w.AddDim("level", spec.Levels)
+	w.AddDim("lat", spec.Lat)
+	w.AddDim("lon", spec.Lon)
+	w.GlobalAttr(netcdf.StringAttr("model", "NU-WRF"))
+	w.GlobalAttr(netcdf.Int64Attr("timestamp", int64(t)))
+	for v := 0; v < spec.Vars; v++ {
+		name := VarName(v)
+		if err := w.AddVar(name, netcdf.Float32, []string{"level", "lat", "lon"},
+			netcdf.Chunking{Shape: []int{1, spec.Lat, spec.Lon}, Deflate: spec.Deflate},
+			netcdf.StringAttr("units", "kg/kg")); err != nil {
+			return nil, err
+		}
+		fillField(vals, spec, t, v)
+		if err := w.PutVarFloat32(name, vals); err != nil {
+			return nil, err
+		}
+	}
+	return w.Bytes()
 }
 
 // Generate builds the dataset and installs it on the PFS (no virtual time

@@ -1,6 +1,11 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"scidp/internal/cluster"
@@ -45,16 +50,40 @@ func TestGenerateBlobsShape(t *testing.T) {
 	}
 }
 
+// tinyBlobsSHA256 is the digest of tinySpec()'s blobs as the serial
+// generator wrote them, before timestamps were generated in parallel.
+const tinyBlobsSHA256 = "a0cf693b90a849eabbb1f55ac2f05df9011737382f5e33b198568c877c2fd5b7"
+
+// TestGenerateDeterministic: the blobs and the Dataset do not depend on
+// how many goroutines generate them, and equal the serial generator's
+// bytes.
 func TestGenerateDeterministic(t *testing.T) {
-	a, _, err := GenerateBlobs(tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, _ := GenerateBlobs(tinySpec())
-	for path := range a {
-		if string(a[path]) != string(b[path]) {
-			t.Fatalf("blob %s differs between runs", path)
+	generate := func(procs int) (string, *Dataset) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		blobs, ds, err := GenerateBlobs(tinySpec())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(blobs) != len(ds.Files) {
+			t.Fatalf("%d blobs for %d files", len(blobs), len(ds.Files))
+		}
+		h := sha256.New()
+		for _, path := range ds.Files {
+			fmt.Fprintf(h, "%s %d\n", path, len(blobs[path]))
+			h.Write(blobs[path])
+		}
+		return hex.EncodeToString(h.Sum(nil)), ds
+	}
+	serial, dsSerial := generate(1)
+	parallel, dsParallel := generate(4)
+	if serial != parallel {
+		t.Fatalf("blobs at GOMAXPROCS 1 and 4 differ: %s vs %s", serial, parallel)
+	}
+	if !reflect.DeepEqual(dsSerial, dsParallel) {
+		t.Fatalf("Dataset at GOMAXPROCS 1 and 4 differs: %+v vs %+v", dsSerial, dsParallel)
+	}
+	if serial != tinyBlobsSHA256 {
+		t.Fatalf("blobs digest %s, want %s", serial, tinyBlobsSHA256)
 	}
 }
 

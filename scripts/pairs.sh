@@ -6,8 +6,11 @@
 # (run.sh rebuilds per run); both sides' out/ directories are emptied
 # first, so no earlier run leaks into the medians; odd seeds run the parent
 # first, even seeds this tree. It prints every pair's iter_wall_s_p50 and
-# iter_cpu_s_p50 and how many pairs this tree wins on each, then ends with
-# `run.sh -compare`, whose exit status it returns. Run via
+# iter_cpu_s_p50, how many pairs this tree wins on each and each side's
+# quartiles and IQR, then `run.sh -compare`, whose exit status it returns,
+# and last one line saying whether the claim rule holds on iter_wall_s_p50:
+# this tree wins at least 9 of every 10 pairs and its median is lower than
+# the parent's by more than the parent's IQR. Run via
 # `make pairs PARENT=<rev> WORKLOAD=<w> [N=10] [SECONDS=10]`.
 set -euo pipefail
 usage="usage: pairs.sh <parent-rev> <workload> [n] [seconds]"
@@ -44,9 +47,31 @@ metric() {
 		"$1/.bench_build/out/result-$workload-seed$2.json"
 }
 
+# quartiles <value>...: q1, median and q3 of the values, interpolated
+# between order statistics as the benchmark's own quantile is.
+quartiles() {
+	printf '%s\n' "$@" | sort -g | awk '{ v[NR - 1] = $1 } END {
+		split("0.25 0.5 0.75", q, " ")
+		for (i = 1; i <= 3; i++) {
+			pos = q[i] * (NR - 1); lo = int(pos)
+			x = lo >= NR - 1 ? v[NR - 1] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+			printf "%.6g%s", x, i < 3 ? " " : "\n"
+		}
+	}'
+}
+
+# row <label> <value>...: one side's quartiles and IQR of one metric.
+row() {
+	local label=$1 q1 med q3
+	shift
+	read -r q1 med q3 <<<"$(quartiles "$@")"
+	awk -v l="$label" -v a="$q1" -v m="$med" -v b="$q3" 'BEGIN { printf "%-24s %-10.6g %-10.6g %-10.6g %-10.6g\n", l, a, m, b, b - a }'
+}
+
 echo "pairs: $workload, $n pairs of ${secs}s, parent $commit vs $root"
 printf '%-5s %-12s %-12s %-12s %-12s\n' seed wall-parent wall-change cpu-parent cpu-change
 wall_wins=0 cpu_wins=0
+wall_p=() wall_c=() cpu_p=() cpu_c=()
 for seed in $(seq 1 "$n"); do
 	if [ $((seed % 2)) = 1 ]; then
 		run "$tmp/parent" "$seed"
@@ -60,8 +85,23 @@ for seed in $(seq 1 "$n"); do
 	cp=$(metric "$tmp/parent" "$seed" iter_cpu_s_p50)
 	cc=$(metric "$root" "$seed" iter_cpu_s_p50)
 	printf '%-5s %-12s %-12s %-12s %-12s\n' "$seed" "$wp" "$wc" "$cp" "$cc"
+	wall_p+=("$wp") wall_c+=("$wc") cpu_p+=("$cp") cpu_c+=("$cc")
 	if awk -v a="$wc" -v b="$wp" 'BEGIN { exit !(a < b) }'; then wall_wins=$((wall_wins + 1)); fi
 	if awk -v a="$cc" -v b="$cp" 'BEGIN { exit !(a < b) }'; then cpu_wins=$((cpu_wins + 1)); fi
 done
 echo "pairs: this tree is faster in $wall_wins/$n pairs on iter_wall_s_p50, $cpu_wins/$n on iter_cpu_s_p50"
-cd "$root" && bash benchmark/run.sh -compare "$tmp/parent/.bench_build/out" "$root/.bench_build/out"
+printf '%-24s %-10s %-10s %-10s %-10s\n' "" q1 median q3 IQR
+row "wall parent" "${wall_p[@]}"
+row "wall change" "${wall_c[@]}"
+row "cpu parent" "${cpu_p[@]}"
+row "cpu change" "${cpu_c[@]}"
+status=0
+(cd "$root" && bash benchmark/run.sh -compare "$tmp/parent/.bench_build/out" "$root/.bench_build/out") || status=$?
+read -r pq1 pmed pq3 <<<"$(quartiles "${wall_p[@]}")"
+read -r _ cmed _ <<<"$(quartiles "${wall_c[@]}")"
+awk -v w="$wall_wins" -v n="$n" -v pq1="$pq1" -v pmed="$pmed" -v pq3="$pq3" -v cmed="$cmed" 'BEGIN {
+	gain = pmed - cmed; iqr = pq3 - pq1
+	printf "pairs: the claim rule on iter_wall_s_p50 %s: %d/%d pairs won (needs 9 of every 10); parent median - change median = %.4g s (must exceed the parent IQR, %.4g s)\n",
+		(w * 10 >= n * 9 && gain > iqr) ? "holds" : "does not hold", w, n, gain, iqr
+}'
+exit $status
