@@ -67,15 +67,30 @@ func NewNetCDF(f *netcdf.File, varName string) (*Table, error) {
 	return t, nil
 }
 
-// chunk implements rsql.Chunk via per-column accessor closures.
+// chunk implements rsql.Chunk: the coordinate columns by accessor
+// closure, the value column from the chunk's payload.
 type chunk struct {
-	rows int
-	cols map[string]func(int) float64
+	rows    int
+	cols    map[string]func(int) float64
+	typ     ioengine.Type
+	payload ioengine.Payload
+	valued  bool // the payload was read, not projected out
 }
 
 func (c *chunk) NumRows() int { return c.rows }
 
+// Col returns a column's accessor. The value column's payload is decoded
+// here, inside rsql's ScanChunk on the data plane, when the engine kept
+// no copy of it.
 func (c *chunk) Col(name string) (func(int) float64, error) {
+	if name == valueCol && c.valued {
+		raw, err := c.payload.Bytes()
+		if err != nil {
+			return nil, err
+		}
+		typ := c.typ
+		return func(row int) float64 { return typ.Float64At(raw, row) }, nil
+	}
 	acc := c.cols[name]
 	if acc == nil {
 		return nil, fmt.Errorf("aquery: no column %q", name)
@@ -104,22 +119,21 @@ func (t *Table) Announce(chunks []int) {
 // computed from its box, and, unless projected out, its payload.
 func (t *Table) Read(i int) (rsql.Chunk, error) {
 	start, extent := t.box(i)
-	cols := make(map[string]func(int) float64, len(t.dims)+1)
+	c := &chunk{rows: ioengine.Volume(extent), cols: make(map[string]func(int) float64, len(t.dims)), typ: t.Type}
 	str := ioengine.Strides(extent)
 	for di, name := range t.dims {
 		s0, ex, st := start[di], extent[di], str[di]
-		cols[name] = func(row int) float64 { return float64(s0 + (row/st)%ex) }
+		c.cols[name] = func(row int) float64 { return float64(s0 + (row/st)%ex) }
 	}
 	if t.needPayload {
 		// The engine's single-pass path: the cache may serve, never fills.
-		raw, err := t.Scan(i)
+		pl, err := t.Scan(i)
 		if err != nil {
 			return nil, err
 		}
-		typ := t.Type
-		cols[valueCol] = func(row int) float64 { return typ.Float64At(raw, row) }
+		c.payload, c.valued = pl, true
 	}
-	return &chunk{rows: ioengine.Volume(extent), cols: cols}, nil
+	return c, nil
 }
 
 // Fork implements rsql.ArrayTable on the file's source (the bound

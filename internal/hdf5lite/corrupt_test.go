@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"scidp/internal/ioengine"
 	"scidp/internal/netcdf"
 )
 
@@ -126,6 +127,97 @@ func TestHeaderMutationSweep(t *testing.T) {
 			}
 		}
 		t.Logf("legacy=%v: %d header bytes, %d mutants still open", legacy, f.HeaderBytes, opened)
+	}
+}
+
+// TestPayloadMutationSweep is the sweep's leg over chunk payloads, read on
+// a four-worker data plane. It flips every stored byte of QR's three
+// deflated chunks in turn. A cached Bound decodes each miss eagerly, right
+// after its fetch. An uncached Bound defers the decode into ReadRows'
+// assembly closures, so the error surfaces at their join. Both reads must
+// give the same bytes or the same error text. With two chunks corrupt, the
+// first in read order decides the error. The source's bytes are cleared as
+// soon as ReadRows returns, which `make race` reports as a race if a
+// decode or copy were still running.
+func TestPayloadMutationSweep(t *testing.T) {
+	blob := smallFile(t, false)
+	f, err := Open(netcdf.BytesReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr, err := f.Find("model/physics/QR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(bad []byte, cached bool) (data []byte, msg string) {
+		var opts ioengine.Options
+		if cached {
+			opts.Cache = ioengine.NewCache(1 << 20)
+		}
+		src := bytes.Clone(bad)
+		runBound(t, 4, src, opts, func(f *File) {
+			d, err := f.Find("model/physics/QR")
+			if err == nil {
+				data, err = readAll(f, d)
+			}
+			clear(src)
+			if err != nil {
+				msg = err.Error()
+			}
+		})
+		return data, msg
+	}
+	type flip struct {
+		at  int64
+		msg string
+	}
+	failing := make([][]flip, len(qr.Chunks)) // by chunk, the flips that fail
+	flips := 0
+	for k, c := range qr.Chunks {
+		flips += int(c.StoredSize)
+		for at := c.Offset; at < c.Offset+c.StoredSize; at++ {
+			bad := bytes.Clone(blob)
+			bad[at] ^= 0xff
+			wantData, want := read(bad, true)
+			gotData, got := read(bad, false)
+			if got != want || !bytes.Equal(gotData, wantData) {
+				t.Fatalf("chunk %d byte %d: uncached read gave %q, cached %q (bytes equal %v)", k, at, got, want, bytes.Equal(gotData, wantData))
+			}
+			if want != "" {
+				failing[k] = append(failing[k], flip{at, want})
+			}
+		}
+		if len(failing[k]) == 0 {
+			t.Fatalf("no flip in chunk %d fails: the sweep checks nothing there", k)
+		}
+	}
+	t.Logf("%d payload bytes flipped, %d, %d and %d failing by chunk", flips, len(failing[0]), len(failing[1]), len(failing[2]))
+	// Two corrupt chunks, each flip failing with its own text.
+	for j := range failing {
+		for k := j + 1; k < len(failing); k++ {
+			a, b, found := flip{}, flip{}, false
+			for _, a = range failing[j] {
+				for _, b = range failing[k] {
+					if found = a.msg != b.msg; found {
+						break
+					}
+				}
+				if found {
+					break
+				}
+			}
+			if !found {
+				t.Fatalf("chunks %d and %d fail only with the same text", j, k)
+			}
+			bad := bytes.Clone(blob)
+			bad[a.at] ^= 0xff
+			bad[b.at] ^= 0xff
+			for _, cached := range []bool{true, false} {
+				if _, got := read(bad, cached); got != a.msg {
+					t.Errorf("chunks %d and %d corrupt (cached %v): %q; want chunk %d's %q", j, k, cached, got, j, a.msg)
+				}
+			}
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"scidp/internal/ioengine"
-	"scidp/internal/sim"
 )
 
 // Magic is the 4-byte file signature.
@@ -422,35 +421,25 @@ func (f *File) ReadRows(d *Dataset, start, count int) ([]byte, error) {
 	}
 	rb := d.rowBytes()
 	out := make([]byte, int64(count)*rb)
-	// Announce the overlapping chunks so a prefetching source overlaps
-	// their transfers, then read them in plan order.
+	// Read the overlapping chunks in order, the plan announced so a
+	// prefetching source overlaps their transfers. Row ranges of distinct
+	// chunks are disjoint, so each assembly copy runs on the data plane,
+	// its decode with it when the engine keeps no copy of the chunk.
 	var touched []int
 	for i, c := range d.Chunks {
 		if c.RowStart+c.Rows > start && c.RowStart < start+count {
 			touched = append(touched, i)
 		}
 	}
-	chunks := f.ChunkIndex(d)
-	chunks.Announce(touched)
-	// Row ranges of distinct chunks are disjoint, so each assembly copy
-	// forks onto the data plane and all join after the last fetch.
-	var futs []*sim.Future
-	for _, i := range touched {
-		raw, err := chunks.Read(i)
-		if err != nil {
-			ioengine.Join(f.r, futs...)
-			return nil, err
-		}
-		c := d.Chunks[i]
+	err := f.ChunkIndex(d).Scatter(touched, func(k int, raw []byte) {
+		c := d.Chunks[touched[k]]
 		lo := max(start, c.RowStart)
 		hi := min(start+count, c.RowStart+c.Rows)
-		if fut := ioengine.Fork(f.r, func() {
-			copy(out[int64(lo-start)*rb:int64(hi-start)*rb], raw[int64(lo-c.RowStart)*rb:int64(hi-c.RowStart)*rb])
-		}); fut != nil {
-			futs = append(futs, fut)
-		}
+		copy(out[int64(lo-start)*rb:int64(hi-start)*rb], raw[int64(lo-c.RowStart)*rb:int64(hi-c.RowStart)*rb])
+	})
+	if err != nil {
+		return nil, err
 	}
-	ioengine.Join(f.r, futs...)
 	return out, nil
 }
 

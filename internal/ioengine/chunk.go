@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"scidp/internal/sim"
 )
 
 // Type is the element type of a stored array. The values are netcdf's
@@ -167,7 +169,8 @@ func chunkErrorf(pkg, name, format string, args ...any) error {
 }
 
 // chunkDecoder builds the decompress-and-verify step for chunk c of x,
-// shared by the caching read path and the single-pass scan path. The index
+// which a Bound runs behind a join of its own when it keeps the decoded
+// copy, and any other read hands to the consumer in its Payload. The index
 // was validated at Open, but the chunk is re-checked against the bytes in
 // hand: a source may return short, and RawSize sizes the inflate buffer.
 func chunkDecoder(x ChunkIndex, c *Chunk) func(raw []byte) ([]byte, error) {
@@ -192,38 +195,103 @@ func chunkDecoder(x ChunkIndex, c *Chunk) func(raw []byte) ([]byte, error) {
 	}
 }
 
-// read fetches and decodes chunk i: through one of a Bound source's two
-// chunk paths, where the cache and the prefetcher get a chance to serve or
-// stage it, and as a plain read-then-decode on any other source.
-func (x ChunkIndex) read(i int, once bool) ([]byte, error) {
+// Payload is one chunk as Read and Scan hand it over: its decoded bytes,
+// or, on a Bound's miss nothing keeps a copy of (an uncached Read, every
+// Scan miss), its stored bytes with their decoder.
+type Payload struct {
+	b      []byte
+	decode func(raw []byte) ([]byte, error) // nil once b is decoded
+}
+
+// Bytes returns the decoded chunk. It is pure, and on a deferred payload
+// it is the decode: call it inside the data-plane closure that consumes
+// the bytes, so the decode runs there and not on the kernel thread.
+func (pl Payload) Bytes() ([]byte, error) {
+	if pl.decode == nil {
+		return pl.b, nil
+	}
+	return pl.decode(pl.b)
+}
+
+// read fetches chunk i: through a Bound source's chunk path, where the
+// cache, the tier and the prefetcher get a chance to serve or stage it,
+// and as a plain read-then-decode on any other source.
+func (x ChunkIndex) read(i int, once bool) (Payload, error) {
 	if i < 0 || i >= x.Len {
-		return nil, chunkErrorf(x.Pkg, x.Name, "chunk %d out of range [0,%d)", i, x.Len)
+		return Payload{}, chunkErrorf(x.Pkg, x.Name, "chunk %d out of range [0,%d)", i, x.Len)
 	}
 	c := x.At(i)
 	decode := chunkDecoder(x, c)
-	switch b, bound := x.Src.(*Bound); {
-	case bound && once:
-		return b.ReadChunkOnce(c.Offset, c.StoredSize, decode)
-	case bound:
-		return b.ReadChunk(c.Offset, c.StoredSize, decode)
+	if b, ok := x.Src.(*Bound); ok {
+		return b.readChunk(c.Offset, c.StoredSize, decode, once)
 	}
 	raw, err := x.Src.ReadAt(c.Offset, c.StoredSize)
 	if err != nil {
-		return nil, err
+		return Payload{}, err
 	}
-	return decode(raw)
+	out, err := decode(raw)
+	return Payload{b: out}, err
 }
 
-// Read fetches and decompresses chunk i through the engine's chunk path,
-// so a caching source serves (and stores) the decompressed payload and a
-// prefetching source stages upcoming chunks.
-func (x ChunkIndex) Read(i int) ([]byte, error) { return x.read(i, false) }
+// Read fetches chunk i through the engine's chunk path, so a caching
+// source serves (and stores) the decompressed payload and a prefetching
+// source stages upcoming chunks.
+func (x ChunkIndex) Read(i int) (Payload, error) { return x.read(i, false) }
 
-// Scan reads and decompresses chunk i through the engine's single-pass
-// scan path: a caching source serves it if resident but does not populate
-// the cache on a miss, so a one-shot query scan never evicts hot
-// working-set chunks.
-func (x ChunkIndex) Scan(i int) ([]byte, error) { return x.read(i, true) }
+// Scan fetches chunk i through the engine's single-pass scan path: a
+// caching source serves it if resident but does not populate the cache on
+// a miss, so a one-shot query scan never evicts hot working-set chunks.
+func (x ChunkIndex) Scan(i int) (Payload, error) { return x.read(i, true) }
+
+// Scatter announces chunks, reads them in order and runs consume(k, raw)
+// with the k-th one's decoded bytes on the source's data plane: one
+// closure per chunk, forked as its payload arrives, all joined once. A
+// deferred payload decodes inside its closure, so its decode error
+// surfaces at that join, after the later chunks' fetches, not right after
+// its own. Scatter returns the first error in read order. consume must be
+// pure (see sim.Proc.Compute), and no two chunks' calls may write the same
+// bytes.
+func (x ChunkIndex) Scatter(chunks []int, consume func(k int, raw []byte)) error {
+	x.Announce(chunks)
+	var futs []*sim.Future
+	if _, ok := x.Src.(*Bound); ok {
+		futs = make([]*sim.Future, 0, len(chunks))
+	}
+	var errs []error // by read position; made at the first deferred payload
+	for k, i := range chunks {
+		pl, err := x.Read(i)
+		if err != nil {
+			Join(x.Src, futs...)
+			return firstError(errs, err)
+		}
+		if pl.decode != nil && errs == nil {
+			errs = make([]error, len(chunks))
+		}
+		es := errs // nil while every payload came decoded: those cannot fail
+		if fut := Fork(x.Src, func() {
+			raw, err := pl.Bytes()
+			if err != nil {
+				es[k] = err
+				return
+			}
+			consume(k, raw)
+		}); fut != nil {
+			futs = append(futs, fut)
+		}
+	}
+	Join(x.Src, futs...)
+	return firstError(errs, nil)
+}
+
+// firstError returns the first non-nil of errs, else err.
+func firstError(errs []error, err error) error {
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return err
+}
 
 // Announce declares the chunks an upcoming read or pruned scan will
 // touch, in read order, so a prefetching source stages exactly those —

@@ -53,7 +53,7 @@ func contendedRun(procs, chunks, workers int) (Trace, CacheStats, float64, float
 			}
 			b.Announce(plan)
 			for i := 0; i < chunks; i++ {
-				if _, err := b.ReadChunk(int64(i)*chunkSz, chunkSz, ident); err != nil {
+				if _, err := decoded(b.readChunk(int64(i)*chunkSz, chunkSz, ident, false)); err != nil {
 					panic(err)
 				}
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"scidp/internal/sim"
 )
 
 var testDialect = Dialect{Name: "test", Magic: "TST1"}
@@ -81,8 +83,8 @@ func TestContainerRoundTrip(t *testing.T) {
 			if want[i].Stats = c.Stats; c != want[i] || c.Stats.Count != int64(len(raws[i])/4) || c.Stats.Min != float64(200*i) {
 				t.Fatalf("chunk %d: %+v stats %+v, want %+v", i, c, *c.Stats, want[i])
 			}
-			for _, read := range []func(int) ([]byte, error){x.Read, x.Scan} {
-				if raw, err := read(i); err != nil || !bytes.Equal(raw, raws[i]) {
+			for _, read := range []func(int) (Payload, error){x.Read, x.Scan} {
+				if raw, err := decoded(read(i)); err != nil || !bytes.Equal(raw, raws[i]) {
 					t.Fatalf("chunk %d read %x, %v", i, raw, err)
 				}
 			}
@@ -186,31 +188,82 @@ func TestCheckArray(t *testing.T) {
 
 var readSink []byte
 
+// benchChunk is one 40 × 40 float32 chunk in a file of its own, deflated
+// at level (stored at 0), with the chunk's raw bytes and its index.
+func benchChunk(b *testing.B, level int) (raw, blob []byte, x ChunkIndex) {
+	raw = chunkPayload(40*40*4, 1)
+	e := &Encoder{NoStats: true}
+	c, err := e.Pack(Float32, level, raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err = testDialect.Encode(e, func() error { e.Chunk(&c); return nil })
+	if err != nil {
+		b.Fatal(err)
+	}
+	return raw, blob, ChunkIndex{Src: Bytes(blob), Pkg: "test", Type: Float32, Deflated: level > 0, Len: 1, At: func(int) *Chunk { return &c }}
+}
+
 // BenchmarkReadChunk is the shared chunk path on a plain source — one
 // 40 × 40 float32 chunk located, fetched and decoded, deflated and stored —
 // whose allocs/op every GetVara and ReadRows pays per chunk.
 func BenchmarkReadChunk(b *testing.B) {
-	raw := chunkPayload(40*40*4, 1)
 	for _, level := range []int{1, 0} {
-		e := &Encoder{NoStats: true}
-		c, err := e.Pack(Float32, level, raw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		blob, err := testDialect.Encode(e, func() error { e.Chunk(&c); return nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := ChunkIndex{Src: Bytes(blob), Pkg: "test", Type: Float32, Deflated: level > 0, Len: 1, At: func(int) *Chunk { return &c }}
+		raw, _, x := benchChunk(b, level)
 		b.Run(map[bool]string{true: "deflated", false: "stored"}[level > 0], func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(raw)))
 			for i := 0; i < b.N; i++ {
-				out, err := x.Read(0)
+				out, err := decoded(x.Read(0))
 				if err != nil || len(out) != len(raw) {
 					b.Fatal(len(out), err)
 				}
 				readSink = out
+			}
+		})
+	}
+}
+
+// BenchmarkChunkRead is one deflated chunk read through a Bound on a
+// two-worker data plane and consumed as GetVara consumes it (Scatter), in
+// the three ways the engine serves it: a cache hit; a miss the cache keeps,
+// decoded behind a join of its own and then Put (the 1-byte budget drops
+// every Put, so each read misses again); and a miss nothing keeps, decoded
+// inside the consumer's closure.
+func BenchmarkChunkRead(b *testing.B) {
+	raw, blob, x := benchChunk(b, 1)
+	for _, arm := range []struct {
+		name  string
+		cache *Cache
+	}{{"hit", NewCache(0)}, {"kept-miss", NewCache(1)}, {"deferred-miss", nil}} {
+		b.Run(arm.name, func(b *testing.B) {
+			k := sim.NewKernel()
+			pool := sim.NewComputePool(2)
+			defer pool.Close()
+			k.SetComputePool(pool)
+			first := []int{0}
+			consume := func(_ int, out []byte) { readSink = out }
+			k.Go("reader", func(p *sim.Proc) {
+				x := x
+				x.Src = Bind(p, &slowReader{data: blob, latency: 0.001}, Options{Cache: arm.cache})
+				if err := x.Scatter(first, consume); err != nil { // fills the hit arm's cache
+					b.Error(err)
+					return
+				}
+				b.ReportAllocs()
+				b.SetBytes(int64(len(raw)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := x.Scatter(first, consume); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				b.StopTimer()
+			})
+			k.Run()
+			if !bytes.Equal(readSink, raw) {
+				b.Fatal("chunk decoded wrong")
 			}
 		})
 	}

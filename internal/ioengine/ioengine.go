@@ -112,8 +112,8 @@ func (t *Trace) ReadAt(p *sim.Proc, off, n int64) ([]byte, error) {
 func (t *Trace) Size() int64 { return t.R.Size() }
 
 // A plain Source reads, decodes and copies inline. A *Bound adds the chunk
-// cache, the prefetcher and the data plane; ChunkIndex's read paths and
-// Fork/Join below reach them by asking whether the source is one.
+// cache, the tier, the prefetcher and the data plane; ChunkIndex's read
+// paths and Fork/Join below reach them by asking whether the source is one.
 
 // Fork runs fn on r's data plane when r is bound to a process — pure
 // assembly work: hyperslab scatter copies, row-chunk assembly — and
@@ -228,44 +228,53 @@ func (b *Bound) Announce(plan []Range) {
 	b.startPrefetch()
 }
 
-// ReadChunk is the caching chunk path: decompressed-cache hit, else raw
-// bytes (possibly staged by the prefetcher), decode, fill the cache, and
-// advance the readahead window.
-func (b *Bound) ReadChunk(off, stored int64, decode func(raw []byte) ([]byte, error)) ([]byte, error) {
+// readChunk is the one chunk path: ChunkIndex.Read, or with once its Scan.
+// A chunk resident in the cache or the tier is returned decoded; a miss
+// reads the stored bytes, prefetch-staged or on the bound process. Only a
+// caching read with a cache to Put into or a tier to Admit to keeps a copy
+// of its miss, so only it decodes on the data plane behind a join of its
+// own. Any other miss returns the stored bytes with their decoder: the
+// decode travels into the data-plane closure its consumer forks anyway
+// (Payload.Bytes), and a decode error surfaces at that closure's join. It
+// still takes the one event the join would have, so the event schedule is
+// the same either way.
+//
+// once is the single-pass scan: a one-shot scan over a pruned chunk list
+// must not evict the working set iterative slab readers depend on, so it
+// peeks the cache (no LRU promotion), takes only a chunk already in this
+// node's buffer (no peer pull) and keeps nothing. Prefetch-staged bytes
+// are still consumed and the readahead window still advances.
+func (b *Bound) readChunk(off, stored int64, decode func(raw []byte) ([]byte, error), once bool) (Payload, error) {
 	b.advance(off)
-	dkey := b.key('d', off, stored)
-	if b.cache != nil {
-		if v, ok := b.cache.Get(dkey); ok {
-			b.chunkHits.Inc()
-			b.startPrefetch()
-			return v, nil
-		}
+	held := b.cache != nil || b.tier != nil
+	var dkey string
+	if held {
+		dkey = b.key('d', off, stored)
 	}
-	// The cooperative tier sits between the per-job cache and the
-	// engine: a local buffer hit is free (decoded bytes already on this
-	// node), a peer hit charges the intra-rack/zone transfer inside
-	// Tier.Read, and only a full tier miss falls through to the OSTs.
-	if b.tier != nil {
-		if v, ok := b.tier.Read(b.p, b.tnode, dkey); ok {
-			b.chunkHits.Inc()
-			b.startPrefetch()
-			return v, nil
-		}
+	if v, ok := b.resident(dkey, once); ok {
+		b.chunkHits.Inc()
+		b.startPrefetch()
+		return Payload{b: v}, nil
 	}
 	b.chunkMisses.Inc()
 	raw, err := b.fetchRaw(off, stored)
 	if err != nil {
-		return nil, err
+		return Payload{}, err
 	}
-	// Decode on the data plane: the closure is pure (validation +
-	// decompression of private bytes), so it may overlap decodes from
-	// other tasks parked at the same virtual instant. Cache Get/Put stay
-	// on the kernel thread, keeping the hit/miss counters deterministic.
+	if once || !held {
+		b.p.Sleep(0)
+		b.startPrefetch()
+		return Payload{b: raw, decode: decode}, nil
+	}
+	// The closure is pure (validation + decompression of private bytes), so
+	// it may overlap decodes from other tasks parked at the same virtual
+	// instant. Cache Get/Put stay on the kernel thread, keeping the hit/miss
+	// counters deterministic.
 	var out []byte
 	var derr error
 	b.p.Await(b.p.Compute(func() { out, derr = decode(raw) }))
 	if derr != nil {
-		return nil, derr
+		return Payload{}, derr
 	}
 	if b.cache != nil {
 		b.cache.Put(dkey, out)
@@ -275,49 +284,27 @@ func (b *Bound) ReadChunk(off, stored int64, decode func(raw []byte) ([]byte, er
 		b.tier.Admit(b.p, b.tnode, dkey, out, stored)
 	}
 	b.startPrefetch()
-	return out, nil
+	return Payload{b: out}, nil
 }
 
-// ReadChunkOnce is the single-pass scan path, for fused query scans: a
-// one-shot scan over a pruned chunk list must not evict the hot working
-// set that iterative slab readers depend on. A resident decompressed chunk is
-// served (peek — no LRU promotion), a miss reads and decodes without
-// filling the cache, so a pruned one-shot scan leaves the cache's working
-// set untouched. Raw prefetch-staged bytes are still consumed, and the
-// readahead window still advances, so announced scan plans overlap their
-// transfers exactly like the caching path.
-func (b *Bound) ReadChunkOnce(off, stored int64, decode func(raw []byte) ([]byte, error)) ([]byte, error) {
-	b.advance(off)
-	if b.cache != nil {
-		if v, ok := b.cache.peek(b.key('d', off, stored)); ok {
-			b.chunkHits.Inc()
-			b.startPrefetch()
-			return v, nil
-		}
+// resident looks the decoded chunk dkey up in the per-job cache, then in
+// the cooperative tier: a local buffer hit is free, a peer hit charges its
+// transfer inside Tier.Read. A single-pass scan peeks both, never a peer.
+func (b *Bound) resident(dkey string, once bool) (v []byte, ok bool) {
+	switch {
+	case b.cache == nil:
+	case once:
+		v, ok = b.cache.peek(dkey)
+	default:
+		v, ok = b.cache.Get(dkey)
 	}
-	// One-shot scans may be served by a chunk already resident in this
-	// node's burst buffer, but never admit, promote, or pull from peers
-	// — the no-pollution contract extends to the cluster tier.
-	if b.tier != nil {
-		if v, ok := b.tier.PeekLocal(b.tnode, b.key('d', off, stored)); ok {
-			b.chunkHits.Inc()
-			b.startPrefetch()
-			return v, nil
-		}
+	switch {
+	case ok || b.tier == nil:
+		return v, ok
+	case once:
+		return b.tier.PeekLocal(b.tnode, dkey)
 	}
-	b.chunkMisses.Inc()
-	raw, err := b.fetchRaw(off, stored)
-	if err != nil {
-		return nil, err
-	}
-	var out []byte
-	var derr error
-	b.p.Await(b.p.Compute(func() { out, derr = decode(raw) }))
-	if derr != nil {
-		return nil, derr
-	}
-	b.startPrefetch()
-	return out, nil
+	return b.tier.Read(b.p, b.tnode, dkey)
 }
 
 // fetchRaw returns the stored chunk bytes: wait out an in-flight

@@ -205,6 +205,14 @@ func TestTraceWrapper(t *testing.T) {
 	}
 }
 
+// decoded is a chunk read's decoded bytes, or its error.
+func decoded(pl Payload, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return pl.Bytes()
+}
+
 // chunkedRead reads nchunks chunks of size sz in order through b,
 // validating content, and returns any error.
 func chunkedRead(tb testing.TB, b *Bound, nchunks int, sz int64, data []byte) {
@@ -212,9 +220,9 @@ func chunkedRead(tb testing.TB, b *Bound, nchunks int, sz int64, data []byte) {
 	ident := func(raw []byte) ([]byte, error) { return raw, nil }
 	for i := 0; i < nchunks; i++ {
 		off := int64(i) * sz
-		got, err := b.ReadChunk(off, sz, ident)
+		got, err := decoded(b.readChunk(off, sz, ident, false))
 		if err != nil {
-			tb.Fatalf("ReadChunk(%d): %v", off, err)
+			tb.Fatalf("readChunk(%d): %v", off, err)
 		}
 		if !bytes.Equal(got, data[off:off+sz]) {
 			tb.Fatalf("chunk %d content mismatch", i)
@@ -233,12 +241,12 @@ func TestBoundChunkCacheSkipsReadAndDecode(t *testing.T) {
 		b := Bind(p, r, Options{Cache: cache})
 		decode := func(raw []byte) ([]byte, error) { decodes++; return raw, nil }
 		start := p.Now()
-		if _, err := b.ReadChunk(0, 8, decode); err != nil {
+		if _, err := decoded(b.readChunk(0, 8, decode, false)); err != nil {
 			t.Error(err)
 		}
 		first = p.Now() - start
 		start = p.Now()
-		if _, err := b.ReadChunk(0, 8, decode); err != nil {
+		if _, err := decoded(b.readChunk(0, 8, decode, false)); err != nil {
 			t.Error(err)
 		}
 		second = p.Now() - start
@@ -298,8 +306,8 @@ func TestAnnounceOnPlainSourceIsNoOp(t *testing.T) {
 	c := Chunk{Offset: 1, StoredSize: 2, RawSize: 2}
 	x := ChunkIndex{Src: Bytes([]byte("!xy")), Pkg: "test", Len: 1, At: func(int) *Chunk { return &c }}
 	x.Announce([]int{0}) // must not panic
-	for _, read := range []func(int) ([]byte, error){x.Read, x.Scan} {
-		if got, err := read(0); err != nil || string(got) != "xy" {
+	for _, read := range []func(int) (Payload, error){x.Read, x.Scan} {
+		if got, err := decoded(read(0)); err != nil || string(got) != "xy" {
 			t.Fatalf("read fallback = %q, %v", got, err)
 		}
 	}

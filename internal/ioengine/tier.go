@@ -64,7 +64,7 @@ func (c TierConfig) Enabled() bool { return c.NodeBytes > 0 }
 
 // TierStats is a point-in-time snapshot of the tier's counters.
 type TierStats struct {
-	// LocalHits/PeerHits/OSTReads classify every ReadChunk the tier
+	// LocalHits/PeerHits/OSTReads classify every chunk Read the tier
 	// arbitrated: served from the node's own buffer, fetched from a
 	// peer's, or fallen through to the storage engine.
 	LocalHits int64

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"scidp/internal/ioengine"
-	"scidp/internal/sim"
 )
 
 // ReaderAt is the random-access source a file is parsed from — the shared
@@ -203,34 +202,25 @@ func (f *File) GetVara(name string, start, count []int) (*Array, error) {
 			break
 		}
 	}
-	chunks := f.ChunkIndex(v)
-	chunks.Announce(touched)
 	// Chunks scatter into disjoint regions of out.Data (the chunk grid
-	// partitions index space), so each copyBox forks onto the data plane
-	// and all of them join once after the last chunk is fetched.
-	var futs []*sim.Future
-	for _, ci := range touched {
-		raw, err := chunks.Read(ci)
-		if err != nil {
-			ioengine.Join(f.r, futs...)
-			return nil, err
-		}
-		cStart, cExtent := v.ChunkBox(ci)
+	// partitions index space), so each chunk's copyBox runs on the data
+	// plane, its decode with it when the engine keeps no copy of it.
+	err = f.ChunkIndex(v).Scatter(touched, func(k int, raw []byte) {
+		cStart, cExtent := v.ChunkBox(touched[k])
 		iStart, iExtent, ok := boxIntersect(start, count, cStart, cExtent)
-		if ok {
-			srcStart, dstStart := zeros(rank), zeros(rank)
-			for i := range srcStart {
-				srcStart[i] = iStart[i] - cStart[i]
-				dstStart[i] = iStart[i] - start[i]
-			}
-			if fut := ioengine.Fork(f.r, func() {
-				copyBox(out.Data, count, dstStart, raw, cExtent, srcStart, iExtent, es)
-			}); fut != nil {
-				futs = append(futs, fut)
-			}
+		if !ok {
+			return
 		}
+		srcStart, dstStart := zeros(rank), zeros(rank)
+		for i := range srcStart {
+			srcStart[i] = iStart[i] - cStart[i]
+			dstStart[i] = iStart[i] - start[i]
+		}
+		copyBox(out.Data, count, dstStart, raw, cExtent, srcStart, iExtent, es)
+	})
+	if err != nil {
+		return nil, err
 	}
-	ioengine.Join(f.r, futs...)
 	return out, nil
 }
 
