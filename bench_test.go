@@ -199,7 +199,7 @@ func BenchmarkAblation_Overlap(b *testing.B) {
 func BenchmarkSciDPPipeline(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		rep, err := bench.RunOne(s, 8, 0, solutions.AnalysisNone, "scidp", nil)
+		rep, err := bench.RunOne(s, 8, 0, solutions.AnalysisNone, "scidp")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	scidpctl [-timestamps n] [-vars QR,VAR01] [-rows n] [-blocksize n] [-local dir] [-v]
-//	scidpctl -chaos plan.json [-timestamps n] [-v]
 //	scidpctl analyze [-chaos plan.json] [-timestamps n] [-workers n] [-cache bytes] [-json file] [-v]
 //
 // With -local, files are read from a local directory (produced by ncgen)
@@ -15,31 +14,28 @@
 // appends a per-phase timing table plus the component metrics the run
 // produced (MDS/NameNode op counts, per-OST traffic, ...).
 //
-// With -chaos, scidpctl instead runs the full SciDP processing pipeline
-// on a recovery-enabled testbed (replication, task retry, speculation,
-// PFS read retry) under the fault plan in the given JSON file, and
-// reports the job outcome together with the injected-fault and recovery
-// counters. The plan format is internal/chaos's Plan: a PRNG seed plus
-// rules ({"kind": "dn-crash", "at": 30, "target": 1}, ...).
-//
-// The analyze subcommand runs the same pipeline (optionally under a
-// chaos plan, optionally on a ComputePool with -workers) and then runs
+// The analyze subcommand runs the full SciDP processing pipeline on a
+// recovery-enabled testbed (replication, task retry, speculation, PFS
+// read retry; optionally on a ComputePool with -workers) and then runs
 // the post-run performance analysis (internal/obs/analyze) over the
 // recorded span tree and metrics: per-job critical path, per-phase time
 // attribution (sched/io/compute/shuffle/recovery), bottleneck resources,
-// and straggler detection. -cache attaches a cooperative cache tier
-// (cost-aware eviction, that many bytes per node) and adds a per-level
-// cache_tier section — where reads were served: node-local buffer,
-// peer buffer, or OST — to the report and, with -v, a "== cache
-// tier ==" table. -json writes the machine-readable report;
-// "-" replaces the text report with pure JSON on stdout (pipe into jq).
-// The report is byte-identical across same-seed runs at any worker
-// count.
+// and straggler detection. -chaos runs the pipeline under the fault plan
+// in the given JSON file and appends the injected-fault and recovery
+// counters to the text report. The plan format is internal/chaos's Plan:
+// a PRNG seed plus rules ({"kind": "dn-crash", "at": 30, "target": 1},
+// ...). -cache attaches a cooperative cache tier (cost-aware eviction,
+// that many bytes per node) and adds a per-level cache_tier section —
+// where reads were served: node-local buffer, peer buffer, or OST — to
+// the report. -json writes the machine-readable report; "-" replaces the
+// text report with pure JSON on stdout (pipe into jq). The report is
+// byte-identical across same-seed runs at any worker count.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,7 +53,9 @@ import (
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "analyze" {
-		runAnalyze(os.Args[2:])
+		if err := runAnalyze(os.Stdout, os.Args[2:]); err != nil {
+			fail(err)
+		}
 		return
 	}
 	timestamps := flag.Int("timestamps", 2, "generated timestamps (ignored with -local)")
@@ -65,14 +63,8 @@ func main() {
 	rows := flag.Int("rows", 0, "rows per dummy block (0 = chunk-aligned)")
 	blocksize := flag.Int64("blocksize", 0, "dummy-block size for flat files in bytes (0 = HDFS block size)")
 	local := flag.String("local", "", "load files from this directory instead of generating")
-	chaosPath := flag.String("chaos", "", "run the SciDP pipeline under this fault plan (JSON) instead of printing the mapping")
 	verbose := flag.Bool("v", false, "print per-phase timings and component metrics after the mapping")
 	flag.Parse()
-
-	if *chaosPath != "" {
-		runChaos(*chaosPath, *timestamps, *verbose)
-		return
-	}
 
 	cfg := solutions.DefaultEnvConfig(1, 1)
 	if *verbose {
@@ -162,8 +154,8 @@ func main() {
 }
 
 // runAnalyze executes the canonical pipeline (optionally under a chaos
-// plan) and prints the post-run performance analysis.
-func runAnalyze(args []string) {
+// plan) and writes the post-run performance analysis to w.
+func runAnalyze(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("scidpctl analyze", flag.ExitOnError)
 	timestamps := fs.Int("timestamps", 4, "generated timestamps")
 	chaosPath := fs.String("chaos", "", "fault plan (JSON) to run the pipeline under")
@@ -171,17 +163,15 @@ func runAnalyze(args []string) {
 	cacheBytes := fs.Int64("cache", 0, "attach a cooperative cache tier with this many bytes per node (0 = no tier)")
 	jsonPath := fs.String("json", "", "write the analysis as JSON to this file (\"-\" = pure JSON on stdout, no text report)")
 	verbose := fs.Bool("v", false, "append the full component metrics dump")
-	if err := fs.Parse(args); err != nil {
-		fail(err)
-	}
+	fs.Parse(args) // ExitOnError: a bad flag exits with the usage
 	var plan *chaos.Plan
 	if *chaosPath != "" {
 		data, err := os.ReadFile(*chaosPath)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if plan, err = chaos.ParsePlan(data); err != nil {
-			fail(fmt.Errorf("%s: %w", *chaosPath, err))
+			return fmt.Errorf("%s: %w", *chaosPath, err)
 		}
 	}
 	if *timestamps < 1 {
@@ -191,157 +181,41 @@ func runAnalyze(args []string) {
 	tier := ioengine.TierConfig{NodeBytes: *cacheBytes, Policy: ioengine.PolicyCost}
 	rep, solRep, reg, err := bench.AnalyzeRun(bench.QuickScale(), *timestamps, plan, *workers, "scidpctl-analyze", tier)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	// -json - takes over stdout: emit pure JSON so the output pipes
 	// straight into jq or a dashboard without the text report in front.
 	if *jsonPath != "-" {
 		if plan != nil {
-			fmt.Printf("plan %s: seed %d, %d rule(s)\n", *chaosPath, plan.Seed, len(plan.Rules))
+			fmt.Fprintf(w, "plan %s: seed %d, %d rule(s)\n", *chaosPath, plan.Seed, len(plan.Rules))
 		}
-		fmt.Printf("%s\n\n", solRep.Summary())
-		if err := rep.WriteText(os.Stdout); err != nil {
-			fail(err)
+		fmt.Fprintf(w, "%s\n\n", solRep.Summary())
+		if err := rep.WriteText(w); err != nil {
+			return err
+		}
+		if plan != nil {
+			bench.WriteRecovery(w, reg)
 		}
 	}
 	if *jsonPath != "" {
 		data, err := rep.JSON()
 		if err != nil {
-			fail(err)
+			return err
 		}
 		data = append(data, '\n')
 		if *jsonPath == "-" {
-			os.Stdout.Write(data)
+			if _, err := w.Write(data); err != nil {
+				return err
+			}
 		} else if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fail(err)
+			return err
 		}
 	}
 	if *verbose {
-		printCacheTier(reg)
-		fmt.Printf("\n== component metrics ==\n")
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
-			fail(err)
-		}
+		fmt.Fprintf(w, "\n== component metrics ==\n")
+		return reg.WritePrometheus(w)
 	}
-}
-
-// printCacheTier prints the per-level cooperative-cache breakdown when
-// the registry holds ioengine tier series — i.e. a cache tier was
-// attached and arbitrated at least one read. Silent otherwise.
-func printCacheTier(reg *obs.Registry) {
-	type lvl struct{ reads, bytes, ratio float64 }
-	levels := map[string]*lvl{}
-	get := func(name string) *lvl {
-		e := levels[name]
-		if e == nil {
-			e = &lvl{}
-			levels[name] = e
-		}
-		return e
-	}
-	total := 0.0
-	for _, s := range reg.Snapshot() {
-		switch s.Name {
-		case "ioengine/tier_reads_total":
-			get(s.Label("level")).reads = s.Value
-			total += s.Value
-		case "ioengine/tier_bytes_total":
-			get(s.Label("level")).bytes = s.Value
-		case "ioengine/cache_hit_ratio":
-			get(s.Label("level")).ratio = s.Value
-		}
-	}
-	if total == 0 {
-		return
-	}
-	fmt.Printf("\n== cache tier ==\n")
-	fmt.Printf("%-6s %10s %14s %8s\n", "level", "reads", "bytes", "ratio")
-	for _, name := range []string{"local", "peer", "ost"} {
-		if e := levels[name]; e != nil {
-			fmt.Printf("%-6s %10.0f %14.0f %7.1f%%\n", name, e.reads, e.bytes, e.ratio*100)
-		}
-	}
-}
-
-// runChaos executes the SciDP processing pipeline under a fault plan on
-// the recovery-enabled faults testbed and prints the outcome plus the
-// chaos/recovery counters.
-func runChaos(path string, timestamps int, verbose bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail(err)
-	}
-	plan, err := chaos.ParsePlan(data)
-	if err != nil {
-		fail(fmt.Errorf("%s: %w", path, err))
-	}
-	if timestamps < 1 {
-		timestamps = 1
-	}
-	s := bench.QuickScale()
-	cfg := bench.FaultsEnvConfig(s)
-	reg := obs.New()
-	reg.SetProcess("scidpctl-chaos")
-	cfg.Obs = reg
-	cfg.Chaos = plan
-	env := solutions.NewEnv(cfg)
-	ds, err := workloads.Generate(env.PFS, s.Spec(timestamps))
-	if err != nil {
-		fail(err)
-	}
-	wl := &solutions.Workload{Dataset: ds, Var: "QR"}
-	var rep *solutions.Report
-	var runErr error
-	env.K.Go("driver", func(p *sim.Proc) {
-		rep, runErr = solutions.RunSciDP(p, env, wl)
-	})
-	env.K.Run()
-	env.ExportSimMetrics()
-	fmt.Printf("plan %s: seed %d, %d rule(s); %d timestamps on 4 nodes x 2 slots\n",
-		path, plan.Seed, len(plan.Rules), timestamps)
-	if runErr != nil {
-		fail(fmt.Errorf("job failed under the plan: %w", runErr))
-	}
-	fmt.Println(rep.Summary())
-
-	fmt.Printf("\n== chaos & recovery counters ==\n")
-	sum := func(name, key string, vals ...string) float64 {
-		if len(vals) == 0 {
-			return reg.Counter(name).Value()
-		}
-		var s float64
-		for _, v := range vals {
-			s += reg.Counter(name, obs.L(key, v)).Value()
-		}
-		return s
-	}
-	kinds := []string{
-		chaos.KindOSTDegrade, chaos.KindOSTOutage, chaos.KindDNCrash,
-		chaos.KindMDSLatency, chaos.KindNNLatency,
-		chaos.KindFlakyReads, chaos.KindStraggler, chaos.KindTaskFail,
-	}
-	rows := []struct {
-		label string
-		value float64
-	}{
-		{"faults injected", sum("chaos/faults_injected_total", "kind", kinds...)},
-		{"replica failovers", sum("hdfs/replica_failovers_total", "")},
-		{"PFS read retries", sum("core/read_retries_total", "kind", "flaky-read", "corrupt", "ost-down", "no-live-replica")},
-		{"PFS read-arounds", sum("core/read_around_total", "")},
-		{"task failures", sum("mr/task_failures_total", "phase", "map", "reduce")},
-		{"speculative launched", sum("mr/speculative_launched_total", "phase", "map")},
-		{"speculative wins", sum("mr/speculative_wins_total", "phase", "map")},
-		{"speculative losses", sum("mr/speculative_losses_total", "phase", "map")},
-	}
-	for _, r := range rows {
-		fmt.Printf("%-22s %8.0f\n", r.label, r.value)
-	}
-	if verbose {
-		fmt.Printf("\n== component metrics ==\n")
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
-			fail(err)
-		}
-	}
+	return nil
 }
 
 func printBlocks(n *hdfs.INode) {

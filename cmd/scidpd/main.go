@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	scidpd -replay trace.json [-fifo] [-no-backfill] [-workers N]
+//	scidpd -replay trace.json [-fifo] [-workers N]
 //	       [-nodes N] [-slots N] [-json out.json] [-metrics out.prom]
 //	       [-trace out.json]
 //	scidpd -http ADDR [same cluster flags]
@@ -60,7 +60,6 @@ func main() {
 	slots := flag.Int("slots", 2, "task slots per node")
 	workers := flag.Int("workers", 1, "data-plane ComputePool workers (0 = inline; output is byte-identical at every count)")
 	fifo := flag.Bool("fifo", false, "strict-FIFO baseline scheduler instead of fair share")
-	noBackfill := flag.Bool("no-backfill", false, "disable backfill in the fair-share scheduler")
 	jsonPath := flag.String("json", "", "also write the replay summary JSON to this file")
 	metricsPath := flag.String("metrics", "", "write a Prometheus-style metrics dump to this file")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
@@ -74,7 +73,7 @@ func main() {
 		fail("exactly one of -replay or -http (or -gen) is required")
 	}
 
-	cfg := tenant.Config{FIFO: *fifo, NoBackfill: *noBackfill}
+	cfg := tenant.Config{FIFO: *fifo}
 	if *httpAddr != "" {
 		env, _ := newEnv(*nodes, *slots, *workers)
 		defer env.Close()

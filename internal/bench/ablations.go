@@ -6,7 +6,6 @@ import (
 	"scidp/internal/core"
 	"scidp/internal/sim"
 	"scidp/internal/solutions"
-	"scidp/internal/workloads"
 )
 
 // AblationBlockGranularity varies SciDP's dummy-block size (Section
@@ -23,8 +22,11 @@ func AblationBlockGranularity(s Scale, timestamps int) (*Table, error) {
 		if rows < 1 {
 			continue
 		}
-		rep, err := RunOne(s, timestamps, 0, solutions.AnalysisNone, "scidp",
-			&solutions.SciDPOptions{RowsPerBlock: rows})
+		cfg := obsEnvConfig(s.EnvConfig(0), fmt.Sprintf("scidp@%dts", timestamps))
+		rep, err := run(s, cfg, timestamps, solutions.AnalysisNone,
+			func(p *sim.Proc, env *solutions.Env, wl *solutions.Workload) (*solutions.Report, error) {
+				return solutions.RunSciDPWith(p, env, wl, solutions.SciDPOptions{RowsPerBlock: rows})
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -40,39 +42,32 @@ func AblationBlockGranularity(s Scale, timestamps int) (*Table, error) {
 // will ignore the unrelated variables and attributes ... and minimize the
 // time to build the mapping table").
 func AblationVariableSubsetting(s Scale, timestamps int) (*Table, error) {
-	blobs, ds, err := dataset(s, timestamps)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:     "Ablation A2",
 		Title:  "Variable subsetting: mapping-table build time and virtual files",
 		Header: []string{"mapped vars", "mapping time(s)", "virtual files"},
 	}
 	for _, subset := range []bool{true, false} {
-		env := solutions.NewEnv(s.EnvConfig(0))
-		workloads.Install(env.PFS, blobs)
 		var elapsed float64
 		var files int
-		var rerr error
-		env.K.Go("driver", func(p *sim.Proc) {
-			opts := core.MapOptions{RowsPerBlock: s.Levels}
-			if subset {
-				opts.Vars = []string{"QR"}
-			}
-			m := core.NewMapper(env.HDFS, env.Registry, "/abl")
-			start := p.Now()
-			mapping, err := m.MapPath(p, env.Mount(env.BD.Node(0)), ds.Spec.Dir, opts)
-			if err != nil {
-				rerr = err
-				return
-			}
-			elapsed = p.Now() - start
-			files = len(mapping.VirtualPaths())
-		})
-		env.K.Run()
-		if rerr != nil {
-			return nil, rerr
+		_, err := run(s, s.EnvConfig(0), timestamps, solutions.AnalysisNone,
+			func(p *sim.Proc, env *solutions.Env, wl *solutions.Workload) (*solutions.Report, error) {
+				opts := core.MapOptions{RowsPerBlock: s.Levels}
+				if subset {
+					opts.Vars = []string{"QR"}
+				}
+				m := core.NewMapper(env.HDFS, env.Registry, "/abl")
+				start := p.Now()
+				mapping, err := m.MapPath(p, env.Mount(env.BD.Node(0)), wl.Dataset.Spec.Dir, opts)
+				if err != nil {
+					return nil, err
+				}
+				elapsed = p.Now() - start
+				files = len(mapping.VirtualPaths())
+				return nil, nil
+			})
+		if err != nil {
+			return nil, err
 		}
 		label := "all 23"
 		if subset {
@@ -140,24 +135,13 @@ func AblationOverlap(s Scale, timestamps int) (*Table, error) {
 		Title:  "Overlapping PFS reads with computation vs staged read-then-process",
 		Header: []string{"strategy", "total(s)"},
 	}
-	overlapped, err := RunOne(s, timestamps, 0, solutions.AnalysisNone, "scidp", nil)
+	overlapped, err := RunOne(s, timestamps, 0, solutions.AnalysisNone, "scidp")
 	if err != nil {
 		return nil, err
 	}
-	blobs, ds, err := dataset(s, timestamps)
+	staged, err := run(s, s.EnvConfig(0), timestamps, solutions.AnalysisNone, solutions.RunSciDPStaged)
 	if err != nil {
 		return nil, err
-	}
-	env := solutions.NewEnv(s.EnvConfig(0))
-	workloads.Install(env.PFS, blobs)
-	var staged *solutions.Report
-	var rerr error
-	env.K.Go("driver", func(p *sim.Proc) {
-		staged, rerr = solutions.RunSciDPStaged(p, env, &solutions.Workload{Dataset: ds, Var: "QR"})
-	})
-	env.K.Run()
-	if rerr != nil {
-		return nil, rerr
 	}
 	t.AddRow("overlapped (SciDP)", secs(overlapped.TotalSeconds))
 	t.AddRow("staged (read all, then plot)", secs(staged.TotalSeconds))

@@ -5,9 +5,7 @@ import (
 	"scidp/internal/ioengine"
 	"scidp/internal/obs"
 	"scidp/internal/obs/analyze"
-	"scidp/internal/sim"
 	"scidp/internal/solutions"
-	"scidp/internal/workloads"
 )
 
 // AnalyzeRun executes the canonical SciDP pipeline once on a fresh
@@ -19,10 +17,6 @@ import (
 // serving level. Two calls with identical arguments produce
 // byte-identical analysis JSON.
 func AnalyzeRun(s Scale, timestamps int, plan *chaos.Plan, workers int, label string, tier ioengine.TierConfig) (*analyze.Report, *solutions.Report, *obs.Registry, error) {
-	blobs, ds, err := dataset(s, timestamps)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	reg := obs.New()
 	reg.SetProcess(label)
 	cfg := FaultsEnvConfig(s)
@@ -30,20 +24,9 @@ func AnalyzeRun(s Scale, timestamps int, plan *chaos.Plan, workers int, label st
 	cfg.Chaos = plan
 	cfg.Workers = workers
 	cfg.CacheTier = tier
-	env := solutions.NewEnv(cfg)
-	defer env.Close()
-	workloads.Install(env.PFS, blobs)
-	wl := &solutions.Workload{Dataset: ds, Var: "QR", Analysis: solutions.AnalysisNone}
-
-	var rep *solutions.Report
-	var runErr error
-	env.K.Go("driver", func(p *sim.Proc) {
-		rep, runErr = solutions.RunSciDP(p, env, wl)
-	})
-	env.K.Run()
-	env.ExportSimMetrics()
-	if runErr != nil {
-		return nil, nil, nil, runErr
+	rep, err := run(s, cfg, timestamps, solutions.AnalysisNone, solutions.RunSciDP)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return analyze.Analyze(reg), rep, reg, nil
 }

@@ -236,7 +236,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestRunOneUnknownSolution(t *testing.T) {
-	if _, err := RunOne(QuickScale(), 2, 0, solutions.AnalysisNone, "ghost", nil); err == nil {
+	if _, err := RunOne(QuickScale(), 2, 0, solutions.AnalysisNone, "ghost"); err == nil {
 		t.Fatal("unknown solution should fail")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"sort"
 
 	"scidp/internal/chaos"
@@ -13,7 +14,6 @@ import (
 	"scidp/internal/obs"
 	"scidp/internal/sim"
 	"scidp/internal/solutions"
-	"scidp/internal/workloads"
 )
 
 // FaultsRun is one sweep point's outcome: a SciDP processing job run
@@ -137,38 +137,30 @@ type faultsOutcome struct {
 // result and manifest file is read back from node 0 in sorted order and
 // folded into a sha256.
 func faultsOneRun(s Scale, timestamps int, plan *chaos.Plan, label string) (*faultsOutcome, error) {
-	blobs, ds, err := dataset(s, timestamps)
-	if err != nil {
-		return nil, err
-	}
 	reg := obs.New()
 	reg.SetProcess(label)
 	cfg := FaultsEnvConfig(s)
 	cfg.Obs = reg
 	cfg.Chaos = plan
-	env := solutions.NewEnv(cfg)
-	workloads.Install(env.PFS, blobs)
-	wl := &solutions.Workload{Dataset: ds, Var: "QR", Analysis: solutions.AnalysisNone}
-
 	out := &faultsOutcome{reg: reg}
-	var runErr error
-	env.K.Go("driver", func(p *sim.Proc) {
-		for i := 0; i < faultsManifests; i++ {
-			path := fmt.Sprintf("/chaos-manifest/m%02d", i)
-			if runErr = env.HDFS.WriteFile(p, env.BD.Node(1), path, manifestBody(i)); runErr != nil {
-				return
+	var err error
+	out.rep, err = run(s, cfg, timestamps, solutions.AnalysisNone,
+		func(p *sim.Proc, env *solutions.Env, wl *solutions.Workload) (*solutions.Report, error) {
+			for i := 0; i < faultsManifests; i++ {
+				path := fmt.Sprintf("/chaos-manifest/m%02d", i)
+				if err := env.HDFS.WriteFile(p, env.BD.Node(1), path, manifestBody(i)); err != nil {
+					return nil, err
+				}
 			}
-		}
-		out.rep, runErr = solutions.RunSciDP(p, env, wl)
-		if runErr != nil {
-			return
-		}
-		out.outputDigest, out.resultBytes, runErr = auditDigest(p, env, "/results/scidp", "/chaos-manifest")
-	})
-	env.K.Run()
-	env.ExportSimMetrics()
-	if runErr != nil {
-		return nil, fmt.Errorf("faults run %s: %w", label, runErr)
+			rep, err := solutions.RunSciDP(p, env, wl)
+			if err != nil {
+				return nil, err
+			}
+			out.outputDigest, out.resultBytes, err = auditDigest(p, env, "/results/scidp", "/chaos-manifest")
+			return rep, err
+		})
+	if err != nil {
+		return nil, fmt.Errorf("faults run %s: %w", label, err)
 	}
 	if out.exportDigest, err = exportDigest(reg); err != nil {
 		return nil, err
@@ -236,20 +228,43 @@ func counterSum(reg *obs.Registry, name, key string, vals ...string) float64 {
 	return sum
 }
 
-// fillCounters extracts the recovery counters from a run's registry.
-func (fr *FaultsRun) fillCounters(reg *obs.Registry) {
-	fr.Failovers = counterSum(reg, "hdfs/replica_failovers_total", "")
-	fr.ReadRetries = counterSum(reg, "core/read_retries_total", "kind",
-		"flaky-read", "corrupt", "ost-down", "no-live-replica")
-	fr.ReadArounds = counterSum(reg, "core/read_around_total", "")
-	fr.TaskFailures = counterSum(reg, "mr/task_failures_total", "phase", "map", "reduce")
-	fr.SpecLaunched = counterSum(reg, "mr/speculative_launched_total", "phase", "map")
-	fr.SpecWins = counterSum(reg, "mr/speculative_wins_total", "phase", "map")
-	fr.SpecLosses = counterSum(reg, "mr/speculative_losses_total", "phase", "map")
-	fr.FaultsInjected = counterSum(reg, "chaos/faults_injected_total", "kind",
+// recoverySeries are the eight recovery counters a fault plan moves, in
+// the order the recovery table prints them: each is a metric summed over
+// the label values it is recorded under, and fills one FaultsRun field.
+var recoverySeries = []struct {
+	label, name, key string
+	vals             []string
+	field            func(*FaultsRun) *float64
+}{
+	{"faults injected", "chaos/faults_injected_total", "kind", []string{
 		chaos.KindOSTDegrade, chaos.KindOSTOutage, chaos.KindDNCrash,
 		chaos.KindMDSLatency, chaos.KindNNLatency,
-		chaos.KindFlakyReads, chaos.KindStraggler, chaos.KindTaskFail)
+		chaos.KindFlakyReads, chaos.KindStraggler, chaos.KindTaskFail,
+	}, func(fr *FaultsRun) *float64 { return &fr.FaultsInjected }},
+	{"replica failovers", "hdfs/replica_failovers_total", "", nil, func(fr *FaultsRun) *float64 { return &fr.Failovers }},
+	{"PFS read retries", "core/read_retries_total", "kind", []string{"flaky-read", "corrupt", "ost-down", "no-live-replica"}, func(fr *FaultsRun) *float64 { return &fr.ReadRetries }},
+	{"PFS read-arounds", "core/read_around_total", "", nil, func(fr *FaultsRun) *float64 { return &fr.ReadArounds }},
+	{"task failures", "mr/task_failures_total", "phase", []string{"map", "reduce"}, func(fr *FaultsRun) *float64 { return &fr.TaskFailures }},
+	{"speculative launched", "mr/speculative_launched_total", "phase", []string{"map"}, func(fr *FaultsRun) *float64 { return &fr.SpecLaunched }},
+	{"speculative wins", "mr/speculative_wins_total", "phase", []string{"map"}, func(fr *FaultsRun) *float64 { return &fr.SpecWins }},
+	{"speculative losses", "mr/speculative_losses_total", "phase", []string{"map"}, func(fr *FaultsRun) *float64 { return &fr.SpecLosses }},
+}
+
+// fillCounters extracts the recovery counters from a run's registry.
+func (fr *FaultsRun) fillCounters(reg *obs.Registry) {
+	for _, rs := range recoverySeries {
+		*rs.field(fr) = counterSum(reg, rs.name, rs.key, rs.vals...)
+	}
+}
+
+// WriteRecovery prints the recovery table of a run under a fault plan:
+// the eight recovery counters, one per line. Like fillCounters it reads
+// missing series as zero by registering them.
+func WriteRecovery(w io.Writer, reg *obs.Registry) {
+	fmt.Fprintf(w, "\n== chaos & recovery counters ==\n")
+	for _, rs := range recoverySeries {
+		fmt.Fprintf(w, "%-22s %8.0f\n", rs.label, counterSum(reg, rs.name, rs.key, rs.vals...))
+	}
 }
 
 // RunFaults sweeps the SciDP pipeline across injected fault rates: a

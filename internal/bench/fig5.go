@@ -13,32 +13,36 @@ import (
 var SolutionOrder = []string{"naive", "vanilla-hadoop", "porthadoop", "scihadoop", "scidp"}
 
 // RunOne executes one solution over one sweep point on a fresh testbed.
-func RunOne(s Scale, timestamps, nodes int, analysis solutions.AnalysisKind, name string,
-	opts *solutions.SciDPOptions) (*solutions.Report, error) {
+func RunOne(s Scale, timestamps, nodes int, analysis solutions.AnalysisKind, name string) (*solutions.Report, error) {
+	runner, ok := solutions.All()[name]
+	if !ok {
+		return nil, fmt.Errorf("bench: unknown solution %q", name)
+	}
+	cfg := obsEnvConfig(s.EnvConfig(nodes), fmt.Sprintf("%s@%dts", name, timestamps))
+	return run(s, cfg, timestamps, analysis, runner)
+}
+
+// run is one SciDP run: it installs the (cached) dataset for timestamps
+// on a fresh testbed built from cfg, drives runner as process "driver",
+// exports the kernel's resource metrics and closes the testbed. Each
+// caller brings its own config: the testbed, registry, plan and tier.
+func run(s Scale, cfg solutions.EnvConfig, timestamps int, analysis solutions.AnalysisKind,
+	runner solutions.Runner) (*solutions.Report, error) {
 	blobs, ds, err := dataset(s, timestamps)
 	if err != nil {
 		return nil, err
 	}
-	env := solutions.NewEnv(obsEnvConfig(s.EnvConfig(nodes), fmt.Sprintf("%s@%dts", name, timestamps)))
+	env := solutions.NewEnv(cfg)
+	defer env.Close()
 	workloads.Install(env.PFS, blobs)
 	wl := &solutions.Workload{Dataset: ds, Var: "QR", Analysis: analysis}
 	var rep *solutions.Report
-	var rerr error
 	env.K.Go("driver", func(p *sim.Proc) {
-		if name == "scidp" && opts != nil {
-			rep, rerr = solutions.RunSciDPWith(p, env, wl, *opts)
-			return
-		}
-		run, ok := solutions.All()[name]
-		if !ok {
-			rerr = fmt.Errorf("bench: unknown solution %q", name)
-			return
-		}
-		rep, rerr = run(p, env, wl)
+		rep, err = runner(p, env, wl)
 	})
 	env.K.Run()
 	env.ExportSimMetrics()
-	return rep, rerr
+	return rep, err
 }
 
 // Fig5Result carries a full sweep for reuse by Table III.
@@ -63,7 +67,7 @@ func RunFig5(s Scale, sizes []int) (*Fig5Result, error) {
 		out.Totals[name] = map[int]float64{}
 		out.Reports[name] = map[int]*solutions.Report{}
 		for _, ts := range sizes {
-			rep, err := RunOne(s, ts, 0, solutions.AnalysisNone, name, nil)
+			rep, err := RunOne(s, ts, 0, solutions.AnalysisNone, name)
 			if err != nil {
 				return nil, fmt.Errorf("%s @%d: %w", name, ts, err)
 			}
@@ -140,7 +144,7 @@ func Fig8(s Scale, timestamps int, nodes []int) (*Table, error) {
 	}
 	base := -1.0
 	for _, n := range nodes {
-		rep, err := RunOne(s, timestamps, n, solutions.AnalysisNone, "scidp", nil)
+		rep, err := RunOne(s, timestamps, n, solutions.AnalysisNone, "scidp")
 		if err != nil {
 			return nil, err
 		}
@@ -164,23 +168,11 @@ func Fig8ScaleUp(s Scale, timestamps int, slots []int) (*Table, error) {
 	}
 	base := -1.0
 	for _, sl := range slots {
-		blobs, ds, err := dataset(s, timestamps)
-		if err != nil {
-			return nil, err
-		}
 		cfg := s.EnvConfig(8)
 		cfg.SlotsPerNode = sl
-		env := solutions.NewEnv(obsEnvConfig(cfg, fmt.Sprintf("scidp@%dslots", sl)))
-		workloads.Install(env.PFS, blobs)
-		var rep *solutions.Report
-		var rerr error
-		env.K.Go("driver", func(p *sim.Proc) {
-			rep, rerr = solutions.RunSciDP(p, env, &solutions.Workload{Dataset: ds, Var: "QR"})
-		})
-		env.K.Run()
-		env.ExportSimMetrics()
-		if rerr != nil {
-			return nil, rerr
+		rep, err := run(s, obsEnvConfig(cfg, fmt.Sprintf("scidp@%dslots", sl)), timestamps, solutions.AnalysisNone, solutions.RunSciDP)
+		if err != nil {
+			return nil, err
 		}
 		if base < 0 {
 			base = rep.TotalSeconds
@@ -203,7 +195,7 @@ func Fig9(s Scale, sizes []int) (*Table, error) {
 	for _, kind := range cases {
 		row := []string{kind.String()}
 		for _, ts := range sizes {
-			rep, err := RunOne(s, ts, 0, kind, "scidp", nil)
+			rep, err := RunOne(s, ts, 0, kind, "scidp")
 			if err != nil {
 				return nil, err
 			}
@@ -229,7 +221,7 @@ func Fig7(s Scale, timestamps int) (*Table, error) {
 	}
 	ls := s.LevelScale()
 	for _, name := range SolutionOrder {
-		rep, err := RunOne(s, timestamps, 0, solutions.AnalysisNone, name, nil)
+		rep, err := RunOne(s, timestamps, 0, solutions.AnalysisNone, name)
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,7 @@ func exportRun(t *testing.T) (trace, prom []byte) {
 	Obs = obs.New()
 	ioengine.RegisterObs(Obs)
 	ClearCache() // a shared dataset blob cache would mask install-order effects
-	if _, err := RunOne(QuickScale(), 4, 0, 0, "scidp", nil); err != nil {
+	if _, err := RunOne(QuickScale(), 4, 0, 0, "scidp"); err != nil {
 		t.Fatal(err)
 	}
 	var tb, pb bytes.Buffer

@@ -100,8 +100,8 @@ type Plan struct {
 	Rules []Rule `json:"rules"`
 }
 
-// ParsePlan decodes and validates a JSON plan (the scidpctl -chaos
-// format).
+// ParsePlan decodes and validates a JSON plan (the scidpctl analyze
+// -chaos format).
 func ParsePlan(data []byte) (*Plan, error) {
 	var p Plan
 	if err := json.Unmarshal(data, &p); err != nil {

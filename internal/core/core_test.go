@@ -120,6 +120,25 @@ func TestExplorerClassifiesFiles(t *testing.T) {
 	})
 }
 
+// TestExplorerFailsOnProbeReadFault: a read fault during the magic probe
+// fails the exploration; it does not classify a netCDF file as flat.
+func TestExplorerFailsOnProbeReadFault(t *testing.T) {
+	r := newRig(t)
+	r.ncFile(t, "/in/plot_18_00_00.nc", 4, 8, 8)
+	r.pfs.Put("/in/ab", []byte("ab"))
+	r.run(t, func(p *sim.Proc) {
+		ex := NewExplorer(nil)
+		if fc, err := ex.ExploreFile(p, r.mount(r.bd.Node(0)), "/in/ab"); err != nil || fc.Sci() {
+			t.Fatalf("two-byte file: class %+v, err %v; want flat", fc, err)
+		}
+		r.pfs.SetReadFault(func(path string, off, n int64) fault.Outcome { return fault.Fail })
+		fc, err := ex.ExploreFile(p, r.mount(r.bd.Node(0)), "/in/plot_18_00_00.nc")
+		if err == nil || !fault.IsTransient(err) {
+			t.Fatalf("probe under a read fault: class %+v, err %v; want a transient error", fc, err)
+		}
+	})
+}
+
 func TestMapperMirrorsNetCDF(t *testing.T) {
 	r := newRig(t)
 	r.ncFile(t, "/in/plot.nc", 5, 8, 8)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
+	"scidp/internal/ioengine"
 	"scidp/internal/pfs"
 	"scidp/internal/scifmt"
 	"scidp/internal/sim"
@@ -47,7 +49,11 @@ func (e *Explorer) ExploreFile(p *sim.Proc, client *pfs.Client, path string) (*F
 		return nil, err
 	}
 	fc := &FileClass{Path: path, Size: r.Size()}
-	format, ok := e.Registry.Detect(r)
+	pr := &probe{Source: r}
+	format, ok := e.Registry.Detect(pr)
+	if pr.err != nil {
+		return nil, fmt.Errorf("core: explore %s: %w", path, pr.err)
+	}
 	if !ok {
 		return fc, nil // flat file
 	}
@@ -58,6 +64,22 @@ func (e *Explorer) ExploreFile(p *sim.Proc, client *pfs.Client, path string) (*F
 	fc.Format = format.Name()
 	fc.Info = info
 	return fc, nil
+}
+
+// probe is the Head Reader's view of a file during format detection. A
+// format's Detect reads a failed read as "not this format"; probe keeps
+// the error, so a read fault fails the exploration instead of mapping a
+// scientific file as flat.
+type probe struct {
+	ioengine.Source
+	err error
+}
+
+// ReadAt implements ioengine.Source.
+func (pr *probe) ReadAt(off, n int64) ([]byte, error) {
+	b, err := pr.Source.ReadAt(off, n)
+	pr.err = cmp.Or(pr.err, err)
+	return b, err
 }
 
 // ExplorePath lists the PFS directory and classifies every file in it, in

@@ -58,7 +58,7 @@ func (b Bytes) ReadAt(off, n int64) ([]byte, error) {
 func (b Bytes) Size() int64 { return int64(len(b)) }
 
 // Stats wraps a Source and tallies bytes and calls — the tracing hook the
-// I/O-efficiency experiments and header-cost tests use.
+// format readers' header-cost tests use.
 //
 // Concurrency contract: BytesRead and Calls are plain ints deliberately
 // left unsynchronized. They are mutated only from sim-process context,
@@ -86,30 +86,6 @@ func (s *Stats) ReadAt(off, n int64) ([]byte, error) {
 
 // Size implements Source.
 func (s *Stats) Size() int64 { return s.R.Size() }
-
-// Trace is the engine-level stats wrapper: it counts the calls and bytes
-// crossing a ReaderAt, including background prefetch reads. It has the
-// same concurrency contract as Stats: plain counters, safe because the
-// sim kernel serializes all process execution.
-type Trace struct {
-	// R is the wrapped engine reader.
-	R ReaderAt
-	// BytesRead is the running total of bytes returned.
-	BytesRead int64
-	// Calls is the number of ReadAt invocations.
-	Calls int64
-}
-
-// ReadAt implements ReaderAt.
-func (t *Trace) ReadAt(p *sim.Proc, off, n int64) ([]byte, error) {
-	b, err := t.R.ReadAt(p, off, n)
-	t.BytesRead += int64(len(b))
-	t.Calls++
-	return b, err
-}
-
-// Size implements ReaderAt.
-func (t *Trace) Size() int64 { return t.R.Size() }
 
 // A plain Source reads, decodes and copies inline. A *Bound adds the chunk
 // cache, the tier, the prefetcher and the data plane; ChunkIndex's read

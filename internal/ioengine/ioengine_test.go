@@ -189,6 +189,30 @@ func (r *slowReader) Size() int64 { return int64(len(r.data)) }
 
 func (r *slowReader) Name() string { return "slow" }
 
+// Trace is the engine-level stats wrapper: it counts the calls and bytes
+// crossing a ReaderAt, including background prefetch reads. It has the
+// same concurrency contract as Stats: plain counters, safe because the
+// sim kernel serializes all process execution.
+type Trace struct {
+	// R is the wrapped engine reader.
+	R ReaderAt
+	// BytesRead is the running total of bytes returned.
+	BytesRead int64
+	// Calls is the number of ReadAt invocations.
+	Calls int64
+}
+
+// ReadAt implements ReaderAt.
+func (t *Trace) ReadAt(p *sim.Proc, off, n int64) ([]byte, error) {
+	b, err := t.R.ReadAt(p, off, n)
+	t.BytesRead += int64(len(b))
+	t.Calls++
+	return b, err
+}
+
+// Size implements ReaderAt.
+func (t *Trace) Size() int64 { return t.R.Size() }
+
 func TestTraceWrapper(t *testing.T) {
 	k := sim.NewKernel()
 	tr := &Trace{R: &slowReader{data: make([]byte, 64), latency: 0.001}}

@@ -343,9 +343,6 @@ func (tc *TaskContext) Proc() *sim.Proc { return tc.proc }
 // Node returns the machine the task runs on.
 func (tc *TaskContext) Node() *cluster.Node { return tc.node }
 
-// Now returns the current virtual time.
-func (tc *TaskContext) Now() float64 { return tc.proc.Now() }
-
 // Emit produces an intermediate (map) or final (reduce) pair.
 func (tc *TaskContext) Emit(key string, value any) { tc.emit(KV{K: key, V: value}) }
 

@@ -425,9 +425,9 @@ func TestWaitingFeedHoldsNoSlot(t *testing.T) {
 			delivered++
 			fp.Sleep(10)
 			return &Task{Label: fmt.Sprintf("t%d", delivered), Run: func(tc *TaskContext) (func(), error) {
-				starts = append(starts, tc.Now())
+				starts = append(starts, tc.Proc().Now())
 				tc.Charge("Work", 3)
-				return func() { ends = append(ends, tc.Now()) }, nil
+				return func() { ends = append(ends, tc.Proc().Now()) }, nil
 			}}, nil
 		})
 	})

@@ -67,9 +67,6 @@ func (s *Service) startJobs() {
 			progress = true
 		}
 	}
-	if s.cfg.NoBackfill {
-		return
-	}
 	idle := s.totalSlots
 	for _, j := range s.running {
 		idle -= j.Tasks

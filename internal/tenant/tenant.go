@@ -176,8 +176,6 @@ type Config struct {
 	// line and hold their full demand until done. The contrast case for
 	// the mt experiment.
 	FIFO bool
-	// NoBackfill disables backfill in fair-share mode (ablation).
-	NoBackfill bool
 	// DefaultQuota applies to tenants created on first submission.
 	DefaultQuota Quota
 	// ScanPerMB is the modeled map CPU per MB scanned (default 2.0).

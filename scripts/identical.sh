@@ -2,9 +2,10 @@
 # identical.sh <parent-rev> [artifact-dir]: prove this checkout is the same
 # program as <parent-rev>. Every deterministic artifact the repo can produce — the
 # paper tables, the full Chrome trace and Prometheus text behind them, the
-# faults/query result JSON with their digests, the analysis report, the
-# tenant replay, and all five benchmark workloads' exact metrics, output
-# digests and sim.events — is generated from both trees and compared.
+# faults/query result JSON with their digests, the analysis report (fault
+# free, and under this tree's bundled chaos plan), the tenant replay, and
+# all five benchmark workloads' exact metrics, output digests and
+# sim.events — is generated from both trees and compared.
 # Every difference is printed — a PR that moves the trace on purpose still
 # gets its benchmark figures compared — and the exit status is non-zero at
 # the end if there was any. With an artifact-dir, this tree's
@@ -30,6 +31,7 @@ artifacts() { # <tree> <out-dir>
 		"$bin/scidp-bench" -exp faults -json "$out/faults.json" >"$out/faults.txt" &&
 		"$bin/scidp-bench" -exp query -json "$out/query.json" >"$out/query.txt" &&
 		"$bin/scidpctl" analyze -json - >"$out/analyze.json" &&
+		"$bin/scidpctl" analyze -chaos "$root/cmd/scidpctl/testdata/chaos-plan.json" -json - >"$out/analyze-chaos.json" &&
 		"$bin/scidpd" -replay cmd/scidpd/testdata/trace-small.json -json "$out/replay.json" -metrics "$out/replay.prom" >"$out/replay.txt")
 	# The query result records how long each run took on this machine.
 	sed -i '/"wall_secs"/d' "$out/query.json"

@@ -39,6 +39,7 @@ var keptForTests = []string{
 	"scidp/internal/solutions.WorkflowConfig.HPCNodes",    // solutions.TestInSituHidesAnalysisBehindSimulation and the other workflow tests: 4 nodes
 	"scidp/internal/tenant.Config.ScanPerMB",              // tenant.TestPreemptionOnArrival, TestPreemptionDeterminism: jobs long enough to preempt
 	"scidp/internal/tenant/loadgen.Class.Period",          // loadgen.TestDiurnalThinsOffPeak
+	"scidp/internal/ioengine.Stats",                       // netcdf.TestHeaderOnlyOpenIsCheap, TestGetVaraReadsOnlyNeededChunks, hdf5lite.TestHeaderOnlyOpen
 }
 
 // moduleImporter type-checks this module's packages from source into one
@@ -134,8 +135,27 @@ func TestNoFunctionOnlyTestsReach(t *testing.T) {
 			ifaces = append(ifaces, it)
 		}
 	}
+	// A method's receiver names its own type; that is no use of the type.
+	receivers := map[*ast.Ident]bool{}
+	for _, files := range m.files {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							receivers[id] = true
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
 	for _, info := range m.infos {
-		for _, obj := range info.Uses {
+		for id, obj := range info.Uses {
+			if receivers[id] {
+				continue
+			}
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin()
 			}
