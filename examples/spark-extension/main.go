@@ -2,11 +2,11 @@
 // extended to support other BD frameworks, such as Spark") demonstrated
 // with this repository's Spark-like engine.
 //
-// The same Data Mapper output that feeds Hadoop jobs becomes an RDD
-// source: partitions are SciDP dummy blocks, resolved by PFS Readers on
-// the executors. The pipeline below finds, per timestamp, the heaviest
-// rainfall cell across all levels via map + reduceByKey — data never
-// leaves the PFS.
+// The same Data Mapper output and input format that feed Hadoop jobs
+// become an RDD's input: its splits are SciDP dummy blocks, resolved by
+// PFS Readers on the executors. The pipeline below finds, per timestamp,
+// the heaviest rainfall cell across all levels via map + reduceByKey —
+// data never leaves the PFS.
 //
 // Run with: go run ./examples/spark-extension
 package main
@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"scidp/internal/core"
+	"scidp/internal/mapreduce"
 	"scidp/internal/sim"
 	"scidp/internal/solutions"
 	"scidp/internal/sparklite"
@@ -39,7 +40,7 @@ func main() {
 	var out []sparklite.Record
 	env.K.Go("driver", func(p *sim.Proc) {
 		mapper := core.NewMapper(env.HDFS, env.Registry, "/scidp")
-		// One partition per level: finer-grained than the Hadoop runs, to
+		// One split per level: finer-grained than the Hadoop runs, to
 		// exercise Spark-style many-small-tasks execution.
 		mapping, err := mapper.MapPath(p, env.Mount(env.BD.Node(0)), "/nuwrf", core.MapOptions{
 			Vars: []string{"QR"}, RowsPerBlock: 1,
@@ -47,13 +48,14 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		src := &sparklite.SciDPSource{
+		// The same input format a Hadoop job reads the mapping through.
+		in := &core.InputFormat{
 			HDFS: env.HDFS, Dir: mapping.Root,
 			Registry: env.Registry, MountFor: env.Mount,
-			DecompressPerRawMB: 0.01,
+			Cost: core.CostModel{DecompressPerRawMB: 0.01},
 		}
-		rdd := sc.FromSource(src).
-			Map(func(tc *sparklite.TaskCtx, r sparklite.Record) (sparklite.Record, error) {
+		rdd := sc.FromInput(in).
+			Map(func(tc *mapreduce.TaskContext, r sparklite.Record) (sparklite.Record, error) {
 				slab := r.V.(*core.Slab)
 				vals, err := slab.Float32s()
 				if err != nil {
@@ -71,7 +73,7 @@ func main() {
 				}
 				return sparklite.Record{K: fmt.Sprintf("t%04d", best.t), V: best}, nil
 			}).
-			ReduceByKey(func(tc *sparklite.TaskCtx, key string, values []any) (any, error) {
+			ReduceByKey(func(tc *mapreduce.TaskContext, key string, values []any) (any, error) {
 				best := cellMax{value: -1}
 				for _, v := range values {
 					c := v.(cellMax)

@@ -6,8 +6,8 @@
 // a streaming sort-merge shuffle that charges the cluster fabric (sorted
 // per-map runs, k-way merged at the reducer — see shuffle.go, merge.go),
 // and reduce aggregation. Scheduling is one stage runner (stage.go,
-// queue.go): a job is two stages, and other engines run their own task
-// waves on it through Job.RunStage, as internal/sparklite does.
+// queue.go): a job is two stages, and a caller with its own task feed runs
+// a wave on it through Job.RunStage, as the in-situ pipeline does.
 //
 // User map/reduce functions are real Go code operating on real data; they
 // charge modeled compute time through TaskContext.Charge / Phase, and all

@@ -39,7 +39,7 @@ type Task struct {
 // stage is one wave of tasks on the cluster's worker slots: a windowed
 // feed, the locality queue, the attempt policy (retry, speculation,
 // preemption) and the span/metric emission. MapReduce runs it twice per
-// job, sparklite once per RDD stage.
+// job, RunStage once per call.
 type stage struct {
 	j           *Job
 	name        string

@@ -57,14 +57,13 @@ func ConvertToCSV(p *sim.Proc, env *Env, wl *Workload) ([]string, int64, error) 
 	var textBytes int64
 	for _, file := range wl.Dataset.Files {
 		t := workloads.TimestampIndex(file)
-		vals, stored, err := readVarFromPFS(p, staging, file, wl.Var)
+		vals, err := readVarFromPFS(p, staging, file, wl.Var)
 		if err != nil {
 			return nil, 0, err
 		}
 		// Decompress + decode charges.
 		rawMB := env.scaleMB(len(vals) * 4)
 		p.Sleep(env.Cfg.Cost.DecompressPerMB * rawMB)
-		_ = stored
 		text := formatCSV(t, wl.Dataset.Spec, vals)
 		p.Sleep(env.Cfg.Cost.TextFormatPerMB * env.scaleMB(len(text)))
 		dst := csvPath(wl, t)
@@ -81,24 +80,19 @@ func ConvertToCSV(p *sim.Proc, env *Env, wl *Workload) ([]string, int64, error) 
 }
 
 // readVarFromPFS opens a netCDF file over the given mount and reads the
-// whole named variable, returning the decoded values and the stored
-// (compressed) size read.
-func readVarFromPFS(p *sim.Proc, mount *pfs.Client, file, varName string) ([]float32, int64, error) {
+// whole named variable, returning the decoded values.
+func readVarFromPFS(p *sim.Proc, mount *pfs.Client, file, varName string) ([]float32, error) {
 	r, err := mount.OpenReader(p, file)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	f, err := netcdf.Open(r)
 	if err != nil {
-		return nil, 0, err
-	}
-	v, err := f.Var(varName)
-	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	arr, err := f.GetVar(varName)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return arr.Float32s(), v.StoredBytes(), nil
+	return arr.Float32s(), nil
 }

@@ -109,11 +109,7 @@ func runInSitu(p *sim.Proc, env *Env, wl *Workload, run workloads.SimSpec) (*Wor
 	analyze := func(tc *mapreduce.TaskContext, split *mapreduce.Split) (commit func(), err error) {
 		stored := 0
 		err = input.ForEach(tc, split, func(_ string, value any) error {
-			slab, ok := value.(*core.Slab)
-			if !ok {
-				return fmt.Errorf("solutions: in-situ block is not scientific")
-			}
-			g, err := gridFromSlab(slab)
+			g, err := gridFromSlab(value)
 			if err != nil {
 				return err
 			}

@@ -75,14 +75,8 @@ func (r *hdfsRandomReader) Size() int64 { return r.size }
 // pulls only the analyzed variable (header + its chunks), not the whole
 // file.
 type hdfsNetCDFInput struct {
-	env     *Env
-	paths   []string
+	hdfsWholeFileInput
 	varName string
-}
-
-func (in *hdfsNetCDFInput) Splits(p *sim.Proc) ([]*mapreduce.Split, error) {
-	whole := &hdfsWholeFileInput{env: in.env, paths: in.paths}
-	return whole.Splits(p)
 }
 
 func (in *hdfsNetCDFInput) ForEach(tc *mapreduce.TaskContext, s *mapreduce.Split, fn func(key string, value any) error) error {
@@ -330,7 +324,7 @@ func RunSciHadoop(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
 	// SciHadoop is netCDF-aware: although it had to copy the whole files,
 	// its tasks read only the analyzed variable's chunks out of the
 	// HDFS-resident netCDF (block-range reads, locality-preferred).
-	input := &hdfsNetCDFInput{env: env, paths: staged, varName: wl.Var}
+	input := &hdfsNetCDFInput{hdfsWholeFileInput: hdfsWholeFileInput{env: env, paths: staged}, varName: wl.Var}
 	res, stats, err := runProcessing(p, env, wl, "scihadoop", input,
 		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
 			arr := value.(*netcdf.Array)
@@ -412,7 +406,7 @@ func RunSciDPWith(p *sim.Proc, env *Env, wl *Workload, opts SciDPOptions) (*Repo
 	input.Tier = env.Tier
 	res, stats, err := runProcessing(p, env, wl, name, input,
 		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
-			return gridFromSlab(value.(*core.Slab))
+			return gridFromSlab(value)
 		})
 	if err != nil {
 		return nil, err
@@ -459,9 +453,13 @@ func RunSciDPStaged(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
 	// Wave 2: compute from memory.
 	res, stats, err := runProcessing(p, env, wl, "scidp-staged", staged,
 		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
-			slab := value.(*core.Slab)
-			tc.Charge("Convert", env.Cfg.Cost.BinConvertPerMB*env.scaleMB(len(slab.Raw)))
-			return gridFromSlab(slab)
+			g, err := gridFromSlab(value)
+			if err != nil {
+				return nil, err
+			}
+			// A float slab's raw bytes are its values' 4 bytes each.
+			tc.Charge("Convert", env.Cfg.Cost.BinConvertPerMB*env.scaleMB(len(g.vals)*4))
+			return g, nil
 		})
 	if err != nil {
 		return nil, err

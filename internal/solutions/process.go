@@ -102,8 +102,13 @@ func gridFromCSV(env *Env, tc charger, text []byte, spec workloads.NUWRFSpec) (*
 }
 
 // gridFromSlab is the grid of the hyperslab a PFS Reader resolved a dummy
-// block to: what every SciDP task, batch or in-situ, plots from.
-func gridFromSlab(slab *core.Slab) (*grid, error) {
+// block to: what every SciDP task, batch or in-situ, plots from. A flat
+// block (a non-scientific file the mapper mirrored) is an error.
+func gridFromSlab(value any) (*grid, error) {
+	slab, ok := value.(*core.Slab)
+	if !ok {
+		return nil, fmt.Errorf("solutions: block is %T, not a scientific slab", value)
+	}
 	vals, err := slab.Float32s()
 	if err != nil {
 		return nil, err

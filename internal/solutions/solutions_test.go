@@ -2,6 +2,7 @@ package solutions
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -295,6 +296,36 @@ func TestStagedReadWaveIsRetried(t *testing.T) {
 	if failed != spec.Timestamps || len(reads) != 2*spec.Timestamps || rep.Images != spec.Timestamps*spec.Levels {
 		t.Fatalf("%d of %d read attempts failed, %d images; want every read task failed once, retried, and %d images",
 			failed, len(reads), rep.Images, spec.Timestamps*spec.Levels)
+	}
+}
+
+// TestFlatBlockFailsTheRun: a non-scientific file beside the dataset
+// reaches a SciDP map as a flat block. The staged run maps the whole
+// directory and RunSciDP maps whatever Dataset.Files lists; either run
+// returns an error for the flat block instead of panicking on it.
+func TestFlatBlockFailsTheRun(t *testing.T) {
+	mk := testSetup(t, 2, AnalysisNone)
+	for name, run := range map[string]Runner{"scidp": RunSciDP, "scidp-staged": RunSciDPStaged} {
+		env, wl, k := mk()
+		readme := wl.Dataset.Spec.Dir + "/README.txt"
+		ds := *wl.Dataset
+		ds.Files = append(slices.Clone(ds.Files), readme)
+		wl.Dataset = &ds
+		var err error
+		k.Go("driver", func(p *sim.Proc) {
+			mount := env.Mount(env.BD.Node(0))
+			if _, err = mount.Create(p, readme, 0, 0); err != nil {
+				return
+			}
+			if err = mount.WriteAt(p, readme, []byte("generated NU-WRF run\n"), 0); err != nil {
+				return
+			}
+			_, err = run(p, env, wl)
+		})
+		k.Run()
+		if err == nil || !strings.Contains(err.Error(), "not a scientific slab") {
+			t.Errorf("%s: err = %v, want the flat block reported", name, err)
+		}
 	}
 }
 

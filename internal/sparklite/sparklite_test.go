@@ -2,11 +2,14 @@ package sparklite
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"scidp/internal/cluster"
 	"scidp/internal/core"
+	"scidp/internal/mapreduce"
+	"scidp/internal/rmr"
 	"scidp/internal/sim"
 	"scidp/internal/solutions"
 	"scidp/internal/workloads"
@@ -19,29 +22,34 @@ func testCluster(k *sim.Kernel, nodes, slots int) *cluster.Cluster {
 	})
 }
 
-// memSource serves in-memory records split into parts partitions.
-type memSource struct {
+// memInput serves in-memory records split into parts splits.
+type memInput struct {
 	records []Record
 	parts   int
 }
 
-func (m *memSource) Partitions(*sim.Proc) ([]*Partition, error) {
-	out := make([]*Partition, m.parts)
+func (m *memInput) Splits(*sim.Proc) ([]*mapreduce.Split, error) {
+	out := make([]*mapreduce.Split, m.parts)
 	for i := range out {
-		out[i] = &Partition{Index: i, Label: fmt.Sprintf("mem-%d", i)}
+		out[i] = &mapreduce.Split{Label: fmt.Sprintf("mem-%d", i), Payload: i}
 	}
 	return out, nil
 }
 
-func (m *memSource) Read(tc *TaskCtx, part *Partition) ([]Record, error) {
-	n, i := len(m.records), part.Index
-	return m.records[i*n/m.parts : (i+1)*n/m.parts], nil
+func (m *memInput) ForEach(tc *mapreduce.TaskContext, s *mapreduce.Split, fn func(key string, value any) error) error {
+	n, i := len(m.records), s.Payload.(int)
+	for _, r := range m.records[i*n/m.parts : (i+1)*n/m.parts] {
+		if err := fn(r.K, r.V); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parallelize feeds the RDD engine in-memory records split into n
 // partitions.
 func parallelize(sc *Context, records []Record, n int) *RDD {
-	return sc.FromSource(&memSource{records: records, parts: n})
+	return sc.FromInput(&memInput{records: records, parts: n})
 }
 
 // collect runs the lineage from a driver proc.
@@ -68,7 +76,9 @@ func TestParallelizeMapCollect(t *testing.T) {
 	for i := 9; i >= 0; i-- {
 		recs = append(recs, Record{K: fmt.Sprintf("k%02d", i), V: i})
 	}
-	double := func(tc *TaskCtx, r Record) (Record, error) { return Record{K: r.K, V: r.V.(int) * 2}, nil }
+	double := func(tc *mapreduce.TaskContext, r Record) (Record, error) {
+		return Record{K: r.K, V: r.V.(int) * 2}, nil
+	}
 	out := collect(t, k, parallelize(sc, recs, 4).Map(double).Map(double))
 	if len(out) != 10 {
 		t.Fatalf("out = %d records, want 10", len(out))
@@ -88,10 +98,10 @@ func TestWordCountWithShuffle(t *testing.T) {
 		words = append(words, Record{V: w})
 	}
 	rdd := parallelize(sc, words, 4).
-		Map(func(tc *TaskCtx, r Record) (Record, error) {
+		Map(func(tc *mapreduce.TaskContext, r Record) (Record, error) {
 			return Record{K: r.V.(string), V: 1}, nil
 		}).
-		ReduceByKey(func(tc *TaskCtx, key string, values []any) (any, error) {
+		ReduceByKey(func(tc *mapreduce.TaskContext, key string, values []any) (any, error) {
 			sum := 0
 			for _, v := range values {
 				sum += v.(int)
@@ -117,7 +127,7 @@ func TestStageErrorPropagates(t *testing.T) {
 	k := sim.NewKernel()
 	sc := NewContext(testCluster(k, 2, 1))
 	rdd := parallelize(sc, []Record{{V: 1}, {V: 2}, {V: 3}}, 1).
-		Map(func(tc *TaskCtx, r Record) (Record, error) {
+		Map(func(tc *mapreduce.TaskContext, r Record) (Record, error) {
 			if r.V.(int) == 3 {
 				return Record{}, fmt.Errorf("boom")
 			}
@@ -137,25 +147,25 @@ func TestStageErrorPropagates(t *testing.T) {
 	}
 }
 
-// placedSource reports where and when each partition ran: one record per
-// partition, keyed by label, valued "node@start".
-type placedSource struct {
+// placedInput reports where and when each split ran: one record per
+// split, keyed by label, valued "node@start".
+type placedInput struct {
 	hosts [][]string
 	cost  float64
 }
 
-func (s *placedSource) Partitions(*sim.Proc) ([]*Partition, error) {
-	out := make([]*Partition, len(s.hosts))
+func (s *placedInput) Splits(*sim.Proc) ([]*mapreduce.Split, error) {
+	out := make([]*mapreduce.Split, len(s.hosts))
 	for i, h := range s.hosts {
-		out[i] = &Partition{Index: i, Label: fmt.Sprintf("p%d", i), PreferredHosts: h}
+		out[i] = &mapreduce.Split{Label: fmt.Sprintf("p%d", i), Locations: h}
 	}
 	return out, nil
 }
 
-func (s *placedSource) Read(tc *TaskCtx, part *Partition) ([]Record, error) {
+func (s *placedInput) ForEach(tc *mapreduce.TaskContext, sp *mapreduce.Split, fn func(key string, value any) error) error {
 	at := tc.Proc().Now()
-	tc.Charge(s.cost)
-	return []Record{{K: part.Label, V: fmt.Sprintf("%s@%.1f", tc.Node().Name, at)}}, nil
+	tc.Charge("Compute", s.cost)
+	return fn(sp.Label, fmt.Sprintf("%s@%.1f", tc.Node().Name, at))
 }
 
 // TestPreferredHostsHonoured: with a free slot on each preferred node,
@@ -164,7 +174,7 @@ func (s *placedSource) Read(tc *TaskCtx, part *Partition) ([]Record, error) {
 func TestPreferredHostsHonoured(t *testing.T) {
 	k := sim.NewKernel()
 	sc := NewContext(testCluster(k, 2, 1))
-	out := collect(t, k, sc.FromSource(&placedSource{hosts: [][]string{{"bd-1"}, {"bd-0"}}, cost: 1}))
+	out := collect(t, k, sc.FromInput(&placedInput{hosts: [][]string{{"bd-1"}, {"bd-0"}}, cost: 1}))
 	if len(out) != 2 || out[0].V != "bd-1@0.1" || out[1].V != "bd-0@0.1" {
 		t.Fatalf("placement = %+v, want p0 on bd-1 and p1 on bd-0, both at 0.1", out)
 	}
@@ -176,7 +186,7 @@ func TestPreferredHostsHonoured(t *testing.T) {
 func TestPreferredHostsStolenAfterDelay(t *testing.T) {
 	k := sim.NewKernel()
 	sc := NewContext(testCluster(k, 2, 1))
-	out := collect(t, k, sc.FromSource(&placedSource{hosts: [][]string{{"bd-0"}, {"bd-0"}}, cost: 2}))
+	out := collect(t, k, sc.FromInput(&placedInput{hosts: [][]string{{"bd-0"}, {"bd-0"}}, cost: 2}))
 	if len(out) != 2 || out[0].V != "bd-0@0.1" || out[1].V != "bd-1@0.7" {
 		t.Fatalf("placement = %+v, want p0 on bd-0 at 0.1 and p1 stolen by bd-1 at 0.7 (3 beats + startup)", out)
 	}
@@ -201,13 +211,12 @@ func TestTasksRespectSlots(t *testing.T) {
 	elapsed := func(nodes int) float64 {
 		k := sim.NewKernel()
 		sc := NewContext(testCluster(k, nodes, 2))
-		sc.TaskStartup = 0.001 // 0 would mean the stage runner's default
 		var recs []Record
 		for i := 0; i < 8; i++ {
 			recs = append(recs, Record{K: fmt.Sprintf("%d", i), V: i})
 		}
-		rdd := parallelize(sc, recs, 8).Map(func(tc *TaskCtx, r Record) (Record, error) {
-			tc.Charge(1.0)
+		rdd := parallelize(sc, recs, 8).Map(func(tc *mapreduce.TaskContext, r Record) (Record, error) {
+			tc.Charge("Compute", 1.0)
 			return r, nil
 		})
 		var end float64
@@ -227,10 +236,10 @@ func TestTasksRespectSlots(t *testing.T) {
 	}
 }
 
-// TestSciDPSourceEndToEnd: the paper's extension path — SciDP dummy
+// TestSciDPInputEndToEnd: the paper's extension path — SciDP dummy
 // blocks consumed by the Spark-like engine, computing per-timestamp sums
 // through RDD transformations.
-func TestSciDPSourceEndToEnd(t *testing.T) {
+func TestSciDPInputEndToEnd(t *testing.T) {
 	env := solutions.NewEnv(solutions.DefaultEnvConfig(1000, 10))
 	spec := workloads.NUWRFSpec{Timestamps: 3, Levels: 4, Lat: 8, Lon: 8, Vars: 3, Dir: "/nuwrf"}
 	ds, err := workloads.Generate(env.PFS, spec)
@@ -249,13 +258,13 @@ func TestSciDPSourceEndToEnd(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		src := &SciDPSource{
+		in := &core.InputFormat{
 			HDFS: env.HDFS, Dir: mapping.Root,
 			Registry: env.Registry, MountFor: env.Mount,
-			DecompressPerRawMB: 0.01,
+			Cost: core.CostModel{DecompressPerRawMB: 0.01},
 		}
-		rdd := sc.FromSource(src).
-			Map(func(tc *TaskCtx, r Record) (Record, error) {
+		rdd := sc.FromInput(in).
+			Map(func(tc *mapreduce.TaskContext, r Record) (Record, error) {
 				slab := r.V.(*core.Slab)
 				vals, err := slab.Float32s()
 				if err != nil {
@@ -267,7 +276,7 @@ func TestSciDPSourceEndToEnd(t *testing.T) {
 				}
 				return Record{K: slab.PFSPath, V: sum}, nil
 			}).
-			ReduceByKey(func(tc *TaskCtx, key string, values []any) (any, error) {
+			ReduceByKey(func(tc *mapreduce.TaskContext, key string, values []any) (any, error) {
 				var sum float64
 				for _, v := range values {
 					sum += v.(float64)
@@ -293,18 +302,107 @@ func TestSciDPSourceEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSciDPSourceEmptyDirFails(t *testing.T) {
+func TestSciDPInputEmptyDirFails(t *testing.T) {
 	env := solutions.NewEnv(solutions.DefaultEnvConfig(1000, 10))
 	sc := NewContext(env.BD)
 	var err error
 	env.K.Go("driver", func(p *sim.Proc) {
 		env.HDFS.Mkdir(p, "/empty")
-		src := &SciDPSource{HDFS: env.HDFS, Dir: "/empty", Registry: env.Registry, MountFor: env.Mount}
-		_, err = sc.FromSource(src).Collect(p)
+		in := &core.InputFormat{HDFS: env.HDFS, Dir: "/empty", Registry: env.Registry, MountFor: env.Mount}
+		_, err = sc.FromInput(in).Collect(p)
 	})
 	env.K.Run()
 	if err == nil {
 		t.Fatal("empty mapping should fail")
+	}
+}
+
+// TestOneInputServesHadoopAndSpark: the paper's claim that SciDP "can be
+// applied to any ABDS framework" — one core.InputFormat over one mapping
+// drives an rmr job and an RDD, and both give the same per-timestamp sums.
+func TestOneInputServesHadoopAndSpark(t *testing.T) {
+	env := solutions.NewEnv(solutions.DefaultEnvConfig(1000, 10))
+	spec := workloads.NUWRFSpec{Timestamps: 3, Levels: 4, Lat: 8, Lon: 8, Vars: 3, Dir: "/nuwrf"}
+	if _, err := workloads.Generate(env.PFS, spec); err != nil {
+		t.Fatal(err)
+	}
+	slabSum := func(value any) (string, float64, error) {
+		slab := value.(*core.Slab)
+		vals, err := slab.Float32s()
+		var sum float64
+		for _, v := range vals {
+			sum += float64(v)
+		}
+		return slab.PFSPath, sum, err
+	}
+	fold := func(values []any) float64 {
+		var sum float64
+		for _, v := range values {
+			sum += v.(float64)
+		}
+		return sum
+	}
+	var hadoop *mapreduce.Result
+	var spark []Record
+	var err error
+	env.K.Go("driver", func(p *sim.Proc) {
+		mapper := core.NewMapper(env.HDFS, env.Registry, "/scidp")
+		mapping, merr := mapper.MapPath(p, env.Mount(env.BD.Node(0)), "/nuwrf", core.MapOptions{
+			Vars: []string{"QR"}, RowsPerBlock: 1,
+		})
+		if merr != nil {
+			err = merr
+			return
+		}
+		in := &core.InputFormat{
+			HDFS: env.HDFS, Dir: mapping.Root,
+			Registry: env.Registry, MountFor: env.Mount,
+			Cost: core.CostModel{DecompressPerRawMB: 0.01},
+		}
+		hadoop, err = rmr.MapReduce(p, rmr.Spec{Name: "sums", Cluster: env.BD, Input: in,
+			Map: func(c *rmr.Ctx, key string, value any) error {
+				k, sum, err := slabSum(value)
+				c.TC.Emit(k, sum)
+				return err
+			},
+			Reduce: func(c *rmr.Ctx, key string, values []any) error {
+				c.TC.Emit(key, fold(values))
+				return nil
+			}})
+		if err != nil {
+			return
+		}
+		spark, err = NewContext(env.BD).FromInput(in).
+			Map(func(tc *mapreduce.TaskContext, r Record) (Record, error) {
+				k, sum, err := slabSum(r.V)
+				return Record{K: k, V: sum}, err
+			}).
+			ReduceByKey(func(tc *mapreduce.TaskContext, key string, values []any) (any, error) {
+				return fold(values), nil
+			}, 2).
+			Collect(p)
+	})
+	env.K.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spark) != spec.Timestamps || !slices.Equal(spark, hadoop.Output) {
+		t.Fatalf("rdd sums %v, rmr sums %v: want the same %d per-timestamp sums", spark, hadoop.Output, spec.Timestamps)
+	}
+}
+
+// TestShuffleAfterShuffleFails: a lineage compiles into one job, so a
+// second ReduceByKey is an error at Collect, not a silent second stage.
+func TestShuffleAfterShuffleFails(t *testing.T) {
+	k := sim.NewKernel()
+	sc := NewContext(testCluster(k, 2, 1))
+	count := func(tc *mapreduce.TaskContext, key string, values []any) (any, error) { return len(values), nil }
+	rdd := parallelize(sc, []Record{{K: "a", V: 1}, {K: "b", V: 2}}, 2).ReduceByKey(count, 1).ReduceByKey(count, 1)
+	var err error
+	k.Go("driver", func(p *sim.Proc) { _, err = rdd.Collect(p) })
+	k.Run()
+	if err == nil || !strings.Contains(err.Error(), "one shuffle") {
+		t.Fatalf("err = %v, want the one-shuffle error", err)
 	}
 }
 
@@ -317,7 +415,7 @@ func TestDeterministicExecution(t *testing.T) {
 			recs = append(recs, Record{K: fmt.Sprintf("k%d", i%4), V: i})
 		}
 		rdd := parallelize(sc, recs, 6).
-			ReduceByKey(func(tc *TaskCtx, key string, values []any) (any, error) {
+			ReduceByKey(func(tc *mapreduce.TaskContext, key string, values []any) (any, error) {
 				s := 0
 				for _, v := range values {
 					s += v.(int)
@@ -345,7 +443,7 @@ func TestFilterErrorFailsTheStage(t *testing.T) {
 		k := sim.NewKernel()
 		sc := NewContext(testCluster(k, 1, 1))
 		rdd := parallelize(sc, []Record{{V: 1}}, 1).
-			Map(func(tc *TaskCtx, r Record) (Record, error) {
+			Map(func(tc *mapreduce.TaskContext, r Record) (Record, error) {
 				if !keep {
 					r = Record{}
 				}

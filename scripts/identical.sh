@@ -3,7 +3,8 @@
 # program as <parent-rev>. Every deterministic artifact the repo can produce — the
 # paper tables, the full Chrome trace and Prometheus text behind them, the
 # faults/query result JSON with their digests, the analysis report (fault
-# free, and under this tree's bundled chaos plan), the tenant replay, and
+# free, and under this tree's bundled chaos plan), the tenant replay, the
+# five examples' stdout (and the PNGs nuwrf-visualization exports), and
 # all five benchmark workloads' exact metrics, output digests and
 # sim.events — is generated from both trees and compared.
 # Every difference is printed — a PR that moves the trace on purpose still
@@ -25,7 +26,7 @@ git -C "$root" archive "$commit" | tar -x -C "$tmp/parent"
 artifacts() { # <tree> <out-dir>
 	local tree=$1 out=$2 bin=$2.bin
 	mkdir -p "$out" "$bin"
-	(cd "$tree" && go build -o "$bin/" ./cmd/scidp-bench ./cmd/scidpctl ./cmd/scidpd)
+	(cd "$tree" && go build -o "$bin/" ./cmd/scidp-bench ./cmd/scidpctl ./cmd/scidpd ./examples/...)
 	(cd "$tree" &&
 		"$bin/scidp-bench" -exp all -quick -explain -trace "$out/all.trace.json" -metrics "$out/all.prom" >"$out/all.txt" &&
 		"$bin/scidp-bench" -exp faults -json "$out/faults.json" >"$out/faults.txt" &&
@@ -33,6 +34,11 @@ artifacts() { # <tree> <out-dir>
 		"$bin/scidpctl" analyze -json - >"$out/analyze.json" &&
 		"$bin/scidpctl" analyze -chaos "$root/cmd/scidpctl/testdata/chaos-plan.json" -json - >"$out/analyze-chaos.json" &&
 		"$bin/scidpd" -replay cmd/scidpd/testdata/trace-small.json -json "$out/replay.json" -metrics "$out/replay.prom" >"$out/replay.txt")
+	for ex in cmip-compare quickstart spark-extension sql-analysis; do
+		"$bin/$ex" >"$out/example-$ex.txt"
+	done
+	# A relative -out, so the path it prints is the same on both sides.
+	(cd "$out" && "$bin/nuwrf-visualization" -out nuwrf-png >example-nuwrf-visualization.txt)
 	# The query result records how long each run took on this machine.
 	sed -i '/"wall_secs"/d' "$out/query.json"
 	rm -rf "$bin"
