@@ -139,7 +139,9 @@ func replay(path string, nodes, slots, workers int, cfg tenant.Config) (*tenant.
 	if err != nil {
 		return nil, nil, fmt.Errorf("replay: %w", err)
 	}
-	sum.ExportDigest = tenant.RegistryDigest(reg)
+	if sum.ExportDigest, err = reg.Digest(); err != nil {
+		return nil, nil, err
+	}
 	return sum, reg, nil
 }
 

@@ -162,7 +162,7 @@ func faultsOneRun(s Scale, timestamps int, plan *chaos.Plan, label string) (*fau
 	if err != nil {
 		return nil, fmt.Errorf("faults run %s: %w", label, err)
 	}
-	if out.exportDigest, err = exportDigest(reg); err != nil {
+	if out.exportDigest, err = reg.Digest(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -199,19 +199,6 @@ func auditDigest(p *sim.Proc, env *solutions.Env, dirs ...string) (string, int64
 		total += int64(len(data))
 	}
 	return hex.EncodeToString(h.Sum(nil)), total, nil
-}
-
-// exportDigest hashes the run's Chrome-trace and Prometheus exports —
-// the byte streams the determinism guarantee covers.
-func exportDigest(reg *obs.Registry) (string, error) {
-	h := sha256.New()
-	if err := reg.WriteChromeTrace(h); err != nil {
-		return "", err
-	}
-	if err := reg.WritePrometheus(h); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // counterSum reads one metric's value summed over a label's possible

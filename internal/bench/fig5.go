@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"scidp/internal/sim"
 	"scidp/internal/solutions"
@@ -106,8 +107,9 @@ func Fig5Table(r *Fig5Result) *Table {
 			convs = append(convs, fmt.Sprintf("%s=%.0fs", name, rep.ConvertSeconds))
 		}
 	}
+	sort.Strings(convs)
 	t.Notes = append(t.Notes,
-		"conversion time excluded from totals (paper Section V-A); at the largest size: "+join(convs),
+		"conversion time excluded from totals (paper Section V-A); at the largest size: "+strings.Join(convs, ", "),
 		"virtual seconds on the simulated 8-node testbed")
 	return t
 }
@@ -277,18 +279,6 @@ func sizesHeader(sizes []int) []string {
 	out := make([]string, len(sizes))
 	for i, s := range sizes {
 		out[i] = fmt.Sprintf("%d ts", s)
-	}
-	return out
-}
-
-func join(parts []string) string {
-	sort.Strings(parts)
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ", "
-		}
-		out += p
 	}
 	return out
 }

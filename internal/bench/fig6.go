@@ -166,7 +166,7 @@ func ncCollective(r *fig6Rig, n int, decomp float64) (float64, int64, int64, err
 		}
 	}
 	start := r.k.Now()
-	res := comm.CollectiveRead(fig6Path, reqs, minInt(n, 8))
+	res := comm.CollectiveRead(fig6Path, reqs, min(n, 8))
 	r.k.Run()
 	if res.Err != nil {
 		return 0, 0, 0, res.Err
@@ -197,7 +197,7 @@ func mpiCollective(r *fig6Rig, n int, _ float64) (float64, int64, int64, error) 
 	comm := mpiio.NewComm(r.k, r.hpc, ranks)
 	size := int64(len(r.blob))
 	start := r.k.Now()
-	res := comm.CollectiveRead(fig6Path, mpiio.ContiguousSplit(size, n), minInt(n, 8))
+	res := comm.CollectiveRead(fig6Path, mpiio.ContiguousSplit(size, n), min(n, 8))
 	r.k.Run()
 	if res.Err != nil {
 		return 0, 0, 0, res.Err
@@ -250,13 +250,6 @@ func scidpReaders(r *fig6Rig, n int, decomp float64) (float64, int64, int64, err
 	}
 	r.k.Run()
 	return end - start, stored, raw, errOut
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Fig6 sweeps reader counts over the four I/O methods and reports logical

@@ -42,9 +42,11 @@ type QueryRun struct {
 	RowsMatched   int     `json:"rows_matched"`
 	VirtualSecs   float64 `json:"virtual_secs"`
 	WallSecs      float64 `json:"wall_secs"`
-	// ResultDigest is sha256 of the result frame's CSV rendering.
+	// ResultDigest is the first 8 bytes, in hex, of the sha256 of the
+	// result frame's CSV rendering.
 	ResultDigest string `json:"result_digest"`
-	// MetricsDigest is sha256 of the run's full Prometheus export.
+	// MetricsDigest is the first 8 bytes, in hex, of the sha256 of the
+	// run's full Prometheus export, hashed as it streams.
 	MetricsDigest string `json:"metrics_digest"`
 }
 
@@ -161,7 +163,8 @@ func queryRunOnce(s Scale, blob []byte, sql string, mode rsql.PushdownMode) (Que
 		run.BytesInflated = st.BytesInflated
 		run.BytesAvoided = st.BytesAvoided
 		run.RowsMatched = st.RowsMatched
-		run.ResultDigest = digest(out.WriteCSV())
+		sum := sha256.Sum256(out.WriteCSV())
+		run.ResultDigest = hex.EncodeToString(sum[:8])
 	})
 	k.Run()
 	if errOut != nil {
@@ -169,28 +172,13 @@ func queryRunOnce(s Scale, blob []byte, sql string, mode rsql.PushdownMode) (Que
 	}
 	run.VirtualSecs = k.Now()
 	run.WallSecs = time.Since(wallStart).Seconds()
-	var prom hashWriter
-	if err := reg.WritePrometheus(&prom); err != nil {
+	prom := sha256.New()
+	if err := reg.WritePrometheus(prom); err != nil {
 		return QueryRun{}, err
 	}
-	run.MetricsDigest = prom.Digest()
+	run.MetricsDigest = hex.EncodeToString(prom.Sum(nil)[:8])
 	return run, nil
 }
-
-func digest(b []byte) string {
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:8])
-}
-
-// hashWriter hashes a stream without buffering it.
-type hashWriter struct{ data []byte }
-
-func (h *hashWriter) Write(p []byte) (int, error) {
-	h.data = append(h.data, p...)
-	return len(p), nil
-}
-
-func (h *hashWriter) Digest() string { return digest(h.data) }
 
 // zoneMapThreshold picks a value threshold from the written file's own
 // zone maps: the midpoint between the largest and second-largest chunk

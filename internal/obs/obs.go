@@ -24,6 +24,8 @@
 package obs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"sort"
@@ -146,6 +148,23 @@ func (r *Registry) AddCollector(fn func()) {
 		return
 	}
 	r.collectors = append(r.collectors, fn)
+}
+
+// Digest hashes the registry's Chrome-trace export, then its Prometheus
+// export, into one sha256 hex string: the byte-identical-exports contract
+// in one value. Empty for a nil registry.
+func (r *Registry) Digest() (string, error) {
+	if r == nil {
+		return "", nil
+	}
+	h := sha256.New()
+	if err := r.WriteChromeTrace(h); err != nil {
+		return "", err
+	}
+	if err := r.WritePrometheus(h); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 func (r *Registry) runCollectors() {

@@ -308,36 +308,11 @@ func (fs *FS) ostFor(f *File, stripeIdx int64) *ost {
 
 // segments decomposes the byte range [off, off+n) of f into per-OST byte
 // totals, in OST order for determinism. The returned targets parallel
-// the parts, so callers can attribute each leg to its OST.
-func (fs *FS) segments(f *File, off, n int64) ([]sim.Part, []*ost) {
-	perOST := map[*ost]float64{}
-	var order []*ost
-	end := off + n
-	for cur := off; cur < end; {
-		idx := cur / f.StripeSize
-		stripeEnd := (idx + 1) * f.StripeSize
-		if stripeEnd > end {
-			stripeEnd = end
-		}
-		o := fs.ostFor(f, idx)
-		if _, seen := perOST[o]; !seen {
-			order = append(order, o)
-		}
-		perOST[o] += float64(stripeEnd - cur)
-		cur = stripeEnd
-	}
-	parts := make([]sim.Part, 0, len(order))
-	for _, o := range order {
-		parts = append(parts, sim.Part{Bytes: perOST[o], Res: []*sim.Resource{o.disk, o.oss.nic, fs.fabric}})
-	}
-	return parts, order
-}
-
-// segmentsLive is segments restricted to healthy targets: stripe pieces
-// landing on offline OSTs are returned as merged missing byte ranges
-// (file-absolute) instead of transfer legs, so the caller can zero-fill
-// and read around them.
-func (fs *FS) segmentsLive(f *File, off, n int64) ([]sim.Part, []*ost, []ioengine.Range) {
+// the parts, so callers can attribute each leg to its OST. With live
+// (the read path), stripe pieces landing on offline OSTs are returned as
+// merged missing byte ranges (file-absolute) instead of transfer legs, so
+// the caller can zero-fill and read around them; writes ignore OST state.
+func (fs *FS) segments(f *File, off, n int64, live bool) ([]sim.Part, []*ost, []ioengine.Range) {
 	perOST := map[*ost]float64{}
 	var order []*ost
 	var missing []ioengine.Range
@@ -349,7 +324,7 @@ func (fs *FS) segmentsLive(f *File, off, n int64) ([]sim.Part, []*ost, []ioengin
 			stripeEnd = end
 		}
 		o := fs.ostFor(f, idx)
-		if o.down {
+		if live && o.down {
 			missing = append(missing, ioengine.Range{Off: cur, Len: stripeEnd - cur})
 		} else {
 			if _, seen := perOST[o]; !seen {
@@ -533,7 +508,7 @@ func (c *Client) ReadAtParts(p *sim.Proc, path string, off, n int64) ([]byte, []
 		}
 	}
 	done := c.fs.accessSpan(p, "pfs.ReadAt", path, off, n)
-	parts, osts, missing := c.fs.segmentsLive(f, off, n)
+	parts, osts, missing := c.fs.segments(f, off, n, true)
 	for i := range parts {
 		parts[i].Res = append(parts[i].Res, c.path...)
 	}
@@ -582,7 +557,7 @@ func (c *Client) WriteAt(p *sim.Proc, path string, data []byte, off int64) error
 		f.data = append(f.data, make([]byte, end-f.Size())...)
 	}
 	done := c.fs.accessSpan(p, "pfs.WriteAt", path, off, int64(len(data)))
-	parts, osts := c.fs.segments(f, off, int64(len(data)))
+	parts, osts, _ := c.fs.segments(f, off, int64(len(data)), false)
 	for i := range parts {
 		parts[i].Res = append(parts[i].Res, c.path...)
 	}

@@ -256,7 +256,7 @@ func TestSegmentsCoverRange(t *testing.T) {
 		file := &File{Path: "/q", StripeSize: stripeSize, StripeCount: stripeCount}
 		file.data = make([]byte, off+n)
 		var total float64
-		parts, osts := fs.segments(file, off, n)
+		parts, osts, _ := fs.segments(file, off, n, false)
 		if len(parts) != len(osts) {
 			return false
 		}

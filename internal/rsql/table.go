@@ -6,8 +6,7 @@ import "scidp/internal/sim"
 // against: a chunked array whose per-chunk metadata (geometry and
 // write-time zone maps) is known before any I/O, whose chunks decode on
 // demand, and whose fused-scan work can fork onto the simulation's data
-// plane. The netcdf/hdf5lite adapters live in internal/aquery; sparklite
-// drives the same plan over distributed partitions.
+// plane. The netCDF adapter (aquery.NewNetCDF) lives in internal/aquery.
 
 // ColumnInfo describes one column an ArrayTable exposes.
 type ColumnInfo struct {

@@ -96,70 +96,28 @@ func (s *Service) runJob(p *sim.Proc, j *Job) error {
 	return fmt.Errorf("tenant: unknown kind %q", j.Spec.Kind)
 }
 
-// runGrep counts the marker across the job's input prefix: map scans
-// each block (modeled cost Charge("Scan"), real count on the data
-// plane), one reducer sums, and the driver writes the count to the
-// job's output dir.
+// runGrep counts the marker across the job's input prefix (Figure 2's
+// Grep), and the driver writes the count to the job's output dir.
 func (s *Service) runGrep(p *sim.Proc, j *Job, job *mapreduce.Job, files int) error {
-	job.Input = s.be.Input(s.inputs[:files], 0)
-	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
-		data := value.([]byte)
-		tc.Charge("Scan", s.cfg.ScanPerMB*float64(len(data))/1e6)
-		var n int64
-		tc.Compute(func() { n = int64(workloads.CountWord(data, marker)) })
-		tc.Emit("count", n)
-		return nil
-	}
-	job.Reduce = func(tc *mapreduce.TaskContext, key string, values []any) error {
-		var sum int64
-		for _, v := range values {
-			sum += v.(int64)
-		}
-		tc.Emit(key, sum)
-		return nil
-	}
+	workloads.Grep(job, s.be.Input(s.inputs[:files], 0), s.cfg.ScanPerMB, marker)
 	res, err := job.Run(p)
 	if err != nil {
 		return err
 	}
-	j.Result = res.Output[0].V.(int64)
+	j.Result = workloads.Matches(res)
 	return s.writeResult(p, j, fmt.Sprintf("%s=%d\n", marker, j.Result))
 }
 
-// runSort is a TeraSort-style shuffle: map emits fixed-width records
-// keyed by their first bytes, reducers count them and write sorted runs
-// into the job's output dir.
+// runSort is Figure 2's TeraSort whose pairs carry a placeholder, not
+// their records: reducers count them, and the driver writes the sorted
+// runs into the job's output dir.
 func (s *Service) runSort(p *sim.Proc, j *Job, job *mapreduce.Job, files int) error {
-	const rec = 100
-	job.Input = s.be.Input(s.inputs[:files], 0)
-	job.NumReducers = reducers
-	job.PairBytes = func(kv mapreduce.KV) int64 { return rec }
-	job.Partition = func(key string, n int) int {
-		if len(key) == 0 {
-			return 0
-		}
-		return int(key[0]) * n / 256
-	}
-	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
-		data := value.([]byte)
-		tc.Charge("Scan", s.cfg.ScanPerMB*float64(len(data))/1e6)
-		tc.Compute(func() { workloads.EmitRecords(tc, data, rec, 10, rec) })
-		return nil
-	}
-	job.Reduce = func(tc *mapreduce.TaskContext, key string, values []any) error {
-		tc.Emit(key, len(values))
-		return nil
-	}
+	workloads.Sort(job, s.be.Input(s.inputs[:files], 0), s.cfg.ScanPerMB, reducers, 100)
 	res, err := job.Run(p)
 	if err != nil {
 		return err
 	}
-	// Output sizes come from the committed reduce output, so retried
-	// attempts can never double-count.
-	var outBytes int64
-	for _, kv := range res.Output {
-		outBytes += rec * int64(kv.V.(int))
-	}
+	outBytes := workloads.Sorted(res)
 	j.Result = outBytes
 	// Reducers' sorted runs land in the job's namespace, written from
 	// the driver (the reduce wave has completed; sizes are exact).
@@ -175,29 +133,15 @@ func (s *Service) runSort(p *sim.Proc, j *Job, job *mapreduce.Job, files int) er
 	return nil
 }
 
-// runWrite is a TestDFSIO-style write: one map task per output file,
-// each writing FileBytes into the job's output dir from its node. The
-// job is map-only, so its demand is exactly the file count. The format
-// charge precedes the write: preemption kills land only inside Charge,
-// so a preempted (or fault-failed) attempt has never written its file
-// and the retry's create cannot collide.
+// runWrite is Figure 2's TestDFSIO write: one map task per output file,
+// each writing an input file's worth of bytes into the job's output dir
+// from its node after a format charge. The job is map-only, so its
+// demand is exactly the file count.
 func (s *Service) runWrite(p *sim.Proc, j *Job, job *mapreduce.Job, files int) error {
-	job.Input = writeInput(files)
-	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
-		i := value.(int)
-		path := fmt.Sprintf("%s/part-%04d", s.outDir(j), i)
-		data := workloads.Zeros(inputFileBytes)
-		tc.Charge("Format", s.cfg.ScanPerMB*float64(len(data))/2e6)
-		var err error
-		tc.Phase("Write", func() {
-			err = s.be.Write(tc.Proc(), tc.Node(), path, data)
-		})
-		if err != nil {
-			return err
-		}
-		tc.Emit("bytes", int64(len(data)))
-		return nil
-	}
+	data := workloads.Zeros(inputFileBytes)
+	workloads.Write(job, s.be, files, func(i int) string {
+		return fmt.Sprintf("%s/part-%04d", s.outDir(j), i)
+	}, data, s.cfg.ScanPerMB*float64(len(data))/2e6)
 	res, err := job.Run(p)
 	if err != nil {
 		return err
@@ -220,14 +164,4 @@ func (s *Service) writeResult(p *sim.Proc, j *Job, content string) error {
 	}
 	j.OutputBytes += int64(len(content))
 	return nil
-}
-
-// writeInput mints n location-free splits whose payload is the output
-// index — the input side of the write kind.
-func writeInput(n int) mapreduce.InputFormat {
-	out := make(mapreduce.StaticInput, n)
-	for i := range out {
-		out[i] = &mapreduce.Split{Label: fmt.Sprintf("w#%d", i), Payload: i, Length: 1}
-	}
-	return out
 }

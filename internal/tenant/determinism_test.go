@@ -56,7 +56,11 @@ func replayOnce(t *testing.T, workers int, withChaos bool) (string, string, stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	return svc.Digest(), string(sumJSON), RegistryDigest(reg)
+	exports, err := reg.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc.Digest(), string(sumJSON), exports
 }
 
 // TestReplayDeterministicAcrossWorkers is the subsystem's determinism
@@ -130,7 +134,11 @@ func TestPreemptionDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return svc.Digest() + "|" + RegistryDigest(reg), sum.Preemptions
+		exports, err := reg.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc.Digest() + "|" + exports, sum.Preemptions
 	}
 	ref, preempts := run(-1)
 	if preempts == 0 {
@@ -163,7 +171,9 @@ func TestReplayTierDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum.ExportDigest = RegistryDigest(reg)
+		if sum.ExportDigest, err = reg.Digest(); err != nil {
+			t.Fatal(err)
+		}
 		sumJSON, err := json.Marshal(sum)
 		if err != nil {
 			t.Fatal(err)

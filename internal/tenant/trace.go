@@ -1,14 +1,10 @@
 package tenant
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
-
-	"scidp/internal/obs"
 )
 
 // Arrival is one timed submission in a trace.
@@ -187,21 +183,4 @@ func percentile(vals []float64, q float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// RegistryDigest hashes a registry's Chrome-trace and Prometheus
-// exports — the byte-identical-exports contract in one string. Empty
-// for a nil registry.
-func RegistryDigest(reg *obs.Registry) string {
-	if reg == nil {
-		return ""
-	}
-	h := sha256.New()
-	if err := reg.WriteChromeTrace(h); err != nil {
-		panic(err)
-	}
-	if err := reg.WritePrometheus(h); err != nil {
-		panic(err)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

@@ -333,29 +333,44 @@ func InstallTextInputs(be Backend, cfg MiniConfig, marker string) []string {
 // RunTestDFSIOWrite measures aggregate write throughput: one map task per
 // file, each writing FileBytes from its node.
 func RunTestDFSIOWrite(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig) (MiniResult, error) {
-	splits := make([]*mapreduce.Split, cfg.Files)
-	for i := range splits {
-		splits[i] = &mapreduce.Split{Label: fmt.Sprintf("w%d", i), Payload: i, Length: cfg.FileBytes}
-	}
-	payload := bytes.Repeat([]byte{0xA5}, int(cfg.FileBytes))
-	job := &mapreduce.Job{
-		Name: "dfsio-write-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs(),
-		Input: mapreduce.StaticInput(splits),
-		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
-			i := value.(int)
-			path := fmt.Sprintf("/mini/io-%s/out-%04d", be.Name(), i)
-			var err error
-			tc.Phase("Write", func() {
-				err = be.Write(tc.Proc(), tc.Node(), path, payload)
-			})
-			return err
-		},
-	}
+	job := &mapreduce.Job{Name: "dfsio-write-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs()}
+	Write(job, be, cfg.Files, func(i int) string {
+		return fmt.Sprintf("/mini/io-%s/out-%04d", be.Name(), i)
+	}, bytes.Repeat([]byte{0xA5}, int(cfg.FileBytes)), 0)
 	res, err := job.Run(p)
 	if err != nil {
 		return MiniResult{}, err
 	}
 	return MiniResult{Seconds: res.Elapsed(), Bytes: int64(cfg.Files) * cfg.FileBytes}, nil
+}
+
+// Write fills job with a TestDFSIO write: one location-free map task per
+// file i < files, each writing data to path(i) from its node and emitting
+// the bytes it wrote. A positive charge is modeled format CPU booked
+// before the write: preemption kills land only inside Charge, so a
+// preempted (or fault-failed) attempt has never written its file and the
+// retry's create cannot collide.
+func Write(job *mapreduce.Job, be Backend, files int, path func(i int) string, data []byte, charge float64) {
+	splits := make(mapreduce.StaticInput, files)
+	for i := range splits {
+		splits[i] = &mapreduce.Split{Label: fmt.Sprintf("w#%d", i), Payload: i, Length: int64(len(data))}
+	}
+	job.Input = splits
+	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
+		out := path(value.(int))
+		if charge > 0 {
+			tc.Charge("Format", charge)
+		}
+		var err error
+		tc.Phase("Write", func() {
+			err = be.Write(tc.Proc(), tc.Node(), out, data)
+		})
+		if err != nil {
+			return err
+		}
+		tc.Emit("bytes", int64(len(data)))
+		return nil
+	}
 }
 
 // RunTestDFSIORead measures aggregate read throughput over the files
@@ -390,37 +405,49 @@ func RunTestDFSIORead(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConf
 
 // RunGrep counts marker occurrences across the input files.
 func RunGrep(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, inputs []string, marker string) (MiniResult, error) {
-	var total int64
-	job := &mapreduce.Job{
-		Name: "grep-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs(),
-		Input: be.Input(inputs, cfg.SplitSize),
-		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
-			data := value.([]byte)
-			if cfg.ScanPerMB > 0 {
-				tc.Charge("Scan", cfg.ScanPerMB*float64(len(data))/1e6)
-			}
-			// The real scan is pure byte work — run it on the data plane
-			// (its modeled cost is the Charge above).
-			var n int64
-			tc.Compute(func() { n = int64(CountWord(data, marker)) })
-			tc.Emit("count", n)
-			return nil
-		},
-		Reduce: func(tc *mapreduce.TaskContext, key string, values []any) error {
-			var sum int64
-			for _, v := range values {
-				sum += v.(int64)
-			}
-			total = sum
-			tc.Emit(key, sum)
-			return nil
-		},
-	}
+	job := &mapreduce.Job{Name: "grep-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs()}
+	Grep(job, be.Input(inputs, cfg.SplitSize), cfg.ScanPerMB, marker)
 	res, err := job.Run(p)
 	if err != nil {
 		return MiniResult{}, err
 	}
-	return MiniResult{Seconds: res.Elapsed(), Bytes: int64(cfg.Files) * cfg.FileBytes, Output: total}, nil
+	return MiniResult{Seconds: res.Elapsed(), Bytes: int64(cfg.Files) * cfg.FileBytes, Output: Matches(res)}, nil
+}
+
+// Grep fills job with a marker count over in: each map charges its scan
+// (when scanPerMB > 0) and counts the block on the data plane, and one
+// reducer sums the counts.
+func Grep(job *mapreduce.Job, in mapreduce.InputFormat, scanPerMB float64, marker string) {
+	job.Input = in
+	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
+		data := value.([]byte)
+		if scanPerMB > 0 {
+			tc.Charge("Scan", scanPerMB*float64(len(data))/1e6)
+		}
+		// The real scan is pure byte work — run it on the data plane
+		// (its modeled cost is the Charge above).
+		var n int64
+		tc.Compute(func() { n = int64(CountWord(data, marker)) })
+		tc.Emit("count", n)
+		return nil
+	}
+	job.Reduce = func(tc *mapreduce.TaskContext, key string, values []any) error {
+		var sum int64
+		for _, v := range values {
+			sum += v.(int64)
+		}
+		tc.Emit(key, sum)
+		return nil
+	}
+}
+
+// Matches is the count a Grep job committed.
+func Matches(res *mapreduce.Result) int64 {
+	var n int64
+	for _, kv := range res.Output {
+		n += kv.V.(int64)
+	}
+	return n
 }
 
 // EmitRecords emits one pair per whole stride-byte record of data, keyed by
@@ -466,47 +493,20 @@ func Zeros(n int64) []byte {
 	return (*z)[:n:n]
 }
 
+// teraRecord is the fixed record width Sort reads and the shuffle charges.
+const teraRecord = 100
+
 // RunTeraSort sorts fixed-width records by 10-byte key: map emits every
 // record (the full payload crosses the shuffle), reducers write sorted
 // runs back to the backend.
 func RunTeraSort(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, inputs []string, reducers int) (MiniResult, error) {
-	const rec = 100
-	job := &mapreduce.Job{
-		Name: "terasort-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs(),
-		Input:       be.Input(inputs, cfg.SplitSize),
-		NumReducers: reducers,
-		PairBytes:   func(kv mapreduce.KV) int64 { return rec },
-		Partition: func(key string, n int) int {
-			if len(key) == 0 {
-				return 0
-			}
-			return int(key[0]) * n / 256
-		},
-		Map: func(tc *mapreduce.TaskContext, key string, value any) error {
-			data := value.([]byte)
-			if cfg.ScanPerMB > 0 {
-				tc.Charge("Scan", cfg.ScanPerMB*float64(len(data))/1e6)
-			}
-			// Record extraction (key slicing + emit into the partition
-			// buckets) is pure byte work: offload it whole.
-			tc.Compute(func() { EmitRecords(tc, data, rec, 10, nil) })
-			return nil
-		},
-		Reduce: func(tc *mapreduce.TaskContext, key string, values []any) error {
-			tc.Emit(key, len(values))
-			return nil
-		},
-	}
+	job := &mapreduce.Job{Name: "terasort-" + be.Name(), Cluster: cl, TaskStartup: cfg.TaskStartup, Obs: p.Kernel().Obs()}
+	Sort(job, be.Input(inputs, cfg.SplitSize), cfg.ScanPerMB, reducers, nil)
 	res, err := job.Run(p)
 	if err != nil {
 		return MiniResult{}, err
 	}
-	// Output sizes come from the committed reduce output, so a retried or
-	// speculative attempt can never double-count.
-	var outBytes int64
-	for _, kv := range res.Output {
-		outBytes += rec * int64(kv.V.(int))
-	}
+	outBytes := Sorted(res)
 	// Reducers write their sorted runs back.
 	wg := p.Kernel().NewWaitGroup()
 	perRed := outBytes / int64(reducers)
@@ -521,4 +521,47 @@ func RunTeraSort(p *sim.Proc, cl *cluster.Cluster, be Backend, cfg MiniConfig, i
 	}
 	p.Wait(wg)
 	return MiniResult{Seconds: p.Now() - res.Start, Bytes: int64(cfg.Files) * cfg.FileBytes, Output: outBytes}, nil
+}
+
+// Sort fills job with a TeraSort over in: map cuts each block into
+// 100-byte records keyed by their first 10 bytes (charging its scan when
+// scanPerMB > 0), the first key byte range-partitions them over reducers,
+// and each reducer counts its records. Every pair is charged 100 shuffle
+// bytes; with a nil value it carries its record (see EmitRecords), else
+// value itself.
+func Sort(job *mapreduce.Job, in mapreduce.InputFormat, scanPerMB float64, reducers int, value any) {
+	job.Input = in
+	job.NumReducers = reducers
+	job.PairBytes = func(kv mapreduce.KV) int64 { return teraRecord }
+	job.Partition = func(key string, n int) int {
+		if len(key) == 0 {
+			return 0
+		}
+		return int(key[0]) * n / 256
+	}
+	job.Map = func(tc *mapreduce.TaskContext, _ string, block any) error {
+		data := block.([]byte)
+		if scanPerMB > 0 {
+			tc.Charge("Scan", scanPerMB*float64(len(data))/1e6)
+		}
+		// Record extraction (key slicing + emit into the partition
+		// buckets) is pure byte work: offload it whole.
+		tc.Compute(func() { EmitRecords(tc, data, teraRecord, 10, value) })
+		return nil
+	}
+	job.Reduce = func(tc *mapreduce.TaskContext, key string, values []any) error {
+		tc.Emit(key, len(values))
+		return nil
+	}
+}
+
+// Sorted is the byte count a Sort job committed, read from the committed
+// reduce output so a retried or speculative attempt can never
+// double-count.
+func Sorted(res *mapreduce.Result) int64 {
+	var n int64
+	for _, kv := range res.Output {
+		n += teraRecord * int64(kv.V.(int))
+	}
+	return n
 }

@@ -55,7 +55,7 @@ func SimulateRun(p *sim.Proc, spec SimSpec) error {
 		for r := range data {
 			data[r] = blob[reqs[r].Off : reqs[r].Off+reqs[r].Len]
 		}
-		res := spec.Comm.CollectiveWrite(file, reqs, data, minI(n, 8))
+		res := spec.Comm.CollectiveWrite(file, reqs, data, min(n, 8))
 		res.Await(p)
 		if res.Err != nil {
 			return res.Err
@@ -76,11 +76,4 @@ func NewComm(k *sim.Kernel, cl *cluster.Cluster, fs *pfs.FS, extra ...*sim.Resou
 		ranks[i] = mpiio.Rank{Node: n, Client: fs.NewClient(path...)}
 	}
 	return mpiio.NewComm(k, cl, ranks)
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-// keptForTests lists what under internal/ only tests reach and stays
+// keptForTests lists what in a non-main package only tests reach and stays
 // anyway, by full name: a function or method, a type, or a configuration
 // field ("pkg.Type.Field"); an entry ending in "." keeps every method of
 // the type. Each stays for a test in the package named: a writer fixture
@@ -86,8 +86,9 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// TestNoFunctionOnlyTestsReach fails on what under internal/ only tests
-// reach, unless keptForTests lists it:
+// TestNoFunctionOnlyTestsReach fails on what in any non-main package of
+// the module (the root one included) only tests reach, unless
+// keptForTests lists it:
 //   - a package-level function or method that no non-test file of this
 //     module or of benchmark/ references. A method also counts as
 //     referenced when an interface that its type satisfies, anywhere in
@@ -201,7 +202,7 @@ func TestNoFunctionOnlyTestsReach(t *testing.T) {
 		}
 	}
 	for path, info := range m.infos {
-		if !strings.HasPrefix(path, "scidp/internal/") {
+		if m.pkgs[path].Name() == "main" {
 			continue
 		}
 		for _, obj := range info.Defs {
