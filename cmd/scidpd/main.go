@@ -38,6 +38,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"time"
 
 	"scidp/internal/obs"
 	"scidp/internal/solutions"
@@ -80,7 +81,10 @@ func main() {
 		svc := tenant.New(env, cfg)
 		fmt.Fprintf(os.Stderr, "scidpd: serving control API on %s (virtual time, %d slots)\n",
 			*httpAddr, svc.TotalSlots())
-		if err := http.ListenAndServe(*httpAddr, tenant.NewServer(svc).Handler()); err != nil {
+		// A client that never finishes its headers must not hold a
+		// connection forever.
+		srv := &http.Server{Addr: *httpAddr, Handler: tenant.NewServer(svc).Handler(), ReadHeaderTimeout: 10 * time.Second}
+		if err := srv.ListenAndServe(); err != nil {
 			fail("%v", err)
 		}
 		return

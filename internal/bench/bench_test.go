@@ -41,14 +41,16 @@ func TestFig5AndTable3Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Monotone in dataset size for every solution.
-	for _, name := range SolutionOrder {
+	for _, d := range solutions.All() {
+		name := d.Name()
 		if r.Totals[name][8] <= r.Totals[name][4] {
 			t.Errorf("%s: total should grow with dataset size: %v vs %v", name, r.Totals[name][4], r.Totals[name][8])
 		}
 	}
 	// SciDP wins at every size; naive loses at every size.
 	for _, ts := range sizes {
-		for _, name := range SolutionOrder {
+		for _, d := range solutions.All() {
+			name := d.Name()
 			if name == "scidp" {
 				continue
 			}
@@ -61,7 +63,7 @@ func TestFig5AndTable3Shape(t *testing.T) {
 		}
 	}
 	tab := Fig5Table(r)
-	if len(tab.Rows) != len(SolutionOrder)*len(sizes) {
+	if len(tab.Rows) != len(solutions.All())*len(sizes) {
 		t.Fatalf("Fig5 rows = %d", len(tab.Rows))
 	}
 	t3 := Table3(r)

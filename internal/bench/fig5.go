@@ -10,17 +10,15 @@ import (
 	"scidp/internal/workloads"
 )
 
-// SolutionOrder is Table I / Figure 5's presentation order.
-var SolutionOrder = []string{"naive", "vanilla-hadoop", "porthadoop", "scihadoop", "scidp"}
-
 // RunOne executes one solution over one sweep point on a fresh testbed.
 func RunOne(s Scale, timestamps, nodes int, analysis solutions.AnalysisKind, name string) (*solutions.Report, error) {
-	runner, ok := solutions.All()[name]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown solution %q", name)
+	for _, d := range solutions.All() {
+		if d.Name() == name {
+			cfg := obsEnvConfig(s.EnvConfig(nodes), fmt.Sprintf("%s@%dts", name, timestamps))
+			return run(s, cfg, timestamps, analysis, d.Run)
+		}
 	}
-	cfg := obsEnvConfig(s.EnvConfig(nodes), fmt.Sprintf("%s@%dts", name, timestamps))
-	return run(s, cfg, timestamps, analysis, runner)
+	return nil, fmt.Errorf("bench: unknown solution %q", name)
 }
 
 // run is one SciDP run: it installs the (cached) dataset for timestamps
@@ -64,7 +62,8 @@ func RunFig5(s Scale, sizes []int) (*Fig5Result, error) {
 		Totals:  map[string]map[int]float64{},
 		Reports: map[string]map[int]*solutions.Report{},
 	}
-	for _, name := range SolutionOrder {
+	for _, d := range solutions.All() {
+		name := d.Name()
 		out.Totals[name] = map[int]float64{}
 		out.Reports[name] = map[int]*solutions.Report{}
 		for _, ts := range sizes {
@@ -89,7 +88,8 @@ func Fig5Table(r *Fig5Result) *Table {
 		Title:  "Total execution time of SciDP and existing solutions (Img-only)",
 		Header: []string{"solution", "timestamps", "copy(s)", "process(s)", "total(s)", "plotted"},
 	}
-	for _, name := range SolutionOrder {
+	for _, d := range solutions.All() {
+		name := d.Name()
 		for _, ts := range r.Sizes {
 			rep := r.Reports[name][ts]
 			plotted := secs(rep.TotalSeconds)
@@ -101,10 +101,10 @@ func Fig5Table(r *Fig5Result) *Table {
 		}
 	}
 	var convs []string
-	for _, name := range SolutionOrder {
-		rep := r.Reports[name][r.Sizes[len(r.Sizes)-1]]
+	for _, d := range solutions.All() {
+		rep := r.Reports[d.Name()][r.Sizes[len(r.Sizes)-1]]
 		if rep.ConvertSeconds > 0 {
-			convs = append(convs, fmt.Sprintf("%s=%.0fs", name, rep.ConvertSeconds))
+			convs = append(convs, fmt.Sprintf("%s=%.0fs", d.Name(), rep.ConvertSeconds))
 		}
 	}
 	sort.Strings(convs)
@@ -122,7 +122,8 @@ func Table3(r *Fig5Result) *Table {
 		Title:  "Speedup of SciDP over existing solutions",
 		Header: append([]string{"solution"}, sizesHeader(r.Sizes)...),
 	}
-	for _, name := range SolutionOrder {
+	for _, d := range solutions.All() {
+		name := d.Name()
 		if name == "scidp" {
 			continue
 		}
@@ -222,7 +223,8 @@ func Fig7(s Scale, timestamps int) (*Table, error) {
 		Header: []string{"solution", "read(s/level)", "convert(s/level)", "plot(s/level)"},
 	}
 	ls := s.LevelScale()
-	for _, name := range SolutionOrder {
+	for _, d := range solutions.All() {
+		name := d.Name()
 		rep, err := RunOne(s, timestamps, 0, solutions.AnalysisNone, name)
 		if err != nil {
 			return nil, err

@@ -134,10 +134,9 @@ func exportRunMode(t *testing.T, mode sim.FairShareMode) (trace, prom []byte) {
 	env.K.SetFairShareMode(mode)
 	workloads.Install(env.PFS, blobs)
 	wl := &solutions.Workload{Dataset: ds, Var: "QR"}
-	run := solutions.All()["scidp"]
 	var rerr error
 	env.K.Go("driver", func(p *sim.Proc) {
-		_, rerr = run(p, env, wl)
+		_, rerr = solutions.RunSciDP(p, env, wl)
 	})
 	env.K.Run()
 	if rerr != nil {

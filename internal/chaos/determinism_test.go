@@ -64,10 +64,13 @@ func chaosRun(t *testing.T, solution string, plan *chaos.Plan, workers int) (dig
 		switch solution {
 		case "scidp", "scidp-anlys":
 			_, runErr = solutions.RunSciDP(p, env, wl)
-		case "vanilla-hadoop":
-			_, runErr = solutions.RunVanillaHadoop(p, env, wl)
 		default:
 			runErr = fmt.Errorf("unknown solution %q", solution)
+			for _, d := range solutions.All() {
+				if d.Name() == solution {
+					_, runErr = d.Run(p, env, wl)
+				}
+			}
 		}
 		if runErr != nil {
 			return

@@ -1,8 +1,6 @@
 package solutions
 
 import (
-	"fmt"
-
 	"scidp/internal/cluster"
 	"scidp/internal/core"
 	"scidp/internal/mapreduce"
@@ -107,7 +105,7 @@ func runInSitu(p *sim.Proc, env *Env, wl *Workload, run workloads.SimSpec) (*Wor
 	input.Tier = env.Tier
 	// analyze is one dummy block's task body.
 	analyze := func(tc *mapreduce.TaskContext, split *mapreduce.Split) (commit func(), err error) {
-		stored := 0
+		var stored Report
 		err = input.ForEach(tc, split, func(_ string, value any) error {
 			g, err := gridFromSlab(value)
 			if err != nil {
@@ -117,19 +115,12 @@ func runInSitu(p *sim.Proc, env *Env, wl *Workload, run workloads.SimSpec) (*Wor
 			if err != nil {
 				return err
 			}
-			for i, png := range out.images {
-				dst := fmt.Sprintf("/results/insitu/img/t%04d_l%03d.png", g.t, out.levels[i])
-				if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), dst, png); err != nil {
-					return err
-				}
-			}
-			stored = len(out.images)
-			return nil
+			return storeTimestamp(env, tc, wl, "/results/insitu", out.imgs, &stored)
 		})
 		if err != nil {
 			return nil, err
 		}
-		return func() { rep.Images += stored }, nil
+		return func() { rep.Images += stored.Images }, nil
 	}
 	var minted []*mapreduce.Split // the newest file's blocks not yet handed out
 	err := env.job("insitu").RunStage(p, "map", func(fp *sim.Proc) (*mapreduce.Task, error) {

@@ -1,15 +1,17 @@
 package solutions
 
 import (
-	"fmt"
+	"cmp"
 	"path"
 
+	"scidp/internal/cluster"
 	"scidp/internal/core"
 	"scidp/internal/hdfs"
 	"scidp/internal/ioengine"
 	"scidp/internal/mapreduce"
 	"scidp/internal/netcdf"
 	"scidp/internal/obs"
+	"scidp/internal/rframe"
 	"scidp/internal/sim"
 	"scidp/internal/workloads"
 )
@@ -101,32 +103,153 @@ func (in *hdfsNetCDFInput) ForEach(tc *mapreduce.TaskContext, s *mapreduce.Split
 	return fn(s.Label, arr)
 }
 
-// distcp copies files from the PFS into HDFS with one map task per file
-// (Hadoop's parallel copy; what SciHadoop and Vanilla Hadoop must run
-// before processing). Returns destination paths and bytes moved.
-func distcp(p *sim.Proc, env *Env, files []string, dstDir string) ([]string, int64, error) {
-	splits := make([]*mapreduce.Split, len(files))
+// Table I's data-copy column: how a path moves its input onto HDFS.
+const (
+	copyNone     = "No"
+	copySerial   = "Sequential"
+	copyParallel = "Parallel"
+)
+
+// DataPath is one row of Table I, or the staged ablation of its last row.
+// The rows differ only in where the data sits and how it moves — whether
+// the variable is converted to text, how the files are copied onto HDFS,
+// and whether one process or a MapReduce job does the processing — and
+// in how a task gets and decodes its records. The job itself (analysis,
+// plotting, storing) is the same for every path.
+type DataPath struct {
+	// name labels the Report, the processing job and /results/<name>.
+	name string
+	// title is the row's name in Table I.
+	title string
+	// convert turns the variable into CSV text on the PFS first.
+	convert bool
+	// copy is copyNone, copySerial (one file at a time through node 0)
+	// or copyParallel (one map task per file, Hadoop's distcp).
+	copy string
+	// serial processes every file in one process on node 0 (Naive); input
+	// is then unused.
+	serial bool
+	// input builds the processing job's input over files: the dataset's,
+	// the converted text, or their HDFS copies.
+	input func(p *sim.Proc, env *Env, wl *Workload, files []string, name string, opts SciDPOptions) (mapreduce.InputFormat, error)
+	// decode turns one record into the grid processGrid plots.
+	decode func(env *Env, wl *Workload, tc charger, key string, value any) (*grid, error)
+}
+
+var (
+	naive         = DataPath{name: "naive", title: "Naive", convert: true, copy: copySerial, serial: true, decode: csvGrid}
+	vanillaHadoop = DataPath{name: "vanilla-hadoop", title: "Vanilla Hadoop", convert: true, copy: copyParallel, input: wholeFiles, decode: csvGrid}
+	// PortHadoop processes the text in place on the PFS through flat
+	// virtual blocks (the virtual-block design SciDP generalizes).
+	portHadoop = DataPath{name: "porthadoop", title: "PortHadoop", convert: true, copy: copyNone, input: flatText, decode: realignedCSVGrid}
+	// SciHadoop reads netCDF natively, but a netCDF file is not divisible
+	// by variable, so all of every file is copied onto HDFS first.
+	sciHadoop = DataPath{name: "scihadoop", title: "SciHadoop", copy: copyParallel, input: hdfsNetCDF, decode: arrayGrid}
+	// SciDP mirrors the selected variable as virtual HDFS inodes; every map
+	// task's PFS Reader pulls its hyperslab straight from the PFS,
+	// overlapping with other tasks' plotting.
+	sciDP = DataPath{name: "scidp", title: "SciDP", copy: copyNone, input: sciDPInput, decode: slabGrid}
+	// sciDPStaged reads every slab in a first map wave, then plots from
+	// memory in a second: its difference to SciDP isolates the benefit of
+	// overlapping PFS reads with other tasks' computation.
+	sciDPStaged = DataPath{name: "scidp-staged", copy: copyNone, input: stagedInput, decode: stagedSlabGrid}
+)
+
+// All returns the five solutions in Table I order.
+func All() []DataPath { return []DataPath{naive, vanillaHadoop, portHadoop, sciHadoop, sciDP} }
+
+// Name is the path's Report.Solution and results directory name.
+func (d DataPath) Name() string { return d.name }
+
+// Run is the path's Runner.
+func (d DataPath) Run(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
+	return d.run(p, env, wl, SciDPOptions{})
+}
+
+// run converts, copies and processes, timing each; Total is copy plus
+// processing (conversion is excluded, as in the paper).
+func (d DataPath) run(p *sim.Proc, env *Env, wl *Workload, opts SciDPOptions) (*Report, error) {
+	env.ensureOpen()
+	name := cmp.Or(opts.Name, d.name)
+	if opts.Caches != nil {
+		opts.Caches.RegisterObs(env.Obs, obs.L("set", name))
+	}
+	rep := &Report{Solution: name, LevelsPerTask: float64(cmp.Or(opts.RowsPerBlock, wl.Dataset.Spec.Levels))}
+	files := wl.Dataset.Files
+	var err error
+	start := p.Now()
+	if d.convert {
+		if files, rep.TextBytes, err = ConvertToCSV(p, env, wl); err != nil {
+			return nil, err
+		}
+		rep.ConvertSeconds = p.Now() - start
+	}
+	start = p.Now()
+	if d.copy != copyNone {
+		if files, rep.CopiedBytes, err = d.copyIn(p, env, files); err != nil {
+			return nil, err
+		}
+		rep.CopySeconds = p.Now() - start
+	}
+	start = p.Now()
+	if d.serial {
+		err = d.processSerial(p, env, wl, files, name, rep)
+	} else {
+		var input mapreduce.InputFormat
+		if input, err = d.input(p, env, wl, files, name, opts); err == nil {
+			err = runProcessing(p, env, wl, name, input, d.decode, rep)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	rep.ProcessSeconds = p.Now() - start
+	rep.TotalSeconds = rep.CopySeconds + rep.ProcessSeconds
+	return rep, nil
+}
+
+// copyIn copies files from the PFS into an HDFS staging directory, one
+// at a time through node 0 or with one map task per file, and returns the
+// copies' paths and the bytes moved.
+func (d DataPath) copyIn(p *sim.Proc, env *Env, files []string) ([]string, int64, error) {
+	dir := "/staged-nc"
+	if d.convert {
+		dir = "/staged-csv"
+	}
 	dsts := make([]string, len(files))
+	splits := make(mapreduce.StaticInput, len(files))
 	for i, f := range files {
-		dsts[i] = path.Join(dstDir, path.Base(f))
+		dsts[i] = path.Join(dir, path.Base(f))
 		splits[i] = &mapreduce.Split{Label: f, Payload: i}
 	}
 	var moved int64
-	job := env.job("distcp")
-	job.Input = mapreduce.StaticInput(splits)
-	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
-		i := value.(int)
-		mount := env.Mount(tc.Node())
-		size, err := mount.Stat(tc.Proc(), files[i])
+	// copyFile reads file i whole through node n's mount and writes it to
+	// HDFS from n.
+	copyFile := func(p *sim.Proc, n *cluster.Node, i int) error {
+		mount := env.Mount(n)
+		size, err := mount.Stat(p, files[i])
 		if err != nil {
 			return err
 		}
-		data, err := mount.ReadAt(tc.Proc(), files[i], 0, size)
+		data, err := mount.ReadAt(p, files[i], 0, size)
 		if err != nil {
 			return err
 		}
 		moved += int64(len(data))
-		return env.HDFS.WriteFile(tc.Proc(), tc.Node(), dsts[i], data)
+		return env.HDFS.WriteFile(p, n, dsts[i], data)
+	}
+	if d.copy == copySerial {
+		for i := range files {
+			if err := copyFile(p, env.BD.Node(0), i); err != nil {
+				return nil, 0, err
+			}
+		}
+		return dsts, moved, nil
+	}
+	job := env.job("distcp")
+	job.Input = splits
+	job.Map = func(tc *mapreduce.TaskContext, _ string, value any) error {
+		return copyFile(tc.Proc(), tc.Node(), value.(int))
 	}
 	if _, err := job.Run(p); err != nil {
 		return nil, 0, err
@@ -134,216 +257,178 @@ func distcp(p *sim.Proc, env *Env, files []string, dstDir string) ([]string, int
 	return dsts, moved, nil
 }
 
-// seqCopy copies files one at a time through a single node — the Naive
-// path's serial copy.
-func seqCopy(p *sim.Proc, env *Env, files []string, dstDir string) ([]string, int64, error) {
-	node := env.BD.Node(0)
-	mount := env.Mount(node)
-	dsts := make([]string, len(files))
-	var moved int64
-	for i, f := range files {
-		dsts[i] = path.Join(dstDir, path.Base(f))
-		size, err := mount.Stat(p, f)
-		if err != nil {
-			return nil, 0, err
-		}
-		data, err := mount.ReadAt(p, f, 0, size)
-		if err != nil {
-			return nil, 0, err
-		}
-		moved += int64(len(data))
-		if err := env.HDFS.WriteFile(p, node, dsts[i], data); err != nil {
-			return nil, 0, err
-		}
-	}
-	return dsts, moved, nil
-}
-
-// RunNaive is Table I's first row: sequential conversion, sequential
-// copy, sequential processing on one node.
-func RunNaive(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
-	env.ensureOpen()
-	rep := &Report{Solution: "naive"}
-	start := p.Now()
-	csvs, textBytes, err := ConvertToCSV(p, env, wl)
-	if err != nil {
-		return nil, err
-	}
-	rep.ConvertSeconds = p.Now() - start
-	rep.TextBytes = textBytes
-
-	start = p.Now()
-	staged, moved, err := seqCopy(p, env, csvs, "/staged-csv")
-	if err != nil {
-		return nil, err
-	}
-	rep.CopySeconds = p.Now() - start
-	rep.CopiedBytes = moved
-
-	start = p.Now()
+// processSerial is Naive's processing: one process on node 0 reads,
+// decodes, processes and stores each file in turn, then stores the top 1 %
+// over all of them. It stays out of a MapReduce job because a one-slot
+// job has no route that leaves the run as it is (DESIGN.md).
+func (d DataPath) processSerial(p *sim.Proc, env *Env, wl *Workload, files []string, name string, rep *Report) error {
 	node := env.BD.Node(0)
 	sc := newSerialCtx(p, node)
-	stats := &procStats{}
-	for _, f := range staged {
+	dir := "/results/" + name
+	var top []*rframe.Frame
+	for _, f := range files {
 		var data []byte
-		var rerr error
+		var err error
 		sc.Phase("Read", func() {
-			data, rerr = env.HDFS.ReadFile(p, node, f)
+			data, err = env.HDFS.ReadFile(p, node, f)
 		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		g, err := gridFromCSV(env, sc, data, wl.Dataset.Spec)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		g, err := d.decode(env, wl, sc, f, data)
+		if err != nil {
+			return err
 		}
 		out, err := processGrid(env, wl, sc, g, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for i, png := range out.images {
-			dst := fmt.Sprintf("/results/naive/img/t%04d_l%03d.png", g.t, out.levels[i])
-			if err := env.HDFS.WriteFile(p, node, dst, png); err != nil {
-				return nil, err
-			}
-			stats.images++
+		if err := storeTimestamp(env, sc, wl, dir, out.imgs, rep); err != nil {
+			return err
 		}
 		if out.analysis != nil {
-			text := out.analysis.WriteCSV()
-			stats.analysisBytes += int64(len(text))
-			dst := fmt.Sprintf("/results/naive/analysis/t%04d.csv", g.t)
-			if err := env.HDFS.WriteFile(p, node, dst, text); err != nil {
-				return nil, err
-			}
+			top = append(top, out.analysis)
 		}
 	}
-	rep.ProcessSeconds = p.Now() - start
-	rep.TotalSeconds = rep.CopySeconds + rep.ProcessSeconds
-	rep.PhaseMeans = map[string]float64{}
-	for name, total := range sc.phases {
-		rep.PhaseMeans[name] = total / float64(len(staged))
+	if top != nil {
+		if err := storeTop1Pct(env, sc, dir, top, rep); err != nil {
+			return err
+		}
 	}
-	rep.LevelsPerTask = float64(wl.Dataset.Spec.Levels)
-	rep.Images = stats.images
-	rep.AnalysisBytes = stats.analysisBytes
-	return rep, nil
+	rep.PhaseMeans = phaseMeans(func(phase string) float64 { return sc.phases[phase] / float64(len(files)) })
+	return nil
 }
 
-// RunVanillaHadoop is Table I's second row: conversion, then parallel
-// copy of the text onto HDFS, then parallel processing of the text.
-func RunVanillaHadoop(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
-	env.ensureOpen()
-	rep := &Report{Solution: "vanilla-hadoop"}
-	start := p.Now()
-	csvs, textBytes, err := ConvertToCSV(p, env, wl)
-	if err != nil {
-		return nil, err
-	}
-	rep.ConvertSeconds = p.Now() - start
-	rep.TextBytes = textBytes
-
-	start = p.Now()
-	staged, moved, err := distcp(p, env, csvs, "/staged-csv")
-	if err != nil {
-		return nil, err
-	}
-	rep.CopySeconds = p.Now() - start
-	rep.CopiedBytes = moved
-
-	start = p.Now()
-	input := &hdfsWholeFileInput{env: env, paths: staged}
-	res, stats, err := runProcessing(p, env, wl, "vanilla", input,
-		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
-			return gridFromCSV(env, tc, value.([]byte), wl.Dataset.Spec)
-		})
-	if err != nil {
-		return nil, err
-	}
-	rep.ProcessSeconds = p.Now() - start
-	rep.TotalSeconds = rep.CopySeconds + rep.ProcessSeconds
-	fillReport(rep, env, res, stats, wl)
-	return rep, nil
+// wholeFiles is Vanilla Hadoop's input: each copied text file is one
+// record.
+func wholeFiles(_ *sim.Proc, env *Env, _ *Workload, files []string, _ string, _ SciDPOptions) (mapreduce.InputFormat, error) {
+	return &hdfsWholeFileInput{env: env, paths: files}, nil
 }
 
-// RunPortHadoop is Table I's third row: conversion is still required, but
-// the text is processed in place on the PFS through flat virtual blocks
-// (PortHadoop's virtual-block design, which SciDP generalizes).
-func RunPortHadoop(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
-	env.ensureOpen()
-	rep := &Report{Solution: "porthadoop"}
-	start := p.Now()
-	_, textBytes, err := ConvertToCSV(p, env, wl)
-	if err != nil {
-		return nil, err
-	}
-	rep.ConvertSeconds = p.Now() - start
-	rep.TextBytes = textBytes
+// hdfsNetCDF is SciHadoop's input: although it had to copy the whole
+// files, its tasks read only the analyzed variable's chunks out of the
+// HDFS-resident netCDF (block-range reads, locality-preferred).
+func hdfsNetCDF(_ *sim.Proc, env *Env, wl *Workload, files []string, _ string, _ SciDPOptions) (mapreduce.InputFormat, error) {
+	return &hdfsNetCDFInput{hdfsWholeFileInput: hdfsWholeFileInput{env: env, paths: files}, varName: wl.Var}, nil
+}
 
-	start = p.Now()
-	mapper := core.NewMapper(env.HDFS, env.Registry, "/porthadoop")
-	// One dummy block per text file: the whole file is one task's input.
+// flatText is PortHadoop's input: one flat dummy block per converted text
+// file, so the whole file is one task's input.
+func flatText(p *sim.Proc, env *Env, wl *Workload, _ []string, name string, _ SciDPOptions) (mapreduce.InputFormat, error) {
+	mapper := core.NewMapper(env.HDFS, env.Registry, "/"+name)
 	mapping, err := mapper.MapPath(p, env.Mount(env.BD.Node(0)), csvDir(wl), core.MapOptions{
 		FlatBlockSize: 1 << 40,
 	})
 	if err != nil {
 		return nil, err
 	}
-	res, stats, err := runProcessing(p, env, wl, "porthadoop", env.pfsInput(mapping.Root),
-		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
-			text := value.([]byte)
-			// The flat mapping lost the record structure: PortHadoop
-			// scans the text to re-align records before parsing.
-			tc.Charge("Convert", env.Cfg.Cost.TextIndexPerMB*env.scaleMB(len(text)))
-			return gridFromCSV(env, tc, text, wl.Dataset.Spec)
-		})
-	if err != nil {
-		return nil, err
-	}
-	rep.ProcessSeconds = p.Now() - start
-	rep.TotalSeconds = rep.ProcessSeconds
-	fillReport(rep, env, res, stats, wl)
-	return rep, nil
+	return env.pfsInput(mapping.Root), nil
 }
 
-// RunSciHadoop is Table I's fourth row: no conversion (native netCDF
-// support), but the whole files — all 23 variables — must be copied onto
-// HDFS before processing ("the netCDF file is not dividable in the
-// variable level, the whole file has to be moved").
-func RunSciHadoop(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
-	env.ensureOpen()
-	rep := &Report{Solution: "scihadoop"}
-	start := p.Now()
-	staged, moved, err := distcp(p, env, wl.Dataset.Files, "/staged-nc")
+// mirror maps the workload's variable in files as virtual HDFS inodes
+// under /name, rows levels per dummy block, and returns SciDP's input over
+// them with no read cost yet.
+func mirror(p *sim.Proc, env *Env, wl *Workload, files []string, name string, rows int) (*core.InputFormat, error) {
+	mapper := core.NewMapper(env.HDFS, env.Registry, "/"+name)
+	mapping, err := mapper.MapPath(p, env.Mount(env.BD.Node(0)), wl.Dataset.Spec.Dir, core.MapOptions{
+		Vars:         []string{wl.Var},
+		RowsPerBlock: rows,
+		// Mirror only the files this workload reads: a workload whose
+		// Dataset.Files is a window of the generated directory gets a
+		// window-sized job (the full list reproduces the full mirror).
+		Paths: files,
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep.CopySeconds = p.Now() - start
-	rep.CopiedBytes = moved
+	return env.pfsInput(mapping.Root), nil
+}
 
-	start = p.Now()
-	// SciHadoop is netCDF-aware: although it had to copy the whole files,
-	// its tasks read only the analyzed variable's chunks out of the
-	// HDFS-resident netCDF (block-range reads, locality-preferred).
-	input := &hdfsNetCDFInput{hdfsWholeFileInput: hdfsWholeFileInput{env: env, paths: staged}, varName: wl.Var}
-	res, stats, err := runProcessing(p, env, wl, "scihadoop", input,
-		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
-			arr := value.(*netcdf.Array)
-			rawMB := env.scaleMB(len(arr.Data))
-			tc.Charge("Read", env.Cfg.Cost.DecompressPerMB*rawMB)
-			tc.Charge("Convert", env.Cfg.Cost.BinConvertPerMB*rawMB)
-			return &grid{
-				t:      workloads.TimestampIndex(key),
-				levels: arr.Shape[0], ny: arr.Shape[1], nx: arr.Shape[2],
-				vals: arr.Float32s(),
-			}, nil
-		})
+// sciDPInput is SciDP's input: the mirror, read at SciDP's cost through
+// the run's engine, chunk caches and the env's cache tier.
+func sciDPInput(p *sim.Proc, env *Env, wl *Workload, files []string, name string, opts SciDPOptions) (mapreduce.InputFormat, error) {
+	input, err := mirror(p, env, wl, files, name, cmp.Or(opts.RowsPerBlock, wl.Dataset.Spec.Levels))
 	if err != nil {
 		return nil, err
 	}
-	rep.ProcessSeconds = p.Now() - start
-	rep.TotalSeconds = rep.CopySeconds + rep.ProcessSeconds
-	fillReport(rep, env, res, stats, wl)
-	return rep, nil
+	input.Cost = env.sciCost()
+	input.Engine = opts.Engine
+	input.Caches = opts.Caches
+	input.Tier = env.Tier
+	return input, nil
+}
+
+// stagedInput runs the staged ablation's first wave, a read-only job
+// materializing every slab (decompression charged here, conversion
+// deferred to the compute wave), and returns its slabs as the second
+// wave's input in the order its tasks finished.
+func stagedInput(p *sim.Proc, env *Env, wl *Workload, files []string, name string, _ SciDPOptions) (mapreduce.InputFormat, error) {
+	input, err := mirror(p, env, wl, files, name, wl.Dataset.Spec.Levels)
+	if err != nil {
+		return nil, err
+	}
+	input.Cost.DecompressPerRawMB = env.sciCost().DecompressPerRawMB
+	var staged mapreduce.StaticInput
+	readJob := env.job(name + "-read")
+	readJob.Input = input
+	readJob.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
+		staged = append(staged, &mapreduce.Split{Label: key, Payload: value})
+		return nil
+	}
+	if _, err := readJob.Run(p); err != nil {
+		return nil, err
+	}
+	return staged, nil
+}
+
+// csvGrid parses a converted text record.
+func csvGrid(env *Env, wl *Workload, tc charger, _ string, value any) (*grid, error) {
+	return gridFromCSV(env, tc, value.([]byte), wl.Dataset.Spec)
+}
+
+// realignedCSVGrid is PortHadoop's decode: the flat mapping lost the
+// record structure, so the text is scanned to re-align records before it
+// is parsed.
+func realignedCSVGrid(env *Env, wl *Workload, tc charger, key string, value any) (*grid, error) {
+	tc.Charge("Convert", env.Cfg.Cost.TextIndexPerMB*env.scaleMB(len(value.([]byte))))
+	return csvGrid(env, wl, tc, key, value)
+}
+
+// arrayGrid is SciHadoop's decode: inflate and convert the variable read
+// out of the HDFS-resident netCDF.
+func arrayGrid(env *Env, _ *Workload, tc charger, key string, value any) (*grid, error) {
+	arr := value.(*netcdf.Array)
+	rawMB := env.scaleMB(len(arr.Data))
+	tc.Charge("Read", env.Cfg.Cost.DecompressPerMB*rawMB)
+	tc.Charge("Convert", env.Cfg.Cost.BinConvertPerMB*rawMB)
+	return &grid{
+		t:      workloads.TimestampIndex(key),
+		levels: arr.Shape[0], ny: arr.Shape[1], nx: arr.Shape[2],
+		vals: arr.Float32s(),
+	}, nil
+}
+
+// slabGrid is SciDP's decode: the PFS Reader already charged inflate and
+// conversion.
+func slabGrid(_ *Env, _ *Workload, _ charger, _ string, value any) (*grid, error) {
+	return gridFromSlab(value)
+}
+
+// stagedSlabGrid charges the conversion the staged read wave deferred.
+func stagedSlabGrid(env *Env, _ *Workload, tc charger, _ string, value any) (*grid, error) {
+	g, err := gridFromSlab(value)
+	if err != nil {
+		return nil, err
+	}
+	// A float slab's raw bytes are its values' 4 bytes each.
+	tc.Charge("Convert", env.Cfg.Cost.BinConvertPerMB*env.scaleMB(len(g.vals)*4))
+	return g, nil
+}
+
+// RunSciHadoop is Table I's fourth row: no conversion, a parallel copy of
+// the whole files, parallel processing.
+func RunSciHadoop(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
+	return sciHadoop.Run(p, env, wl)
 }
 
 // SciDPOptions tunes the SciDP pipeline (ablations).
@@ -363,126 +448,24 @@ type SciDPOptions struct {
 	Caches *ioengine.CacheSet
 }
 
-// RunSciDP is Table I's last row: no conversion, no copy — the Data
-// Mapper mirrors the netCDF files as virtual HDFS inodes (selected
-// variable only) and every map task's PFS Reader pulls its hyperslab
-// straight from the PFS, overlapping with other tasks' plotting.
+// RunSciDP is Table I's last row: no conversion, no copy, parallel
+// processing straight from the PFS.
 func RunSciDP(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
-	return RunSciDPWith(p, env, wl, SciDPOptions{})
+	return sciDP.Run(p, env, wl)
 }
 
 // RunSciDPWith is RunSciDP with explicit tuning.
 func RunSciDPWith(p *sim.Proc, env *Env, wl *Workload, opts SciDPOptions) (*Report, error) {
-	env.ensureOpen()
-	name := opts.Name
-	if name == "" {
-		name = "scidp"
-	}
-	if opts.Caches != nil {
-		opts.Caches.RegisterObs(env.Obs, obs.L("set", name))
-	}
-	rep := &Report{Solution: name}
-	start := p.Now()
-	rows := opts.RowsPerBlock
-	if rows == 0 {
-		rows = wl.Dataset.Spec.Levels // one task per (file, variable)
-	}
-	mapper := core.NewMapper(env.HDFS, env.Registry, "/"+name)
-	mapping, err := mapper.MapPath(p, env.Mount(env.BD.Node(0)), wl.Dataset.Spec.Dir, core.MapOptions{
-		Vars:         []string{wl.Var},
-		RowsPerBlock: rows,
-		// Mirror only the files this workload reads: a workload whose
-		// Dataset.Files is a window of the generated directory gets a
-		// window-sized job (the full list reproduces the full mirror).
-		Paths: wl.Dataset.Files,
-	})
-	if err != nil {
-		return nil, err
-	}
-	input := env.pfsInput(mapping.Root)
-	input.Cost = env.sciCost()
-	input.Engine = opts.Engine
-	input.Caches = opts.Caches
-	input.Tier = env.Tier
-	res, stats, err := runProcessing(p, env, wl, name, input,
-		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
-			return gridFromSlab(value)
-		})
-	if err != nil {
-		return nil, err
-	}
-	rep.ProcessSeconds = p.Now() - start
-	rep.TotalSeconds = rep.ProcessSeconds
-	fillReport(rep, env, res, stats, wl)
-	rep.LevelsPerTask = float64(rows)
-	return rep, nil
+	return sciDP.run(p, env, wl, opts)
 }
 
-// RunSciDPStaged is the no-overlap ablation of SciDP: a first map wave
-// reads every slab from the PFS (same selective reads, same slots), a
-// barrier, then a second wave plots from memory. The difference to
-// RunSciDP isolates the benefit of overlapping PFS reads with other
-// tasks' computation.
+// RunSciDPStaged is the no-overlap ablation of SciDP (see sciDPStaged).
 func RunSciDPStaged(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
-	env.ensureOpen()
-	rep := &Report{Solution: "scidp-staged"}
-	start := p.Now()
-	mapper := core.NewMapper(env.HDFS, env.Registry, "/scidp-staged")
-	mapping, err := mapper.MapPath(p, env.Mount(env.BD.Node(0)), wl.Dataset.Spec.Dir, core.MapOptions{
-		Vars:         []string{wl.Var},
-		RowsPerBlock: wl.Dataset.Spec.Levels,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Wave 1: read-only job materializing every slab (decompression
-	// charged here; conversion deferred to the compute wave).
-	input := env.pfsInput(mapping.Root)
-	input.Cost.DecompressPerRawMB = env.sciCost().DecompressPerRawMB
-	// Wave 2's input, in the order wave 1's tasks finished.
-	var staged mapreduce.StaticInput
-	readJob := env.job("scidp-staged-read")
-	readJob.Input = input
-	readJob.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
-		staged = append(staged, &mapreduce.Split{Label: key, Payload: value})
-		return nil
-	}
-	if _, err := readJob.Run(p); err != nil {
-		return nil, err
-	}
-	// Wave 2: compute from memory.
-	res, stats, err := runProcessing(p, env, wl, "scidp-staged", staged,
-		func(tc *mapreduce.TaskContext, key string, value any) (*grid, error) {
-			g, err := gridFromSlab(value)
-			if err != nil {
-				return nil, err
-			}
-			// A float slab's raw bytes are its values' 4 bytes each.
-			tc.Charge("Convert", env.Cfg.Cost.BinConvertPerMB*env.scaleMB(len(g.vals)*4))
-			return g, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	rep.ProcessSeconds = p.Now() - start
-	rep.TotalSeconds = rep.ProcessSeconds
-	fillReport(rep, env, res, stats, wl)
-	return rep, nil
+	return sciDPStaged.Run(p, env, wl)
 }
 
 // Runner is one solution's entry point.
 type Runner func(p *sim.Proc, env *Env, wl *Workload) (*Report, error)
-
-// All returns the five solutions in Table I order.
-func All() map[string]Runner {
-	return map[string]Runner{
-		"naive":          RunNaive,
-		"vanilla-hadoop": RunVanillaHadoop,
-		"porthadoop":     RunPortHadoop,
-		"scihadoop":      RunSciHadoop,
-		"scidp":          RunSciDP,
-	}
-}
 
 // DataPathRow is Table I's qualitative matrix.
 type DataPathRow struct {
@@ -497,13 +480,15 @@ type DataPathRow struct {
 	Processing string
 }
 
-// TableI returns the paper's Table I rows.
+// TableI returns the paper's Table I rows, read off the paths that run.
 func TableI() []DataPathRow {
-	return []DataPathRow{
-		{Solution: "Naive", Conversion: true, Copy: "Sequential", Processing: "Sequential"},
-		{Solution: "Vanilla Hadoop", Conversion: true, Copy: "Parallel", Processing: "Parallel"},
-		{Solution: "PortHadoop", Conversion: true, Copy: "No", Processing: "Parallel"},
-		{Solution: "SciHadoop", Conversion: false, Copy: "Parallel", Processing: "Parallel"},
-		{Solution: "SciDP", Conversion: false, Copy: "No", Processing: "Parallel"},
+	var rows []DataPathRow
+	for _, d := range All() {
+		row := DataPathRow{Solution: d.title, Conversion: d.convert, Copy: d.copy, Processing: "Parallel"}
+		if d.serial {
+			row.Processing = "Sequential"
+		}
+		rows = append(rows, row)
 	}
+	return rows
 }

@@ -123,8 +123,7 @@ func gridFromSlab(value any) (*grid, error) {
 
 // taskOutput is what processing one grid produces.
 type taskOutput struct {
-	images   [][]byte
-	levels   []int // global level index per image
+	imgs     []imgKV // one per level, in level order
 	analysis *rframe.Frame
 }
 
@@ -171,18 +170,17 @@ func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (
 	// collects them. The closures read the attempt's own grid and write
 	// their own slots, so an attempt that unwinds mid-charge just abandons
 	// them.
-	out.images = make([][]byte, g.levels)
-	out.levels = make([]int, g.levels)
+	out.imgs = make([]imgKV, g.levels)
 	errs := make([]error, g.levels)
 	futs := make([]*sim.Future, g.levels)
 	for l := range futs {
-		out.levels[l] = g.levelOrigin + l
+		out.imgs[l] = imgKV{t: g.t, level: g.levelOrigin + l}
 		opts := rframe.PlotOpts{
 			Width: env.Cfg.PlotRes, Height: env.Cfg.PlotRes,
-			Highlight: highlight[out.levels[l]],
+			Highlight: highlight[out.imgs[l].level],
 		}
 		futs[l] = tc.Proc().Compute(func() {
-			out.images[l], errs[l] = rframe.Image2D(g.level(l), g.ny, g.nx, opts)
+			out.imgs[l].png, errs[l] = rframe.Image2D(g.level(l), g.ny, g.nx, opts)
 		})
 	}
 	for range futs {
@@ -217,14 +215,8 @@ func gridFrame(g *grid, valueName string) (*rframe.Frame, error) {
 	return df, nil
 }
 
-// procStats tallies a processing job's outputs.
-type procStats struct {
-	images        int
-	animations    int
-	analysisBytes int64
-}
-
-// imgKV carries one plotted image through the shuffle.
+// imgKV is one plotted image: what a map task sends through the shuffle
+// and what storeTimestamp writes.
 type imgKV struct {
 	t, level int
 	png      []byte
@@ -233,11 +225,11 @@ type imgKV struct {
 // runProcessing executes the shared MapReduce processing job: decode each
 // record to a grid, process it, send images and analysis frames to the
 // reducers, which store everything on HDFS (the paper stores results via
-// rhdfs in the Reduce tasks).
+// rhdfs in the Reduce tasks). It adds what the job stored and its phase
+// means to rep.
 func runProcessing(p *sim.Proc, env *Env, wl *Workload, name string, input mapreduce.InputFormat,
-	decode func(tc *mapreduce.TaskContext, key string, value any) (*grid, error)) (*mapreduce.Result, *procStats, error) {
+	decode func(env *Env, wl *Workload, tc charger, key string, value any) (*grid, error), rep *Report) error {
 
-	stats := &procStats{}
 	outDir := "/results/" + name
 	job := env.job(name)
 	job.Input = input
@@ -253,7 +245,7 @@ func runProcessing(p *sim.Proc, env *Env, wl *Workload, name string, input mapre
 		return int64(len(kv.K)) + 16
 	}
 	job.Map = func(tc *mapreduce.TaskContext, key string, value any) error {
-		g, err := decode(tc, key, value)
+		g, err := decode(env, wl, tc, key, value)
 		if err != nil {
 			return err
 		}
@@ -261,8 +253,8 @@ func runProcessing(p *sim.Proc, env *Env, wl *Workload, name string, input mapre
 		if err != nil {
 			return err
 		}
-		for i, png := range out.images {
-			tc.Emit(fmt.Sprintf("img/%04d", g.t), imgKV{t: g.t, level: out.levels[i], png: png})
+		for _, img := range out.imgs {
+			tc.Emit(fmt.Sprintf("img/%04d", g.t), img)
 		}
 		if out.analysis != nil {
 			tc.Emit("top1pct", out.analysis)
@@ -275,78 +267,88 @@ func runProcessing(p *sim.Proc, env *Env, wl *Workload, name string, input mapre
 			for i, v := range values {
 				frames[i] = v.(*rframe.Frame)
 			}
-			combined, err := rframe.Concat(frames...)
-			if err != nil {
-				return err
-			}
-			sorted, err := combined.OrderBy("value", true)
-			if err != nil {
-				return err
-			}
-			text := sorted.WriteCSV()
-			stats.analysisBytes += int64(len(text))
-			return env.HDFS.WriteFile(tc.Proc(), tc.Node(), outDir+"/analysis/top1pct.csv", text)
+			return storeTop1Pct(env, tc, outDir, frames, rep)
 		}
-		// Animation frames: order by level and store.
-		imgs := make([]imgKV, 0, len(values))
-		for _, v := range values {
-			imgs = append(imgs, v.(imgKV))
+		imgs := make([]imgKV, len(values))
+		for i, v := range values {
+			imgs[i] = v.(imgKV)
 		}
-		slices.SortFunc(imgs, func(a, b imgKV) int { return cmp.Compare(a.level, b.level) })
-		// Anlys includes the animation phase (Table II): assemble this
-		// timestamp's level series into an animated GIF on HDFS. Fork before
-		// charge, join after: the GIF encodes on the data plane while the
-		// PNG writes below take their simulated time. The closure reads only
-		// the PNGs, which nobody writes to once stored, and writes only
-		// anim/animErr, so an attempt that returns on a PNG write error just
-		// abandons it.
-		var fut *sim.Future
-		var anim []byte
-		var animErr error
-		if wl.Analysis != AnalysisNone && len(imgs) > 1 {
-			frames := make([][]byte, len(imgs))
-			for i := range imgs {
-				frames[i] = imgs[i].png
-			}
-			fut = tc.Proc().Compute(func() { anim, animErr = rframe.AnimateGIF(frames, 20) })
-		}
-		for _, img := range imgs {
-			path := fmt.Sprintf("%s/img/t%04d_l%03d.png", outDir, img.t, img.level)
-			if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), path, img.png); err != nil {
-				return err
-			}
-			stats.images++
-		}
-		if fut != nil {
-			tc.Proc().Await(fut)
-			if animErr != nil {
-				return animErr
-			}
-			path := fmt.Sprintf("%s/anim/t%04d.gif", outDir, imgs[0].t)
-			if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), path, anim); err != nil {
-				return err
-			}
-			stats.animations++
-		}
-		return nil
+		return storeTimestamp(env, tc, wl, outDir, imgs, rep)
 	}
 	res, err := job.Run(p)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return res, stats, nil
+	rep.PhaseMeans = phaseMeans(res.PhaseMean)
+	return nil
 }
 
-// fillReport moves engine stats into the report.
-func fillReport(rep *Report, env *Env, res *mapreduce.Result, stats *procStats, wl *Workload) {
-	rep.PhaseMeans = map[string]float64{}
-	for _, name := range []string{"Read", "Convert", "Plot", "Analysis"} {
-		if v := res.PhaseMean(name); v > 0 {
-			rep.PhaseMeans[name] = v
+// storeTimestamp writes one timestamp's images under dir in level order
+// and, under Anlys, the animated GIF of the level series (Table II's
+// animation phase), counting each file it wrote in rep.
+func storeTimestamp(env *Env, tc charger, wl *Workload, dir string, imgs []imgKV, rep *Report) error {
+	slices.SortFunc(imgs, func(a, b imgKV) int { return cmp.Compare(a.level, b.level) })
+	// Fork before charge, join after: the GIF encodes on the data plane
+	// while the PNG writes below take their simulated time. The closure
+	// reads only the PNGs, which nobody writes to once stored, and writes
+	// only anim/animErr, so a caller that returns on a PNG write error
+	// just abandons it.
+	var fut *sim.Future
+	var anim []byte
+	var animErr error
+	if wl.Analysis != AnalysisNone && len(imgs) > 1 {
+		frames := make([][]byte, len(imgs))
+		for i := range imgs {
+			frames[i] = imgs[i].png
+		}
+		fut = tc.Proc().Compute(func() { anim, animErr = rframe.AnimateGIF(frames, 20) })
+	}
+	for _, img := range imgs {
+		path := fmt.Sprintf("%s/img/t%04d_l%03d.png", dir, img.t, img.level)
+		if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), path, img.png); err != nil {
+			return err
+		}
+		rep.Images++
+	}
+	if fut == nil {
+		return nil
+	}
+	tc.Proc().Await(fut)
+	if animErr != nil {
+		return animErr
+	}
+	path := fmt.Sprintf("%s/anim/t%04d.gif", dir, imgs[0].t)
+	if err := env.HDFS.WriteFile(tc.Proc(), tc.Node(), path, anim); err != nil {
+		return err
+	}
+	rep.Animations++
+	return nil
+}
+
+// storeTop1Pct writes every task's top 1 %, combined and sorted by value,
+// as one CSV under dir, counting its bytes in rep.
+func storeTop1Pct(env *Env, tc charger, dir string, frames []*rframe.Frame, rep *Report) error {
+	combined, err := rframe.Concat(frames...)
+	if err != nil {
+		return err
+	}
+	sorted, err := combined.OrderBy("value", true)
+	if err != nil {
+		return err
+	}
+	text := sorted.WriteCSV()
+	rep.AnalysisBytes += int64(len(text))
+	return env.HDFS.WriteFile(tc.Proc(), tc.Node(), dir+"/analysis/top1pct.csv", text)
+}
+
+// phaseMeans is Figure 7's per-task mean seconds of every phase a run
+// spent time in.
+func phaseMeans(mean func(phase string) float64) map[string]float64 {
+	m := map[string]float64{}
+	for _, phase := range []string{"Read", "Convert", "Plot", "Analysis"} {
+		if v := mean(phase); v > 0 {
+			m[phase] = v
 		}
 	}
-	rep.LevelsPerTask = float64(wl.Dataset.Spec.Levels)
-	rep.Images = stats.images
-	rep.Animations = stats.animations
-	rep.AnalysisBytes = stats.analysisBytes
+	return m
 }

@@ -72,8 +72,8 @@ func TestPlotForkSurvivesPreemptedAttempt(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					for i, png := range out.images {
-						tc.Emit(fmt.Sprintf("l%03d", out.levels[i]), png)
+					for _, img := range out.imgs {
+						tc.Emit(fmt.Sprintf("l%03d", img.level), img.png)
 					}
 					return nil
 				},

@@ -1,6 +1,7 @@
 package solutions
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -55,10 +56,9 @@ func TestAllSolutionsProduceSameImages(t *testing.T) {
 	mk := testSetup(t, 2, AnalysisNone)
 	var reports []*Report
 	var names []string
-	for name, run := range All() {
-		rep := runSolution(t, mk, run)
-		reports = append(reports, rep)
-		names = append(names, name)
+	for _, d := range All() {
+		reports = append(reports, runSolution(t, mk, d.Run))
+		names = append(names, d.Name())
 	}
 	want := 2 * 4 // timestamps x levels
 	for i, rep := range reports {
@@ -71,50 +71,63 @@ func TestAllSolutionsProduceSameImages(t *testing.T) {
 	}
 }
 
+// TestImageBytesIdenticalAcrossSolutions: every data path reconstructs
+// the exact same grids and stores the same results. Under each analysis
+// case, each path's /results/<name> tree has SciDP's file set, byte for
+// byte — the PNGs, the Anlys GIFs and the top-1 % CSV. The text paths
+// match too: formatCSV writes nine significant digits, which round-trips
+// every float32 exactly.
 func TestImageBytesIdenticalAcrossSolutions(t *testing.T) {
-	// Every data path must reconstruct the exact same grids: the PNGs in
-	// HDFS must be byte-identical between SciDP and SciHadoop (and the
-	// text paths, whose float formatting round-trips at 6 digits, must
-	// produce the same image dimensions at minimum).
-	mk := testSetup(t, 1, AnalysisNone)
-	grab := func(run Runner, name string) map[string][]byte {
-		env, wl, k := mk()
-		var err error
-		k.Go("driver", func(p *sim.Proc) {
-			_, err = run(p, env, wl)
-		})
-		k.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[string][]byte{}
-		k.Go("collect", func(p *sim.Proc) {
-			files, ferr := env.HDFS.Walk(p, "/results/"+name+"/img")
-			if ferr != nil {
-				t.Error(ferr)
-				return
-			}
-			for _, f := range files {
-				data, rerr := env.HDFS.ReadFile(p, env.BD.Node(0), f.Path)
-				if rerr != nil {
-					t.Error(rerr)
+	for _, analysis := range []AnalysisKind{AnalysisNone, AnalysisHighlight, AnalysisTop1Pct} {
+		mk := testSetup(t, 2, analysis)
+		trees := map[string]map[string][]byte{}
+		for _, d := range All() {
+			env, wl, k := mk()
+			var err error
+			k.Go("driver", func(p *sim.Proc) {
+				if _, err = d.Run(p, env, wl); err != nil {
 					return
 				}
-				// Strip the leading directory so keys align.
-				out[f.Path[len("/results/"+name):]] = data
+				dir := "/results/" + d.Name()
+				files, err := env.HDFS.Walk(p, dir)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tree := map[string][]byte{}
+				for _, f := range files {
+					if tree[f.Path[len(dir):]], err = env.HDFS.ReadFile(p, env.BD.Node(0), f.Path); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				trees[d.Name()] = tree
+			})
+			k.Run()
+			if err != nil {
+				t.Fatalf("%s, %v: %v", d.Name(), analysis, err)
 			}
-		})
-		k.Run()
-		return out
-	}
-	scidp := grab(RunSciDP, "scidp")
-	scihadoop := grab(RunSciHadoop, "scihadoop")
-	if len(scidp) != 4 || len(scihadoop) != 4 {
-		t.Fatalf("image counts: scidp=%d scihadoop=%d", len(scidp), len(scihadoop))
-	}
-	for k2, v := range scidp {
-		if string(scihadoop[k2]) != string(v) {
-			t.Fatalf("image %s differs between SciDP and SciHadoop", k2)
+		}
+		want := trees["scidp"]
+		files := 2 * 4 // timestamps x levels
+		if analysis != AnalysisNone {
+			files += 2 // one GIF per timestamp
+		}
+		if analysis == AnalysisTop1Pct {
+			files++ // analysis/top1pct.csv
+		}
+		if len(want) != files {
+			t.Fatalf("%v: scidp stored %d files, want %d", analysis, len(want), files)
+		}
+		for name, got := range trees {
+			if len(got) != len(want) {
+				t.Errorf("%v: %s stored %d files, scidp %d", analysis, name, len(got), len(want))
+			}
+			for f, data := range want {
+				if !bytes.Equal(got[f], data) {
+					t.Errorf("%v: %s's %s differs from scidp's", analysis, name, f)
+				}
+			}
 		}
 	}
 }
@@ -122,8 +135,8 @@ func TestImageBytesIdenticalAcrossSolutions(t *testing.T) {
 func TestSciDPFastestSciHadoopBeatsTextPaths(t *testing.T) {
 	mk := testSetup(t, 4, AnalysisNone)
 	totals := map[string]float64{}
-	for name, run := range All() {
-		totals[name] = runSolution(t, mk, run).TotalSeconds
+	for _, d := range All() {
+		totals[d.Name()] = runSolution(t, mk, d.Run).TotalSeconds
 	}
 	if totals["scidp"] >= totals["scihadoop"] {
 		t.Errorf("scidp (%v) should beat scihadoop (%v)", totals["scidp"], totals["scihadoop"])
@@ -139,32 +152,23 @@ func TestSciDPFastestSciHadoopBeatsTextPaths(t *testing.T) {
 	}
 }
 
+// TestDataPathProperties: each Table I row describes what its own path
+// does. A row that says the path converts must have it pay conversion and
+// produce text; a row that says it copies must have it move bytes onto
+// HDFS, and one that says it does not must have it move none.
 func TestDataPathProperties(t *testing.T) {
 	mk := testSetup(t, 2, AnalysisNone)
 	reps := map[string]*Report{}
-	for name, run := range All() {
-		reps[name] = runSolution(t, mk, run)
-	}
-	// Conversion: text paths pay it; netCDF-aware paths do not.
-	for _, name := range []string{"naive", "vanilla-hadoop", "porthadoop"} {
-		if reps[name].ConvertSeconds <= 0 || reps[name].TextBytes <= 0 {
-			t.Errorf("%s should require conversion: %+v", name, reps[name])
+	rows := TableI()
+	for i, d := range All() {
+		rep := runSolution(t, mk, d.Run)
+		reps[d.Name()] = rep
+		row := rows[i]
+		if converted := rep.ConvertSeconds > 0 && rep.TextBytes > 0; converted != row.Conversion {
+			t.Errorf("%s: row says conversion=%v, run converted=%v: %+v", row.Solution, row.Conversion, converted, rep)
 		}
-	}
-	for _, name := range []string{"scihadoop", "scidp"} {
-		if reps[name].ConvertSeconds != 0 || reps[name].TextBytes != 0 {
-			t.Errorf("%s should not convert: %+v", name, reps[name])
-		}
-	}
-	// Copy: PortHadoop and SciDP move no data.
-	for _, name := range []string{"porthadoop", "scidp"} {
-		if reps[name].CopySeconds != 0 || reps[name].CopiedBytes != 0 {
-			t.Errorf("%s should not copy: %+v", name, reps[name])
-		}
-	}
-	for _, name := range []string{"naive", "vanilla-hadoop", "scihadoop"} {
-		if reps[name].CopiedBytes <= 0 {
-			t.Errorf("%s should copy data: %+v", name, reps[name])
+		if noCopy := rep.CopiedBytes == 0 && rep.CopySeconds == 0; noCopy != (row.Copy == "No") {
+			t.Errorf("%s: row says copy=%q, run copied %d bytes in %vs", row.Solution, row.Copy, rep.CopiedBytes, rep.CopySeconds)
 		}
 	}
 	// SciHadoop copies whole files (all 6 vars): bigger than the one-var
@@ -180,16 +184,23 @@ func TestDataPathProperties(t *testing.T) {
 	}
 }
 
+// TestTableIMatrix: the rows read off the paths are the paper's Table I,
+// one per path in All()'s order.
 func TestTableIMatrix(t *testing.T) {
-	rows := TableI()
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
+	paper := []DataPathRow{
+		{Solution: "Naive", Conversion: true, Copy: "Sequential", Processing: "Sequential"},
+		{Solution: "Vanilla Hadoop", Conversion: true, Copy: "Parallel", Processing: "Parallel"},
+		{Solution: "PortHadoop", Conversion: true, Copy: "No", Processing: "Parallel"},
+		{Solution: "SciHadoop", Conversion: false, Copy: "Parallel", Processing: "Parallel"},
+		{Solution: "SciDP", Conversion: false, Copy: "No", Processing: "Parallel"},
 	}
-	if rows[4].Solution != "SciDP" || rows[4].Conversion || rows[4].Copy != "No" {
-		t.Fatalf("SciDP row = %+v", rows[4])
+	if rows := TableI(); !slices.Equal(rows, paper) {
+		t.Fatalf("TableI() = %+v, want the paper's %+v", rows, paper)
 	}
-	if !rows[0].Conversion || rows[0].Copy != "Sequential" {
-		t.Fatalf("Naive row = %+v", rows[0])
+	for i, d := range All() {
+		if d.title != paper[i].Solution {
+			t.Errorf("path %d is %q, row %q", i, d.title, paper[i].Solution)
+		}
 	}
 }
 
@@ -229,7 +240,7 @@ func TestSciDPRowsPerBlockAblation(t *testing.T) {
 func TestPerLevelDecomposition(t *testing.T) {
 	mk := testSetup(t, 2, AnalysisNone)
 	scidp := runSolution(t, mk, RunSciDP)
-	vanilla := runSolution(t, mk, RunVanillaHadoop)
+	vanilla := runSolution(t, mk, vanillaHadoop.Run)
 	levelScale := 50.0 / 4.0
 	// Figure 7: Convert dominates the text path; SciDP's convert is tiny.
 	if vanilla.PerLevel("Convert", levelScale) <= scidp.PerLevel("Convert", levelScale) {
@@ -300,9 +311,9 @@ func TestStagedReadWaveIsRetried(t *testing.T) {
 }
 
 // TestFlatBlockFailsTheRun: a non-scientific file beside the dataset
-// reaches a SciDP map as a flat block. The staged run maps the whole
-// directory and RunSciDP maps whatever Dataset.Files lists; either run
-// returns an error for the flat block instead of panicking on it.
+// reaches a SciDP map as a flat block. Both SciDP runs map whatever
+// Dataset.Files lists; either returns an error for the flat block instead
+// of panicking on it.
 func TestFlatBlockFailsTheRun(t *testing.T) {
 	mk := testSetup(t, 2, AnalysisNone)
 	for name, run := range map[string]Runner{"scidp": RunSciDP, "scidp-staged": RunSciDPStaged} {
@@ -362,9 +373,12 @@ func TestScaleOutReducesTime(t *testing.T) {
 func TestReportSummaryAndOrdering(t *testing.T) {
 	mk := testSetup(t, 2, AnalysisNone)
 	var lines []string
-	for name, run := range All() {
-		rep := runSolution(t, mk, run)
-		lines = append(lines, fmt.Sprintf("%s:%s", name, rep.Summary()))
+	for _, d := range All() {
+		rep := runSolution(t, mk, d.Run)
+		if rep.Solution != d.Name() {
+			t.Errorf("%s reports as %q", d.Name(), rep.Solution)
+		}
+		lines = append(lines, fmt.Sprintf("%s:%s", d.Name(), rep.Summary()))
 	}
 	sort.Strings(lines)
 	if len(lines) != 5 {

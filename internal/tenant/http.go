@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -63,10 +64,18 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
+// maxJobBody caps a POST /jobs body; a JobSpec is under 100 bytes.
+const maxJobBody = 1 << 20
+
 func (s *Server) postJob(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&spec); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, httpError{Error: err.Error()})
 		return
 	}
 	var job *Job

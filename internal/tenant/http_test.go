@@ -53,6 +53,18 @@ func TestHTTPControlAPI(t *testing.T) {
 	if resp, _ := post(`{"tenant":"alice","kind":"no-such","size":"small"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad kind -> %d, want 400", resp.StatusCode)
 	}
+	// A body past the cap is refused before it is decoded.
+	oversize := `{"tenant":"` + strings.Repeat("a", maxJobBody) + `","kind":"grep","size":"small"}`
+	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(oversize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var he httpError
+	json.NewDecoder(resp.Body).Decode(&he)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || he.Error == "" {
+		t.Errorf("oversize body -> %d %+v, want 413 with an error", resp.StatusCode, he)
+	}
 
 	resp, err = http.Get(ts.URL + "/tenants")
 	if err != nil {
