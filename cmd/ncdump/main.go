@@ -89,9 +89,14 @@ func dumpNetCDF(name string, r netcdf.ReaderAt, chunks, stats bool) {
 		fmt.Printf("\t\t%s:_Storage = raw %d B, stored %d B (%d chunks)\n",
 			v.Name, v.RawBytes(), v.StoredBytes(), len(v.Chunks))
 		if chunks {
+			g := v.Grid()
 			for i, c := range v.Chunks {
+				index, _ := g.Box(i) // the chunk's start, then its place in the grid
+				for d := range index {
+					index[d] /= g.Chunk[d]
+				}
 				fmt.Printf("\t\t  chunk %d: index=%v offset=%d stored=%d raw=%d",
-					i, c.Index, c.Offset, c.StoredSize, c.RawSize)
+					i, index, c.Offset, c.StoredSize, c.RawSize)
 				if stats {
 					fmt.Print(ncStats(c.Stats))
 				}
@@ -134,9 +139,11 @@ func dumpHDF5(name string, r scifmt.ReaderAt, chunks, stats bool) {
 			fmt.Printf("%s%s %s%v chunkRows=%d deflate=%d (%d chunks, raw %d B, stored %d B)\n",
 				indent, d.Type, d.Name, d.Shape, d.ChunkRows, d.Deflate, len(d.Chunks), d.RawBytes(), d.StoredBytes())
 			if chunks {
+				g := d.Grid()
 				for i, c := range d.Chunks {
+					start, extent := g.Box(i)
 					fmt.Printf("%s  chunk %d: rows [%d,+%d) offset=%d stored=%d",
-						indent, i, c.RowStart, c.Rows, c.Offset, c.StoredSize)
+						indent, i, start[0], extent[0], c.Offset, c.StoredSize)
 					if stats {
 						fmt.Print(ncStats(c.Stats))
 					}

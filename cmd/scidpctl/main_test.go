@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -80,5 +82,20 @@ func TestAnalyzeUnderChaosPlan(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), append(want, '\n')) {
 		t.Errorf("analyze -chaos -json - differs from bench.AnalyzeRun's report:\n  cli: %.200s\n  run: %.200s", got.Bytes(), want)
+	}
+
+	// A target the testbed lacks (24 OSTs, 4 DataNodes) is an error
+	// naming the rule before anything runs, not a panic in the kernel.
+	for _, bad := range []struct{ plan, want string }{
+		{`{"rules":[{"kind":"ost-outage","at":0.5,"until":2,"target":99}]}`, "rule 0 (ost-outage): target 99 outside the testbed's 24 OSTs"},
+		{`{"rules":[{"kind":"flaky-reads","at":0,"rate":0.1},{"kind":"dn-crash","at":1,"target":42}]}`, "rule 1 (dn-crash): target 42 outside the testbed's 4 DataNodes"},
+	} {
+		path := filepath.Join(t.TempDir(), "plan.json")
+		if err := os.WriteFile(path, []byte(bad.plan), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runAnalyze(io.Discard, []string{"-chaos", path}); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("analyze -chaos %s: %v; want an error containing %q", bad.plan, err, bad.want)
+		}
 	}
 }

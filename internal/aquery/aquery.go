@@ -27,7 +27,6 @@ const valueCol = "value"
 type Table struct {
 	ioengine.ChunkIndex
 	dims        []string
-	box         func(i int) (start, extent []int) // where chunk i lies in dims
 	cols        []rsql.ColumnInfo
 	metas       []rsql.ChunkMeta
 	needPayload bool
@@ -43,7 +42,7 @@ func NewNetCDF(f *netcdf.File, varName string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{ChunkIndex: f.ChunkIndex(v), box: v.ChunkBox, needPayload: true}
+	t := &Table{ChunkIndex: f.ChunkIndex(v), needPayload: true}
 	for _, d := range v.Dims {
 		if d.Name == valueCol || slices.Contains(t.dims, d.Name) {
 			return nil, fmt.Errorf("aquery: duplicate column %q", d.Name)
@@ -53,7 +52,7 @@ func NewNetCDF(f *netcdf.File, varName string) (*Table, error) {
 	}
 	t.cols = append(t.cols, rsql.ColumnInfo{Name: valueCol})
 	for i := 0; i < t.Len; i++ {
-		start, extent := t.box(i)
+		start, extent := t.Grid.Box(i)
 		bounds := map[string]rsql.Interval{}
 		for di, name := range t.dims {
 			bounds[name] = rsql.Interval{Lo: float64(start[di]), Hi: float64(start[di] + extent[di] - 1)}
@@ -118,7 +117,7 @@ func (t *Table) Announce(chunks []int) {
 // Read implements rsql.ArrayTable: the coordinate columns of chunk i,
 // computed from its box, and, unless projected out, its payload.
 func (t *Table) Read(i int) (rsql.Chunk, error) {
-	start, extent := t.box(i)
+	start, extent := t.Grid.Box(i)
 	c := &chunk{rows: ioengine.Volume(extent), cols: make(map[string]func(int) float64, len(t.dims)), typ: t.Type}
 	str := ioengine.Strides(extent)
 	for di, name := range t.dims {

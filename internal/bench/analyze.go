@@ -5,6 +5,7 @@ import (
 	"scidp/internal/ioengine"
 	"scidp/internal/obs"
 	"scidp/internal/obs/analyze"
+	"scidp/internal/pfs"
 	"scidp/internal/solutions"
 )
 
@@ -24,6 +25,10 @@ func AnalyzeRun(s Scale, timestamps int, plan *chaos.Plan, workers int, label st
 	cfg.Chaos = plan
 	cfg.Workers = workers
 	cfg.CacheTier = tier
+	pc := pfs.DefaultConfig()
+	if err := plan.CheckTargets(pc.OSSCount*pc.OSTsPerOSS, cfg.Nodes); err != nil {
+		return nil, nil, nil, err
+	}
 	rep, err := run(s, cfg, timestamps, solutions.AnalysisNone, solutions.RunSciDP)
 	if err != nil {
 		return nil, nil, nil, err

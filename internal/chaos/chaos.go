@@ -160,3 +160,20 @@ func (p *Plan) Validate() error {
 	}
 	return nil
 }
+
+// CheckTargets holds every targeted rule to the testbed it is to run on,
+// which Validate cannot see: an OST rule's target to its osts OSTs, a
+// dn-crash's to its dataNodes DataNodes. Run it before the plan is armed:
+// a target past the end would index out of range in a kernel callback.
+func (p *Plan) CheckTargets(osts, dataNodes int) error {
+	for i := 0; p != nil && i < len(p.Rules); i++ {
+		r, n, what := p.Rules[i], osts, "OSTs"
+		if r.Kind == KindDNCrash {
+			n, what = dataNodes, "DataNodes"
+		}
+		if (r.Kind == KindDNCrash || r.Kind == KindOSTDegrade || r.Kind == KindOSTOutage) && r.Target >= n {
+			return fmt.Errorf("chaos: rule %d (%s): target %d outside the testbed's %d %s", i, r.Kind, r.Target, n, what)
+		}
+	}
+	return nil
+}

@@ -198,12 +198,8 @@ func (m *Mapper) mapOne(p *sim.Proc, fc *FileClass, root string, opts MapOptions
 			continue
 		}
 		matched++
-		blocks, err := slabBlocks(fc, v, opts.RowsPerBlock)
-		if err != nil {
-			return nil, err
-		}
 		hdfsPath := path.Join(mf.HDFSPath, v.Path)
-		inode, err := m.HDFS.CreateVirtualFile(p, hdfsPath, blocks)
+		inode, err := m.HDFS.CreateVirtualFile(p, hdfsPath, slabBlocks(fc, v, opts.RowsPerBlock))
 		if err != nil {
 			return nil, err
 		}
@@ -242,58 +238,26 @@ func (m *Mapper) mapFlat(p *sim.Proc, fc *FileClass, hdfsPath string, opts MapOp
 }
 
 // slabBlocks partitions a variable along its leading dimension into dummy
-// blocks. With rowsPerBlock == 0 the partition follows the storage chunks
-// exactly (one block per chunk, the paper's default: "the first dummy
+// blocks of rowsPerBlock entries. With rowsPerBlock <= 0 the blocks follow
+// the storage chunks' leading extent (one block per chunk when chunks are
+// whole in the other dimensions, the paper's default: "the first dummy
 // block is created with the same size as the original chunk size").
-func slabBlocks(fc *FileClass, v *scifmt.VarEntry, rowsPerBlock int) ([]hdfs.VirtualBlockSpec, error) {
-	if len(v.Shape) == 0 {
-		return nil, fmt.Errorf("core: %s/%s has no shape", fc.Path, v.Path)
-	}
-	rows := v.Shape[0]
+func slabBlocks(fc *FileClass, v *scifmt.VarEntry, rowsPerBlock int) []hdfs.VirtualBlockSpec {
+	shape := v.Grid.Shape
+	rows := shape[0]
 	// Bytes stored per leading-dimension row, for block-size estimates.
 	storedPerRow := float64(v.StoredBytes) / float64(rows)
-
-	type span struct{ start, count int }
-	var spans []span
-	if rowsPerBlock > 0 {
-		for r := 0; r < rows; r += rowsPerBlock {
-			n := rowsPerBlock
-			if r+n > rows {
-				n = rows - r
-			}
-			spans = append(spans, span{r, n})
-		}
-	} else if len(v.Segments) > 0 {
-		// Chunk-aligned: group segments by leading-dim range (trailing
-		// dims of a chunk may split a row range into several segments;
-		// they share the same leading range for row-major chunk grids
-		// only when the chunk spans the trailing dims — otherwise fall
-		// back to per-segment spans merged by start row).
-		seen := map[int]int{} // start row -> span index
-		for _, seg := range v.Segments {
-			s0 := seg.Start[0]
-			n := seg.Extent[0]
-			if i, ok := seen[s0]; ok {
-				if spans[i].count < n {
-					spans[i].count = n
-				}
-				continue
-			}
-			seen[s0] = len(spans)
-			spans = append(spans, span{s0, n})
-		}
-	} else {
-		spans = append(spans, span{0, rows})
+	if rowsPerBlock <= 0 {
+		rowsPerBlock = v.Grid.Chunk[0]
 	}
-
-	blocks := make([]hdfs.VirtualBlockSpec, 0, len(spans))
-	for _, sp := range spans {
-		start := make([]int, len(v.Shape))
-		count := append([]int(nil), v.Shape...)
-		start[0] = sp.start
-		count[0] = sp.count
+	blocks := make([]hdfs.VirtualBlockSpec, 0, (rows+rowsPerBlock-1)/rowsPerBlock)
+	for r := 0; r < rows; r += rowsPerBlock {
+		start := make([]int, len(shape))
+		count := append([]int(nil), shape...)
+		start[0], count[0] = r, min(rowsPerBlock, rows-r)
+		size := int64(storedPerRow * float64(count[0]))
 		blocks = append(blocks, hdfs.VirtualBlockSpec{
-			Size: int64(storedPerRow * float64(sp.count)),
+			Size: size,
 			Source: &SlabSource{
 				PFSPath:     fc.Path,
 				Format:      fc.Format,
@@ -303,9 +267,9 @@ func slabBlocks(fc *FileClass, v *scifmt.VarEntry, rowsPerBlock int) ([]hdfs.Vir
 				DimNames:    v.DimNames,
 				Start:       start,
 				Count:       count,
-				StoredBytes: int64(storedPerRow * float64(sp.count)),
+				StoredBytes: size,
 			},
 		})
 	}
-	return blocks, nil
+	return blocks
 }

@@ -133,11 +133,11 @@ func TestHeaderMutationSweep(t *testing.T) {
 // TestPayloadMutationSweep is the sweep's leg over chunk payloads, read on
 // a four-worker data plane. It flips every stored byte of QR's three
 // deflated chunks in turn. A cached Bound decodes each miss eagerly, right
-// after its fetch. An uncached Bound defers the decode into ReadRows'
+// after its fetch. An uncached Bound defers the decode into ReadBox's
 // assembly closures, so the error surfaces at their join. Both reads must
 // give the same bytes or the same error text. With two chunks corrupt, the
 // first in read order decides the error. The source's bytes are cleared as
-// soon as ReadRows returns, which `make race` reports as a race if a
+// soon as ReadBox returns, which `make race` reports as a race if a
 // decode or copy were still running.
 func TestPayloadMutationSweep(t *testing.T) {
 	blob := smallFile(t, false)
@@ -282,7 +282,7 @@ func TestOpenRefusesInconsistentHeaders(t *testing.T) {
 		want string
 	}{
 		{"rank-0 dataset", rankZeroFile(), "array rank 0 outside [1,32]"},
-		// ReadRows sliced each chunk by its rows, whatever RawSize said.
+		// The row read sliced each chunk by its rows, whatever RawSize said.
 		{"raw size is not the box", patch(uint64(c1.RawSize), uint64(c1.RawSize+64)), "its box holds 128"},
 		// readAll sized its output by the shape.
 		{"dim longer than the index", patch(6, uint64(1<<40)), "dimension 0 has length 1099511627776"},

@@ -55,7 +55,7 @@ func runBound(t *testing.T, workers int, blob []byte, opts ioengine.Options, rea
 }
 
 // TestDeferredDecodeContract: a chunk miss the engine keeps no copy of
-// (an uncached Bound) decodes inside ReadRows' assembly closure instead of
+// (an uncached Bound) decodes inside ReadBox's assembly closure instead of
 // behind a join of its own. The bytes are the plain source's, and the read
 // ends at the same virtual instant after the same events as through a
 // cached Bound, whose misses still decode eagerly; it forks one data-plane
@@ -67,7 +67,7 @@ func TestDeferredDecodeContract(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return f.ReadRows(d, 1, 4) // rows 1–4 touch all three two-row chunks
+		return readRows(f, d, 1, 4) // rows 1–4 touch all three two-row chunks
 	}
 	plain, err := Open(netcdf.BytesReader(blob))
 	if err != nil {

@@ -66,16 +66,6 @@ func (t Type) String() string {
 	return typeNames[t]
 }
 
-// Chunk locates one stored chunk of a dataset.
-type Chunk struct {
-	// RowStart is the first leading-dimension index the chunk covers.
-	RowStart int
-	// Rows is how many leading-dimension entries it covers.
-	Rows int
-	// Chunk is the container's record: Offset, StoredSize, RawSize, Stats.
-	ioengine.Chunk
-}
-
 // Dataset is one array within a group.
 type Dataset struct {
 	// Name is the dataset's leaf name.
@@ -89,14 +79,15 @@ type Dataset struct {
 	ChunkRows int
 	// Deflate is the DEFLATE level (0 = stored).
 	Deflate int
-	// Chunks is the chunk index in row order.
-	Chunks []Chunk
+	// Chunks is the chunk index in row order: chunk i holds the box
+	// Grid().Box(i).
+	Chunks []ioengine.Chunk
 
 	data []byte // writer-side payload
 }
 
 // chunk returns the container's record of the i-th chunk.
-func (d *Dataset) chunk(i int) *ioengine.Chunk { return &d.Chunks[i].Chunk }
+func (d *Dataset) chunk(i int) *ioengine.Chunk { return &d.Chunks[i] }
 
 // NumElems returns the element count.
 func (d *Dataset) NumElems() int { return ioengine.Volume(d.Shape) }
@@ -113,19 +104,15 @@ func (d *Dataset) StoredBytes() int64 {
 	return s
 }
 
-// rowBytes returns the byte width of one leading-dimension entry.
-func (d *Dataset) rowBytes() int64 {
-	return int64(ioengine.Volume(d.Shape[1:])) * int64(d.Type.Size())
-}
-
-// ChunkBox returns the start coordinate and extent of the i-th chunk in
-// d.Chunks: a run of leading-dimension entries, whole in every other
-// dimension.
-func (d *Dataset) ChunkBox(i int) (start, extent []int) {
-	start = make([]int, len(d.Shape))
-	extent = slices.Clone(d.Shape)
-	start[0], extent[0] = d.Chunks[i].RowStart, d.Chunks[i].Rows
-	return start, extent
+// Grid returns the dataset's chunk geometry, built from its header:
+// chunks of ChunkRows leading-dimension entries (all of them when 0),
+// whole in every other dimension.
+func (d *Dataset) Grid() ioengine.Grid {
+	chunk := slices.Clone(d.Shape)
+	if d.ChunkRows != 0 {
+		chunk[0] = d.ChunkRows
+	}
+	return ioengine.Grid{Shape: d.Shape, Chunk: chunk}
 }
 
 // Group is a node of the hierarchy.
@@ -238,20 +225,20 @@ func (w *Writer) Bytes() ([]byte, error) {
 	// payload layout), then write the tree around the index records.
 	e := &ioengine.Encoder{NoStats: w.noStats}
 	for _, d := range datasetsDF(w.root) {
-		rows, per := d.Shape[0], d.ChunkRows
-		if per == 0 {
-			per = rows
-		}
-		rb := d.rowBytes()
+		g, es := d.Grid(), d.Type.Size()
 		e.Array()
 		d.Chunks = d.Chunks[:0]
-		for r := 0; r < rows; r += per {
-			n := min(per, rows-r)
-			c, err := e.Pack(d.Type.Elem(), d.Deflate, d.data[int64(r)*rb:int64(r+n)*rb])
+		// A chunk is whole in every dimension but the first, so the
+		// chunks lie end to end in the row-major payload.
+		for i, off := 0, 0; i < g.Len(); i++ {
+			_, extent := g.Box(i)
+			n := ioengine.Volume(extent) * es
+			c, err := e.Pack(d.Type.Elem(), d.Deflate, d.data[off:off+n])
 			if err != nil {
 				return nil, fmt.Errorf("hdf5lite: dataset %s: %w", d.Name, err)
 			}
-			d.Chunks = append(d.Chunks, Chunk{RowStart: r, Rows: n, Chunk: c})
+			d.Chunks = append(d.Chunks, c)
+			off += n
 		}
 	}
 	return dialect.Encode(e, func() error {
@@ -278,11 +265,14 @@ func encodeGroup(e *ioengine.Encoder, g *Group) {
 		e.U32(uint32(d.ChunkRows))
 		e.U8(uint8(d.Deflate))
 		e.U32(uint32(len(d.Chunks)))
+		g := d.Grid()
 		for i := range d.Chunks {
-			c := &d.Chunks[i]
-			e.Chunk(&c.Chunk)
-			e.U32(uint32(c.RowStart))
-			e.U32(uint32(c.Rows))
+			// Each index entry also records the chunk's leading-dimension
+			// range, which Open checks against the grid.
+			start, extent := g.Box(i)
+			e.Chunk(&d.Chunks[i])
+			e.U32(uint32(start[0]))
+			e.U32(uint32(extent[0]))
 		}
 	}
 	e.U32(uint32(len(g.Children)))
@@ -366,26 +356,23 @@ func decodeDataset(d *ioengine.Decoder) *Dataset {
 	}
 	ds.ChunkRows = int(d.U32())
 	ds.Deflate = int(d.U8())
-	ds.Chunks = make([]Chunk, d.Count(32))
+	ds.Chunks = make([]ioengine.Chunk, d.Count(32))
+	rows := make([][2]int, len(ds.Chunks)) // each entry's leading-dimension range: start, extent
 	for j := range ds.Chunks {
-		ds.Chunks[j] = Chunk{Chunk: d.Chunk(), RowStart: int(d.U32()), Rows: int(d.U32())}
+		ds.Chunks[j] = d.Chunk()
+		rows[j] = [2]int{int(d.U32()), int(d.U32())}
 	}
 	if d.Err() != nil {
 		return ds
 	}
-	// Chunking is along the leading dimension only: to the container a
-	// chunk shape of ChunkRows × the rest of the dataset.
-	layout := ioengine.Layout{Name: ds.Name, Type: ds.Type.Elem(), Shape: ds.Shape, Deflated: ds.Deflate > 0}
-	per := ds.Shape[0]
-	if ds.ChunkRows != 0 {
-		per = ds.ChunkRows
-		layout.ChunkShape = slices.Clone(ds.Shape)
-		layout.ChunkShape[0] = per
-	}
-	d.CheckArray(layout, len(ds.Chunks), ds.chunk)
-	for j, c := range ds.Chunks {
-		if r, n := j*per, min(per, ds.Shape[0]-j*per); d.Err() == nil && (c.RowStart != r || c.Rows != n) {
-			d.Failf("%s: chunk %d covers rows [%d,+%d), its place in the index says [%d,+%d)", ds.Name, j, c.RowStart, c.Rows, r, n)
+	g := ds.Grid()
+	d.CheckArray(ioengine.Layout{Name: ds.Name, Type: ds.Type.Elem(), Grid: g, Deflated: ds.Deflate > 0}, len(ds.Chunks), ds.chunk)
+	for j, r := range rows {
+		if d.Err() != nil {
+			break
+		}
+		if start, extent := g.Box(j); r != [2]int{start[0], extent[0]} {
+			d.Failf("%s: chunk %d covers rows [%d,+%d), its place in the index says [%d,+%d)", ds.Name, j, r[0], r[1], start[0], extent[0])
 		}
 	}
 	return ds
@@ -413,39 +400,9 @@ func (f *File) Find(path string) (*Dataset, error) {
 	return nil, fmt.Errorf("hdf5lite: empty path")
 }
 
-// ReadRows reads leading-dimension entries [start, start+count) of d,
-// touching only overlapping chunks, and returns raw little-endian bytes.
-func (f *File) ReadRows(d *Dataset, start, count int) ([]byte, error) {
-	if start < 0 || count <= 0 || start+count > d.Shape[0] {
-		return nil, fmt.Errorf("hdf5lite: rows [%d,+%d) outside [0,%d)", start, count, d.Shape[0])
-	}
-	rb := d.rowBytes()
-	out := make([]byte, int64(count)*rb)
-	// Read the overlapping chunks in order, the plan announced so a
-	// prefetching source overlaps their transfers. Row ranges of distinct
-	// chunks are disjoint, so each assembly copy runs on the data plane,
-	// its decode with it when the engine keeps no copy of the chunk.
-	var touched []int
-	for i, c := range d.Chunks {
-		if c.RowStart+c.Rows > start && c.RowStart < start+count {
-			touched = append(touched, i)
-		}
-	}
-	err := f.ChunkIndex(d).Scatter(touched, func(k int, raw []byte) {
-		c := d.Chunks[touched[k]]
-		lo := max(start, c.RowStart)
-		hi := min(start+count, c.RowStart+c.Rows)
-		copy(out[int64(lo-start)*rb:int64(hi-start)*rb], raw[int64(lo-c.RowStart)*rb:int64(hi-c.RowStart)*rb])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ChunkIndex returns the read side of d's chunk index: cached reads,
 // single-pass scans and readahead announcements by chunk number.
 func (f *File) ChunkIndex(d *Dataset) ioengine.ChunkIndex {
 	return ioengine.ChunkIndex{Src: f.r, Pkg: dialect.Name, Type: d.Type.Elem(), Deflated: d.Deflate > 0,
-		Len: len(d.Chunks), At: d.chunk}
+		Grid: d.Grid(), Len: len(d.Chunks), At: d.chunk}
 }

@@ -1,6 +1,7 @@
 package hdf5lite
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -82,7 +83,15 @@ func TestGroupTreeRoundtrip(t *testing.T) {
 }
 
 // readAll reads the full dataset payload.
-func readAll(f *File, d *Dataset) ([]byte, error) { return f.ReadRows(d, 0, d.Shape[0]) }
+func readAll(f *File, d *Dataset) ([]byte, error) { return readRows(f, d, 0, d.Shape[0]) }
+
+// readRows reads leading-dimension entries [start, start+count) of d,
+// whole in every other dimension.
+func readRows(f *File, d *Dataset, start, count int) ([]byte, error) {
+	from, n := make([]int, len(d.Shape)), slices.Clone(d.Shape)
+	from[0], n[0] = start, count
+	return f.ChunkIndex(d).ReadBox(from, n)
+}
 
 func TestReadAllRoundtrip(t *testing.T) {
 	blob, vals := sampleFile(t)
@@ -104,7 +113,7 @@ func TestReadRowsPartial(t *testing.T) {
 	blob, vals := sampleFile(t)
 	f, _ := Open(netcdf.BytesReader(blob))
 	d, _ := f.Find("model/physics/QR")
-	raw, err := f.ReadRows(d, 3, 2) // crosses the chunk boundary at row 4
+	raw, err := readRows(f, d, 3, 2) // crosses the chunk boundary at row 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +124,7 @@ func TestReadRowsPartial(t *testing.T) {
 			t.Fatalf("row slab elem %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if _, err := f.ReadRows(d, 5, 3); err == nil {
+	if _, err := readRows(f, d, 5, 3); err == nil {
 		t.Fatal("out-of-range rows should fail")
 	}
 }
@@ -218,7 +227,7 @@ func TestRowsRoundtripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		raw, err := file.ReadRows(d, start, count)
+		raw, err := readRows(file, d, start, count)
 		if err != nil {
 			return false
 		}
@@ -243,13 +252,13 @@ func TestChunkIndexDisagreesWithStream(t *testing.T) {
 	blob, _ := sampleFile(t)
 	for _, c := range []struct {
 		name   string
-		mutate func(ck *Chunk)
+		mutate func(ck *ioengine.Chunk)
 		want   string
 	}{
-		{"truncated stream", func(ck *Chunk) { ck.StoredSize /= 2 }, "hdf5lite: inflate: unexpected EOF"},
-		{"stream longer than declared", func(ck *Chunk) { ck.RawSize-- }, "hdf5lite: chunk raw size at least 128, want 127"},
-		{"stream shorter than declared", func(ck *Chunk) { ck.RawSize++ }, "hdf5lite: chunk raw size 128, want 129"},
-		{"absurd raw size", func(ck *Chunk) { ck.RawSize = 1 << 60 }, "impossible"},
+		{"truncated stream", func(ck *ioengine.Chunk) { ck.StoredSize /= 2 }, "hdf5lite: inflate: unexpected EOF"},
+		{"stream longer than declared", func(ck *ioengine.Chunk) { ck.RawSize-- }, "hdf5lite: chunk raw size at least 128, want 127"},
+		{"stream shorter than declared", func(ck *ioengine.Chunk) { ck.RawSize++ }, "hdf5lite: chunk raw size 128, want 129"},
+		{"absurd raw size", func(ck *ioengine.Chunk) { ck.RawSize = 1 << 60 }, "impossible"},
 	} {
 		f, err := Open(netcdf.BytesReader(blob))
 		if err != nil {
@@ -257,10 +266,10 @@ func TestChunkIndexDisagreesWithStream(t *testing.T) {
 		}
 		d := f.Root().Child("model").Child("physics").Dataset("QR")
 		c.mutate(&d.Chunks[1])
-		if _, err := f.ReadRows(d, 0, 2); err != nil {
+		if _, err := readRows(f, d, 0, 2); err != nil {
 			t.Errorf("%s: untouched chunk 0 failed: %v", c.name, err)
 		}
-		_, err = f.ReadRows(d, 2, 2)
+		_, err = readRows(f, d, 2, 2)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
 		}
@@ -269,7 +278,7 @@ func TestChunkIndexDisagreesWithStream(t *testing.T) {
 
 // TestOpenUnknownElementType: a dataset's element type is one byte of the
 // header, and Type.Size panics on a value it does not know — on the parent
-// a file with type 9 opened cleanly and ReadRows panicked. Open refuses it.
+// a file with type 9 opened cleanly and a row read panicked. Open refuses it.
 func TestOpenUnknownElementType(t *testing.T) {
 	blob, _ := sampleFile(t)
 	name := "\x02\x00\x00\x00QR" // the dataset's name; its type byte follows

@@ -53,12 +53,14 @@ func TestChunkStatsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := d.Grid()
 		for ci, c := range d.Chunks {
+			start, extent := g.Box(ci)
 			if c.Stats == nil {
 				t.Fatalf("%s chunk %d: no stats", path, ci)
 			}
 			want := ioengine.ChunkStats{Min: math.Inf(1), Max: math.Inf(-1)}
-			for i := c.RowStart * cols; i < (c.RowStart+c.Rows)*cols; i++ {
+			for i := start[0] * cols; i < (start[0]+extent[0])*cols; i++ {
 				want.Count++
 				v := at(i)
 				if math.IsNaN(v) {

@@ -156,6 +156,8 @@ type ChunkIndex struct {
 	Type Type
 	// Deflated says whether payloads are DEFLATE streams or stored raw.
 	Deflated bool
+	// Grid is where each chunk lies in the array.
+	Grid Grid
 	// Len is the number of chunks and At returns the i-th, 0 <= i < Len.
 	Len int
 	At  func(i int) *Chunk
@@ -281,6 +283,39 @@ func (x ChunkIndex) Scatter(chunks []int, consume func(k int, raw []byte)) error
 	}
 	Join(x.Src, futs...)
 	return firstError(errs, nil)
+}
+
+// ReadBox reads the box [start, start+count) of the array as row-major
+// bytes: the hyperslab read of every dialect (netCDF's nc_get_vara). Only
+// the chunks the box overlaps are read and decoded — the selective I/O
+// SciDP's dummy-block reads resolve to — announced first so a prefetching
+// source overlaps their transfers. Each chunk's share of the box is copied
+// into place on the data plane: the grid partitions the array, so no two
+// copies write the same bytes.
+func (x ChunkIndex) ReadBox(start, count []int) ([]byte, error) {
+	g := x.Grid
+	if err := g.check(start, count); err != nil {
+		return nil, chunkErrorf(x.Pkg, x.Name, "%w", err)
+	}
+	es := x.Type.Size()
+	out := make([]byte, Volume(count)*es)
+	touched := g.overlapping(start, count)
+	err := x.Scatter(touched, func(k int, raw []byte) {
+		cStart, cExtent := g.Box(touched[k])
+		rank := len(start)
+		b := make([]int, 3*rank)
+		src, dst, extent := b[:rank], b[rank:2*rank], b[2*rank:]
+		for d := range rank {
+			lo := max(start[d], cStart[d])
+			src[d], dst[d] = lo-cStart[d], lo-start[d]
+			extent[d] = min(start[d]+count[d], cStart[d]+cExtent[d]) - lo
+		}
+		CopyBox(out, count, dst, raw, cExtent, src, extent, es)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // firstError returns the first non-nil of errs, else err.

@@ -158,14 +158,13 @@ func (d *Decoder) Chunk() Chunk {
 }
 
 // Layout is what a header declares of one array's storage: its name (for
-// errors), its element type (Valid: the dialect checked), its extent and
-// its chunks' extent per dimension (ChunkShape nil: one chunk spanning the
-// array), and whether payloads are DEFLATE streams.
+// errors), its element type (Valid: the dialect checked), its chunk grid,
+// and whether payloads are DEFLATE streams.
 type Layout struct {
-	Name              string
-	Type              Type
-	Shape, ChunkShape []int
-	Deflated          bool
+	Name     string
+	Type     Type
+	Grid     Grid
+	Deflated bool
 }
 
 // rawBytes returns the byte size of an array, refusing a dimension below
@@ -206,25 +205,22 @@ func (d *Decoder) CheckArray(a Layout, n int, at func(i int) *Chunk) {
 	if d.err != nil {
 		return // what was decoded after a failure is zeroes, not a layout
 	}
-	if d.rawBytes(a.Name, a.Type, a.Shape); d.err != nil {
+	g := a.Grid
+	if d.rawBytes(a.Name, a.Type, g.Shape); d.err != nil {
 		return
 	}
-	cs := a.ChunkShape
-	if cs == nil {
-		cs = a.Shape
-	}
 	cells := 1
-	for i, dim := range a.Shape {
-		if cs[i] < 1 || cs[i] > dim {
-			d.Failf("%s: chunk extent %d outside [1,%d]", a.Name, cs[i], dim)
+	for i, dim := range g.Shape {
+		if g.Chunk[i] < 1 || g.Chunk[i] > dim {
+			d.Failf("%s: chunk extent %d outside [1,%d]", a.Name, g.Chunk[i], dim)
 			return
 		}
-		g := (dim + cs[i] - 1) / cs[i]
-		if g > n/cells { // cells*g > n: stop before the product can overflow
+		c := g.cells(i)
+		if c > n/cells { // cells*c > n: stop before the product can overflow
 			cells = n + 1
 			break
 		}
-		cells *= g
+		cells *= c
 	}
 	if cells != n {
 		d.Failf("%s: %d chunks in the index, the chunk grid has %d or more cells", a.Name, n, cells)
@@ -232,13 +228,8 @@ func (d *Decoder) CheckArray(a Layout, n int, at func(i int) *Chunk) {
 	}
 	es := int64(a.Type.Size())
 	for j := 0; j < n && d.err == nil; j++ {
-		// Chunk j's clamped box, from its row-major position in the grid.
-		box, rem := es, j
-		for i := len(cs) - 1; i >= 0; i-- {
-			g := (a.Shape[i] + cs[i] - 1) / cs[i]
-			box *= int64(min(cs[i], a.Shape[i]-rem%g*cs[i]))
-			rem /= g
-		}
+		box := es
+		g.box(j, func(_, _, extent int) { box *= int64(extent) })
 		c := at(j)
 		d.claim(a.Name, c.Offset, c.StoredSize)
 		switch {

@@ -64,7 +64,7 @@ func TestContainerRoundTrip(t *testing.T) {
 			got[i] = d.Chunk()
 		}
 		at := func(i int) *Chunk { return &got[i] }
-		d.CheckArray(Layout{Name: name, Type: Int32, Shape: []int{5, 4}, ChunkShape: []int{2, 4}, Deflated: deflate > 0}, len(got), at)
+		d.CheckArray(Layout{Name: name, Type: Int32, Grid: Grid{Shape: []int{5, 4}, Chunk: []int{2, 4}}, Deflated: deflate > 0}, len(got), at)
 		if !d.ZoneMaps() {
 			t.Fatal("no trailer")
 		}
@@ -140,7 +140,7 @@ func TestDecoderBoundsCounts(t *testing.T) {
 // of 2 × 4, so chunks 0 and 1 hold 32 bytes and chunk 2 holds 16.
 func TestCheckArray(t *testing.T) {
 	valid := func() (Layout, []Chunk) {
-		return Layout{Name: "A", Type: Int32, Shape: []int{5, 4}, ChunkShape: []int{2, 4}},
+		return Layout{Name: "A", Type: Int32, Grid: Grid{Shape: []int{5, 4}, Chunk: []int{2, 4}}},
 			[]Chunk{{Offset: 100, StoredSize: 32, RawSize: 32}, {Offset: 132, StoredSize: 32, RawSize: 32}, {Offset: 200, StoredSize: 16, RawSize: 16}}
 	}
 	for _, c := range []struct {
@@ -150,21 +150,21 @@ func TestCheckArray(t *testing.T) {
 	}{
 		{"as written", func(*Layout, *[]Chunk) {}, ""},
 		{"contiguous", func(a *Layout, cs *[]Chunk) {
-			a.ChunkShape, *cs = nil, []Chunk{{Offset: 900, StoredSize: 80, RawSize: 80}}
+			a.Grid.Chunk, *cs = a.Grid.Shape, []Chunk{{Offset: 900, StoredSize: 80, RawSize: 80}}
 		}, ""},
 		{"deflated to a few bytes", func(a *Layout, cs *[]Chunk) { a.Deflated, (*cs)[0].StoredSize = true, 1 }, ""},
-		{"zero dim", func(a *Layout, _ *[]Chunk) { a.Shape[1] = 0 }, "dimension 1 has length 0"},
-		{"volume beyond the file", func(a *Layout, _ *[]Chunk) { a.Shape[0] = 1 << 40 }, "dimension 0 has length 1099511627776 in a 1000-byte file"},
-		{"volume that overflows", func(a *Layout, _ *[]Chunk) { a.Shape = []int{1 << 31, 1 << 31, 1 << 31} }, "dimension 0 has length"},
-		{"zero chunk extent", func(a *Layout, _ *[]Chunk) { a.ChunkShape[0] = 0 }, "chunk extent 0 outside [1,5]"},
-		{"chunk extent past the dim", func(a *Layout, _ *[]Chunk) { a.ChunkShape[1] = 5 }, "chunk extent 5 outside [1,4]"},
+		{"zero dim", func(a *Layout, _ *[]Chunk) { a.Grid.Shape[1] = 0 }, "dimension 1 has length 0"},
+		{"volume beyond the file", func(a *Layout, _ *[]Chunk) { a.Grid.Shape[0] = 1 << 40 }, "dimension 0 has length 1099511627776 in a 1000-byte file"},
+		{"volume that overflows", func(a *Layout, _ *[]Chunk) { a.Grid.Shape = []int{1 << 31, 1 << 31, 1 << 31} }, "dimension 0 has length"},
+		{"zero chunk extent", func(a *Layout, _ *[]Chunk) { a.Grid.Chunk[0] = 0 }, "chunk extent 0 outside [1,5]"},
+		{"chunk extent past the dim", func(a *Layout, _ *[]Chunk) { a.Grid.Chunk[1] = 5 }, "chunk extent 5 outside [1,4]"},
 		{"fewer chunks than cells", func(_ *Layout, cs *[]Chunk) { *cs = (*cs)[:2] }, "2 chunks in the index, the chunk grid has 3"},
-		{"more chunks than cells", func(a *Layout, _ *[]Chunk) { a.ChunkShape[0] = 3 }, "3 chunks in the index, the chunk grid has 2"},
+		{"more chunks than cells", func(a *Layout, _ *[]Chunk) { a.Grid.Chunk[0] = 3 }, "3 chunks in the index, the chunk grid has 2"},
 		{"no chunks", func(_ *Layout, cs *[]Chunk) { *cs = nil }, "0 chunks in the index"},
 		{"raw size of a full chunk on the edge", func(_ *Layout, cs *[]Chunk) { (*cs)[2].RawSize = 32 }, "chunk 2 raw size 32, its box holds 16"},
 		{"stored is not raw", func(_ *Layout, cs *[]Chunk) { (*cs)[1].StoredSize = 31 }, "chunk 1 stores 31 bytes for 32 uncompressed"},
 		{"raw beyond DEFLATE's reach", func(a *Layout, cs *[]Chunk) {
-			a.Deflated, a.Shape[1], a.ChunkShape[1] = true, 4000, 4000
+			a.Deflated, a.Grid.Shape[1], a.Grid.Chunk[1] = true, 4000, 4000
 			*cs = []Chunk{{Offset: 100, StoredSize: 31, RawSize: 32000}, {Offset: 132, StoredSize: 32, RawSize: 32000}, {Offset: 200, StoredSize: 16, RawSize: 16000}}
 		}, "chunk 0 raw size 32000 impossible for 31 stored bytes"},
 		{"payload in the header", func(_ *Layout, cs *[]Chunk) { (*cs)[0].Offset = 99 }, "payload [99,+32) outside the unclaimed file [100,1000)"},

@@ -175,10 +175,10 @@ func TestOpenRefusesInconsistentHeaders(t *testing.T) {
 		blob []byte
 		want string
 	}{
-		// chunkGrid divided by it inside Open.
+		// The chunk grid divided by it inside Open.
 		{"zero chunk extent", patch(t, blob, 2, 0, varQR), "chunk extent 0 outside"},
 		{"chunk extent past its dim", patch(t, blob, 2, 7, varQR), "chunk extent 7 outside"},
-		// copyBox sliced the chunk by its box, whatever RawSize said.
+		// The box copy sliced the chunk by its box, whatever RawSize said.
 		{"raw size is not the box", patch(t, blob, uint64(chunk1.RawSize), uint64(chunk1.RawSize-4), varQR), "its box holds 280"},
 		// GetVar sized its output by the dims and indexed chunks the index lacks.
 		{"dim longer than the index", patch(t, blob, 6, 1<<33, varQR), "dimension 0 has length 8589934592"},

@@ -17,11 +17,7 @@
 // SciDP's File Explorer cheap relative to copying data.
 package netcdf
 
-import (
-	"slices"
-
-	"scidp/internal/ioengine"
-)
+import "scidp/internal/ioengine"
 
 // Magic is the 4-byte file signature.
 const Magic = "NCL1"
@@ -85,15 +81,6 @@ func Float64Attr(name string, v float64) Attr { return Attr{Name: name, Kind: At
 // Int64Attr builds an int64 attribute.
 func Int64Attr(name string, v int64) Attr { return Attr{Name: name, Kind: AttrInt64, I64: v} }
 
-// ChunkInfo locates one stored chunk of a variable.
-type ChunkInfo struct {
-	// Index is the chunk's coordinate in the chunk grid (row-major order
-	// matches the position in the variable's chunk list).
-	Index []int
-	// Chunk is the container's record: Offset, StoredSize, RawSize, Stats.
-	ioengine.Chunk
-}
-
 // ChunkStats is the write-time zone map of one stored chunk.
 type ChunkStats = ioengine.ChunkStats
 
@@ -112,12 +99,13 @@ type Var struct {
 	ChunkShape []int
 	// Deflate is the DEFLATE level (0 = stored uncompressed).
 	Deflate int
-	// Chunks is the chunk index in row-major chunk-grid order.
-	Chunks []ChunkInfo
+	// Chunks is the chunk index in row-major chunk-grid order: chunk i
+	// holds the box Grid().Box(i).
+	Chunks []ioengine.Chunk
 }
 
 // chunk returns the container's record of the i-th chunk.
-func (v *Var) chunk(i int) *ioengine.Chunk { return &v.Chunks[i].Chunk }
+func (v *Var) chunk(i int) *ioengine.Chunk { return &v.Chunks[i] }
 
 // Shape returns the dimension lengths.
 func (v *Var) Shape() []int {
@@ -149,40 +137,14 @@ func (v *Var) StoredBytes() int64 {
 	return s
 }
 
-// chunkShape returns the chunk extent per dimension: contiguous storage
-// is one chunk the shape of the variable.
-func (v *Var) chunkShape() []int {
-	if v.ChunkShape == nil {
-		return v.Shape()
-	}
-	return v.ChunkShape
-}
-
-// chunkGrid returns chunks-per-dimension counts for a variable.
-func (v *Var) chunkGrid() []int {
-	g, cs := v.Shape(), v.chunkShape()
-	for i := range g {
-		g[i] = (g[i] + cs[i] - 1) / cs[i]
+// Grid returns the variable's chunk geometry, built from its header:
+// contiguous storage is one chunk the shape of the variable.
+func (v *Var) Grid() ioengine.Grid {
+	g := ioengine.Grid{Shape: v.Shape(), Chunk: v.ChunkShape}
+	if g.Chunk == nil {
+		g.Chunk = g.Shape
 	}
 	return g
-}
-
-// chunkExtent returns the start coordinate of the chunk at grid index idx
-// and its clamped extent (edge chunks may be partial).
-func (v *Var) chunkExtent(idx []int) (start, extent []int) {
-	start, extent = v.Shape(), slices.Clone(v.chunkShape())
-	for i, dim := range start {
-		start[i] = idx[i] * extent[i]
-		extent[i] = min(extent[i], dim-start[i])
-	}
-	return start, extent
-}
-
-// ChunkBox returns the start coordinate and clamped extent of the i-th
-// chunk in v.Chunks — the geometry a planner needs to turn chunk position
-// into coordinate bounds without reading anything.
-func (v *Var) ChunkBox(i int) (start, extent []int) {
-	return v.chunkExtent(v.Chunks[i].Index)
 }
 
 // Array is an in-memory n-dimensional array: raw little-endian bytes plus

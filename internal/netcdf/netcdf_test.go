@@ -377,75 +377,6 @@ func TestArraySub(t *testing.T) {
 	}
 }
 
-// TestHyperslabMatchesNaive: for random shapes, chunkings, and slabs, the
-// chunked GetVara must agree with a naive index-by-index extraction.
-func TestHyperslabMatchesNaive(t *testing.T) {
-	type spec struct {
-		Shape [3]uint8
-		Chunk [3]uint8
-		Start [3]uint8
-		Count [3]uint8
-		Seed  int64
-		Defl  uint8
-	}
-	f := func(s spec) bool {
-		shape := make([]int, 3)
-		chunk := make([]int, 3)
-		start := make([]int, 3)
-		count := make([]int, 3)
-		for i := 0; i < 3; i++ {
-			shape[i] = int(s.Shape[i])%7 + 1
-			chunk[i] = int(s.Chunk[i])%shape[i] + 1
-			start[i] = int(s.Start[i]) % shape[i]
-			rem := shape[i] - start[i]
-			count[i] = int(s.Count[i])%rem + 1
-		}
-		rng := rand.New(rand.NewSource(s.Seed))
-		vals := make([]float32, shape[0]*shape[1]*shape[2])
-		for i := range vals {
-			vals[i] = rng.Float32()
-		}
-		w := NewWriter()
-		w.AddDim("z", shape[0])
-		w.AddDim("y", shape[1])
-		w.AddDim("x", shape[2])
-		if err := w.AddVar("v", Float32, []string{"z", "y", "x"},
-			Chunking{Shape: chunk, Deflate: int(s.Defl) % 3}); err != nil {
-			return false
-		}
-		w.PutVarFloat32("v", vals)
-		blob, err := w.Bytes()
-		if err != nil {
-			return false
-		}
-		file, err := Open(BytesReader(blob))
-		if err != nil {
-			return false
-		}
-		arr, err := file.GetVara("v", start, count)
-		if err != nil {
-			return false
-		}
-		got := arr.Float32s()
-		i := 0
-		for z := 0; z < count[0]; z++ {
-			for y := 0; y < count[1]; y++ {
-				for x := 0; x < count[2]; x++ {
-					want := vals[(z+start[0])*shape[1]*shape[2]+(y+start[1])*shape[2]+(x+start[2])]
-					if got[i] != want {
-						return false
-					}
-					i++
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestEncodeDecodeHeaderRoundtrip: metadata written is metadata read.
 func TestEncodeDecodeHeaderRoundtrip(t *testing.T) {
 	w := NewWriter()
@@ -475,8 +406,8 @@ func TestEncodeDecodeHeaderRoundtrip(t *testing.T) {
 	if len(v.Chunks) != 48 {
 		t.Fatalf("chunks = %d, want 48", len(v.Chunks))
 	}
-	if v.Chunks[5].Index[0] != 5 || v.Chunks[5].Index[1] != 0 {
-		t.Fatalf("chunk index = %v", v.Chunks[5].Index)
+	if start, extent := v.Grid().Box(5); start[0] != 5 || start[1] != 0 || extent[0] != 1 || extent[1] != 50 {
+		t.Fatalf("chunk 5 box = %v+%v", start, extent)
 	}
 }
 
@@ -607,13 +538,13 @@ func TestChunkIndexDisagreesWithStream(t *testing.T) {
 	blob, _ := buildFile(t, 2, 40, 40, 4)
 	for _, c := range []struct {
 		name   string
-		mutate func(ci *ChunkInfo)
+		mutate func(ci *ioengine.Chunk)
 		want   string
 	}{
-		{"truncated stream", func(ci *ChunkInfo) { ci.StoredSize /= 2 }, "netcdf: QR: inflate: unexpected EOF"},
-		{"stream longer than declared", func(ci *ChunkInfo) { ci.RawSize-- }, "netcdf: QR: chunk raw size at least 6400, want 6399"},
-		{"stream shorter than declared", func(ci *ChunkInfo) { ci.RawSize++ }, "netcdf: QR: chunk raw size 6400, want 6401"},
-		{"absurd raw size", func(ci *ChunkInfo) { ci.RawSize = 1 << 60 }, "impossible"},
+		{"truncated stream", func(ci *ioengine.Chunk) { ci.StoredSize /= 2 }, "netcdf: QR: inflate: unexpected EOF"},
+		{"stream longer than declared", func(ci *ioengine.Chunk) { ci.RawSize-- }, "netcdf: QR: chunk raw size at least 6400, want 6399"},
+		{"stream shorter than declared", func(ci *ioengine.Chunk) { ci.RawSize++ }, "netcdf: QR: chunk raw size 6400, want 6401"},
+		{"absurd raw size", func(ci *ioengine.Chunk) { ci.RawSize = 1 << 60 }, "impossible"},
 	} {
 		f, err := Open(BytesReader(blob))
 		if err != nil {

@@ -41,8 +41,10 @@ func nuwrfShaped(tb testing.TB) []byte {
 	return blob
 }
 
-// TestOpenSharesChunkSlabs: every chunk's Index is a view, with no spare
-// capacity, of one slab per variable (TestOpenAllocation counts them).
+// TestOpenSharesChunkSlabs: every variable's chunk index is one slab with
+// no spare capacity (TestOpenAllocation counts them), every chunk carries
+// its zone map, and the grid built from the header places chunk j at
+// level j, whole in the other two dimensions.
 func TestOpenSharesChunkSlabs(t *testing.T) {
 	f, err := Open(BytesReader(nuwrfShaped(t)))
 	if err != nil {
@@ -52,18 +54,14 @@ func TestOpenSharesChunkSlabs(t *testing.T) {
 		if len(v.Chunks) != 10 || cap(v.Chunks) != 10 {
 			t.Fatalf("%s: %d chunks in room for %d, want 10 in 10", v.Name, len(v.Chunks), cap(v.Chunks))
 		}
+		g := v.Grid()
 		for j, c := range v.Chunks {
-			if len(c.Index) != 3 || cap(c.Index) != 3 || c.Index[0] != j || c.Index[1] != 0 || c.Index[2] != 0 {
-				t.Fatalf("%s chunk %d: index %v (cap %d)", v.Name, j, c.Index, cap(c.Index))
+			if start, extent := g.Box(j); fmt.Sprint(start, extent) != fmt.Sprint([]int{j, 0, 0}, []int{1, 40, 40}) {
+				t.Fatalf("%s chunk %d: box %v+%v", v.Name, j, start, extent)
 			}
 			if c.Stats == nil || c.Stats.Count != 40*40 {
 				t.Fatalf("%s chunk %d: stats %+v", v.Name, j, c.Stats)
 			}
-		}
-		// Growing one chunk's index must not write into the next one's.
-		_ = append(v.Chunks[0].Index, 99)
-		if v.Chunks[1].Index[0] != 1 {
-			t.Fatalf("%s: appending to chunk 0's index overwrote chunk 1's", v.Name)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package netcdf
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"scidp/internal/ioengine"
 )
@@ -111,24 +112,11 @@ func decodeVar(d *ioengine.Decoder) *Var {
 		}
 	}
 	v.Deflate = int(d.U8())
-	v.Chunks = make([]ChunkInfo, d.Count(24))
+	v.Chunks = make([]ioengine.Chunk, d.Count(24))
 	for j := range v.Chunks {
-		v.Chunks[j].Chunk = d.Chunk()
+		v.Chunks[j] = d.Chunk()
 	}
-	d.CheckArray(ioengine.Layout{Name: v.Name, Type: v.Type, Shape: v.Shape(), ChunkShape: v.ChunkShape, Deflated: v.Deflate > 0},
-		len(v.Chunks), v.chunk)
-	if d.Err() != nil {
-		return v // the grid below divides by extents only a checked header has
-	}
-	// One slab for every chunk's Index.
-	rank := len(v.Dims)
-	grid, idx := v.chunkGrid(), zeros(rank)
-	indices := make([]int, 0, len(v.Chunks)*rank)
-	for j := range v.Chunks {
-		indices = append(indices, idx...)
-		v.Chunks[j].Index = indices[len(indices)-rank : len(indices) : len(indices)]
-		incIndex(idx, grid)
-	}
+	d.CheckArray(ioengine.Layout{Name: v.Name, Type: v.Type, Grid: v.Grid(), Deflated: v.Deflate > 0}, len(v.Chunks), v.chunk)
 	return v
 }
 
@@ -154,7 +142,7 @@ func (f *File) Var(name string) (*Var, error) {
 // single-pass scans and readahead announcements by chunk number.
 func (f *File) ChunkIndex(v *Var) ioengine.ChunkIndex {
 	return ioengine.ChunkIndex{Src: f.r, Pkg: dialect.Name, Name: v.Name, Type: v.Type, Deflated: v.Deflate > 0,
-		Len: len(v.Chunks), At: v.chunk}
+		Grid: v.Grid(), Len: len(v.Chunks), At: v.chunk}
 }
 
 // checkSlab holds the hyperslab [start, start+count) to v's shape.
@@ -182,46 +170,11 @@ func (f *File) GetVara(name string, start, count []int) (*Array, error) {
 	if err := v.checkSlab(start, count); err != nil {
 		return nil, err
 	}
-	es := v.Type.Size()
-	out := &Array{Type: v.Type, Shape: append([]int(nil), count...), Data: make([]byte, ioengine.Volume(count)*es)}
-
-	// The chunk-grid sub-range [lo, lo+span) overlapping the slab. Its
-	// chunks are enumerated up front so the read plan can be announced to
-	// the engine (a prefetching source overlaps the chunk transfers), then
-	// read and scattered in plan order.
-	rank, gstr, cs := len(count), ioengine.Strides(v.chunkGrid()), v.chunkShape()
-	lo, span := zeros(rank), zeros(rank)
-	for i := range lo {
-		lo[i] = start[i] / cs[i]
-		span[i] = (start[i]+count[i]-1)/cs[i] - lo[i] + 1
-	}
-	var touched []int
-	for idx := zeros(rank); ; {
-		touched = append(touched, dot(lo, gstr)+dot(idx, gstr))
-		if !incIndex(idx, span) {
-			break
-		}
-	}
-	// Chunks scatter into disjoint regions of out.Data (the chunk grid
-	// partitions index space), so each chunk's copyBox runs on the data
-	// plane, its decode with it when the engine keeps no copy of it.
-	err = f.ChunkIndex(v).Scatter(touched, func(k int, raw []byte) {
-		cStart, cExtent := v.ChunkBox(touched[k])
-		iStart, iExtent, ok := boxIntersect(start, count, cStart, cExtent)
-		if !ok {
-			return
-		}
-		srcStart, dstStart := zeros(rank), zeros(rank)
-		for i := range srcStart {
-			srcStart[i] = iStart[i] - cStart[i]
-			dstStart[i] = iStart[i] - start[i]
-		}
-		copyBox(out.Data, count, dstStart, raw, cExtent, srcStart, iExtent, es)
-	})
+	data, err := f.ChunkIndex(v).ReadBox(start, count)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &Array{Type: v.Type, Shape: slices.Clone(count), Data: data}, nil
 }
 
 // GetVar reads a whole variable.
@@ -230,5 +183,5 @@ func (f *File) GetVar(name string) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.GetVara(name, zeros(len(v.Dims)), v.Shape())
+	return f.GetVara(name, make([]int, len(v.Dims)), v.Shape())
 }

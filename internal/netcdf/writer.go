@@ -172,7 +172,7 @@ func (w *Writer) putVara(name string, t Type, start, count []int, raw []byte) er
 	if wv.data == nil {
 		wv.data = make([]byte, wv.v.RawBytes())
 	}
-	copyBox(wv.data, wv.v.Shape(), start, raw, count, zeros(len(count)), count, es)
+	ioengine.CopyBox(wv.data, wv.v.Shape(), start, raw, count, make([]int, len(count)), count, es)
 	return nil
 }
 
@@ -194,7 +194,7 @@ func (w *Writer) Bytes() ([]byte, error) {
 			if err != nil {
 				return nil, fmt.Errorf("netcdf: var %s: %w", v.Name, err)
 			}
-			v.Chunks = append(v.Chunks, ChunkInfo{Chunk: c})
+			v.Chunks = append(v.Chunks, c)
 		}
 	}
 	return dialect.Encode(e, func() error {
@@ -222,7 +222,7 @@ func (w *Writer) Bytes() ([]byte, error) {
 			e.U8(uint8(v.Deflate))
 			e.U32(uint32(len(v.Chunks)))
 			for i := range v.Chunks {
-				e.Chunk(&v.Chunks[i].Chunk)
+				e.Chunk(&v.Chunks[i])
 			}
 		}
 		return nil
@@ -258,25 +258,18 @@ func encodeAttrs(e *ioengine.Encoder, as []Attr) error {
 	return nil
 }
 
-// splitChunks slices a variable's raw payload into row-major chunk
-// payloads, clamping edge chunks.
+// splitChunks slices a variable's raw payload into its chunks' payloads,
+// in the grid's order.
 func splitChunks(v *Var, raw []byte) [][]byte {
 	if v.ChunkShape == nil {
 		return [][]byte{raw} // no copy: the one chunk is the payload
 	}
-	grid := v.chunkGrid()
-	out := make([][]byte, 0, ioengine.Volume(grid))
-	idx := make([]int, len(grid))
-	shape := v.Shape()
-	es := v.Type.Size()
-	for {
-		start, extent := v.chunkExtent(idx)
-		payload := make([]byte, ioengine.Volume(extent)*es)
-		copyBox(payload, extent, zeros(len(extent)), raw, shape, start, extent, es)
-		out = append(out, payload)
-		if !incIndex(idx, grid) {
-			break
-		}
+	g, es := v.Grid(), v.Type.Size()
+	out := make([][]byte, g.Len())
+	for i := range out {
+		start, extent := g.Box(i)
+		out[i] = make([]byte, ioengine.Volume(extent)*es)
+		ioengine.CopyBox(out[i], extent, make([]int, len(extent)), raw, g.Shape, start, extent, es)
 	}
 	return out
 }

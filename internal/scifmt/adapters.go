@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"scidp/internal/hdf5lite"
-	"scidp/internal/ioengine"
 	"scidp/internal/netcdf"
 )
 
@@ -45,14 +44,13 @@ func (netcdfFormat) Explore(r ReaderAt) (*Info, error) {
 			Path:        v.Name,
 			TypeName:    v.Type.String(),
 			ElemSize:    v.Type.Size(),
-			Shape:       v.Shape(),
+			Grid:        v.Grid(),
 			RawBytes:    v.RawBytes(),
 			StoredBytes: v.StoredBytes(),
 		}
 		for _, d := range v.Dims {
 			entry.DimNames = append(entry.DimNames, d.Name)
 		}
-		entry.Segments = segments(f.ChunkIndex(v), v.ChunkBox)
 		info.Vars = append(info.Vars, entry)
 	}
 	return info, nil
@@ -68,19 +66,6 @@ func (netcdfFormat) ReadSlab(r ReaderAt, varPath string, start, count []int) ([]
 		return nil, err
 	}
 	return arr.Data, nil
-}
-
-// segments lists a chunk index as the mapper's segments: each chunk's
-// place in the file from the container's record, its place in the array
-// from the format's geometry.
-func segments(x ioengine.ChunkIndex, box func(i int) (start, extent []int)) []Segment {
-	segs := make([]Segment, x.Len)
-	for i := range segs {
-		c := x.At(i)
-		start, extent := box(i)
-		segs[i] = Segment{Offset: c.Offset, StoredSize: c.StoredSize, RawSize: c.RawSize, Start: start, Extent: extent}
-	}
-	return segs
 }
 
 func attrString(a netcdf.Attr) string {
@@ -119,11 +104,10 @@ func (hdf5Format) Explore(r ReaderAt) (*Info, error) {
 				Path:        JoinPath(prefix, d.Name),
 				TypeName:    d.Type.String(),
 				ElemSize:    d.Type.Size(),
-				Shape:       append([]int(nil), d.Shape...),
+				Grid:        d.Grid(),
 				RawBytes:    d.RawBytes(),
 				StoredBytes: d.StoredBytes(),
 			}
-			entry.Segments = segments(f.ChunkIndex(d), d.ChunkBox)
 			info.Vars = append(info.Vars, entry)
 		}
 		for _, c := range g.Children {
@@ -143,15 +127,5 @@ func (hdf5Format) ReadSlab(r ReaderAt, varPath string, start, count []int) ([]by
 	if err != nil {
 		return nil, err
 	}
-	if len(start) != len(d.Shape) || len(count) != len(d.Shape) {
-		return nil, fmt.Errorf("scifmt/hdf5: slab rank %d != dataset rank %d", len(start), len(d.Shape))
-	}
-	// The hierarchical format chunks along the leading dimension only, so
-	// slabs must span the trailing dimensions fully.
-	for i := 1; i < len(d.Shape); i++ {
-		if start[i] != 0 || count[i] != d.Shape[i] {
-			return nil, fmt.Errorf("scifmt/hdf5: only leading-dimension slabs supported (dim %d: [%d,+%d) of %d)", i, start[i], count[i], d.Shape[i])
-		}
-	}
-	return f.ReadRows(d, start[0], count[0])
+	return f.ChunkIndex(d).ReadBox(start, count)
 }

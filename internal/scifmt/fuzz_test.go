@@ -11,7 +11,7 @@ import (
 // FuzzDetect drives the Sci-format Head Reader's whole front door over
 // arbitrary bytes, the way the File Explorer and the PFS Reader do: the
 // registry picks a format by magic, the format explores the header, and
-// the first variable's first segment is read back as a slab. Nothing
+// the first variable's first chunk is read back as a slab. Nothing
 // panics, nothing allocates out of proportion to the input, and a slab
 // that reads is exactly as long as the explorer said.
 func FuzzDetect(f *testing.F) {
@@ -40,16 +40,17 @@ func FuzzDetect(f *testing.F) {
 			return
 		}
 		v := info.Vars[0]
-		seg := v.Segments[0]
-		if uint64(seg.RawSize) > bound {
-			t.Fatalf("%s: %s's first segment declares %d raw bytes in a %d-byte file", format.Name(), v.Path, seg.RawSize, len(blob))
+		start, extent := v.Grid.Box(0)
+		rawSize := ioengine.Volume(extent) * v.ElemSize
+		if uint64(rawSize) > bound {
+			t.Fatalf("%s: %s's first chunk holds %d raw bytes in a %d-byte file", format.Name(), v.Path, rawSize, len(blob))
 		}
 		var raw []byte
-		if n := allocated(func() { raw, err = format.ReadSlab(src, v.Path, seg.Start, seg.Extent) }); n > 2*bound {
+		if n := allocated(func() { raw, err = format.ReadSlab(src, v.Path, start, extent) }); n > 2*bound {
 			t.Fatalf("%s: ReadSlab allocated %d from a %d-byte file", format.Name(), n, len(blob))
 		}
-		if err == nil && int64(len(raw)) != seg.RawSize {
-			t.Fatalf("%s: slab of %s is %d bytes, its segment says %d", format.Name(), v.Path, len(raw), seg.RawSize)
+		if err == nil && len(raw) != rawSize {
+			t.Fatalf("%s: slab of %s is %d bytes, its chunk holds %d", format.Name(), v.Path, len(raw), rawSize)
 		}
 	})
 }

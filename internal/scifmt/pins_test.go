@@ -14,9 +14,12 @@ import (
 
 // The byte-identity pins: one fixed input per dialect and layout, the
 // SHA-256 of what the writer emits for it and of what Explore says of
-// those bytes. The constants were recorded on 94b6f68, before the three
+// those bytes. The byte hashes were recorded on 94b6f68, before the three
 // formats shared one chunk container, so "file bytes do not move" is held
-// by `go test` and not only by `make identical`.
+// by `go test` and not only by `make identical`. The Info hashes were
+// re-recorded once, when VarEntry's Shape and per-chunk segment list
+// became its chunk Grid (every Grid.Box(i) equal to the segment's start
+// and extent).
 
 // pinVals is the payload every pinned file stores: n values with a fill
 // (NaN) every 11th, so the zone maps carry a Fill count.
@@ -151,13 +154,14 @@ func TestByteIdentityPins(t *testing.T) {
 	}
 }
 
-// recordedPins maps a pinned file to the SHA-256 of its bytes and of its
-// explored Info, as the parent of the chunk-container refactor wrote them.
+// recordedPins maps a pinned file to the SHA-256 of its bytes, as the
+// parent of the chunk-container refactor wrote them, and of its explored
+// Info.
 var recordedPins = map[string][2]string{
-	"netcdf/chunked+deflated+stats": {"6b038e4adb97331fda16d64daae9a3d10c1f04d0de3cbab969de406fa860b714", "f2bcf3f8ddcd7c563d987c0d32e413f6cfb772e4d50b975f23f71daf699410ea"},
-	"hdf5/chunked+deflated+stats":   {"b8ed696883bd1ce2a4257a5e53fb25281de9fba339ca2c561ce8e840be183c3e", "e70e9369a080d2dd13b02b09ee7c049c176128b3670c29248d25f23328842639"},
-	"netcdf/contiguous+stored":      {"268dddb8026ded6b710cadfdc28c8251b5213581d06229f3268b63ced113511e", "6e821fb477942d174fd26ece437ebaaa0927c1cdf8fc12b7c7f7d148ba2a621a"},
-	"hdf5/contiguous+stored":        {"8073d11aca73ec0b905a1d64f23a310421eb72b54550e206b51fde8938556f91", "5d0fda9d3454579160c9ce768f97a2a095290eaea414a5f8ffe50cce24e00081"},
-	"netcdf/legacy-no-stats":        {"584c92811acdfd228e5401b8cb8ba29ef399091f5cd3514d4b44d206c0479f48", "9c4ac1fb977de529ae100b7c0aea2b776f5542838fd1f12daf5e05d18f5eb876"},
-	"hdf5/legacy-no-stats":          {"f4dc7a21960e1ed0b2ebc0736c53c59b2df759306f485cf285461b0922ff3e4e", "171592eb668a433709a5af13960788013222726688c35e46792cf6aa6b96355e"},
+	"netcdf/chunked+deflated+stats": {"6b038e4adb97331fda16d64daae9a3d10c1f04d0de3cbab969de406fa860b714", "5c83a30fe0f9d9de437f2e8207e36ce330d3e6490474e7043cfe11587d711e1c"},
+	"hdf5/chunked+deflated+stats":   {"b8ed696883bd1ce2a4257a5e53fb25281de9fba339ca2c561ce8e840be183c3e", "20197a896c957200a106b3d4ba27029690f690022389b748022369ac6943e2ca"},
+	"netcdf/contiguous+stored":      {"268dddb8026ded6b710cadfdc28c8251b5213581d06229f3268b63ced113511e", "3b9d1068f3935124569035f1cc0e88397529d8194118b47af73c8b45160ce4df"},
+	"hdf5/contiguous+stored":        {"8073d11aca73ec0b905a1d64f23a310421eb72b54550e206b51fde8938556f91", "cf519a17c12d1e5198a4ec1febc2d76eb0b15c9bc16194bcfa37a9142c0eb431"},
+	"netcdf/legacy-no-stats":        {"584c92811acdfd228e5401b8cb8ba29ef399091f5cd3514d4b44d206c0479f48", "cd300019cde32ec53455a50c589d4433a24835cc39a58845265681f23549abf8"},
+	"hdf5/legacy-no-stats":          {"f4dc7a21960e1ed0b2ebc0736c53c59b2df759306f485cf285461b0922ff3e4e", "2d02c99f53d33c19ed7a72a23754dc0f0c87ec0e78104a33eb355a4c76faad30"},
 }

@@ -19,22 +19,6 @@ import (
 // cache/prefetch wrappers the caller bound.
 type ReaderAt = ioengine.Source
 
-// Segment locates one stored chunk of a variable within its file and the
-// array box it decodes to — the unit SciDP's Data Mapper turns into a
-// dummy HDFS block.
-type Segment struct {
-	// Offset is the chunk's absolute file offset.
-	Offset int64
-	// StoredSize is the on-disk (possibly compressed) payload length.
-	StoredSize int64
-	// RawSize is the decompressed payload length.
-	RawSize int64
-	// Start is the chunk origin in global array coordinates.
-	Start []int
-	// Extent is the chunk's (clamped) extent per dimension.
-	Extent []int
-}
-
 // VarEntry describes one mappable variable of a scientific file.
 type VarEntry struct {
 	// Path is the variable's slash-separated location within the file —
@@ -46,13 +30,13 @@ type VarEntry struct {
 	TypeName string
 	// ElemSize is the element width in bytes.
 	ElemSize int
-	// Shape is the variable extent per dimension.
-	Shape []int
-	// DimNames names the dimensions, parallel to Shape (may be empty for
-	// formats without named dimensions).
+	// DimNames names the dimensions, parallel to Grid.Shape (may be empty
+	// for formats without named dimensions).
 	DimNames []string
-	// Segments is the chunk index in storage order.
-	Segments []Segment
+	// Grid is the variable's extent per dimension and where each stored
+	// chunk lies in it: chunk i, the unit SciDP's Data Mapper turns into a
+	// dummy HDFS block, holds the box Grid.Box(i).
+	Grid ioengine.Grid
 	// RawBytes is the uncompressed variable payload size.
 	RawBytes int64
 	// StoredBytes is the on-disk payload size.

@@ -4,7 +4,8 @@
 # paper tables, the full Chrome trace and Prometheus text behind them, the
 # faults/query result JSON with their digests, the analysis report (fault
 # free, and under this tree's bundled chaos plan), the tenant replay, the
-# five examples' stdout (and the PNGs nuwrf-visualization exports), and
+# five examples' stdout (and the PNGs nuwrf-visualization exports), one
+# small ncgen file with its per-chunk `ncdump -s` listing, and
 # all five benchmark workloads' exact metrics, output digests and
 # sim.events — is generated from both trees and compared.
 # Every difference is printed — a PR that moves the trace on purpose still
@@ -26,7 +27,7 @@ git -C "$root" archive "$commit" | tar -x -C "$tmp/parent"
 artifacts() { # <tree> <out-dir>
 	local tree=$1 out=$2 bin=$2.bin
 	mkdir -p "$out" "$bin"
-	(cd "$tree" && go build -o "$bin/" ./cmd/scidp-bench ./cmd/scidpctl ./cmd/scidpd ./examples/...)
+	(cd "$tree" && go build -o "$bin/" ./cmd/scidp-bench ./cmd/scidpctl ./cmd/scidpd ./cmd/ncgen ./cmd/ncdump ./examples/...)
 	(cd "$tree" &&
 		"$bin/scidp-bench" -exp all -quick -explain -trace "$out/all.trace.json" -metrics "$out/all.prom" >"$out/all.txt" &&
 		"$bin/scidp-bench" -exp faults -json "$out/faults.json" >"$out/faults.txt" &&
@@ -39,6 +40,9 @@ artifacts() { # <tree> <out-dir>
 	done
 	# A relative -out, so the path it prints is the same on both sides.
 	(cd "$out" && "$bin/nuwrf-visualization" -out nuwrf-png >example-nuwrf-visualization.txt)
+	# The file's bytes and its header with every chunk's place and zone map.
+	(cd "$out" && "$bin/ncgen" -out ncgen -timestamps 1 -levels 3 -lat 8 -lon 8 -vars 3 >ncgen.txt &&
+		for f in ncgen/*; do "$bin/ncdump" -s "$f"; done >ncdump-s.txt)
 	# The query result records how long each run took on this machine.
 	sed -i '/"wall_secs"/d' "$out/query.json"
 	rm -rf "$bin"
