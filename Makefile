@@ -56,17 +56,19 @@ identical:
 	@test -n "$(PARENT)" || { echo "usage: make identical PARENT=<rev> [ARTIFACTS=<dir>]"; exit 2; }
 	bash scripts/identical.sh $(PARENT) $(ARTIFACTS)
 
-# pairs judges a wall-clock claim: N alternating paired runs of each
-# benchmark workload in WORKLOAD (one or several, space-separated), PARENT
-# (a git rev) against this tree. Per workload: each pair's
-# iter_wall_s_p50 / iter_cpu_s_p50, how many pairs this tree wins, each
-# side's quartiles and whether the claim rule (9 of 10 pairs, medians apart
-# by more than the parent's IQR) holds; then run.sh -compare over all.
+# pairs judges a claim: N alternating paired runs of each benchmark
+# workload in WORKLOAD (one or several, space-separated), PARENT (a git
+# rev) against this tree. Per workload: each pair's iter_wall_s_p50 /
+# iter_cpu_s_p50 and METRIC (the claimed end-to-end metric), how many pairs
+# this tree wins, each side's quartiles and whether the claim rule (9 of 10
+# pairs, medians apart by more than the parent's IQR) holds on METRIC;
+# then run.sh -compare over all.
 N ?= 10
 SECONDS ?= 10
+METRIC ?= iter_wall_s_p50
 pairs:
-	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo 'usage: make pairs PARENT=<rev> WORKLOAD="<w>..." [N=10] [SECONDS=10]'; exit 2; }
-	bash scripts/pairs.sh $(PARENT) "$(WORKLOAD)" $(N) $(SECONDS)
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo 'usage: make pairs PARENT=<rev> WORKLOAD="<w>..." [N=10] [SECONDS=10] [METRIC=iter_wall_s_p50]'; exit 2; }
+	bash scripts/pairs.sh $(PARENT) "$(WORKLOAD)" $(N) $(SECONDS) $(METRIC)
 
 # bench is the benchmark smoke test: every Benchmark* runs once with
 # allocation stats; a failing benchmark (b.Fatal/b.Error) fails the target.

@@ -200,7 +200,13 @@ func (c *Cluster) RemoteReadPath(src, dst *Node) []*sim.Resource {
 // NetPath is the chain for a memory-to-memory transfer between two nodes
 // of this cluster (no disk on either end).
 func (c *Cluster) NetPath(src, dst *Node) []*sim.Resource {
-	return []*sim.Resource{src.NIC, c.Fabric, dst.NIC}
+	return c.AppendNetPath(nil, src, dst)
+}
+
+// AppendNetPath appends NetPath(src, dst) to chain and returns the
+// extended chain, for a caller that packs several chains into one array.
+func (c *Cluster) AppendNetPath(chain []*sim.Resource, src, dst *Node) []*sim.Resource {
+	return append(chain, src.NIC, c.Fabric, dst.NIC)
 }
 
 // PeerPath is the locality-aware chain for a memory-to-memory peer

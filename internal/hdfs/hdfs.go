@@ -415,16 +415,24 @@ func (fs *FS) WriteFile(p *sim.Proc, client *cluster.Node, path string, data []b
 		fs.nextID++
 		b := &Block{ID: fs.nextID, Size: int64(len(chunk)), Replicas: reps, data: chunk}
 		// Replication pipeline: client -> r1 -> r2 -> ... Each hop is a
-		// leg of the parallel transfer (pipelining overlaps hops).
-		var parts []sim.Part
+		// leg of the parallel transfer (pipelining overlaps hops). Every
+		// hop's chain, the network path (if any) then the replica's disk,
+		// is a piece of one array; only a first replica on the client's
+		// own node has no network path.
+		parts := make([]sim.Part, 0, len(reps))
+		size := 4 * len(reps)
+		if reps[0].Node == client {
+			size -= 3
+		}
+		chains := make([]*sim.Resource, 0, size)
 		prev := client
 		for _, dn := range reps {
-			var chain []*sim.Resource
+			from := len(chains)
 			if dn.Node != prev {
-				chain = append(chain, fs.cluster.NetPath(prev, dn.Node)...)
+				chains = fs.cluster.AppendNetPath(chains, prev, dn.Node)
 			}
-			chain = append(chain, dn.Node.Disk)
-			parts = append(parts, sim.Part{Bytes: float64(len(chunk)), Res: chain})
+			chains = append(chains, dn.Node.Disk)
+			parts = append(parts, sim.Part{Bytes: float64(len(chunk)), Res: chains[from:len(chains):len(chains)]})
 			dn.Used += int64(len(chunk))
 			dn.BlockCount++
 			prev = dn.Node

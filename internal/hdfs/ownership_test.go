@@ -163,3 +163,29 @@ func BenchmarkHDFSWriteRead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWriteFilePipeline is one 8 MiB file of 1 MiB blocks written
+// from node 0 with three replicas on a four-node cluster: every block is
+// a three-hop replication pipeline, two of its hops across the fabric.
+// allocs/op counts what WriteFile builds per block and per hop.
+func BenchmarkWriteFilePipeline(b *testing.B) {
+	const blocks, size = 8, 1 << 20
+	data := make([]byte, blocks*size)
+	paths := make([]string, b.N)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/pipe/f%d", i)
+	}
+	k := sim.NewKernel()
+	cl := cluster.New(k, "bd", cluster.Config{Nodes: 4, SlotsPerNode: 2, DiskBW: 1e9, NICBW: 1e9, FabricBW: 1e10})
+	fs := New(k, cl, Config{BlockSize: size, Replication: 3, NNOpsPerSec: 1e9})
+	b.SetBytes(blocks * size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(k, func(p *sim.Proc) {
+		for _, path := range paths {
+			if err := fs.WriteFile(p, cl.Node(0), path, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

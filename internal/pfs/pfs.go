@@ -90,6 +90,7 @@ func (c Config) Scaled(factor float64) Config {
 // ost is one object storage target. The obs handles are nil until
 // FS.SetObs and therefore free to touch (nil-check fast path).
 type ost struct {
+	idx  int // position in FS.osts
 	disk *sim.Resource
 	oss  *ossNode
 
@@ -189,7 +190,7 @@ func New(k *sim.Kernel, cfg Config) *FS {
 		for j := 0; j < cfg.OSTsPerOSS; j++ {
 			d := sim.NewResource(fmt.Sprintf("pfs/ost-%d", i*cfg.OSTsPerOSS+j), cfg.OSTBW)
 			d.Latency = cfg.OSTLatency
-			fs.osts = append(fs.osts, &ost{disk: d, oss: oss, baseBW: cfg.OSTBW})
+			fs.osts = append(fs.osts, &ost{idx: len(fs.osts), disk: d, oss: oss, baseBW: cfg.OSTBW})
 		}
 	}
 	return fs
@@ -307,13 +308,14 @@ func (fs *FS) ostFor(f *File, stripeIdx int64) *ost {
 }
 
 // segments decomposes the byte range [off, off+n) of f into per-OST byte
-// totals, in OST order for determinism. The returned targets parallel
-// the parts, so callers can attribute each leg to its OST. With live
-// (the read path), stripe pieces landing on offline OSTs are returned as
-// merged missing byte ranges (file-absolute) instead of transfer legs, so
-// the caller can zero-fill and read around them; writes ignore OST state.
-func (fs *FS) segments(f *File, off, n int64, live bool) ([]sim.Part, []*ost, []ioengine.Range) {
-	perOST := map[*ost]float64{}
+// totals, in the order each OST is first reached, each part crossing the
+// client's chain for that OST. The returned targets parallel the parts,
+// so callers can attribute each leg to its OST. With live (the read
+// path), stripe pieces landing on offline OSTs are returned as merged
+// missing byte ranges (file-absolute) instead of transfer legs, so the
+// caller can zero-fill and read around them; writes ignore OST state.
+func (c *Client) segments(f *File, off, n int64, live bool) ([]sim.Part, []*ost, []ioengine.Range) {
+	var parts []sim.Part
 	var order []*ost
 	var missing []ioengine.Range
 	end := off + n
@@ -323,22 +325,41 @@ func (fs *FS) segments(f *File, off, n int64, live bool) ([]sim.Part, []*ost, []
 		if stripeEnd > end {
 			stripeEnd = end
 		}
-		o := fs.ostFor(f, idx)
+		o := c.fs.ostFor(f, idx)
 		if live && o.down {
 			missing = append(missing, ioengine.Range{Off: cur, Len: stripeEnd - cur})
+		} else if i := slices.Index(order, o); i >= 0 {
+			parts[i].Bytes += float64(stripeEnd - cur)
 		} else {
-			if _, seen := perOST[o]; !seen {
-				order = append(order, o)
+			if order == nil {
+				// Consecutive stripes land on distinct targets until the
+				// stripe count wraps.
+				targets := min((end-1)/f.StripeSize-idx+1, int64(f.StripeCount))
+				order = make([]*ost, 0, targets)
+				parts = make([]sim.Part, 0, targets)
 			}
-			perOST[o] += float64(stripeEnd - cur)
+			order = append(order, o)
+			parts = append(parts, sim.Part{Bytes: float64(stripeEnd - cur), Res: c.chain(o)})
 		}
 		cur = stripeEnd
 	}
-	parts := make([]sim.Part, 0, len(order))
-	for _, o := range order {
-		parts = append(parts, sim.Part{Bytes: perOST[o], Res: []*sim.Resource{o.disk, o.oss.nic, fs.fabric}})
-	}
 	return parts, order, ioengine.Merge(missing)
+}
+
+// chain is the resource chain of a transfer between the client and one
+// OST: the target's disk, its server's NIC, the storage fabric, then the
+// client path. It is built on the client's first transfer to the target
+// and shared by every later one.
+func (c *Client) chain(o *ost) []*sim.Resource {
+	if c.chains == nil {
+		c.chains = make([][]*sim.Resource, len(c.fs.osts))
+	}
+	ch := c.chains[o.idx]
+	if ch == nil {
+		ch = slices.Concat([]*sim.Resource{o.disk, o.oss.nic, c.fs.fabric}, c.path)
+		c.chains[o.idx] = ch
+	}
+	return ch
 }
 
 // transferStriped runs the striped parallel transfer for parts while
@@ -405,6 +426,9 @@ func (fs *FS) accessSpan(p *sim.Proc, name, path string, off, n int64) func() {
 type Client struct {
 	fs   *FS
 	path []*sim.Resource
+	// chains holds each OST's transfer chain by OST index, built on first
+	// use (see chain).
+	chains [][]*sim.Resource
 }
 
 // NewClient returns a client whose transfers additionally traverse
@@ -508,10 +532,7 @@ func (c *Client) ReadAtParts(p *sim.Proc, path string, off, n int64) ([]byte, []
 		}
 	}
 	done := c.fs.accessSpan(p, "pfs.ReadAt", path, off, n)
-	parts, osts, missing := c.fs.segments(f, off, n, true)
-	for i := range parts {
-		parts[i].Res = append(parts[i].Res, c.path...)
-	}
+	parts, osts, missing := c.segments(f, off, n, true)
 	c.fs.transferStriped(p, parts, osts, false)
 	done()
 	out := make([]byte, n)
@@ -557,10 +578,7 @@ func (c *Client) WriteAt(p *sim.Proc, path string, data []byte, off int64) error
 		f.data = append(f.data, make([]byte, end-f.Size())...)
 	}
 	done := c.fs.accessSpan(p, "pfs.WriteAt", path, off, int64(len(data)))
-	parts, osts, _ := c.fs.segments(f, off, int64(len(data)), false)
-	for i := range parts {
-		parts[i].Res = append(parts[i].Res, c.path...)
-	}
+	parts, osts, _ := c.segments(f, off, int64(len(data)), false)
 	c.fs.transferStriped(p, parts, osts, true)
 	done()
 	copy(f.data[off:end], data)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -245,9 +246,12 @@ func TestReaderAdapter(t *testing.T) {
 }
 
 // TestSegmentsCoverRange: for random layouts and ranges, the per-OST
-// segment sizes must sum exactly to the requested length.
+// segment sizes must sum exactly to the requested length, and each
+// target's total must be the stripe-order sum a map keyed by target
+// gives, in first-reached order.
 func TestSegmentsCoverRange(t *testing.T) {
 	fs := New(sim.NewKernel(), testConfig())
+	c := fs.NewClient()
 	f := func(stripeSize16 uint8, stripeCount8 uint8, off16, n16 uint16) bool {
 		stripeSize := int64(stripeSize16)%512 + 1
 		stripeCount := int(stripeCount8)%len(fs.osts) + 1
@@ -255,12 +259,27 @@ func TestSegmentsCoverRange(t *testing.T) {
 		n := int64(n16)%4096 + 1
 		file := &File{Path: "/q", StripeSize: stripeSize, StripeCount: stripeCount}
 		file.data = make([]byte, off+n)
+		perOST := map[*ost]float64{}
+		var order []*ost
+		for cur := off; cur < off+n; {
+			idx := cur / stripeSize
+			next := min((idx+1)*stripeSize, off+n)
+			o := fs.ostFor(file, idx)
+			if _, seen := perOST[o]; !seen {
+				order = append(order, o)
+			}
+			perOST[o] += float64(next - cur)
+			cur = next
+		}
 		var total float64
-		parts, osts, _ := fs.segments(file, off, n, false)
-		if len(parts) != len(osts) {
+		parts, osts, _ := c.segments(file, off, n, false)
+		if len(parts) != len(osts) || !slices.Equal(osts, order) {
 			return false
 		}
-		for _, part := range parts {
+		for i, part := range parts {
+			if part.Bytes != perOST[osts[i]] || part.Res[0] != osts[i].disk {
+				return false
+			}
 			total += part.Bytes
 		}
 		return total == float64(n)

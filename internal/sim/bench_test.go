@@ -88,3 +88,36 @@ func BenchmarkProcSpawn(b *testing.B) {
 	b.ResetTimer()
 	k.Run()
 }
+
+// BenchmarkTransferAll is the kernel's cost of a striped read: 32 readers,
+// each pulling 8-part reads off 16 latency-charging targets over one
+// shared fabric and its own NIC, until b.N reads have run. One op is one
+// read: its start event, its flows' rebalances and their completions.
+func BenchmarkTransferAll(b *testing.B) {
+	const readers, stripes, targets = 32, 8, 16
+	k := NewKernel()
+	fabric := NewResource("fabric", 2.5e9)
+	osts := make([]*Resource, targets)
+	for i := range osts {
+		osts[i] = NewResource("ost", 120e6)
+		osts[i].Latency = 0.004
+	}
+	left := b.N
+	for r := 0; r < readers; r++ {
+		nic := NewResource("nic", 1.25e9)
+		parts := make([]Part, stripes)
+		for s := range parts {
+			parts[s] = Part{Bytes: 1 << 17, Res: []*Resource{osts[(r+s)%targets], fabric, nic}}
+		}
+		k.Go("reader", func(p *Proc) {
+			for left > 0 {
+				left--
+				p.TransferAll(parts...)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(k.EventsProcessed())/float64(b.N), "events/op")
+}

@@ -14,8 +14,9 @@
 //
 // Scale: both hot structures are built for O(100k)-node sweeps. The event
 // queue is a by-value 4-ary heap (no per-event allocation: a process
-// wake-up is a *Proc in the event, only After's callers bring a closure;
-// no container/heap interface boxing). Fair-share is
+// wake-up is a *Proc in the event, a flow completion is known by its seq,
+// only After's callers bring a closure; no container/heap interface
+// boxing). Fair-share is
 // incremental: each resource caches its current per-flow share and an
 // index of the flows crossing it, each flow carries an absolute completion
 // deadline in an indexed heap, and a membership change re-rates only the
@@ -40,7 +41,8 @@ import (
 const epsBytes = 1e-6
 
 // event is a scheduled wake-up of proc or, when proc is nil, a callback;
-// stored by value in the queue.
+// stored by value in the queue. An event with neither is a flow
+// completion event, live only while its seq is Kernel.schedSeq.
 type event struct {
 	at   float64
 	seq  uint64
@@ -145,16 +147,20 @@ type Kernel struct {
 	// (deadline, id); Flow.hpos is the element's position + 1.
 	flowHeap []*Flow
 	flowSeq  uint64
-	// flowEpoch invalidates stale completion events; schedAt/schedValid
-	// dedupe re-scheduling when the earliest deadline is unchanged.
-	flowEpoch  uint64
-	schedAt    float64
-	schedValid bool
+	// schedSeq is the seq of the one live completion event (0 = none);
+	// any other completion event still queued is stale. schedAt is its
+	// time, so an unchanged earliest deadline keeps it.
+	schedSeq uint64
+	schedAt  float64
 	// activeRes tracks every resource with >= 1 flow (for RefreshRates
-	// and FairShareFull); dirtyRes and touched are reusable scratch.
+	// and FairShareFull); dirtyRes, touched, started, done and startAts
+	// are reusable scratch.
 	activeRes []*Resource
 	dirtyRes  []*Resource
 	touched   []*Flow
+	started   []*Flow
+	done      []*Flow
+	startAts  []float64
 	markSeq   uint64
 
 	failure   error // first process panic, re-raised by Run
@@ -234,7 +240,7 @@ func (k *Kernel) RefreshRates() {
 	for _, r := range k.activeRes {
 		k.markDirty(r)
 	}
-	k.rebalance(nil)
+	k.rebalance()
 }
 
 // Run executes events until the queue drains. It panics with the original
@@ -252,8 +258,11 @@ func (k *Kernel) Run() {
 		k.eventCount++
 		if e.proc != nil {
 			k.resume(e.proc)
-		} else {
+		} else if e.fn != nil {
 			e.fn()
+		} else if e.seq == k.schedSeq {
+			k.schedSeq = 0
+			k.completeFlows()
 		}
 		if k.failure != nil {
 			panic(k.failure)
@@ -476,8 +485,10 @@ type Flow struct {
 	// hpos is position+1 in Kernel.flowHeap (0 = not enqueued).
 	hpos int
 	// resIdx mirrors res: position of this flow inside each resource's
-	// flow index.
-	resIdx []int32
+	// flow index. It is a slice of resIdxBuf when the chain fits (a PFS
+	// stripe's chain has at most six resources).
+	resIdx    []int32
+	resIdxBuf [6]int32
 	// mark dedupes membership in Kernel.touched per rebalance.
 	mark uint64
 }
@@ -575,7 +586,11 @@ func (k *Kernel) markDirty(r *Resource) {
 // attach indexes f on each of its resources, bumping their active counts
 // and marking them dirty.
 func (k *Kernel) attach(f *Flow) {
-	f.resIdx = make([]int32, len(f.res))
+	if len(f.res) <= len(f.resIdxBuf) {
+		f.resIdx = f.resIdxBuf[:len(f.res)]
+	} else {
+		f.resIdx = make([]int32, len(f.res))
+	}
 	for i, r := range f.res {
 		if r.active == 0 {
 			r.aidx = len(k.activeRes) + 1
@@ -651,13 +666,17 @@ func (k *Kernel) reRate(f *Flow) {
 
 // rebalance is the single fair-share recomputation point: it refreshes
 // the shares of dirty resources, re-rates the affected flows (plus the
-// just-started one, which must be rated even when no share moved — a
+// just-started ones, which must be rated even when no share moved — a
 // PerFlowCap can hold a share constant across a membership change), and
 // (re)schedules the completion event for the earliest deadline.
 // In FairShareFull mode every active resource and every flow is visited
 // instead; the per-flow arithmetic is identical, so both modes produce
 // byte-identical simulations.
-func (k *Kernel) rebalance(started *Flow) {
+//
+// Several flows started at one instant share one rebalance (TransferAll):
+// pure starts only lower shares, so each flow ends at the rate, and
+// settles with the one dt > 0, that starting them one at a time gives.
+func (k *Kernel) rebalance(started ...*Flow) {
 	k.markSeq++
 	mark := k.markSeq
 	touched := k.touched[:0]
@@ -666,8 +685,11 @@ func (k *Kernel) rebalance(started *Flow) {
 			r.share = r.shareNow()
 		}
 		touched = append(touched, k.flowHeap...)
-		if started != nil && started.mark != mark && started.hpos == 0 {
-			touched = append(touched, started)
+		for _, f := range started {
+			if f.mark != mark && f.hpos == 0 {
+				f.mark = mark
+				touched = append(touched, f)
+			}
 		}
 	} else {
 		for _, r := range k.dirtyRes {
@@ -683,9 +705,11 @@ func (k *Kernel) rebalance(started *Flow) {
 				}
 			}
 		}
-		if started != nil && started.mark != mark {
-			started.mark = mark
-			touched = append(touched, started)
+		for _, f := range started {
+			if f.mark != mark {
+				f.mark = mark
+				touched = append(touched, f)
+			}
 		}
 	}
 	for _, r := range k.dirtyRes {
@@ -695,45 +719,36 @@ func (k *Kernel) rebalance(started *Flow) {
 	for _, f := range touched {
 		k.reRate(f)
 	}
+	clear(touched)
 	k.touched = touched[:0]
 	k.scheduleCompletion()
 }
 
 // scheduleCompletion arms (or re-arms) the completion event for the
 // earliest flow deadline. An unchanged earliest deadline keeps the
-// already-pending event; otherwise the epoch bump invalidates it and a
-// fresh event is scheduled.
+// already-pending event; otherwise a fresh event is queued and its seq
+// becomes the live one, which leaves the old event stale. The event
+// carries no closure: Run recognises it by its seq.
 func (k *Kernel) scheduleCompletion() {
 	if len(k.flowHeap) == 0 || math.IsInf(k.flowHeap[0].deadline, 1) {
 		// Nothing to complete (or all flows stalled on zero-capacity
 		// resources): cancel any pending completion.
-		if k.schedValid {
-			k.flowEpoch++
-			k.schedValid = false
-		}
+		k.schedSeq = 0
 		return
 	}
 	at := k.flowHeap[0].deadline
-	if k.schedValid && at == k.schedAt {
+	if k.schedSeq != 0 && at == k.schedAt {
 		return
 	}
-	k.flowEpoch++
 	k.schedAt = at
-	k.schedValid = true
-	epoch := k.flowEpoch
-	k.schedule(at, func() {
-		if epoch != k.flowEpoch {
-			return // superseded by a later membership change
-		}
-		k.schedValid = false
-		k.completeFlows()
-	})
+	k.enqueue(at, nil, nil)
+	k.schedSeq = k.seq
 }
 
 // completeFlows finishes every flow whose deadline has arrived, fires
 // completion callbacks in flow-start order, and rebalances the rest.
 func (k *Kernel) completeFlows() {
-	var done []*Flow
+	done := k.done[:0]
 	for len(k.flowHeap) > 0 && k.flowHeap[0].deadline <= k.now {
 		f := k.flowHeap[0]
 		k.heapRemove(f)
@@ -752,10 +767,12 @@ func (k *Kernel) completeFlows() {
 		k.traceFlowEnd(f)
 		f.span.End()
 	}
-	k.rebalance(nil)
+	k.rebalance()
 	for _, f := range done {
 		k.flowDone(f)
 	}
+	clear(done)
+	k.done = done[:0]
 }
 
 // flowDone tells whoever started f that it has drained.
@@ -773,14 +790,26 @@ func (k *Kernel) flowDone(f *Flow) {
 // negative sizes complete immediately (still asynchronously). StartFlow
 // does not charge resource Latency; Proc.Transfer does.
 func (k *Kernel) StartFlow(bytes float64, onDone func(), res ...*Resource) *Flow {
-	return k.startFlow(bytes, onDone, nil, nil, res...)
+	return k.startFlow(bytes, onDone, nil, nil, res)
 }
 
 // startFlow is StartFlow plus a process to resume on completion and span
-// parentage: when a registry is attached and the starting process has a
-// current span, the flow records a child "flow" span carrying its id,
-// size, and resource chain.
-func (k *Kernel) startFlow(bytes float64, onDone func(), waiter *Proc, parent *obs.Span, res ...*Resource) *Flow {
+// parentage (see openFlow), rated at once.
+func (k *Kernel) startFlow(bytes float64, onDone func(), waiter *Proc, parent *obs.Span, res []*Resource) *Flow {
+	f, live := k.openFlow(bytes, onDone, waiter, parent, res)
+	if live {
+		k.rebalance(f)
+	}
+	return f
+}
+
+// openFlow creates a flow and its trace entry and attaches it to its
+// resources without rating it: live reports that the caller owes it a
+// rebalance. A size at or under epsBytes is not attached; it completes by
+// an event at the current instant instead. When a registry is attached
+// and parent is set, the flow records a child "flow" span carrying its
+// id, size, and resource chain.
+func (k *Kernel) openFlow(bytes float64, onDone func(), waiter *Proc, parent *obs.Span, res []*Resource) (*Flow, bool) {
 	k.flowSeq++
 	f := &Flow{id: k.flowSeq, total: bytes, remaining: bytes, res: res, onDone: onDone, waiter: waiter}
 	if k.obs != nil && parent != nil {
@@ -796,26 +825,31 @@ func (k *Kernel) startFlow(bytes float64, onDone func(), waiter *Proc, parent *o
 			f.span.End()
 			k.flowDone(f)
 		})
-		return f
+		return f, false
 	}
 	f.settledAt = k.now
 	k.attach(f)
-	k.rebalance(f)
-	return f
+	return f, true
+}
+
+// latency is the fixed setup delay of a resource chain: the sum of its
+// resources' Latency fields.
+func latency(res []*Resource) float64 {
+	lat := 0.0
+	for _, r := range res {
+		lat += r.Latency
+	}
+	return lat
 }
 
 // Transfer moves bytes across the given resources, blocking the process in
 // virtual time until the flow drains. The sum of the resources' Latency
 // fields is charged first as a fixed delay.
 func (p *Proc) Transfer(bytes float64, res ...*Resource) {
-	lat := 0.0
-	for _, r := range res {
-		lat += r.Latency
-	}
-	if lat > 0 {
+	if lat := latency(res); lat > 0 {
 		p.Sleep(lat)
 	}
-	p.k.startFlow(bytes, nil, p, p.span, res...)
+	p.k.startFlow(bytes, nil, p, p.span, res)
 	p.pause()
 }
 
@@ -830,31 +864,62 @@ type Part struct {
 // TransferAll starts every part concurrently and blocks until all of them
 // complete — the shape of a striped PFS read, where one client pulls
 // segments from many OSTs at once. Each part individually charges its
-// resources' latency before its flow starts.
+// resources' latency before its flow starts. Parts due at the same
+// instant start together and are rated in one rebalance: the parts with
+// no latency at once, the others in one kernel event per distinct start
+// instant, queued in the order of each instant's first part. Parts and
+// their chains must not change until TransferAll returns.
 func (p *Proc) TransferAll(parts ...Part) {
 	if len(parts) == 0 {
 		return
 	}
+	k := p.k
 	remaining := len(parts)
 	finish := func() {
 		remaining--
 		if remaining == 0 {
-			p.k.resume(p)
+			k.resume(p)
 		}
 	}
-	parent := p.span
-	for _, pt := range parts {
-		pt := pt
-		lat := 0.0
-		for _, r := range pt.Res {
-			lat += r.Latency
-		}
-		start := func() { p.k.startFlow(pt.Bytes, finish, nil, parent, pt.Res...) }
-		if lat > 0 {
-			p.k.After(lat, start)
-		} else {
-			start()
+	parent, t0 := p.span, k.now
+	started, ats := k.started[:0], k.startAts[:0]
+	for i, pt := range parts {
+		lat := latency(pt.Res)
+		if lat <= 0 {
+			started = k.openPart(started, pt, finish, parent)
+		} else if at := t0 + lat; !slices.Contains(ats, at) {
+			ats = append(ats, at)
+			group := parts[i:]
+			k.schedule(at, func() {
+				started := k.started[:0]
+				for _, pt := range group {
+					if lat := latency(pt.Res); lat > 0 && t0+lat == at {
+						started = k.openPart(started, pt, finish, parent)
+					}
+				}
+				k.rateStarted(started)
+			})
 		}
 	}
+	k.startAts = ats[:0]
+	k.rateStarted(started)
 	p.pause()
+}
+
+// openPart opens pt's flow and appends it to started when it needs rating.
+func (k *Kernel) openPart(started []*Flow, pt Part, finish func(), parent *obs.Span) []*Flow {
+	if f, live := k.openFlow(pt.Bytes, finish, nil, parent, pt.Res); live {
+		started = append(started, f)
+	}
+	return started
+}
+
+// rateStarted rates the flows just opened in one rebalance and hands the
+// list back as scratch.
+func (k *Kernel) rateStarted(started []*Flow) {
+	if len(started) > 0 {
+		k.rebalance(started...)
+	}
+	clear(started)
+	k.started = started[:0]
 }

@@ -179,6 +179,8 @@ type Env struct {
 
 	// pool is the data-plane worker pool (nil when Workers <= 0).
 	pool *sim.ComputePool
+	// mounts holds each BD node's PFS mount, made on first use.
+	mounts map[*cluster.Node]*pfs.Client
 	// closed records Close: run entry points refuse a closed env.
 	closed bool
 }
@@ -333,10 +335,18 @@ func (e *Env) ExportSimMetrics() {
 	}
 }
 
-// Mount returns a Hadoop node's PFS client: transfers cross the
+// Mount returns a Hadoop node's PFS client, one per node: transfers cross the
 // interlink and the node's NIC.
 func (e *Env) Mount(n *cluster.Node) *pfs.Client {
-	return e.PFS.NewClient(e.IL.Link, n.NIC)
+	c := e.mounts[n]
+	if c == nil {
+		c = e.PFS.NewClient(e.IL.Link, n.NIC)
+		if e.mounts == nil {
+			e.mounts = map[*cluster.Node]*pfs.Client{}
+		}
+		e.mounts[n] = c
+	}
+	return c
 }
 
 // scaleMB converts actual bytes to logical MB for cost charging.

@@ -1,27 +1,42 @@
 #!/usr/bin/env bash
-# pairs.sh <parent-rev> "<workload>..." [n] [seconds]: n alternating paired
-# runs of each named benchmark workload, <parent-rev> against this working
-# tree (uncommitted edits included), seeds 1..n. The parent is archived into
-# a temp dir as identical.sh does; each side's benchmark binary is built
-# once for all the workloads (run.sh rebuilds per run); both sides' out/
-# directories are emptied first, so no earlier run leaks into the medians;
-# odd seeds run the parent first, even seeds this tree. For each workload
-# it prints a verdict block: every pair's iter_wall_s_p50 and
-# iter_cpu_s_p50, how many pairs this tree wins on each, each side's
-# quartiles and IQR, and one line saying whether the claim rule holds on
-# iter_wall_s_p50 (this tree wins at least 9 of every 10 pairs and its
-# median is lower than the parent's by more than the parent's IQR). Last
-# comes one `run.sh -compare` over every workload, whose exit status it
-# returns. Run via `make pairs PARENT=<rev> WORKLOAD="<w>..." [N=10]
-# [SECONDS=10]`.
+# pairs.sh <parent-rev> "<workload>..." [n] [seconds] [metric]: n
+# alternating paired runs of each named benchmark workload, <parent-rev>
+# against this working tree (uncommitted edits included), seeds 1..n. The
+# parent is archived into a temp dir as identical.sh does; each side's
+# benchmark binary is built once for all the workloads (run.sh rebuilds per
+# run); both sides' out/ directories are emptied first, so no earlier run
+# leaks into the medians; odd seeds run the parent first, even seeds this
+# tree. metric is the claimed one, an end-to-end metric of BENCHMARK.json
+# (default iter_wall_s_p50). For each workload it prints a verdict block:
+# every pair's iter_wall_s_p50, iter_cpu_s_p50 and metric, how many pairs
+# this tree wins on each (in the direction BENCHMARK.json calls better),
+# each side's quartiles and IQR, and one line saying whether the claim
+# rule holds on metric (this tree wins at least 9 of every 10 pairs and
+# its median beats the parent's by more than the parent's IQR). Last comes
+# one `run.sh -compare` over every workload, whose exit status it returns.
+# Run via `make pairs PARENT=<rev> WORKLOAD="<w>..." [N=10] [SECONDS=10]
+# [METRIC=iter_wall_s_p50]`.
 set -euo pipefail
-usage='usage: pairs.sh <parent-rev> "<workload>..." [n] [seconds]'
+usage='usage: pairs.sh <parent-rev> "<workload>..." [n] [seconds] [metric]'
 rev=${1:?$usage}
 read -r -a workloads <<<"${2:?$usage}"
 [ ${#workloads[@]} -gt 0 ] || { echo "$usage" >&2; exit 2; }
 n=${3:-10}
 secs=${4:-10}
+METRIC=${5:-iter_wall_s_p50}
 root=$(git rev-parse --show-toplevel)
+
+# The claimed metric must be one of BENCHMARK.json's end-to-end metrics
+# (the ones every result file carries); its "better" says which way wins.
+declare -A better=([iter_wall_s_p50]=lower [iter_cpu_s_p50]=lower) label=([iter_wall_s_p50]=wall [iter_cpu_s_p50]=cpu)
+better[$METRIC]=$(awk -v name="\"$METRIC\"" 'index($0, "\"name\": " name) { found = 1 }
+	found && /"better"/ { gsub(/[",]/, "", $2); print $2; exit }' "$root/BENCHMARK.json")
+[ -n "${better[$METRIC]}" ] || { echo "pairs.sh: $METRIC is not a metric in BENCHMARK.json" >&2; exit 2; }
+label[$METRIC]=${label[$METRIC]:-$METRIC}
+shown=(iter_wall_s_p50 iter_cpu_s_p50)
+case " ${shown[*]} " in *" $METRIC "*) ;; *) shown+=("$METRIC") ;; esac
+declare -A width
+for m in "${shown[@]}"; do width[$m]=$((${#label[$m]} + 7 > 14 ? ${#label[$m]} + 7 : 14)); done
 commit=$(git -C "$root" rev-parse --verify "$rev^{commit}")
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -66,18 +81,20 @@ quartiles() {
 
 # row <label> <value>...: one side's quartiles and IQR of one metric.
 row() {
-	local label=$1 q1 med q3
+	local name=$1 q1 med q3
 	shift
 	read -r q1 med q3 <<<"$(quartiles "$@")"
-	awk -v l="$label" -v a="$q1" -v m="$med" -v b="$q3" 'BEGIN { printf "%-24s %-10.6g %-10.6g %-10.6g %-10.6g\n", l, a, m, b, b - a }'
+	awk -v l="$name" -v a="$q1" -v m="$med" -v b="$q3" 'BEGIN { printf "%-32s %-10.6g %-10.6g %-10.6g %-10.6g\n", l, a, m, b, b - a }'
 }
 
 # block <workload>: n pairs of one workload and its verdict.
 block() {
-	local workload=$1 seed wp wc cp cc pq1 pmed pq3 cmed
-	local wall_wins=0 cpu_wins=0 wall_p=() wall_c=() cpu_p=() cpu_c=()
+	local workload=$1 seed m v pv cv pq1 pmed pq3 cmed
+	local -A vals=() wins=()
 	echo "pairs: $workload, $n pairs of ${secs}s, parent $commit vs $root"
-	printf '%-5s %-12s %-12s %-12s %-12s\n' seed wall-parent wall-change cpu-parent cpu-change
+	printf '%-5s' seed
+	for m in "${shown[@]}"; do printf " %-${width[$m]}s %-${width[$m]}s" "${label[$m]}-parent" "${label[$m]}-change"; done
+	echo
 	for seed in $(seq 1 "$n"); do
 		if [ $((seed % 2)) = 1 ]; then
 			run "$tmp/parent" "$workload" "$seed"
@@ -86,27 +103,35 @@ block() {
 			run "$root" "$workload" "$seed"
 			run "$tmp/parent" "$workload" "$seed"
 		fi
-		wp=$(metric "$tmp/parent" "$workload" "$seed" iter_wall_s_p50)
-		wc=$(metric "$root" "$workload" "$seed" iter_wall_s_p50)
-		cp=$(metric "$tmp/parent" "$workload" "$seed" iter_cpu_s_p50)
-		cc=$(metric "$root" "$workload" "$seed" iter_cpu_s_p50)
-		printf '%-5s %-12s %-12s %-12s %-12s\n' "$seed" "$wp" "$wc" "$cp" "$cc"
-		wall_p+=("$wp") wall_c+=("$wc") cpu_p+=("$cp") cpu_c+=("$cc")
-		if awk -v a="$wc" -v b="$wp" 'BEGIN { exit !(a < b) }'; then wall_wins=$((wall_wins + 1)); fi
-		if awk -v a="$cc" -v b="$cp" 'BEGIN { exit !(a < b) }'; then cpu_wins=$((cpu_wins + 1)); fi
+		printf '%-5s' "$seed"
+		for m in "${shown[@]}"; do
+			pv=$(metric "$tmp/parent" "$workload" "$seed" "$m")
+			cv=$(metric "$root" "$workload" "$seed" "$m")
+			[ -n "$pv" ] && [ -n "$cv" ] || { echo; echo "pairs.sh: no $m in the $workload seed $seed results" >&2; exit 2; }
+			printf " %-${width[$m]}s %-${width[$m]}s" "$pv" "$cv"
+			vals[$m,parent]+="$pv " vals[$m,change]+="$cv "
+			if awk -v a="$cv" -v b="$pv" -v d="${better[$m]}" 'BEGIN { exit !(d == "higher" ? a > b : a < b) }'; then
+				wins[$m]=$((${wins[$m]:-0} + 1))
+			fi
+		done
+		echo
 	done
-	echo "pairs: this tree is faster in $wall_wins/$n pairs on iter_wall_s_p50, $cpu_wins/$n on iter_cpu_s_p50"
-	printf '%-24s %-10s %-10s %-10s %-10s\n' "" q1 median q3 IQR
-	row "wall parent" "${wall_p[@]}"
-	row "wall change" "${wall_c[@]}"
-	row "cpu parent" "${cpu_p[@]}"
-	row "cpu change" "${cpu_c[@]}"
-	read -r pq1 pmed pq3 <<<"$(quartiles "${wall_p[@]}")"
-	read -r _ cmed _ <<<"$(quartiles "${wall_c[@]}")"
-	awk -v wl="$workload" -v w="$wall_wins" -v n="$n" -v pq1="$pq1" -v pmed="$pmed" -v pq3="$pq3" -v cmed="$cmed" 'BEGIN {
-		gain = pmed - cmed; iqr = pq3 - pq1
-		printf "pairs: %s: the claim rule on iter_wall_s_p50 %s: %d/%d pairs won (needs 9 of every 10); parent median - change median = %.4g s (must exceed the parent IQR, %.4g s)\n\n",
-			wl, (w * 10 >= n * 9 && gain > iqr) ? "holds" : "does not hold", w, n, gain, iqr
+	printf 'pairs: this tree is better in'
+	for m in "${shown[@]}"; do printf ' %d/%d pairs on %s;' "${wins[$m]:-0}" "$n" "$m"; done
+	echo
+	printf '%-32s %-10s %-10s %-10s %-10s\n' "" q1 median q3 IQR
+	for m in "${shown[@]}"; do
+		# The values are space-separated numbers: split them into arguments.
+		row "$m parent" ${vals[$m,parent]}
+		row "$m change" ${vals[$m,change]}
+	done
+	read -r pq1 pmed pq3 <<<"$(quartiles ${vals[$METRIC,parent]})"
+	read -r _ cmed _ <<<"$(quartiles ${vals[$METRIC,change]})"
+	awk -v wl="$workload" -v m="$METRIC" -v d="${better[$METRIC]}" -v w="${wins[$METRIC]:-0}" -v n="$n" \
+		-v pq1="$pq1" -v pmed="$pmed" -v pq3="$pq3" -v cmed="$cmed" 'BEGIN {
+		gain = d == "higher" ? cmed - pmed : pmed - cmed; iqr = pq3 - pq1
+		printf "pairs: %s: the claim rule on %s (%s is better) %s: %d/%d pairs won (needs 9 of every 10); the medians differ by %.6g in the change'"'"'s favour (must exceed the parent IQR, %.6g); change/parent median = %.4f\n\n",
+			wl, m, d, (w * 10 >= n * 9 && gain > iqr) ? "holds" : "does not hold", w, n, gain, iqr, pmed != 0 ? cmed / pmed : 0
 	}'
 }
 
