@@ -108,7 +108,7 @@ func dumpNetCDF(name string, r netcdf.ReaderAt, chunks, stats bool) {
 	for _, a := range f.GlobalAttrs() {
 		fmt.Printf("\t\t:%s = %s ;\n", a.Name, attrValue(a))
 	}
-	fmt.Printf("}\n// header: %d bytes of %d\n", f.HeaderBytes, r.Size())
+	fmt.Printf("}\n// header: %d bytes of %d\n", f.Header.Bytes, r.Size())
 }
 
 func attrValue(a netcdf.Attr) string {
@@ -158,5 +158,5 @@ func dumpHDF5(name string, r scifmt.ReaderAt, chunks, stats bool) {
 		}
 	}
 	walk(f.Root(), "\t")
-	fmt.Printf("}\n// header: %d bytes of %d\n", f.HeaderBytes, r.Size())
+	fmt.Printf("}\n// header: %d bytes of %d\n", f.Header.Bytes, r.Size())
 }

@@ -223,7 +223,7 @@ func printBlocks(n *hdfs.INode) {
 		switch src := b.Source.(type) {
 		case *core.SlabSource:
 			fmt.Printf("    block %d: %d B -> %s %s slab start=%v count=%v\n",
-				i, b.Size, src.PFSPath, src.VarPath, src.Start, src.Count)
+				i, b.Size, src.PFSPath, src.Var.Path, src.Start, src.Count)
 		case *core.FlatSource:
 			fmt.Printf("    block %d: %d B -> %s bytes [%d, +%d)\n",
 				i, b.Size, src.PFSPath, src.Offset, src.Length)

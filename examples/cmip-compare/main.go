@@ -50,10 +50,16 @@ func main() {
 			Vars: []string{"QR"}, RowsPerBlock: spec.Levels,
 		})
 		check(err)
-		_, err = mapper.MapPath(p, env.Mount(env.BD.Node(0)), "/modelB", core.MapOptions{
+		mapB, err := mapper.MapPath(p, env.Mount(env.BD.Node(0)), "/modelB", core.MapOptions{
 			Vars: []string{"QR"}, RowsPerBlock: spec.Levels,
 		})
 		check(err)
+		// Model B's QR dummy block by source file (one a file: a block spans
+		// every level), from the same mapping table model A's are served from.
+		twins := map[string]*core.SlabSource{}
+		for _, f := range mapB.Files {
+			twins[f.PFSPath] = f.Vars[0].INode.Blocks[0].Source.(*core.SlabSource)
+		}
 
 		// One map task per model-A timestamp; each task pulls the twin
 		// slab from model B through its own PFS Reader (cross-model join
@@ -70,12 +76,7 @@ func main() {
 				slabA := value.(*core.Slab)
 				t := workloads.TimestampIndex(slabA.PFSPath)
 				reader := core.NewPFSReader(env.Registry, env.Mount(tc.Node()))
-				slabB, err := reader.ReadSlab(tc.Proc(), &core.SlabSource{
-					PFSPath: fmt.Sprintf("/modelB/%s", workloads.FileName(t)),
-					Format:  "netcdf", VarPath: "QR",
-					TypeName: "float", ElemSize: 4,
-					Start: slabA.Start, Count: slabA.Count,
-				})
+				slabB, err := reader.ReadSlab(tc.Proc(), twins[fmt.Sprintf("/modelB/%s", workloads.FileName(t))])
 				if err != nil {
 					return err
 				}

@@ -5,9 +5,11 @@ import (
 
 	"scidp/internal/cluster"
 	"scidp/internal/core"
+	"scidp/internal/ioengine"
 	"scidp/internal/mpiio"
 	"scidp/internal/netcdf"
 	"scidp/internal/pfs"
+	"scidp/internal/scifmt"
 	"scidp/internal/sim"
 )
 
@@ -208,16 +210,15 @@ func mpiCollective(r *fig6Rig, n int, _ float64) (float64, int64, int64, error) 
 // scidpReaders: n concurrent SciDP tasks, each resolving its dummy block
 // (a time-slab of QR) through the PFS Reader over the interlink.
 func scidpReaders(r *fig6Rig, n int, decomp float64) (float64, int64, int64, error) {
-	v, err := qrLayout(r.blob)
+	// The File Explorer's view of the file, taken once before the kernel
+	// runs and at no virtual cost: every task's dummy block points into it.
+	info, err := scifmt.NetCDF().Explore(ioengine.Bytes(r.blob))
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	timeSteps := v.Dims[0].Len
-	rawPer := v.RawBytes() / int64(timeSteps)
-	storedPer := make([]int64, timeSteps)
-	for i, c := range v.Chunks {
-		storedPer[i] = c.StoredSize
-	}
+	v := &info.Vars[0] // QR, the file's one variable
+	timeSteps := v.Index.Grid.Shape[0]
+	rawPer := int64(ioengine.Volume(v.Index.Grid.Shape[1:]) * v.Index.Type.Size())
 	reg := core.NewExplorer(nil).Registry
 	var errOut error
 	start := r.k.Now()
@@ -230,8 +231,7 @@ func scidpReaders(r *fig6Rig, n int, decomp float64) (float64, int64, int64, err
 			reader := core.NewPFSReader(reg, r.bdMount(node))
 			for ts := i; ts < timeSteps; ts += n {
 				slab, err := reader.ReadSlab(p, &core.SlabSource{
-					PFSPath: fig6Path, Format: "netcdf", VarPath: "QR",
-					TypeName: "float", ElemSize: 4,
+					PFSPath: fig6Path, Format: "netcdf", Header: &info.Header, Var: v,
 					Start: []int{ts, 0, 0, 0},
 					Count: []int{1, r.s.Levels, r.s.Lat, r.s.Lon},
 				})
@@ -240,7 +240,7 @@ func scidpReaders(r *fig6Rig, n int, decomp float64) (float64, int64, int64, err
 					return
 				}
 				p.Sleep(decomp * float64(len(slab.Raw)) / 1e6)
-				stored += storedPer[ts]
+				stored += v.Index.At(ts).StoredSize
 				raw += rawPer
 			}
 			if p.Now() > end {

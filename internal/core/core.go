@@ -16,8 +16,8 @@
 //
 //   - PFS Reader (reader.go): inside each map task, resolves the task's
 //     dummy block back to a PFS read — a single whole-block request for
-//     flat data, a netCDF/HDF5 hyperslab read for scientific data — and
-//     converts the result to R-ready structures.
+//     flat data, a hyperslab read through the mapped chunk index for
+//     scientific data — and converts the result to R-ready structures.
 //
 // InputFormat (inputformat.go) packages the three as a mapreduce input
 // format, which is how user jobs consume SciDP.
@@ -28,6 +28,7 @@ import (
 
 	"scidp/internal/ioengine"
 	"scidp/internal/rframe"
+	"scidp/internal/scifmt"
 )
 
 // Slab is the value delivered to map tasks for scientific dummy blocks:
@@ -35,14 +36,9 @@ import (
 type Slab struct {
 	// PFSPath is the source file on the PFS.
 	PFSPath string
-	// VarPath is the variable's path within the file.
-	VarPath string
-	// TypeName names the element type ("float").
-	TypeName string
-	// ElemSize is the element width in bytes.
-	ElemSize int
-	// DimNames names the dimensions (may be empty).
-	DimNames []string
+	// Var is the variable as mapped: its path within the file, its element
+	// type and its dimension names.
+	Var *scifmt.VarEntry
 	// Start is the hyperslab origin in global variable coordinates.
 	Start []int
 	// Count is the hyperslab extent.
@@ -56,11 +52,11 @@ func (s *Slab) NumElems() int { return ioengine.Volume(s.Count) }
 
 // Float32s decodes the payload (valid for 4-byte float data).
 func (s *Slab) Float32s() ([]float32, error) {
-	if s.TypeName != "float" && s.TypeName != "float32" {
-		return nil, fmt.Errorf("core: slab %s/%s is %s, not float", s.PFSPath, s.VarPath, s.TypeName)
+	if s.Var.Index.Type != ioengine.Float32 {
+		return nil, fmt.Errorf("core: slab %s/%s is %s, not float", s.PFSPath, s.Var.Path, s.Var.TypeName)
 	}
 	if len(s.Raw) != s.NumElems()*4 {
-		return nil, fmt.Errorf("core: slab %s/%s has %d bytes for %d float32s", s.PFSPath, s.VarPath, len(s.Raw), s.NumElems())
+		return nil, fmt.Errorf("core: slab %s/%s has %d bytes for %d float32s", s.PFSPath, s.Var.Path, len(s.Raw), s.NumElems())
 	}
 	return ioengine.Float32s(s.Raw), nil
 }
@@ -77,9 +73,9 @@ func (s *Slab) Frame(valueName string) (*rframe.Frame, error) {
 		return nil, err
 	}
 	names := [3]string{"dim0", "dim1", "dim2"}
-	for i := 0; i < 3 && i < len(s.DimNames); i++ {
-		if s.DimNames[i] != "" {
-			names[i] = s.DimNames[i]
+	for i, name := range s.Var.DimNames[:min(3, len(s.Var.DimNames))] {
+		if name != "" {
+			names[i] = name
 		}
 	}
 	return rframe.FromArray3D(names,

@@ -28,7 +28,7 @@ type rig struct {
 	il   *cluster.Interlink
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	bd := cluster.New(k, "bd", cluster.Config{
@@ -58,15 +58,19 @@ func (r *rig) mount(n *cluster.Node) *pfs.Client {
 	return r.pfs.NewClient(r.il.Link, n.NIC)
 }
 
-// ncFile writes a 3-var netCDF file to the PFS and returns the QR values.
-func (r *rig) ncFile(t *testing.T, path string, nz, ny, nx int) []float32 {
+// ncFile writes a netCDF file of the named variables (QR, T and P when
+// none are named) to the PFS and returns the QR values.
+func (r *rig) ncFile(t testing.TB, path string, nz, ny, nx int, vars ...string) []float32 {
 	t.Helper()
 	w := netcdf.NewWriter()
 	w.AddDim("level", nz)
 	w.AddDim("lat", ny)
 	w.AddDim("lon", nx)
+	if vars == nil {
+		vars = []string{"QR", "T", "P"}
+	}
 	var qr []float32
-	for _, name := range []string{"QR", "T", "P"} {
+	for _, name := range vars {
 		if err := w.AddVar(name, netcdf.Float32, []string{"level", "lat", "lon"},
 			netcdf.Chunking{Shape: []int{1, ny, nx}, Deflate: 1}); err != nil {
 			t.Fatal(err)
@@ -88,7 +92,24 @@ func (r *rig) ncFile(t *testing.T, path string, nz, ny, nx int) []float32 {
 	return qr
 }
 
-func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
+// mapQR maps the QR variable of the PFS file at path, rowsPerBlock
+// leading-dimension entries a dummy block (0: one block per chunk), and
+// returns its blocks' sources.
+func (r *rig) mapQR(t testing.TB, p *sim.Proc, path string, rowsPerBlock int) []*SlabSource {
+	t.Helper()
+	mf, err := NewMapper(r.hdfs, nil, "/scidp").MapFile(p, r.mount(r.bd.Node(0)), path,
+		MapOptions{Vars: []string{"QR"}, RowsPerBlock: rowsPerBlock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*SlabSource
+	for _, b := range mf.Vars[0].INode.Blocks {
+		out = append(out, b.Source.(*SlabSource))
+	}
+	return out
+}
+
+func (r *rig) run(t testing.TB, fn func(p *sim.Proc)) {
 	t.Helper()
 	r.k.Go("test", fn)
 	r.k.Run()
@@ -338,7 +359,9 @@ func TestPFSReaderFlatAndSlab(t *testing.T) {
 
 func TestPFSReaderErrors(t *testing.T) {
 	r := newRig(t)
+	r.ncFile(t, "/in/plot.nc", 4, 6, 6)
 	r.run(t, func(p *sim.Proc) {
+		mapped := *r.mapQR(t, p, "/in/plot.nc", 0)[0]
 		reader := NewPFSReader(nil, r.mount(r.bd.Node(0)))
 		if _, err := reader.ReadBlock(p, &hdfs.Block{ID: 1}); err == nil {
 			t.Error("non-virtual block should fail")
@@ -349,11 +372,16 @@ func TestPFSReaderErrors(t *testing.T) {
 		if _, err := reader.ReadFlat(p, &FlatSource{PFSPath: "/ghost", Length: 10}); err == nil {
 			t.Error("missing flat file should fail")
 		}
-		if _, err := reader.ReadSlab(p, &SlabSource{PFSPath: "/ghost", Format: "netcdf"}); err == nil {
-			t.Error("missing nc file should fail")
+		ghost, grib, unmapped := mapped, mapped, mapped
+		ghost.PFSPath, grib.Format, unmapped.Var = "/ghost", "grib", nil
+		if _, err := reader.ReadSlab(p, &ghost); err == nil || !strings.Contains(err.Error(), "no such file") {
+			t.Errorf("mapped block of a missing file: %v", err)
 		}
-		if _, err := reader.ReadSlab(p, &SlabSource{PFSPath: "/ghost", Format: "grib"}); err == nil {
-			t.Error("unknown format should fail")
+		if _, err := reader.ReadSlab(p, &grib); err == nil || !strings.Contains(err.Error(), `format "grib" not installed`) {
+			t.Errorf("block of an unknown format: %v", err)
+		}
+		if _, err := reader.ReadSlab(p, &unmapped); err == nil || !strings.Contains(err.Error(), "no chunk index") {
+			t.Errorf("block with no chunk index: %v", err)
 		}
 	})
 }
@@ -470,11 +498,11 @@ func TestInputFormatErrors(t *testing.T) {
 }
 
 func TestSlabValidation(t *testing.T) {
-	s := &Slab{TypeName: "double", Count: []int{2}}
+	s := &Slab{Var: &scifmt.VarEntry{TypeName: "double", Index: ioengine.ChunkIndex{Type: ioengine.Float64}}, Count: []int{2}}
 	if _, err := s.Float32s(); err == nil {
 		t.Error("non-float slab should fail Float32s")
 	}
-	s2 := &Slab{TypeName: "float", Count: []int{2}, Raw: []byte{0}}
+	s2 := &Slab{Var: &scifmt.VarEntry{TypeName: "float", Index: ioengine.ChunkIndex{Type: ioengine.Float32}}, Count: []int{2}, Raw: []byte{0}}
 	if _, err := s2.Float32s(); err == nil {
 		t.Error("short raw should fail")
 	}
@@ -517,11 +545,7 @@ func TestPFSReaderSharedCache(t *testing.T) {
 		cache := ioengine.NewCache(0)
 		reader := NewPFSReader(nil, r.mount(r.bd.Node(0)))
 		reader.Cache = cache
-		src := &SlabSource{
-			PFSPath: "/in/plot.nc", Format: "netcdf", VarPath: "QR",
-			TypeName: "float", ElemSize: 4,
-			Start: []int{0, 0, 0}, Count: []int{4, 6, 6},
-		}
+		src := r.mapQR(t, p, "/in/plot.nc", 4)[0] // the whole variable, 4 chunks
 		read := func() (*Slab, float64) {
 			start := p.Now()
 			slab, err := reader.ReadSlab(p, src)

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"scidp/internal/hdfs"
+	"scidp/internal/ioengine"
 	"scidp/internal/pfs"
 	"scidp/internal/scifmt"
 	"scidp/internal/sim"
@@ -23,26 +24,21 @@ type FlatSource struct {
 }
 
 // SlabSource is a dummy block's payload for scientific files: a hyperslab
-// of one variable, read back through the format's reader.
+// of one variable, read back through its explored chunk index.
 type SlabSource struct {
 	// PFSPath is the source file.
 	PFSPath string
-	// Format names the scientific format plugin to read with.
+	// Format names the scientific format plugin that explored the file.
 	Format string
-	// VarPath is the variable within the file.
-	VarPath string
-	// TypeName and ElemSize describe the element type.
-	TypeName string
-	// ElemSize is the element width in bytes.
-	ElemSize int
-	// DimNames names the variable's dimensions.
-	DimNames []string
+	// Header is what the File Explorer read of the file's header.
+	Header *ioengine.Header
+	// Var is the mapped variable: its path, type, dimension names and
+	// chunk index.
+	Var *scifmt.VarEntry
 	// Start is the hyperslab origin.
 	Start []int
 	// Count is the hyperslab extent.
 	Count []int
-	// StoredBytes estimates the on-disk bytes the read will touch.
-	StoredBytes int64
 }
 
 // MapOptions tunes the Data Mapper.
@@ -243,12 +239,12 @@ func (m *Mapper) mapFlat(p *sim.Proc, fc *FileClass, hdfsPath string, opts MapOp
 // whole in the other dimensions, the paper's default: "the first dummy
 // block is created with the same size as the original chunk size").
 func slabBlocks(fc *FileClass, v *scifmt.VarEntry, rowsPerBlock int) []hdfs.VirtualBlockSpec {
-	shape := v.Grid.Shape
+	shape := v.Index.Grid.Shape
 	rows := shape[0]
 	// Bytes stored per leading-dimension row, for block-size estimates.
 	storedPerRow := float64(v.StoredBytes) / float64(rows)
 	if rowsPerBlock <= 0 {
-		rowsPerBlock = v.Grid.Chunk[0]
+		rowsPerBlock = v.Index.Grid.Chunk[0]
 	}
 	blocks := make([]hdfs.VirtualBlockSpec, 0, (rows+rowsPerBlock-1)/rowsPerBlock)
 	for r := 0; r < rows; r += rowsPerBlock {
@@ -259,15 +255,12 @@ func slabBlocks(fc *FileClass, v *scifmt.VarEntry, rowsPerBlock int) []hdfs.Virt
 		blocks = append(blocks, hdfs.VirtualBlockSpec{
 			Size: size,
 			Source: &SlabSource{
-				PFSPath:     fc.Path,
-				Format:      fc.Format,
-				VarPath:     v.Path,
-				TypeName:    v.TypeName,
-				ElemSize:    v.ElemSize,
-				DimNames:    v.DimNames,
-				Start:       start,
-				Count:       count,
-				StoredBytes: size,
+				PFSPath: fc.Path,
+				Format:  fc.Format,
+				Header:  &fc.Info.Header,
+				Var:     v,
+				Start:   start,
+				Count:   count,
 			},
 		})
 	}

@@ -33,7 +33,7 @@ type RetryPolicy struct {
 // optional shared chunk cache (typically one per node, holding
 // decompressed chunks across tasks) and optional readahead.
 type PFSReader struct {
-	// Registry resolves format names from SlabSource payloads.
+	// Registry holds the formats whose mappings the reader accepts.
 	Registry *scifmt.Registry
 	// Client is the PFS mount of the node the task runs on.
 	Client *pfs.Client
@@ -179,13 +179,18 @@ func (r *PFSReader) ReadFlat(p *sim.Proc, src *FlatSource) ([]byte, error) {
 	return data, nil
 }
 
-// ReadSlab opens the scientific file (header reads charged) and pulls the
-// block's hyperslab through the format plugin — the nc_open / nc_get_vara
-// / nc_close sequence the paper's map tasks perform.
+// ReadSlab pulls the block's hyperslab through the chunk index the
+// mapping carries. It re-reads the file's header, charged as the nc_open
+// the paper's map tasks perform, but decodes none of it: a header whose
+// length or CRC differs from the explored one means the file changed
+// since it was mapped, and no offset from the old index is followed.
 func (r *PFSReader) ReadSlab(p *sim.Proc, src *SlabSource) (*Slab, error) {
-	defer r.readSpan(p, "PFSReader.ReadSlab", src.PFSPath+"/"+src.VarPath)()
-	format, ok := r.Registry.Lookup(src.Format)
-	if !ok {
+	v := src.Var
+	if v == nil || src.Header == nil {
+		return nil, fmt.Errorf("core: %s: slab block carries no chunk index", src.PFSPath)
+	}
+	defer r.readSpan(p, "PFSReader.ReadSlab", src.PFSPath+"/"+v.Path)()
+	if _, ok := r.Registry.Lookup(src.Format); !ok {
 		return nil, fmt.Errorf("core: format %q not installed", src.Format)
 	}
 	eng, err := r.Client.Engine(p, src.PFSPath)
@@ -197,18 +202,19 @@ func (r *PFSReader) ReadSlab(p *sim.Proc, src *SlabSource) (*Slab, error) {
 	}
 	reader := ioengine.Bind(p, eng, ioengine.Options{Cache: r.Cache, Prefetch: r.Prefetch,
 		Obs: r.Obs, Tier: r.Tier, TierNode: r.Node})
-	raw, err := format.ReadSlab(reader, src.VarPath, src.Start, src.Count)
+	_, h, err := src.Header.Dialect.ReadHeader(reader)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s/%s: %w", src.PFSPath, src.VarPath, err)
+		return nil, fmt.Errorf("core: %s/%s: %w", src.PFSPath, v.Path, err)
 	}
-	return &Slab{
-		PFSPath:  src.PFSPath,
-		VarPath:  src.VarPath,
-		TypeName: src.TypeName,
-		ElemSize: src.ElemSize,
-		DimNames: src.DimNames,
-		Start:    src.Start,
-		Count:    src.Count,
-		Raw:      raw,
-	}, nil
+	if h != *src.Header {
+		return nil, fmt.Errorf("core: %s changed since it was mapped: its header is %d bytes with CRC-32 %08x, was %d bytes with %08x",
+			src.PFSPath, h.Bytes, h.CRC, src.Header.Bytes, src.Header.CRC)
+	}
+	x := v.Index
+	x.Src = reader
+	raw, err := x.ReadBox(src.Start, src.Count)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s/%s: %w", src.PFSPath, v.Path, err)
+	}
+	return &Slab{PFSPath: src.PFSPath, Var: v, Start: src.Start, Count: src.Count, Raw: raw}, nil
 }

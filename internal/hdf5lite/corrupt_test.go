@@ -111,7 +111,7 @@ func TestHeaderMutationSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		opened := 0
-		for at := 0; at < int(f.HeaderBytes); at++ {
+		for at := 0; at < int(f.Header.Bytes); at++ {
 			for _, b := range []byte{0, 1, 0x7f, 0x80, 0xff} {
 				if blob[at] == b {
 					continue
@@ -126,7 +126,7 @@ func TestHeaderMutationSweep(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("legacy=%v: %d header bytes, %d mutants still open", legacy, f.HeaderBytes, opened)
+		t.Logf("legacy=%v: %d header bytes, %d mutants still open", legacy, f.Header.Bytes, opened)
 	}
 }
 

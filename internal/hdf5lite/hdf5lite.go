@@ -83,7 +83,8 @@ type Dataset struct {
 	// Grid().Box(i).
 	Chunks []ioengine.Chunk
 
-	data []byte // writer-side payload
+	grid ioengine.Grid // built once, at Open: what the chunk index reads
+	data []byte        // writer-side payload
 }
 
 // chunk returns the container's record of the i-th chunk.
@@ -106,13 +107,19 @@ func (d *Dataset) StoredBytes() int64 {
 
 // Grid returns the dataset's chunk geometry, built from its header:
 // chunks of ChunkRows leading-dimension entries (all of them when 0),
-// whole in every other dimension.
-func (d *Dataset) Grid() ioengine.Grid {
-	chunk := slices.Clone(d.Shape)
+// whole in every other dimension. Each call builds a fresh one, so what a
+// caller does with it never reaches the grid an opened file's chunk index
+// reads.
+func (d *Dataset) Grid() ioengine.Grid { return d.gridOf(slices.Clone(d.Shape)) }
+
+// gridOf returns the grid of an array of the given shape cut as d's
+// header says.
+func (d *Dataset) gridOf(shape []int) ioengine.Grid {
+	chunk := slices.Clone(shape)
 	if d.ChunkRows != 0 {
 		chunk[0] = d.ChunkRows
 	}
-	return ioengine.Grid{Shape: d.Shape, Chunk: chunk}
+	return ioengine.Grid{Shape: shape, Chunk: chunk}
 }
 
 // Group is a node of the hierarchy.
@@ -303,8 +310,9 @@ func IsHDF5(r ReaderAt) bool { return dialect.Detect(r) }
 type File struct {
 	r    ReaderAt
 	root *Group
-	// HeaderBytes is the metadata-only read cost of Open.
-	HeaderBytes int64
+	// Header is what Open read of the header: its length is the
+	// metadata-only read cost of Open.
+	Header ioengine.Header
 }
 
 // Open parses the group tree without touching dataset payloads. Every
@@ -324,7 +332,7 @@ func Open(r ReaderAt) (*File, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	return &File{r: r, root: root, HeaderBytes: d.HeaderBytes}, nil
+	return &File{r: r, root: root, Header: d.Header}, nil
 }
 
 // decodeGroup reads one group and, recursively, its children. The counts
@@ -365,13 +373,13 @@ func decodeDataset(d *ioengine.Decoder) *Dataset {
 	if d.Err() != nil {
 		return ds
 	}
-	g := ds.Grid()
-	d.CheckArray(ioengine.Layout{Name: ds.Name, Type: ds.Type.Elem(), Grid: g, Deflated: ds.Deflate > 0}, len(ds.Chunks), ds.chunk)
+	ds.grid = ds.gridOf(ds.Shape)
+	d.CheckArray(ioengine.Layout{Name: ds.Name, Type: ds.Type.Elem(), Grid: ds.grid, Deflated: ds.Deflate > 0}, len(ds.Chunks), ds.chunk)
 	for j, r := range rows {
 		if d.Err() != nil {
 			break
 		}
-		if start, extent := g.Box(j); r != [2]int{start[0], extent[0]} {
+		if start, extent := ds.grid.Box(j); r != [2]int{start[0], extent[0]} {
 			d.Failf("%s: chunk %d covers rows [%d,+%d), its place in the index says [%d,+%d)", ds.Name, j, r[0], r[1], start[0], extent[0])
 		}
 	}
@@ -381,28 +389,9 @@ func decodeDataset(d *ioengine.Decoder) *Dataset {
 // Root returns the root group.
 func (f *File) Root() *Group { return f.root }
 
-// Find resolves a slash-separated path to a dataset ("model/physics/QR").
-func (f *File) Find(path string) (*Dataset, error) {
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	g := f.root
-	for i, part := range parts {
-		if i == len(parts)-1 {
-			if d := g.Dataset(part); d != nil {
-				return d, nil
-			}
-			return nil, fmt.Errorf("hdf5lite: no dataset %q", path)
-		}
-		g = g.Child(part)
-		if g == nil {
-			return nil, fmt.Errorf("hdf5lite: no group %q in %q", part, path)
-		}
-	}
-	return nil, fmt.Errorf("hdf5lite: empty path")
-}
-
 // ChunkIndex returns the read side of d's chunk index: cached reads,
 // single-pass scans and readahead announcements by chunk number.
 func (f *File) ChunkIndex(d *Dataset) ioengine.ChunkIndex {
 	return ioengine.ChunkIndex{Src: f.r, Pkg: dialect.Name, Type: d.Type.Elem(), Deflated: d.Deflate > 0,
-		Grid: d.Grid(), Len: len(d.Chunks), At: d.chunk}
+		Grid: d.grid, Len: len(d.Chunks), At: d.chunk}
 }

@@ -1,6 +1,7 @@
 package hdf5lite
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -93,6 +94,37 @@ func readRows(f *File, d *Dataset, start, count int) ([]byte, error) {
 	return f.ChunkIndex(d).ReadBox(from, n)
 }
 
+// TestGridCannotAliasTheIndex: Open builds each dataset's grid once, for
+// its chunk index; Grid hands out a fresh copy, so a caller that writes to
+// it changes nothing the index reads by.
+func TestGridCannotAliasTheIndex(t *testing.T) {
+	blob, vals := sampleFile(t)
+	f, err := Open(netcdf.BytesReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := f.Find("model/physics/QR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Grid()
+	for i := range g.Shape {
+		g.Shape[i], g.Chunk[i] = 1, 1
+	}
+	for _, got := range []ioengine.Grid{f.ChunkIndex(d).Grid, d.Grid()} {
+		if !slices.Equal(got.Shape, []int{6, 4, 4}) || !slices.Equal(got.Chunk, []int{2, 4, 4}) {
+			t.Fatalf("grid after a caller's write: %+v", got)
+		}
+	}
+	raw, err := readAll(f, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ioengine.Float32s(raw); !slices.Equal(got, vals) {
+		t.Fatal("read after a caller's write to Grid differs from the written values")
+	}
+}
+
 func TestReadAllRoundtrip(t *testing.T) {
 	blob, vals := sampleFile(t)
 	f, _ := Open(netcdf.BytesReader(blob))
@@ -139,8 +171,8 @@ func TestHeaderOnlyOpen(t *testing.T) {
 	if cr.Calls != 2 {
 		t.Fatalf("Open used %d reads, want 2", cr.Calls)
 	}
-	if f.HeaderBytes != cr.BytesRead {
-		t.Fatalf("HeaderBytes=%d counted=%d", f.HeaderBytes, cr.BytesRead)
+	if f.Header.Bytes != cr.BytesRead {
+		t.Fatalf("Header.Bytes=%d counted=%d", f.Header.Bytes, cr.BytesRead)
 	}
 }
 
@@ -293,4 +325,23 @@ func TestOpenUnknownElementType(t *testing.T) {
 			t.Errorf("type %d: Open: %v; want an unknown-element-type error", typ, err)
 		}
 	}
+}
+
+// Find resolves a slash-separated path to a dataset ("model/physics/QR").
+func (f *File) Find(path string) (*Dataset, error) {
+	parts := strings.Split(strings.Trim(path, "/"), "/")
+	g := f.root
+	for i, part := range parts {
+		if i == len(parts)-1 {
+			if d := g.Dataset(part); d != nil {
+				return d, nil
+			}
+			return nil, fmt.Errorf("hdf5lite: no dataset %q", path)
+		}
+		g = g.Child(part)
+		if g == nil {
+			return nil, fmt.Errorf("hdf5lite: no group %q in %q", part, path)
+		}
+	}
+	return nil, fmt.Errorf("hdf5lite: empty path")
 }

@@ -3,6 +3,7 @@ package ioengine
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 )
 
@@ -36,46 +37,68 @@ func (c Dialect) Detect(r Source) bool {
 	return err == nil && string(b) == c.Magic
 }
 
-// Open reads the preamble and the header (two range-reads: the fixed
-// prefix, then the header body) without touching any payload, and returns
-// a Decoder over the header.
-func (c Dialect) Open(r Source) (*Decoder, error) {
+// Header is what Open read of a file's header: enough for a later reader
+// to tell, reading it again, that the file is still the one decoded.
+type Header struct {
+	// Dialect is the format the header was read as.
+	Dialect Dialect
+	// Bytes is the header's length, preamble included — the
+	// metadata-only cost of opening the file.
+	Bytes int64
+	// CRC is the CRC-32 (IEEE) of the header body.
+	CRC uint32
+}
+
+// ReadHeader makes Open's two range-reads, the fixed prefix and then the
+// header body, and returns the body with its Header. It decodes nothing:
+// a reader that holds a Header from an earlier Open compares the two to
+// tell whether the file is still the one decoded.
+func (c Dialect) ReadHeader(r Source) ([]byte, Header, error) {
 	n := int64(len(c.Magic)) + 8
 	prefix, err := r.ReadAt(0, n)
 	if err != nil {
-		return nil, err
+		return nil, Header{}, err
 	}
 	if int64(len(prefix)) < n || string(prefix[:len(c.Magic)]) != c.Magic {
-		return nil, fmt.Errorf("%s: not a %s file", c.Name, c.Magic)
+		return nil, Header{}, fmt.Errorf("%s: not a %s file", c.Name, c.Magic)
 	}
 	hlen := int64(binary.LittleEndian.Uint64(prefix[len(c.Magic):]))
 	if hlen <= 0 || hlen > r.Size()-n {
-		return nil, fmt.Errorf("%s: corrupt header length %d", c.Name, hlen)
+		return nil, Header{}, fmt.Errorf("%s: corrupt header length %d", c.Name, hlen)
 	}
 	hdr, err := r.ReadAt(n, hlen)
 	if err != nil {
-		return nil, err
+		return nil, Header{}, err
 	}
 	if int64(len(hdr)) < hlen {
-		return nil, fmt.Errorf("%s: truncated header: got %d of %d bytes", c.Name, len(hdr), hlen)
+		return nil, Header{}, fmt.Errorf("%s: truncated header: got %d of %d bytes", c.Name, len(hdr), hlen)
 	}
-	return &Decoder{HeaderBytes: n + hlen, name: c.Name, buf: hdr, next: n + hlen, size: r.Size()}, nil
+	return hdr, Header{Dialect: c, Bytes: n + hlen, CRC: crc32.ChecksumIEEE(hdr)}, nil
+}
+
+// Open reads the preamble and the header without touching any payload,
+// and returns a Decoder over the header.
+func (c Dialect) Open(r Source) (*Decoder, error) {
+	hdr, h, err := c.ReadHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	return &Decoder{Header: h, name: c.Name, buf: hdr, next: h.Bytes, size: r.Size()}, nil
 }
 
 // Decoder is a bounds-checked little-endian reader over a header. The
 // first failure sticks and later reads return zeroes, so a dialect decodes
 // straight through and asks Err at the end (and in loops, to stop early).
 type Decoder struct {
-	// HeaderBytes is how many bytes Open consumed, preamble included — the
-	// metadata-only cost of exploring the file.
-	HeaderBytes int64
+	// Header is what Open read.
+	Header Header
 
 	name string
 	buf  []byte
 	off  int
 	err  error
 	// next is the lowest offset the next chunk payload may start at
-	// (HeaderBytes at first); size is the file's length.
+	// (Header.Bytes at first); size is the file's length.
 	next, size int64
 }
 

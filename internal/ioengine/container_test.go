@@ -2,6 +2,8 @@ package ioengine
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -72,8 +74,8 @@ func TestContainerRoundTrip(t *testing.T) {
 		if d.Err() != nil {
 			t.Fatal(d.Err())
 		}
-		if name != "A" || int(deflate) != level || len(got) != 3 || d.HeaderBytes != want[0].Offset {
-			t.Fatalf("decoded %q level %d, %d chunks, header %d; first payload at %d", name, deflate, len(got), d.HeaderBytes, want[0].Offset)
+		if name != "A" || int(deflate) != level || len(got) != 3 || d.Header.Bytes != want[0].Offset {
+			t.Fatalf("decoded %q level %d, %d chunks, header %d; first payload at %d", name, deflate, len(got), d.Header.Bytes, want[0].Offset)
 		}
 		x := ChunkIndex{Src: src, Pkg: "test", Name: name, Type: Int32, Deflated: level > 0, Len: len(got), At: at}
 		for i, c := range got {
@@ -97,6 +99,41 @@ func TestContainerRoundTrip(t *testing.T) {
 		if d, _ := testDialect.Open(Bytes(legacy)); d.ZoneMaps() || len(legacy) != len(blob)-4-4-3*ChunkStatsSize {
 			t.Fatalf("legacy layout: %d bytes beside %d", len(legacy), len(blob))
 		}
+	}
+}
+
+// TestReadHeader: ReadHeader is Open's two range-reads and decodes
+// nothing. Read again from the same file it gives the Header Open
+// recorded; a changed header byte changes the CRC, a shorter header the
+// length; a file that is no longer one fails as Open would.
+func TestReadHeader(t *testing.T) {
+	blob, _, _ := encodeTest(t, 6, false)
+	d, err := testDialect.Open(Bytes(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := d.Header
+	if h.Dialect != testDialect || h.Bytes != 12+int64(binary.LittleEndian.Uint64(blob[4:])) || h.CRC != crc32.ChecksumIEEE(blob[12:h.Bytes]) {
+		t.Fatalf("header %+v", h)
+	}
+	st := &Stats{R: Bytes(blob)}
+	if _, again, err := testDialect.ReadHeader(st); err != nil || again != h || st.Calls != 2 || st.BytesRead != h.Bytes {
+		t.Fatalf("header read again: %+v, %v after %d reads of %d bytes; want %+v", again, err, st.Calls, st.BytesRead, h)
+	}
+	flipped := bytes.Clone(blob)
+	flipped[h.Bytes-1] ^= 1
+	legacy, _, _ := encodeTest(t, 6, true) // no trailer
+	for name, c := range map[string]struct {
+		blob             []byte
+		sameLen, sameCRC bool
+	}{"flipped": {flipped, true, false}, "legacy": {legacy, false, false}} {
+		_, got, err := testDialect.ReadHeader(Bytes(c.blob))
+		if err != nil || (got.Bytes == h.Bytes) != c.sameLen || (got.CRC == h.CRC) != c.sameCRC {
+			t.Errorf("%s: header %+v, %v; Open recorded %+v", name, got, err, h)
+		}
+	}
+	if _, _, err := testDialect.ReadHeader(Bytes(blob[:10])); err == nil || !strings.Contains(err.Error(), "not a TST1 file") {
+		t.Errorf("truncated preamble: %v", err)
 	}
 }
 

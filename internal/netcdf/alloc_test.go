@@ -5,9 +5,8 @@ package netcdf
 import "testing"
 
 // TestOpenAllocation guards the per-variable slabs: Open makes one chunk
-// index and one ChunkStats slab per variable and derives no per-chunk
-// geometry (the grid is built from the header when a reader asks), 323
-// allocations for this file. A ChunkStats object per chunk once made it
+// index, one ChunkStats slab and one grid per variable and derives no
+// per-chunk geometry, 323 allocations for this file. A ChunkStats object per chunk once made it
 // 945, and a per-chunk grid coordinate 392.
 func TestOpenAllocation(t *testing.T) {
 	blob := nuwrfShaped(t)

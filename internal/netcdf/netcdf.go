@@ -17,7 +17,11 @@
 // SciDP's File Explorer cheap relative to copying data.
 package netcdf
 
-import "scidp/internal/ioengine"
+import (
+	"slices"
+
+	"scidp/internal/ioengine"
+)
 
 // Magic is the 4-byte file signature.
 const Magic = "NCL1"
@@ -102,6 +106,8 @@ type Var struct {
 	// Chunks is the chunk index in row-major chunk-grid order: chunk i
 	// holds the box Grid().Box(i).
 	Chunks []ioengine.Chunk
+
+	grid ioengine.Grid // built once, at Open: what the chunk index reads
 }
 
 // chunk returns the container's record of the i-th chunk.
@@ -138,10 +144,16 @@ func (v *Var) StoredBytes() int64 {
 }
 
 // Grid returns the variable's chunk geometry, built from its header:
-// contiguous storage is one chunk the shape of the variable.
-func (v *Var) Grid() ioengine.Grid {
-	g := ioengine.Grid{Shape: v.Shape(), Chunk: v.ChunkShape}
-	if g.Chunk == nil {
+// contiguous storage is one chunk the shape of the variable. Each call
+// builds a fresh one, so what a caller does with it never reaches the
+// grid an opened file's chunk index reads.
+func (v *Var) Grid() ioengine.Grid { return v.gridOf(slices.Clone(v.ChunkShape)) }
+
+// gridOf returns the grid of v's dimensions cut into chunks of the given
+// extent, or into one chunk when chunk is nil.
+func (v *Var) gridOf(chunk []int) ioengine.Grid {
+	g := ioengine.Grid{Shape: v.Shape(), Chunk: chunk}
+	if chunk == nil {
 		g.Chunk = g.Shape
 	}
 	return g

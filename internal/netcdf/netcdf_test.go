@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -43,6 +44,37 @@ func buildFile(t *testing.T, nz, ny, nx, deflate int) ([]byte, []float32) {
 		t.Fatal(err)
 	}
 	return blob, vals
+}
+
+// TestGridCannotAliasTheIndex: Open builds each variable's grid once, for
+// its chunk index; Grid hands out a fresh copy, so a caller that writes to
+// it changes nothing the index reads by.
+func TestGridCannotAliasTheIndex(t *testing.T) {
+	blob, vals := buildFile(t, 4, 3, 5, 1)
+	f, err := Open(BytesReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := f.Var("QR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := v.Grid()
+	for d := range g.Shape {
+		g.Shape[d], g.Chunk[d] = 1, 1
+	}
+	for _, got := range []ioengine.Grid{f.ChunkIndex(v).Grid, v.Grid()} {
+		if !slices.Equal(got.Shape, []int{4, 3, 5}) || !slices.Equal(got.Chunk, []int{1, 3, 5}) {
+			t.Fatalf("grid after a caller's write: %+v", got)
+		}
+	}
+	arr, err := f.GetVar("QR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := arr.Float32s(); !slices.Equal(got, vals) {
+		t.Fatal("GetVar after a caller's write to Grid differs from the written values")
+	}
 }
 
 func TestDetect(t *testing.T) {
@@ -101,8 +133,8 @@ func TestHeaderOnlyOpenIsCheap(t *testing.T) {
 	if cr.BytesRead > int64(len(blob))/10 {
 		t.Fatalf("Open read %d of %d bytes; header must be a small fraction", cr.BytesRead, len(blob))
 	}
-	if f.HeaderBytes != cr.BytesRead {
-		t.Fatalf("HeaderBytes=%d, counted=%d", f.HeaderBytes, cr.BytesRead)
+	if f.Header.Bytes != cr.BytesRead {
+		t.Fatalf("Header.Bytes=%d, counted=%d", f.Header.Bytes, cr.BytesRead)
 	}
 }
 
@@ -415,7 +447,7 @@ func TestChunkOffsetsAreDisjointAndOrdered(t *testing.T) {
 	blob, _ := buildFile(t, 10, 8, 8, 1)
 	f, _ := Open(BytesReader(blob))
 	v, _ := f.Var("QR")
-	var prevEnd int64 = f.HeaderBytes
+	var prevEnd int64 = f.Header.Bytes
 	for i, c := range v.Chunks {
 		if c.Offset < prevEnd {
 			t.Fatalf("chunk %d offset %d overlaps previous end %d", i, c.Offset, prevEnd)

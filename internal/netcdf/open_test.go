@@ -79,7 +79,7 @@ func TestOpenCorruptChunkCount(t *testing.T) {
 	v := f.Vars()[0]
 	var first [8]byte
 	binary.LittleEndian.PutUint64(first[:], uint64(v.Chunks[0].Offset))
-	at := strings.Index(string(blob[:f.HeaderBytes]), string(first[:])) - 4
+	at := strings.Index(string(blob[:f.Header.Bytes]), string(first[:])) - 4
 	if at < 0 || binary.LittleEndian.Uint32(blob[at:]) != uint32(len(v.Chunks)) {
 		t.Fatalf("chunk count not found at %d", at)
 	}

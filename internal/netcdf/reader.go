@@ -30,9 +30,9 @@ type File struct {
 	gattrs []Attr
 	vars   []*Var
 	byName map[string]*Var
-	// HeaderBytes is how many bytes Open consumed — the metadata-only
-	// cost of exploring the file.
-	HeaderBytes int64
+	// Header is what Open read of the header: its length is the
+	// metadata-only cost of exploring the file.
+	Header ioengine.Header
 }
 
 // Open parses the header (two range-reads: the fixed prefix, then the
@@ -44,7 +44,7 @@ func Open(r ReaderAt) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{r: r, byName: map[string]*Var{}, HeaderBytes: d.HeaderBytes}
+	f := &File{r: r, byName: map[string]*Var{}, Header: d.Header}
 	f.dims = decodeDims(d, d.Count(12))
 	f.gattrs = decodeAttrs(d)
 	for i, nv := 0, d.Count(19); i < nv && d.Err() == nil; i++ {
@@ -116,7 +116,8 @@ func decodeVar(d *ioengine.Decoder) *Var {
 	for j := range v.Chunks {
 		v.Chunks[j] = d.Chunk()
 	}
-	d.CheckArray(ioengine.Layout{Name: v.Name, Type: v.Type, Grid: v.Grid(), Deflated: v.Deflate > 0}, len(v.Chunks), v.chunk)
+	v.grid = v.gridOf(v.ChunkShape)
+	d.CheckArray(ioengine.Layout{Name: v.Name, Type: v.Type, Grid: v.grid, Deflated: v.Deflate > 0}, len(v.Chunks), v.chunk)
 	return v
 }
 
@@ -142,7 +143,7 @@ func (f *File) Var(name string) (*Var, error) {
 // single-pass scans and readahead announcements by chunk number.
 func (f *File) ChunkIndex(v *Var) ioengine.ChunkIndex {
 	return ioengine.ChunkIndex{Src: f.r, Pkg: dialect.Name, Name: v.Name, Type: v.Type, Deflated: v.Deflate > 0,
-		Grid: v.Grid(), Len: len(v.Chunks), At: v.chunk}
+		Grid: v.grid, Len: len(v.Chunks), At: v.chunk}
 }
 
 // checkSlab holds the hyperslab [start, start+count) to v's shape.

@@ -35,7 +35,7 @@ func (netcdfFormat) Explore(r ReaderAt) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := &Info{Format: "netcdf", Attrs: map[string]string{}}
+	info := &Info{Format: "netcdf", Attrs: map[string]string{}, Header: f.Header}
 	for _, a := range f.GlobalAttrs() {
 		info.Attrs[a.Name] = attrString(a)
 	}
@@ -43,29 +43,17 @@ func (netcdfFormat) Explore(r ReaderAt) (*Info, error) {
 		entry := VarEntry{
 			Path:        v.Name,
 			TypeName:    v.Type.String(),
-			ElemSize:    v.Type.Size(),
-			Grid:        v.Grid(),
-			RawBytes:    v.RawBytes(),
+			DimNames:    make([]string, len(v.Dims)),
+			Index:       f.ChunkIndex(v),
 			StoredBytes: v.StoredBytes(),
 		}
-		for _, d := range v.Dims {
-			entry.DimNames = append(entry.DimNames, d.Name)
+		entry.Index.Src = nil
+		for i, d := range v.Dims {
+			entry.DimNames[i] = d.Name
 		}
 		info.Vars = append(info.Vars, entry)
 	}
 	return info, nil
-}
-
-func (netcdfFormat) ReadSlab(r ReaderAt, varPath string, start, count []int) ([]byte, error) {
-	f, err := netcdf.Open(r)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := f.GetVara(varPath, start, count)
-	if err != nil {
-		return nil, err
-	}
-	return arr.Data, nil
 }
 
 func attrString(a netcdf.Attr) string {
@@ -93,7 +81,7 @@ func (hdf5Format) Explore(r ReaderAt) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := &Info{Format: "hdf5", Attrs: map[string]string{}}
+	info := &Info{Format: "hdf5", Attrs: map[string]string{}, Header: f.Header}
 	for k, v := range f.Root().Attrs {
 		info.Attrs[k] = v
 	}
@@ -103,11 +91,10 @@ func (hdf5Format) Explore(r ReaderAt) (*Info, error) {
 			entry := VarEntry{
 				Path:        JoinPath(prefix, d.Name),
 				TypeName:    d.Type.String(),
-				ElemSize:    d.Type.Size(),
-				Grid:        d.Grid(),
-				RawBytes:    d.RawBytes(),
+				Index:       f.ChunkIndex(d),
 				StoredBytes: d.StoredBytes(),
 			}
+			entry.Index.Src = nil
 			info.Vars = append(info.Vars, entry)
 		}
 		for _, c := range g.Children {
@@ -116,16 +103,4 @@ func (hdf5Format) Explore(r ReaderAt) (*Info, error) {
 	}
 	walk(f.Root(), "")
 	return info, nil
-}
-
-func (hdf5Format) ReadSlab(r ReaderAt, varPath string, start, count []int) ([]byte, error) {
-	f, err := hdf5lite.Open(r)
-	if err != nil {
-		return nil, err
-	}
-	d, err := f.Find(varPath)
-	if err != nil {
-		return nil, err
-	}
-	return f.ChunkIndex(d).ReadBox(start, count)
 }

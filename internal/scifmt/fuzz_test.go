@@ -11,7 +11,8 @@ import (
 // FuzzDetect drives the Sci-format Head Reader's whole front door over
 // arbitrary bytes, the way the File Explorer and the PFS Reader do: the
 // registry picks a format by magic, the format explores the header, and
-// the first variable's first chunk is read back as a slab. Nothing
+// the first variable's first chunk is read back as a slab through the
+// chunk index Explore handed out. Nothing
 // panics, nothing allocates out of proportion to the input, and a slab
 // that reads is exactly as long as the explorer said.
 func FuzzDetect(f *testing.F) {
@@ -40,14 +41,16 @@ func FuzzDetect(f *testing.F) {
 			return
 		}
 		v := info.Vars[0]
-		start, extent := v.Grid.Box(0)
-		rawSize := ioengine.Volume(extent) * v.ElemSize
+		start, extent := v.Index.Grid.Box(0)
+		rawSize := ioengine.Volume(extent) * v.Index.Type.Size()
 		if uint64(rawSize) > bound {
 			t.Fatalf("%s: %s's first chunk holds %d raw bytes in a %d-byte file", format.Name(), v.Path, rawSize, len(blob))
 		}
+		x := v.Index
+		x.Src = src
 		var raw []byte
-		if n := allocated(func() { raw, err = format.ReadSlab(src, v.Path, start, extent) }); n > 2*bound {
-			t.Fatalf("%s: ReadSlab allocated %d from a %d-byte file", format.Name(), n, len(blob))
+		if n := allocated(func() { raw, err = x.ReadBox(start, extent) }); n > 2*bound {
+			t.Fatalf("%s: ReadBox allocated %d from a %d-byte file", format.Name(), n, len(blob))
 		}
 		if err == nil && len(raw) != rawSize {
 			t.Fatalf("%s: slab of %s is %d bytes, its chunk holds %d", format.Name(), v.Path, len(raw), rawSize)

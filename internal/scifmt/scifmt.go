@@ -1,11 +1,13 @@
 // Package scifmt is the pluggable format layer behind SciDP's Sci-format
 // Head Reader. The paper makes input-format support modular: "Users only
 // need to provide a file structure explorer and a corresponding reader to
-// add support of arbitrary file formats" (Section III-B). A Format couples
-// those two pieces — Detect/Explore (the structure explorer) and ReadSlab
-// (the reader) — and a Registry holds the installed formats so the File
-// Explorer can classify each input file as scientific (some format
-// detects it) or flat (none does).
+// add support of arbitrary file formats" (Section III-B). A Format is the
+// explorer, Detect and Explore. The corresponding reader is shared by
+// every format: Explore hands each variable's ioengine.ChunkIndex to the
+// Data Mapper, and the PFS Reader reads a hyperslab with that index's
+// ReadBox, so no header is decoded a second time. A Registry holds the
+// installed formats so the File Explorer can classify each input file as
+// scientific (some format detects it) or flat (none does).
 package scifmt
 
 import (
@@ -26,19 +28,17 @@ type VarEntry struct {
 	// ones ("model/physics/QR"). It becomes the virtual file's path
 	// under the mirrored HDFS directory.
 	Path string
-	// TypeName names the element type ("float", "int64", ...).
+	// TypeName names the element type in the format's terms ("float",
+	// "float32", ...).
 	TypeName string
-	// ElemSize is the element width in bytes.
-	ElemSize int
-	// DimNames names the dimensions, parallel to Grid.Shape (may be empty
-	// for formats without named dimensions).
+	// DimNames names the dimensions, parallel to Index.Grid.Shape (may be
+	// empty for formats without named dimensions).
 	DimNames []string
-	// Grid is the variable's extent per dimension and where each stored
-	// chunk lies in it: chunk i, the unit SciDP's Data Mapper turns into a
-	// dummy HDFS block, holds the box Grid.Box(i).
-	Grid ioengine.Grid
-	// RawBytes is the uncompressed variable payload size.
-	RawBytes int64
+	// Index is the variable's chunk index, with Src nil: its element type,
+	// its Grid (chunk i, the unit SciDP's Data Mapper turns into a dummy
+	// HDFS block, holds the box Grid.Box(i)) and every chunk's record. A
+	// reader sets Src to its own source and reads with ReadBox.
+	Index ioengine.ChunkIndex
 	// StoredBytes is the on-disk payload size.
 	StoredBytes int64
 }
@@ -51,9 +51,14 @@ type Info struct {
 	Attrs map[string]string
 	// Vars lists every variable in file order.
 	Vars []VarEntry
+	// Header is what exploring read of the file's header. A later reader
+	// reads the header again and compares, to tell whether the file still
+	// has the header the Vars' indexes were decoded from.
+	Header ioengine.Header
 }
 
-// Format is one scientific data format plugin.
+// Format is one scientific data format plugin: the file structure
+// explorer.
 type Format interface {
 	// Name identifies the format.
 	Name() string
@@ -62,9 +67,6 @@ type Format interface {
 	Detect(r ReaderAt) bool
 	// Explore parses metadata only and returns the file structure.
 	Explore(r ReaderAt) (*Info, error)
-	// ReadSlab reads the hyperslab [start, start+count) of the variable
-	// at varPath, returning raw little-endian row-major bytes.
-	ReadSlab(r ReaderAt, varPath string, start, count []int) ([]byte, error)
 }
 
 // Registry holds installed formats in registration order.

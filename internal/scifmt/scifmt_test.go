@@ -1,7 +1,9 @@
 package scifmt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -115,22 +117,19 @@ func TestNetCDFExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.TypeName != "float" || v.ElemSize != 4 {
+	if v.TypeName != "float" || v.Index.Type.Size() != 4 || v.Index.Src != nil {
 		t.Fatalf("var = %+v", v)
 	}
-	if n := v.Grid.Len(); n != 4 {
+	if n := v.Index.Grid.Len(); n != 4 || v.Index.Len != 4 {
 		t.Fatalf("chunks = %d, want 4 (one per level)", n)
 	}
 	for i := range 4 {
-		start, extent := v.Grid.Box(i)
+		start, extent := v.Index.Grid.Box(i)
 		if fmt.Sprint(start, extent) != fmt.Sprint([]int{i, 0, 0}, []int{1, 3, 3}) {
 			t.Fatalf("chunk %d box = %v+%v", i, start, extent)
 		}
 	}
-	if v.RawBytes != 4*36 {
-		t.Fatalf("RawBytes = %d", v.RawBytes)
-	}
-	if v.StoredBytes <= 0 || v.StoredBytes >= v.RawBytes*2 {
+	if v.StoredBytes <= 0 || v.StoredBytes >= 2*4*36 {
 		t.Fatalf("StoredBytes = %d", v.StoredBytes)
 	}
 	if _, err := info.Var("missing"); err == nil {
@@ -138,9 +137,26 @@ func TestNetCDFExplore(t *testing.T) {
 	}
 }
 
+// readSlab reads the box [start, start+count) of the variable at path as
+// the PFS Reader does: through the chunk index Explore hands out, its Src
+// set to the file.
+func readSlab(f Format, blob []byte, path string, start, count []int) ([]byte, error) {
+	info, err := f.Explore(ioengine.Bytes(blob))
+	if err != nil {
+		return nil, err
+	}
+	v, err := info.Var(path)
+	if err != nil {
+		return nil, err
+	}
+	x := v.Index
+	x.Src = ioengine.Bytes(blob)
+	return x.ReadBox(start, count)
+}
+
 func TestNetCDFReadSlab(t *testing.T) {
 	blob := ncBlob(t)
-	raw, err := NetCDF().ReadSlab(netcdf.BytesReader(blob), "QR", []int{2, 0, 0}, []int{1, 3, 3})
+	raw, err := readSlab(NetCDF(), blob, "QR", []int{2, 0, 0}, []int{1, 3, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,17 +180,17 @@ func TestHDF5ExploreNestedPaths(t *testing.T) {
 	if v.Path != "sim/out/T" {
 		t.Fatalf("path = %q, want sim/out/T (group mirror)", v.Path)
 	}
-	if n := v.Grid.Len(); n != 2 {
+	if n := v.Index.Grid.Len(); n != 2 {
 		t.Fatalf("chunks = %d, want 2", n)
 	}
-	if start, extent := v.Grid.Box(1); fmt.Sprint(start, extent) != fmt.Sprint([]int{2, 0}, []int{2, 6}) {
+	if start, extent := v.Index.Grid.Box(1); fmt.Sprint(start, extent) != fmt.Sprint([]int{2, 0}, []int{2, 6}) {
 		t.Fatalf("chunk 1 box = %v+%v", start, extent)
 	}
 }
 
 func TestHDF5ReadSlab(t *testing.T) {
 	blob := h5Blob(t)
-	raw, err := HDF5().ReadSlab(netcdf.BytesReader(blob), "sim/out/T", []int{1, 0}, []int{2, 6})
+	raw, err := readSlab(HDF5(), blob, "sim/out/T", []int{1, 0}, []int{2, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +202,7 @@ func TestHDF5ReadSlab(t *testing.T) {
 	}
 	// A box that cuts the trailing dimension reads the same way: columns
 	// 1 and 2 of every row, across both chunks.
-	raw, err = HDF5().ReadSlab(netcdf.BytesReader(blob), "sim/out/T", []int{0, 1}, []int{4, 2})
+	raw, err = readSlab(HDF5(), blob, "sim/out/T", []int{0, 1}, []int{4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +218,7 @@ func TestHDF5ReadSlab(t *testing.T) {
 }
 
 // TestHyperslabMatchesNaive: for random shapes, chunkings and boxes, both
-// formats' ReadSlab of the same array agree with a naive index-by-index
+// formats' slab reads of the same array agree with a naive index-by-index
 // extraction — netcdf chunked in every dimension, hdf5lite by random
 // leading-dimension runs, each deflated or stored.
 func TestHyperslabMatchesNaive(t *testing.T) {
@@ -255,7 +271,7 @@ func TestHyperslabMatchesNaive(t *testing.T) {
 			blob   []byte
 			path   string
 		}{{NetCDF(), nc, "v"}, {HDF5(), h5, "g/v"}} {
-			raw, err := c.format.ReadSlab(ioengine.Bytes(c.blob), c.path, start, count)
+			raw, err := readSlab(c.format, c.blob, c.path, start, count)
 			if err != nil {
 				t.Logf("%s: %v", c.format.Name(), err)
 				return false
@@ -305,13 +321,37 @@ func TestSegmentsSumToStoredBytes(t *testing.T) {
 		}
 		for _, v := range info.Vars {
 			var raw int64
-			for i := range v.Grid.Len() {
-				_, extent := v.Grid.Box(i)
-				raw += int64(ioengine.Volume(extent) * v.ElemSize)
+			g := v.Index.Grid
+			for i := range g.Len() {
+				_, extent := g.Box(i)
+				raw += int64(ioengine.Volume(extent) * v.Index.Type.Size())
 			}
-			if raw != v.RawBytes || v.Grid.Len() != 2 && v.Grid.Len() != 4 || v.StoredBytes <= 0 {
-				t.Fatalf("%s/%s: %d boxes of %d raw bytes, variable %d raw %d stored", info.Format, v.Path, v.Grid.Len(), raw, v.RawBytes, v.StoredBytes)
+			if whole := int64(ioengine.Volume(g.Shape) * v.Index.Type.Size()); raw != whole || g.Len() != 2 && g.Len() != 4 || v.StoredBytes <= 0 {
+				t.Fatalf("%s/%s: %d boxes of %d raw bytes, variable %d raw %d stored", info.Format, v.Path, g.Len(), raw, whole, v.StoredBytes)
 			}
+		}
+	}
+}
+
+// TestExploreRecordsHeader: Explore records the header it decoded — its
+// dialect, its length with the preamble and the CRC-32 of its body — and
+// reading the same bytes' header again gives the same record.
+func TestExploreRecordsHeader(t *testing.T) {
+	for _, c := range []struct {
+		format  Format
+		dialect string
+		blob    []byte
+	}{{NetCDF(), "netcdf", ncBlob(t)}, {HDF5(), "hdf5lite", h5Blob(t)}} {
+		info, err := c.format.Explore(ioengine.Bytes(c.blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := info.Header
+		if n := 12 + int64(binary.LittleEndian.Uint64(c.blob[4:])); h.Dialect.Name != c.dialect || h.Bytes != n || h.CRC != crc32.ChecksumIEEE(c.blob[12:n]) {
+			t.Fatalf("%s: header %+v, want %s, %d bytes, CRC-32 of the body", c.format.Name(), h, c.dialect, n)
+		}
+		if _, again, err := h.Dialect.ReadHeader(ioengine.Bytes(c.blob)); err != nil || again != h {
+			t.Fatalf("%s: the explored bytes' header read again: %+v, %v", c.format.Name(), again, err)
 		}
 	}
 }
