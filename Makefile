@@ -24,9 +24,13 @@ test:
 
 # The kernel/process hand-off and the idle-process list are the only real
 # cross-goroutine edges on the control plane; one pass over them is thin.
+# A stage resumes its workers inside its one start event, so the stage
+# runner's hand-offs get the same repetition (TestIdleSlotsCostNothing is
+# an allocation pin, built only without -race).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/sim
+	$(GO) test -race -count=10 -run 'TestCharacterisation|TestStageSettlesUnderRandomFaults|TestWorkerPanicNamesItsSlot' ./internal/mapreduce
 
 # benchmark-test runs the benchmark's tests: it is a module of its own,
 # so `go test ./...` at the root never reaches its workload output checks.

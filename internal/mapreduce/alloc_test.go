@@ -68,6 +68,32 @@ func TestReduceOutputAllocatesOncePerSlice(t *testing.T) {
 	}
 }
 
+// TestIdleSlotsCostNothing: a one-task stage allocates as much on a 16x8
+// cluster as on a 2x1 one. The stage's one start event starts the slot
+// that takes the task and skips every slot that then finds the stage
+// drained, so an idle slot costs no process, no body closure and no name
+// closure. When every slot had a process of its own, the 16x8 stage
+// allocated 140 more than the 2x1 one (164 against 24): one a slot, its
+// body closure, and one a node, its name closure; the processes came off
+// the kernel's idle list.
+func TestIdleSlotsCostNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func(nodes, slots int) (n float64) {
+		// One driver runs every stage, as a job's does, so the kernel's
+		// event queue and idle processes are warm after the first.
+		k := sim.NewKernel()
+		job := &Job{Name: "idle", Cluster: testCluster(k, nodes, slots)}
+		k.Go("driver", func(p *sim.Proc) {
+			n = testing.AllocsPerRun(5, func() { oneTaskStage(t, p, job) })
+		})
+		k.Run()
+		return n
+	}
+	if small, large := mallocs(2, 1), mallocs(16, 8); large != small {
+		t.Fatalf("a one-task stage allocated %.0f times on 2x1 slots and %.0f on 16x8, want the same", small, large)
+	}
+}
+
 // TestSortRunReusesItsScratch: once one run of a size has been sorted,
 // sorting another costs no allocation — the index lives in the pool and
 // the pairs are permuted in place.

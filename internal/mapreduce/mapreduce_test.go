@@ -443,6 +443,36 @@ func TestWaitingFeedHoldsNoSlot(t *testing.T) {
 	}
 }
 
+// TestWorkerPanicNamesItsSlot: a task body's panic reaches Run under its
+// worker's name, <job>/<stage>/<node>-worker, whichever slots the stage's
+// start event skipped. The task prefers bd-2, so bd-2's first worker
+// takes it at its first step while the other nodes' workers wait out
+// their delay beats.
+func TestWorkerPanicNamesItsSlot(t *testing.T) {
+	k := sim.NewKernel()
+	job := &Job{Name: "boom", Cluster: testCluster(k, 3, 2)}
+	k.Go("driver", func(p *sim.Proc) {
+		fed := false
+		job.RunStage(p, "wave", func(*sim.Proc) (*Task, error) {
+			if fed {
+				return nil, nil
+			}
+			fed = true
+			return &Task{Label: "bad", Locations: []string{"bd-2"}, Run: func(*TaskContext) (func(), error) {
+				panic("task body failed")
+			}}, nil
+		})
+	})
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		k.Run()
+	}()
+	if want := `sim: process "boom/wave/bd-2-worker" panicked: task body failed`; msg != want {
+		t.Fatalf("Run panicked with %q, want %q", msg, want)
+	}
+}
+
 func TestSequentialJobsComposeInOneDriver(t *testing.T) {
 	// A driver can run job B after job A completes (the SciHadoop
 	// copy-then-process pipeline shape).

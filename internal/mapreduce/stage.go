@@ -58,8 +58,10 @@ type stage struct {
 	tracked   []*Task // minted tasks the speculator scans
 	wg        *sim.WaitGroup
 	// durations feeds the speculation threshold even when no registry is
-	// attached (taskSeconds is a nil no-op then).
+	// attached (taskSeconds is a nil no-op then); nil without speculation.
 	durations *obs.Histogram
+	startNode *cluster.Node // the slot startWorkers is starting a worker on
+	startSlot int
 	err       error // the first permanent failure
 
 	span                                     *obs.Span
@@ -113,26 +115,22 @@ func (j *Job) runStage(p *sim.Proc, name string, feed func(*sim.Proc) (*Task, er
 		s.specLosses = j.Obs.Counter("mr/speculative_losses_total", l)
 		s.taskSeconds = j.Obs.Histogram("mr/task_seconds", taskSecondsBuckets, l)
 	}
-	s.durations = obs.NewHistogram(taskSecondsBuckets)
+	if s.speculative {
+		s.durations = obs.NewHistogram(taskSecondsBuckets)
+	}
 	s.q = newLocalityQueue(j.Cluster)
 	k := p.Kernel()
 	s.wg = k.NewWaitGroup()
 	// The source token keeps the wait group open until the feed drains,
 	// when the per-task holds take over.
 	s.wg.Add(1)
-	for _, node := range j.Cluster.Nodes {
-		node := node // a never-reassigned copy is captured by value: no heap cell per node
-		workerName := func() string { return fmt.Sprintf("%s/%s/%s-worker", j.Name, name, node.Name) }
-		for slot := 0; slot < node.Slots; slot++ {
-			k.GoNamed(workerName, func(wp *sim.Proc) { s.worker(wp, node, slot) })
-		}
-	}
+	k.After(0, func() { s.startWorkers(k) })
 	if s.speculative {
 		k.GoNamed(func() string { return fmt.Sprintf("%s/%s-speculator", j.Name, name) }, s.speculate)
 	}
-	// The workers exist before the first pull, so a feed that waits finds
-	// them idling, not unborn; one that does not yield fills the window
-	// before any of them has run.
+	// The slots' one start event is queued before the first pull, so a
+	// feed that waits finds the workers idling, not unborn; one that does
+	// not yield fills the window before any of them has run.
 	s.refill(p)
 	p.Wait(s.wg)
 	s.span.End()
@@ -173,9 +171,38 @@ func (s *stage) refill(rp *sim.Proc) {
 	s.filling = false
 }
 
-// worker is one task slot's process: pick, launch, settle, until the
-// stage has nothing left that this slot could run.
-func (s *stage) worker(wp *sim.Proc, node *cluster.Node, slot int) {
+// startWorkers is the stage's one start event: in node and slot order it
+// starts each slot's worker inside the event, but skips a slot that finds
+// the stage drained, the test the worker's first step would exit on. See
+// DESIGN.md "A slot that cannot run gets no process".
+func (s *stage) startWorkers(k *sim.Kernel) {
+	body := s.worker
+	for _, node := range s.j.Cluster.Nodes {
+		var name func() string // built once the node starts a worker
+		for slot := range node.Slots {
+			if s.drained() {
+				continue
+			}
+			if name == nil {
+				node := node // a never-reassigned copy is captured by value: no heap cell per node
+				name = func() string { return fmt.Sprintf("%s/%s/%s-worker", s.j.Name, s.name, node.Name) }
+			}
+			s.startNode, s.startSlot = node, slot
+			k.GoNow(name, body)
+		}
+	}
+}
+
+// drained reports that the feed is closed, nothing is queued, and no
+// settle can queue a backup: no slot can run anything more.
+func (s *stage) drained() bool {
+	return s.exhausted && s.q.live == 0 && (!s.speculative || s.pending == 0)
+}
+
+// worker is one task slot's process, on the slot startWorkers names as it
+// starts it: pick, launch, settle, until the stage is drained.
+func (s *stage) worker(wp *sim.Proc) {
+	node, slot := s.startNode, s.startSlot
 	lease := s.j.Lease
 	misses := 0
 	for {
@@ -193,7 +220,7 @@ func (s *stage) worker(wp *sim.Proc, node *cluster.Node, slot int) {
 		n := s.pull(node, misses)
 		if n == nil {
 			if s.q.live == 0 {
-				if s.exhausted && (!s.speculative || s.pending == 0) {
+				if s.drained() {
 					return
 				}
 				// The feed may refill, or speculation may still queue

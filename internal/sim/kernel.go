@@ -165,6 +165,7 @@ type Kernel struct {
 
 	failure   error // first process panic, re-raised by Run
 	liveProcs int
+	running   *Proc // the process holding control; nil in event context
 	// idle holds processes whose body has returned, goroutine parked on
 	// its channel, for the next Go to reuse; Run releases them on return.
 	idle   []*Proc
@@ -325,14 +326,32 @@ func (p *Proc) Now() float64 { return p.k.now }
 // Go starts fn as a new simulated process scheduled to begin immediately
 // (at the current virtual time, after already-queued events). The *Proc
 // is recycled once fn returns: it must not be used after that.
-func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc { return k.spawn(name, nil, fn) }
+func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc { return k.spawn(name, nil, fn, true) }
 
 // GoNamed is Go for a caller that starts many processes: name is called
 // only if the name is read (Name, a panic report), so a spawn costs no
 // formatting.
-func (k *Kernel) GoNamed(name func() string, fn func(p *Proc)) *Proc { return k.spawn("", name, fn) }
+func (k *Kernel) GoNamed(name func() string, fn func(p *Proc)) *Proc {
+	return k.spawn("", name, fn, true)
+}
 
-func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Proc {
+// GoNow is GoNamed from event context: the process runs inside the
+// calling event, until it first parks or exits, instead of in a wake
+// event of its own — so n processes started in order by one event run as
+// GoNamed's n consecutive events would run them. It starts nothing once a
+// process has panicked, and panics when called from a process body.
+func (k *Kernel) GoNow(name func() string, fn func(p *Proc)) {
+	if k.running != nil {
+		panic("sim: GoNow called from a process body; only event context (an After callback) may start a process in-event")
+	}
+	if k.failure == nil {
+		k.resume(k.spawn("", name, fn, false))
+	}
+}
+
+// spawn readies a process for fn, reusing an idle one when it can, and
+// queues its wake event unless the caller resumes it itself.
+func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc), queue bool) *Proc {
 	var p *Proc
 	if n := len(k.idle); n > 0 {
 		p, k.idle = k.idle[n-1], k.idle[:n-1]
@@ -342,7 +361,9 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 	}
 	p.name, p.nameFn, p.body = name, nameFn, fn
 	k.liveProcs++
-	k.wake(k.now, p)
+	if queue {
+		k.wake(k.now, p)
+	}
 	return p
 }
 
@@ -388,8 +409,10 @@ func (k *Kernel) releaseIdle() {
 // resume hands control to p and waits until p parks or exits. It must only
 // be called from event context (the Run loop), never from process context.
 func (k *Kernel) resume(p *Proc) {
+	k.running = p
 	p.ctl <- struct{}{}
 	<-p.ctl
+	k.running = nil
 }
 
 // pause yields control back to the kernel until another event resumes p.
