@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical pairs bench bench-paper loc
+.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical pairs aa bench bench-paper loc
 
 # check is the CI gate: formatting, vet, build, full tests, the race
 # detector across the whole module (the data-plane compute pool makes
@@ -73,6 +73,14 @@ METRIC ?= iter_wall_s_p50
 pairs:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo 'usage: make pairs PARENT=<rev> WORKLOAD="<w>..." [N=10] [SECONDS=10] [METRIC=iter_wall_s_p50]'; exit 2; }
 	bash scripts/pairs.sh $(PARENT) "$(WORKLOAD)" $(N) $(SECONDS) $(METRIC)
+
+# aa is pairs with REV (a git rev, HEAD by default) on both sides, each
+# archived, so it runs in a dirty tree: every metric's ratio and spread
+# between two copies of one program, the noise floor a claim must clear.
+REV ?= HEAD
+aa:
+	@test -n "$(WORKLOAD)" || { echo 'usage: make aa WORKLOAD="<w>..." [REV=HEAD] [N=10] [SECONDS=10] [METRIC=iter_wall_s_p50]'; exit 2; }
+	bash scripts/pairs.sh $(REV) "$(WORKLOAD)" $(N) $(SECONDS) $(METRIC) $(REV)
 
 # bench is the benchmark smoke test: every Benchmark* runs once with
 # allocation stats; a failing benchmark (b.Fatal/b.Error) fails the target.

@@ -189,3 +189,42 @@ func BenchmarkWriteFilePipeline(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkReadBlock is one warm reader's ReadBlock of a 1 MiB block on a
+// four-node cluster: from the replica's own disk (local) and across the
+// fabric from node 0's (remote). One op is one read: its replica choice,
+// its flow and the bytes it returns; allocs/op counts what a read builds.
+func BenchmarkReadBlock(b *testing.B) {
+	const size = 1 << 20
+	for _, c := range []struct {
+		name   string
+		reader int
+	}{{"local", 0}, {"remote", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			k := sim.NewKernel()
+			cl := cluster.New(k, "bd", cluster.Config{Nodes: 4, SlotsPerNode: 2, DiskBW: 1e9, NICBW: 1e9, FabricBW: 1e10})
+			fs := New(k, cl, Config{BlockSize: size, Replication: 1, NNOpsPerSec: 1e9})
+			run(k, func(p *sim.Proc) {
+				if err := fs.WriteFile(p, cl.Node(0), "/f", make([]byte, size)); err != nil {
+					b.Fatal(err)
+				}
+				n, err := fs.Lookup("/f")
+				if err != nil {
+					b.Fatal(err)
+				}
+				blk, reader := n.Blocks[0], cl.Node(c.reader)
+				if _, err := fs.ReadBlock(p, reader, blk); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(size)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := fs.ReadBlock(p, reader, blk); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
+}

@@ -46,10 +46,13 @@ type poolTask struct {
 
 // Future is the join handle for one offloaded closure. It resolves when
 // the closure returns or panics; a recovered panic value is re-raised by
-// Proc.Await in the awaiting process's context.
+// Proc.Await in the awaiting process's context. A future is joined by one
+// Await, once, and is valid until that Await returns: the kernel then
+// reuses it for a later Compute. A future never awaited is never reused.
 type Future struct {
-	done     chan struct{}
+	done     chan struct{} // capacity 1: the closure's one completion token
 	panicked any
+	awaited  bool
 }
 
 // NewComputePool returns a pool of the given number of OS workers.
@@ -62,13 +65,12 @@ func NewComputePool(workers int) *ComputePool {
 	return &ComputePool{workers: workers}
 }
 
-// submit hands fn to a worker and returns its future. Inline pools run
-// fn before returning; the future is already resolved.
-func (cp *ComputePool) submit(fn func()) *Future {
-	t := poolTask{fn: fn, fut: &Future{done: make(chan struct{})}}
+// submit hands t to a worker. Inline pools run it before returning; its
+// future is already resolved.
+func (cp *ComputePool) submit(t poolTask) {
 	if cp == nil || cp.workers <= 0 {
 		t.run()
-		return t.fut
+		return
 	}
 	cp.mu.Lock()
 	if cp.closed {
@@ -84,7 +86,6 @@ func (cp *ComputePool) submit(fn func()) *Future {
 	ch := cp.tasks
 	cp.mu.Unlock()
 	ch <- t
-	return t.fut
 }
 
 // work drains the task channel until Close.
@@ -95,12 +96,13 @@ func (cp *ComputePool) work() {
 }
 
 // run executes the closure, capturing a panic into the future, and
-// resolves it. The close of fut.done is the happens-before edge that
-// publishes the closure's writes to the kernel thread at join time.
+// resolves it. The token sent on fut.done is the happens-before edge that
+// publishes the closure's writes to the kernel thread at join time; the
+// worker touches the future no more after sending it.
 func (t poolTask) run() {
 	defer func() {
 		t.fut.panicked = recover()
-		close(t.fut.done)
+		t.fut.done <- struct{}{}
 	}()
 	t.fn()
 }
@@ -134,7 +136,15 @@ func (p *Proc) Compute(fn func()) *Future {
 	if k.obs != nil {
 		k.obs.Counter("sim/compute_tasks_total").Inc()
 	}
-	return k.pool.submit(fn)
+	var f *Future
+	if n := len(k.freeFuts); n > 0 {
+		f, k.freeFuts = k.freeFuts[n-1], k.freeFuts[:n-1]
+		f.awaited, f.panicked = false, nil
+	} else {
+		f = &Future{done: make(chan struct{}, 1)}
+	}
+	k.pool.submit(poolTask{fn: fn, fut: f})
+	return f
 }
 
 // Await blocks the process until every future has resolved. The wait
@@ -144,22 +154,43 @@ func (p *Proc) Compute(fn func()) *Future {
 // identically for any worker count, virtual timelines and event ordering
 // are worker-count invariant. If an awaited closure panicked, Await
 // re-panics with its value in process context, so the failure is
-// attributed to this process deterministically.
+// attributed to this process deterministically. The joined futures go
+// back to the kernel for reuse; a future already awaited, here or in an
+// earlier call, is a programmer error and panics before anything waits.
 func (p *Proc) Await(futs ...*Future) {
 	if len(futs) == 0 {
 		return
 	}
-	k := p.k
-	k.schedule(k.now, func() {
-		for _, f := range futs {
-			<-f.done
-		}
-		k.resume(p)
-	})
-	p.pause()
 	for _, f := range futs {
-		if f.panicked != nil {
-			panic(fmt.Sprintf("data-plane compute panicked: %v", f.panicked))
+		if f.awaited {
+			panic("sim: Await of a future that was already awaited; each Compute's future is joined by one Await, once")
+		}
+		f.awaited = true
+	}
+	k := p.k
+	p.awaiting = append(p.awaiting, futs...)
+	k.schedule(k.now, p.joinFn)
+	p.pause()
+	var failed any
+	for _, f := range p.awaiting {
+		if failed == nil {
+			failed = f.panicked
 		}
 	}
+	k.freeFuts = append(k.freeFuts, p.awaiting...)
+	clear(p.awaiting)
+	p.awaiting = p.awaiting[:0]
+	if failed != nil {
+		panic(fmt.Sprintf("data-plane compute panicked: %v", failed))
+	}
+}
+
+// join is the event of an Await: it blocks the kernel thread, in real
+// time, until every awaited closure has sent its token, then resumes the
+// process.
+func (p *Proc) join() {
+	for _, f := range p.awaiting {
+		<-f.done
+	}
+	p.k.resume(p)
 }

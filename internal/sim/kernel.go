@@ -15,8 +15,11 @@
 // Scale: both hot structures are built for O(100k)-node sweeps. The event
 // queue is a by-value 4-ary heap (no per-event allocation: a process
 // wake-up is a *Proc in the event, a flow completion is known by its seq,
-// only After's callers bring a closure; no container/heap interface
-// boxing). Fair-share is
+// a process's delayed stripe starts and its join are methods bound once
+// per Proc, only After's callers bring a closure; no container/heap
+// interface boxing). The kernel reuses drained flows and joined futures,
+// so once warm a flow, a striped read, a fork and a join allocate nothing
+// (DESIGN.md "The kernel owns its per-operation state"). Fair-share is
 // incremental: each resource caches its current per-flow share and an
 // index of the flows crossing it, each flow carries an absolute completion
 // deadline in an indexed heap, and a membership change re-rates only the
@@ -153,15 +156,18 @@ type Kernel struct {
 	schedSeq uint64
 	schedAt  float64
 	// activeRes tracks every resource with >= 1 flow (for RefreshRates
-	// and FairShareFull); dirtyRes, touched, started, done and startAts
-	// are reusable scratch.
+	// and FairShareFull); dirtyRes, touched, started and done are reusable
+	// scratch.
 	activeRes []*Resource
 	dirtyRes  []*Resource
 	touched   []*Flow
 	started   []*Flow
 	done      []*Flow
-	startAts  []float64
 	markSeq   uint64
+	// freeFlows holds drained flows and freeFuts joined futures, for the
+	// next openFlow and Compute to reuse.
+	freeFlows []*Flow
+	freeFuts  []*Future
 
 	failure   error // first process panic, re-raised by Run
 	liveProcs int
@@ -291,6 +297,17 @@ type Proc struct {
 	body   func(p *Proc)
 	ctl    chan struct{}
 	span   *obs.Span
+
+	// pending counts the flows the process is blocked on; the flow that
+	// brings it to zero resumes it. due holds a TransferAll's
+	// latency-delayed parts, awaiting an Await's futures. Both buffers and
+	// the two methods events run on them, bound once, are reused by every
+	// call the process makes.
+	pending   int
+	due       []duePart
+	awaiting  []*Future
+	openDueFn func()
+	joinFn    func()
 }
 
 // Span returns the process's current observability span (nil when none
@@ -357,6 +374,7 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc), queu
 		p, k.idle = k.idle[n-1], k.idle[:n-1]
 	} else {
 		p = &Proc{k: k, ctl: make(chan struct{})}
+		p.openDueFn, p.joinFn = p.openDue, p.join
 		go p.loop()
 	}
 	p.name, p.nameFn, p.body = name, nameFn, fn
@@ -487,16 +505,25 @@ func (r *Resource) shareNow() float64 {
 	return share
 }
 
-// Flow is an in-flight transfer across a set of resources.
+// inlineChain is the longest resource chain a flow holds without
+// allocating: the testbeds' chains have 1, 3, 4 or 5 resources (a PFS
+// stripe crosses OST disk, OSS NIC, fabric, interlink and client NIC).
+const inlineChain = 5
+
+// Flow is an in-flight transfer across a set of resources. The kernel
+// recycles a flow once it has drained and its onDone has returned.
 type Flow struct {
 	id        uint64
 	total     float64
 	remaining float64
 	rate      float64
-	res       []*Resource
-	onDone    func()
-	waiter    *Proc // resumed on completion (Transfer), after onDone
-	span      *obs.Span
+	// res is the flow's own copy of its resource chain, in resBuf when it
+	// fits.
+	res    []*Resource
+	resBuf [inlineChain]*Resource
+	onDone func()
+	waiter *Proc // counted down on completion, after onDone
+	span   *obs.Span
 
 	// settledAt is the instant remaining was last materialized; a flow
 	// settles only when its own rate changes (or it completes), so an
@@ -508,10 +535,9 @@ type Flow struct {
 	// hpos is position+1 in Kernel.flowHeap (0 = not enqueued).
 	hpos int
 	// resIdx mirrors res: position of this flow inside each resource's
-	// flow index. It is a slice of resIdxBuf when the chain fits (a PFS
-	// stripe's chain has at most six resources).
+	// flow index, in resIdxBuf when the chain fits.
 	resIdx    []int32
-	resIdxBuf [6]int32
+	resIdxBuf [inlineChain]int32
 	// mark dedupes membership in Kernel.touched per rebalance.
 	mark uint64
 }
@@ -798,20 +824,29 @@ func (k *Kernel) completeFlows() {
 	k.done = done[:0]
 }
 
-// flowDone tells whoever started f that it has drained.
+// flowDone tells whoever started f that it has drained: onDone runs, the
+// flow goes back on the free list, then its waiter's count drops, and the
+// flow that empties it resumes the process.
 func (k *Kernel) flowDone(f *Flow) {
 	if f.onDone != nil {
 		f.onDone()
 	}
-	if f.waiter != nil {
-		k.resume(f.waiter)
+	w := f.waiter
+	*f = Flow{}
+	k.freeFlows = append(k.freeFlows, f)
+	if w != nil {
+		if w.pending--; w.pending == 0 {
+			k.resume(w)
+		}
 	}
 }
 
 // StartFlow begins moving bytes across the given resources and invokes
 // onDone (from event context) when the transfer completes. Zero or
 // negative sizes complete immediately (still asynchronously). StartFlow
-// does not charge resource Latency; Proc.Transfer does.
+// does not charge resource Latency; Proc.Transfer does. The flow keeps
+// its own copy of res. The returned *Flow is valid only until onDone
+// returns: the kernel then reuses it for a later flow.
 func (k *Kernel) StartFlow(bytes float64, onDone func(), res ...*Resource) *Flow {
 	return k.startFlow(bytes, onDone, nil, nil, res)
 }
@@ -826,15 +861,23 @@ func (k *Kernel) startFlow(bytes float64, onDone func(), waiter *Proc, parent *o
 	return f
 }
 
-// openFlow creates a flow and its trace entry and attaches it to its
-// resources without rating it: live reports that the caller owes it a
-// rebalance. A size at or under epsBytes is not attached; it completes by
-// an event at the current instant instead. When a registry is attached
-// and parent is set, the flow records a child "flow" span carrying its
-// id, size, and resource chain.
+// openFlow takes a flow off the free list (or makes one), copies res into
+// it, records its trace entry and attaches it to its resources without
+// rating it: live reports that the caller owes it a rebalance. A size at
+// or under epsBytes is not attached; it completes by an event at the
+// current instant instead. When a registry is attached and parent is
+// set, the flow records a child "flow" span carrying its id, size, and
+// resource chain.
 func (k *Kernel) openFlow(bytes float64, onDone func(), waiter *Proc, parent *obs.Span, res []*Resource) (*Flow, bool) {
 	k.flowSeq++
-	f := &Flow{id: k.flowSeq, total: bytes, remaining: bytes, res: res, onDone: onDone, waiter: waiter}
+	var f *Flow
+	if n := len(k.freeFlows); n > 0 {
+		f, k.freeFlows = k.freeFlows[n-1], k.freeFlows[:n-1]
+	} else {
+		f = new(Flow)
+	}
+	f.id, f.total, f.remaining, f.onDone, f.waiter = k.flowSeq, bytes, bytes, onDone, waiter
+	f.res = append(f.resBuf[:0], res...)
 	if k.obs != nil && parent != nil {
 		f.span = k.obs.StartSpan("flow", "sim", parent)
 		f.span.Arg("flow", f.id)
@@ -872,6 +915,7 @@ func (p *Proc) Transfer(bytes float64, res ...*Resource) {
 	if lat := latency(res); lat > 0 {
 		p.Sleep(lat)
 	}
+	p.pending = 1
 	p.k.startFlow(bytes, nil, p, p.span, res)
 	p.pause()
 }
@@ -884,54 +928,62 @@ type Part struct {
 	Res []*Resource
 }
 
+// duePart is a TransferAll part whose flow starts at a later instant.
+type duePart struct {
+	at float64
+	pt Part
+}
+
 // TransferAll starts every part concurrently and blocks until all of them
 // complete — the shape of a striped PFS read, where one client pulls
 // segments from many OSTs at once. Each part individually charges its
 // resources' latency before its flow starts. Parts due at the same
 // instant start together and are rated in one rebalance: the parts with
 // no latency at once, the others in one kernel event per distinct start
-// instant, queued in the order of each instant's first part. Parts and
-// their chains must not change until TransferAll returns.
+// instant, queued in the order of each instant's first part. Parts' chains
+// must not change until TransferAll returns.
 func (p *Proc) TransferAll(parts ...Part) {
 	if len(parts) == 0 {
 		return
 	}
 	k := p.k
-	remaining := len(parts)
-	finish := func() {
-		remaining--
-		if remaining == 0 {
-			k.resume(p)
-		}
-	}
-	parent, t0 := p.span, k.now
-	started, ats := k.started[:0], k.startAts[:0]
-	for i, pt := range parts {
+	p.pending = len(parts)
+	started := k.started[:0]
+	for _, pt := range parts {
 		lat := latency(pt.Res)
 		if lat <= 0 {
-			started = k.openPart(started, pt, finish, parent)
-		} else if at := t0 + lat; !slices.Contains(ats, at) {
-			ats = append(ats, at)
-			group := parts[i:]
-			k.schedule(at, func() {
-				started := k.started[:0]
-				for _, pt := range group {
-					if lat := latency(pt.Res); lat > 0 && t0+lat == at {
-						started = k.openPart(started, pt, finish, parent)
-					}
-				}
-				k.rateStarted(started)
-			})
+			started = k.openPart(started, pt, p)
+			continue
 		}
+		at := k.now + lat
+		if !slices.ContainsFunc(p.due, func(d duePart) bool { return d.at == at }) {
+			k.schedule(at, p.openDueFn)
+		}
+		p.due = append(p.due, duePart{at: at, pt: pt})
 	}
-	k.startAts = ats[:0]
 	k.rateStarted(started)
 	p.pause()
+	clear(p.due)
+	p.due = p.due[:0]
 }
 
-// openPart opens pt's flow and appends it to started when it needs rating.
-func (k *Kernel) openPart(started []*Flow, pt Part, finish func(), parent *obs.Span) []*Flow {
-	if f, live := k.openFlow(pt.Bytes, finish, nil, parent, pt.Res); live {
+// openDue is the event of one start instant of the process's TransferAll:
+// it opens the parts due now, in part order, and rates them together.
+func (p *Proc) openDue() {
+	k := p.k
+	started := k.started[:0]
+	for _, d := range p.due {
+		if d.at == k.now {
+			started = k.openPart(started, d.pt, p)
+		}
+	}
+	k.rateStarted(started)
+}
+
+// openPart opens pt's flow for waiter and appends it to started when it
+// needs rating.
+func (k *Kernel) openPart(started []*Flow, pt Part, waiter *Proc) []*Flow {
+	if f, live := k.openFlow(pt.Bytes, nil, waiter, waiter.span, pt.Res); live {
 		started = append(started, f)
 	}
 	return started

@@ -181,11 +181,24 @@ func TestLazyNameIsFormattedOnlyWhenRead(t *testing.T) {
 	}
 }
 
-// The process primitives allocate nothing once the event queue and the
-// waiter lists have grown, and neither does starting a process on a
-// recycled Proc.
+// The process primitives allocate nothing once the event queue, the
+// waiter lists and the kernel's free lists have grown, and neither does
+// starting a process on a recycled Proc: a flow, a striped read over two
+// latency instants, a fork and a join on either pool cost no allocation
+// beyond what the caller brings (every closure here is built once).
 func TestProcSteadyStateAllocs(t *testing.T) {
+	pool := NewComputePool(2)
+	defer pool.Close()
 	k := NewKernel()
+	disk, nic := NewResource("disk", 1e6), NewResource("nic", 2e6)
+	slow, fast := NewResource("slow", 1e6), NewResource("fast", 1e6)
+	slow.Latency, fast.Latency = 0.002, 0.001
+	parts := []Part{
+		{Bytes: 1000, Res: []*Resource{slow, nic}},
+		{Bytes: 2000, Res: []*Resource{disk, nic}},
+		{Bytes: 1000, Res: []*Resource{fast, nic}},
+		{Bytes: 500, Res: []*Resource{slow, disk}},
+	}
 	got := map[string]float64{}
 	k.Go("measured", func(p *Proc) {
 		measure := func(name string, fn func()) { got[name] = testing.AllocsPerRun(100, fn) }
@@ -204,6 +217,19 @@ func TestProcSteadyStateAllocs(t *testing.T) {
 			k.Go("short", body)
 			p.Sleep(2)
 		})
+
+		measure("Transfer", func() { p.Transfer(1000, slow, disk) })
+		measure("StartFlow", func() {
+			wg.Add(1)
+			k.StartFlow(1000, done, disk, nic)
+			p.Wait(wg)
+		})
+		measure("TransferAll", func() { p.TransferAll(parts...) })
+
+		work := func() {}
+		measure("Compute/Await inline", func() { p.Await(p.Compute(work)) })
+		k.SetComputePool(pool)
+		measure("Compute/Await 2 workers", func() { p.Await(p.Compute(work), p.Compute(work)) })
 	})
 	k.Run()
 	for name, allocs := range got {
@@ -211,7 +237,7 @@ func TestProcSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocations per call, want none", name, allocs)
 		}
 	}
-	if len(got) != 3 {
-		t.Fatalf("measured %d primitives, want 3", len(got))
+	if len(got) != 8 {
+		t.Fatalf("measured %d primitives, want 8", len(got))
 	}
 }

@@ -3,8 +3,10 @@ package sim
 // WaitGroup waits for a collection of simulated activities to finish,
 // mirroring sync.WaitGroup in virtual time.
 type WaitGroup struct {
-	k       *Kernel
-	count   int
+	k     *Kernel
+	count int
+	// first is the first waiter, kept inline: most groups have one.
+	first   *Proc
 	waiters []*Proc
 }
 
@@ -26,6 +28,10 @@ func (w *WaitGroup) Add(n int) {
 func (w *WaitGroup) Done() { w.Add(-1) }
 
 func (w *WaitGroup) release() {
+	if w.first != nil {
+		w.k.wake(w.k.now, w.first)
+		w.first = nil
+	}
 	for _, p := range w.waiters {
 		w.k.wake(w.k.now, p)
 	}
@@ -39,7 +45,11 @@ func (p *Proc) Wait(w *WaitGroup) {
 	if w.count == 0 {
 		return
 	}
-	w.waiters = append(w.waiters, p)
+	if w.first == nil {
+		w.first = p
+	} else {
+		w.waiters = append(w.waiters, p)
+	}
 	p.pause()
 }
 

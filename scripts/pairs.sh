@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# pairs.sh <parent-rev> "<workload>..." [n] [seconds] [metric]: n
-# alternating paired runs of each named benchmark workload, <parent-rev>
-# against this working tree (uncommitted edits included), seeds 1..n. The
-# parent is archived into a temp dir as identical.sh does; each side's
+# pairs.sh <parent-rev> "<workload>..." [n] [seconds] [metric] [change-rev]:
+# n alternating paired runs of each named benchmark workload, <parent-rev>
+# against this working tree (uncommitted edits included), or against
+# <change-rev> when one is given, seeds 1..n. The parent (and a change
+# rev) is archived into a temp dir as identical.sh does; each side's
 # benchmark binary is built once for all the workloads (run.sh rebuilds per
 # run); both sides' out/ directories are emptied first, so no earlier run
 # leaks into the medians; odd seeds run the parent first, even seeds this
@@ -12,18 +13,23 @@
 # this tree wins on each (in the direction BENCHMARK.json calls better),
 # each side's quartiles and IQR, and one line saying whether the claim
 # rule holds on metric (this tree wins at least 9 of every 10 pairs and
-# its median beats the parent's by more than the parent's IQR). Last comes
-# one `run.sh -compare` over every workload, whose exit status it returns.
-# Run via `make pairs PARENT=<rev> WORKLOAD="<w>..." [N=10] [SECONDS=10]
-# [METRIC=iter_wall_s_p50]`.
+# its median beats the parent's by more than the parent's IQR), then every
+# end-to-end metric's median on each side, their ratio and each side's
+# spread (IQR over median). Last comes one `run.sh -compare` over every
+# workload, whose exit status it returns. Run via `make pairs
+# PARENT=<rev> WORKLOAD="<w>..." [N=10] [SECONDS=10]
+# [METRIC=iter_wall_s_p50]`; `make aa WORKLOAD="<w>..." [REV=HEAD]` runs
+# one rev against itself (both sides archived, so a dirty tree is fine):
+# its ratios and spreads are the noise a claim has to clear.
 set -euo pipefail
-usage='usage: pairs.sh <parent-rev> "<workload>..." [n] [seconds] [metric]'
+usage='usage: pairs.sh <parent-rev> "<workload>..." [n] [seconds] [metric] [change-rev]'
 rev=${1:?$usage}
 read -r -a workloads <<<"${2:?$usage}"
 [ ${#workloads[@]} -gt 0 ] || { echo "$usage" >&2; exit 2; }
 n=${3:-10}
 secs=${4:-10}
 METRIC=${5:-iter_wall_s_p50}
+changerev=${6:-}
 root=$(git rev-parse --show-toplevel)
 
 # The claimed metric must be one of BENCHMARK.json's end-to-end metrics
@@ -37,18 +43,28 @@ shown=(iter_wall_s_p50 iter_cpu_s_p50)
 case " ${shown[*]} " in *" $METRIC "*) ;; *) shown+=("$METRIC") ;; esac
 declare -A width
 for m in "${shown[@]}"; do width[$m]=$((${#label[$m]} + 7 > 14 ? ${#label[$m]} + 7 : 14)); done
+# The end-to-end metrics, in BENCHMARK.json's order, for the spread table.
+mapfile -t endtoend < <(awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+	on && /"name"/ { gsub(/[",]/, "", $2); print $2 }' "$root/BENCHMARK.json")
 commit=$(git -C "$root" rev-parse --verify "$rev^{commit}")
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir -p "$tmp/parent"
 git -C "$root" archive "$commit" | tar -x -C "$tmp/parent"
+change=$root changename=$root
+if [ -n "$changerev" ]; then
+	changename=$(git -C "$root" rev-parse --verify "$changerev^{commit}")
+	change=$tmp/change
+	mkdir -p "$change"
+	git -C "$root" archive "$changename" | tar -x -C "$change"
+fi
 
 # Both sides build as run.sh does, sharing this tree's build cache.
 build="$root/.bench_build"
 mkdir -p "$build/tmp"
 export GOCACHE="$build/gocache" GOPATH="$build/gopath" GOTMPDIR="$build/tmp"
 export GOPROXY=off GOTOOLCHAIN=local
-for tree in "$tmp/parent" "$root"; do
+for tree in "$tmp/parent" "$change"; do
 	go build -C "$tree/benchmark" -o "$tree/.bench_build/scidp-benchmark" .
 	rm -rf "$tree/.bench_build/out"
 done
@@ -91,22 +107,22 @@ row() {
 block() {
 	local workload=$1 seed m v pv cv pq1 pmed pq3 cmed
 	local -A vals=() wins=()
-	echo "pairs: $workload, $n pairs of ${secs}s, parent $commit vs $root"
+	echo "pairs: $workload, $n pairs of ${secs}s, parent $commit vs $changename"
 	printf '%-5s' seed
 	for m in "${shown[@]}"; do printf " %-${width[$m]}s %-${width[$m]}s" "${label[$m]}-parent" "${label[$m]}-change"; done
 	echo
 	for seed in $(seq 1 "$n"); do
 		if [ $((seed % 2)) = 1 ]; then
 			run "$tmp/parent" "$workload" "$seed"
-			run "$root" "$workload" "$seed"
+			run "$change" "$workload" "$seed"
 		else
-			run "$root" "$workload" "$seed"
+			run "$change" "$workload" "$seed"
 			run "$tmp/parent" "$workload" "$seed"
 		fi
 		printf '%-5s' "$seed"
 		for m in "${shown[@]}"; do
 			pv=$(metric "$tmp/parent" "$workload" "$seed" "$m")
-			cv=$(metric "$root" "$workload" "$seed" "$m")
+			cv=$(metric "$change" "$workload" "$seed" "$m")
 			[ -n "$pv" ] && [ -n "$cv" ] || { echo; echo "pairs.sh: no $m in the $workload seed $seed results" >&2; exit 2; }
 			printf " %-${width[$m]}s %-${width[$m]}s" "$pv" "$cv"
 			vals[$m,parent]+="$pv " vals[$m,change]+="$cv "
@@ -133,11 +149,35 @@ block() {
 		printf "pairs: %s: the claim rule on %s (%s is better) %s: %d/%d pairs won (needs 9 of every 10); the medians differ by %.6g in the change'"'"'s favour (must exceed the parent IQR, %.6g); change/parent median = %.4f\n\n",
 			wl, m, d, (w * 10 >= n * 9 && gain > iqr) ? "holds" : "does not hold", w, n, gain, iqr, pmed != 0 ? cmed / pmed : 0
 	}'
+	spreads "$workload"
+}
+
+# spreads <workload>: each end-to-end metric the workload reports, with
+# each side's median and spread (IQR over median) and change/parent.
+spreads() {
+	local workload=$1 m side seed v q1 med q3 vals cells
+	printf '%-28s %-12s %-8s %-12s %-8s %s\n' "" parent spread change spread change/parent
+	for m in "${endtoend[@]}"; do
+		cells=()
+		for side in "$tmp/parent" "$change"; do
+			vals=()
+			for seed in $(seq 1 "$n"); do
+				v=$(metric "$side" "$workload" "$seed" "$m")
+				[ -n "$v" ] && vals+=("$v")
+			done
+			[ ${#vals[@]} -gt 0 ] || continue 2
+			read -r q1 med q3 <<<"$(quartiles "${vals[@]}")"
+			cells+=("$med" "$(awk -v a="$q1" -v m="$med" -v b="$q3" 'BEGIN { printf "%.4f", m != 0 ? (b - a) / m : 0 }')")
+		done
+		awk -v l="$m" -v pm="${cells[0]}" -v ps="${cells[1]}" -v cm="${cells[2]}" -v cs="${cells[3]}" \
+			'BEGIN { printf "%-28s %-12.6g %-8s %-12.6g %-8s %.4f\n", l, pm, ps, cm, cs, pm != 0 ? cm / pm : 1 }'
+	done
+	echo
 }
 
 for workload in "${workloads[@]}"; do
 	block "$workload"
 done
 status=0
-(cd "$root" && bash benchmark/run.sh -compare "$tmp/parent/.bench_build/out" "$root/.bench_build/out") || status=$?
+(cd "$root" && bash benchmark/run.sh -compare "$tmp/parent/.bench_build/out" "$change/.bench_build/out") || status=$?
 exit $status
