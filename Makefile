@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical pairs aa bench bench-paper loc
+.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical pairs aa bench bench-paper loc reach
 
 # check is the CI gate: formatting, vet, build, full tests, the race
 # detector across the whole module (the data-plane compute pool makes
@@ -91,6 +91,13 @@ bench:
 # benchmark/, per package and in total.
 loc:
 	@bash scripts/loc.sh
+
+# reach prints what no run reaches: the functions and, per file, the
+# statements that identical's artifact list and every benchmark workload
+# (one second, untraced and traced) leave unexecuted under coverage-built
+# binaries. It reports only, like loc; a cut starts from its list.
+reach:
+	@bash scripts/reach.sh
 
 # bench-paper regenerates the paper's tables/figures via the harness.
 bench-paper:

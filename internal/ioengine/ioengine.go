@@ -217,9 +217,9 @@ func (b *Bound) Announce(plan []Range) {
 //
 // once is the single-pass scan: a one-shot scan over a pruned chunk list
 // must not evict the working set iterative slab readers depend on, so it
-// peeks the cache (no LRU promotion), takes only a chunk already in this
-// node's buffer (no peer pull) and keeps nothing. Prefetch-staged bytes
-// are still consumed and the readahead window still advances.
+// peeks the cache (no LRU promotion), never consults the tier and keeps
+// nothing. Prefetch-staged bytes are still consumed and the readahead
+// window still advances.
 func (b *Bound) readChunk(off, stored int64, decode func(raw []byte) ([]byte, error), once bool) (Payload, error) {
 	b.advance(off)
 	held := b.cache != nil || b.tier != nil
@@ -257,7 +257,7 @@ func (b *Bound) readChunk(off, stored int64, decode func(raw []byte) ([]byte, er
 	}
 	if b.tier != nil {
 		b.tier.MissOST(stored)
-		b.tier.Admit(b.p, b.tnode, dkey, out, stored)
+		b.tier.Admit(b.tnode, dkey, out, stored)
 	}
 	b.startPrefetch()
 	return Payload{b: out}, nil
@@ -265,7 +265,7 @@ func (b *Bound) readChunk(off, stored int64, decode func(raw []byte) ([]byte, er
 
 // resident looks the decoded chunk dkey up in the per-job cache, then in
 // the cooperative tier: a local buffer hit is free, a peer hit charges its
-// transfer inside Tier.Read. A single-pass scan peeks both, never a peer.
+// transfer inside Tier.Read. A single-pass scan only peeks the cache.
 func (b *Bound) resident(dkey string, once bool) (v []byte, ok bool) {
 	switch {
 	case b.cache == nil:
@@ -274,11 +274,8 @@ func (b *Bound) resident(dkey string, once bool) (v []byte, ok bool) {
 	default:
 		v, ok = b.cache.Get(dkey)
 	}
-	switch {
-	case ok || b.tier == nil:
+	if ok || b.tier == nil || once {
 		return v, ok
-	case once:
-		return b.tier.PeekLocal(b.tnode, dkey)
 	}
 	return b.tier.Read(b.p, b.tnode, dkey)
 }

@@ -1,6 +1,7 @@
 package ioengine
 
 import (
+	"slices"
 	"sync"
 
 	"scidp/internal/obs"
@@ -8,8 +9,8 @@ import (
 )
 
 // Tier is the cluster-wide cooperative cache: per-node burst buffers
-// holding decoded chunks, a directory mapping keys to holder nodes, and
-// hot-key promotion. A local hit costs nothing (the decoded bytes are
+// holding decoded chunks and a directory mapping keys to holder nodes.
+// A local hit costs nothing (the decoded bytes are
 // already on the node); a peer hit charges a transfer over the
 // topology's intra-rack/zone links; only a full miss falls back to the
 // storage engine. The tier sits above the per-job Cache in Bound's
@@ -52,11 +53,6 @@ type TierConfig struct {
 	// PolicyCost, which weighs refetch cost (stored size scaled by the
 	// live OST queue depth) against retained bytes.
 	Policy string
-	// PromoteThreshold replicates a key to one more node every this
-	// many tier accesses (default 4; < 0 disables promotion).
-	PromoteThreshold int
-	// MaxReplicas caps a key's holder count (default 2).
-	MaxReplicas int
 }
 
 // Enabled reports whether the config describes an active tier.
@@ -77,7 +73,9 @@ type TierStats struct {
 	OSTBytes   int64
 	Admits     int64
 	Evictions  int64
-	// Promotions counts hot-key replicas that actually landed.
+	// Promotions is always 0: the tier replicates a key only when a peer
+	// read installs a local copy. It stays while the benchmark's
+	// ioengine.tier_promotions reads it.
 	Promotions      int64
 	ResidentBytes   int64
 	ResidentEntries int64
@@ -128,10 +126,7 @@ type Tier struct {
 	topo       TierTopology
 	queueDepth func() float64
 	buffers    map[string]*tierBuffer
-	names      []string // registration order, the promotion scan order
 	dir        map[string][]string
-	access     map[string]int64
-	promoting  map[string]bool
 	seq        uint64
 	stats      TierStats
 }
@@ -147,35 +142,22 @@ func NewTier(cfg TierConfig, topo TierTopology, queueDepth func() float64) *Tier
 	if cfg.Policy != PolicyLRU && cfg.Policy != PolicyCost {
 		panic("ioengine: unknown tier policy " + cfg.Policy)
 	}
-	if cfg.PromoteThreshold == 0 {
-		cfg.PromoteThreshold = 4
-	}
-	if cfg.MaxReplicas <= 0 {
-		cfg.MaxReplicas = 2
-	}
 	return &Tier{
 		cfg: cfg, topo: topo, queueDepth: queueDepth,
 		buffers: map[string]*tierBuffer{}, dir: map[string][]string{},
-		access: map[string]int64{}, promoting: map[string]bool{},
 	}
 }
 
 // Register creates node's burst buffer with an explicit capacity.
 // Unregistered nodes get a buffer with the config's NodeBytes on first
-// touch; registering up front pins the promotion scan order to the
-// cluster's node order.
+// touch.
 func (t *Tier) Register(name string, capBytes int64) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b, ok := t.buffers[name]; ok {
-		b.cap = capBytes
-		return
-	}
-	t.buffers[name] = &tierBuffer{name: name, cap: capBytes, entries: map[string]*tierEntry{}}
-	t.names = append(t.names, name)
+	t.bufferLocked(name).cap = capBytes
+	t.mu.Unlock()
 }
 
 func (t *Tier) bufferLocked(name string) *tierBuffer {
@@ -183,7 +165,6 @@ func (t *Tier) bufferLocked(name string) *tierBuffer {
 	if !ok {
 		b = &tierBuffer{name: name, cap: t.cfg.NodeBytes, entries: map[string]*tierEntry{}}
 		t.buffers[name] = b
-		t.names = append(t.names, name)
 	}
 	return b
 }
@@ -202,11 +183,9 @@ func (t *Tier) Read(p *sim.Proc, node, key string) ([]byte, bool) {
 	if e, ok := buf.entries[key]; ok {
 		t.seq++
 		e.seq = t.seq
-		t.access[key]++
 		t.stats.LocalHits++
 		t.stats.LocalBytes += int64(len(e.val))
 		val := e.val
-		t.maybePromoteLocked(p, key)
 		t.mu.Unlock()
 		return val, true
 	}
@@ -215,7 +194,6 @@ func (t *Tier) Read(p *sim.Proc, node, key string) ([]byte, bool) {
 		t.mu.Unlock()
 		return nil, false
 	}
-	t.access[key]++
 	t.stats.PeerHits++
 	t.stats.PeerBytes += int64(len(val))
 	var path []*sim.Resource
@@ -230,7 +208,6 @@ func (t *Tier) Read(p *sim.Proc, node, key string) ([]byte, bool) {
 	}
 	t.mu.Lock()
 	t.admitLocked(node, key, val, stored)
-	t.maybePromoteLocked(p, key)
 	t.mu.Unlock()
 	return val, true
 }
@@ -264,28 +241,6 @@ func (t *Tier) pickHolderLocked(node, key string) (string, []byte, int64) {
 	return best, val, stored
 }
 
-// PeekLocal serves key only if node already holds it — the one-shot
-// scan path's lookup, which must not admit, promote, or pull from
-// peers (a pruned scan must leave the cluster working set untouched).
-func (t *Tier) PeekLocal(node, key string) ([]byte, bool) {
-	if t == nil {
-		return nil, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := t.buffers[node]
-	if b == nil {
-		return nil, false
-	}
-	e, ok := b.entries[key]
-	if !ok {
-		return nil, false
-	}
-	t.stats.LocalHits++
-	t.stats.LocalBytes += int64(len(e.val))
-	return e.val, true
-}
-
 // MissOST books an engine fallback of the given stored size.
 func (t *Tier) MissOST(stored int64) {
 	if t == nil {
@@ -299,14 +254,12 @@ func (t *Tier) MissOST(stored int64) {
 
 // Admit offers (key, val) decoded from stored engine bytes to node's
 // buffer after a miss.
-func (t *Tier) Admit(p *sim.Proc, node, key string, val []byte, stored int64) {
+func (t *Tier) Admit(node, key string, val []byte, stored int64) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.access[key]++
 	t.admitLocked(node, key, val, stored)
-	t.maybePromoteLocked(p, key)
 	t.mu.Unlock()
 }
 
@@ -370,101 +323,22 @@ func (t *Tier) evictLocked(buf *tierBuffer, e *tierEntry) {
 	t.removeHolderLocked(e.key, buf.name)
 }
 
-func (t *Tier) holdsLocked(key, node string) bool {
-	for _, h := range t.dir[key] {
-		if h == node {
-			return true
-		}
-	}
-	return false
-}
-
 func (t *Tier) addHolderLocked(key, node string) {
-	if t.holdsLocked(key, node) {
-		return
+	if !slices.Contains(t.dir[key], node) {
+		t.dir[key] = append(t.dir[key], node)
 	}
-	t.dir[key] = append(t.dir[key], node)
 }
 
 func (t *Tier) removeHolderLocked(key, node string) {
 	hs := t.dir[key]
-	for i, h := range hs {
-		if h == node {
-			hs = append(hs[:i], hs[i+1:]...)
-			break
-		}
+	if i := slices.Index(hs, node); i >= 0 {
+		hs = slices.Delete(hs, i, i+1)
 	}
 	if len(hs) == 0 {
-		delete(t.dir, key) // access counts survive; holder set is empty
+		delete(t.dir, key)
 		return
 	}
 	t.dir[key] = hs
-}
-
-// maybePromoteLocked replicates a hot key to one more node when its
-// access count crosses a multiple of the promotion threshold: the
-// target is the registered node with the fewest resident bytes that
-// does not hold the key (registration order breaks ties), the source
-// the holder nearest the target. The copy runs on a background process
-// so the reader never waits on promotion traffic.
-func (t *Tier) maybePromoteLocked(p *sim.Proc, key string) {
-	th := t.cfg.PromoteThreshold
-	if th <= 0 || p == nil {
-		return
-	}
-	if t.access[key]%int64(th) != 0 || t.promoting[key] {
-		return
-	}
-	holders := t.dir[key]
-	if len(holders) == 0 || len(holders) >= t.cfg.MaxReplicas {
-		return
-	}
-	var target *tierBuffer
-	for _, n := range t.names {
-		if t.holdsLocked(key, n) {
-			continue
-		}
-		if b := t.buffers[n]; target == nil || b.bytes < target.bytes {
-			target = b
-		}
-	}
-	if target == nil {
-		return
-	}
-	src := holders[0]
-	if t.topo != nil {
-		bestD := t.topo.Distance(src, target.name)
-		for _, h := range holders[1:] {
-			if d := t.topo.Distance(h, target.name); d < bestD {
-				src, bestD = h, d
-			}
-		}
-	}
-	e := t.buffers[src].entries[key]
-	if e == nil {
-		return
-	}
-	val, stored := e.val, e.stored
-	var path []*sim.Resource
-	if t.topo != nil {
-		path = t.topo.PeerPathByName(src, target.name)
-	}
-	t.promoting[key] = true
-	dst := target.name
-	p.Kernel().Go("ioengine/promote", func(pp *sim.Proc) {
-		if len(val) > 0 && len(path) > 0 {
-			pp.Transfer(float64(len(val)), path...)
-		}
-		t.mu.Lock()
-		delete(t.promoting, key)
-		if !t.holdsLocked(key, dst) {
-			t.admitLocked(dst, key, val, stored)
-			if t.holdsLocked(key, dst) {
-				t.stats.Promotions++
-			}
-		}
-		t.mu.Unlock()
-	})
 }
 
 // Stats snapshots the tier counters plus current residency.
@@ -502,7 +376,6 @@ func (t *Tier) RegisterObs(r *obs.Registry, labels ...obs.Label) {
 	ostBytes := r.Counter("ioengine/tier_bytes_total", level("ost")...)
 	admits := r.Counter("ioengine/tier_admits_total", labels...)
 	evictions := r.Counter("ioengine/tier_evictions_total", labels...)
-	promotions := r.Counter("ioengine/tier_promotions_total", labels...)
 	resBytes := r.Gauge("ioengine/tier_resident_bytes", labels...)
 	resEntries := r.Gauge("ioengine/tier_resident_entries", labels...)
 	localRatio := r.Gauge("ioengine/cache_hit_ratio", level("local")...)
@@ -518,7 +391,6 @@ func (t *Tier) RegisterObs(r *obs.Registry, labels ...obs.Label) {
 		ostBytes.Set(float64(st.OSTBytes))
 		admits.Set(float64(st.Admits))
 		evictions.Set(float64(st.Evictions))
-		promotions.Set(float64(st.Promotions))
 		resBytes.Set(float64(st.ResidentBytes))
 		resEntries.Set(float64(st.ResidentEntries))
 		total := float64(st.LocalHits + st.PeerHits + st.OSTReads)

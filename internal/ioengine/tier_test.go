@@ -1,9 +1,11 @@
 package ioengine
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"scidp/internal/sim"
@@ -37,21 +39,23 @@ func tierNodes(t *Tier, names ...string) {
 	}
 }
 
+// held reports whether node's buffer holds key, touching no counter and
+// no recency.
+func held(t *Tier, node, key string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b := t.buffers[node]
+	return b != nil && b.entries[key] != nil
+}
+
 // residency returns a deterministic dump of every buffer's keys — the
 // comparison artifact for the same-seed determinism test.
 func residency(t *Tier) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := ""
-	names := append([]string{}, t.names...)
-	sort.Strings(names)
-	for _, n := range names {
-		keys := make([]string, 0, len(t.buffers[n].entries))
-		for k := range t.buffers[n].entries {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out += fmt.Sprintf("%s:%v;", n, keys)
+	for _, n := range slices.Sorted(maps.Keys(t.buffers)) {
+		out += fmt.Sprintf("%s:%v;", n, slices.Sorted(maps.Keys(t.buffers[n].entries)))
 	}
 	return out
 }
@@ -62,7 +66,7 @@ func TestTierCapacityNeverExceeded(t *testing.T) {
 	for _, policy := range []string{PolicyLRU, PolicyCost} {
 		t.Run(policy, func(t *testing.T) {
 			const capBytes = 1000
-			tier := NewTier(TierConfig{NodeBytes: capBytes, Policy: policy, PromoteThreshold: -1}, stubTopo{}, nil)
+			tier := NewTier(TierConfig{NodeBytes: capBytes, Policy: policy}, stubTopo{}, nil)
 			tierNodes(tier, "n0", "n1", "n2", "n3")
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 5000; i++ {
@@ -70,7 +74,7 @@ func TestTierCapacityNeverExceeded(t *testing.T) {
 				key := fmt.Sprintf("k%d", rng.Intn(200))
 				size := 1 + rng.Intn(400)
 				stored := 1 + rng.Intn(size)
-				tier.Admit(nil, node, key, make([]byte, size), int64(stored))
+				tier.Admit(node, key, make([]byte, size), int64(stored))
 				tier.mu.Lock()
 				for _, b := range tier.buffers {
 					if b.bytes > b.cap {
@@ -103,18 +107,18 @@ func TestTierVictimDeterminism(t *testing.T) {
 	for _, policy := range []string{PolicyLRU, PolicyCost} {
 		t.Run(policy, func(t *testing.T) {
 			run := func() (string, TierStats) {
-				tier := NewTier(TierConfig{NodeBytes: 600, Policy: policy, PromoteThreshold: -1}, stubTopo{}, nil)
+				tier := NewTier(TierConfig{NodeBytes: 600, Policy: policy}, stubTopo{}, nil)
 				tierNodes(tier, "n0", "n1")
 				rng := rand.New(rand.NewSource(42))
 				for i := 0; i < 2000; i++ {
 					node := fmt.Sprintf("n%d", rng.Intn(2))
 					key := fmt.Sprintf("k%d", rng.Intn(60))
 					if rng.Intn(3) == 0 {
-						tier.PeekLocal(node, key)
+						tier.Read(nil, node, key) // stubTopo's peer paths are free
 						continue
 					}
 					size := 50 + rng.Intn(200)
-					tier.Admit(nil, node, key, make([]byte, size), int64(size/2))
+					tier.Admit(node, key, make([]byte, size), int64(size/2))
 				}
 				return residency(tier), tier.Stats()
 			}
@@ -149,10 +153,10 @@ func TestTierCostOracle(t *testing.T) {
 		for _, e := range entries {
 			capSum += int64(e.size)
 		}
-		tier := NewTier(TierConfig{NodeBytes: capSum, Policy: PolicyCost, PromoteThreshold: -1}, stubTopo{}, nil)
+		tier := NewTier(TierConfig{NodeBytes: capSum, Policy: PolicyCost}, stubTopo{}, nil)
 		tierNodes(tier, "n0")
 		for _, e := range entries {
-			tier.Admit(nil, "n0", e.key, make([]byte, e.size), int64(e.stored))
+			tier.Admit("n0", e.key, make([]byte, e.size), int64(e.stored))
 		}
 		// Oracle: rank every resident entry (and the newcomer) by score.
 		all := append([]entry{}, entries...)
@@ -166,15 +170,15 @@ func TestTierCostOracle(t *testing.T) {
 				victim, best = e, s
 			}
 		}
-		tier.Admit(nil, "n0", newcomer.key, make([]byte, newcomer.size), int64(newcomer.stored))
-		if _, held := tier.PeekLocal("n0", victim.key); held {
+		tier.Admit("n0", newcomer.key, make([]byte, newcomer.size), int64(newcomer.stored))
+		if held(tier, "n0", victim.key) {
 			t.Fatalf("case %d: oracle victim %q still resident", ci, victim.key)
 		}
 		for _, e := range all {
 			if e.key == victim.key {
 				continue
 			}
-			if _, held := tier.PeekLocal("n0", e.key); !held {
+			if !held(tier, "n0", e.key) {
 				t.Fatalf("case %d: non-victim %q evicted (oracle says %q)", ci, e.key, victim.key)
 			}
 		}
@@ -188,19 +192,17 @@ func TestTierCostOracle(t *testing.T) {
 // make the transfer-heavy entry dear instead).
 func TestTierQueueDepthShiftsVictim(t *testing.T) {
 	run := func(depth float64) (decodeHeavyHeld, transferHeavyHeld bool) {
-		tier := NewTier(TierConfig{NodeBytes: 350, Policy: PolicyCost, PromoteThreshold: -1},
+		tier := NewTier(TierConfig{NodeBytes: 350, Policy: PolicyCost},
 			stubTopo{}, func() float64 { return depth })
 		tierNodes(tier, "n0")
 		// decode-heavy: inflates 6x (stored 50 -> 300 decoded).
-		tier.Admit(nil, "n0", "decode-heavy", make([]byte, 300), 50)
+		tier.Admit("n0", "decode-heavy", make([]byte, 300), 50)
 		// transfer-heavy: barely compresses (stored 100 -> 50 decoded).
-		tier.Admit(nil, "n0", "transfer-heavy", make([]byte, 50), 100)
+		tier.Admit("n0", "transfer-heavy", make([]byte, 50), 100)
 		// The pinned entry overflows the buffer and always scores
 		// highest, forcing one of the first two out.
-		tier.Admit(nil, "n0", "pinned", make([]byte, 50), 300)
-		_, a := tier.PeekLocal("n0", "decode-heavy")
-		_, b := tier.PeekLocal("n0", "transfer-heavy")
-		return a, b
+		tier.Admit("n0", "pinned", make([]byte, 50), 300)
+		return held(tier, "n0", "decode-heavy"), held(tier, "n0", "transfer-heavy")
 	}
 	if dec, tr := run(0); !dec || tr {
 		t.Fatalf("depth 0: want transfer-heavy evicted (decode cost dominates), got decode=%v transfer=%v", dec, tr)
@@ -210,16 +212,16 @@ func TestTierQueueDepthShiftsVictim(t *testing.T) {
 	}
 }
 
-// TestTierPeerFetchAndPromotion runs the cooperative path on a kernel:
-// a peer hit serves another node's entry, installs a local copy, and
-// repeated access promotes the key to an extra replica.
-func TestTierPeerFetchAndPromotion(t *testing.T) {
+// TestTierPeerFetch runs the cooperative path on a kernel: a peer hit
+// serves another node's entry and installs a local copy, repeat reads hit
+// that copy, and the peer copy is the only replica reads make.
+func TestTierPeerFetch(t *testing.T) {
 	k := sim.NewKernel()
-	tier := NewTier(TierConfig{NodeBytes: 1 << 20, PromoteThreshold: 2, MaxReplicas: 3}, stubTopo{}, nil)
+	tier := NewTier(TierConfig{NodeBytes: 1 << 20}, stubTopo{}, nil)
 	tierNodes(tier, "n0", "n1", "n2", "n3")
 	val := make([]byte, 100)
 	k.Go("driver", func(p *sim.Proc) {
-		tier.Admit(p, "n0", "hot", val, 50)
+		tier.Admit("n0", "hot", val, 50)
 		if _, ok := tier.Read(p, "n2", "missing"); ok {
 			t.Error("read of unknown key must miss")
 		}
@@ -227,10 +229,9 @@ func TestTierPeerFetchAndPromotion(t *testing.T) {
 		if !ok || len(got) != len(val) {
 			t.Errorf("peer read failed: ok=%v len=%d", ok, len(got))
 		}
-		if _, ok := tier.PeekLocal("n2", "hot"); !ok {
+		if !held(tier, "n2", "hot") {
 			t.Error("peer fetch must install a local copy")
 		}
-		// Drive accesses past the threshold so a promotion fires.
 		for i := 0; i < 4; i++ {
 			tier.Read(p, "n2", "hot")
 		}
@@ -240,25 +241,21 @@ func TestTierPeerFetchAndPromotion(t *testing.T) {
 	if st.PeerHits != 1 {
 		t.Fatalf("want exactly 1 peer hit, got %+v", st)
 	}
-	if st.LocalHits < 4 {
+	if st.LocalHits != 4 {
 		t.Fatalf("repeat reads should hit locally: %+v", st)
 	}
-	if st.Promotions == 0 {
-		t.Fatalf("hot key should have been promoted: %+v", st)
-	}
-	holders := len(tier.dir["hot"])
-	if holders < 3 {
-		t.Fatalf("want >= 3 holders after promotion, got %d", holders)
+	if got := tier.dir["hot"]; !slices.Equal(got, []string{"n0", "n2"}) {
+		t.Fatalf("holders %v, want [n0 n2]: the admit and the peer fetch", got)
 	}
 }
 
 // TestTierNearestHolderWins checks the directory pick prefers the
 // rack-local holder over a cross-rack one.
 func TestTierNearestHolderWins(t *testing.T) {
-	tier := NewTier(TierConfig{NodeBytes: 1 << 20, PromoteThreshold: -1}, stubTopo{}, nil)
+	tier := NewTier(TierConfig{NodeBytes: 1 << 20}, stubTopo{}, nil)
 	tierNodes(tier, "n0", "n1", "n2", "n3")
-	tier.Admit(nil, "n2", "k", make([]byte, 10), 5) // cross-rack from n1
-	tier.Admit(nil, "n0", "k", make([]byte, 10), 5) // rack-local to n1
+	tier.Admit("n2", "k", make([]byte, 10), 5) // cross-rack from n1
+	tier.Admit("n0", "k", make([]byte, 10), 5) // rack-local to n1
 	holder, _, _ := func() (string, []byte, int64) {
 		tier.mu.Lock()
 		defer tier.mu.Unlock()
@@ -276,14 +273,51 @@ func TestTierNilSafe(t *testing.T) {
 	if _, ok := tier.Read(nil, "n", "k"); ok {
 		t.Fatal("nil tier must miss")
 	}
-	if _, ok := tier.PeekLocal("n", "k"); ok {
-		t.Fatal("nil tier must miss")
-	}
-	tier.Admit(nil, "n", "k", []byte{1}, 1)
+	tier.Admit("n", "k", []byte{1}, 1)
 	tier.MissOST(1)
 	tier.Register("n", 1)
 	tier.RegisterObs(nil)
 	if st := tier.Stats(); st != (TierStats{}) {
 		t.Fatalf("nil tier stats must be zero: %+v", st)
+	}
+}
+
+// TestScanLeavesTierAlone: a single-pass Scan through a tier-bound Bound
+// neither serves from the tier (not this node's copy, not a peer's) nor
+// admits to it, so the tier's counters and residency are as it found them.
+func TestScanLeavesTierAlone(t *testing.T) {
+	data := []byte("abcdefghijklmnop")
+	r := &slowReader{data: data}
+	tier := NewTier(TierConfig{NodeBytes: 1 << 20}, stubTopo{}, nil)
+	tierNodes(tier, "n0", "n1")
+	tier.Admit("n1", "slow#d@8+8", data[8:], 8) // chunk 1 on a peer
+	chunks := []Chunk{{Offset: 0, StoredSize: 8, RawSize: 8}, {Offset: 8, StoredSize: 8, RawSize: 8}}
+	var before, after TierStats
+	var resBefore, resAfter string
+	k := sim.NewKernel()
+	k.Go("p", func(p *sim.Proc) {
+		x := ChunkIndex{Src: Bind(p, r, Options{Tier: tier, TierNode: "n0"}), Pkg: "test", Len: len(chunks),
+			At: func(i int) *Chunk { return &chunks[i] }}
+		if _, err := x.Read(0); err != nil { // chunk 0 lands in n0's buffer
+			t.Error(err)
+		}
+		before, resBefore = tier.Stats(), residency(tier)
+		for i, c := range chunks {
+			got, err := decoded(x.Scan(i))
+			if err != nil || !bytes.Equal(got, data[c.Offset:c.Offset+c.StoredSize]) {
+				t.Errorf("Scan(%d) = %q, %v", i, got, err)
+			}
+		}
+		after, resAfter = tier.Stats(), residency(tier)
+	})
+	k.Run()
+	if before.Admits != 2 || !held(tier, "n0", "slow#d@0+8") {
+		t.Fatalf("setup: Read did not admit chunk 0 to n0: %+v", before)
+	}
+	if after != before || resAfter != resBefore {
+		t.Fatalf("Scan touched the tier:\nstats %+v\n   -> %+v\nresidency %s\n       -> %s", before, after, resBefore, resAfter)
+	}
+	if r.reads != 3 {
+		t.Fatalf("engine reads = %d, want 3 (the Read, then both scanned chunks)", r.reads)
 	}
 }

@@ -181,8 +181,8 @@ type JobReport struct {
 }
 
 // ResourceUse is one simulated resource's whole-run utilization, from
-// the sim.ExportResourceMetrics counters (or re-derived from flow spans
-// when those were never exported).
+// the sim/resource_* counters sim.Tracer.ExportResourceMetrics exports; a
+// registry they were never exported into has no resource table.
 type ResourceUse struct {
 	Name        string  `json:"name"`
 	BusySeconds float64 `json:"busy_seconds"`
@@ -208,14 +208,13 @@ type CacheTierLevel struct {
 
 // CacheTierReport summarizes the cooperative burst-buffer tier: where
 // reads were served (node-local buffer, a peer's buffer over the
-// network, or the OST fallback) plus the admission/eviction/promotion
-// churn and resident footprint at export time.
+// network, or the OST fallback) plus the admission/eviction churn and
+// resident footprint at export time.
 type CacheTierReport struct {
 	// Levels holds local, peer, ost in that fixed order.
 	Levels          []CacheTierLevel `json:"levels"`
 	Admits          float64          `json:"admits"`
 	Evictions       float64          `json:"evictions"`
-	Promotions      float64          `json:"promotions"`
 	ResidentBytes   float64          `json:"resident_bytes"`
 	ResidentEntries float64          `json:"resident_entries"`
 }
@@ -277,7 +276,7 @@ func Analyze(r *obs.Registry) *Report {
 		}
 	}
 	snap := r.Snapshot()
-	rep.Resources = resourceTable(snap, nodes)
+	rep.Resources = resourceTable(snap)
 	rep.CacheTier = cacheTierTable(snap)
 	return rep
 }
@@ -745,12 +744,11 @@ func classify(n *node, task *taskCtx) string {
 
 // ---- Resource table.
 
-// resourceTable ranks resources by busy time. It prefers the
+// resourceTable ranks resources by busy time, read from the
 // sim/resource_* counters (exact whole-run totals exported by
-// sim.Tracer.ExportResourceMetrics) and falls back to re-deriving the
-// same figures from flow spans when the counters are absent. OST queue
-// depth peaks join in from the pfs gauge timelines.
-func resourceTable(snap []obs.SeriesInfo, nodes []*node) []ResourceUse {
+// sim.Tracer.ExportResourceMetrics). OST queue depth peaks join in from
+// the pfs gauge timelines.
+func resourceTable(snap []obs.SeriesInfo) []ResourceUse {
 	byName := map[string]*ResourceUse{}
 	get := func(name string) *ResourceUse {
 		u := byName[name]
@@ -761,43 +759,18 @@ func resourceTable(snap []obs.SeriesInfo, nodes []*node) []ResourceUse {
 		return u
 	}
 
-	fromCounters := false
 	for i := range snap {
 		s := &snap[i]
 		res := s.Label("res")
 		switch s.Name {
 		case "sim/resource_busy_seconds":
 			get(res).BusySeconds = s.Value
-			fromCounters = true
 		case "sim/resource_bytes_total":
 			get(res).Bytes = s.Value
 		case "sim/resource_flows_total":
 			get(res).Flows = s.Value
 		case "sim/resource_peak_flows":
 			get(res).PeakFlows = s.Value
-		}
-	}
-
-	if !fromCounters {
-		byName = map[string]*ResourceUse{}
-		perRes := map[string][]interval{}
-		for _, n := range nodes {
-			if n.s.Name != "flow" || n.s.Open {
-				continue
-			}
-			bytes, _ := n.s.ArgFloat("bytes")
-			for _, res := range strings.Split(n.s.ArgString("res"), "+") {
-				if res == "" {
-					continue
-				}
-				u := get(res)
-				u.Bytes += bytes
-				u.Flows++
-				perRes[res] = append(perRes[res], interval{n.s.Start, n.s.End})
-			}
-		}
-		for res, ivs := range perRes {
-			byName[res].BusySeconds = unionSeconds(ivs)
 		}
 	}
 
@@ -864,8 +837,6 @@ func cacheTierTable(snap []obs.SeriesInfo) *CacheTierReport {
 			ct.Admits = s.Value
 		case "ioengine/tier_evictions_total":
 			ct.Evictions = s.Value
-		case "ioengine/tier_promotions_total":
-			ct.Promotions = s.Value
 		case "ioengine/tier_resident_bytes":
 			ct.ResidentBytes = s.Value
 		case "ioengine/tier_resident_entries":

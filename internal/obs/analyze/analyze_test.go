@@ -151,10 +151,11 @@ func TestAnalyzeSingleTask(t *testing.T) {
 	if cp.Buckets.Sched != 1+0.5+1 { // phase lead-in + startup + phase tail
 		t.Fatalf("path sched = %v", cp.Buckets.Sched)
 	}
-	// No jobs-resources counters were exported: fallback derives from
-	// the one flow span.
-	if len(rep.Resources) != 2 || rep.Resources[0].Bytes != 1024 || rep.Resources[0].BusySeconds != 1 {
-		t.Fatalf("resources: %+v", rep.Resources)
+	// No sim/resource_* counters were exported: the resource table reads
+	// only those, so the flow span that names the bottleneck above adds
+	// no row.
+	if len(rep.Resources) != 0 {
+		t.Fatalf("resources without counters: %+v", rep.Resources)
 	}
 }
 
@@ -286,7 +287,9 @@ func TestAnalyzeShuffleBucketsForReducers(t *testing.T) {
 
 func TestAnalyzeUsesSimCountersWhenPresent(t *testing.T) {
 	b := newBuilder()
-	b.span("job:j", "mapreduce", nil, 0, 1, "job", "j")
+	job := b.span("job:j", "mapreduce", nil, 0, 1, "job", "j")
+	// A flow span over a resource with no counters adds no row.
+	b.span("flow", "sim", job, 0, 1, "res", "pfs/ost-0+pfs/fabric", "bytes", 1024)
 	b.r.Counter("sim/resource_busy_seconds", obs.L("res", "pfs/ost-0")).Add(7)
 	b.r.Counter("sim/resource_bytes_total", obs.L("res", "pfs/ost-0")).Add(4096)
 	b.r.Counter("sim/resource_flows_total", obs.L("res", "pfs/ost-0")).Add(3)
@@ -344,6 +347,17 @@ func buildFullTree() *obs.Registry {
 	b.at(10)
 	rp.End()
 	job.End()
+	// What sim.Tracer.ExportResourceMetrics makes of the five flows.
+	for _, u := range []ResourceUse{
+		{Name: "pfs/ost-0", BusySeconds: 2, Bytes: 2048, Flows: 4, PeakFlows: 1},
+		{Name: "net/nic-1", BusySeconds: 1, Bytes: 2048, Flows: 1, PeakFlows: 1},
+	} {
+		res := obs.L("res", u.Name)
+		b.r.Counter("sim/resource_busy_seconds", res).Add(u.BusySeconds)
+		b.r.Counter("sim/resource_bytes_total", res).Add(u.Bytes)
+		b.r.Counter("sim/resource_flows_total", res).Add(u.Flows)
+		b.r.Gauge("sim/resource_peak_flows", res).Set(u.PeakFlows)
+	}
 	return b.r
 }
 

@@ -47,8 +47,8 @@ func (rep *Report) WriteText(w io.Writer) error {
 			l := &ct.Levels[i]
 			p("  %-6s %10.0f %14.0f %7.1f%%\n", l.Level, l.Reads, l.Bytes, l.HitRatio*100)
 		}
-		p("  admits %.0f, evictions %.0f, promotions %.0f, resident %.0f B in %.0f entries\n",
-			ct.Admits, ct.Evictions, ct.Promotions, ct.ResidentBytes, ct.ResidentEntries)
+		p("  admits %.0f, evictions %.0f, resident %.0f B in %.0f entries\n",
+			ct.Admits, ct.Evictions, ct.ResidentBytes, ct.ResidentEntries)
 	}
 	return tw.err
 }

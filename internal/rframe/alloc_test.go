@@ -1,11 +1,6 @@
-//go:build !race
-
 package rframe
 
 import "testing"
-
-// The race detector makes sync.Pool drop a quarter of its Puts, so the
-// steady state this guard measures does not exist under -race.
 
 // TestImage2DSteadyStateAllocation is the tier-1 guard against a return
 // to per-call codec construction (a fresh PNG encoder is ~850 KB): at the

@@ -31,8 +31,9 @@ type GridPoint struct {
 
 // plotScratch is the reusable state of one Image2D call: the raster, the
 // PNG encoder with its zlib compressor and row buffers (the EncoderBuffer,
-// ~850 KB to build), and the encode output. Scratch is pooled and never
-// escapes a call — Image2D returns an owned copy of the encoded bytes.
+// ~850 KB to build), and the encode output. Scratch is kept on a free list
+// and never escapes a call — Image2D returns an owned copy of the encoded
+// bytes.
 type plotScratch struct {
 	img image.RGBA
 	enc png.Encoder
@@ -45,11 +46,33 @@ type plotScratch struct {
 func (s *plotScratch) Get() *png.EncoderBuffer  { return s.buf }
 func (s *plotScratch) Put(b *png.EncoderBuffer) { s.buf = b }
 
-var plotScratches = sync.Pool{New: func() any {
+// plotScratches is the free list. Unlike a sync.Pool, which a garbage
+// collection may empty, it keeps every scratch it is given, so a run pays
+// for an encoder once per concurrent Image2D caller, not again after each
+// collection that falls between two plots.
+var plotScratches struct {
+	mu   sync.Mutex
+	free []*plotScratch
+}
+
+func getScratch() *plotScratch {
+	plotScratches.mu.Lock()
+	defer plotScratches.mu.Unlock()
+	if n := len(plotScratches.free); n > 0 {
+		s := plotScratches.free[n-1]
+		plotScratches.free = plotScratches.free[:n-1]
+		return s
+	}
 	s := &plotScratch{}
 	s.enc.BufferPool = s
 	return s
-}}
+}
+
+func putScratch(s *plotScratch) {
+	plotScratches.mu.Lock()
+	plotScratches.free = append(plotScratches.free, s)
+	plotScratches.mu.Unlock()
+}
 
 // nonFinite is the fixed color of NaN and ±Inf cells (fill values), which
 // have no place on the ramp.
@@ -94,8 +117,8 @@ func Image2D(z []float32, ny, nx int, opts PlotOpts) ([]byte, error) {
 		hi = lo + 1
 	}
 
-	s := plotScratches.Get().(*plotScratch)
-	defer plotScratches.Put(s)
+	s := getScratch()
+	defer putScratch(s)
 	img := &s.img
 	img.Rect = image.Rect(0, 0, w, h)
 	img.Stride = 4 * w

@@ -8,6 +8,7 @@ import (
 	"image/gif"
 	"image/png"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -337,5 +338,28 @@ func BenchmarkAnimateGIF(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = out
+	}
+}
+
+// TestImage2DScratchSurvivesGC: two garbage collections between plots
+// (enough to empty a sync.Pool) leave the warm scratch in place, so the
+// next call builds no new PNG encoder (~850 KB) and allocates about what a
+// steady-state call does.
+func TestImage2DScratchSurvivesGC(t *testing.T) {
+	z := testGrid(40, 40, 0)
+	plot := func() {
+		if _, err := Image2D(z, 40, 40, PlotOpts{Width: 32, Height: 32}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plot()
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	plot()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<10 {
+		t.Fatalf("the first plot after two collections allocated %d B, want <= %d", got, 32<<10)
 	}
 }

@@ -884,7 +884,7 @@ func (k *Kernel) openFlow(bytes float64, onDone func(), waiter *Proc, parent *ob
 		f.span.Arg("bytes", bytes)
 		f.span.Arg("res", strings.Join(resourceNames(res), "+"))
 	}
-	k.traceFlowStart(f, "")
+	k.traceFlowStart(f)
 	if bytes <= epsBytes {
 		k.schedule(k.now, func() {
 			k.traceFlowEnd(f)

@@ -10,11 +10,8 @@ import (
 type TraceEvent struct {
 	// At is the virtual time of the event.
 	At float64
-	// Kind is the event type ("flow-start", "flow-end", "sleep",
-	// "proc-start", "proc-end").
+	// Kind is the event type: "flow-start" or "flow-end".
 	Kind string
-	// Proc is the originating process name ("" for kernel-internal).
-	Proc string
 	// Resources names the resources a flow crosses.
 	Resources []string
 	// Bytes is the flow size (flows only).
@@ -115,11 +112,11 @@ func (t *Tracer) ExportResourceMetrics(reg *obs.Registry) {
 func (k *Kernel) SetTracer(t *Tracer) { k.tracer = t }
 
 // traceFlowStart records a flow beginning (no-op without a tracer).
-func (k *Kernel) traceFlowStart(f *Flow, proc string) {
+func (k *Kernel) traceFlowStart(f *Flow) {
 	if k.tracer == nil {
 		return
 	}
-	k.tracer.record(TraceEvent{At: k.now, Kind: "flow-start", Proc: proc, Resources: resourceNames(f.res), Bytes: f.total, Flow: f.id})
+	k.tracer.record(TraceEvent{At: k.now, Kind: "flow-start", Resources: resourceNames(f.res), Bytes: f.total, Flow: f.id})
 }
 
 // traceFlowEnd records a flow completing.

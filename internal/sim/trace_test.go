@@ -21,7 +21,7 @@ func (t *Tracer) Events() []TraceEvent { return slices.Clone(t.events) }
 func (t *Tracer) String() string {
 	var sb strings.Builder
 	for _, ev := range t.events {
-		fmt.Fprintf(&sb, "%10.4f %-10s %-24s", ev.At, ev.Kind, ev.Proc)
+		fmt.Fprintf(&sb, "%10.4f %-10s", ev.At, ev.Kind)
 		if len(ev.Resources) > 0 {
 			fmt.Fprintf(&sb, " %s", strings.Join(ev.Resources, "+"))
 		}

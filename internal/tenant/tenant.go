@@ -173,8 +173,9 @@ type Config struct {
 	MaxConcurrent int
 	// FIFO switches the scheduler to the strict arrival-order baseline:
 	// no fair share, no backfill, no preemption — jobs start head-of-
-	// line and hold their full demand until done. The contrast case for
-	// the mt experiment.
+	// line and hold their full demand until done. The reference the
+	// tenant-replay benchmark's speedup_vs_baseline divides by, and
+	// scidpd's -fifo.
 	FIFO bool
 	// DefaultQuota applies to tenants created on first submission.
 	DefaultQuota Quota

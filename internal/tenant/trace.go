@@ -85,8 +85,9 @@ type TenantSummary struct {
 	SlotCap     int     `json:"slot_cap"`
 }
 
-// Summary is one replay's outcome: the mt experiment's record and the
-// smoke test's contract.
+// Summary is one replay's outcome: what scidpd -replay prints, what the
+// tenant-replay benchmark reads its figures from, and the smoke test's
+// contract.
 type Summary struct {
 	Trace            string          `json:"trace,omitempty"`
 	Jobs             int             `json:"jobs"`

@@ -111,7 +111,7 @@ func (in *hdfsBlockInput) ForEach(tc *mapreduce.TaskContext, s *mapreduce.Split,
 		data, err = in.fs.ReadBlock(tc.Proc(), tc.Node(), s.Payload.(*hdfs.Block))
 		if err == nil && in.tier != nil {
 			in.tier.MissOST(int64(len(data)))
-			in.tier.Admit(tc.Proc(), tc.Node().Name, key, data, int64(len(data)))
+			in.tier.Admit(tc.Node().Name, key, data, int64(len(data)))
 		}
 	})
 	if err != nil {

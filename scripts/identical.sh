@@ -3,7 +3,8 @@
 # program as <parent-rev>. Every deterministic artifact the repo can produce — the
 # paper tables, the full Chrome trace and Prometheus text behind them, the
 # faults/query result JSON with their digests, the analysis report (fault
-# free, and under this tree's bundled chaos plan), the tenant replay, the
+# free, under this tree's bundled chaos plan, and with the cache tier on),
+# the mapping CLI's Virtual Mapping Table and metrics (-v), the tenant replay, the
 # five examples' stdout (and the PNGs nuwrf-visualization exports), one
 # small ncgen file with its per-chunk `ncdump -s` listing, and
 # all five benchmark workloads' exact metrics, output digests and
@@ -24,25 +25,13 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir -p "$tmp/parent"
 git -C "$root" archive "$commit" | tar -x -C "$tmp/parent"
 
+. "$root/scripts/artifacts.sh"
+
 artifacts() { # <tree> <out-dir>
 	local tree=$1 out=$2 bin=$2.bin
-	mkdir -p "$out" "$bin"
-	(cd "$tree" && go build -o "$bin/" ./cmd/scidp-bench ./cmd/scidpctl ./cmd/scidpd ./cmd/ncgen ./cmd/ncdump ./examples/...)
-	(cd "$tree" &&
-		"$bin/scidp-bench" -exp all -quick -explain -trace "$out/all.trace.json" -metrics "$out/all.prom" >"$out/all.txt" &&
-		"$bin/scidp-bench" -exp faults -json "$out/faults.json" >"$out/faults.txt" &&
-		"$bin/scidp-bench" -exp query -json "$out/query.json" >"$out/query.txt" &&
-		"$bin/scidpctl" analyze -json - >"$out/analyze.json" &&
-		"$bin/scidpctl" analyze -chaos "$root/cmd/scidpctl/testdata/chaos-plan.json" -json - >"$out/analyze-chaos.json" &&
-		"$bin/scidpd" -replay cmd/scidpd/testdata/trace-small.json -json "$out/replay.json" -metrics "$out/replay.prom" >"$out/replay.txt")
-	for ex in cmip-compare quickstart spark-extension sql-analysis; do
-		"$bin/$ex" >"$out/example-$ex.txt"
-	done
-	# A relative -out, so the path it prints is the same on both sides.
-	(cd "$out" && "$bin/nuwrf-visualization" -out nuwrf-png >example-nuwrf-visualization.txt)
-	# The file's bytes and its header with every chunk's place and zone map.
-	(cd "$out" && "$bin/ncgen" -out ncgen -timestamps 1 -levels 3 -lat 8 -lon 8 -vars 3 >ncgen.txt &&
-		for f in ncgen/*; do "$bin/ncdump" -s "$f"; done >ncdump-s.txt)
+	mkdir -p "$bin"
+	(cd "$tree" && go build -o "$bin/" $artifact_pkgs)
+	(cd "$tree"; run_artifacts "$bin" "$out")
 	# The query result records how long each run took on this machine.
 	sed -i '/"wall_secs"/d' "$out/query.json"
 	rm -rf "$bin"
@@ -68,7 +57,7 @@ fi
 for side in parent change; do
 	tree=$root
 	[ $side = parent ] && tree=$tmp/parent
-	for w in scidp-imgonly scidp-anlys epoch-reread terasort tenant-replay; do
+	for w in $bench_workloads; do
 		(cd "$tree" && bash benchmark/run.sh --workload $w --seed 1 --seconds 1 -out "$tmp/bench/$side" >/dev/null)
 	done
 done

@@ -22,24 +22,22 @@ import (
 // never do. Anything else the guard finds is deleted, or moved into the
 // _test.go that wants it; an entry the guard finds nothing for fails.
 var keptForTests = []string{
-	"scidp/internal/hdf5lite.NewWriter",                   // core.TestMapperHierarchicalFormatMirrorsGroups
-	"(*scidp/internal/hdf5lite.Writer).",                  // core.TestMapperHierarchicalFormatMirrorsGroups
-	"(*scidp/internal/hdf5lite.Group).",                   // core.TestMapperHierarchicalFormatMirrorsGroups
-	"(*scidp/internal/netcdf.Writer).",                    // scifmt.TestByteIdentityPins
-	"scidp/internal/netcdf.Float64Attr",                   // scifmt.TestByteIdentityPins
-	"(*scidp/internal/rframe.Frame).MustAddInt",           // rsql.TestMinMaxFold
-	"(*scidp/internal/rframe.Frame).MustAddString",        // rsql.TestStringComparison
-	"(*scidp/internal/sim.Kernel).SetFairShareMode",       // sim.TestIncrementalMatchesFullRecomputeOracle, bench.TestTraceCoversSpanTree
-	"(*scidp/internal/rframe.Frame).Filter",               // rsql.TestDifferential: the legacy executor's WHERE
-	"(*scidp/internal/mpiio.Comm).IndependentRead",        // mpiio.TestCollectiveBeatsIndependentOnFragmentedRequests
-	"(*scidp/internal/pfs.FS).Get",                        // solutions.TestStoredBytesAreNeverWritten
-	"(*scidp/internal/pfs.FS).Paths",                      // solutions.TestStoredBytesAreNeverWritten
-	"scidp/internal/ioengine.TierConfig.PromoteThreshold", // ioengine.TestTierPeerFetchAndPromotion; -1 isolates eviction in the policy tests
-	"scidp/internal/ioengine.TierConfig.MaxReplicas",      // ioengine.TestTierPeerFetchAndPromotion
-	"scidp/internal/solutions.WorkflowConfig.HPCNodes",    // solutions.TestInSituHidesAnalysisBehindSimulation and the other workflow tests: 4 nodes
-	"scidp/internal/tenant.Config.ScanPerMB",              // tenant.TestPreemptionOnArrival, TestPreemptionDeterminism: jobs long enough to preempt
-	"scidp/internal/tenant/loadgen.Class.Period",          // loadgen.TestDiurnalThinsOffPeak
-	"scidp/internal/ioengine.Stats",                       // netcdf.TestHeaderOnlyOpenIsCheap, TestGetVaraReadsOnlyNeededChunks, hdf5lite.TestHeaderOnlyOpen
+	"scidp/internal/hdf5lite.NewWriter",                // core.TestMapperHierarchicalFormatMirrorsGroups
+	"(*scidp/internal/hdf5lite.Writer).",               // core.TestMapperHierarchicalFormatMirrorsGroups
+	"(*scidp/internal/hdf5lite.Group).",                // core.TestMapperHierarchicalFormatMirrorsGroups
+	"(*scidp/internal/netcdf.Writer).",                 // scifmt.TestByteIdentityPins
+	"scidp/internal/netcdf.Float64Attr",                // scifmt.TestByteIdentityPins
+	"(*scidp/internal/rframe.Frame).MustAddInt",        // rsql.TestMinMaxFold
+	"(*scidp/internal/rframe.Frame).MustAddString",     // rsql.TestStringComparison
+	"(*scidp/internal/sim.Kernel).SetFairShareMode",    // sim.TestIncrementalMatchesFullRecomputeOracle, bench.TestTraceCoversSpanTree
+	"(*scidp/internal/rframe.Frame).Filter",            // rsql.TestDifferential: the legacy executor's WHERE
+	"(*scidp/internal/mpiio.Comm).IndependentRead",     // mpiio.TestCollectiveBeatsIndependentOnFragmentedRequests
+	"(*scidp/internal/pfs.FS).Get",                     // solutions.TestStoredBytesAreNeverWritten
+	"(*scidp/internal/pfs.FS).Paths",                   // solutions.TestStoredBytesAreNeverWritten
+	"scidp/internal/solutions.WorkflowConfig.HPCNodes", // solutions.TestInSituHidesAnalysisBehindSimulation and the other workflow tests: 4 nodes
+	"scidp/internal/tenant.Config.ScanPerMB",           // tenant.TestPreemptionOnArrival, TestPreemptionDeterminism: jobs long enough to preempt
+	"scidp/internal/tenant/loadgen.Class.Period",       // loadgen.TestDiurnalThinsOffPeak
+	"scidp/internal/ioengine.Stats",                    // netcdf.TestHeaderOnlyOpenIsCheap, TestGetVaraReadsOnlyNeededChunks, hdf5lite.TestHeaderOnlyOpen
 }
 
 // moduleImporter type-checks this module's packages from source into one
