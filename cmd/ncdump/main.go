@@ -15,7 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 
 	"scidp/internal/hdf5lite"
 	"scidp/internal/netcdf"
@@ -132,8 +134,8 @@ func dumpHDF5(name string, r scifmt.ReaderAt, chunks, stats bool) {
 	fmt.Printf("hdf5 %s {\n", name)
 	var walk func(g *hdf5lite.Group, indent string)
 	walk = func(g *hdf5lite.Group, indent string) {
-		for k, v := range g.Attrs {
-			fmt.Printf("%s:%s = %q ;\n", indent, k, v)
+		for _, k := range slices.Sorted(maps.Keys(g.Attrs)) {
+			fmt.Printf("%s:%s = %q ;\n", indent, k, g.Attrs[k])
 		}
 		for _, d := range g.Datasets {
 			fmt.Printf("%s%s %s%v chunkRows=%d deflate=%d (%d chunks, raw %d B, stored %d B)\n",

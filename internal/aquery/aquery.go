@@ -51,13 +51,13 @@ func NewNetCDF(f *netcdf.File, varName string) (*Table, error) {
 		t.cols = append(t.cols, rsql.ColumnInfo{Name: d.Name, Int: true})
 	}
 	t.cols = append(t.cols, rsql.ColumnInfo{Name: valueCol})
-	for i := 0; i < t.Len; i++ {
+	for i := range t.Chunks {
 		start, extent := t.Grid.Box(i)
 		bounds := map[string]rsql.Interval{}
 		for di, name := range t.dims {
 			bounds[name] = rsql.Interval{Lo: float64(start[di]), Hi: float64(start[di] + extent[di] - 1)}
 		}
-		c := t.At(i)
+		c := &t.Chunks[i]
 		if c.Stats != nil {
 			bounds[valueCol] = rsql.Interval{Lo: c.Stats.Min, Hi: c.Stats.Max}
 		}

@@ -240,7 +240,7 @@ func scidpReaders(r *fig6Rig, n int, decomp float64) (float64, int64, int64, err
 					return
 				}
 				p.Sleep(decomp * float64(len(slab.Raw)) / 1e6)
-				stored += v.Index.At(ts).StoredSize
+				stored += v.Index.Chunks[ts].StoredSize
 				raw += rawPer
 			}
 			if p.Now() > end {

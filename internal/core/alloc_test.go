@@ -32,15 +32,9 @@ func wideRig(t testing.TB) (*rig, *PFSReader, *SlabSource, []byte) {
 // TestReadSlabAllocs pins what one warm ReadSlab of a mapped,
 // chunk-aligned block allocates: the span-free bound reader, the two
 // header reads and their check, the PFS transfers' parts and one chunk's read
-// and copy. Decoding the header again, as the read did before the mapping
-// carried its chunk index, costs several times the bound on its own.
+// and copy. It decodes no header: the mapping carries the chunk index.
 func TestReadSlabAllocs(t *testing.T) {
-	r, reader, src, blob := wideRig(t)
-	decode := testing.AllocsPerRun(10, func() {
-		if _, err := netcdf.Open(ioengine.Bytes(blob)); err != nil {
-			t.Fatal(err)
-		}
-	})
+	r, reader, src, _ := wideRig(t)
 	var allocs float64
 	r.run(t, func(p *sim.Proc) {
 		allocs = testing.AllocsPerRun(50, func() {
@@ -50,8 +44,24 @@ func TestReadSlabAllocs(t *testing.T) {
 		})
 	})
 	const bound = 40
-	if allocs > bound || decode < 3*bound {
-		t.Fatalf("a warm ReadSlab allocated %v times, want <= %d; one header decode costs %v", allocs, bound, decode)
+	if allocs > bound {
+		t.Fatalf("a warm ReadSlab allocated %v times, want <= %d", allocs, bound)
+	}
+}
+
+// TestHeaderDecodeAllocs pins what the Explorer pays per file: one decode
+// of the 23-variable header is a few slabs and one chunk index a variable,
+// not a slice per field and a string per name (323 allocations).
+func TestHeaderDecodeAllocs(t *testing.T) {
+	_, _, _, blob := wideRig(t)
+	decode := testing.AllocsPerRun(10, func() {
+		if _, err := netcdf.Open(ioengine.Bytes(blob)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 50
+	if decode > bound {
+		t.Fatalf("one header decode allocated %v times, want <= %d", decode, bound)
 	}
 }
 

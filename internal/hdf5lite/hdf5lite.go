@@ -87,9 +87,6 @@ type Dataset struct {
 	data []byte        // writer-side payload
 }
 
-// chunk returns the container's record of the i-th chunk.
-func (d *Dataset) chunk(i int) *ioengine.Chunk { return &d.Chunks[i] }
-
 // NumElems returns the element count.
 func (d *Dataset) NumElems() int { return ioengine.Volume(d.Shape) }
 
@@ -326,7 +323,7 @@ func Open(r ReaderAt) (*File, error) {
 	root := decodeGroup(d)
 	if d.ZoneMaps() {
 		for _, ds := range datasetsDF(root) {
-			d.ChunkStats(ds.Name, len(ds.Chunks), ds.chunk)
+			d.ChunkStats(ds.Name, ds.Chunks, make([]ioengine.ChunkStats, len(ds.Chunks)))
 		}
 	}
 	if d.Err() != nil {
@@ -374,7 +371,7 @@ func decodeDataset(d *ioengine.Decoder) *Dataset {
 		return ds
 	}
 	ds.grid = ds.gridOf(ds.Shape)
-	d.CheckArray(ioengine.Layout{Name: ds.Name, Type: ds.Type.Elem(), Grid: ds.grid, Deflated: ds.Deflate > 0}, len(ds.Chunks), ds.chunk)
+	d.CheckArray(ioengine.Layout{Name: ds.Name, Type: ds.Type.Elem(), Grid: ds.grid, Deflated: ds.Deflate > 0}, ds.Chunks)
 	for j, r := range rows {
 		if d.Err() != nil {
 			break
@@ -393,5 +390,5 @@ func (f *File) Root() *Group { return f.root }
 // single-pass scans and readahead announcements by chunk number.
 func (f *File) ChunkIndex(d *Dataset) ioengine.ChunkIndex {
 	return ioengine.ChunkIndex{Src: f.r, Pkg: dialect.Name, Type: d.Type.Elem(), Deflated: d.Deflate > 0,
-		Grid: d.grid, Len: len(d.Chunks), At: d.chunk}
+		Grid: d.grid, Chunks: d.Chunks}
 }

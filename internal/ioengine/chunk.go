@@ -116,8 +116,10 @@ func Volume(shape []int) int {
 
 // Strides returns the row-major element stride per dimension of shape, so
 // a flat index maps to coordinates via (i/stride[d]) % shape[d].
-func Strides(shape []int) []int {
-	st := make([]int, len(shape))
+func Strides(shape []int) []int { return strides(make([]int, len(shape)), shape) }
+
+// strides writes shape's strides into st, as long as shape, and returns it.
+func strides(st, shape []int) []int {
 	acc := 1
 	for d := len(shape) - 1; d >= 0; d-- {
 		st[d] = acc
@@ -158,9 +160,9 @@ type ChunkIndex struct {
 	Deflated bool
 	// Grid is where each chunk lies in the array.
 	Grid Grid
-	// Len is the number of chunks and At returns the i-th, 0 <= i < Len.
-	Len int
-	At  func(i int) *Chunk
+	// Chunks is the chunk index in row-major grid order: Chunks[i] holds
+	// the box Grid.Box(i). It is the dialect's own slice, not a copy.
+	Chunks []Chunk
 }
 
 func chunkErrorf(pkg, name, format string, args ...any) error {
@@ -219,10 +221,10 @@ func (pl Payload) Bytes() ([]byte, error) {
 // cache, the tier and the prefetcher get a chance to serve or stage it,
 // and as a plain read-then-decode on any other source.
 func (x ChunkIndex) read(i int, once bool) (Payload, error) {
-	if i < 0 || i >= x.Len {
-		return Payload{}, chunkErrorf(x.Pkg, x.Name, "chunk %d out of range [0,%d)", i, x.Len)
+	if i < 0 || i >= len(x.Chunks) {
+		return Payload{}, chunkErrorf(x.Pkg, x.Name, "chunk %d out of range [0,%d)", i, len(x.Chunks))
 	}
-	c := x.At(i)
+	c := &x.Chunks[i]
 	decode := chunkDecoder(x, c)
 	if b, ok := x.Src.(*Bound); ok {
 		return b.readChunk(c.Offset, c.StoredSize, decode, once)
@@ -300,11 +302,11 @@ func (x ChunkIndex) ReadBox(start, count []int) ([]byte, error) {
 	es := x.Type.Size()
 	out := make([]byte, Volume(count)*es)
 	touched := g.overlapping(start, count)
+	rank := len(start) // at most MaxRank (Decoder.Rank): the geometry fits on the stack
 	err := x.Scatter(touched, func(k int, raw []byte) {
-		cStart, cExtent := g.Box(touched[k])
-		rank := len(start)
-		b := make([]int, 3*rank)
-		src, dst, extent := b[:rank], b[rank:2*rank], b[2*rank:]
+		var b [5 * MaxRank]int
+		cStart, cExtent, src, dst, extent := b[:rank], b[rank:2*rank], b[2*rank:3*rank], b[3*rank:4*rank], b[4*rank:5*rank]
+		g.box(touched[k], func(d, s, n int) { cStart[d], cExtent[d] = s, n })
 		for d := range rank {
 			lo := max(start[d], cStart[d])
 			src[d], dst[d] = lo-cStart[d], lo-start[d]
@@ -338,8 +340,8 @@ func (x ChunkIndex) Announce(chunks []int) {
 	}
 	plan := make([]Range, 0, len(chunks))
 	for _, i := range chunks {
-		if i >= 0 && i < x.Len {
-			c := x.At(i)
+		if i >= 0 && i < len(x.Chunks) {
+			c := &x.Chunks[i]
 			plan = append(plan, Range{Off: c.Offset, Len: c.StoredSize})
 		}
 	}

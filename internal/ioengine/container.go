@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strings"
 )
 
 // The chunk container: what netcdf and hdf5lite share beneath their
@@ -97,6 +98,9 @@ type Decoder struct {
 	buf  []byte
 	off  int
 	err  error
+	// names holds every string Str returned, end to end: a header's names
+	// cost a few blocks, not one allocation each, and alias no source bytes.
+	names strings.Builder
 	// next is the lowest offset the next chunk payload may start at
 	// (Header.Bytes at first); size is the file's length.
 	next, size int64
@@ -172,8 +176,21 @@ func (d *Decoder) Rank(min int) int {
 	return n
 }
 
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string { return string(d.take(d.Count(1))) }
+// firstNames is the names' first block: a NU-WRF header's take ~600 bytes.
+const firstNames = 1 << 10
+
+// Str reads a length-prefixed string as a substring of the names Builder.
+// A Builder only appends, and a full one leaves its block to the strings
+// already handed out, so no string returned ever changes.
+func (d *Decoder) Str() string {
+	b := d.take(d.Count(1))
+	if d.names.Cap() == 0 {
+		d.names.Grow(min(len(d.buf), firstNames))
+	}
+	n := d.names.Len()
+	d.names.Write(b)
+	return d.names.String()[n:]
+}
 
 // Chunk reads one chunk index entry's offset, stored size and raw size.
 func (d *Decoder) Chunk() Chunk {
@@ -217,18 +234,17 @@ func (d *Decoder) claim(name string, off, n int64) {
 }
 
 // CheckArray is the container's one validation, run at Open on every
-// array with a chunk index (n entries, the i-th at(i)): dims > 0 with an
-// overflow-checked volume, chunk extents in [1, dim], n = the chunk
-// grid's cell count, each raw size = the chunk's clamped box × the element
-// size, stored = raw when not deflated and raw within DEFLATE's maximum
+// array with its chunk index: dims > 0 with an overflow-checked volume,
+// chunk extents in [1, dim], as many chunks as the chunk grid has cells,
+// each raw size = the chunk's clamped box × the element size, stored = raw when not deflated and raw within DEFLATE's maximum
 // expansion of stored when deflated, every payload claimed in ascending
 // order inside the file. Readers index and allocate by these numbers
 // afterwards without re-deriving any of them.
-func (d *Decoder) CheckArray(a Layout, n int, at func(i int) *Chunk) {
+func (d *Decoder) CheckArray(a Layout, chunks []Chunk) {
 	if d.err != nil {
 		return // what was decoded after a failure is zeroes, not a layout
 	}
-	g := a.Grid
+	g, n := a.Grid, len(chunks)
 	if d.rawBytes(a.Name, a.Type, g.Shape); d.err != nil {
 		return
 	}
@@ -253,7 +269,7 @@ func (d *Decoder) CheckArray(a Layout, n int, at func(i int) *Chunk) {
 	for j := 0; j < n && d.err == nil; j++ {
 		box := es
 		g.box(j, func(_, _, extent int) { box *= int64(extent) })
-		c := at(j)
+		c := &chunks[j]
 		d.claim(a.Name, c.Offset, c.StoredSize)
 		switch {
 		case d.err != nil:
@@ -280,20 +296,21 @@ func (d *Decoder) ZoneMaps() bool {
 }
 
 // ChunkStats reads one array's section of the trailer (sections follow in
-// the dialect's header order) — one record for each of the array's n
-// chunks, decoded into one slab — and hangs each on its chunk, at(i).
-func (d *Decoder) ChunkStats(name string, n int, at func(i int) *Chunk) {
-	if got := d.Count(ChunkStatsSize); d.err == nil && got != n {
-		d.Failf("%s: stats section has %d chunks, index has %d", name, got, n)
+// the dialect's header order) — one record for each of its chunks, decoded
+// into stats[:len(chunks)] — and hangs each on its chunk. It returns the
+// rest of stats, so one slab can hold the whole trailer.
+func (d *Decoder) ChunkStats(name string, chunks []Chunk, stats []ChunkStats) []ChunkStats {
+	if got := d.Count(ChunkStatsSize); d.err == nil && got != len(chunks) {
+		d.Failf("%s: stats section has %d chunks, index has %d", name, got, len(chunks))
 	}
 	if d.err != nil {
-		return
+		return stats
 	}
-	stats := make([]ChunkStats, n)
-	for j := range stats {
+	for j := range chunks {
 		stats[j] = DecodeChunkStats(d.take(ChunkStatsSize))
-		at(j).Stats = &stats[j]
+		chunks[j].Stats = &stats[j]
 	}
+	return stats[len(chunks):]
 }
 
 // Encoder builds one file. Its chunks are packed first, in storage order

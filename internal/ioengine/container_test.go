@@ -65,19 +65,20 @@ func TestContainerRoundTrip(t *testing.T) {
 		for i := range got {
 			got[i] = d.Chunk()
 		}
-		at := func(i int) *Chunk { return &got[i] }
-		d.CheckArray(Layout{Name: name, Type: Int32, Grid: Grid{Shape: []int{5, 4}, Chunk: []int{2, 4}}, Deflated: deflate > 0}, len(got), at)
+		d.CheckArray(Layout{Name: name, Type: Int32, Grid: Grid{Shape: []int{5, 4}, Chunk: []int{2, 4}}, Deflated: deflate > 0}, got)
 		if !d.ZoneMaps() {
 			t.Fatal("no trailer")
 		}
-		d.ChunkStats(name, len(got), at)
+		if rest := d.ChunkStats(name, got, make([]ChunkStats, len(got)+1)); len(rest) != 1 {
+			t.Fatalf("ChunkStats left %d of the slab, want 1", len(rest))
+		}
 		if d.Err() != nil {
 			t.Fatal(d.Err())
 		}
 		if name != "A" || int(deflate) != level || len(got) != 3 || d.Header.Bytes != want[0].Offset {
 			t.Fatalf("decoded %q level %d, %d chunks, header %d; first payload at %d", name, deflate, len(got), d.Header.Bytes, want[0].Offset)
 		}
-		x := ChunkIndex{Src: src, Pkg: "test", Name: name, Type: Int32, Deflated: level > 0, Len: len(got), At: at}
+		x := ChunkIndex{Src: src, Pkg: "test", Name: name, Type: Int32, Deflated: level > 0, Chunks: got}
 		for i, c := range got {
 			if c.Stats == nil {
 				t.Fatalf("chunk %d has no stats", i)
@@ -213,7 +214,7 @@ func TestCheckArray(t *testing.T) {
 		a, chunks := valid()
 		c.mutate(&a, &chunks)
 		d := &Decoder{name: "test", next: 100, size: 1000}
-		d.CheckArray(a, len(chunks), func(i int) *Chunk { return &chunks[i] })
+		d.CheckArray(a, chunks)
 		switch {
 		case c.want == "" && d.Err() != nil:
 			t.Errorf("%s: refused: %v", c.name, d.Err())
@@ -238,7 +239,7 @@ func benchChunk(b *testing.B, level int) (raw, blob []byte, x ChunkIndex) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return raw, blob, ChunkIndex{Src: Bytes(blob), Pkg: "test", Type: Float32, Deflated: level > 0, Len: 1, At: func(int) *Chunk { return &c }}
+	return raw, blob, ChunkIndex{Src: Bytes(blob), Pkg: "test", Type: Float32, Deflated: level > 0, Chunks: []Chunk{c}}
 }
 
 // BenchmarkReadChunk is the shared chunk path on a plain source — one

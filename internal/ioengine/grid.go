@@ -111,16 +111,18 @@ func dot(idx, strides []int) int {
 // CopyBox copies a box of the given extent from src (shape srcShape,
 // starting at srcStart) into dst (shape dstShape, starting at dstStart).
 // Both arrays are row-major with es bytes per element; the innermost run
-// is a single copy.
+// is a single copy. The box has at most MaxRank dimensions, as every
+// array does, and CopyBox allocates nothing.
 func CopyBox(dst []byte, dstShape, dstStart []int, src []byte, srcShape, srcStart, extent []int, es int) {
 	rank := len(extent)
 	if rank == 0 {
 		return
 	}
-	dstStr := Strides(dstShape)
-	srcStr := Strides(srcShape)
+	var b [3 * MaxRank]int
+	dstStr := strides(b[:rank], dstShape)
+	srcStr := strides(b[rank:2*rank], srcShape)
 	runBytes := extent[rank-1] * es
-	idx := make([]int, rank-1)
+	idx := b[2*rank : 3*rank-1]
 	for {
 		srcOff := dot(srcStart[:rank-1], srcStr[:rank-1]) + dot(idx, srcStr[:rank-1]) + srcStart[rank-1]
 		dstOff := dot(dstStart[:rank-1], dstStr[:rank-1]) + dot(idx, dstStr[:rank-1]) + dstStart[rank-1]

@@ -328,7 +328,7 @@ func TestPrefetchOverlap(t *testing.T) {
 
 func TestAnnounceOnPlainSourceIsNoOp(t *testing.T) {
 	c := Chunk{Offset: 1, StoredSize: 2, RawSize: 2}
-	x := ChunkIndex{Src: Bytes([]byte("!xy")), Pkg: "test", Len: 1, At: func(int) *Chunk { return &c }}
+	x := ChunkIndex{Src: Bytes([]byte("!xy")), Pkg: "test", Chunks: []Chunk{c}}
 	x.Announce([]int{0}) // must not panic
 	for _, read := range []func(int) (Payload, error){x.Read, x.Scan} {
 		if got, err := decoded(read(0)); err != nil || string(got) != "xy" {

@@ -296,8 +296,7 @@ func TestScanLeavesTierAlone(t *testing.T) {
 	var resBefore, resAfter string
 	k := sim.NewKernel()
 	k.Go("p", func(p *sim.Proc) {
-		x := ChunkIndex{Src: Bind(p, r, Options{Tier: tier, TierNode: "n0"}), Pkg: "test", Len: len(chunks),
-			At: func(i int) *Chunk { return &chunks[i] }}
+		x := ChunkIndex{Src: Bind(p, r, Options{Tier: tier, TierNode: "n0"}), Pkg: "test", Chunks: chunks}
 		if _, err := x.Read(0); err != nil { // chunk 0 lands in n0's buffer
 			t.Error(err)
 		}

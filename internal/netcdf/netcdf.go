@@ -110,9 +110,6 @@ type Var struct {
 	grid ioengine.Grid // built once, at Open: what the chunk index reads
 }
 
-// chunk returns the container's record of the i-th chunk.
-func (v *Var) chunk(i int) *ioengine.Chunk { return &v.Chunks[i] }
-
 // Shape returns the dimension lengths.
 func (v *Var) Shape() []int {
 	s := make([]int, len(v.Dims))

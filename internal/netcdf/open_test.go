@@ -11,7 +11,10 @@ import (
 // nuwrfShaped builds a file of the benchmark's NU-WRF shape, the way
 // workloads.GenerateBlobs does: 23 float32 variables of 10 × 40 × 40, one
 // deflated chunk per level, zone maps on.
-func nuwrfShaped(tb testing.TB) []byte {
+func nuwrfShaped(tb testing.TB) []byte { return nuwrfVars(tb, 23) }
+
+// nuwrfVars is nuwrfShaped with nvars variables.
+func nuwrfVars(tb testing.TB, nvars int) []byte {
 	tb.Helper()
 	w := NewWriter()
 	w.AddDim("level", 10)
@@ -20,7 +23,7 @@ func nuwrfShaped(tb testing.TB) []byte {
 	w.GlobalAttr(StringAttr("model", "NU-WRF"))
 	w.GlobalAttr(Int64Attr("timestamp", 0))
 	vals := make([]float32, 10*40*40)
-	for v := 0; v < 23; v++ {
+	for v := 0; v < nvars; v++ {
 		name := fmt.Sprintf("VAR%02d", v)
 		err := w.AddVar(name, Float32, []string{"level", "lat", "lon"},
 			Chunking{Shape: []int{1, 40, 40}, Deflate: 1}, StringAttr("units", "kg/kg"))
@@ -102,6 +105,7 @@ var openSink *File
 func BenchmarkOpen(b *testing.B) {
 	blob := nuwrfShaped(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := Open(BytesReader(blob))
 		if err != nil {
@@ -143,11 +147,71 @@ func BenchmarkGetVara(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.SetBytes(10 * 40 * 40 * 4)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		arr, err := f.GetVara("VAR07", []int{0, 0, 0}, []int{10, 40, 40})
 		if err != nil {
 			b.Fatal(err)
 		}
 		getvaraSink = arr
+	}
+}
+
+// TestOpenNamesOutgrowFirstBlock: 300 variables with 40-byte names take
+// twelve times the names Builder's first block, so Open moves on to
+// larger blocks many times over. Every name it handed out before each
+// move is still the name in the header, and none is the caller's bytes:
+// the blob is overwritten after Open returns.
+func TestOpenNamesOutgrowFirstBlock(t *testing.T) {
+	name := func(i int) string { return fmt.Sprintf("%040d", i) }
+	w := NewWriter()
+	w.AddDim("x", 2)
+	for i := range 300 {
+		if err := w.AddVar(name(i), Int32, []string{"x"}, Chunking{}, StringAttr("units", name(i)[20:])); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.PutVarBytes(name(i), make([]byte, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(BytesReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range blob {
+		blob[i] = 'Z'
+	}
+	if len(f.Vars()) != 300 {
+		t.Fatalf("%d variables, want 300", len(f.Vars()))
+	}
+	for i, v := range f.Vars() {
+		if v.Name != name(i) || v.Dims[0].Name != "x" || v.Attrs[0].Name != "units" || v.Attrs[0].Str != name(i)[20:] {
+			t.Fatalf("variable %d: %q dims %+v attrs %+v", i, v.Name, v.Dims, v.Attrs)
+		}
+		if got, err := f.Var(name(i)); err != nil || got != v {
+			t.Fatalf("Var(%q) = %v, %v", name(i), got, err)
+		}
+	}
+}
+
+// TestOpenSlicesDoNotShareRoom: the variables' Dims, Attrs and ChunkShape
+// are carved from shared blocks, each capped at its own length, so an
+// append to one variable's slice leaves the next variable's alone.
+func TestOpenSlicesDoNotShareRoom(t *testing.T) {
+	f, err := Open(BytesReader(nuwrfShaped(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, next := f.Vars()[0], f.Vars()[1]
+	want := fmt.Sprint(next.Dims, next.Attrs, next.ChunkShape, next.Grid())
+	_ = append(first.Dims, Dim{Name: "extra", Len: 9})
+	_ = append(first.Attrs, StringAttr("extra", "x"))
+	_ = append(first.ChunkShape, 9)
+	if got := fmt.Sprint(next.Dims, next.Attrs, next.ChunkShape, next.Grid()); got != want {
+		t.Fatalf("after appends to %s: %s is %s, was %s", first.Name, next.Name, got, want)
 	}
 }

@@ -38,17 +38,25 @@ type File struct {
 // Open parses the header (two range-reads: the fixed prefix, then the
 // header body) without touching any variable data. Every variable's chunk
 // index has passed the container's validation when Open returns, so the
-// readers below index and allocate by it as it stands.
+// readers below index and allocate by it as it stands. The metadata lands
+// in a few slabs per file; only each chunk index is a slice of its own.
 func Open(r ReaderAt) (*File, error) {
 	d, err := dialect.Open(r)
 	if err != nil {
 		return nil, err
 	}
-	f := &File{r: r, byName: map[string]*Var{}, Header: d.Header}
-	f.dims = decodeDims(d, d.Count(12))
-	f.gattrs = decodeAttrs(d)
-	for i, nv := 0, d.Count(19); i < nv && d.Err() == nil; i++ {
-		v := decodeVar(d)
+	f := &File{r: r, Header: d.Header}
+	f.dims = decodeDims(d, make([]Dim, d.Count(12)))
+	f.gattrs = decodeAttrs(d, make([]Attr, d.Count(9)))
+	nv := d.Count(19)
+	vars := make([]Var, nv)
+	f.vars, f.byName = make([]*Var, 0, nv), make(map[string]*Var, nv)
+	var s slabs
+	chunks := 0 // in every variable's index: the zone-map slab's length
+	for i := 0; i < nv && d.Err() == nil; i++ {
+		v := &vars[i]
+		s.decodeVar(d, v, nv-i)
+		chunks += len(v.Chunks)
 		if f.byName[v.Name] != nil {
 			d.Failf("variable %s declared twice", v.Name)
 		}
@@ -56,8 +64,9 @@ func Open(r ReaderAt) (*File, error) {
 		f.byName[v.Name] = v
 	}
 	if d.ZoneMaps() {
+		stats := make([]ChunkStats, chunks)
 		for _, v := range f.vars {
-			d.ChunkStats(v.Name, len(v.Chunks), v.chunk)
+			stats = d.ChunkStats(v.Name, v.Chunks, stats)
 		}
 	}
 	if d.Err() != nil {
@@ -66,10 +75,39 @@ func Open(r ReaderAt) (*File, error) {
 	return f, nil
 }
 
-// decodeDims reads n dimensions: a name and a length of at least one,
-// twelve header bytes or more each.
-func decodeDims(d *ioengine.Decoder, n int) []Dim {
-	dims := make([]Dim, n)
+// maxBlock caps a slab block's elements, so a block costs a bounded number
+// of bytes whatever a header declares.
+const maxBlock = 256
+
+// slab carves small slices out of shared blocks. Each piece is capped at
+// its own length, so appending to one variable's Dims copies them rather
+// than writing into the next variable's; a full block stays with the
+// pieces already handed out and a new one is started.
+type slab[T any] []T
+
+// carve returns the next n elements. A new block has room for n for each
+// of the left variables still to decode — the variable at hand stands in
+// for the rest — up to maxBlock.
+func (s *slab[T]) carve(n, left int) []T {
+	if n > cap(*s)-len(*s) {
+		*s = make([]T, 0, max(n, min(n*left, maxBlock)))
+	}
+	l := len(*s)
+	*s = (*s)[:l+n]
+	return (*s)[l : l+n : l+n]
+}
+
+// slabs are one header's blocks: the variables' dimensions, attributes,
+// and grid and chunk extents.
+type slabs struct {
+	dims  slab[Dim]
+	attrs slab[Attr]
+	ints  slab[int]
+}
+
+// decodeDims reads len(dims) dimensions into dims: a name and a length of
+// at least one, twelve header bytes or more each.
+func decodeDims(d *ioengine.Decoder, dims []Dim) []Dim {
 	for i := range dims {
 		dims[i] = Dim{Name: d.Str(), Len: d.Int()}
 		if d.Err() == nil && dims[i].Len < 1 {
@@ -79,8 +117,8 @@ func decodeDims(d *ioengine.Decoder, n int) []Dim {
 	return dims
 }
 
-func decodeAttrs(d *ioengine.Decoder) []Attr {
-	out := make([]Attr, d.Count(9))
+// decodeAttrs reads len(out) attributes into out.
+func decodeAttrs(d *ioengine.Decoder, out []Attr) []Attr {
 	for i := range out {
 		a := Attr{Name: d.Str(), Kind: AttrKind(d.U8())}
 		switch a.Kind {
@@ -98,15 +136,28 @@ func decodeAttrs(d *ioengine.Decoder) []Attr {
 	return out
 }
 
-func decodeVar(d *ioengine.Decoder) *Var {
-	v := &Var{Name: d.Str(), Type: Type(d.U8())}
+// decodeVar reads one variable into v, left counting it and the
+// variables after it.
+func (s *slabs) decodeVar(d *ioengine.Decoder, v *Var, left int) {
+	v.Name, v.Type = d.Str(), Type(d.U8())
 	if d.Err() == nil && !v.Type.Valid() {
 		d.Failf("%s: unknown element type %d", v.Name, uint8(v.Type))
 	}
-	v.Dims = decodeDims(d, d.Rank(12))
-	v.Attrs = decodeAttrs(d)
+	rank := d.Rank(12)
+	v.Dims = decodeDims(d, s.dims.carve(rank, left))
+	v.Attrs = decodeAttrs(d, s.attrs.carve(d.Count(9), left))
+	// The grid's shape, then the chunk extents when the header has them.
+	n := rank
 	if d.U8() == 1 {
-		v.ChunkShape = make([]int, len(v.Dims))
+		n *= 2
+	}
+	ext := s.ints.carve(n, left)
+	v.grid = ioengine.Grid{Shape: ext[:rank:rank], Chunk: ext[:rank:rank]}
+	for j, dim := range v.Dims {
+		v.grid.Shape[j] = dim.Len
+	}
+	if n > rank {
+		v.ChunkShape, v.grid.Chunk = ext[rank:], ext[rank:]
 		for j := range v.ChunkShape {
 			v.ChunkShape[j] = d.Int()
 		}
@@ -116,9 +167,7 @@ func decodeVar(d *ioengine.Decoder) *Var {
 	for j := range v.Chunks {
 		v.Chunks[j] = d.Chunk()
 	}
-	v.grid = v.gridOf(v.ChunkShape)
-	d.CheckArray(ioengine.Layout{Name: v.Name, Type: v.Type, Grid: v.grid, Deflated: v.Deflate > 0}, len(v.Chunks), v.chunk)
-	return v
+	d.CheckArray(ioengine.Layout{Name: v.Name, Type: v.Type, Grid: v.grid, Deflated: v.Deflate > 0}, v.Chunks)
 }
 
 // Dims returns the file's dimensions.
@@ -143,7 +192,7 @@ func (f *File) Var(name string) (*Var, error) {
 // single-pass scans and readahead announcements by chunk number.
 func (f *File) ChunkIndex(v *Var) ioengine.ChunkIndex {
 	return ioengine.ChunkIndex{Src: f.r, Pkg: dialect.Name, Name: v.Name, Type: v.Type, Deflated: v.Deflate > 0,
-		Grid: v.grid, Len: len(v.Chunks), At: v.chunk}
+		Grid: v.grid, Chunks: v.Chunks}
 }
 
 // checkSlab holds the hyperslab [start, start+count) to v's shape.

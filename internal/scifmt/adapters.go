@@ -35,23 +35,24 @@ func (netcdfFormat) Explore(r ReaderAt) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := &Info{Format: "netcdf", Attrs: map[string]string{}, Header: f.Header}
-	for _, a := range f.GlobalAttrs() {
+	gattrs, vars := f.GlobalAttrs(), f.Vars()
+	info := &Info{Format: "netcdf", Attrs: make(map[string]string, len(gattrs)), Vars: make([]VarEntry, len(vars)), Header: f.Header}
+	for _, a := range gattrs {
 		info.Attrs[a.Name] = attrString(a)
 	}
-	for _, v := range f.Vars() {
-		entry := VarEntry{
-			Path:        v.Name,
-			TypeName:    v.Type.String(),
-			DimNames:    make([]string, len(v.Dims)),
-			Index:       f.ChunkIndex(v),
-			StoredBytes: v.StoredBytes(),
+	rank := 0
+	for _, v := range vars {
+		rank += len(v.Dims)
+	}
+	names := make([]string, rank) // every variable's DimNames, end to end
+	for i, v := range vars {
+		dn := names[:len(v.Dims):len(v.Dims)]
+		names = names[len(v.Dims):]
+		for j, d := range v.Dims {
+			dn[j] = d.Name
 		}
-		entry.Index.Src = nil
-		for i, d := range v.Dims {
-			entry.DimNames[i] = d.Name
-		}
-		info.Vars = append(info.Vars, entry)
+		info.Vars[i] = VarEntry{Path: v.Name, TypeName: v.Type.String(), DimNames: dn, Index: f.ChunkIndex(v), StoredBytes: v.StoredBytes()}
+		info.Vars[i].Index.Src = nil
 	}
 	return info, nil
 }

@@ -157,8 +157,8 @@ func TestByteIdentityPins(t *testing.T) {
 // pinnedInfo is Info as its hashes were recorded, field for field, so
 // they still pin what Explore says: each variable's element size, Grid and
 // raw size as its chunk index carries them now. The index's chunk records are
-// pinned by the file bytes and by every read test, its At prints as an
-// address, and Header is held by TestExploreRecordsHeader.
+// pinned by the file bytes and by every read test, and Header is held by
+// TestExploreRecordsHeader.
 type pinnedInfo struct {
 	Format string
 	Attrs  map[string]string

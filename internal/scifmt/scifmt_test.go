@@ -120,7 +120,7 @@ func TestNetCDFExplore(t *testing.T) {
 	if v.TypeName != "float" || v.Index.Type.Size() != 4 || v.Index.Src != nil {
 		t.Fatalf("var = %+v", v)
 	}
-	if n := v.Index.Grid.Len(); n != 4 || v.Index.Len != 4 {
+	if n := v.Index.Grid.Len(); n != 4 || len(v.Index.Chunks) != 4 {
 		t.Fatalf("chunks = %d, want 4 (one per level)", n)
 	}
 	for i := range 4 {

@@ -6,7 +6,8 @@
 # the benchmark's workloads. run_artifacts <bin-dir> <out-dir> runs every
 # artifact command in the current directory (the tree whose testdata the
 # commands read), writing into <out-dir>; both paths must be absolute.
-# $root names the checkout whose bundled chaos plan every side reads.
+# $root names the checkout whose bundled chaos plan and golden hdf5lite
+# file every side reads.
 
 artifact_pkgs="./cmd/scidp-bench ./cmd/scidpctl ./cmd/scidpd ./cmd/ncgen ./cmd/ncdump ./examples/..."
 bench_workloads="scidp-imgonly scidp-anlys epoch-reread terasort tenant-replay"
@@ -30,4 +31,7 @@ run_artifacts() { # <bin-dir> <out-dir>
 	# The file's bytes and its header with every chunk's place and zone map.
 	(cd "$out" && "$bin/ncgen" -out ncgen -timestamps 1 -levels 3 -lat 8 -lon 8 -vars 3 >ncgen.txt &&
 		for f in ncgen/*; do "$bin/ncdump" -s "$f"; done >ncdump-s.txt)
+	# The committed hdf5lite file, read from $root on both sides: the only
+	# artifact that decodes the second format.
+	"$bin/ncdump" -s "$root/cmd/ncdump/testdata/nested.h5" >"$out/ncdump-h5.txt"
 }

@@ -6,7 +6,8 @@
 # free, under this tree's bundled chaos plan, and with the cache tier on),
 # the mapping CLI's Virtual Mapping Table and metrics (-v), the tenant replay, the
 # five examples' stdout (and the PNGs nuwrf-visualization exports), one
-# small ncgen file with its per-chunk `ncdump -s` listing, and
+# small ncgen file with its per-chunk `ncdump -s` listing, the same
+# listing of this tree's committed hdf5lite file, and
 # all five benchmark workloads' exact metrics, output digests and
 # sim.events — is generated from both trees and compared.
 # Every difference is printed — a PR that moves the trace on purpose still
