@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical pairs aa bench bench-paper loc reach
+.PHONY: check fmt vet build test race benchmark-test fuzz-smoke identical pairs aa bench allocprof bench-paper loc reach
 
 # check is the CI gate: formatting, vet, build, full tests, the race
 # detector across the whole module (the data-plane compute pool makes
@@ -86,6 +86,20 @@ aa:
 # allocation stats; a failing benchmark (b.Fatal/b.Error) fails the target.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
+
+# allocprof sizes an allocation change from inside one layer: it runs the
+# benchmarks BENCH matches in package PKG with every allocation sampled
+# (-memprofilerate=1) and prints the TOP sites by alloc_objects. The profile
+# covers the whole test binary, setup outside the timer included, and misses
+# the tiny allocator's objects: size a win by allocs/op (runtime Mallocs),
+# and use the sites only to see where the allocations are.
+TOP ?= 25
+allocprof:
+	@test -n "$(PKG)" -a -n "$(BENCH)" || { echo 'usage: make allocprof PKG=./internal/<pkg> BENCH=<regexp> [TOP=25]'; exit 2; }
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+		$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -memprofilerate=1 \
+			-memprofile "$$tmp/mem.pprof" -o "$$tmp/pkg.test" $(PKG) && \
+		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=$(TOP) "$$tmp/pkg.test" "$$tmp/mem.pprof"
 
 # loc prints the line count ROADMAP aim 2 tracks: non-test Go outside
 # benchmark/, per package and in total.

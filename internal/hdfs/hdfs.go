@@ -322,10 +322,12 @@ func (fs *FS) mkdirAll(path string) error {
 		}
 		return nil
 	}
-	parts := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	cur := ""
-	for _, part := range parts {
-		cur += "/" + part
+	// Each ancestor is a substring: path up to one of its slashes, or all.
+	for i := 1; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
+		cur := path[:i]
 		if n, ok := fs.inodes[cur]; ok {
 			if !n.Dir {
 				return fmt.Errorf("hdfs: mkdir %s: %s is a file", path, cur)
@@ -337,7 +339,12 @@ func (fs *FS) mkdirAll(path string) error {
 	return nil
 }
 
+// clean roots p and trims its trailing slashes: "/" + strings.Trim(p, "/").
+// A path that already reads so is returned as it is.
 func clean(p string) string {
+	if len(p) > 1 && p[0] == '/' && p[1] != '/' && p[len(p)-1] != '/' {
+		return p
+	}
 	if p == "" || p == "/" {
 		return "/"
 	}
@@ -380,6 +387,16 @@ func (fs *FS) placeReplicas(writer *cluster.Node) []*DataNode {
 	return reps
 }
 
+// create cleans path for a new file and makes its parent directories;
+// op names the call in the error when path exists.
+func (fs *FS) create(op, path string) (string, error) {
+	path = clean(path)
+	if _, exists := fs.inodes[path]; exists {
+		return path, fmt.Errorf("hdfs: %s %s: file exists", op, path)
+	}
+	return path, fs.mkdirAll(parent(path))
+}
+
 // Mkdir creates a directory (and parents), charging one NameNode RPC.
 func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 	fs.nnOp(p)
@@ -392,11 +409,8 @@ func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 // The file system keeps data — blocks are views of it, not copies — so the
 // caller must not write to it afterwards.
 func (fs *FS) WriteFile(p *sim.Proc, client *cluster.Node, path string, data []byte) error {
-	path = clean(path)
-	if _, exists := fs.inodes[path]; exists {
-		return fmt.Errorf("hdfs: create %s: file exists", path)
-	}
-	if err := fs.mkdirAll(parent(path)); err != nil {
+	path, err := fs.create("create", path)
+	if err != nil {
 		return err
 	}
 	fs.nnOp(p)
@@ -419,7 +433,7 @@ func (fs *FS) WriteFile(p *sim.Proc, client *cluster.Node, path string, data []b
 		// hop's chain, the network path (if any) then the replica's disk,
 		// is a piece of one array; only a first replica on the client's
 		// own node has no network path.
-		parts := make([]sim.Part, 0, len(reps))
+		parts := make([]sim.Part, 0, 4) // on the stack up to four replicas
 		size := 4 * len(reps)
 		if reps[0].Node == client {
 			size -= 3
@@ -450,11 +464,8 @@ func (fs *FS) WriteFile(p *sim.Proc, client *cluster.Node, path string, data []b
 // replica placement — the workload-setup back door, mirroring pfs.Put.
 // Like WriteFile it keeps data; the caller must not write to it afterwards.
 func (fs *FS) Put(path string, data []byte) (*INode, error) {
-	path = clean(path)
-	if _, exists := fs.inodes[path]; exists {
-		return nil, fmt.Errorf("hdfs: put %s: file exists", path)
-	}
-	if err := fs.mkdirAll(parent(path)); err != nil {
+	path, err := fs.create("put", path)
+	if err != nil {
 		return nil, err
 	}
 	node := &INode{Path: path}
@@ -493,11 +504,8 @@ type VirtualBlockSpec struct {
 // SciDP's Data Mapper). One RPC is charged for the file plus one per 100
 // blocks of mapping-table upload.
 func (fs *FS) CreateVirtualFile(p *sim.Proc, path string, blocks []VirtualBlockSpec) (*INode, error) {
-	path = clean(path)
-	if _, exists := fs.inodes[path]; exists {
-		return nil, fmt.Errorf("hdfs: create %s: file exists", path)
-	}
-	if err := fs.mkdirAll(parent(path)); err != nil {
+	path, err := fs.create("create", path)
+	if err != nil {
 		return nil, err
 	}
 	fs.nnOp(p)

@@ -327,7 +327,7 @@ type TaskContext struct {
 	proc  *sim.Proc
 	node  *cluster.Node
 	stats TaskStats
-	emit  func(KV)
+	out   *taskOut // where Emit's pairs go (nil in a RunStage task)
 	// slow stretches modeled compute (startup + Charge) for straggler
 	// injection; always >= 1.
 	slow float64
@@ -344,7 +344,7 @@ func (tc *TaskContext) Proc() *sim.Proc { return tc.proc }
 func (tc *TaskContext) Node() *cluster.Node { return tc.node }
 
 // Emit produces an intermediate (map) or final (reduce) pair.
-func (tc *TaskContext) Emit(key string, value any) { tc.emit(KV{K: key, V: value}) }
+func (tc *TaskContext) Emit(key string, value any) { tc.out.emit(KV{K: key, V: value}) }
 
 // Charge blocks the task for d seconds of modeled compute and attributes
 // it to the named phase. An injected straggler slowdown stretches the
@@ -404,6 +404,9 @@ func (tc *TaskContext) addPhase(name string, d float64) {
 			tc.stats.Phases[i].Seconds += d
 			return
 		}
+	}
+	if tc.stats.Phases == nil {
+		tc.stats.Phases = make([]Phase, 0, 2) // most tasks: a read and its work
 	}
 	tc.stats.Phases = append(tc.stats.Phases, Phase{Name: name, Seconds: d})
 }

@@ -288,11 +288,13 @@ func runSpans(kvs []KV) []uint32 {
 	return ends
 }
 
-// spanCursor walks one indexed run a group at a time. idx is the run's
-// arrival order, the cross-run stability tie-break.
+// spanCursor walks one indexed run a group at a time, leaving its runSpans
+// index whole for the reducer to recycle. idx is the run's arrival order,
+// the cross-run stability tie-break.
 type spanCursor struct {
 	kvs   []KV
-	ends  []uint32 // the current and later groups' ends
+	ends  []uint32 // every group's end in kvs
+	g     int      // the current group
 	start int      // the current group's first pair
 	pre   uint64   // keyPrefix of its key, what less compares first
 	idx   int
@@ -301,13 +303,17 @@ type spanCursor struct {
 // key returns the cursor's current group key.
 func (c *spanCursor) key() string { return c.kvs[c.start].K }
 
+// live reports whether the cursor has a group left.
+func (c *spanCursor) live() bool { return c.g < len(c.ends) }
+
 // next returns the current group's pairs and moves to the following
-// group; the cursor is spent once no ends are left.
+// group; the cursor is spent once no group is left.
 func (c *spanCursor) next() []KV {
-	end := int(c.ends[0])
+	end := int(c.ends[c.g])
 	group := c.kvs[c.start:end]
-	c.start, c.ends = end, c.ends[1:]
-	if len(c.ends) > 0 {
+	c.start = end
+	c.g++
+	if c.live() {
 		c.pre = keyPrefix(c.key())
 	}
 	return group
@@ -317,29 +323,30 @@ func (c *spanCursor) next() []KV {
 // index) order. Runs are read through cursors and never mutated, so a
 // retried reduce attempt sees them intact.
 type spanMerge struct {
-	cursors []spanCursor
-	heap    []*spanCursor
-	single  *spanCursor // fast path when at most one run is non-empty
+	heap   []*spanCursor
+	single *spanCursor // fast path when at most one run is non-empty
 }
 
-// newSpanMerge builds a merge over indexed runs; empty runs are skipped
-// so the heap only ever holds live cursors.
-func newSpanMerge(runs [][]KV, ends [][]uint32) *spanMerge {
-	m := &spanMerge{cursors: make([]spanCursor, 0, len(runs))}
-	for i := range runs {
-		if len(ends[i]) > 0 {
-			m.cursors = append(m.cursors, spanCursor{kvs: runs[i], ends: ends[i], pre: keyPrefix(runs[i][0].K), idx: i})
+// newSpanMerge builds a merge over fresh cursors (kvs, ends and idx set),
+// skipping empty runs so the heap only ever holds live cursors.
+func newSpanMerge(cursors []spanCursor) spanMerge {
+	var m spanMerge
+	live := 0
+	for i := range cursors {
+		if c := &cursors[i]; c.live() {
+			c.pre = keyPrefix(c.key())
+			m.single = c
+			live++
 		}
 	}
-	if len(m.cursors) < 2 {
-		if len(m.cursors) == 1 {
-			m.single = &m.cursors[0]
-		}
+	if live < 2 {
 		return m
 	}
-	m.heap = make([]*spanCursor, len(m.cursors))
-	for i := range m.cursors {
-		m.heap[i] = &m.cursors[i]
+	m.single, m.heap = nil, make([]*spanCursor, 0, live)
+	for i := range cursors {
+		if cursors[i].live() {
+			m.heap = append(m.heap, &cursors[i])
+		}
 	}
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
 		m.siftDown(i)
@@ -379,16 +386,16 @@ func (m *spanMerge) siftDown(i int) {
 	}
 }
 
-// eachGroupSpans merges indexed sorted runs and invokes fn once per
-// distinct key with that key's values in (run, emission) order: the heap
-// advances a whole group span per step, cursors with equal keys pop in
-// run-index order, and each span's values land in position order. The
-// vals buffer is reused across calls: the slice passed to fn is valid only
-// for the duration of the call and must not be retained.
-func eachGroupSpans(runs [][]KV, ends [][]uint32, vals *[]any, fn func(key string, vals []any) error) error {
-	m := newSpanMerge(runs, ends)
+// eachGroupSpans merges the cursors' indexed sorted runs and invokes fn
+// once per distinct key with that key's values in (run, emission) order:
+// the heap advances a whole group span per step, cursors with equal keys
+// pop in run-index order, and each span's values land in position order.
+// The vals buffer is reused across calls: the slice passed to fn is valid
+// only for the duration of the call and must not be retained.
+func eachGroupSpans(cursors []spanCursor, vals *[]any, fn func(key string, vals []any) error) error {
+	m := newSpanMerge(cursors)
 	if c := m.single; c != nil {
-		for len(c.ends) > 0 {
+		for c.live() {
 			key := c.key()
 			buf := (*vals)[:0]
 			for _, kv := range c.next() {
@@ -409,7 +416,7 @@ func eachGroupSpans(runs [][]KV, ends [][]uint32, vals *[]any, fn func(key strin
 			for _, kv := range c.next() {
 				buf = append(buf, kv.V)
 			}
-			if len(c.ends) == 0 {
+			if !c.live() {
 				last := len(m.heap) - 1
 				m.heap[0] = m.heap[last]
 				m.heap = m.heap[:last]

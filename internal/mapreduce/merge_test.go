@@ -42,12 +42,12 @@ type group struct {
 // mergeRuns indexes each run's group boundaries, merges them and recycles
 // the indexes, the way a reducer does.
 func mergeRuns(runs [][]KV, vals *[]any, fn func(key string, vals []any) error) error {
-	spans := make([][]uint32, len(runs))
+	cursors := make([]spanCursor, len(runs))
 	for i, r := range runs {
-		spans[i] = runSpans(r)
-		defer putSpanBuf(spans[i])
+		cursors[i] = spanCursor{kvs: r, ends: runSpans(r), idx: i}
+		defer putSpanBuf(cursors[i].ends)
 	}
-	return eachGroupSpans(runs, spans, vals, fn)
+	return eachGroupSpans(cursors, vals, fn)
 }
 
 func collectGroups(t *testing.T, runs [][]KV) []group {
@@ -117,7 +117,7 @@ func TestMergeEmptyRuns(t *testing.T) {
 
 func TestMergeSingleRunFastPath(t *testing.T) {
 	runs := [][]KV{nil, {{K: "a", V: 1}, {K: "a", V: 2}, {K: "b", V: 3}}, nil}
-	m := newSpanMerge(runs, [][]uint32{nil, runSpans(runs[1]), nil})
+	m := newSpanMerge([]spanCursor{{kvs: runs[0]}, {kvs: runs[1], ends: runSpans(runs[1]), idx: 1}, {kvs: runs[2], idx: 2}})
 	if m.single == nil {
 		t.Fatal("one non-empty run should take the single-run fast path")
 	}

@@ -29,10 +29,12 @@ type localityQueue struct {
 	byZone map[string][]*qnode // nodes preferring any host in each zone
 	noPref []*qnode            // nodes with no preference, eligible anywhere
 	topo   *cluster.Cluster    // nil when the cluster is flat
+	room   int                 // the first capacity of fifo and noPref
 }
 
-// qnode is one queued task entry. A task requeued after a failure (or
-// for a speculative backup) gets a fresh qnode with a fresh sequence.
+// qnode is one queued task entry. A task's first push uses Task.entry; a
+// task requeued after a failure (or for a speculative backup) gets a fresh
+// qnode with a fresh sequence, as its old one may still sit in a list.
 // spec labels the entry, not the task: a backup and its straggling
 // original can be queued at once, and a backup requeued after a failure
 // or preemption is still the backup lineage.
@@ -43,8 +45,10 @@ type qnode struct {
 	taken bool
 }
 
-func newLocalityQueue(cl *cluster.Cluster) *localityQueue {
-	q := &localityQueue{byHost: map[string][]*qnode{}}
+// newLocalityQueue returns an empty queue for cl's tasks; the host index
+// waits for the first push that names a host.
+func newLocalityQueue(cl *cluster.Cluster, room int) localityQueue {
+	q := localityQueue{room: room, fifo: make([]*qnode, 0, room)}
 	if cl != nil && cl.HasTopology() {
 		q.topo = cl
 		q.byRack = map[string][]*qnode{}
@@ -165,11 +169,21 @@ func (q *localityQueue) pickAny() *qnode {
 // push queues t; spec marks the entry as a speculative backup.
 func (q *localityQueue) push(t *Task, spec bool) {
 	q.seq++
-	n := &qnode{t: t, seq: q.seq, spec: spec}
+	n := &t.entry
+	if n.t != nil {
+		n = new(qnode)
+	}
+	*n = qnode{t: t, seq: q.seq, spec: spec}
 	q.fifo = append(q.fifo, n)
 	if len(t.Locations) == 0 {
+		if q.noPref == nil {
+			q.noPref = make([]*qnode, 0, q.room)
+		}
 		q.noPref = append(q.noPref, n)
 	} else {
+		if q.byHost == nil {
+			q.byHost = map[string][]*qnode{}
+		}
 		for _, h := range t.Locations {
 			q.byHost[h] = append(q.byHost[h], n)
 		}

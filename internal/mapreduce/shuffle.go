@@ -10,7 +10,7 @@ import (
 )
 
 // shuffle is the job's intermediate state between its two stages. The
-// write side is a mapOut per map task: emit partitions pairs into
+// write side is a taskOut per map task: emit partitions pairs into
 // per-reducer buckets and seal sorts each bucket once, so reducers k-way
 // merge runs instead of re-sorting. The read side is reduceTask: fetch
 // reducer r's run from every map task, index the runs while the flows
@@ -23,9 +23,9 @@ type shuffle struct {
 	pairBytes func(kv KV) int64
 	moved     *obs.Counter // mr/shuffle_bytes_total (nil without Job.Obs)
 
-	outs    []*mapOut // per map task in mint order; nil until it commits
-	mapOnly []KV      // committed map-only output
-	final   [][]KV    // per reducer, committed reduce output
+	outs    []*taskOut // per map task in mint order; nil until it commits
+	mapOnly []KV       // committed map-only output
+	final   [][]KV     // per reducer, committed reduce output
 }
 
 func newShuffle(j *Job, res *Result) *shuffle {
@@ -45,14 +45,20 @@ func newShuffle(j *Job, res *Result) *shuffle {
 	return sh
 }
 
-// mapOut is one map attempt's output: per reducer a bucket and its
-// shuffle byte count, or — for a map-only job — the pairs themselves.
-type mapOut struct {
+// taskOut is one task attempt's output: a map attempt's bucket per
+// reducer, or — for a reduce attempt or a map-only job's map — the pairs.
+type taskOut struct {
 	sh      *shuffle
 	node    *cluster.Node
-	buckets [][]KV
-	bytes   []int64
+	buckets []bucket
 	local   []KV
+}
+
+// bucket is one reducer's share of a map attempt: a run and its shuffle
+// byte count.
+type bucket struct {
+	run   []KV
+	bytes int64
 }
 
 // mapFeed mints one map task per split, on demand: the stage pulls at
@@ -74,14 +80,13 @@ func (sh *shuffle) mapFeed(src SplitSource) func(*sim.Proc) (*Task, error) {
 }
 
 // mapTask is one map attempt: read the split through the user's Map into
-// an attempt-local mapOut, seal it, and publish it only on commit.
+// an attempt-local taskOut, seal it, and publish it only on commit.
 func (sh *shuffle) mapTask(tc *TaskContext, i int, s *Split) (func(), error) {
-	mo := &mapOut{sh: sh, node: tc.node}
+	mo := &taskOut{sh: sh, node: tc.node}
 	if sh.reducers > 0 {
-		mo.buckets = make([][]KV, sh.reducers)
-		mo.bytes = make([]int64, sh.reducers)
+		mo.buckets = make([]bucket, sh.reducers)
 	}
-	tc.emit = mo.emit
+	tc.out = mo
 	err := sh.j.Input.ForEach(tc, s, func(key string, value any) error {
 		return sh.j.Map(tc, key, value)
 	})
@@ -97,33 +102,32 @@ func (sh *shuffle) mapTask(tc *TaskContext, i int, s *Split) (func(), error) {
 	}, nil
 }
 
-// emit routes one pair to its reducer's bucket and touches nothing else:
-// map functions may call it from concurrent data-plane closures as long
-// as each closure feeds its own reducers.
-func (mo *mapOut) emit(kv KV) {
-	sh := mo.sh
-	if sh.reducers == 0 {
+// emit routes one pair to its reducer's bucket, or onto the attempt's
+// pairs, and touches nothing else: map functions may call it from
+// concurrent data-plane closures as long as each feeds its own reducers.
+func (mo *taskOut) emit(kv KV) {
+	if mo.buckets == nil {
 		mo.local = append(mo.local, kv)
 		return
 	}
-	b := sh.partition(kv.K, sh.reducers)
-	bkt := mo.buckets[b]
-	if bkt == nil {
-		bkt = getKVBuf()
+	sh := mo.sh
+	b := &mo.buckets[sh.partition(kv.K, sh.reducers)]
+	if b.run == nil {
+		b.run = getKVBuf()
 	}
-	mo.buckets[b] = append(bkt, kv)
-	mo.bytes[b] += sh.pairBytes(kv)
+	b.run = append(b.run, kv)
+	b.bytes += sh.pairBytes(kv)
 }
 
 // seal leaves every bucket a sorted run. Buckets sort independently on
 // the data plane: fork-join within the task, and across map tasks in
 // flight at the same virtual instant the closures overlap on the pool's
 // workers.
-func (mo *mapOut) seal(tc *TaskContext) {
-	futs := make([]*sim.Future, 0, len(mo.buckets))
-	for _, bkt := range mo.buckets {
-		if len(bkt) > 1 {
-			futs = append(futs, tc.proc.Compute(func() { sortRun(bkt) }))
+func (mo *taskOut) seal(tc *TaskContext) {
+	futs := make([]*sim.Future, 0, 8) // on the stack up to eight buckets
+	for _, b := range mo.buckets {
+		if run := b.run; len(run) > 1 {
+			futs = append(futs, tc.proc.Compute(func() { sortRun(run) }))
 		}
 	}
 	tc.proc.Await(futs...)
@@ -152,30 +156,31 @@ func (sh *shuffle) reduceTask(tc *TaskContext, r int) (func(), error) {
 	// at commit — a retried reducer really does re-fetch its runs over
 	// the fabric.
 	var parts []sim.Part
-	runs := make([][]KV, 0, len(sh.outs))
+	cursors := make([]spanCursor, 0, len(sh.outs)) // one a non-empty run
 	for _, mo := range sh.outs {
 		if mo == nil {
 			continue
 		}
-		if len(mo.buckets[r]) > 0 {
-			runs = append(runs, mo.buckets[r])
+		b := &mo.buckets[r]
+		if len(b.run) > 0 {
+			cursors = append(cursors, spanCursor{kvs: b.run, idx: len(cursors)})
 		}
-		if mo.node != tc.node && mo.bytes[r] > 0 {
+		if mo.node != tc.node && b.bytes > 0 {
 			parts = append(parts, sim.Part{
-				Bytes: float64(mo.bytes[r]),
+				Bytes: float64(b.bytes),
 				Res:   sh.j.Cluster.NetPath(mo.node, tc.node),
 			})
-			sh.res.ShuffleBytes += mo.bytes[r]
-			sh.moved.Add(float64(mo.bytes[r]))
+			sh.res.ShuffleBytes += b.bytes
+			sh.moved.Add(float64(b.bytes))
 		}
 	}
 	// Per-run prefetch: index each run's group boundaries on the data
 	// plane while the shuffle's flows drain, joining after the transfer
 	// completes.
-	spans := make([][]uint32, len(runs))
-	futs := make([]*sim.Future, len(runs))
-	for i := range runs {
-		futs[i] = tc.proc.Compute(func() { spans[i] = runSpans(runs[i]) })
+	futs := make([]*sim.Future, 0, 8) // on the stack up to eight runs
+	for i := range cursors {
+		c := &cursors[i]
+		futs = append(futs, tc.proc.Compute(func() { c.ends = runSpans(c.kvs) }))
 	}
 	tc.Phase("Shuffle", func() { tc.proc.TransferAll(parts...) })
 	tc.proc.Await(futs...)
@@ -183,23 +188,23 @@ func (sh *shuffle) reduceTask(tc *TaskContext, r int) (func(), error) {
 	// runs, grouped values reaching Reduce through a pooled buffer (valid
 	// only for the duration of each call).
 	groups := 0
-	for _, sp := range spans {
-		groups += len(sp)
+	for i := range cursors {
+		groups += len(cursors[i].ends)
 	}
-	local := make([]KV, 0, groups)
-	tc.emit = func(kv KV) { local = append(local, kv) }
+	out := &taskOut{local: make([]KV, 0, groups)}
+	tc.out = out
 	vals := getVals()
 	defer putVals(vals)
-	err := eachGroupSpans(runs, spans, vals, func(key string, vs []any) error {
+	err := eachGroupSpans(cursors, vals, func(key string, vs []any) error {
 		return sh.j.Reduce(tc, key, vs)
 	})
-	for i := range spans {
-		putSpanBuf(spans[i])
+	for i := range cursors {
+		putSpanBuf(cursors[i].ends)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return func() { sh.final[r] = local }, nil
+	return func() { sh.final[r] = out.local }, nil
 }
 
 // output assembles the committed job output and, once the reduce wave has
@@ -213,8 +218,8 @@ func (sh *shuffle) output() []KV {
 			continue
 		}
 		for b := range mo.buckets {
-			putKVBuf(mo.buckets[b])
-			mo.buckets[b] = nil
+			putKVBuf(mo.buckets[b].run)
+			mo.buckets[b].run = nil
 		}
 	}
 	return slices.Concat(sh.final...)

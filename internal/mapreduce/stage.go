@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"scidp/internal/cluster"
 	"scidp/internal/obs"
@@ -34,6 +35,7 @@ type Task struct {
 	// speculated marks that a backup attempt was (or is queued to be)
 	// launched; at most one backup per task.
 	speculated bool
+	entry      qnode // the first push's queue entry: minting costs the queue nothing
 }
 
 // stage is one wave of tasks on the cluster's worker slots: a windowed
@@ -50,7 +52,7 @@ type stage struct {
 	speculative bool
 	stats       []TaskStats // committed tasks, in completion order
 
-	q         *localityQueue
+	q         localityQueue
 	minted    int
 	exhausted bool    // the feed returned its final task, or the stage failed
 	pending   int     // minted tasks not yet settled
@@ -118,7 +120,7 @@ func (j *Job) runStage(p *sim.Proc, name string, feed func(*sim.Proc) (*Task, er
 	if s.speculative {
 		s.durations = obs.NewHistogram(taskSecondsBuckets)
 	}
-	s.q = newLocalityQueue(j.Cluster)
+	s.q = newLocalityQueue(j.Cluster, min(s.window, 4))
 	k := p.Kernel()
 	s.wg = k.NewWaitGroup()
 	// The source token keeps the wait group open until the feed drains,
@@ -158,7 +160,7 @@ func (s *stage) refill(rp *sim.Proc) {
 			s.exhausted = true
 			s.wg.Done() // release the source token
 		default:
-			t.index, t.attempt, t.inflight, t.done, t.speculated = s.minted, 0, 0, false, false
+			t.index, t.attempt, t.inflight, t.done, t.speculated, t.entry = s.minted, 0, 0, false, false, qnode{}
 			s.minted++
 			s.pending++
 			s.wg.Add(1)
@@ -250,7 +252,7 @@ func (s *stage) worker(wp *sim.Proc) {
 // host-local immediately, rack-local after 3, zone-local after 6, and any
 // task at all after the last tier the node's topology offers.
 func (s *stage) pull(node *cluster.Node, misses int) *qnode {
-	q := s.q
+	q := &s.q
 	stealAt := 0
 	for i, tier := range [...]struct {
 		index map[string][]*qnode
@@ -421,6 +423,9 @@ func (s *stage) settle(a *attempt) {
 		s.taskSeconds.Observe(d)
 		s.durations.Observe(d)
 		a.commit()
+		if s.exhausted && len(s.stats) == cap(s.stats) {
+			s.stats = slices.Grow(s.stats, s.pending) // every task left to commit is minted
+		}
 		s.stats = append(s.stats, a.tc.stats)
 		s.retire(t)
 	}

@@ -201,7 +201,7 @@ func TestZoneLocalityEscalation(t *testing.T) {
 // entries do not accumulate: lists stay near the live count and drained
 // index keys disappear.
 func TestQueueCompaction(t *testing.T) {
-	q := newLocalityQueue(nil)
+	q := newLocalityQueue(nil, 4)
 	const n = 20000
 	for i := 0; i < n; i++ {
 		q.push(&Task{index: i, Locations: []string{fmt.Sprintf("h%d", i%7)}}, false)
@@ -238,7 +238,7 @@ func TestQueueCompaction(t *testing.T) {
 // TestDrainedHostKeyDeleted is the narrow regression test for the old
 // leak: a host's index entry must vanish once its queued tasks drain.
 func TestDrainedHostKeyDeleted(t *testing.T) {
-	q := newLocalityQueue(nil)
+	q := newLocalityQueue(nil, 4)
 	q.push(&Task{Locations: []string{"h1"}}, false)
 	if q.pickPreferred(q.byHost, "h1") == nil {
 		t.Fatal("the host pick missed the pushed task")

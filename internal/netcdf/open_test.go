@@ -14,19 +14,22 @@ import (
 func nuwrfShaped(tb testing.TB) []byte { return nuwrfVars(tb, 23) }
 
 // nuwrfVars is nuwrfShaped with nvars variables.
-func nuwrfVars(tb testing.TB, nvars int) []byte {
+func nuwrfVars(tb testing.TB, nvars int) []byte { return nuwrfGrid(tb, nvars, 10, 40, 40) }
+
+// nuwrfGrid is nuwrfVars on a levels × lat × lon grid, one chunk a level.
+func nuwrfGrid(tb testing.TB, nvars, levels, lat, lon int) []byte {
 	tb.Helper()
 	w := NewWriter()
-	w.AddDim("level", 10)
-	w.AddDim("lat", 40)
-	w.AddDim("lon", 40)
+	w.AddDim("level", levels)
+	w.AddDim("lat", lat)
+	w.AddDim("lon", lon)
 	w.GlobalAttr(StringAttr("model", "NU-WRF"))
 	w.GlobalAttr(Int64Attr("timestamp", 0))
-	vals := make([]float32, 10*40*40)
+	vals := make([]float32, levels*lat*lon)
 	for v := 0; v < nvars; v++ {
 		name := fmt.Sprintf("VAR%02d", v)
 		err := w.AddVar(name, Float32, []string{"level", "lat", "lon"},
-			Chunking{Shape: []int{1, 40, 40}, Deflate: 1}, StringAttr("units", "kg/kg"))
+			Chunking{Shape: []int{1, lat, lon}, Deflate: 1}, StringAttr("units", "kg/kg"))
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -2,6 +2,8 @@ package tenant
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"scidp/internal/mapreduce"
 	"scidp/internal/sim"
@@ -63,9 +65,27 @@ func (s *Service) demand(spec JobSpec) (int, error) {
 	}
 }
 
-// outDir is a job's private HDFS output namespace.
+// outDir is a job's private HDFS output namespace, formatted once a job.
 func (s *Service) outDir(j *Job) string {
-	return fmt.Sprintf("/tenant/%s/job-%04d", j.Spec.Tenant, j.ID)
+	if j.dir == "" {
+		j.dir = numbered(j.ID, 4, "/tenant/", j.Spec.Tenant, "/job-")
+	}
+	return j.dir
+}
+
+// numbered is prefix's strings followed by n >= 0 zero-padded to width
+// digits (fmt's %0*d), made in one allocation.
+func numbered(n, width int, prefix ...string) string {
+	var buf [64]byte
+	b := buf[:0]
+	for _, p := range prefix {
+		b = append(b, p...)
+	}
+	digits := len(b)
+	for b = strconv.AppendInt(b, int64(n), 10); len(b)-digits < width; {
+		b = slices.Insert(b, digits, '0')
+	}
+	return string(b)
 }
 
 // runJob executes one catalog job on the cluster from the driver
@@ -77,7 +97,7 @@ func (s *Service) runJob(p *sim.Proc, j *Job) error {
 		return err
 	}
 	base := &mapreduce.Job{
-		Name:        fmt.Sprintf("%s-%s-%04d", j.Spec.Kind, j.Spec.Size, j.ID),
+		Name:        numbered(j.ID, 4, j.Spec.Kind, "-", j.Spec.Size, "-"),
 		Cluster:     s.env.BD,
 		TaskStartup: taskStartup,
 		MaxAttempts: s.env.Cfg.MaxAttempts,
@@ -124,7 +144,7 @@ func (s *Service) runSort(p *sim.Proc, j *Job, job *mapreduce.Job, files int) er
 	perRed := outBytes / reducers
 	for r := 0; r < reducers; r++ {
 		node := s.env.BD.Nodes[r%len(s.env.BD.Nodes)]
-		path := fmt.Sprintf("%s/part-%05d", s.outDir(j), r)
+		path := numbered(r, 5, s.outDir(j), "/part-")
 		if err := s.be.Write(p, node, path, workloads.Zeros(perRed)); err != nil {
 			return err
 		}
@@ -140,7 +160,7 @@ func (s *Service) runSort(p *sim.Proc, j *Job, job *mapreduce.Job, files int) er
 func (s *Service) runWrite(p *sim.Proc, j *Job, job *mapreduce.Job, files int) error {
 	data := workloads.Zeros(inputFileBytes)
 	workloads.Write(job, s.be, files, func(i int) string {
-		return fmt.Sprintf("%s/part-%04d", s.outDir(j), i)
+		return numbered(i, 4, s.outDir(j), "/part-")
 	}, data, s.cfg.ScanPerMB*float64(len(data))/2e6)
 	res, err := job.Run(p)
 	if err != nil {

@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"scidp/internal/obs"
 	"scidp/internal/solutions"
@@ -79,6 +80,7 @@ type Job struct {
 	Error string `json:"error,omitempty"`
 
 	lease *Lease
+	dir   string // outDir's memo
 }
 
 // Latency returns the job's sojourn time (submit to done); zero until
@@ -333,10 +335,10 @@ func (t *Tenant) RunningJobs() int { return len(t.running) }
 // outputs" in one string.
 func (s *Service) Digest() string {
 	h := sha256.New()
+	var line []byte
 	for _, j := range s.jobs {
-		fmt.Fprintf(h, "job %d %s %s %s p%d %s tasks=%d submit=%.9f start=%.9f done=%.9f result=%d out=%d err=%q\n",
-			j.ID, j.Spec.Tenant, j.Spec.Kind, j.Spec.Size, j.Spec.Priority,
-			j.State, j.Tasks, j.SubmitAt, j.StartAt, j.DoneAt, j.Result, j.OutputBytes, j.Error)
+		line = appendRecord(line[:0], j)
+		h.Write(line)
 	}
 	fmt.Fprintf(h, "completions %v\n", s.completions)
 	for _, name := range s.names {
@@ -346,6 +348,22 @@ func (s *Service) Digest() string {
 			t.Preemptions, t.Backfills, t.MaxRunningSeen, t.MaxGrantedSeen)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendRecord appends j's Digest line to b: the bytes fmt writes for
+// "job %d %s %s %s p%d %s tasks=%d submit=%.9f start=%.9f done=%.9f
+// result=%d out=%d err=%q\n", without boxing thirteen arguments a job.
+func appendRecord(b []byte, j *Job) []byte {
+	b = strconv.AppendInt(append(b, "job "...), int64(j.ID), 10)
+	b = append(append(append(append(append(append(b, ' '), j.Spec.Tenant...), ' '), j.Spec.Kind...), ' '), j.Spec.Size...)
+	b = strconv.AppendInt(append(b, " p"...), int64(j.Spec.Priority), 10)
+	b = strconv.AppendInt(append(append(append(b, ' '), j.State...), " tasks="...), int64(j.Tasks), 10)
+	b = strconv.AppendFloat(append(b, " submit="...), j.SubmitAt, 'f', 9, 64)
+	b = strconv.AppendFloat(append(b, " start="...), j.StartAt, 'f', 9, 64)
+	b = strconv.AppendFloat(append(b, " done="...), j.DoneAt, 'f', 9, 64)
+	b = strconv.AppendInt(append(b, " result="...), j.Result, 10)
+	b = strconv.AppendInt(append(b, " out="...), j.OutputBytes, 10)
+	return append(strconv.AppendQuote(append(b, " err="...), j.Error), '\n')
 }
 
 // WithinQuota audits the run: every tenant's high-water marks must be
