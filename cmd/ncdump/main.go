@@ -20,6 +20,7 @@ import (
 	"slices"
 
 	"scidp/internal/hdf5lite"
+	"scidp/internal/ioengine"
 	"scidp/internal/netcdf"
 	"scidp/internal/scifmt"
 )
@@ -52,12 +53,8 @@ func main() {
 	}
 }
 
-// ncStats renders one chunk's zone map, or a marker for legacy files
-// written before stats existed.
-func ncStats(st *netcdf.ChunkStats) string {
-	if st == nil {
-		return " stats[none]"
-	}
+// ncStats renders one chunk's zone map.
+func ncStats(st ioengine.ChunkStats) string {
 	return fmt.Sprintf(" stats[min=%g max=%g count=%d fill=%d]", st.Min, st.Max, st.Count, st.Fill)
 }
 

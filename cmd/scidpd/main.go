@@ -66,6 +66,10 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 	flag.Parse()
 
+	if err := checkCluster(*nodes, *slots, *workers); err != nil {
+		fmt.Fprintf(os.Stderr, "scidpd: %v\nusage: scidpd -replay trace.json | -http ADDR [-nodes N>0] [-slots N>0] [-workers N>=0] [flags]\n", err)
+		os.Exit(2)
+	}
 	if *genPath != "" {
 		gen(*genPath, *seed, *horizon)
 		return
@@ -115,6 +119,20 @@ func main() {
 	if !sum.WithinQuota {
 		fail("a tenant exceeded its quota (admission or scheduler bug)")
 	}
+}
+
+// checkCluster refuses cluster flags no cluster has, which
+// solutions.NewEnv would otherwise replace with its default size.
+func checkCluster(nodes, slots, workers int) error {
+	switch {
+	case nodes < 1:
+		return fmt.Errorf("-nodes %d: need at least one node", nodes)
+	case slots < 1:
+		return fmt.Errorf("-slots %d: need at least one slot a node", slots)
+	case workers < 0:
+		return fmt.Errorf("-workers %d: need 0 (inline) or more", workers)
+	}
+	return nil
 }
 
 // newEnv builds the simulated cluster the service runs over, with a

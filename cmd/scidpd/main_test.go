@@ -3,6 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"scidp/internal/tenant"
@@ -51,6 +55,40 @@ func TestReplayBundledTrace(t *testing.T) {
 			ref = got
 		} else if !bytes.Equal(ref, got) {
 			t.Errorf("summary differs between workers=1 and workers=%d:\n  ref: %s\n  got: %s", workers, ref, got)
+		}
+	}
+}
+
+// TestBadClusterFlagsExit2: a node or slot count below one, or a negative
+// worker count, stops scidpd with exit code 2 and a usage line before any
+// cluster is built, not the default 8 × 8 cluster NewEnv puts in its
+// place. Each case runs this test binary as scidpd.
+func TestBadClusterFlagsExit2(t *testing.T) {
+	if args := os.Getenv("SCIDPD_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"scidpd"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	if err := checkCluster(1, 1, 0); err != nil {
+		t.Fatalf("1 node, 1 slot, inline: %v", err)
+	}
+	for _, c := range []struct{ args, want string }{
+		{"-nodes 0", "-nodes 0"},
+		{"-nodes -2", "-nodes -2"},
+		{"-slots 0", "-slots 0"},
+		{"-workers -1", "-workers -1"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestBadClusterFlagsExit2$")
+		cmd.Env = append(os.Environ(), "SCIDPD_TEST_ARGS=-replay testdata/trace-small.json "+c.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s: %v, want exit status 2", c.args, err)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, c.want) || !strings.Contains(msg, "usage: scidpd") {
+			t.Errorf("%s: stderr %q, want the flag and a usage line", c.args, msg)
 		}
 	}
 }

@@ -58,9 +58,7 @@ func NewNetCDF(f *netcdf.File, varName string) (*Table, error) {
 			bounds[name] = rsql.Interval{Lo: float64(start[di]), Hi: float64(start[di] + extent[di] - 1)}
 		}
 		c := &t.Chunks[i]
-		if c.Stats != nil {
-			bounds[valueCol] = rsql.Interval{Lo: c.Stats.Min, Hi: c.Stats.Max}
-		}
+		bounds[valueCol] = rsql.Interval{Lo: c.Stats.Min, Hi: c.Stats.Max}
 		t.metas = append(t.metas, rsql.ChunkMeta{Rows: ioengine.Volume(extent), RawBytes: c.RawSize, StoredBytes: c.StoredSize, Bounds: bounds})
 	}
 	return t, nil

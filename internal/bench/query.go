@@ -195,9 +195,6 @@ func zoneMapThreshold(blob []byte) (float64, error) {
 	}
 	first, second := math.Inf(-1), math.Inf(-1)
 	for _, c := range v.Chunks {
-		if c.Stats == nil {
-			return 0, fmt.Errorf("bench: query file lacks zone maps")
-		}
 		if c.Stats.Max > first {
 			first, second = c.Stats.Max, first
 		} else if c.Stats.Max > second {

@@ -19,13 +19,10 @@ import (
 
 // smallFile is the valid file the mutation tests start from: nested
 // groups with attributes, a deflated float dataset in three equal chunks,
-// a contiguous stored int dataset, zone maps on unless legacy.
-func smallFile(tb testing.TB, legacy bool) []byte {
+// a contiguous stored int dataset.
+func smallFile(tb testing.TB) []byte {
 	tb.Helper()
 	w := NewWriter()
-	if legacy {
-		w.DisableChunkStats()
-	}
 	w.Root().Attrs["title"] = "nested"
 	phys := w.Root().EnsureGroup("model/physics")
 	phys.Attrs["scheme"] = "GCE"
@@ -104,30 +101,28 @@ func readEverything(tb testing.TB, blob []byte) (f *File, data [][]byte, err err
 // bounds. On the tree before the shared container about 70 mutants were
 // slice-bounds panics in readAll and 67 asked it for oversized buffers.
 func TestHeaderMutationSweep(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		blob := smallFile(t, legacy)
-		f, err := Open(netcdf.BytesReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opened := 0
-		for at := 0; at < int(f.Header.Bytes); at++ {
-			for _, b := range []byte{0, 1, 0x7f, 0x80, 0xff} {
-				if blob[at] == b {
-					continue
-				}
-				bad := bytes.Clone(blob)
-				bad[at] = b
-				if _, _, err := readEverything(t, bad); err == nil {
-					opened++
-				}
-				if t.Failed() {
-					t.Fatalf("header byte %d = %#x (legacy layout %v)", at, b, legacy)
-				}
+	blob := smallFile(t)
+	f, err := Open(netcdf.BytesReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := 0
+	for at := 0; at < int(f.Header.Bytes); at++ {
+		for _, b := range []byte{0, 1, 0x7f, 0x80, 0xff} {
+			if blob[at] == b {
+				continue
+			}
+			bad := bytes.Clone(blob)
+			bad[at] = b
+			if _, _, err := readEverything(t, bad); err == nil {
+				opened++
+			}
+			if t.Failed() {
+				t.Fatalf("header byte %d = %#x", at, b)
 			}
 		}
-		t.Logf("legacy=%v: %d header bytes, %d mutants still open", legacy, f.Header.Bytes, opened)
 	}
+	t.Logf("%d header bytes, %d mutants still open", f.Header.Bytes, opened)
 }
 
 // TestPayloadMutationSweep is the sweep's leg over chunk payloads, read on
@@ -140,7 +135,7 @@ func TestHeaderMutationSweep(t *testing.T) {
 // soon as ReadBox returns, which `make race` reports as a race if a
 // decode or copy were still running.
 func TestPayloadMutationSweep(t *testing.T) {
-	blob := smallFile(t, false)
+	blob := smallFile(t)
 	f, err := Open(netcdf.BytesReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +244,7 @@ func rankZeroFile() []byte {
 // TestOpenRefusesInconsistentHeaders names the defects the sweep found on
 // the parent, one header field each.
 func TestOpenRefusesInconsistentHeaders(t *testing.T) {
-	blob := smallFile(t, false)
+	blob := smallFile(t)
 	f, err := Open(netcdf.BytesReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -312,9 +307,6 @@ func rewrite(f *File, data [][]byte) (blob []byte, ok bool) {
 			dst.Attrs[k] = v
 		}
 		for _, d := range src.Datasets {
-			if d.Chunks[0].Stats == nil {
-				w.DisableChunkStats()
-			}
 			if _, err := dst.addRaw(d.Name, d.Type, d.Shape, d.ChunkRows, d.Deflate, data[0]); err != nil {
 				return false
 			}
@@ -340,20 +332,23 @@ func rewrite(f *File, data [][]byte) (blob []byte, ok bool) {
 // source's bytes are overwritten between the read and the write, so a
 // name or value that aliases them, not a copy, fails the round trip.
 func FuzzOpen(f *testing.F) {
-	for _, s := range [][]byte{smallFile(f, false), smallFile(f, true)} {
-		own := bytes.Clone(s)
-		file, data, err := readEverything(f, own)
-		if err != nil {
-			f.Fatal(err)
-		}
-		overwrite(own)
-		if again, ok := rewrite(file, data); !ok || !bytes.Equal(again, s) {
-			f.Fatalf("rewriting a file of the writer's own changed it (ok=%v)", ok)
-		}
-		f.Add(s)
-		f.Add(s[:len(s)/2])
+	s := smallFile(f)
+	own := bytes.Clone(s)
+	file, data, err := readEverything(f, own)
+	if err != nil {
+		f.Fatal(err)
 	}
+	overwrite(own)
+	if again, ok := rewrite(file, data); !ok || !bytes.Equal(again, s) {
+		f.Fatalf("rewriting a file of the writer's own changed it (ok=%v)", ok)
+	}
+	f.Add(s)
+	f.Add(s[:len(s)/2])
 	f.Add(rankZeroFile())
+	// Two headers Open refuses at the zone-map trailer: one without it,
+	// one whose last section is a record short.
+	f.Add(shortenHeader(s, trailerLen(file)))
+	f.Add(shortenHeader(s, ioengine.ChunkStatsSize))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		own := bytes.Clone(blob)
 		file, data, err := readEverything(t, own)
@@ -390,7 +385,7 @@ var openSink *File
 
 // BenchmarkOpen parses the group tree of the small nested file.
 func BenchmarkOpen(b *testing.B) {
-	blob := smallFile(b, false)
+	blob := smallFile(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f, err := Open(netcdf.BytesReader(blob))

@@ -153,8 +153,7 @@ func (g *Group) Dataset(name string) *Dataset {
 
 // Writer assembles a file: build the group tree, then call Bytes.
 type Writer struct {
-	root    *Group
-	noStats bool
+	root *Group
 }
 
 // NewWriter returns a writer with an empty root group.
@@ -164,10 +163,6 @@ func NewWriter() *Writer {
 
 // Root returns the root group.
 func (w *Writer) Root() *Group { return w.root }
-
-// DisableChunkStats omits the per-chunk statistics trailer, producing the
-// pre-zone-map header layout — what legacy-compatibility tests exercise.
-func (w *Writer) DisableChunkStats() { w.noStats = true }
 
 // EnsureGroup walks/creates the slash-separated path below g and returns
 // the final group.
@@ -227,7 +222,7 @@ func (g *Group) addRaw(name string, t Type, shape []int, chunkRows, deflate int,
 func (w *Writer) Bytes() ([]byte, error) {
 	// Chunk and pack all datasets first (depth-first order fixes the
 	// payload layout), then write the tree around the index records.
-	e := &ioengine.Encoder{NoStats: w.noStats}
+	e := &ioengine.Encoder{}
 	for _, d := range datasetsDF(w.root) {
 		g, es := d.Grid(), d.Type.Size()
 		e.Array()
@@ -321,10 +316,9 @@ func Open(r ReaderAt) (*File, error) {
 		return nil, err
 	}
 	root := decodeGroup(d)
-	if d.ZoneMaps() {
-		for _, ds := range datasetsDF(root) {
-			d.ChunkStats(ds.Name, ds.Chunks, make([]ioengine.ChunkStats, len(ds.Chunks)))
-		}
+	d.ZoneMaps()
+	for _, ds := range datasetsDF(root) {
+		d.ChunkStats(ds.Name, ds.Chunks)
 	}
 	if d.Err() != nil {
 		return nil, d.Err()

@@ -1,8 +1,11 @@
 package hdf5lite
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"scidp/internal/ioengine"
@@ -56,9 +59,6 @@ func TestChunkStatsProperty(t *testing.T) {
 		g := d.Grid()
 		for ci, c := range d.Chunks {
 			start, extent := g.Box(ci)
-			if c.Stats == nil {
-				t.Fatalf("%s chunk %d: no stats", path, ci)
-			}
 			want := ioengine.ChunkStats{Min: math.Inf(1), Max: math.Inf(-1)}
 			for i := start[0] * cols; i < (start[0]+extent[0])*cols; i++ {
 				want.Count++
@@ -70,8 +70,8 @@ func TestChunkStatsProperty(t *testing.T) {
 					want.Max = math.Max(want.Max, v)
 				}
 			}
-			if *c.Stats != want {
-				t.Fatalf("%s chunk %d: stats %+v, brute force %+v", path, ci, *c.Stats, want)
+			if c.Stats != want {
+				t.Fatalf("%s chunk %d: stats %+v, brute force %+v", path, ci, c.Stats, want)
 			}
 		}
 	}
@@ -82,62 +82,57 @@ func TestChunkStatsProperty(t *testing.T) {
 	d, _ := f.Find("model/physics/QR")
 	mid := d.Chunks[1]
 	if mid.Stats.Count != mid.Stats.Fill || !math.IsInf(mid.Stats.Min, 1) || !math.IsInf(mid.Stats.Max, -1) {
-		t.Fatalf("all-fill chunk stats %+v", *mid.Stats)
+		t.Fatalf("all-fill chunk stats %+v", mid.Stats)
 	}
 }
 
-// TestLegacyFileWithoutStats checks the compatibility path: a writer with
-// stats disabled yields the old layout, which still opens and reads, with
-// nil Stats on every chunk.
-func TestLegacyFileWithoutStats(t *testing.T) {
-	build := func(noStats bool) []byte {
-		w := NewWriter()
-		if noStats {
-			w.DisableChunkStats()
-		}
-		g := w.Root().EnsureGroup("m")
-		if _, err := g.AddFloat32("v", []int{6, 2}, 2, 1, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := w.Bytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	legacy := build(true)
-	tagged := build(false)
-	if len(legacy) >= len(tagged) {
-		t.Fatal("stats section should add bytes")
-	}
-	f, err := Open(netcdf.BytesReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy open: %v", err)
-	}
-	d, err := f.Find("m/v")
+// TestFileWithoutZoneMapsRefused: the zone-map trailer is part of every
+// header. A header that ends where the group tree does or inside the tag,
+// carries another tag, or holds a record too few in a section is refused
+// with an error naming the trailer.
+func TestFileWithoutZoneMapsRefused(t *testing.T) {
+	blob := smallFile(t)
+	f, err := Open(netcdf.BytesReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range d.Chunks {
-		if c.Stats != nil {
-			t.Fatal("legacy chunks should have nil Stats")
+	trailer := trailerLen(f)
+	at := int(f.Header.Bytes) - trailer // the tag
+	altered, fewer := bytes.Clone(blob), bytes.Clone(blob)
+	altered[at] ^= 0xff
+	binary.LittleEndian.PutUint32(fewer[at+4:], binary.LittleEndian.Uint32(fewer[at+4:])-1)
+	for _, c := range []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"tag cut off", shortenHeader(blob, trailer), "no zone-map trailer tag"},
+		{"tag cut in half", shortenHeader(blob, trailer-2), "no zone-map trailer tag"},
+		{"tag altered", altered, "no zone-map trailer tag"},
+		{"last section one record short", shortenHeader(blob, ioengine.ChunkStatsSize), "zone-map trailer section"},
+		{"first section counts one record fewer", fewer, "zone-map trailer section"},
+	} {
+		if _, err := Open(netcdf.BytesReader(c.blob)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Open: %v; want an error containing %q", c.name, err, c.want)
 		}
 	}
-	raw, err := readAll(f, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ioengine.Float32s(raw)
-	if got[0] != 1 || got[11] != 12 {
-		t.Fatalf("legacy data mismatch: %v", got)
-	}
+}
 
-	f2, err := Open(netcdf.BytesReader(tagged))
-	if err != nil {
-		t.Fatal(err)
+// trailerLen is the length of f's zone-map trailer, the last bytes of its
+// header: the tag, then per dataset a count and its records.
+func trailerLen(f *File) int {
+	n := 4
+	for _, d := range datasetsDF(f.Root()) {
+		n += 4 + ioengine.ChunkStatsSize*len(d.Chunks)
 	}
-	d2, _ := f2.Find("m/v")
-	if st := d2.Chunks[0].Stats; st == nil || st.Min != 1 || st.Max != 4 || st.Count != 4 || st.Fill != 0 {
-		t.Fatalf("tagged stats wrong: %+v", st)
-	}
+	return n
+}
+
+// shortenHeader returns blob with its declared header length n bytes
+// shorter, its last n header bytes left as a gap before the payloads, so
+// every payload stays where its index says.
+func shortenHeader(blob []byte, n int) []byte {
+	b := bytes.Clone(blob)
+	binary.LittleEndian.PutUint64(b[4:], binary.LittleEndian.Uint64(b[4:])-uint64(n))
+	return b
 }

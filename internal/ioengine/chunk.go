@@ -141,9 +141,8 @@ type Chunk struct {
 	StoredSize int64
 	// RawSize is the decompressed payload length.
 	RawSize int64
-	// Stats is the chunk's write-time zone map, or nil for files written
-	// before the statistics trailer existed (or with it disabled).
-	Stats *ChunkStats
+	// Stats is the chunk's write-time zone map.
+	Stats ChunkStats
 }
 
 // ChunkIndex is the read side of one array: the source its file was

@@ -283,34 +283,26 @@ func (d *Decoder) CheckArray(a Layout, chunks []Chunk) {
 	}
 }
 
-// ZoneMaps consumes the tag of the optional statistics trailer and reports
-// whether the trailer is there. Legacy files end where the dialect's
-// schema does; anything after it that does not carry the tag is ignored,
-// which is also what pre-zone-map readers do with the trailer.
-func (d *Decoder) ZoneMaps() bool {
-	if d.err != nil || len(d.buf)-d.off < 4 || binary.LittleEndian.Uint32(d.buf[d.off:]) != ZoneMapTag {
-		return false
+// ZoneMaps consumes the tag of the statistics trailer that follows the
+// dialect's schema in every header: a header without it is refused.
+func (d *Decoder) ZoneMaps() {
+	if d.err == nil && (len(d.buf)-d.off < 4 || binary.LittleEndian.Uint32(d.buf[d.off:]) != ZoneMapTag) {
+		d.Failf("corrupt header: no zone-map trailer tag at %d", d.off)
 	}
-	d.off += 4
-	return true
+	d.take(4)
 }
 
 // ChunkStats reads one array's section of the trailer (sections follow in
-// the dialect's header order) — one record for each of its chunks, decoded
-// into stats[:len(chunks)] — and hangs each on its chunk. It returns the
-// rest of stats, so one slab can hold the whole trailer.
-func (d *Decoder) ChunkStats(name string, chunks []Chunk, stats []ChunkStats) []ChunkStats {
-	if got := d.Count(ChunkStatsSize); d.err == nil && got != len(chunks) {
-		d.Failf("%s: stats section has %d chunks, index has %d", name, got, len(chunks))
+// the dialect's header order): a record count, which must be the array's
+// chunk count, then one record per chunk, decoded into that chunk's Stats.
+func (d *Decoder) ChunkStats(name string, chunks []Chunk) {
+	n := int(d.U32())
+	if room := (len(d.buf) - d.off) / ChunkStatsSize; d.err == nil && (n != len(chunks) || n > room) {
+		d.Failf("%s: zone-map trailer section holds %d records (room for %d), index has %d chunks", name, n, room, len(chunks))
 	}
-	if d.err != nil {
-		return stats
+	for j := range chunks { // zeroes once the decoder has failed
+		chunks[j].Stats = DecodeChunkStats(d.take(ChunkStatsSize))
 	}
-	for j := range chunks {
-		stats[j] = DecodeChunkStats(d.take(ChunkStatsSize))
-		chunks[j].Stats = &stats[j]
-	}
-	return stats[len(chunks):]
 }
 
 // Encoder builds one file. Its chunks are packed first, in storage order
@@ -318,9 +310,6 @@ func (d *Decoder) ChunkStats(name string, chunks []Chunk, stats []ChunkStats) []
 // header function over the same Encoder, which writes the header around
 // the index records Pack returned.
 type Encoder struct {
-	// NoStats omits the zone-map trailer: the pre-zone-map header layout.
-	NoStats bool
-
 	deflater Deflater // one compressor per level for the whole encode
 	payloads [][]byte
 	stats    [][]ChunkStats // per array, for the trailer
@@ -342,10 +331,8 @@ func (e *Encoder) Pack(t Type, level int, raw []byte) (Chunk, error) {
 			return Chunk{}, err
 		}
 	}
-	if !e.NoStats {
-		st := SummarizeChunk(len(raw)/t.Size(), func(i int) float64 { return t.Float64At(raw, i) })
-		e.stats[len(e.stats)-1] = append(e.stats[len(e.stats)-1], st)
-	}
+	st := SummarizeChunk(len(raw)/t.Size(), func(i int) float64 { return t.Float64At(raw, i) })
+	e.stats[len(e.stats)-1] = append(e.stats[len(e.stats)-1], st)
 	e.payloads = append(e.payloads, payload)
 	return Chunk{StoredSize: int64(len(payload)), RawSize: int64(len(raw))}, nil
 }
@@ -378,10 +365,9 @@ func (e *Encoder) Chunk(c *Chunk) {
 
 // pass writes the header once: the dialect's part, then the statistics
 // trailer — the tag, then per array, in packing order, a chunk count and
-// one fixed-size record per chunk. Decoders predating the trailer stop
-// where the dialect's schema does and never reach it.
+// one fixed-size record per chunk.
 func (e *Encoder) pass(header func() error) error {
-	if err := header(); err != nil || e.NoStats {
+	if err := header(); err != nil {
 		return err
 	}
 	e.U32(ZoneMapTag)

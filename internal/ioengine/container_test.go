@@ -14,9 +14,9 @@ var testDialect = Dialect{Name: "test", Magic: "TST1"}
 
 // encodeTest writes a one-array file through the container: a 5 × 4 int32
 // array in chunks of 2 × 4 (the last one partial), deflated at level.
-func encodeTest(tb testing.TB, level int, noStats bool) (blob []byte, chunks []Chunk, raws [][]byte) {
+func encodeTest(tb testing.TB, level int) (blob []byte, chunks []Chunk, raws [][]byte) {
 	tb.Helper()
-	e := &Encoder{NoStats: noStats}
+	e := &Encoder{}
 	e.Array()
 	for r := 0; r < 5; r += 2 {
 		vals := make([]int32, min(2, 5-r)*4)
@@ -51,7 +51,7 @@ func encodeTest(tb testing.TB, level int, noStats bool) (blob []byte, chunks []C
 // chunk index reads each payload through both paths.
 func TestContainerRoundTrip(t *testing.T) {
 	for _, level := range []int{0, 6} {
-		blob, want, raws := encodeTest(t, level, false)
+		blob, want, raws := encodeTest(t, level)
 		src := Bytes(blob)
 		if !testDialect.Detect(src) || (Dialect{Name: "other", Magic: "OTHR"}).Detect(src) {
 			t.Fatal("Detect")
@@ -66,12 +66,8 @@ func TestContainerRoundTrip(t *testing.T) {
 			got[i] = d.Chunk()
 		}
 		d.CheckArray(Layout{Name: name, Type: Int32, Grid: Grid{Shape: []int{5, 4}, Chunk: []int{2, 4}}, Deflated: deflate > 0}, got)
-		if !d.ZoneMaps() {
-			t.Fatal("no trailer")
-		}
-		if rest := d.ChunkStats(name, got, make([]ChunkStats, len(got)+1)); len(rest) != 1 {
-			t.Fatalf("ChunkStats left %d of the slab, want 1", len(rest))
-		}
+		d.ZoneMaps()
+		d.ChunkStats(name, got)
 		if d.Err() != nil {
 			t.Fatal(d.Err())
 		}
@@ -80,11 +76,8 @@ func TestContainerRoundTrip(t *testing.T) {
 		}
 		x := ChunkIndex{Src: src, Pkg: "test", Name: name, Type: Int32, Deflated: level > 0, Chunks: got}
 		for i, c := range got {
-			if c.Stats == nil {
-				t.Fatalf("chunk %d has no stats", i)
-			}
 			if want[i].Stats = c.Stats; c != want[i] || c.Stats.Count != int64(len(raws[i])/4) || c.Stats.Min != float64(200*i) {
-				t.Fatalf("chunk %d: %+v stats %+v, want %+v", i, c, *c.Stats, want[i])
+				t.Fatalf("chunk %d: %+v, want %+v", i, c, want[i])
 			}
 			for _, read := range []func(int) (Payload, error){x.Read, x.Scan} {
 				if raw, err := decoded(read(i)); err != nil || !bytes.Equal(raw, raws[i]) {
@@ -95,11 +88,6 @@ func TestContainerRoundTrip(t *testing.T) {
 		if _, err := x.Read(3); err == nil || !strings.Contains(err.Error(), "test: A: chunk 3 out of range [0,3)") {
 			t.Fatalf("Read(3): %v", err)
 		}
-		// The legacy layout is the same file without the trailer.
-		legacy, _, _ := encodeTest(t, level, true)
-		if d, _ := testDialect.Open(Bytes(legacy)); d.ZoneMaps() || len(legacy) != len(blob)-4-4-3*ChunkStatsSize {
-			t.Fatalf("legacy layout: %d bytes beside %d", len(legacy), len(blob))
-		}
 	}
 }
 
@@ -108,7 +96,7 @@ func TestContainerRoundTrip(t *testing.T) {
 // recorded; a changed header byte changes the CRC, a shorter header the
 // length; a file that is no longer one fails as Open would.
 func TestReadHeader(t *testing.T) {
-	blob, _, _ := encodeTest(t, 6, false)
+	blob, _, _ := encodeTest(t, 6)
 	d, err := testDialect.Open(Bytes(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +111,12 @@ func TestReadHeader(t *testing.T) {
 	}
 	flipped := bytes.Clone(blob)
 	flipped[h.Bytes-1] ^= 1
-	legacy, _, _ := encodeTest(t, 6, true) // no trailer
+	shorter := append(bytes.Clone(blob[:h.Bytes-1]), blob[h.Bytes:]...) // the header's last byte cut
+	binary.LittleEndian.PutUint64(shorter[4:], uint64(h.Bytes-1-12))
 	for name, c := range map[string]struct {
 		blob             []byte
 		sameLen, sameCRC bool
-	}{"flipped": {flipped, true, false}, "legacy": {legacy, false, false}} {
+	}{"flipped": {flipped, true, false}, "shorter": {shorter, false, false}} {
 		_, got, err := testDialect.ReadHeader(Bytes(c.blob))
 		if err != nil || (got.Bytes == h.Bytes) != c.sameLen || (got.CRC == h.CRC) != c.sameCRC {
 			t.Errorf("%s: header %+v, %v; Open recorded %+v", name, got, err, h)
@@ -154,9 +143,10 @@ func TestDecoderBoundsCounts(t *testing.T) {
 		t.Fatalf("Count(6) = %d, %v", n, d.Err())
 	}
 	first := d.Err()
-	if d.U8() != 0 || d.U32() != 0 || d.U64() != 0 || d.Int() != 0 || d.Str() != "" || d.Count(1) != 0 || d.Rank(1) != 0 || d.Chunk() != (Chunk{}) || d.ZoneMaps() {
+	if d.U8() != 0 || d.U32() != 0 || d.U64() != 0 || d.Int() != 0 || d.Str() != "" || d.Count(1) != 0 || d.Rank(1) != 0 || d.Chunk() != (Chunk{}) {
 		t.Fatal("a failed decoder read something")
 	}
+	d.ZoneMaps()
 	if d.Failf("later"); d.Err() != first || d.off != 10 {
 		t.Fatalf("failure did not stick: %v at %d", d.Err(), d.off)
 	}
@@ -230,7 +220,8 @@ var readSink []byte
 // at level (stored at 0), with the chunk's raw bytes and its index.
 func benchChunk(b *testing.B, level int) (raw, blob []byte, x ChunkIndex) {
 	raw = chunkPayload(40*40*4, 1)
-	e := &Encoder{NoStats: true}
+	e := &Encoder{}
+	e.Array()
 	c, err := e.Pack(Float32, level, raw)
 	if err != nil {
 		b.Fatal(err)

@@ -7,11 +7,11 @@ import (
 
 // The zone map: the one per-chunk summary the chunk container records at
 // write time (Encoder.Pack) and a query planner consults to prove a chunk
-// irrelevant without reading it. It rides in a tagged trailer of the
-// header (Encoder.pass) that decoders predating it never reach, so tagged
-// files open everywhere and untagged (legacy) files open here with nil stats.
+// irrelevant without reading it. It rides in a tagged trailer after the
+// dialect's schema (Encoder.pass) that every header carries: a file
+// without it is refused at Open (Decoder.ZoneMaps).
 
-// ZoneMapTag marks the optional statistics section of a header.
+// ZoneMapTag opens the statistics trailer of a header.
 const ZoneMapTag uint32 = 0x50414D5A // "ZMAP" little-endian
 
 // ChunkStatsSize is the encoded size of one record: fixed, so a writer's

@@ -186,3 +186,20 @@ func TestStageCostsLittlePerTask(t *testing.T) {
 			len(tasks), many, one, got, perTask)
 	}
 }
+
+// TestBufRecycleAllocatesNothing: a warm get and put of a run buffer or a
+// span index allocate nothing: a put that boxed a fresh slice header
+// would allocate once a recycled buffer.
+func TestBufRecycleAllocatesNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	putKVBuf(make([]KV, 0, 8), nil)
+	spanBufs.put(make([]uint32, 0, 8), nil)
+	if n := testing.AllocsPerRun(100, func() {
+		run, box := kvBufs.get()
+		putKVBuf(append(run, KV{K: "k"}), box)
+		ends, ebox := spanBufs.get()
+		spanBufs.put(append(ends, 1), ebox)
+	}); n != 0 {
+		t.Fatalf("a warm recycle allocated %.0f times, want 0", n)
+	}
+}

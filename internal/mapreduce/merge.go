@@ -268,15 +268,16 @@ func runIsSorted(kvs []KV) bool {
 // runSpans indexes a sorted run's groups — maximal ranges of equal-key
 // pairs — as one end offset per group; a group starts where the previous
 // one ended. It is pure and allocation-local, so reducers run it on the
-// data plane — the per-run prefetch pass — overlapping the shuffle. Return
-// the slice with putSpanBuf when the merge is done.
-func runSpans(kvs []KV) []uint32 {
+// data plane — the per-run prefetch pass — overlapping the shuffle. The
+// index is appended to ends[:0]: a buffer from spanBufs, returned there
+// when the merge is done.
+func runSpans(kvs []KV, ends []uint32) []uint32 {
 	// A run is a []KV in memory: 2^32 pairs would be 128 GiB of it.
 	if uint64(len(kvs)) > math.MaxUint32 {
 		panic(fmt.Sprintf("mapreduce: a run of %d pairs exceeds the 32-bit group index", len(kvs)))
 	}
 	// At most one group per pair: grow once, to the run's own length.
-	ends := slices.Grow(getSpanBuf(), len(kvs))
+	ends = slices.Grow(ends[:0], len(kvs))
 	for i := 0; i < len(kvs); {
 		j := i + 1
 		for j < len(kvs) && kvs[j].K == kvs[i].K {
@@ -293,10 +294,11 @@ func runSpans(kvs []KV) []uint32 {
 // the cross-run stability tie-break.
 type spanCursor struct {
 	kvs   []KV
-	ends  []uint32 // every group's end in kvs
-	g     int      // the current group
-	start int      // the current group's first pair
-	pre   uint64   // keyPrefix of its key, what less compares first
+	ends  []uint32  // every group's end in kvs
+	box   *[]uint32 // ends' spanBufs box
+	g     int       // the current group
+	start int       // the current group's first pair
+	pre   uint64    // keyPrefix of its key, what less compares first
 	idx   int
 }
 
@@ -433,57 +435,53 @@ func eachGroupSpans(cursors []spanCursor, vals *[]any, fn func(key string, vals 
 	return nil
 }
 
-// spanBufPool recycles group-boundary indexes across reduce attempts.
-var spanBufPool sync.Pool
+// bufPool recycles slices through a sync.Pool of *[]T boxes. get hands
+// out the box with the slice and the holder gives both back to put, so a
+// warm recycle boxes no fresh slice header.
+type bufPool[T any] struct{ pool sync.Pool }
 
-// getSpanBuf returns a recycled span buffer (possibly nil; append grows
-// it normally).
-func getSpanBuf() []uint32 {
-	if p, _ := spanBufPool.Get().(*[]uint32); p != nil {
-		return (*p)[:0]
+// get returns a recycled buffer and its box, or nil and nil when the pool
+// is empty (append grows the buffer normally in that case).
+func (p *bufPool[T]) get() ([]T, *[]T) {
+	b, _ := p.pool.Get().(*[]T)
+	if b == nil {
+		return nil, nil
 	}
-	return nil
+	return (*b)[:0], b
 }
 
-// putSpanBuf returns a span buffer to the pool.
-func putSpanBuf(s []uint32) {
+// put returns s to the pool in its box b, or in a new box when s was
+// grown from nothing.
+func (p *bufPool[T]) put(s []T, b *[]T) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:0]
-	spanBufPool.Put(&s)
+	if b == nil {
+		b = new([]T)
+	}
+	*b = s[:0]
+	p.pool.Put(b)
 }
 
-// kvBufPool recycles run buffers ([]KV) between map waves and jobs: map
+// spanBufs recycles group-boundary indexes across reduce attempts.
+var spanBufs bufPool[uint32]
+
+// kvBufs recycles run buffers ([]KV) between map waves and jobs: map
 // tasks draw from it on first emit to a bucket and Run returns every
 // consumed run after the reduce wave. sync.Pool hands each P (and so
 // each data-plane worker) its own cached buffers — concurrent emitters
 // never receive the same scratch slice.
-var kvBufPool sync.Pool
-
-// getKVBuf returns a recycled run buffer, or nil when the pool is empty
-// (append grows it normally in that case).
-func getKVBuf() []KV {
-	if p, _ := kvBufPool.Get().(*[]KV); p != nil {
-		return (*p)[:0]
-	}
-	return nil
-}
+var kvBufs bufPool[KV]
 
 // putKVBuf clears a run buffer (dropping key/value references) and
-// returns it to the pool.
-func putKVBuf(s []KV) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	clear(s)
-	s = s[:0]
-	kvBufPool.Put(&s)
+// returns it to the pool in its box.
+func putKVBuf(s []KV, b *[]KV) {
+	clear(s[:cap(s)])
+	kvBufs.put(s, b)
 }
 
 // valsPool recycles the grouped-value buffers handed to Reduce.
-// Same per-worker property as kvBufPool: workers draw distinct buffers.
+// Same per-worker property as kvBufs: workers draw distinct buffers.
 var valsPool sync.Pool
 
 func getVals() *[]any {

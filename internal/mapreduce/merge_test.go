@@ -44,8 +44,9 @@ type group struct {
 func mergeRuns(runs [][]KV, vals *[]any, fn func(key string, vals []any) error) error {
 	cursors := make([]spanCursor, len(runs))
 	for i, r := range runs {
-		cursors[i] = spanCursor{kvs: r, ends: runSpans(r), idx: i}
-		defer putSpanBuf(cursors[i].ends)
+		ends, box := spanBufs.get()
+		cursors[i] = spanCursor{kvs: r, ends: runSpans(r, ends), box: box, idx: i}
+		defer spanBufs.put(cursors[i].ends, box)
 	}
 	return eachGroupSpans(cursors, vals, fn)
 }
@@ -117,7 +118,7 @@ func TestMergeEmptyRuns(t *testing.T) {
 
 func TestMergeSingleRunFastPath(t *testing.T) {
 	runs := [][]KV{nil, {{K: "a", V: 1}, {K: "a", V: 2}, {K: "b", V: 3}}, nil}
-	m := newSpanMerge([]spanCursor{{kvs: runs[0]}, {kvs: runs[1], ends: runSpans(runs[1]), idx: 1}, {kvs: runs[2], idx: 2}})
+	m := newSpanMerge([]spanCursor{{kvs: runs[0]}, {kvs: runs[1], ends: runSpans(runs[1], nil), idx: 1}, {kvs: runs[2], idx: 2}})
 	if m.single == nil {
 		t.Fatal("one non-empty run should take the single-run fast path")
 	}
@@ -236,9 +237,9 @@ func TestRunIsSorted(t *testing.T) {
 }
 
 func TestKVBufPoolRoundTrip(t *testing.T) {
-	buf := append(getKVBuf(), KV{K: "k", V: "v"})
-	putKVBuf(buf)
-	got := getKVBuf()
+	buf, box := kvBufs.get()
+	putKVBuf(append(buf, KV{K: "k", V: "v"}), box)
+	got, box := kvBufs.get()
 	if len(got) != 0 {
 		t.Fatalf("recycled buffer not empty: %v", got)
 	}
@@ -249,5 +250,5 @@ func TestKVBufPoolRoundTrip(t *testing.T) {
 			t.Fatalf("recycled buffer retains data: %+v", full[0])
 		}
 	}
-	putKVBuf(got)
+	putKVBuf(got, box)
 }

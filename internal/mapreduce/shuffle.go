@@ -58,6 +58,7 @@ type taskOut struct {
 // byte count.
 type bucket struct {
 	run   []KV
+	box   *[]KV // run's kvBufs box, nil when run grew from nothing
 	bytes int64
 }
 
@@ -113,7 +114,7 @@ func (mo *taskOut) emit(kv KV) {
 	sh := mo.sh
 	b := &mo.buckets[sh.partition(kv.K, sh.reducers)]
 	if b.run == nil {
-		b.run = getKVBuf()
+		b.run, b.box = kvBufs.get()
 	}
 	b.run = append(b.run, kv)
 	b.bytes += sh.pairBytes(kv)
@@ -180,7 +181,10 @@ func (sh *shuffle) reduceTask(tc *TaskContext, r int) (func(), error) {
 	futs := make([]*sim.Future, 0, 8) // on the stack up to eight runs
 	for i := range cursors {
 		c := &cursors[i]
-		futs = append(futs, tc.proc.Compute(func() { c.ends = runSpans(c.kvs) }))
+		futs = append(futs, tc.proc.Compute(func() {
+			ends, box := spanBufs.get()
+			c.ends, c.box = runSpans(c.kvs, ends), box
+		}))
 	}
 	tc.Phase("Shuffle", func() { tc.proc.TransferAll(parts...) })
 	tc.proc.Await(futs...)
@@ -199,7 +203,7 @@ func (sh *shuffle) reduceTask(tc *TaskContext, r int) (func(), error) {
 		return sh.j.Reduce(tc, key, vs)
 	})
 	for i := range cursors {
-		putSpanBuf(cursors[i].ends)
+		spanBufs.put(cursors[i].ends, cursors[i].box)
 	}
 	if err != nil {
 		return nil, err
@@ -218,8 +222,8 @@ func (sh *shuffle) output() []KV {
 			continue
 		}
 		for b := range mo.buckets {
-			putKVBuf(mo.buckets[b].run)
-			mo.buckets[b].run = nil
+			putKVBuf(mo.buckets[b].run, mo.buckets[b].box)
+			mo.buckets[b].run, mo.buckets[b].box = nil, nil
 		}
 	}
 	return slices.Concat(sh.final...)

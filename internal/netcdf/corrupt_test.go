@@ -18,13 +18,10 @@ import (
 // smallFile is the valid file the mutation tests start from: a deflated,
 // chunked float variable (three equal chunks, so entries can be swapped
 // for one another), a contiguous stored int variable, attributes of every
-// kind, zone maps on unless legacy.
-func smallFile(tb testing.TB, legacy bool) []byte {
+// kind.
+func smallFile(tb testing.TB) []byte {
 	tb.Helper()
 	w := NewWriter()
-	if legacy {
-		w.DisableChunkStats()
-	}
 	for _, d := range []struct {
 		n string
 		l int
@@ -118,30 +115,28 @@ func readEverything(tb testing.TB, blob []byte) (f *File, data [][]byte, err err
 // by zero inside Open, 33 slice-bounds panics in GetVar and 68 mutants
 // whose GetVar asked for up to 76 GB.
 func TestHeaderMutationSweep(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		blob := smallFile(t, legacy)
-		f, err := Open(BytesReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opened := 0
-		for at := 0; at < int(f.Header.Bytes); at++ {
-			for _, b := range []byte{0, 1, 0x7f, 0x80, 0xff} {
-				if blob[at] == b {
-					continue
-				}
-				bad := bytes.Clone(blob)
-				bad[at] = b
-				if _, _, err := readEverything(t, bad); err == nil {
-					opened++
-				}
-				if t.Failed() {
-					t.Fatalf("header byte %d = %#x (legacy layout %v)", at, b, legacy)
-				}
+	blob := smallFile(t)
+	f, err := Open(BytesReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := 0
+	for at := 0; at < int(f.Header.Bytes); at++ {
+		for _, b := range []byte{0, 1, 0x7f, 0x80, 0xff} {
+			if blob[at] == b {
+				continue
+			}
+			bad := bytes.Clone(blob)
+			bad[at] = b
+			if _, _, err := readEverything(t, bad); err == nil {
+				opened++
+			}
+			if t.Failed() {
+				t.Fatalf("header byte %d = %#x", at, b)
 			}
 		}
-		t.Logf("legacy=%v: %d header bytes, %d mutants still open", legacy, f.Header.Bytes, opened)
 	}
+	t.Logf("%d header bytes, %d mutants still open", f.Header.Bytes, opened)
 }
 
 // patch returns blob with the 8 bytes at the first (or, from > 0, a later)
@@ -162,7 +157,7 @@ func patch(t *testing.T, blob []byte, old, new uint64, from int) []byte {
 // TestOpenRefusesInconsistentHeaders names the defects the sweep found on
 // the parent, one header field each.
 func TestOpenRefusesInconsistentHeaders(t *testing.T) {
-	blob := smallFile(t, false)
+	blob := smallFile(t)
 	f, err := Open(BytesReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +225,7 @@ func TestWriterRefusesUnsetAttrKind(t *testing.T) {
 // soon as GetVar returns, which `make race` reports as a race if a decode
 // or copy were still running.
 func TestPayloadMutationSweep(t *testing.T) {
-	blob := smallFile(t, false)
+	blob := smallFile(t)
 	f, err := Open(BytesReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -327,9 +322,6 @@ func rewrite(f *File, data [][]byte) (blob []byte, ok bool) {
 				return nil, false
 			}
 		}
-		if v.Chunks[0].Stats == nil {
-			w.DisableChunkStats()
-		}
 		if w.AddVar(v.Name, v.Type, names, Chunking{Shape: v.ChunkShape, Deflate: v.Deflate}, v.Attrs...) != nil || w.PutVarBytes(v.Name, data[i]) != nil {
 			return nil, false
 		}
@@ -347,7 +339,7 @@ func FuzzOpen(f *testing.F) {
 	// The NU-WRF header (23 variables) on a 2 × 8 × 8 grid: a seed of the
 	// benchmark's full grid is 1.3 MB, whose payload mutations each cost a
 	// full read and re-deflate, and stall the target.
-	seeds := [][]byte{smallFile(f, false), smallFile(f, true), nuwrfGrid(f, 23, 2, 8, 8)}
+	seeds := [][]byte{smallFile(f), nuwrfGrid(f, 23, 2, 8, 8)}
 	for _, s := range seeds {
 		own := bytes.Clone(s)
 		file, data, err := readEverything(f, own)
@@ -362,6 +354,11 @@ func FuzzOpen(f *testing.F) {
 		f.Add(s[:len(s)/2])
 	}
 	f.Add(patchCount(seeds[0]))
+	// Two headers Open refuses at the zone-map trailer: one without it,
+	// one whose last section is a record short.
+	small, _ := Open(BytesReader(seeds[0]))
+	f.Add(shortenHeader(seeds[0], trailerLen(small)))
+	f.Add(shortenHeader(seeds[0], ioengine.ChunkStatsSize))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		own := bytes.Clone(blob)
 		file, data, err := readEverything(t, own)

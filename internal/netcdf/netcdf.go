@@ -85,9 +85,6 @@ func Float64Attr(name string, v float64) Attr { return Attr{Name: name, Kind: At
 // Int64Attr builds an int64 attribute.
 func Int64Attr(name string, v int64) Attr { return Attr{Name: name, Kind: AttrInt64, I64: v} }
 
-// ChunkStats is the write-time zone map of one stored chunk.
-type ChunkStats = ioengine.ChunkStats
-
 // Var is one variable's metadata.
 type Var struct {
 	// Name is the variable name ("QR").

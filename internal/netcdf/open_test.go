@@ -65,7 +65,7 @@ func TestOpenSharesChunkSlabs(t *testing.T) {
 			if start, extent := g.Box(j); fmt.Sprint(start, extent) != fmt.Sprint([]int{j, 0, 0}, []int{1, 40, 40}) {
 				t.Fatalf("%s chunk %d: box %v+%v", v.Name, j, start, extent)
 			}
-			if c.Stats == nil || c.Stats.Count != 40*40 {
+			if c.Stats.Count != 40*40 {
 				t.Fatalf("%s chunk %d: stats %+v", v.Name, j, c.Stats)
 			}
 		}

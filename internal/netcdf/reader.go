@@ -52,22 +52,18 @@ func Open(r ReaderAt) (*File, error) {
 	vars := make([]Var, nv)
 	f.vars, f.byName = make([]*Var, 0, nv), make(map[string]*Var, nv)
 	var s slabs
-	chunks := 0 // in every variable's index: the zone-map slab's length
 	for i := 0; i < nv && d.Err() == nil; i++ {
 		v := &vars[i]
 		s.decodeVar(d, v, nv-i)
-		chunks += len(v.Chunks)
 		if f.byName[v.Name] != nil {
 			d.Failf("variable %s declared twice", v.Name)
 		}
 		f.vars = append(f.vars, v)
 		f.byName[v.Name] = v
 	}
-	if d.ZoneMaps() {
-		stats := make([]ChunkStats, chunks)
-		for _, v := range f.vars {
-			stats = d.ChunkStats(v.Name, v.Chunks, stats)
-		}
+	d.ZoneMaps()
+	for _, v := range f.vars {
+		d.ChunkStats(v.Name, v.Chunks)
 	}
 	if d.Err() != nil {
 		return nil, d.Err()

@@ -11,12 +11,11 @@ import (
 // supply each variable's data, then call Bytes to encode — the pattern of
 // netCDF's define mode followed by data mode.
 type Writer struct {
-	dims    []Dim
-	dimIdx  map[string]int
-	gattrs  []Attr
-	vars    []*writerVar
-	varIdx  map[string]int
-	noStats bool
+	dims   []Dim
+	dimIdx map[string]int
+	gattrs []Attr
+	vars   []*writerVar
+	varIdx map[string]int
 }
 
 type writerVar struct {
@@ -48,10 +47,6 @@ func (w *Writer) AddDim(name string, length int) error {
 
 // GlobalAttr attaches a file-level attribute.
 func (w *Writer) GlobalAttr(a Attr) { w.gattrs = append(w.gattrs, a) }
-
-// DisableChunkStats omits the per-chunk statistics section, producing the
-// pre-zone-map header layout — what legacy-compatibility tests exercise.
-func (w *Writer) DisableChunkStats() { w.noStats = true }
 
 // Chunking configures a variable's storage.
 type Chunking struct {
@@ -181,7 +176,7 @@ func (w *Writer) putVara(name string, t Type, start, count []int, raw []byte) er
 func (w *Writer) Bytes() ([]byte, error) {
 	// Chunk and pack every variable's payload, then write the header
 	// around the index records.
-	e := &ioengine.Encoder{NoStats: w.noStats}
+	e := &ioengine.Encoder{}
 	for _, wv := range w.vars {
 		v := &wv.v
 		if wv.data == nil {

@@ -1,9 +1,11 @@
 package netcdf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"scidp/internal/ioengine"
@@ -90,11 +92,8 @@ func TestChunkStatsProperty(t *testing.T) {
 		str := ioengine.Strides(shape)
 		for ci := range v.Chunks {
 			st := v.Chunks[ci].Stats
-			if st == nil {
-				t.Fatalf("trial %d: chunk %d has no stats", trial, ci)
-			}
 			start, extent := v.Grid().Box(ci)
-			want := ChunkStats{Min: math.Inf(1), Max: math.Inf(-1)}
+			want := ioengine.ChunkStats{Min: math.Inf(1), Max: math.Inf(-1)}
 			estr := ioengine.Strides(extent)
 			for k := 0; k < ioengine.Volume(extent); k++ {
 				flat := 0
@@ -110,9 +109,9 @@ func TestChunkStatsProperty(t *testing.T) {
 					want.Max = math.Max(want.Max, x)
 				}
 			}
-			if *st != want {
+			if st != want {
 				t.Fatalf("trial %d chunk %d (type %s, shape %v, chunk %v): stats %+v, brute force %+v",
-					trial, ci, typ, shape, cs, *st, want)
+					trial, ci, typ, shape, cs, st, want)
 			}
 		}
 	}
@@ -156,11 +155,8 @@ func TestGetVaraPartialChunksWithStats(t *testing.T) {
 	}
 	v, _ := f.Var("v")
 	for _, c := range v.Chunks {
-		if c.Stats == nil {
-			t.Fatal("chunk missing stats")
-		}
 		if c.Stats.Fill != 0 || c.Stats.Count == 0 {
-			t.Fatalf("unexpected stats %+v", *c.Stats)
+			t.Fatalf("unexpected stats %+v", c.Stats)
 		}
 	}
 	// Slabs chosen to cross chunk boundaries including the partial edges.
@@ -188,64 +184,53 @@ func TestGetVaraPartialChunksWithStats(t *testing.T) {
 	}
 }
 
-// TestLegacyFileWithoutStats checks both compatibility directions: a
-// writer with stats disabled produces the old header layout (readable,
-// Stats nil), and appending unknown trailing bytes after the variable
-// table — what an even newer section would look like — is ignored.
-func TestLegacyFileWithoutStats(t *testing.T) {
-	build := func(noStats bool) []byte {
-		w := NewWriter()
-		if noStats {
-			w.DisableChunkStats()
-		}
-		if err := w.AddDim("x", 6); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AddVar("v", Float32, []string{"x"}, Chunking{Shape: []int{4}, Deflate: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.PutVarFloat32("v", []float32{1, 2, 3, 4, 5, 6}); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := w.Bytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	legacy := build(true)
-	tagged := build(false)
-	if len(legacy) >= len(tagged) {
-		t.Fatal("stats section should add header bytes")
-	}
-
-	f, err := Open(BytesReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy file failed to open: %v", err)
-	}
-	v, _ := f.Var("v")
-	for _, c := range v.Chunks {
-		if c.Stats != nil {
-			t.Fatal("legacy file should have nil Stats")
-		}
-	}
-	arr, err := f.GetVar("v")
+// TestFileWithoutZoneMapsRefused: the zone-map trailer is part of every
+// header. A header that ends where the variables do or inside the tag,
+// carries another tag, or holds a record too few in a section is refused
+// with an error naming the trailer.
+func TestFileWithoutZoneMapsRefused(t *testing.T) {
+	blob := smallFile(t)
+	f, err := Open(BytesReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arr.Float64At(5) != 6 {
-		t.Fatal("legacy data mismatch")
+	trailer := trailerLen(f)
+	at := int(f.Header.Bytes) - trailer // the tag
+	altered, fewer := bytes.Clone(blob), bytes.Clone(blob)
+	altered[at] ^= 0xff
+	binary.LittleEndian.PutUint32(fewer[at+4:], binary.LittleEndian.Uint32(fewer[at+4:])-1)
+	for _, c := range []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"tag cut off", shortenHeader(blob, trailer), "no zone-map trailer tag"},
+		{"tag cut in half", shortenHeader(blob, trailer-2), "no zone-map trailer tag"},
+		{"tag altered", altered, "no zone-map trailer tag"},
+		{"last section one record short", shortenHeader(blob, ioengine.ChunkStatsSize), "zone-map trailer section"},
+		{"first section counts one record fewer", fewer, "zone-map trailer section"},
+	} {
+		if _, err := Open(BytesReader(c.blob)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Open: %v; want an error containing %q", c.name, err, c.want)
+		}
 	}
+}
 
-	f2, err := Open(BytesReader(tagged))
-	if err != nil {
-		t.Fatal(err)
+// trailerLen is the length of f's zone-map trailer, the last bytes of its
+// header: the tag, then per variable a count and its records.
+func trailerLen(f *File) int {
+	n := 4
+	for _, v := range f.Vars() {
+		n += 4 + ioengine.ChunkStatsSize*len(v.Chunks)
 	}
-	v2, _ := f2.Var("v")
-	if v2.Chunks[0].Stats == nil {
-		t.Fatal("tagged file should carry stats")
-	}
-	if got := *v2.Chunks[0].Stats; got.Min != 1 || got.Max != 4 || got.Count != 4 || got.Fill != 0 {
-		t.Fatalf("bad stats %+v", got)
-	}
+	return n
+}
+
+// shortenHeader returns blob with its declared header length n bytes
+// shorter, its last n header bytes left as a gap before the payloads, so
+// every payload stays where its index says.
+func shortenHeader(blob []byte, n int) []byte {
+	b := bytes.Clone(blob)
+	binary.LittleEndian.PutUint64(b[4:], binary.LittleEndian.Uint64(b[4:])-uint64(n))
+	return b
 }

@@ -1,6 +1,8 @@
 package scifmt_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"runtime"
 	"testing"
 
@@ -25,6 +27,15 @@ func FuzzDetect(f *testing.F) {
 	}
 	f.Add([]byte("NCL1"))
 	f.Add([]byte("HL5F"))
+	// The chunked pins without their zone-map trailer, whole and cut:
+	// headers every format refuses.
+	for _, seed := range [][]byte{
+		withoutTrailer(f, scifmt.NetCDF(), pinNetCDF(f, pinLayouts[0])),
+		withoutTrailer(f, scifmt.HDF5(), pinHDF5(f, pinLayouts[0])),
+	} {
+		f.Add(seed)
+		f.Add(seed[:len(seed)*2/3])
+	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		src := ioengine.Bytes(blob)
 		format, ok := reg.Detect(src)
@@ -66,4 +77,21 @@ func allocated(fn func()) uint64 {
 	fn()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// withoutTrailer returns a file of format with its declared header length
+// cut where the zone-map trailer starts: the tag, then per variable a
+// count and its records.
+func withoutTrailer(tb testing.TB, format scifmt.Format, blob []byte) []byte {
+	info, err := format.Explore(ioengine.Bytes(blob))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n := 4
+	for _, v := range info.Vars {
+		n += 4 + ioengine.ChunkStatsSize*len(v.Index.Chunks)
+	}
+	b := bytes.Clone(blob)
+	binary.LittleEndian.PutUint64(b[4:], binary.LittleEndian.Uint64(b[4:])-uint64(n))
+	return b
 }

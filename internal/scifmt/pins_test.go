@@ -35,15 +35,14 @@ func pinVals(n int) []float32 {
 }
 
 type pinLayout struct {
-	name             string
-	chunked, noStats bool
-	deflate          int
+	name    string
+	chunked bool
+	deflate int
 }
 
 var pinLayouts = []pinLayout{
 	{name: "chunked+deflated+stats", chunked: true, deflate: 4},
 	{name: "contiguous+stored"},
-	{name: "legacy-no-stats", chunked: true, deflate: 1, noStats: true},
 }
 
 func pinNetCDF(t testing.TB, l pinLayout) []byte {
@@ -55,9 +54,6 @@ func pinNetCDF(t testing.TB, l pinLayout) []byte {
 		if err := w.AddDim(d.n, d.l); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if l.noStats {
-		w.DisableChunkStats()
 	}
 	w.GlobalAttr(netcdf.StringAttr("model", "NU-WRF"))
 	w.GlobalAttr(netcdf.Int64Attr("timestamp", 42))
@@ -99,9 +95,6 @@ func pinNetCDF(t testing.TB, l pinLayout) []byte {
 
 func pinHDF5(t testing.TB, l pinLayout) []byte {
 	w := hdf5lite.NewWriter()
-	if l.noStats {
-		w.DisableChunkStats()
-	}
 	w.Root().Attrs["model"] = "NU-WRF"
 	w.Root().Attrs["conventions"] = "CF-1.6"
 	rows := 0
@@ -127,19 +120,25 @@ func pinHDF5(t testing.TB, l pinLayout) []byte {
 	return blob
 }
 
-func TestByteIdentityPins(t *testing.T) {
-	type pin struct {
-		name   string
-		format scifmt.Format
-		blob   []byte
-	}
-	var pins []pin
+type pin struct {
+	name   string
+	format scifmt.Format
+	blob   []byte
+}
+
+// pins writes every pinned file: each layout in both dialects.
+func pins(t testing.TB) []pin {
+	var out []pin
 	for _, l := range pinLayouts {
-		pins = append(pins,
+		out = append(out,
 			pin{name: "netcdf/" + l.name, format: scifmt.NetCDF(), blob: pinNetCDF(t, l)},
 			pin{name: "hdf5/" + l.name, format: scifmt.HDF5(), blob: pinHDF5(t, l)})
 	}
-	for _, p := range pins {
+	return out
+}
+
+func TestByteIdentityPins(t *testing.T) {
+	for _, p := range pins(t) {
 		info, err := p.format.Explore(ioengine.Bytes(p.blob))
 		if err != nil {
 			t.Fatalf("%s: Explore: %v", p.name, err)
@@ -150,6 +149,35 @@ func TestByteIdentityPins(t *testing.T) {
 		}
 		if got != recordedPins[p.name] {
 			t.Errorf("%q: {%q, %q},", p.name, got[0], got[1])
+		}
+	}
+}
+
+// TestPinnedZoneMapsSummarizePayloads: every chunk of every pinned file
+// carries, in its Stats, the zone map of its own decoded payload.
+func TestPinnedZoneMapsSummarizePayloads(t *testing.T) {
+	for _, p := range pins(t) {
+		info, err := p.format.Explore(ioengine.Bytes(p.blob))
+		if err != nil {
+			t.Fatalf("%s: Explore: %v", p.name, err)
+		}
+		for _, v := range info.Vars {
+			x := v.Index
+			x.Src = ioengine.Bytes(p.blob) // Explore hands the index over without its source
+			for j, c := range x.Chunks {
+				pl, err := x.Read(j)
+				if err != nil {
+					t.Fatalf("%s %s chunk %d: %v", p.name, v.Path, j, err)
+				}
+				raw, err := pl.Bytes()
+				if err != nil {
+					t.Fatalf("%s %s chunk %d: %v", p.name, v.Path, j, err)
+				}
+				want := ioengine.SummarizeChunk(len(raw)/x.Type.Size(), func(i int) float64 { return x.Type.Float64At(raw, i) })
+				if c.Stats != want {
+					t.Errorf("%s %s chunk %d: stats %+v, payload summarises to %+v", p.name, v.Path, j, c.Stats, want)
+				}
+			}
 		}
 	}
 }
@@ -192,6 +220,4 @@ var recordedPins = map[string][2]string{
 	"hdf5/chunked+deflated+stats":   {"b8ed696883bd1ce2a4257a5e53fb25281de9fba339ca2c561ce8e840be183c3e", "20197a896c957200a106b3d4ba27029690f690022389b748022369ac6943e2ca"},
 	"netcdf/contiguous+stored":      {"268dddb8026ded6b710cadfdc28c8251b5213581d06229f3268b63ced113511e", "3b9d1068f3935124569035f1cc0e88397529d8194118b47af73c8b45160ce4df"},
 	"hdf5/contiguous+stored":        {"8073d11aca73ec0b905a1d64f23a310421eb72b54550e206b51fde8938556f91", "cf519a17c12d1e5198a4ec1febc2d76eb0b15c9bc16194bcfa37a9142c0eb431"},
-	"netcdf/legacy-no-stats":        {"584c92811acdfd228e5401b8cb8ba29ef399091f5cd3514d4b44d206c0479f48", "cd300019cde32ec53455a50c589d4433a24835cc39a58845265681f23549abf8"},
-	"hdf5/legacy-no-stats":          {"f4dc7a21960e1ed0b2ebc0736c53c59b2df759306f485cf285461b0922ff3e4e", "2d02c99f53d33c19ed7a72a23754dc0f0c87ec0e78104a33eb355a4c76faad30"},
 }

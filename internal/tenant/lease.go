@@ -10,14 +10,14 @@ package tenant
 type Lease struct {
 	granted int
 	next    uint64
-	held    []uint64 // live tokens, acquisition order
-	killed  map[uint64]bool
-	// maxHeld is the high-water mark of concurrently held tokens, for
-	// the within-quota audit.
-	maxHeld int
+	held    []token // live tokens, acquisition order
 }
 
-func newLease() *Lease { return &Lease{killed: map[uint64]bool{}} }
+// token is one live attempt's slot and whether the scheduler revoked it.
+type token struct {
+	id     uint64
+	killed bool
+}
 
 // Available implements mapreduce.SlotLease: a slot is free while the
 // held-token count (revoked-but-not-yet-released ones included — they
@@ -27,26 +27,30 @@ func (l *Lease) Available() bool { return len(l.held) < l.granted }
 // Acquire implements mapreduce.SlotLease.
 func (l *Lease) Acquire() uint64 {
 	l.next++
-	l.held = append(l.held, l.next)
-	if len(l.held) > l.maxHeld {
-		l.maxHeld = len(l.held)
-	}
+	l.held = append(l.held, token{id: l.next})
 	return l.next
 }
 
 // Release implements mapreduce.SlotLease.
-func (l *Lease) Release(token uint64) {
-	delete(l.killed, token)
+func (l *Lease) Release(id uint64) {
 	for i, tok := range l.held {
-		if tok == token {
+		if tok.id == id {
 			l.held = append(l.held[:i], l.held[i+1:]...)
 			return
 		}
 	}
 }
 
-// Killed implements mapreduce.SlotLease.
-func (l *Lease) Killed(token uint64) bool { return l.killed[token] }
+// Killed implements mapreduce.SlotLease. It scans the held tokens, at
+// most the job's slots; a released token is not held, so not killed.
+func (l *Lease) Killed(id uint64) bool {
+	for _, tok := range l.held {
+		if tok.id == id {
+			return tok.killed
+		}
+	}
+	return false
+}
 
 // Granted returns the current grant.
 func (l *Lease) Granted() int { return l.granted }
@@ -57,16 +61,15 @@ func (l *Lease) setGranted(n int) (kills int) {
 	l.granted = n
 	surviving := 0
 	for _, tok := range l.held {
-		if !l.killed[tok] {
+		if !tok.killed {
 			surviving++
 		}
 	}
 	for i := len(l.held) - 1; i >= 0 && surviving > n; i-- {
-		tok := l.held[i]
-		if l.killed[tok] {
+		if l.held[i].killed {
 			continue
 		}
-		l.killed[tok] = true
+		l.held[i].killed = true
 		surviving--
 		kills++
 	}

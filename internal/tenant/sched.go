@@ -104,7 +104,7 @@ func (s *Service) start(t *Tenant, j *Job, backfill bool) {
 	s.dequeue(t, j)
 	j.State = StateRunning
 	j.StartAt = s.env.K.Now()
-	j.lease = newLease()
+	j.lease = &Lease{}
 	t.running = append(t.running, j)
 	s.running = append(s.running, j)
 	if len(t.running) > t.MaxRunningSeen {
@@ -179,30 +179,21 @@ func (s *Service) finish(j *Job, err error) {
 // order up to each job's demand. Shrunk grants revoke their newest
 // task attempts, which the engine requeues (preemption).
 func (s *Service) allocate() {
-	grants := make(map[*Job]int, len(s.running))
 	if s.cfg.FIFO {
 		left := s.totalSlots
 		for _, j := range s.running {
-			g := min(j.Tasks, left)
-			grants[j] = g
-			left -= g
+			j.grant = min(j.Tasks, left)
+			left -= j.grant
 		}
 	} else {
-		type share struct {
-			t       *Tenant
-			jobs    []*Job
-			granted int
-			cap     int
-			demand  int
-		}
-		var shares []*share
+		shares := s.shares[:0]
 		left := s.totalSlots
 		for _, name := range s.names {
 			t := s.tenants[name]
 			if len(t.running) == 0 {
 				continue
 			}
-			sh := &share{t: t, jobs: t.running, cap: t.Quota.slotCap(s.totalSlots)}
+			sh := share{t: t, jobs: t.running, cap: t.Quota.slotCap(s.totalSlots)}
 			for _, j := range sh.jobs {
 				sh.demand += j.Tasks
 				// The one-slot floor keeps every admitted job moving,
@@ -214,10 +205,12 @@ func (s *Service) allocate() {
 			}
 			shares = append(shares, sh)
 		}
+		s.shares = shares
 		for left > 0 {
 			var best *share
 			var bestKey float64
-			for _, sh := range shares {
+			for i := range shares {
+				sh := &shares[i]
 				if sh.granted >= sh.demand || sh.granted >= sh.cap {
 					continue
 				}
@@ -244,15 +237,14 @@ func (s *Service) allocate() {
 					g = 1
 				}
 				extra := min(j.Tasks-g, left)
-				g += extra
+				j.grant = g + extra
 				left -= extra
-				grants[j] = g
 			}
 		}
 	}
 	for _, j := range s.running {
 		t := s.tenants[j.Spec.Tenant]
-		kills := j.lease.setGranted(grants[j])
+		kills := j.lease.setGranted(j.grant)
 		if kills > 0 {
 			t.Preemptions += kills
 			s.counter("tenant/preemptions_total", t.Name).Add(float64(kills))
@@ -270,6 +262,15 @@ func (s *Service) allocate() {
 		}
 		s.obs.Gauge("tenant/slots_granted", obs.L("tenant", name)).Set(float64(total))
 	}
+}
+
+// share is one tenant's first-level fair-share state during allocate.
+type share struct {
+	t       *Tenant
+	jobs    []*Job
+	granted int
+	cap     int
+	demand  int
 }
 
 // publish refreshes the queue-depth and running-job gauges.

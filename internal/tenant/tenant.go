@@ -80,6 +80,7 @@ type Job struct {
 	Error string `json:"error,omitempty"`
 
 	lease *Lease
+	grant int    // this tick's slot grant, set by allocate
 	dir   string // outDir's memo
 }
 
@@ -218,7 +219,8 @@ type Service struct {
 	fifo    []*Job   // queued jobs in global arrival order
 	running []*Job   // running jobs in start order
 
-	completions []int // job IDs in completion order
+	completions []int   // job IDs in completion order
+	shares      []share // allocate's per-tenant slab, reused every tick
 	tickArmed   bool
 }
 

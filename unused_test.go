@@ -10,7 +10,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"unicode"
 )
 
 // keptForTests lists what in a non-main package only tests reach and stays
@@ -103,27 +105,8 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 // It also fails when a keptForTests entry matches nothing declared, or
 // names only what a non-test file reaches.
 func TestNoFunctionOnlyTestsReach(t *testing.T) {
-	fset := token.NewFileSet()
-	m := &moduleImporter{fset: fset, std: importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}, files: map[string][]*ast.File{}}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if strings.HasPrefix(d.Name(), ".") && path != "." || d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		if srcs, _ := filepath.Glob(filepath.Join(path, "*.go")); !slices.ContainsFunc(srcs, func(s string) bool {
-			return !strings.HasSuffix(s, "_test.go")
-		}) {
-			return nil
-		}
-		_, err = m.Import(filepath.ToSlash(filepath.Join("scidp", path)))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModule(t)
+	fset := m.fset
 
 	used := map[types.Object]bool{}
 	var ifaces []*types.Interface
@@ -255,6 +238,45 @@ func TestNoFunctionOnlyTestsReach(t *testing.T) {
 	}
 }
 
+// module is what loadModule type-checked, once for both tests.
+var module struct {
+	once sync.Once
+	m    *moduleImporter
+	err  error
+}
+
+// loadModule type-checks every package of the module and of benchmark/
+// from source, once a test binary.
+func loadModule(t *testing.T) *moduleImporter {
+	module.once.Do(func() { module.m, module.err = typeCheckModule() })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.m
+}
+
+func typeCheckModule() (*moduleImporter, error) {
+	fset := token.NewFileSet()
+	m := &moduleImporter{fset: fset, std: importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}, files: map[string][]*ast.File{}}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if strings.HasPrefix(d.Name(), ".") && path != "." || d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if srcs, _ := filepath.Glob(filepath.Join(path, "*.go")); !slices.ContainsFunc(srcs, func(s string) bool {
+			return !strings.HasSuffix(s, "_test.go")
+		}) {
+			return nil
+		}
+		_, err = m.Import(filepath.ToSlash(filepath.Join("scidp", path)))
+		return err
+	})
+	return m, err
+}
+
 // fieldsSet reports which struct fields some non-test file sets, and which
 // struct types a non-test file outside their package builds.
 func fieldsSet(m *moduleImporter) (set map[types.Object]bool, configured map[*types.TypeName]bool) {
@@ -316,4 +338,44 @@ func fieldsSet(m *moduleImporter) (set map[types.Object]bool, configured map[*ty
 		}
 	}
 	return set, configured
+}
+
+// TestKnobCount logs (`make loc` prints it) how many settings the
+// module's non-main packages outside benchmark/ offer a caller: every
+// exported field of a configuration struct (the structs fieldsSet finds
+// built outside their package) and every exported Set*/Disable* method.
+// It judges nothing.
+func TestKnobCount(t *testing.T) {
+	m := loadModule(t)
+	_, configured := fieldsSet(m)
+	knobs := 0
+	for path, pkg := range m.pkgs {
+		if pkg.Name() == "main" || strings.HasPrefix(path, "scidp/benchmark") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok && configured[tn] {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						knobs++
+					}
+				}
+			}
+			if named, ok := tn.Type().(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					name := named.Method(i).Name()
+					for _, prefix := range []string{"Set", "Disable"} {
+						if rest, ok := strings.CutPrefix(name, prefix); ok && rest != "" && unicode.IsUpper(rune(rest[0])) {
+							knobs++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("knobs %d", knobs)
 }
