@@ -89,17 +89,19 @@ bench:
 
 # allocprof sizes an allocation change from inside one layer: it runs the
 # benchmarks BENCH matches in package PKG with every allocation sampled
-# (-memprofilerate=1) and prints the TOP sites by alloc_objects. The profile
-# covers the whole test binary, setup outside the timer included, and misses
-# the tiny allocator's objects: size a win by allocs/op (runtime Mallocs),
-# and use the sites only to see where the allocations are.
+# (-memprofilerate=1) and prints the TOP sites by INDEX: alloc_objects by
+# default, alloc_space for bytes. The profile covers the whole test binary,
+# setup outside the timer included, and misses the tiny allocator's
+# objects: size a win by allocs/op or B/op, and use the sites only to see
+# where the allocations are.
 TOP ?= 25
+INDEX ?= alloc_objects
 allocprof:
-	@test -n "$(PKG)" -a -n "$(BENCH)" || { echo 'usage: make allocprof PKG=./internal/<pkg> BENCH=<regexp> [TOP=25]'; exit 2; }
+	@test -n "$(PKG)" -a -n "$(BENCH)" || { echo 'usage: make allocprof PKG=./internal/<pkg> BENCH=<regexp> [TOP=25] [INDEX=alloc_objects|alloc_space]'; exit 2; }
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 		$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -memprofilerate=1 \
 			-memprofile "$$tmp/mem.pprof" -o "$$tmp/pkg.test" $(PKG) && \
-		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=$(TOP) "$$tmp/pkg.test" "$$tmp/mem.pprof"
+		$(GO) tool pprof -sample_index=$(INDEX) -top -nodecount=$(TOP) "$$tmp/pkg.test" "$$tmp/mem.pprof"
 
 # loc prints the line count ROADMAP aim 2 tracks: non-test Go outside
 # benchmark/, per package and in total.

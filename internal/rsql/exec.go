@@ -12,8 +12,8 @@ import (
 
 // This file is the executor, the only one: bind → select → order →
 // materialise (DESIGN.md, "The frame executor"). Query runs it over a
-// frame; the array path (plan.go) runs it over each chunk and then over
-// the chunks' answers.
+// frame and QueryChunk over one chunk's accessors; the array path
+// (plan.go) runs it over each chunk and then over the chunks' answers.
 
 func b2f(b bool) float64 {
 	if b {
@@ -559,6 +559,16 @@ func (p *plan) run() *rframe.Frame {
 	return p.finish(p.group(sel))
 }
 
+// execute binds q to a source of the given columns and row count and
+// runs it.
+func execute(q *query, cols []item, rows int) (*rframe.Frame, error) {
+	p, err := bindQuery(q, cols, rows)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(), nil
+}
+
 // Query parses and executes sql against the named frames. A bare column of
 // an unfiltered, unordered query shares its storage with the source frame.
 func Query(tables map[string]*rframe.Frame, sql string) (*rframe.Frame, error) {
@@ -570,9 +580,22 @@ func Query(tables map[string]*rframe.Frame, sql string) (*rframe.Frame, error) {
 	if !ok {
 		return nil, fmt.Errorf("rsql: no table %q", q.from)
 	}
-	p, err := bindQuery(q, frameItems(src), src.NumRows())
+	return execute(q, frameItems(src), src.NumRows())
+}
+
+// QueryChunk parses and executes sql against one chunk whose columns are
+// cols, read in place through the chunk's accessors: no frame of the
+// source is built. The query's FROM names nothing; the chunk is the
+// table. It answers as Query over a frame of the same values would (an
+// Int column stays Int under SELECT *), with the same errors.
+func QueryChunk(c Chunk, cols []ColumnInfo, sql string) (*rframe.Frame, error) {
+	q, err := parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return p.run(), nil
+	items, err := chunkItems(cols, c)
+	if err != nil {
+		return nil, err
+	}
+	return execute(q, items, c.NumRows())
 }

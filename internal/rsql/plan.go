@@ -379,11 +379,7 @@ func (pl *ArrayPlan) Finalize(parts []*ChunkPartial) (*rframe.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := bindQuery(pl.merge, frameItems(all), all.NumRows())
-	if err != nil {
-		return nil, err
-	}
-	return p.run(), nil
+	return execute(pl.merge, frameItems(all), all.NumRows())
 }
 
 // QueryArrays parses and executes sql against the named array tables with

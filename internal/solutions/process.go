@@ -34,6 +34,35 @@ func (g *grid) level(i int) []float32 {
 	return g.vals[i*n : (i+1)*n]
 }
 
+// gridCols are the columns the analysis SQL sees of a grid, read in
+// place: the tidy frame's (FromArray3D's, then t), one row per cell in
+// row-major order.
+var gridCols = []rsql.ColumnInfo{
+	{Name: "level", Int: true}, {Name: "lat", Int: true}, {Name: "lon", Int: true},
+	{Name: "value"}, {Name: "t", Int: true},
+}
+
+// NumRows implements rsql.Chunk: one row per cell.
+func (g *grid) NumRows() int { return len(g.vals) }
+
+// Col implements rsql.Chunk: the coordinates follow from the row index
+// and the grid's shape, the value is the payload's own.
+func (g *grid) Col(name string) (func(int) float64, error) {
+	switch name {
+	case "t":
+		return func(int) float64 { return float64(g.t) }, nil
+	case "level":
+		return func(r int) float64 { return float64(g.levelOrigin + r/(g.ny*g.nx)) }, nil
+	case "lat":
+		return func(r int) float64 { return float64(r / g.nx % g.ny) }, nil
+	case "lon":
+		return func(r int) float64 { return float64(r % g.nx) }, nil
+	case "value":
+		return func(r int) float64 { return float64(g.vals[r]) }, nil
+	}
+	return nil, fmt.Errorf("solutions: grid has no column %q", name)
+}
+
 // charger is the charging surface shared by MapReduce task contexts and
 // the Naive solution's serial context.
 type charger interface {
@@ -127,6 +156,16 @@ type taskOutput struct {
 	analysis *rframe.Frame
 }
 
+// highlightSQL picks the ten cells a highlighted plot marks.
+const highlightSQL = "SELECT level, lat, lon, value FROM df ORDER BY value DESC LIMIT 10"
+
+// top1PctSQL is the Anlys query over a grid of rows cells: its top 1 %
+// by value, rounded up.
+func top1PctSQL(rows int) string {
+	return fmt.Sprintf("SELECT t, level, lat, lon, value FROM df ORDER BY value DESC LIMIT %d",
+		int(math.Ceil(float64(rows)/100)))
+}
+
 // processGrid is the per-task body shared by every solution: optional SQL
 // analysis, then one plotted image per level (with highlights marked when
 // requested).
@@ -135,15 +174,10 @@ func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (
 	highlight := map[int][]rframe.GridPoint{}
 
 	if wl.Analysis != AnalysisNone {
-		df, err := gridFrame(g, wl.Var)
-		if err != nil {
-			return nil, err
-		}
 		tc.Charge("Analysis", env.Cfg.Cost.AnalysisPerMB*env.scaleMB(len(g.vals)*4))
-		tables := map[string]*rframe.Frame{"df": df}
 		switch wl.Analysis {
 		case AnalysisHighlight:
-			top, err := rsql.Query(tables, "SELECT level, lat, lon, value FROM df ORDER BY value DESC LIMIT 10")
+			top, err := rsql.QueryChunk(g, gridCols, highlightSQL)
 			if err != nil {
 				return nil, err
 			}
@@ -155,9 +189,7 @@ func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (
 				})
 			}
 		case AnalysisTop1Pct:
-			limit := int(math.Ceil(float64(df.NumRows()) / 100))
-			top, err := rsql.Query(tables, fmt.Sprintf(
-				"SELECT t, level, lat, lon, value FROM df ORDER BY value DESC LIMIT %d", limit))
+			top, err := rsql.QueryChunk(g, gridCols, top1PctSQL(g.NumRows()))
 			if err != nil {
 				return nil, err
 			}
@@ -193,26 +225,6 @@ func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (
 		}
 	}
 	return out, nil
-}
-
-// gridFrame builds the tidy frame SQL analyses run over.
-func gridFrame(g *grid, valueName string) (*rframe.Frame, error) {
-	df, err := rframe.FromArray3D(
-		[3]string{"level", "lat", "lon"},
-		[3]int{g.levelOrigin, 0, 0},
-		[3]int{g.levels, g.ny, g.nx},
-		g.vals, "value")
-	if err != nil {
-		return nil, err
-	}
-	ts := make([]int64, df.NumRows())
-	for i := range ts {
-		ts[i] = int64(g.t)
-	}
-	if err := df.AddInt("t", ts); err != nil {
-		return nil, err
-	}
-	return df, nil
 }
 
 // imgKV is one plotted image: what a map task sends through the shuffle

@@ -16,7 +16,7 @@ func (s *Service) armTick() {
 		return
 	}
 	s.tickArmed = true
-	s.env.K.After(schedTick, s.tick)
+	s.env.K.After(schedTick, s.tickFn)
 }
 
 // tick is one scheduler pass, run as a kernel event: start queued jobs
@@ -100,11 +100,12 @@ func (s *Service) startJobs() {
 // start promotes one queued job: removes it from both queues, attaches
 // a fresh lease (granted by the allocation pass that follows within the
 // same tick), and spawns the driver process that runs the catalog job.
+// The lease's token slab has room for every slot the job can be granted.
 func (s *Service) start(t *Tenant, j *Job, backfill bool) {
 	s.dequeue(t, j)
 	j.State = StateRunning
 	j.StartAt = s.env.K.Now()
-	j.lease = &Lease{}
+	j.lease = &Lease{held: make([]token, 0, j.Tasks)}
 	t.running = append(t.running, j)
 	s.running = append(s.running, j)
 	if len(t.running) > t.MaxRunningSeen {

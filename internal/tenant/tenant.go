@@ -222,6 +222,7 @@ type Service struct {
 	completions []int   // job IDs in completion order
 	shares      []share // allocate's per-tenant slab, reused every tick
 	tickArmed   bool
+	tickFn      func() // s.tick, bound once: arming the tick allocates nothing
 }
 
 // New builds the service over an existing testbed env and installs the
@@ -241,6 +242,7 @@ func New(env *solutions.Env, cfg Config) *Service {
 		totalSlots: totalSlots,
 		tenants:    map[string]*Tenant{},
 	}
+	s.tickFn = s.tick
 	s.installInputs()
 	return s
 }
