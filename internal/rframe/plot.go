@@ -31,14 +31,17 @@ type GridPoint struct {
 
 // plotScratch is the reusable state of one Image2D call: the raster, the
 // PNG encoder with its zlib compressor and row buffers (the EncoderBuffer,
-// ~850 KB to build), and the encode output. Scratch is kept on a free list
-// and never escapes a call — Image2D returns an owned copy of the encoded
-// bytes.
+// ~850 KB to build), the encode output and Image2DFrame's palette memo
+// (raster color to nearest jetPalette index; its keys are the jet ramp's
+// outputs plus the non-finite gray and the highlight black, so it stays
+// small and warm across calls). Scratch is kept on a free list and never
+// escapes a call — Image2D returns an owned copy of the encoded bytes.
 type plotScratch struct {
-	img image.RGBA
-	enc png.Encoder
-	buf *png.EncoderBuffer
-	out bytes.Buffer
+	img  image.RGBA
+	enc  png.Encoder
+	buf  *png.EncoderBuffer
+	out  bytes.Buffer
+	memo map[uint64]uint8
 }
 
 // Get and Put implement png.EncoderBufferPool over the scratch's one
@@ -46,32 +49,43 @@ type plotScratch struct {
 func (s *plotScratch) Get() *png.EncoderBuffer  { return s.buf }
 func (s *plotScratch) Put(b *png.EncoderBuffer) { s.buf = b }
 
-// plotScratches is the free list. Unlike a sync.Pool, which a garbage
-// collection may empty, it keeps every scratch it is given, so a run pays
-// for an encoder once per concurrent Image2D caller, not again after each
-// collection that falls between two plots.
-var plotScratches struct {
+// freeList keeps scratch between calls. Unlike a sync.Pool, which a
+// garbage collection may empty, it keeps every scratch it is given, so a
+// run pays for a codec once per concurrent caller, not again after each
+// collection that falls between two calls.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free []*plotScratch
+	free []*T
 }
 
-func getScratch() *plotScratch {
-	plotScratches.mu.Lock()
-	defer plotScratches.mu.Unlock()
-	if n := len(plotScratches.free); n > 0 {
-		s := plotScratches.free[n-1]
-		plotScratches.free = plotScratches.free[:n-1]
-		return s
+// get pops a kept scratch, or returns nil when none is free.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return nil
 	}
-	s := &plotScratch{}
-	s.enc.BufferPool = s
+	s := l.free[n-1]
+	l.free = l.free[:n-1]
 	return s
 }
 
-func putScratch(s *plotScratch) {
-	plotScratches.mu.Lock()
-	plotScratches.free = append(plotScratches.free, s)
-	plotScratches.mu.Unlock()
+func (l *freeList[T]) put(s *T) {
+	l.mu.Lock()
+	l.free = append(l.free, s)
+	l.mu.Unlock()
+}
+
+var plotScratches freeList[plotScratch]
+
+func getScratch() *plotScratch {
+	if s := plotScratches.get(); s != nil {
+		return s
+	}
+	s := &plotScratch{memo: map[uint64]uint8{}}
+	s.enc.BufferPool = s
+	return s
 }
 
 // nonFinite is the fixed color of NaN and ±Inf cells (fill values), which
@@ -86,11 +100,25 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // finite cells are left out of the auto-scale and painted gray. Safe for
 // concurrent use.
 func Image2D(z []float32, ny, nx int, opts PlotOpts) ([]byte, error) {
+	data, _, err := render(z, ny, nx, opts, false)
+	return data, err
+}
+
+// Image2DFrame is Image2D that also returns the raster as an animation
+// frame on the jet palette: pixel for pixel what AnimateGIF makes of the
+// PNG, without decoding it. Safe for concurrent use.
+func Image2DFrame(z []float32, ny, nx int, opts PlotOpts) ([]byte, *image.Paletted, error) {
+	return render(z, ny, nx, opts, true)
+}
+
+// render draws one Image2D raster into scratch, encodes it and, when
+// frame is set, quantizes it onto jetPalette.
+func render(z []float32, ny, nx int, opts PlotOpts, frame bool) ([]byte, *image.Paletted, error) {
 	if len(z) != ny*nx {
-		return nil, fmt.Errorf("rframe: Image2D got %d values for %dx%d grid", len(z), ny, nx)
+		return nil, nil, fmt.Errorf("rframe: Image2D got %d values for %dx%d grid", len(z), ny, nx)
 	}
 	if ny <= 0 || nx <= 0 {
-		return nil, fmt.Errorf("rframe: Image2D grid %dx%d invalid", ny, nx)
+		return nil, nil, fmt.Errorf("rframe: Image2D grid %dx%d invalid", ny, nx)
 	}
 	w, h := opts.Width, opts.Height
 	if w <= 0 {
@@ -118,7 +146,7 @@ func Image2D(z []float32, ny, nx int, opts PlotOpts) ([]byte, error) {
 	}
 
 	s := getScratch()
-	defer putScratch(s)
+	defer plotScratches.put(s)
 	img := &s.img
 	img.Rect = image.Rect(0, 0, w, h)
 	img.Stride = 4 * w
@@ -159,9 +187,14 @@ func Image2D(z []float32, ny, nx int, opts PlotOpts) ([]byte, error) {
 	}
 	s.out.Reset()
 	if err := s.enc.Encode(&s.out, img); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return bytes.Clone(s.out.Bytes()), nil
+	var pal *image.Paletted
+	if frame {
+		pal = image.NewPaletted(img.Rect, jetPalette)
+		quantize(pal, img, s.memo)
+	}
+	return bytes.Clone(s.out.Bytes()), pal, nil
 }
 
 // jet maps v in [0,1] onto a blue-cyan-yellow-red ramp.

@@ -256,15 +256,21 @@ func TestAnimateGIFMatchesReference(t *testing.T) {
 }
 
 // TestAnimateGIFConcurrent assembles animations from 8 goroutines at once,
-// each checking every GIF against a serial call's bytes: the reducers fork
-// AnimateGIF onto the data plane, so the palette memo must stay per call
-// and jetPalette read-only. Run under -race by `make race`.
+// each checking every GIF against a serial call's bytes, both ways: from
+// PNGs through AnimateGIF, and from frames it draws itself through
+// Image2DFrame and AnimateFrames. The mappers render and the reducers
+// animate on the data plane, so the scratch palette memo and the LZW
+// writers must never be shared between calls, and jetPalette stays
+// read-only. Run under -race by `make race`.
 func TestAnimateGIFConcurrent(t *testing.T) {
 	series := make([][][]byte, 3)
 	want := make([][]byte, len(series))
+	opts := func(s int) PlotOpts {
+		return PlotOpts{Width: 16 + 8*s, Height: 16, Highlight: []GridPoint{{Row: s, Col: s}}}
+	}
 	for s := range series {
 		for f := 0; f < 4; f++ {
-			data, err := Image2D(testGrid(8, 8, s+f), 8, 8, PlotOpts{Width: 16 + 8*s, Height: 16})
+			data, err := Image2D(testGrid(8, 8, s+f), 8, 8, opts(s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,6 +295,21 @@ func TestAnimateGIFConcurrent(t *testing.T) {
 				}
 				if !bytes.Equal(got, want[s]) {
 					t.Errorf("goroutine %d call %d series %d: GIF differs from the serial call's", g, n, s)
+					return
+				}
+				frames := make([]*image.Paletted, len(series[s]))
+				for f := range frames {
+					if _, frames[f], err = Image2DFrame(testGrid(8, 8, s+f), 8, 8, opts(s)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if got, err = AnimateFrames(frames, 20); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want[s]) {
+					t.Errorf("goroutine %d call %d series %d: AnimateFrames differs from the serial call's", g, n, s)
 					return
 				}
 			}
@@ -334,6 +355,35 @@ func BenchmarkAnimateGIF(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := AnimateGIF(frames, 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = out
+	}
+}
+
+// seriesFrames is BenchmarkAnimateGIF's series as the frames
+// Image2DFrame draws: 10 levels of 32 px.
+func seriesFrames(tb testing.TB) []*image.Paletted {
+	frames := make([]*image.Paletted, 10)
+	for f := range frames {
+		var err error
+		if _, frames[f], err = Image2DFrame(testGrid(40, 40, f), 40, 40, PlotOpts{Width: 32, Height: 32}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return frames
+}
+
+// BenchmarkAnimateFrames is BenchmarkAnimateGIF's series handed over as
+// frames: no decode, one LZW writer a call.
+func BenchmarkAnimateFrames(b *testing.B) {
+	frames := seriesFrames(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frames)) * 32 * 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := AnimateFrames(frames, 20)
 		if err != nil {
 			b.Fatal(err)
 		}

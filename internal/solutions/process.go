@@ -3,6 +3,7 @@ package solutions
 import (
 	"cmp"
 	"fmt"
+	"image"
 	"math"
 	"slices"
 
@@ -201,10 +202,12 @@ func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (
 	// while this task sleeps through the modeled plot cost, and one Await
 	// collects them. The closures read the attempt's own grid and write
 	// their own slots, so an attempt that unwinds mid-charge just abandons
-	// them.
+	// them. Under analysis each level also keeps its raster as a GIF
+	// frame, for the reducer's animation.
 	out.imgs = make([]imgKV, g.levels)
 	errs := make([]error, g.levels)
 	futs := make([]*sim.Future, g.levels)
+	animate := wl.Analysis != AnalysisNone
 	for l := range futs {
 		out.imgs[l] = imgKV{t: g.t, level: g.levelOrigin + l}
 		opts := rframe.PlotOpts{
@@ -212,7 +215,12 @@ func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (
 			Highlight: highlight[out.imgs[l].level],
 		}
 		futs[l] = tc.Proc().Compute(func() {
-			out.imgs[l].png, errs[l] = rframe.Image2D(g.level(l), g.ny, g.nx, opts)
+			img := &out.imgs[l]
+			if animate {
+				img.png, img.frame, errs[l] = rframe.Image2DFrame(g.level(l), g.ny, g.nx, opts)
+			} else {
+				img.png, errs[l] = rframe.Image2D(g.level(l), g.ny, g.nx, opts)
+			}
 		})
 	}
 	for range futs {
@@ -228,10 +236,13 @@ func processGrid(env *Env, wl *Workload, tc charger, g *grid, sequential bool) (
 }
 
 // imgKV is one plotted image: what a map task sends through the shuffle
-// and what storeTimestamp writes.
+// and what storeTimestamp writes. frame, set under analysis, is the
+// image's raster on the animation palette: a pure function of png, so the
+// shuffle counts only the PNG's bytes.
 type imgKV struct {
 	t, level int
 	png      []byte
+	frame    *image.Paletted
 }
 
 // runProcessing executes the shared MapReduce processing job: decode each
@@ -302,18 +313,18 @@ func storeTimestamp(env *Env, tc charger, wl *Workload, dir string, imgs []imgKV
 	slices.SortFunc(imgs, func(a, b imgKV) int { return cmp.Compare(a.level, b.level) })
 	// Fork before charge, join after: the GIF encodes on the data plane
 	// while the PNG writes below take their simulated time. The closure
-	// reads only the PNGs, which nobody writes to once stored, and writes
-	// only anim/animErr, so a caller that returns on a PNG write error
-	// just abandons it.
+	// reads only the frames the mappers drew, which nobody writes to once
+	// emitted, and writes only anim/animErr, so a caller that returns on a
+	// PNG write error just abandons it.
 	var fut *sim.Future
 	var anim []byte
 	var animErr error
 	if wl.Analysis != AnalysisNone && len(imgs) > 1 {
-		frames := make([][]byte, len(imgs))
+		frames := make([]*image.Paletted, len(imgs))
 		for i := range imgs {
-			frames[i] = imgs[i].png
+			frames[i] = imgs[i].frame
 		}
-		fut = tc.Proc().Compute(func() { anim, animErr = rframe.AnimateGIF(frames, 20) })
+		fut = tc.Proc().Compute(func() { anim, animErr = rframe.AnimateFrames(frames, 20) })
 	}
 	for _, img := range imgs {
 		path := fmt.Sprintf("%s/img/t%04d_l%03d.png", dir, img.t, img.level)
