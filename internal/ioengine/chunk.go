@@ -171,49 +171,53 @@ func chunkErrorf(pkg, name, format string, args ...any) error {
 	return fmt.Errorf("%s: %w", pkg, fmt.Errorf(format, args...))
 }
 
-// chunkDecoder builds the decompress-and-verify step for chunk c of x,
-// which a Bound runs behind a join of its own when it keeps the decoded
-// copy, and any other read hands to the consumer in its Payload. The index
-// was validated at Open, but the chunk is re-checked against the bytes in
-// hand: a source may return short, and RawSize sizes the inflate buffer.
-func chunkDecoder(x ChunkIndex, c *Chunk) func(raw []byte) ([]byte, error) {
-	// The closure is allocated per read: it holds these, not x and c.
-	pkg, name, deflated := x.Pkg, x.Name, x.Deflated
-	off, stored, rawSize := c.Offset, c.StoredSize, c.RawSize
-	return func(raw []byte) ([]byte, error) {
-		if int64(len(raw)) < stored {
-			return nil, chunkErrorf(pkg, name, "truncated chunk at %d", off)
-		}
-		if deflated {
-			out, err := Inflate(raw, rawSize)
-			if err != nil {
-				return nil, chunkErrorf(pkg, name, "%w", err)
-			}
-			return out, nil
-		}
-		if int64(len(raw)) != rawSize {
-			return nil, chunkErrorf(pkg, name, "chunk raw size %d, want %d", len(raw), rawSize)
-		}
-		return raw, nil
+// chunkDecoder is the decompress-and-verify step for one chunk, which a
+// Bound runs behind a join of its own when it keeps the decoded copy, and
+// any other read hands to the consumer in its Payload. It is carried by
+// value, so a deferred payload costs no allocation. The index was
+// validated at Open, but the chunk is re-checked against the bytes in
+// hand: a source may return short, and rawSize sizes the inflate buffer.
+type chunkDecoder struct {
+	pkg, name            string
+	deflated             bool
+	off, stored, rawSize int64
+}
+
+// decode returns the chunk's decoded bytes from its stored bytes raw.
+func (d chunkDecoder) decode(raw []byte) ([]byte, error) {
+	if int64(len(raw)) < d.stored {
+		return nil, chunkErrorf(d.pkg, d.name, "truncated chunk at %d", d.off)
 	}
+	if d.deflated {
+		out, err := Inflate(raw, d.rawSize)
+		if err != nil {
+			return nil, chunkErrorf(d.pkg, d.name, "%w", err)
+		}
+		return out, nil
+	}
+	if int64(len(raw)) != d.rawSize {
+		return nil, chunkErrorf(d.pkg, d.name, "chunk raw size %d, want %d", len(raw), d.rawSize)
+	}
+	return raw, nil
 }
 
 // Payload is one chunk as Read and Scan hand it over: its decoded bytes,
 // or, on a Bound's miss nothing keeps a copy of (an uncached Read, every
 // Scan miss), its stored bytes with their decoder.
 type Payload struct {
-	b      []byte
-	decode func(raw []byte) ([]byte, error) // nil once b is decoded
+	b        []byte
+	deferred bool // b is stored bytes, for dec to decode
+	dec      chunkDecoder
 }
 
 // Bytes returns the decoded chunk. It is pure, and on a deferred payload
 // it is the decode: call it inside the data-plane closure that consumes
 // the bytes, so the decode runs there and not on the kernel thread.
 func (pl Payload) Bytes() ([]byte, error) {
-	if pl.decode == nil {
+	if !pl.deferred {
 		return pl.b, nil
 	}
-	return pl.decode(pl.b)
+	return pl.dec.decode(pl.b)
 }
 
 // read fetches chunk i: through a Bound source's chunk path, where the
@@ -224,15 +228,16 @@ func (x ChunkIndex) read(i int, once bool) (Payload, error) {
 		return Payload{}, chunkErrorf(x.Pkg, x.Name, "chunk %d out of range [0,%d)", i, len(x.Chunks))
 	}
 	c := &x.Chunks[i]
-	decode := chunkDecoder(x, c)
+	dec := chunkDecoder{pkg: x.Pkg, name: x.Name, deflated: x.Deflated,
+		off: c.Offset, stored: c.StoredSize, rawSize: c.RawSize}
 	if b, ok := x.Src.(*Bound); ok {
-		return b.readChunk(c.Offset, c.StoredSize, decode, once)
+		return b.readChunk(dec, once)
 	}
-	raw, err := x.Src.ReadAt(c.Offset, c.StoredSize)
+	raw, err := x.Src.ReadAt(dec.off, dec.stored)
 	if err != nil {
 		return Payload{}, err
 	}
-	out, err := decode(raw)
+	out, err := dec.decode(raw)
 	return Payload{b: out}, err
 }
 
@@ -267,7 +272,7 @@ func (x ChunkIndex) Scatter(chunks []int, consume func(k int, raw []byte)) error
 			Join(x.Src, futs...)
 			return firstError(errs, err)
 		}
-		if pl.decode != nil && errs == nil {
+		if pl.deferred && errs == nil {
 			errs = make([]error, len(chunks))
 		}
 		es := errs // nil while every payload came decoded: those cannot fail

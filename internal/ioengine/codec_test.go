@@ -3,6 +3,8 @@ package ioengine
 import (
 	"bytes"
 	"compress/flate"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -141,20 +143,124 @@ func TestInflateConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-var codecSink []byte
-
-// BenchmarkChunkInflate inflates one netcdf level chunk (6400 raw bytes).
-func BenchmarkChunkInflate(b *testing.B) {
-	raw := chunkPayload(6400, 1)
-	stored := oneShotDeflate(b, raw, 6)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := Inflate(stored, int64(len(raw)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		codecSink = out
+// referenceInflate is the decoder Inflate replaced, kept as its oracle:
+// a pooled compress/flate reader, reset over the stored bytes, read into
+// an exact-size buffer and then one byte past it.
+func referenceInflate(stored []byte, rawSize int64) ([]byte, error) {
+	if rawSize < 0 || rawSize > int64(len(stored))*maxDeflateRatio+inflateSlack {
+		return nil, fmt.Errorf("chunk raw size %d impossible for %d stored bytes", rawSize, len(stored))
 	}
+	z := referenceInflaters.Get().(*referenceInflater)
+	defer func() {
+		z.src.Reset(nil) // do not pin the caller's bytes in the pool
+		referenceInflaters.Put(z)
+	}()
+	z.src.Reset(stored)
+	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return nil, fmt.Errorf("inflate: %w", err)
+	}
+	out := make([]byte, rawSize)
+	n := 0
+	for n < len(out) {
+		m, err := z.fr.Read(out[n:])
+		n += m
+		if err == io.EOF {
+			break // clean end of stream; a damaged one is flate's own error
+		}
+		if err != nil {
+			return nil, fmt.Errorf("inflate: %w", err)
+		}
+	}
+	if n < len(out) {
+		return nil, fmt.Errorf("chunk raw size %d, want %d", n, rawSize)
+	}
+	// One byte past the declared size: a well-formed chunk is at its end.
+	switch m, err := z.fr.Read(z.past[:]); {
+	case m > 0:
+		return nil, fmt.Errorf("chunk raw size at least %d, want %d", rawSize+1, rawSize)
+	case err != io.EOF:
+		return nil, fmt.Errorf("inflate: %w", err)
+	}
+	return out, nil
+}
+
+// referenceInflater is one reusable decompressor with its input reader.
+type referenceInflater struct {
+	src  bytes.Reader
+	fr   io.ReadCloser // implements flate.Resetter
+	past [1]byte       // read target for the one byte past the raw size
+}
+
+var referenceInflaters = sync.Pool{New: func() any {
+	z := &referenceInflater{}
+	z.fr = flate.NewReader(&z.src)
+	return z
+}}
+
+// ReferenceInflate lends the oracle to the package's external tests.
+var ReferenceInflate = referenceInflate
+
+// checkAgainstReference fails unless Inflate and the reference agree on
+// the bytes and on whether there is an error.
+func checkAgainstReference(t testing.TB, stored []byte, rawSize int64) {
+	t.Helper()
+	got, err := Inflate(stored, rawSize)
+	want, werr := referenceInflate(stored, rawSize)
+	if (err == nil) != (werr == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("%d stored bytes, raw size %d: Inflate = %d bytes, %v; reference = %d bytes, %v",
+			len(stored), rawSize, len(got), err, len(want), werr)
+	}
+}
+
+// deflateLevels are every level flate.NewWriter takes: Huffman-only (−2),
+// the default (−1), stored blocks (0) and 1–9.
+var deflateLevels = []int{-2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+
+// TestInflateMatchesReference: at every level and chunk size the decoder
+// returns the reference's bytes, and the reference's verdict when the
+// declared size is one short or one long. Then every one-bit flip of a
+// stream's first 64 bytes, its block header and code tables, where a flip
+// leaves a code over-subscribed, incomplete or a single symbol.
+func TestInflateMatchesReference(t *testing.T) {
+	for _, level := range deflateLevels {
+		for i, n := range codecSizes {
+			stored := oneShotDeflate(t, chunkPayload(n, i), level)
+			for _, raw := range []int64{int64(n), int64(n) - 1, int64(n) + 1} {
+				checkAgainstReference(t, stored, raw)
+			}
+		}
+	}
+	for _, level := range []int{-2, 1, 6} {
+		stored := oneShotDeflate(t, chunkPayload(6400, 1), level)
+		for bit := range min(len(stored), 64) * 8 {
+			flipped := bytes.Clone(stored)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			checkAgainstReference(t, flipped, 6400)
+		}
+	}
+}
+
+// FuzzInflate: on any stored bytes and declared size, the decoder and the
+// reference agree on the bytes and on whether there is an error. Seeds are
+// streams at every level, then truncated, bit-flipped and trailed by
+// garbage.
+func FuzzInflate(f *testing.F) {
+	for _, level := range deflateLevels {
+		for i, n := range []int{0, 1, 300, 6400} {
+			raw := chunkPayload(n, i+level)
+			stored := oneShotDeflate(f, raw, level)
+			f.Add(stored, int64(n))
+			f.Add(stored[:len(stored)/2], int64(n))
+			flipped := bytes.Clone(stored)
+			flipped[len(flipped)/3] ^= 0x10
+			f.Add(flipped, int64(n))
+			f.Add(append(bytes.Clone(stored), 0xde, 0xad, 0xbe, 0xef), int64(n))
+		}
+	}
+	f.Fuzz(func(t *testing.T, stored []byte, rawSize int64) {
+		if rawSize > 1<<22 {
+			rawSize %= 1 << 22 // keep the output allocation small
+		}
+		checkAgainstReference(t, stored, rawSize)
+	})
 }

@@ -42,7 +42,6 @@ func contendedRun(procs, chunks, workers int) (Trace, CacheStats, float64, float
 	}
 	eng := &Trace{R: &slowReader{data: data, latency: 0.001}}
 	cache := NewCache(0)
-	ident := func(raw []byte) ([]byte, error) { return raw, nil }
 	for pi := 0; pi < procs; pi++ {
 		k.Go(fmt.Sprintf("reader-%d", pi), func(p *sim.Proc) {
 			p.Sleep(0.002 * float64(pi))
@@ -53,7 +52,7 @@ func contendedRun(procs, chunks, workers int) (Trace, CacheStats, float64, float
 			}
 			b.Announce(plan)
 			for i := 0; i < chunks; i++ {
-				if _, err := decoded(b.readChunk(int64(i)*chunkSz, chunkSz, ident, false)); err != nil {
+				if _, err := decoded(b.readChunk(rawChunk(int64(i)*chunkSz, chunkSz), false)); err != nil {
 					panic(err)
 				}
 			}

@@ -220,7 +220,8 @@ func (b *Bound) Announce(plan []Range) {
 // peeks the cache (no LRU promotion), never consults the tier and keeps
 // nothing. Prefetch-staged bytes are still consumed and the readahead
 // window still advances.
-func (b *Bound) readChunk(off, stored int64, decode func(raw []byte) ([]byte, error), once bool) (Payload, error) {
+func (b *Bound) readChunk(dec chunkDecoder, once bool) (Payload, error) {
+	off, stored := dec.off, dec.stored
 	b.advance(off)
 	held := b.cache != nil || b.tier != nil
 	var dkey string
@@ -240,7 +241,7 @@ func (b *Bound) readChunk(off, stored int64, decode func(raw []byte) ([]byte, er
 	if once || !held {
 		b.p.Sleep(0)
 		b.startPrefetch()
-		return Payload{b: raw, decode: decode}, nil
+		return Payload{b: raw, deferred: true, dec: dec}, nil
 	}
 	// The closure is pure (validation + decompression of private bytes), so
 	// it may overlap decodes from other tasks parked at the same virtual
@@ -248,7 +249,7 @@ func (b *Bound) readChunk(off, stored int64, decode func(raw []byte) ([]byte, er
 	// counters deterministic.
 	var out []byte
 	var derr error
-	b.p.Await(b.p.Compute(func() { out, derr = decode(raw) }))
+	b.p.Await(b.p.Compute(func() { out, derr = dec.decode(raw) }))
 	if derr != nil {
 		return Payload{}, derr
 	}
