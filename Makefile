@@ -26,10 +26,11 @@ test:
 # cross-goroutine edges on the control plane; one pass over them is thin.
 # A stage resumes its workers inside its one start event, so the stage
 # runner's hand-offs get the same repetition (TestIdleSlotsCostNothing is
-# an allocation pin, built only without -race).
+# an allocation pin, built only without -race). Every data-plane closure
+# that reuses a buffer crosses the free list's lock, so it is repeated too.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 ./internal/sim
+	$(GO) test -race -count=10 ./internal/sim ./internal/freelist
 	$(GO) test -race -count=10 -run 'TestCharacterisation|TestStageSettlesUnderRandomFaults|TestWorkerPanicNamesItsSlot' ./internal/mapreduce
 
 # benchmark-test runs the benchmark's tests: it is a module of its own,

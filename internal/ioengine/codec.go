@@ -8,7 +8,8 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync"
+
+	"scidp/internal/freelist"
 )
 
 // The chunk codec: the one place the format plugins (netcdf, hdf5lite)
@@ -18,9 +19,10 @@ import (
 // RFC 1951 decoder: a chunk is decoded whole into an output of exactly its
 // declared raw size, so back-references copy from the output itself and
 // no window, reader or dictionary is needed. Its Huffman tables sit in
-// fixed arrays of a pooled inflater and are rebuilt in place per block.
+// fixed arrays of an inflater kept on a free list and are rebuilt in
+// place per block.
 //
-// Buffer ownership: pooled state never escapes a call. Inflate returns a
+// Buffer ownership: kept state never escapes a call. Inflate returns a
 // freshly allocated slice of exactly the declared raw size (the engine
 // caches it, so it must be owned), Deflate an exact-size copy.
 
@@ -43,9 +45,12 @@ func Inflate(stored []byte, rawSize int64) ([]byte, error) {
 		return nil, fmt.Errorf("chunk raw size %d impossible for %d stored bytes", rawSize, len(stored))
 	}
 	out := make([]byte, rawSize)
-	z := inflaters.Get().(*inflater)
+	z := inflaters.Get()
+	if z == nil {
+		z = new(inflater)
+	}
 	n, err := z.decode(stored, out)
-	z.in = nil // do not pin the caller's bytes in the pool
+	z.in = nil // do not pin the caller's bytes on the free list
 	inflaters.Put(z)
 	switch {
 	case err == errPastRaw:
@@ -96,7 +101,7 @@ type inflater struct {
 	lens [maxLit + maxDist]uint8
 }
 
-var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+var inflaters freelist.List[*inflater]
 
 // The fixed-code block's tables (RFC 1951 3.2.6). Distance symbols 30
 // and 31 have codes there but no meaning, so a block that uses them is

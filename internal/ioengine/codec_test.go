@@ -43,7 +43,7 @@ var codecSizes = []int{0, 1, 6400, 4 * 40 * 4, 6400 - 160, 200_000}
 
 // TestCodecRoundTripAndCrossCheck: a reused Deflater emits exactly the
 // bytes of a one-shot flate.NewWriter at the same level, in any order of
-// levels and sizes, and the pooled Inflate restores the input.
+// levels and sizes, and Inflate, its decoder reused, restores the input.
 func TestCodecRoundTripAndCrossCheck(t *testing.T) {
 	var d Deflater
 	for round := 0; round < 2; round++ {
@@ -78,7 +78,7 @@ func TestCodecRoundTripAndCrossCheck(t *testing.T) {
 }
 
 // TestInflateRejectsBadChunks covers the three ways a chunk can disagree
-// with its header, and that a pooled decompressor is clean after each.
+// with its header, and that a reused decoder is clean after each.
 func TestInflateRejectsBadChunks(t *testing.T) {
 	raw := chunkPayload(6400, 1)
 	var d Deflater

@@ -4,6 +4,7 @@ package ioengine_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"scidp/internal/ioengine"
@@ -11,17 +12,19 @@ import (
 	"scidp/internal/workloads"
 )
 
-// Built without -race: the race detector makes sync.Pool drop a quarter
-// of its Puts, so the steady state the allocation pins measure does not
-// exist under it, and the differential test is one goroutine's work that
-// it would only slow tenfold.
+// Built without -race: the race detector's shadow allocations blur the
+// steady state the allocation pins measure, and the differential test is
+// one goroutine's work that it would only slow tenfold.
 
 // TestInflateAllocs: a warm inflate of a real chunk allocates once, the
-// buffer it returns. Huffman tables built per block, a window, a reader
-// or a decompressor per chunk would each show here.
+// buffer it returns, with two collections between inflates: the decoder
+// stays on its free list. Huffman tables built per block, a window, a
+// reader or a decompressor per chunk would each show here.
 func TestInflateAllocs(t *testing.T) {
 	c := qrChunks(t)[0]
-	got := testing.AllocsPerRun(100, func() {
+	got := testing.AllocsPerRun(20, func() {
+		runtime.GC()
+		runtime.GC()
 		if _, err := ioengine.Inflate(c.stored, c.rawSize); err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,9 @@ import (
 	"scidp/internal/sim"
 )
 
-// The race detector makes sync.Pool drop a quarter of its Puts, so the
-// steady state these guards measure does not exist under -race.
+// The race detector's shadow allocations, and its sync.Pool (fmt's
+// printers, which task labels use) dropping a quarter of its Puts, mean
+// the steady state these guards measure does not exist under -race.
 
 // distinctKeysJob emits n distinct keys from one split to one reducer
 // without allocating per record, so what remains is the engine's own.
@@ -42,7 +43,7 @@ func distinctKeysJob(k *sim.Kernel, keys []string) *Job {
 // their known size, so a job's malloc count does not grow with its group
 // count (the map-side run buffer is recycled by the warm-up run).
 func TestReduceOutputAllocatesOncePerSlice(t *testing.T) {
-	// No collection while measuring: a GC empties the buffer pools.
+	// No collection while measuring: a GC empties fmt's printer pool.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	mallocs := func(n int) float64 {
 		keys := make([]string, n)
@@ -95,10 +96,10 @@ func TestIdleSlotsCostNothing(t *testing.T) {
 }
 
 // TestSortRunReusesItsScratch: once one run of a size has been sorted,
-// sorting another costs no allocation — the index lives in the pool and
-// the pairs are permuted in place.
+// sorting another costs no allocation, with two collections between the
+// sorts — the index stays on its free list, which a collection leaves
+// alone, and the pairs are permuted in place.
 func TestSortRunReusesItsScratch(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{40, 1310, 2621, 20000} {
 		run := drawRun(rng, randomKeys(rng, n, 10), n)
@@ -106,8 +107,10 @@ func TestSortRunReusesItsScratch(t *testing.T) {
 			t.Fatalf("the random run of %d pairs needs no sorting", n)
 		}
 		work := make([]KV, n)
-		// AllocsPerRun's own warm-up call fills the pool.
+		// AllocsPerRun's own warm-up call fills the free list.
 		if mallocs := testing.AllocsPerRun(5, func() {
+			runtime.GC()
+			runtime.GC()
 			copy(work, run)
 			sortRun(work)
 		}); mallocs != 0 {
@@ -117,25 +120,22 @@ func TestSortRunReusesItsScratch(t *testing.T) {
 }
 
 // TestSortRunLeavesASortedRunAlone: a run already in order is recognised
-// before any scratch is drawn. With the pool emptied, drawing from it
-// would have to allocate, whatever the run's size.
+// before any scratch is drawn. With the free list drained, drawing from
+// it would have to allocate, whatever the run's size.
 func TestSortRunLeavesASortedRunAlone(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, n := range []int{0, 1, 40, 1 << 17} {
 		run := make([]KV, n)
 		for i := range run {
 			run[i] = KV{K: fmt.Sprintf("key-%07d", i/2), V: i}
 		}
-		// Two collections empty a sync.Pool, victim cache included.
-		runtime.GC()
-		runtime.GC()
+		for sortScratches.Get() != nil {
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		sortRun(run)
 		runtime.ReadMemStats(&after)
 		if mallocs := after.Mallocs - before.Mallocs; mallocs != 0 {
-			t.Errorf("sortRun of a sorted run of %d pairs allocated %d times on an empty pool, want 0", n, mallocs)
+			t.Errorf("sortRun of a sorted run of %d pairs allocated %d times on an empty free list, want 0", n, mallocs)
 		}
 	}
 }
@@ -187,18 +187,21 @@ func TestStageCostsLittlePerTask(t *testing.T) {
 	}
 }
 
-// TestBufRecycleAllocatesNothing: a warm get and put of a run buffer or a
-// span index allocate nothing: a put that boxed a fresh slice header
-// would allocate once a recycled buffer.
+// TestBufRecycleAllocatesNothing: a warm Get and Put of a run buffer, a
+// span index or a value buffer allocate nothing, with two collections
+// between recycles: the free lists keep what a collection would empty
+// from a sync.Pool, and a Put that boxed a fresh slice header would
+// allocate once a recycled buffer.
 func TestBufRecycleAllocatesNothing(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
-	putKVBuf(make([]KV, 0, 8), nil)
-	spanBufs.put(make([]uint32, 0, 8), nil)
-	if n := testing.AllocsPerRun(100, func() {
-		run, box := kvBufs.get()
-		putKVBuf(append(run, KV{K: "k"}), box)
-		ends, ebox := spanBufs.get()
-		spanBufs.put(append(ends, 1), ebox)
+	putCleared(&kvBufs, make([]KV, 0, 8))
+	spanBufs.Put(make([]uint32, 0, 8))
+	putCleared(&valBufs, make([]any, 0, 8))
+	if n := testing.AllocsPerRun(20, func() {
+		runtime.GC()
+		runtime.GC()
+		putCleared(&kvBufs, append(kvBufs.Get(), KV{K: "k"}))
+		spanBufs.Put(append(spanBufs.Get(), 1)[:0])
+		putCleared(&valBufs, append(valBufs.Get(), true))
 	}); n != 0 {
 		t.Fatalf("a warm recycle allocated %.0f times, want 0", n)
 	}

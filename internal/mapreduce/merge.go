@@ -4,7 +4,7 @@
 // when the map completes. Reducers consume their runs
 // through a k-way heap merge with streaming group iteration instead of
 // concatenating everything and re-sorting it, and grouped values reach
-// Reduce through a pooled buffer that is reused across keys — the
+// Reduce through one buffer reused across keys — the
 // Hadoop iterator contract: the slice is valid only for the duration of
 // the call.
 //
@@ -16,9 +16,9 @@
 // Two-plane split: sortRun and runSpans are pure byte work and run on
 // the data plane (sim.ComputePool) — reducers index each run's group
 // boundaries while their shuffle flows drain, then merge span-at-a-time
-// on the kernel thread. All scratch buffers here are sync.Pool-backed,
-// so data-plane workers draw per-worker (per-P) buffers and never share
-// a scratch slice.
+// on the kernel thread. All scratch buffers here come from free lists
+// (internal/freelist): a Get hands a buffer to one holder until it is Put
+// back, so concurrent data-plane workers never share a scratch slice.
 package mapreduce
 
 import (
@@ -26,7 +26,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
+
+	"scidp/internal/freelist"
 )
 
 // sortRun stable-sorts one run — or the job's final output — by key,
@@ -46,7 +47,10 @@ func sortRun(kvs []KV) {
 	if uint64(len(kvs)) > math.MaxUint32 {
 		panic(fmt.Sprintf("mapreduce: a run of %d pairs exceeds the 32-bit sort index", len(kvs)))
 	}
-	sc := sortScratchPool.Get().(*sortScratch)
+	sc := sortScratches.Get()
+	if sc == nil {
+		sc = new(sortScratch)
+	}
 	win, pos := scratch(&sc.win, len(kvs)), scratch(&sc.pos, len(kvs))
 	for i := range kvs {
 		win[i] = keyWindow(kvs[i].K, 0)
@@ -69,7 +73,7 @@ func sortRun(kvs []KV) {
 		kvs[j] = first
 		pos[j] = uint32(j)
 	}
-	sortScratchPool.Put(sc)
+	sortScratches.Put(sc)
 }
 
 // sortKey stands for one pair in a radix leaf's insertion sort: its
@@ -218,15 +222,14 @@ func insertionSort(kvs []KV, win []uint64, src, dst []uint32, base int) {
 	}
 }
 
-// sortScratch holds every index sortRun uses, 16 bytes a pair, pooled by
-// pointer to a struct, not to a slice: putting &win would move a slice
-// header to the heap on every call, and a second pool costs a second miss.
+// sortScratch holds every index sortRun uses, 16 bytes a pair, kept as
+// one struct so that one free list serves all three.
 type sortScratch struct {
 	win      []uint64
 	pos, tmp []uint32
 }
 
-var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+var sortScratches freelist.List[*sortScratch]
 
 // scratch returns n elements of *s, first growing it to a power of two:
 // runs of nearly equal length (a job's buckets) then reuse each other's
@@ -269,7 +272,7 @@ func runIsSorted(kvs []KV) bool {
 // pairs — as one end offset per group; a group starts where the previous
 // one ended. It is pure and allocation-local, so reducers run it on the
 // data plane — the per-run prefetch pass — overlapping the shuffle. The
-// index is appended to ends[:0]: a buffer from spanBufs, returned there
+// index is appended to ends[:0]: a buffer from spanBufs, put back there
 // when the merge is done.
 func runSpans(kvs []KV, ends []uint32) []uint32 {
 	// A run is a []KV in memory: 2^32 pairs would be 128 GiB of it.
@@ -294,11 +297,10 @@ func runSpans(kvs []KV, ends []uint32) []uint32 {
 // the cross-run stability tie-break.
 type spanCursor struct {
 	kvs   []KV
-	ends  []uint32  // every group's end in kvs
-	box   *[]uint32 // ends' spanBufs box
-	g     int       // the current group
-	start int       // the current group's first pair
-	pre   uint64    // keyPrefix of its key, what less compares first
+	ends  []uint32 // every group's end in kvs
+	g     int      // the current group
+	start int      // the current group's first pair
+	pre   uint64   // keyPrefix of its key, what less compares first
 	idx   int
 }
 
@@ -393,30 +395,30 @@ func (m *spanMerge) siftDown(i int) {
 // the heap advances a whole group span per step, cursors with equal keys
 // pop in run-index order, and each span's values land in position order.
 // The vals buffer is reused across calls: the slice passed to fn is valid
-// only for the duration of the call and must not be retained.
-func eachGroupSpans(cursors []spanCursor, vals *[]any, fn func(key string, vals []any) error) error {
+// only for the duration of the call and must not be retained. The buffer
+// is returned, grown to the largest group, for the caller to keep.
+func eachGroupSpans(cursors []spanCursor, vals []any, fn func(key string, vals []any) error) ([]any, error) {
 	m := newSpanMerge(cursors)
 	if c := m.single; c != nil {
 		for c.live() {
 			key := c.key()
-			buf := (*vals)[:0]
+			vals = vals[:0]
 			for _, kv := range c.next() {
-				buf = append(buf, kv.V)
+				vals = append(vals, kv.V)
 			}
-			*vals = buf
-			if err := fn(key, buf); err != nil {
-				return err
+			if err := fn(key, vals); err != nil {
+				return vals, err
 			}
 		}
-		return nil
+		return vals, nil
 	}
 	for len(m.heap) > 0 {
 		key := m.heap[0].key()
-		buf := (*vals)[:0]
+		vals = vals[:0]
 		for len(m.heap) > 0 && m.heap[0].key() == key {
 			c := m.heap[0]
 			for _, kv := range c.next() {
-				buf = append(buf, kv.V)
+				vals = append(vals, kv.V)
 			}
 			if !c.live() {
 				last := len(m.heap) - 1
@@ -427,74 +429,30 @@ func eachGroupSpans(cursors []spanCursor, vals *[]any, fn func(key string, vals 
 				m.siftDown(0)
 			}
 		}
-		*vals = buf
-		if err := fn(key, buf); err != nil {
-			return err
+		if err := fn(key, vals); err != nil {
+			return vals, err
 		}
 	}
-	return nil
-}
-
-// bufPool recycles slices through a sync.Pool of *[]T boxes. get hands
-// out the box with the slice and the holder gives both back to put, so a
-// warm recycle boxes no fresh slice header.
-type bufPool[T any] struct{ pool sync.Pool }
-
-// get returns a recycled buffer and its box, or nil and nil when the pool
-// is empty (append grows the buffer normally in that case).
-func (p *bufPool[T]) get() ([]T, *[]T) {
-	b, _ := p.pool.Get().(*[]T)
-	if b == nil {
-		return nil, nil
-	}
-	return (*b)[:0], b
-}
-
-// put returns s to the pool in its box b, or in a new box when s was
-// grown from nothing.
-func (p *bufPool[T]) put(s []T, b *[]T) {
-	if cap(s) == 0 {
-		return
-	}
-	if b == nil {
-		b = new([]T)
-	}
-	*b = s[:0]
-	p.pool.Put(b)
+	return vals, nil
 }
 
 // spanBufs recycles group-boundary indexes across reduce attempts.
-var spanBufs bufPool[uint32]
+var spanBufs freelist.List[[]uint32]
 
 // kvBufs recycles run buffers ([]KV) between map waves and jobs: map
-// tasks draw from it on first emit to a bucket and Run returns every
-// consumed run after the reduce wave. sync.Pool hands each P (and so
-// each data-plane worker) its own cached buffers — concurrent emitters
-// never receive the same scratch slice.
-var kvBufs bufPool[KV]
+// tasks draw from it on first emit to a bucket and Run gives every
+// consumed run back after the reduce wave.
+var kvBufs freelist.List[[]KV]
 
-// putKVBuf clears a run buffer (dropping key/value references) and
-// returns it to the pool in its box.
-func putKVBuf(s []KV, b *[]KV) {
-	clear(s[:cap(s)])
-	kvBufs.put(s, b)
-}
+// valBufs recycles the grouped-value buffers handed to Reduce.
+var valBufs freelist.List[[]any]
 
-// valsPool recycles the grouped-value buffers handed to Reduce.
-// Same per-worker property as kvBufs: workers draw distinct buffers.
-var valsPool sync.Pool
-
-func getVals() *[]any {
-	if p, _ := valsPool.Get().(*[]any); p != nil {
-		return p
+// putCleared clears a buffer, dropping what its elements reference, and
+// keeps s[:0] in l. A buffer that never grew is not kept.
+func putCleared[E any](l *freelist.List[[]E], s []E) {
+	if cap(s) == 0 {
+		return
 	}
-	s := make([]any, 0, 16)
-	return &s
-}
-
-func putVals(p *[]any) {
-	s := (*p)[:cap(*p)]
-	clear(s)
-	*p = s[:0]
-	valsPool.Put(p)
+	clear(s[:cap(s)])
+	l.Put(s[:0])
 }

@@ -44,11 +44,12 @@ type group struct {
 func mergeRuns(runs [][]KV, vals *[]any, fn func(key string, vals []any) error) error {
 	cursors := make([]spanCursor, len(runs))
 	for i, r := range runs {
-		ends, box := spanBufs.get()
-		cursors[i] = spanCursor{kvs: r, ends: runSpans(r, ends), box: box, idx: i}
-		defer spanBufs.put(cursors[i].ends, box)
+		cursors[i] = spanCursor{kvs: r, ends: runSpans(r, spanBufs.Get()), idx: i}
+		defer func() { spanBufs.Put(cursors[i].ends[:0]) }()
 	}
-	return eachGroupSpans(cursors, vals, fn)
+	var err error
+	*vals, err = eachGroupSpans(cursors, *vals, fn)
+	return err
 }
 
 func collectGroups(t *testing.T, runs [][]KV) []group {
@@ -237,9 +238,8 @@ func TestRunIsSorted(t *testing.T) {
 }
 
 func TestKVBufPoolRoundTrip(t *testing.T) {
-	buf, box := kvBufs.get()
-	putKVBuf(append(buf, KV{K: "k", V: "v"}), box)
-	got, box := kvBufs.get()
+	putCleared(&kvBufs, append(kvBufs.Get(), KV{K: "k", V: "v"}))
+	got := kvBufs.Get()
 	if len(got) != 0 {
 		t.Fatalf("recycled buffer not empty: %v", got)
 	}
@@ -250,5 +250,5 @@ func TestKVBufPoolRoundTrip(t *testing.T) {
 			t.Fatalf("recycled buffer retains data: %+v", full[0])
 		}
 	}
-	putKVBuf(got, box)
+	putCleared(&kvBufs, got)
 }

@@ -58,7 +58,6 @@ type taskOut struct {
 // byte count.
 type bucket struct {
 	run   []KV
-	box   *[]KV // run's kvBufs box, nil when run grew from nothing
 	bytes int64
 }
 
@@ -114,7 +113,7 @@ func (mo *taskOut) emit(kv KV) {
 	sh := mo.sh
 	b := &mo.buckets[sh.partition(kv.K, sh.reducers)]
 	if b.run == nil {
-		b.run, b.box = kvBufs.get()
+		b.run = kvBufs.Get()
 	}
 	b.run = append(b.run, kv)
 	b.bytes += sh.pairBytes(kv)
@@ -182,14 +181,13 @@ func (sh *shuffle) reduceTask(tc *TaskContext, r int) (func(), error) {
 	for i := range cursors {
 		c := &cursors[i]
 		futs = append(futs, tc.proc.Compute(func() {
-			ends, box := spanBufs.get()
-			c.ends, c.box = runSpans(c.kvs, ends), box
+			c.ends = runSpans(c.kvs, spanBufs.Get())
 		}))
 	}
 	tc.Phase("Shuffle", func() { tc.proc.TransferAll(parts...) })
 	tc.proc.Await(futs...)
 	// Streaming sort-merge: span-level k-way heap merge over the indexed
-	// runs, grouped values reaching Reduce through a pooled buffer (valid
+	// runs, grouped values reaching Reduce through a reused buffer (valid
 	// only for the duration of each call).
 	groups := 0
 	for i := range cursors {
@@ -197,13 +195,12 @@ func (sh *shuffle) reduceTask(tc *TaskContext, r int) (func(), error) {
 	}
 	out := &taskOut{local: make([]KV, 0, groups)}
 	tc.out = out
-	vals := getVals()
-	defer putVals(vals)
-	err := eachGroupSpans(cursors, vals, func(key string, vs []any) error {
+	vals, err := eachGroupSpans(cursors, valBufs.Get(), func(key string, vs []any) error {
 		return sh.j.Reduce(tc, key, vs)
 	})
+	putCleared(&valBufs, vals)
 	for i := range cursors {
-		spanBufs.put(cursors[i].ends, cursors[i].box)
+		spanBufs.Put(cursors[i].ends[:0])
 	}
 	if err != nil {
 		return nil, err
@@ -222,8 +219,8 @@ func (sh *shuffle) output() []KV {
 			continue
 		}
 		for b := range mo.buckets {
-			putKVBuf(mo.buckets[b].run, mo.buckets[b].box)
-			mo.buckets[b].run, mo.buckets[b].box = nil, nil
+			putCleared(&kvBufs, mo.buckets[b].run)
+			mo.buckets[b].run = nil
 		}
 	}
 	return slices.Concat(sh.final...)

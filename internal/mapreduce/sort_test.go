@@ -103,7 +103,7 @@ func TestSortRunMatchesStableSort(t *testing.T) {
 	for _, shape := range keyShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			// Parallel: buckets sort concurrently on pool workers and
-			// share sortScratchPool, which `make race` watches here.
+			// share sortScratches, which `make race` watches here.
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(len(shape.name))))
 			// radixLeaf and one past it: a run's first bucket finishes by

@@ -437,17 +437,18 @@ func percentiles(ds []float64) Percentiles {
 		sum += d
 	}
 	p.Mean = sum / float64(len(sorted))
-	p.P50 = quantile(sorted, 0.50)
-	p.P90 = quantile(sorted, 0.90)
-	p.P99 = quantile(sorted, 0.99)
+	p.P50 = Quantile(sorted, 0.50)
+	p.P90 = Quantile(sorted, 0.90)
+	p.P99 = Quantile(sorted, 0.99)
 	p.Max = sorted[len(sorted)-1]
 	return p
 }
 
-// quantile indexes an ascending sample set: the smallest element such
-// that at least a q fraction of samples are ≤ it. Same convention as
-// the speculation threshold in internal/mapreduce.
-func quantile(sorted []float64, q float64) float64 {
+// Quantile indexes an ascending sample set: the smallest element such
+// that at least a q fraction of samples are ≤ it, the one at index
+// ceil(q·n)-1; 0 for no samples. Same convention as the speculation
+// threshold in internal/mapreduce and the tenant summary's latencies.
+func Quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -474,10 +475,10 @@ func stragglers(durations []float64, finished []timed) []Straggler {
 	}
 	sorted := slices.Clone(durations)
 	slices.Sort(sorted)
-	q1 := quantile(sorted, 0.25)
-	q3 := quantile(sorted, 0.75)
+	q1 := Quantile(sorted, 0.25)
+	q3 := Quantile(sorted, 0.75)
 	cut := q3 + 1.5*(q3-q1)
-	med := quantile(sorted, 0.50)
+	med := Quantile(sorted, 0.50)
 	var out []Straggler
 	for _, f := range finished {
 		if f.seconds > cut {

@@ -8,6 +8,8 @@ import (
 	"image"
 	"image/color"
 	"image/png"
+
+	"scidp/internal/freelist"
 )
 
 // jetPalette is the 64-entry color table animations quantize to (the
@@ -80,7 +82,7 @@ type gifScratch struct {
 	blk gifBlocks
 }
 
-var gifScratches freeList[gifScratch]
+var gifScratches freelist.List[*gifScratch]
 
 // gifBlocks is what the LZW writer writes to: it cuts the code stream
 // into the GIF's sub-blocks (a length byte, then 1–255 bytes) and appends
@@ -149,11 +151,11 @@ func AnimateFrames(frames []*image.Paletted, delayCS int) ([]byte, error) {
 		}
 	}
 
-	s := gifScratches.get()
+	s := gifScratches.Get()
 	if s == nil {
 		s = &gifScratch{}
 	}
-	defer gifScratches.put(s)
+	defer gifScratches.Put(s)
 	out := &s.blk.out
 	out.Reset()
 	u16 := func(v int) { out.WriteByte(byte(v)); out.WriteByte(byte(v >> 8)) }

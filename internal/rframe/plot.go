@@ -7,7 +7,8 @@ import (
 	"image/color"
 	"image/png"
 	"math"
-	"sync"
+
+	"scidp/internal/freelist"
 )
 
 // PlotOpts configures Image2D, mirroring plot3D::image2D on a CairoPNG
@@ -49,38 +50,10 @@ type plotScratch struct {
 func (s *plotScratch) Get() *png.EncoderBuffer  { return s.buf }
 func (s *plotScratch) Put(b *png.EncoderBuffer) { s.buf = b }
 
-// freeList keeps scratch between calls. Unlike a sync.Pool, which a
-// garbage collection may empty, it keeps every scratch it is given, so a
-// run pays for a codec once per concurrent caller, not again after each
-// collection that falls between two calls.
-type freeList[T any] struct {
-	mu   sync.Mutex
-	free []*T
-}
-
-// get pops a kept scratch, or returns nil when none is free.
-func (l *freeList[T]) get() *T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.free)
-	if n == 0 {
-		return nil
-	}
-	s := l.free[n-1]
-	l.free = l.free[:n-1]
-	return s
-}
-
-func (l *freeList[T]) put(s *T) {
-	l.mu.Lock()
-	l.free = append(l.free, s)
-	l.mu.Unlock()
-}
-
-var plotScratches freeList[plotScratch]
+var plotScratches freelist.List[*plotScratch]
 
 func getScratch() *plotScratch {
-	if s := plotScratches.get(); s != nil {
+	if s := plotScratches.Get(); s != nil {
 		return s
 	}
 	s := &plotScratch{memo: map[uint64]uint8{}}
@@ -146,7 +119,7 @@ func render(z []float32, ny, nx int, opts PlotOpts, frame bool) ([]byte, *image.
 	}
 
 	s := getScratch()
-	defer plotScratches.put(s)
+	defer plotScratches.Put(s)
 	img := &s.img
 	img.Rect = image.Rect(0, 0, w, h)
 	img.Stride = 4 * w

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+
+	"scidp/internal/obs/analyze"
 )
 
 // Arrival is one timed submission in a trace.
@@ -134,8 +137,9 @@ func Summarize(s *Service, traceName string) *Summary {
 		}
 	}
 	sum.MakespanSeconds = makespan
-	sum.P50Seconds = percentile(all, 0.50)
-	sum.P99Seconds = percentile(all, 0.99)
+	slices.Sort(all)
+	sum.P50Seconds = analyze.Quantile(all, 0.50)
+	sum.P99Seconds = analyze.Quantile(all, 0.99)
 	if makespan > 0 {
 		sum.GoodputJobsPerKs = float64(sum.Completed) / makespan * 1000
 	}
@@ -147,6 +151,7 @@ func Summarize(s *Service, traceName string) *Summary {
 				lat = append(lat, j.Latency())
 			}
 		}
+		slices.Sort(lat)
 		sum.Preemptions += t.Preemptions
 		sum.Backfills += t.Backfills
 		sum.PerTenant = append(sum.PerTenant, TenantSummary{
@@ -155,8 +160,8 @@ func Summarize(s *Service, traceName string) *Summary {
 			Completed:   t.Completed,
 			Rejected:    t.Rejected,
 			Failed:      t.Failed,
-			P50Seconds:  percentile(lat, 0.50),
-			P99Seconds:  percentile(lat, 0.99),
+			P50Seconds:  analyze.Quantile(lat, 0.50),
+			P99Seconds:  analyze.Quantile(lat, 0.99),
 			Preemptions: t.Preemptions,
 			Backfills:   t.Backfills,
 			MaxRunning:  t.MaxRunningSeen,
@@ -165,23 +170,4 @@ func Summarize(s *Service, traceName string) *Summary {
 		})
 	}
 	return sum
-}
-
-// percentile is the exact order statistic: the ceil(q*n)-th smallest
-// value (the analyze plane's convention).
-func percentile(vals []float64, q float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(vals))
-	copy(sorted, vals)
-	sort.Float64s(sorted)
-	idx := int(float64(len(sorted))*q+0.999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
