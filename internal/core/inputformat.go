@@ -47,7 +47,7 @@ type InputFormat struct {
 	// Cost is the CPU cost model (zero value charges nothing).
 	Cost CostModel
 	// Engine configures each task's PFS Reader I/O engine (zero value:
-	// no cache, no readahead — the pre-engine behavior).
+	// no cache, no readahead).
 	Engine EngineOptions
 	// Caches holds the per-node chunk caches when Engine.CacheBytes > 0.
 	// Leave nil to have ForEach create one lazily; set it to share (or

@@ -3,8 +3,8 @@
 // per call), one proc-bound view (Source, what format parsers take), and
 // composable wrappers — a sharded LRU chunk cache holding decompressed
 // chunks, a readahead prefetcher issuing upcoming chunk reads on
-// background sim processes, and a stats wrapper replacing the old
-// ad-hoc counting readers. The PFS client, the HDFS range reader, the
+// background sim processes, and a stats wrapper counting the calls and
+// bytes that cross a Source. The PFS client, the HDFS range reader, the
 // MPI-IO range math, and the netcdf/hdf5lite plugins all build on
 // this package instead of private copies.
 //

@@ -77,9 +77,11 @@ func (l *scriptedLease) Acquire() uint64 {
 // the worker spawn so that a feed may wait: pinnedStream's 0.01 s pulls
 // now meet workers on their first idle beat, which starts every attempt
 // 0.17 s later — same tasks, nodes, attempt numbers and outcomes, events
-// 822 -> 831 (EXPERIMENTS.md "PR 24" has the attempt-by-attempt table).
-// It moved once more when Result.Counters went: the pre-image lost its
-// one "map[]" line and nothing else (EXPERIMENTS.md has both pre-images).
+// 822 -> 831 (the attempt-by-attempt table is section "PR 24" of
+// `git show 16df844:EXPERIMENTS.md`). It moved once more when
+// Result.Counters went: the pre-image lost its one "map[]" line and
+// nothing else (both pre-images are in section "PR 26" of
+// `git show d4e8b1e:EXPERIMENTS.md`).
 // And once when the engine's combiner went and the map function took over
 // its fold: output, task stats and trace are the same; six single-pair
 // buckets no longer fork a sort, so events 831 -> 825 and

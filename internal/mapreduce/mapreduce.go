@@ -36,8 +36,8 @@ import (
 // processes on the kernel thread, so implementations need no locking but
 // must be deterministic — state may change only from kernel events.
 //
-// A nil lease (the default) leaves the engine exactly as before: every
-// cluster slot belongs to the job.
+// A nil lease (the default) gives the job every cluster slot, and its
+// charged compute is never cut into revocation quanta.
 type SlotLease interface {
 	// Available reports whether the job may start another task attempt
 	// right now. Workers finding no slot back off and re-ask.
@@ -220,12 +220,12 @@ type Job struct {
 	// runs. Workers idle when the lease has no free slot, and a running
 	// attempt whose token is killed abandons work at the next compute
 	// quantum and requeues without consuming its MaxAttempts budget.
-	// Nil = the job owns every cluster slot (the historical behavior).
+	// Nil = the job owns every cluster slot.
 	Lease SlotLease
 }
 
-// TaskFaults is the engine's single fault-injection point, unifying what
-// used to be an ad-hoc per-job fail hook with the chaos subsystem. It is
+// TaskFaults is the engine's single fault-injection point, the one hook
+// both the chaos subsystem and tests inject task faults through. It is
 // consulted once per task attempt; a non-nil error fails the attempt
 // after its startup cost (the container launched, then the task died),
 // and a slowdown factor > 1 stretches the attempt's startup and charged

@@ -8,10 +8,10 @@
 // Hadoop iterator contract: the slice is valid only for the duration of
 // the call.
 //
-// The merge is stable in exactly the order the old concat-and-stable-sort
-// produced: pairs come out in (key, run index, position-within-run)
-// order, where run index is map-task arrival order. Job outputs are
-// byte-identical to the previous path.
+// The merge is stable: pairs come out in (key, run index,
+// position-within-run) order, where run index is map-task arrival order —
+// the order a stable sort of the concatenated runs gives, to which the
+// merge tests hold it byte for byte.
 //
 // Two-plane split: sortRun and runSpans are pure byte work and run on
 // the data plane (sim.ComputePool) — reducers index each run's group

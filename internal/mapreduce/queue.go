@@ -13,12 +13,12 @@ import "scidp/internal/cluster"
 // is O(1) amortized instead of a scan of the whole queue (hot at large
 // task counts). Each push wraps the task in a qnode stamped with a FIFO
 // sequence number; taking a node marks it consumed in every list that
-// references it, and heads are trimmed lazily. Selection order within a
-// tier matches the old first-match scan: the live candidate with the
-// lowest sequence wins. Drained index keys are deleted and consumed
-// entries are compacted out once they outnumber live ones, so a
-// long-running windowed phase holds O(window) queue state instead of
-// accumulating one entry per task ever pushed.
+// references it, and heads are trimmed lazily. Within a tier the live
+// candidate with the lowest sequence wins: first pushed, first picked.
+// Drained index keys are deleted and consumed entries are compacted out
+// once there are more than 256 of them and they outnumber live ones four
+// to one, so a long-running windowed phase holds O(window) queue state
+// instead of accumulating one entry per task ever pushed.
 type localityQueue struct {
 	seq    uint64
 	live   int

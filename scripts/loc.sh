@@ -6,6 +6,8 @@
 # counters the re-anchors track: keptForTests entries (unused_test.go),
 # func Fuzz targets, panic( call sites in non-test Go outside benchmark/,
 # and the knobs a caller can turn (TestKnobCount in unused_test.go, ~3 s).
+# Last, the line counts of the three documents that describe the tree
+# (ROADMAP aim 2 bounds them as it bounds the code).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,3 +22,6 @@ printf "%7d  keptForTests entries\n" "$(awk '/^var keptForTests/ { on = 1; next 
 printf "%7d  func Fuzz targets\n" "$(grep -rh --include='*.go' --exclude-dir='.?*' '^func Fuzz' . | wc -l)"
 printf "%7d  non-test panic( sites\n" "$(grep -r --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir='.?*' 'panic(' . | wc -l)"
 printf "%7d  knobs: exported fields of configuration structs, exported Set*/Disable* methods\n" "$(go test -count=1 -run '^TestKnobCount$' -v . | awk '/: knobs [0-9]+$/ { print $NF }')"
+for doc in EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md; do
+	printf "%7d  lines in %s\n" "$(wc -l <"$doc")" "$doc"
+done
