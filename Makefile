@@ -28,10 +28,14 @@ test:
 # runner's hand-offs get the same repetition (TestIdleSlotsCostNothing is
 # an allocation pin, built only without -race). Every data-plane closure
 # that reuses a buffer crosses the free list's lock, so it is repeated too.
+# The chunk cache's one mutex is its only guard against real goroutines,
+# and its hit and miss counts live only in the Bound's counters, so the
+# goroutine hammer and the counter-determinism runs are repeated as well.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/sim ./internal/freelist
 	$(GO) test -race -count=10 -run 'TestCharacterisation|TestStageSettlesUnderRandomFaults|TestWorkerPanicNamesItsSlot' ./internal/mapreduce
+	$(GO) test -race -count=10 -run 'TestCacheConcurrentAccess|TestCountersDeterministic' ./internal/ioengine
 
 # benchmark-test runs the benchmark's tests: it is a module of its own,
 # so `go test ./...` at the root never reaches its workload output checks.

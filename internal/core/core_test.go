@@ -541,10 +541,10 @@ func TestMapperRejectsNegativeFlatBlockSize(t *testing.T) {
 func TestPFSReaderSharedCache(t *testing.T) {
 	r := newRig(t)
 	r.ncFile(t, "/in/plot.nc", 4, 6, 6)
+	reg := obs.New()
 	r.run(t, func(p *sim.Proc) {
-		cache := ioengine.NewCache(0)
 		reader := NewPFSReader(nil, r.mount(r.bd.Node(0)))
-		reader.Cache = cache
+		reader.Engine = ioengine.Options{Cache: ioengine.NewCache(0), Obs: reg}
 		src := r.mapQR(t, p, "/in/plot.nc", 4)[0] // the whole variable, 4 chunks
 		read := func() (*Slab, float64) {
 			start := p.Now()
@@ -562,11 +562,12 @@ func TestPFSReaderSharedCache(t *testing.T) {
 		if warm >= cold {
 			t.Fatalf("warm read took %v, cold %v; want strictly faster", warm, cold)
 		}
-		st := cache.Stats()
-		if st.Hits != 4 || st.Misses != 4 {
-			t.Fatalf("cache stats = %+v, want 4 hits / 4 misses (one per chunk)", st)
-		}
 	})
+	hits := reg.Counter("ioengine/chunk_reads_total", obs.L("result", "hit")).Value()
+	misses := reg.Counter("ioengine/chunk_reads_total", obs.L("result", "miss")).Value()
+	if hits != 4 || misses != 4 {
+		t.Fatalf("chunk reads: %v hits / %v misses, want 4 / 4 (one per chunk)", hits, misses)
+	}
 }
 
 func TestPFSReaderRetriesTransientReadFaults(t *testing.T) {
@@ -584,7 +585,7 @@ func TestPFSReaderRetriesTransientReadFaults(t *testing.T) {
 	})
 	r.run(t, func(p *sim.Proc) {
 		reader := NewPFSReader(nil, r.mount(r.bd.Node(0)))
-		reader.Obs = reg
+		reader.Engine.Obs = reg
 		reader.Retry = RetryPolicy{MaxRetries: 3, Backoff: 0.01}
 		got, err := reader.ReadFlat(p, &FlatSource{PFSPath: "/in/notes.txt", Length: int64(len(flat))})
 		if err != nil {
@@ -628,7 +629,7 @@ func TestPFSReaderReadsAroundOSTOutage(t *testing.T) {
 	r.k.After(0.05, func() { r.allOSTs(false) })
 	r.run(t, func(p *sim.Proc) {
 		reader := NewPFSReader(nil, r.mount(r.bd.Node(0)))
-		reader.Obs = reg
+		reader.Engine.Obs = reg
 		reader.Retry = RetryPolicy{MaxRetries: 5, Backoff: 0.02}
 		got, err := reader.ReadFlat(p, &FlatSource{PFSPath: "/in/notes.txt", Length: int64(len(flat))})
 		if err != nil {

@@ -50,8 +50,8 @@ type InputFormat struct {
 	// no cache, no readahead).
 	Engine EngineOptions
 	// Caches holds the per-node chunk caches when Engine.CacheBytes > 0.
-	// Leave nil to have ForEach create one lazily; set it to share (or
-	// inspect) the caches across jobs.
+	// Leave nil to have ForEach create one lazily; set it to share the
+	// caches across jobs.
 	Caches *ioengine.CacheSet
 	// Tier, when non-nil, is the cluster-wide cooperative cache every
 	// task's reader consults between the job cache and the PFS.
@@ -111,17 +111,15 @@ func (in *InputFormat) ForEach(tc *mapreduce.TaskContext, s *mapreduce.Split, fn
 	if in.MountFor == nil {
 		return fmt.Errorf("core: InputFormat needs MountFor")
 	}
+	node := tc.Node().Name
 	reader := NewPFSReader(in.Registry, in.MountFor(tc.Node()))
+	reader.Engine = ioengine.Options{Tier: in.Tier, TierNode: node, Prefetch: in.Engine.Prefetch, Obs: in.Obs}
 	if in.Engine.CacheBytes != 0 {
 		if in.Caches == nil {
 			in.Caches = ioengine.NewCacheSet(in.Engine.CacheBytes)
 		}
-		reader.Cache = in.Caches.For(tc.Node().Name)
+		reader.Engine.Cache = in.Caches.For(node)
 	}
-	reader.Tier = in.Tier
-	reader.Node = tc.Node().Name
-	reader.Prefetch = in.Engine.Prefetch
-	reader.Obs = in.Obs
 	reader.Retry = in.Retry
 	block := s.Payload.(*hdfs.Block)
 	var value any

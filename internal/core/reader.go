@@ -31,24 +31,16 @@ type RetryPolicy struct {
 // handed) one, bound to the task's own PFS mount so the transfer crosses
 // that node's NIC. Slab reads go through a per-task I/O engine: an
 // optional shared chunk cache (typically one per node, holding
-// decompressed chunks across tasks) and optional readahead.
+// decompressed chunks across tasks), the cache tier and readahead.
 type PFSReader struct {
 	// Registry holds the formats whose mappings the reader accepts.
 	Registry *scifmt.Registry
 	// Client is the PFS mount of the node the task runs on.
 	Client *pfs.Client
-	// Cache, when non-nil, serves decompressed chunks across slab reads.
-	Cache *ioengine.Cache
-	// Tier, when non-nil, is the cluster-wide cooperative cache chunk
-	// reads consult after the per-job cache; Node names the burst buffer
-	// local to the task (the node the task was scheduled on).
-	Tier *ioengine.Tier
-	Node string
-	// Prefetch is the readahead depth for announced chunk plans (0 off).
-	Prefetch int
-	// Obs, when non-nil, wraps each block read in a span and feeds the
-	// I/O-engine counters.
-	Obs *obs.Registry
+	// Engine is what every slab read binds its I/O engine with: the
+	// chunk cache, the tier and the node local to the task, the readahead
+	// depth. Its Obs, when non-nil, also wraps each block read in a span.
+	Engine ioengine.Options
 	// Retry governs recovery from transient PFS faults: full-request
 	// retry-with-backoff for flaky/corrupt reads, and read-around (re-
 	// requesting only the byte ranges on offline OSTs) for degraded
@@ -74,10 +66,10 @@ func (r *PFSReader) readRange(p *sim.Proc, path string, off, n int64) ([]byte, e
 		}
 		p.Sleep(r.Retry.Backoff * float64(int64(1)<<attempt))
 		if err != nil {
-			r.Obs.Counter("core/read_retries_total", obs.L("kind", fault.KindOf(err))).Inc()
+			r.Engine.Obs.Counter("core/read_retries_total", obs.L("kind", fault.KindOf(err))).Inc()
 			out, missing, err = r.Client.ReadAtParts(p, path, off, n)
 		} else {
-			r.Obs.Counter("core/read_around_total").Inc()
+			r.Engine.Obs.Counter("core/read_around_total").Inc()
 			var still []ioengine.Range
 			for _, m := range missing {
 				data, miss, rerr := r.Client.ReadAtParts(p, path, m.Off, m.Len)
@@ -128,10 +120,10 @@ func (e *retryEngine) Name() string { return e.path }
 // under it), and returns the restore-and-end closure. No-op when no
 // registry is attached.
 func (r *PFSReader) readSpan(p *sim.Proc, name, path string) func() {
-	if r.Obs == nil {
+	if r.Engine.Obs == nil {
 		return func() {}
 	}
-	sp := r.Obs.StartSpan(name, "core", p.Span())
+	sp := r.Engine.Obs.StartSpan(name, "core", p.Span())
 	sp.Arg("path", path)
 	prev := p.SetSpan(sp)
 	return func() {
@@ -200,8 +192,7 @@ func (r *PFSReader) ReadSlab(p *sim.Proc, src *SlabSource) (*Slab, error) {
 	if r.Retry.MaxRetries > 0 {
 		eng = &retryEngine{r: r, path: src.PFSPath, size: eng.Size()}
 	}
-	reader := ioengine.Bind(p, eng, ioengine.Options{Cache: r.Cache, Prefetch: r.Prefetch,
-		Obs: r.Obs, Tier: r.Tier, TierNode: r.Node})
+	reader := ioengine.Bind(p, eng, r.Engine)
 	_, h, err := src.Header.Dialect.ReadHeader(reader)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s/%s: %w", src.PFSPath, v.Path, err)

@@ -39,7 +39,7 @@ func TestReadSlabRejectsFileChangedSinceMapped(t *testing.T) {
 				t.Fatalf("%s: rewritten header %+v (%v), mapped %+v", c.name, f.Header, err, *src.Header)
 			}
 			reader := NewPFSReader(nil, r.mount(r.bd.Node(1)))
-			reader.Obs = reg
+			reader.Engine.Obs = reg
 			slab, err := reader.ReadSlab(p, src)
 			if slab != nil || err == nil || !strings.Contains(err.Error(), "/in/plot.nc changed since it was mapped") {
 				t.Fatalf("%s: ReadSlab = %v, %v; want no slab and the changed-since-mapped error", c.name, slab, err)
@@ -63,8 +63,7 @@ func decodeRead(p *sim.Proc, r *PFSReader, src *SlabSource) ([]byte, error) {
 	if r.Retry.MaxRetries > 0 {
 		eng = &retryEngine{r: r, path: src.PFSPath, size: eng.Size()}
 	}
-	f, err := netcdf.Open(ioengine.Bind(p, eng, ioengine.Options{Cache: r.Cache, Prefetch: r.Prefetch,
-		Obs: r.Obs, Tier: r.Tier, TierNode: r.Node}))
+	f, err := netcdf.Open(ioengine.Bind(p, eng, r.Engine))
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +102,7 @@ func TestReadSlabHeaderFaultsAsBeforeTheIndex(t *testing.T) {
 				return faults[next-1]
 			})
 			reader := NewPFSReader(nil, r.mount(r.bd.Node(1)))
-			reader.Obs, reader.Retry = reg, retry
+			reader.Engine.Obs, reader.Retry = reg, retry
 			start := p.Now()
 			raw, err := read(p, reader, src)
 			out = outcome{raw: raw, kind: fault.KindOf(err), secs: p.Now() - start}

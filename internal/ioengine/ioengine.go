@@ -1,7 +1,7 @@
 // Package ioengine is the shared read path every storage and format layer
 // consumes: one engine-level interface (ReaderAt, charging virtual time
 // per call), one proc-bound view (Source, what format parsers take), and
-// composable wrappers — a sharded LRU chunk cache holding decompressed
+// composable wrappers — an LRU chunk cache holding decompressed
 // chunks, a readahead prefetcher issuing upcoming chunk reads on
 // background sim processes, and a stats wrapper counting the calls and
 // bytes that cross a Source. The PFS client, the HDFS range reader, the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"scidp/internal/obs"
 	"scidp/internal/sim"
 )
 
@@ -76,6 +77,12 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// chunkReads reads the Bound's one record of chunk lookups from reg.
+func chunkReads(reg *obs.Registry) (hits, misses float64) {
+	return reg.Counter("ioengine/chunk_reads_total", obs.L("result", "hit")).Value(),
+		reg.Counter("ioengine/chunk_reads_total", obs.L("result", "miss")).Value()
+}
+
 func TestCacheHitMissAccounting(t *testing.T) {
 	c := NewCache(0)
 	if _, ok := c.Get("a"); ok {
@@ -86,71 +93,95 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	if !ok || string(v) != "hello" {
 		t.Fatalf("Get(a) = %q, %v", v, ok)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Evictions != 0 {
-		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 0 evictions", st)
+
+	// A Bound counts each chunk lookup once: a miss fills the cache, the
+	// rereads hit it, and cache_hit_ratio is derived from those counts.
+	reg := obs.New()
+	RegisterObs(reg)
+	ratio := reg.Gauge("ioengine/cache_hit_ratio")
+	if reg.Snapshot(); ratio.Value() != 0 {
+		t.Fatalf("cache_hit_ratio = %v with no lookups, want 0", ratio.Value())
 	}
-	if st.Bytes != 5 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 5 bytes in 1 entry", st)
+	data := []byte("0123456789abcdef")
+	k := sim.NewKernel()
+	k.Go("p", func(p *sim.Proc) {
+		b := Bind(p, &slowReader{data: data, latency: 0.001}, Options{Cache: NewCache(0), Obs: reg})
+		for _, off := range []int64{0, 0, 0, 8} {
+			if got, err := decoded(b.readChunk(rawChunk(off, 8), false)); err != nil || !bytes.Equal(got, data[off:off+8]) {
+				t.Errorf("chunk at %d = %q, %v", off, got, err)
+			}
+		}
+	})
+	k.Run()
+	if hits, misses := chunkReads(reg); hits != 2 || misses != 2 {
+		t.Fatalf("chunk reads: %v hits / %v misses, want 2 / 2", hits, misses)
 	}
-	if got := st.HitRate(); got != 0.5 {
-		t.Fatalf("HitRate = %v, want 0.5", got)
-	}
-	if got := (CacheStats{}).HitRate(); got != 0 {
-		t.Fatalf("empty HitRate = %v, want 0", got)
+	if reg.Snapshot(); ratio.Value() != 0.5 {
+		t.Fatalf("cache_hit_ratio = %v, want 0.5", ratio.Value())
 	}
 }
 
+// resident is the cache's byte total and entry count, read under its lock.
+func (c *Cache) resident() (bytes, entries int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes, int64(len(c.entries))
+}
+
 func TestCacheEvictionUnderBudget(t *testing.T) {
-	const budget = 8 * 64 // 64 bytes per shard
+	const budget = 512
 	c := NewCache(budget)
+	// A value larger than budget/8 but within the budget is kept.
+	c.Put("big", make([]byte, budget/2))
+	if !c.contains("big") {
+		t.Fatal("a value within the budget was refused")
+	}
 	val := make([]byte, 32)
 	for i := 0; i < 100; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), val)
+		if b, _ := c.resident(); b > budget {
+			t.Fatalf("after %d puts resident bytes %d exceed budget %d", i+1, b, budget)
+		}
 	}
-	st := c.Stats()
-	if st.Bytes > budget {
-		t.Fatalf("resident bytes %d exceed budget %d", st.Bytes, budget)
+	b, n := c.resident()
+	if c.contains("big") || n != budget/32 || b != n*32 {
+		t.Fatalf("resident %d bytes in %d entries, want the oldest evicted and %d 32-byte entries", b, n, budget/32)
 	}
-	if st.Evictions == 0 {
-		t.Fatal("expected evictions after overfilling the budget")
-	}
-	if st.Entries*32 != st.Bytes {
-		t.Fatalf("entries %d inconsistent with bytes %d", st.Entries, st.Bytes)
-	}
-	// A value larger than its shard's budget is rejected outright.
-	before := c.Stats()
-	c.Put("huge", make([]byte, 65))
+	// A value larger than the whole budget is refused outright.
+	c.Put("huge", make([]byte, budget+1))
 	if _, ok := c.peek("huge"); ok {
 		t.Fatal("oversized value should not be cached")
 	}
-	if after := c.Stats(); after.Bytes != before.Bytes {
+	if after, _ := c.resident(); after != b {
 		t.Fatal("oversized Put changed resident bytes")
 	}
 }
 
 func TestCacheLRUOrder(t *testing.T) {
-	// Single-shard-sized test via an unbounded cache and manual check:
-	// refreshing an entry must protect it from eviction order. Use keys
-	// until two land in the same shard with a tiny budget.
-	c := NewCache(8 * 2) // 2 bytes per shard: one 1-byte entry each, maybe two
-	sh := c.shard("x")
-	var same []string
-	for i := 0; len(same) < 3; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.shard(k) == sh {
-			same = append(same, k)
-		}
+	// Room for four 1-byte entries: the fifth evicts the globally least
+	// recently used one, whichever keys they are.
+	c := NewCache(4)
+	keys := []string{"x", "k0", "k1", "k2", "k3", "k4"}
+	for _, k := range keys[:4] {
+		c.Put(k, []byte{1})
 	}
-	c.Put(same[0], []byte{1})
-	c.Put(same[1], []byte{2})
-	c.Get(same[0]) // refresh: same[1] is now LRU
-	c.Put(same[2], []byte{3})
-	if !c.contains(same[0]) {
+	c.Get("x") // refresh: k0 is now LRU
+	c.Put("k3", []byte{2})
+	if !c.contains("x") {
 		t.Fatal("recently used entry was evicted")
 	}
-	if c.contains(same[1]) {
+	if c.contains("k0") {
 		t.Fatal("least recently used entry survived")
+	}
+	c.peek("k1") // peek leaves recency alone: k1 stays LRU
+	c.Put("k4", []byte{3})
+	for _, k := range []string{"x", "k2", "k3", "k4"} {
+		if !c.contains(k) {
+			t.Fatalf("%s was evicted before the LRU entry", k)
+		}
+	}
+	if c.contains("k1") {
+		t.Fatal("peeked entry was promoted past the LRU")
 	}
 }
 
@@ -164,11 +195,11 @@ func TestCacheSet(t *testing.T) {
 		t.Fatal("For is not stable per name")
 	}
 	a.Put("k", []byte("vv"))
-	a.Get("k")
-	b.Get("k")
-	st := cs.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Bytes != 2 || st.Entries != 1 {
-		t.Fatalf("aggregate stats = %+v", st)
+	if _, ok := b.Get("k"); ok {
+		t.Fatal("a value put in one node's cache is visible in another's")
+	}
+	if v, ok := cs.For("node-a").Get("k"); !ok || string(v) != "vv" {
+		t.Fatalf("For(node-a).Get = %q, %v", v, ok)
 	}
 }
 
@@ -263,13 +294,13 @@ func TestBoundChunkCacheSkipsReadAndDecode(t *testing.T) {
 	raw := []byte("abcdefghijklmnop")
 	stored := oneShotDeflate(t, raw, 6)
 	r := &slowReader{data: stored, latency: 0.01}
-	cache := NewCache(0)
+	cache, reg := NewCache(0), obs.New()
 	dec := chunkDecoder{pkg: "test", deflated: true, stored: int64(len(stored)), rawSize: int64(len(raw))}
 	var outs [2][]byte
 	var took [2]float64
 	k := sim.NewKernel()
 	k.Go("p", func(p *sim.Proc) {
-		b := Bind(p, r, Options{Cache: cache})
+		b := Bind(p, r, Options{Cache: cache, Obs: reg})
 		for i := range outs {
 			start := p.Now()
 			out, err := decoded(b.readChunk(dec, false))
@@ -293,9 +324,8 @@ func TestBoundChunkCacheSkipsReadAndDecode(t *testing.T) {
 	if took[1] >= took[0] {
 		t.Fatalf("cached read took %v, cold took %v; want strictly faster", took[1], took[0])
 	}
-	st := cache.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", st)
+	if hits, misses := chunkReads(reg); hits != 1 || misses != 1 {
+		t.Fatalf("chunk reads: %v hits / %v misses, want 1 / 1", hits, misses)
 	}
 }
 

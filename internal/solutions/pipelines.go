@@ -10,7 +10,6 @@ import (
 	"scidp/internal/ioengine"
 	"scidp/internal/mapreduce"
 	"scidp/internal/netcdf"
-	"scidp/internal/obs"
 	"scidp/internal/rframe"
 	"scidp/internal/sim"
 	"scidp/internal/workloads"
@@ -171,9 +170,6 @@ func (d DataPath) Run(p *sim.Proc, env *Env, wl *Workload) (*Report, error) {
 func (d DataPath) run(p *sim.Proc, env *Env, wl *Workload, opts SciDPOptions) (*Report, error) {
 	env.ensureOpen()
 	name := cmp.Or(opts.Name, d.name)
-	if opts.Caches != nil {
-		opts.Caches.RegisterObs(env.Obs, obs.L("set", name))
-	}
 	rep := &Report{Solution: name, LevelsPerTask: float64(cmp.Or(opts.RowsPerBlock, wl.Dataset.Spec.Levels))}
 	files := wl.Dataset.Files
 	var err error
@@ -443,8 +439,8 @@ type SciDPOptions struct {
 	// budget, readahead depth).
 	Engine core.EngineOptions
 	// Caches, when non-nil, is the per-node chunk cache set the run uses
-	// — pass the same set to a later run to start it warm, or inspect
-	// its Stats afterwards.
+	// — pass the same set to a later run to start it warm. Its lookups
+	// are counted in ioengine/chunk_reads_total on env.Obs.
 	Caches *ioengine.CacheSet
 }
 
